@@ -13,7 +13,7 @@ Three runs of the same 4-node Lyra cluster:
 Run:  python examples/partial_synchrony.py
 """
 
-from repro.harness import ExperimentConfig, build_lyra_cluster
+from repro.harness import ExperimentConfig, build_cluster
 from repro.net.adversary import PartialSynchronyAdversary, PartitionAdversary
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.sim.rng import RngRegistry
@@ -44,16 +44,16 @@ def report(name, cluster, result):
 def main() -> None:
     print("Three partial-synchrony regimes, same protocol, same seed:\n")
 
-    cluster = build_lyra_cluster(base_config())
+    cluster = build_cluster(base_config())
     report("synchronous", cluster, cluster.run())
 
-    cluster = build_lyra_cluster(base_config())
+    cluster = build_cluster(base_config())
     cluster.network.adversary = PartialSynchronyAdversary(
         2 * SECONDS, max_delay_us=400 * MILLISECONDS, rng=RngRegistry(71)
     )
     report("adversary until GST=2s", cluster, cluster.run())
 
-    cluster = build_lyra_cluster(base_config())
+    cluster = build_cluster(base_config())
     cluster.network.adversary = PartitionAdversary({0, 1}, heal_at_us=3 * SECONDS)
     # Peek mid-partition: no quorum, no commits.
     cluster_nodes = cluster.nodes

@@ -10,7 +10,7 @@ obfuscated-until-commit transaction log.
 Run:  python examples/quickstart.py
 """
 
-from repro.harness import ExperimentConfig, build_lyra_cluster
+from repro.harness import ExperimentConfig, build_cluster
 from repro.metrics.stats import summarize_latencies
 
 
@@ -26,7 +26,7 @@ def main() -> None:
         seed=42,
     )
     print(f"Building a Lyra cluster: n={config.n_nodes}, f={config.resolved_f()}")
-    cluster = build_lyra_cluster(config)
+    cluster = build_cluster(config)
     print(
         "Topology:",
         {pid: cluster.topology.region_of(pid) for pid in range(config.n_nodes)},

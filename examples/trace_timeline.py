@@ -10,7 +10,7 @@ full trace to ``lyra_trace.jsonl`` for offline analysis.
 Run:  python examples/trace_timeline.py
 """
 
-from repro.harness import ExperimentConfig, build_lyra_cluster
+from repro.harness import ExperimentConfig, build_cluster
 from repro.harness.experiments import format_rows, latency_breakdown
 from repro.metrics.tracelog import PHASES, install_lyra_tracing
 
@@ -26,7 +26,7 @@ def main() -> None:
         warmup_spacing_us=150_000,
         seed=8,
     )
-    cluster = build_lyra_cluster(cfg)
+    cluster = build_cluster(cfg)
     log = install_lyra_tracing(cluster)
     cluster.run()
 

@@ -82,7 +82,6 @@ def _config_from_args(args, n: int, seed: int):
         duration_us=args.duration_ms * MILLISECONDS,
         warmup_rounds=args.warmup_rounds,
         warmup_spacing_us=150 * MILLISECONDS,
-        backend=getattr(args, "backend", "python"),
         dissemination=getattr(args, "dissemination", None) or "all2all",
         fanout=getattr(args, "fanout", 8),
         distance_mode=getattr(args, "distance_mode", None) or "probe",
@@ -100,12 +99,6 @@ def _add_config_flags(parser) -> None:
         "--duration-ms", type=int, default=4000, help="virtual duration in ms"
     )
     parser.add_argument("--warmup-rounds", type=int, default=2)
-    parser.add_argument(
-        "--backend",
-        choices=["python", "vector"],
-        default="python",
-        help="simulation backend (decided prefixes are bit-identical)",
-    )
     parser.add_argument(
         "--dissemination",
         choices=["all2all", "tree", "gossip"],
@@ -717,8 +710,6 @@ def cmd_bench(args) -> None:
         macro_duration_ms=args.duration_ms,
         coalesce=args.coalesce,
         observability=args.observability,
-        backend=args.backend,
-        backend_twins=args.backends,
         shards=args.shards,
         dissemination=args.dissemination,
         fanout=args.fanout,
@@ -760,17 +751,6 @@ def cmd_bench(args) -> None:
                     f"tot {row['ncalls']:>9} calls  {row['function']}"
                 )
     failed = False
-    if args.backends:
-        from repro.bench.suite import check_backend_equivalence
-
-        eq_failures = check_backend_equivalence(report)
-        if eq_failures:
-            print("\nBENCH BACKEND EQUIVALENCE: FAIL")
-            for f in eq_failures:
-                print(f"  - {f}")
-            failed = True
-        else:
-            print("\nBENCH BACKEND EQUIVALENCE: PASS (all twin digests identical)")
     if args.shards > 1:
         from repro.bench.suite import check_sharding
 
@@ -1083,18 +1063,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="also run a tracing+metrics headline cell and fail on >5%% "
         "events/sec overhead or decided-prefix digest drift",
-    )
-    pbench.add_argument(
-        "--backend",
-        choices=["python", "vector"],
-        default="python",
-        help="simulation backend every macro cell runs on (default python)",
-    )
-    pbench.add_argument(
-        "--backends",
-        action="store_true",
-        help="re-run each macro cell on the other backend and fail on any "
-        "decided-prefix digest divergence between the pair",
     )
     pbench.add_argument(
         "--shards",

@@ -8,7 +8,6 @@ decided-prefix digest against a checked-in baseline (``BENCH_<date>.json``).
 from repro.bench.suite import (
     BENCH_SCHEMA_VERSION,
     check_against_baseline,
-    check_backend_equivalence,
     check_gossip_distance,
     default_output_path,
     environment_block,
@@ -19,7 +18,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "run_bench_suite",
     "check_against_baseline",
-    "check_backend_equivalence",
     "check_gossip_distance",
     "default_output_path",
     "environment_block",

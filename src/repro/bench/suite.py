@@ -380,7 +380,6 @@ def _run_macro_cell(
     cell = {
         "n": config.n_nodes,
         "seed": config.seed,
-        "backend": config.backend,
         "duration_ms": config.duration_us // 1000,
         "events": events,
         "wall_s": round(wall, 3),
@@ -450,7 +449,6 @@ def _run_sharded_cell(name: str, config, n_shards: int) -> Dict[str, Any]:
     cell = {
         "n": config.n_nodes,
         "seed": config.seed,
-        "backend": config.backend,
         "duration_ms": config.duration_us // 1000,
         "events": events,
         "wall_s": round(wall, 3),
@@ -501,8 +499,6 @@ def run_bench_suite(
     macro_duration_ms: Optional[int] = None,
     coalesce: bool = False,
     observability: bool = False,
-    backend: str = "python",
-    backend_twins: bool = False,
     shards: int = 1,
     dissemination: Optional[str] = None,
     fanout: int = 8,
@@ -524,10 +520,6 @@ def run_bench_suite(
     ``observability`` adds an ``*_observed`` headline variant with span
     tracing and the metrics registry enabled — ``check_observability``
     then gates its cost (<5% events/sec overhead, identical digest).
-    ``backend`` runs every macro cell on that simulation backend;
-    ``backend_twins`` re-runs each macro cell on the *other* backend as a
-    ``<cell>_<backend>`` twin — ``check_backend_equivalence`` then fails
-    on any decided-prefix digest divergence between the pair.
     ``shards`` > 1 re-runs the scaling cell (``goodcase_n100`` in full
     mode, the headline cell in quick mode) through the partitioned core
     as a ``<cell>_sharded`` twin with that many worker processes; the
@@ -566,23 +558,14 @@ def run_bench_suite(
     else:
         headline = "goodcase_n32"
         cfg = _goodcase_config(macro_n or 32, macro_duration_ms or 3000)
-    cfg = dataclasses.replace(cfg, backend=backend)
 
-    cells: List[Tuple[str, Any]] = [(headline, cfg)]
-    cells.append(
-        ("chaos_smoke", dataclasses.replace(_chaos_config(), backend=backend))
-    )
+    cells: List[Tuple[str, Any]] = [(headline, cfg), ("chaos_smoke", _chaos_config())]
     if not quick:
         # The scaling oracle: ten times the paper's n, long enough for the
         # pipeline to fill.  Its digest is checked in like every other
-        # cell's, so both backends (and future builds) must reproduce the
-        # n=100 schedule bit-for-bit.
-        cells.append(
-            (
-                "goodcase_n100",
-                dataclasses.replace(_goodcase_config(100, 1000), backend=backend),
-            )
-        )
+        # cell's, so future builds must reproduce the n=100 schedule
+        # bit-for-bit.
+        cells.append(("goodcase_n100", _goodcase_config(100, 1000)))
     if coalesce:
         for name, base_cfg in list(cells):
             if name == "goodcase_n100":
@@ -629,7 +612,7 @@ def run_bench_suite(
     for name, cell_cfg in cells:
         say(
             f"macro: {name} (n={cell_cfg.n_nodes}, "
-            f"{cell_cfg.duration_us // 1000} ms, {cell_cfg.backend}) ..."
+            f"{cell_cfg.duration_us // 1000} ms) ..."
         )
         macro[name] = _run_macro_cell(name, cell_cfg, profile=profile)
     if shards > 1:
@@ -648,14 +631,6 @@ def run_bench_suite(
                 scell["events_per_s"] / base_eps, 2
             )
         macro[sname] = scell
-    if backend_twins:
-        twin = "vector" if backend == "python" else "python"
-        for name, cell_cfg in cells:
-            tname = f"{name}_{twin}"
-            say(f"macro: {tname} (backend twin) ...")
-            macro[tname] = _run_macro_cell(
-                tname, dataclasses.replace(cell_cfg, backend=twin), profile=profile
-            )
     if observability:
         oname = f"{headline}_observed"
         say(f"macro: {oname} (tracing + metrics on) ...")
@@ -728,7 +703,6 @@ def run_bench_suite(
         "platform": platform.platform(),
         "environment": environment_block(),
         "quick": quick,
-        "backend": backend,
         "headline": headline,
         "suite_wall_s": round(time.perf_counter() - suite_start, 3),
         "micro": micro,
@@ -754,46 +728,6 @@ def _cell_shape(cell: Dict[str, Any]) -> tuple:
         cell.get("duration_ms"),
         bool(cell.get("coalesced")),
     )
-
-
-def check_backend_equivalence(report: Dict[str, Any]) -> List[str]:
-    """Cross-backend determinism gate within one report.
-
-    ``run_bench_suite(backend_twins=True)`` runs every macro cell on both
-    backends; the ``<cell>_python``/``<cell>_vector`` twin must reproduce
-    the base cell's decided-prefix digest and event count exactly.
-    Returns failure strings (empty = both backends ran bit-identically).
-    """
-    failures: List[str] = []
-    macro = report.get("macro", {})
-    pairs = 0
-    for name, twin_cell in macro.items():
-        for suffix in ("_python", "_vector"):
-            if not name.endswith(suffix):
-                continue
-            base = macro.get(name[: -len(suffix)])
-            if base is None:
-                continue
-            pairs += 1
-            if twin_cell.get("prefix_sha256") != base.get("prefix_sha256"):
-                failures.append(
-                    f"{name}: decided-prefix digest "
-                    f"{twin_cell.get('prefix_sha256')} != "
-                    f"{base.get('backend', 'base')} cell "
-                    f"{base.get('prefix_sha256')} (backend divergence)"
-                )
-            if twin_cell.get("events") != base.get("events"):
-                failures.append(
-                    f"{name}: {twin_cell.get('events')} events != "
-                    f"{base.get('events')} on the "
-                    f"{base.get('backend', 'base')} backend"
-                )
-    if pairs == 0:
-        failures.append(
-            "report has no backend twin cells "
-            "(run the suite with backend_twins=True)"
-        )
-    return failures
 
 
 def check_sharding(report: Dict[str, Any]) -> List[str]:
@@ -1041,7 +975,6 @@ __all__ = [
     "OBSERVABILITY_MAX_OVERHEAD",
     "OBSERVABILITY_REPEATS",
     "check_observability",
-    "check_backend_equivalence",
     "check_sharding",
     "check_dissemination",
     "COALESCE_BENCH_WINDOW_US",

@@ -512,9 +512,7 @@ class LyraNode(SimProcess):
         else:
             # ``partial`` over a bound method beats a closure here: no cell
             # allocation, and the epoch guard lives in one shared function.
-            # ``schedule_light``: the completion is never cancelled, so the
-            # arena backend may skip the Event record.
-            self.sim.schedule_light(
+            self.sim.schedule(
                 done_at - now,
                 partial(self._process_deferred, message, sender, self.incarnation),
             )
@@ -548,7 +546,7 @@ class LyraNode(SimProcess):
             for message in messages:
                 self._process(message, sender)
         else:
-            self.sim.schedule_light(
+            self.sim.schedule(
                 done_at - now,
                 partial(
                     self._process_batch_deferred, messages, sender, self.incarnation

@@ -6,23 +6,16 @@
   content-addressed result caching.
 - :mod:`repro.harness.experiments` — one entry point per paper artefact
   (Fig. 1, Fig. 2, Fig. 3, plus the ablations listed in DESIGN.md §4).
-
-``build_lyra_cluster`` / ``build_pompe_cluster`` remain as deprecated
-shims over :func:`build_cluster`.
 """
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.cluster import (
-    ExperimentResult,
-    LyraCluster,
-    build_lyra_cluster,
-)
+from repro.harness.cluster import ExperimentResult, LyraCluster
 from repro.harness.factory import (
     available_protocols,
     build_cluster,
     register_protocol,
 )
-from repro.harness.pompe_cluster import PompeCluster, build_pompe_cluster
+from repro.harness.pompe_cluster import PompeCluster
 from repro.harness.sweep import (
     SweepCell,
     SweepReport,
@@ -38,8 +31,6 @@ __all__ = [
     "build_cluster",
     "register_protocol",
     "available_protocols",
-    "build_lyra_cluster",
-    "build_pompe_cluster",
     "SweepCell",
     "SweepReport",
     "grid_cells",

@@ -18,9 +18,8 @@ from repro.attacks.byzantine import (
     SilentProposerNode,
 )
 from repro.attacks.pompe_attacks import CensoringLeaderNode
-from repro.harness.cluster import build_lyra_cluster
 from repro.harness.config import ExperimentConfig
-from repro.harness.pompe_cluster import build_pompe_cluster
+from repro.harness.factory import build_cluster
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 _CASES: Dict[str, Optional[type]] = {
@@ -67,7 +66,7 @@ def run_byzantine_case(case: str, *, seed: int = 13, n: int = 4) -> Dict:
     if _CASES[case] is not None:
         node_classes[byz_pid] = _CASES[case]
         node_kwargs[byz_pid] = _CASE_KWARGS.get(case, {})
-    cluster = build_lyra_cluster(
+    cluster = build_cluster(
         cfg, node_classes=node_classes, node_kwargs=node_kwargs
     )
     # Clients only on correct replicas.
@@ -150,7 +149,7 @@ def run_warmup_bias_case(*, seed: int = 59, n: int = 4) -> Dict:
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
     )
-    cluster = build_lyra_cluster(cfg)
+    cluster = build_cluster(cfg)
     cluster.network.adversary = TargetedDelayAdversary(
         {2}, 400 * MILLISECONDS, gst_us=2 * SECONDS
     )
@@ -186,8 +185,9 @@ def run_censorship_case(*, seed: int = 17, n: int = 4) -> List[Dict]:
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
     )
-    pompe = build_pompe_cluster(
+    pompe = build_cluster(
         cfg,
+        protocol="pompe",
         node_classes={0: CensoringLeaderNode},
         node_kwargs={0: {"censored": {victim}}},
     )
@@ -200,7 +200,7 @@ def run_censorship_case(*, seed: int = 17, n: int = 4) -> List[Dict]:
         c.stats.completed for i, c in enumerate(pompe.clients) if i != victim
     )
 
-    lyra = build_lyra_cluster(cfg)
+    lyra = build_cluster(cfg, protocol="lyra")
     lyra_res = lyra.run(skip_safety_check=True)
     lyra_victim = lyra.clients[victim].stats.completed
     lyra_others = sum(

@@ -1,10 +1,12 @@
-"""Cluster builders and the experiment runner.
+"""The Lyra cluster and the experiment result schema.
 
-``build_lyra_cluster`` assembles a full simulated deployment — topology,
-WAN, PKI, threshold/VSS schemes, replicas, closed-loop clients — from an
-:class:`~repro.harness.config.ExperimentConfig`, runs it for the configured
-virtual duration, and returns consolidated measurements plus safety-check
-results.  The Pompē equivalent lives in :mod:`repro.harness.pompe_cluster`.
+:class:`LyraCluster` assembles a full simulated deployment — topology,
+WAN, PKI, threshold/VSS schemes, replicas, workload clients — from an
+:class:`~repro.harness.config.ExperimentConfig`; ``run()`` drives it for
+the configured virtual duration and returns consolidated measurements plus
+safety-check results.  Construct it through
+:func:`repro.harness.factory.build_cluster`; the Pompē equivalent lives in
+:mod:`repro.harness.pompe_cluster`.
 """
 
 from __future__ import annotations
@@ -24,11 +26,6 @@ from repro.core.smr import check_output_sorted, check_prefix_consistency
 from repro.crypto.cost import DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
-from repro.harness.backend import (
-    make_fault_injector,
-    make_latency_model,
-    make_simulator,
-)
 from repro.harness.config import ExperimentConfig
 from repro.metrics.invariants import InvariantWatchdog
 from repro.metrics.registry import MetricsRegistry
@@ -36,10 +33,11 @@ from repro.metrics.tracelog import TraceLog, install_lyra_tracing
 from repro.net.adversary import NullAdversary, PartialSynchronyAdversary
 from repro.net.dissemination import make_dissemination
 from repro.net.faults import FaultInjector
+from repro.net.latency import make_latency_model
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Topology
 from repro.metrics.fairness import fairness_block
-from repro.sim.engine import SECONDS
+from repro.sim.engine import SECONDS, Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.clients import TxKey, _BaseClient
 from repro.workload.kvstore import KvStore
@@ -147,7 +145,7 @@ class LyraCluster:
         self.local_pids: Optional[frozenset] = (
             frozenset(local_pids) if local_pids is not None else None
         )
-        self.sim = make_simulator(config)
+        self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
         f = config.resolved_f()
         n = config.n_nodes
@@ -239,13 +237,14 @@ class LyraCluster:
         )
         self.clients: List[_BaseClient] = self.workload.clients
 
-        # Network.  The latency model is backend-selected: uniform links
-        # (jitter-free, analytically checkable) are shared, the geo matrix
-        # gets the scalar or numpy-batched jitter implementation.
-        # Kept on the cluster: ``base_us`` is the jitter-free ground truth
-        # the distance-estimator error metrics are measured against.
+        # Network.  The latency model is kept on the cluster: ``base_us``
+        # is the jitter-free ground truth the distance-estimator error
+        # metrics are measured against.
         self.latency = latency = make_latency_model(
-            config, self.topology.placement, self.rng
+            self.topology.placement,
+            uniform_delay_us=config.uniform_delay_us,
+            jitter=config.jitter,
+            rng=self.rng,
         )
         adversary = (
             PartialSynchronyAdversary(
@@ -272,7 +271,7 @@ class LyraCluster:
                 )
             )
             plan.validate_for(n, f, byzantine=byz)
-            self.fault_injector = make_fault_injector(config, plan, self.rng)
+            self.fault_injector = FaultInjector(plan, self.rng)
         self.network = Network(
             self.sim,
             latency,
@@ -677,26 +676,4 @@ class LyraCluster:
         return total * 1_000_000.0 / window_us
 
 
-def build_lyra_cluster(
-    config: ExperimentConfig,
-    *,
-    node_classes: Optional[Dict[int, type]] = None,
-    node_kwargs: Optional[Dict[int, dict]] = None,
-) -> LyraCluster:
-    """Deprecated: use ``build_cluster(config, protocol="lyra")``."""
-    import warnings
-
-    warnings.warn(
-        "build_lyra_cluster is deprecated; use "
-        "repro.harness.build_cluster(config, protocol='lyra')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.harness.factory import build_cluster
-
-    return build_cluster(
-        config, protocol="lyra", node_classes=node_classes, node_kwargs=node_kwargs
-    )
-
-
-__all__ = ["LyraCluster", "ExperimentResult", "build_lyra_cluster"]
+__all__ = ["LyraCluster", "ExperimentResult"]

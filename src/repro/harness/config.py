@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -34,12 +33,6 @@ class ExperimentConfig:
     f: Optional[int] = None
     regions: Sequence[str] = field(default_factory=lambda: list(EVAL_REGIONS))
     seed: int = 1
-    #: Simulation backend: ``"python"`` (the reference engine) or
-    #: ``"vector"`` (arena event storage + numpy-batched latency/fault
-    #: draws — same schedules, same decided prefixes, less interpreter
-    #: overhead; see EXPERIMENTS.md "Backends").  Runs are bit-identical
-    #: across backends for the same ``(seed, config)`` by construction.
-    backend: str = "python"
 
     # Network.
     delta_us: int = 150 * MILLISECONDS
@@ -80,7 +73,7 @@ class ExperimentConfig:
     #: default — bit-identical to the checked-in digest oracles) or
     #: ``"gossip"`` (epidemic constant-fan-out estimation, O(n·fanout)
     #: messages per round; see :mod:`repro.core.gossip_distance`).
-    #: Resolved per node at ``build_cluster`` time like ``backend``.
+    #: Resolved per node at ``build_cluster`` time.
     distance_mode: str = "probe"
     #: Peers each node contacts per gossip round (gossip mode only).
     gossip_fanout: int = DEFAULT_GOSSIP_FANOUT
@@ -98,12 +91,6 @@ class ExperimentConfig:
     workload: Optional[WorkloadSpec] = None
     clients_per_node: int = 1
     client_window: int = 50
-    #: Deprecated (use ``workload``): extra light-load probe clients (one
-    #: per node, up to this count) with their own small request window —
-    #: the Fig. 2 latency measurement rig.
-    probe_clients: int = 0
-    #: Deprecated (use ``workload``): request window of the probes.
-    probe_window: int = 1
     duration_us: int = 5 * SECONDS
     #: Measurement starts after clients have ramped up.
     measure_after_us: Optional[int] = None
@@ -152,10 +139,6 @@ class ExperimentConfig:
     metrics: bool = False
 
     def __post_init__(self) -> None:
-        if self.backend not in ("python", "vector"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}: expected 'python' or 'vector'"
-            )
         # Late import: net.dissemination must not import harness code.
         from repro.net.dissemination import DISSEMINATION_STRATEGIES
 
@@ -205,27 +188,16 @@ class ExperimentConfig:
     def resolved_workload(self) -> WorkloadSpec:
         """The effective :class:`WorkloadSpec` of this run.
 
-        An explicit ``workload`` wins; otherwise the deprecated legacy
-        knobs (``clients_per_node`` / ``client_window`` /
-        ``probe_clients`` / ``probe_window``) are shimmed into an
+        An explicit ``workload`` wins; otherwise the legacy knobs
+        (``clients_per_node`` / ``client_window``) are shimmed into an
         equivalent spec that reproduces the historical client rig
         bit-for-bit.
         """
         if self.workload is not None:
             return self.workload
-        if self.probe_clients != 0 or self.probe_window != 1:
-            warnings.warn(
-                "ExperimentConfig.probe_clients/probe_window are "
-                "deprecated; pass an equivalent WorkloadSpec via "
-                "ExperimentConfig.workload instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         return WorkloadSpec.from_legacy(
             clients_per_node=self.clients_per_node,
             client_window=self.client_window,
-            probe_clients=self.probe_clients,
-            probe_window=self.probe_window,
         )
 
     # ------------------------------------------------------------------

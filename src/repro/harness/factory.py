@@ -1,11 +1,9 @@
 """Unified cluster construction: one factory for every protocol.
 
-Historically each system had its own entry point (``build_lyra_cluster``,
-``build_pompe_cluster``, ad-hoc baseline wiring), so every sweep, benchmark
-and CLI command grew per-protocol code paths.  :func:`build_cluster`
-collapses them behind a single registry keyed by protocol name; every
-registered builder takes the same ``(config, *, node_classes, node_kwargs)``
-signature and returns a cluster whose ``run()`` yields the shared
+:func:`build_cluster` is the single entry point for sweeps, benchmarks and
+the CLI: a registry keyed by protocol name whose builders all take the same
+``(config, *, node_classes, node_kwargs)`` signature and return a cluster
+whose ``run()`` yields the shared
 :class:`~repro.harness.cluster.ExperimentResult` schema.
 
 New baselines self-register with :func:`register_protocol`, which makes
@@ -48,7 +46,7 @@ def build_cluster(
     """Construct (but do not run) a cluster for ``protocol``.
 
     ``node_classes`` / ``node_kwargs`` inject Byzantine node subclasses per
-    pid, exactly as the per-protocol builders did.
+    pid.
     """
     builder = _REGISTRY.get(protocol.lower())
     if builder is None:

@@ -7,6 +7,7 @@ under identical topology, cost model, client placement and seeds.
 from __future__ import annotations
 
 import statistics
+import time
 from typing import Dict, List, Tuple
 
 from repro.baselines.pompe import PompeConfig, PompeNode
@@ -14,7 +15,6 @@ from repro.core.smr import check_prefix_consistency
 from repro.crypto.cost import DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
-from repro.harness.backend import make_simulator, resolve_backend
 from repro.harness.cluster import ExperimentResult
 from repro.harness.config import ExperimentConfig
 from repro.metrics.fairness import fairness_block
@@ -22,6 +22,7 @@ from repro.net.adversary import NullAdversary, PartialSynchronyAdversary
 from repro.net.latency import GeoLatencyModel
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Topology
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.clients import TxKey, _BaseClient
 from repro.workload.spec import build_workload
@@ -42,7 +43,7 @@ class PompeCluster:
         node_kwargs=None,
     ) -> None:
         self.config = config
-        self.sim = make_simulator(config)
+        self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
         f = config.resolved_f()
         n = config.n_nodes
@@ -114,18 +115,10 @@ class PompeCluster:
 
             node.observe_batch = tap
 
-        # Backend-selected jitter implementation (Pompē always runs the
-        # geo matrix; it has no uniform-delay mode).
-        if resolve_backend(config) == "vector":
-            from repro.net.latency import VectorGeoLatencyModel
-
-            latency = VectorGeoLatencyModel(
-                self.topology.placement, jitter=config.jitter, rng=self.rng
-            )
-        else:
-            latency = GeoLatencyModel(
-                self.topology.placement, jitter=config.jitter, rng=self.rng
-            )
+        # Pompē always runs the geo matrix; it has no uniform-delay mode.
+        latency = GeoLatencyModel(
+            self.topology.placement, jitter=config.jitter, rng=self.rng
+        )
         adversary = (
             PartialSynchronyAdversary(
                 config.gst_us,
@@ -173,7 +166,9 @@ class PompeCluster:
         cfg = self.config
         for node in self.nodes:
             node.start()
+        loop_start = time.perf_counter()
         self.sim.run(until=cfg.duration_us)
+        sim_wall_s = time.perf_counter() - loop_start
         self.workload.finalize(self.sim.now)
 
         latencies: List[int] = []
@@ -190,6 +185,7 @@ class PompeCluster:
             events_processed=self.sim.events_processed,
             messages_delivered=self.network.messages_delivered,
             bytes_delivered=self.network.bytes_delivered,
+            sim_wall_s=sim_wall_s,
         )
         if latencies:
             result.avg_latency_us = float(statistics.fmean(latencies))
@@ -223,23 +219,4 @@ class PompeCluster:
         return result
 
 
-def build_pompe_cluster(
-    config: ExperimentConfig, *, node_classes=None, node_kwargs=None
-) -> PompeCluster:
-    """Deprecated: use ``build_cluster(config, protocol="pompe")``."""
-    import warnings
-
-    warnings.warn(
-        "build_pompe_cluster is deprecated; use "
-        "repro.harness.build_cluster(config, protocol='pompe')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.harness.factory import build_cluster
-
-    return build_cluster(
-        config, protocol="pompe", node_classes=node_classes, node_kwargs=node_kwargs
-    )
-
-
-__all__ = ["PompeCluster", "build_pompe_cluster"]
+__all__ = ["PompeCluster"]

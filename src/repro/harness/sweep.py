@@ -62,8 +62,10 @@ from repro.harness.config import ExperimentConfig
 #: Schema 2: canonical same-instant delivery ordering (deliveries run at
 #: priority src+1) and per-source jitter streams — every digest changed —
 #: plus the ``dissemination``/``fanout`` config knobs (hashed via
-#: ``config.to_dict()`` like ``backend`` and every other field).
-CACHE_SCHEMA = 2
+#: ``config.to_dict()`` like every other field).
+#: Schema 3: ``ExperimentConfig`` dropped three fields; records written
+#: with them would fail ``from_dict``'s unknown-field check.
+CACHE_SCHEMA = 3
 
 
 # ----------------------------------------------------------------------

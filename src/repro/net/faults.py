@@ -22,7 +22,7 @@ processes), not by the injector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS
@@ -319,121 +319,6 @@ class FaultInjector:
         return bad
 
 
-class _BufferedUniform:
-    """Blocked view of one per-link uniform stream.
-
-    ``Generator.random(n)`` yields exactly the same variates as ``n``
-    scalar ``random()`` calls, so refilling a small buffer keeps the
-    per-link fault sequence bit-identical while amortising the numpy
-    dispatch overhead over 128 draws.  Only safe while the stream is
-    consumed through ``random()`` alone: an interleaved ``integers()``
-    call would see a bitstream the scalar path had not yet consumed.
-    """
-
-    __slots__ = ("_gen", "_buf", "_pos")
-
-    def __init__(self, gen) -> None:
-        self._gen = gen
-        self._buf: List[float] = []
-        self._pos = 0
-
-    def random(self) -> float:
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._buf = self._gen.random(128).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos]
-
-
-class VectorFaultInjector(FaultInjector):
-    """Batched-draw :class:`FaultInjector` for the vector backend.
-
-    Two accelerations, both transparent to the draw sequence:
-
-    - per-link rule lists are pre-filtered by endpoint selectors once,
-      so ``decide`` only re-checks the (cheap) time windows per message;
-    - when no rule in the plan can ever draw a reorder delay, each link's
-      uniform stream is consumed through a :class:`_BufferedUniform`
-      block.  Plans with ``reorder_rate > 0`` interleave ``integers()``
-      draws into the same bitstream, where block-buffering would change
-      consumption order — those fall back to scalar draws, keeping
-      determinism by construction.
-    """
-
-    def __init__(self, plan: FaultPlan, rng: RngRegistry) -> None:
-        super().__init__(plan, rng)
-        self._buffer_ok = all(lf.reorder_rate == 0.0 for lf in plan.links)
-        self._streams: Dict[Tuple[int, int], Any] = {}
-        self._link_rules: Dict[Tuple[int, int], Tuple[LinkFault, ...]] = {}
-
-    def _stream(self, src: int, dst: int):
-        key = (src, dst)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = self._rng.get("faults", f"{src}->{dst}")
-            if self._buffer_ok:
-                stream = _BufferedUniform(stream)
-            self._streams[key] = stream
-        return stream
-
-    def _rules(self, src: int, dst: int) -> Tuple[LinkFault, ...]:
-        key = (src, dst)
-        rules = self._link_rules.get(key)
-        if rules is None:
-            rules = tuple(
-                lf
-                for lf in self.plan.links
-                if (lf.src is None or src in lf.src)
-                and (lf.dst is None or dst in lf.dst)
-            )
-            self._link_rules[key] = rules
-        return rules
-
-    def decide(self, src: int, dst: int, message: Message, now: int) -> FaultDecision:
-        # Mirrors FaultInjector.decide with the endpoint matching hoisted
-        # into the per-link rule cache; draw order is unchanged.
-        decision = FaultDecision()
-        active = [
-            lf
-            for lf in self._rules(src, dst)
-            if lf.start_us <= now and (lf.end_us is None or now < lf.end_us)
-        ]
-        if not active:
-            return decision
-        stream = self._stream(src, dst)
-        for lf in active:
-            if lf.drop_rate > 0.0 and stream.random() < lf.drop_rate:
-                decision.drop = True
-            if lf.duplicate_rate > 0.0 and stream.random() < lf.duplicate_rate:
-                decision.duplicate = True
-            if lf.corrupt_rate > 0.0 and stream.random() < lf.corrupt_rate:
-                decision.corrupt = True
-            if lf.reorder_rate > 0.0 and stream.random() < lf.reorder_rate:
-                decision.extra_delay_us += int(
-                    stream.integers(1, max(2, lf.reorder_delay_us + 1))
-                )
-        if decision.drop:
-            self.stats.dropped += 1
-            decision.duplicate = decision.corrupt = False
-            decision.extra_delay_us = 0
-            return decision
-        if decision.duplicate:
-            self.stats.duplicate_wire_events += 1
-            if message.uid not in self._duplicated_uids:
-                self._duplicated_uids.add(message.uid)
-                self.stats.duplicated += 1
-        if decision.corrupt:
-            self.stats.corrupt_wire_events += 1
-            if message.uid not in self._corrupted_uids:
-                self._corrupted_uids.add(message.uid)
-                self.stats.corrupted += 1
-        if decision.extra_delay_us:
-            self.stats.reordered += 1
-        return decision
-
-
 __all__ = [
     "LinkFault",
     "CrashEvent",
@@ -441,5 +326,4 @@ __all__ = [
     "FaultDecision",
     "FaultStats",
     "FaultInjector",
-    "VectorFaultInjector",
 ]

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-import numpy as np
-
 from repro.sim.engine import MILLISECONDS
 from repro.sim.rng import RngRegistry
 
@@ -276,125 +274,20 @@ class GeoLatencyModel(LatencyModel):
         return out
 
 
-class VectorGeoLatencyModel(GeoLatencyModel):
-    """Numpy-batched :class:`GeoLatencyModel` for the vector backend.
-
-    ``one_way_block`` draws the whole fan-out's jitter with one
-    ``Generator`` slice and applies the clamp/scale/floor pipeline as
-    array operations.  Bit-identical to the scalar model by construction:
-
-    - each per-source jitter stream is consumed through the same
-      1024-variate refill blocks at the same stream offsets, so scalar
-      calls (``one_way_us``, used by point-to-point sends) and batched
-      calls interleave freely without perturbing each other;
-    - every float64 operation (``clip`` at ±3σ, ``base * (1 + noise)``,
-      truncation to int, the 20%-of-base floor) is IEEE-identical to its
-      scalar counterpart, and self-destinations draw nothing, preserving
-      the sorted-pid draw order exactly.
-    """
-
-    def __init__(
-        self,
-        placement: Mapping[int, str],
-        *,
-        jitter: float = 0.03,
-        rng: RngRegistry | None = None,
-    ) -> None:
-        super().__init__(placement, jitter=jitter, rng=rng)
-        # Per-source noise buffers stay numpy arrays here (the scalar
-        # model converts to lists): src -> [array, cursor, generator].
-        self._arr_streams: Dict[int, list] = {}
-        # (src, dsts) -> (bases of non-self dsts as float64, their int
-        # floors, positions of self destinations, their base latencies).
-        self._block_cache: Dict[tuple, tuple] = {}
-
-    def _arr_stream(self, src: int) -> list:
-        state = self._arr_streams.get(src)
-        if state is None:
-            state = self._arr_streams[src] = [
-                np.empty(0),
-                0,
-                self._registry.get("net", "jitter", str(src)),
-            ]
-        return state
-
-    def one_way_us(self, src: int, dst: int) -> int:
-        base = self.base_us(src, dst)
-        jitter = self.jitter
-        if jitter <= 0 or src == dst:
-            return base
-        if self._noise_sigma != jitter:
-            self._arr_streams.clear()
-            self._noise_sigma = jitter
-        state = self._arr_streams.get(src)
-        if state is None:
-            state = self._arr_stream(src)
-        arr, pos, gen = state
-        if pos >= arr.shape[0]:
-            arr = state[0] = gen.normal(0.0, jitter, 1024)
-            pos = 0
-        noise = arr[pos]
-        state[1] = pos + 1
-        if noise > (hi := 3 * jitter):
-            noise = hi
-        elif noise < -hi:
-            noise = -hi
-        sample = int(base * (1.0 + noise))
-        floor = int(base * 0.2)
-        return sample if sample > floor else floor
-
-    def _build_block(self, src: int, dsts) -> tuple:
-        bases = [self.base_us(src, dst) for dst in dsts]
-        self_pos = [i for i, dst in enumerate(dsts) if dst == src]
-        nonself = [b for i, b in enumerate(bases) if i not in self_pos]
-        return (
-            np.array(nonself, dtype=np.float64),
-            np.array([int(b * 0.2) for b in nonself], dtype=np.int64),
-            self_pos,
-            [bases[i] for i in self_pos],
-        )
-
-    def one_way_block(self, src: int, dsts) -> List[int]:
-        jitter = self.jitter
-        if jitter <= 0:
-            base_us = self.base_us
-            return [base_us(src, d) for d in dsts]
-        key = (src, tuple(dsts))
-        block = self._block_cache.get(key)
-        if block is None:
-            block = self._block_cache[key] = self._build_block(src, dsts)
-        bases, floors, self_pos, self_bases = block
-        k = bases.shape[0]
-        if k == 0:
-            return list(self_bases)
-        if self._noise_sigma != jitter:
-            self._arr_streams.clear()
-            self._noise_sigma = jitter
-        state = self._arr_streams.get(src)
-        if state is None:
-            state = self._arr_stream(src)
-        arr, pos, gen = state
-        noise = np.empty(k)
-        filled = 0
-        while filled < k:
-            if pos >= arr.shape[0]:
-                arr = state[0] = gen.normal(0.0, jitter, 1024)
-                pos = 0
-            take = min(k - filled, arr.shape[0] - pos)
-            noise[filled : filled + take] = arr[pos : pos + take]
-            filled += take
-            pos += take
-        state[1] = pos
-        hi = 3 * jitter
-        np.clip(noise, -hi, hi, out=noise)
-        noise += 1.0
-        noise *= bases
-        samples = noise.astype(np.int64)
-        np.maximum(samples, floors, out=samples)
-        out = samples.tolist()
-        for i, base in zip(self_pos, self_bases):
-            out.insert(i, base)
-        return out
+def make_latency_model(
+    placement: Mapping[int, str],
+    *,
+    uniform_delay_us: int | None,
+    jitter: float,
+    rng: RngRegistry,
+) -> LatencyModel:
+    """The WAN model a cluster runs on: a set ``uniform_delay_us`` selects
+    jitter-free uniform links (analytically checkable), otherwise the geo
+    matrix.  The cluster builder and the shard planner both resolve the
+    model here, so the epoch bound is derived from the model that runs."""
+    if uniform_delay_us is not None:
+        return UniformLatencyModel(uniform_delay_us)
+    return GeoLatencyModel(placement, jitter=jitter, rng=rng)
 
 
 __all__ = [
@@ -405,5 +298,5 @@ __all__ = [
     "LatencyModel",
     "UniformLatencyModel",
     "GeoLatencyModel",
-    "VectorGeoLatencyModel",
+    "make_latency_model",
 ]

@@ -173,7 +173,7 @@ class Network:
         bucket's total order is bit-identical to the single-process run.
         """
         sim = self.sim
-        sim.schedule_light(
+        sim.schedule(
             arrival_abs_us - sim.now,
             partial(self._deliver, src, dst, message),
             priority=src + 1,
@@ -584,7 +584,7 @@ class Network:
         # past and the remaining terms are non-negative), so this can skip
         # schedule_at's bounds check.  Priority src+1 gives same-instant
         # deliveries a canonical sender-pid order (see _broadcast_fast).
-        sim.schedule_light(
+        sim.schedule(
             arrival - sim.now,
             partial(self._deliver, src, dst, message),
             priority=src + 1,

@@ -192,18 +192,6 @@ class Simulator:
                 insort(bucket, event, lo=lo, key=_EVENT_KEY)
         self._pending += len(items)
 
-    def schedule_light(
-        self, delay: int, callback: Callable[[], None], *, priority: int = 0
-    ) -> None:
-        """Fire-and-forget :meth:`schedule`: the caller promises it will
-        never cancel (or even hold) the resulting event.
-
-        The base simulator simply delegates, so the python backend is
-        unchanged; accelerated backends exploit the promise to skip the
-        per-event record entirely (see :mod:`repro.sim.arena`).
-        """
-        self.schedule(delay, callback, priority=priority)
-
     def schedule_at(
         self,
         when: int,

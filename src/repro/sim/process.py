@@ -189,10 +189,8 @@ class SimProcess:
                     return
                 callback()
 
-            # ``acquire`` never completes in the past, and the completion
-            # is never cancelled — fire-and-forget, so the arena backend
-            # can skip the Event record.
-            self.sim.schedule_light(done_at - self.sim.now, _run)
+            # ``acquire`` never completes in the past.
+            self.sim.schedule(done_at - self.sim.now, _run)
 
     # ------------------------------------------------------------------
     # Lifecycle

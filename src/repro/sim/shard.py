@@ -4,7 +4,7 @@ One simulated cluster is split across worker *processes* by node group;
 each worker advances its local partition through conservative-lookahead
 epochs and the workers exchange cross-shard message frames at epoch
 barriers.  Decided prefixes stay **bit-identical** to the single-process
-backends — the ``goodcase_n100`` digest oracle pins this — because three
+run — the ``goodcase_n100`` digest oracle pins this — because three
 properties hold by construction:
 
 Epoch bound
@@ -146,8 +146,8 @@ def plan_shards(config, n_shards: int) -> ShardPlan:
     """Partition ``config``'s cluster into ``n_shards`` and derive the
     epoch bound from the latency model's cross-shard floors."""
     # Late imports: repro.sim is the bottom layer; the planner reaches up
-    # into harness/net only when actually invoked.
-    from repro.harness.backend import make_latency_model
+    # into net only when actually invoked.
+    from repro.net.latency import make_latency_model
     from repro.net.topology import Topology
     from repro.sim.rng import RngRegistry
 
@@ -164,7 +164,12 @@ def plan_shards(config, n_shards: int) -> ShardPlan:
         return ShardPlan(1, 0, node_pids)
 
     topology = Topology(n, regions)
-    latency = make_latency_model(config, topology.placement, RngRegistry(config.seed))
+    latency = make_latency_model(
+        topology.placement,
+        uniform_delay_us=config.uniform_delay_us,
+        jitter=config.jitter,
+        rng=RngRegistry(config.seed),
+    )
     floor = None
     for src in range(n):
         for dst in range(n):

@@ -3,9 +3,9 @@
 A :class:`WorkloadSpec` describes *everything* a run submits: groups of
 clients, each with a client type (resolved through the client registry),
 an arrival process (for open-loop groups), a body mix, and placement.
-It replaces the scattered ``clients_per_node`` / ``probe_clients`` /
-``probe_window`` knobs with one composable, serialisable object that
-plugs into every cluster builder via ``ExperimentConfig.workload``.
+It replaces scattered per-client-kind config knobs with one composable,
+serialisable object that plugs into every cluster builder via
+``ExperimentConfig.workload``.
 
 Design invariants:
 
@@ -178,34 +178,20 @@ class WorkloadSpec:
         *,
         clients_per_node: int = 1,
         client_window: int = 50,
-        probe_clients: int = 0,
-        probe_window: int = 1,
     ) -> "WorkloadSpec":
-        """The spec equivalent of the deprecated knob set.
+        """The spec equivalent of the legacy knob set.
 
         Reproduces the historical client rig exactly (construction order
         and constructor arguments), with fairness recording off — legacy
         runs must stay bit-identical and zero-overhead.
         """
-        groups: List[ClientGroup] = [
-            ClientGroup(
-                name="main",
-                client="closed",
-                count_per_node=clients_per_node,
-                window=client_window,
-            )
-        ]
-        if probe_clients > 0:
-            groups.append(
-                ClientGroup(
-                    name="probes",
-                    client="closed",
-                    count=probe_clients,
-                    one_per_node=True,
-                    window=probe_window,
-                )
-            )
-        return cls(groups=tuple(groups), fairness=False)
+        main = ClientGroup(
+            name="main",
+            client="closed",
+            count_per_node=clients_per_node,
+            window=client_window,
+        )
+        return cls(groups=(main,), fairness=False)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -95,7 +95,7 @@ class TestCipherReplay:
         its reply, and the attacker — unable to read or re-author the
         payload — extracts nothing."""
         from repro.attacks.byzantine import CipherReplayNode
-        from repro.harness import ExperimentConfig, build_lyra_cluster
+        from repro.harness import ExperimentConfig, build_cluster
         from repro.workload.clients import ClosedLoopClient
 
         cfg = ExperimentConfig(
@@ -107,7 +107,7 @@ class TestCipherReplay:
             warmup_rounds=2,
             warmup_spacing_us=150_000,
         )
-        cluster = build_lyra_cluster(cfg, node_classes={3: CipherReplayNode})
+        cluster = build_cluster(cfg, node_classes={3: CipherReplayNode})
         client = ClosedLoopClient(
             cluster.topology.place(cluster.topology.region_of(0)),
             cluster.sim,

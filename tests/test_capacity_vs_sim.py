@@ -9,7 +9,7 @@ is deliberately simple: no retries, no status heartbeats)."""
 
 import pytest
 
-from repro.harness import build_lyra_cluster
+from repro.harness import build_cluster
 from repro.metrics.capacity import CapacityInputs, lyra_instance_profile
 from repro.sim.engine import SECONDS
 
@@ -22,7 +22,7 @@ def traced_run():
         n_nodes=4, batch_size=10, clients_per_node=1, client_window=5,
         duration_us=5 * SECONDS,
     )
-    cluster = build_lyra_cluster(cfg)
+    cluster = build_cluster(cfg)
     per_kind = {"messages": {}, "bytes": {}}
 
     def hook(t, src, dst, message):

@@ -7,7 +7,7 @@ refresh and vote piggybacks keep the EWMA tracking it."""
 import pytest
 
 from repro.core.smr import check_prefix_consistency
-from repro.harness import ExperimentConfig, build_lyra_cluster
+from repro.harness import ExperimentConfig, build_cluster
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config
@@ -18,7 +18,7 @@ class TestSkew:
         """±200 ms skews (10x the default) — predictions still hit because
         the offset is baked into every measured distance."""
         cfg = quick_lyra_config(clock_skew_max_us=200 * MILLISECONDS)
-        result = build_lyra_cluster(cfg).run()
+        result = build_cluster(cfg).run()
         assert result.committed_count > 0
         assert result.rejected_instances == 0
         assert result.safety_violation is None
@@ -27,7 +27,7 @@ class TestSkew:
 class TestDrift:
     def _run_with_drift(self, drift: float):
         cfg = quick_lyra_config(duration_us=5 * SECONDS)
-        cluster = build_lyra_cluster(cfg)
+        cluster = build_cluster(cfg)
         # Give one node a fast clock (rate error), rebuilding its clock
         # before the run starts.
         from repro.core.clocks import OrderingClock, PerceivedSequence

@@ -126,7 +126,7 @@ class TestTargetedAdversary:
     def test_victim_recovers_after_gst(self):
         """An adversary delays everything touching one replica until GST;
         its batches commit afterwards."""
-        from repro.harness import build_lyra_cluster
+        from repro.harness import build_cluster
         from repro.net.adversary import TargetedDelayAdversary
         from repro.workload.clients import ClosedLoopClient
 
@@ -139,7 +139,7 @@ class TestTargetedAdversary:
             warmup_rounds=2,
             warmup_spacing_us=150 * MILLISECONDS,
         )
-        cluster = build_lyra_cluster(cfg)
+        cluster = build_cluster(cfg)
         cluster.network.adversary = TargetedDelayAdversary(
             {2}, 400 * MILLISECONDS, gst_us=2 * SECONDS
         )

@@ -8,7 +8,7 @@ determinism across replicas.
 import pytest
 
 from repro.core.smr import check_lower_bounded, check_output_sorted
-from repro.harness import ExperimentConfig, build_lyra_cluster
+from repro.harness import ExperimentConfig, build_cluster
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config
@@ -16,7 +16,7 @@ from tests.helpers import quick_lyra_config
 
 @pytest.fixture(scope="module")
 def baseline_run():
-    cluster = build_lyra_cluster(quick_lyra_config())
+    cluster = build_cluster(quick_lyra_config())
     result = cluster.run()
     return cluster, result
 
@@ -77,34 +77,34 @@ class TestSafety:
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
-        r1 = build_lyra_cluster(quick_lyra_config()).run()
-        r2 = build_lyra_cluster(quick_lyra_config()).run()
+        r1 = build_cluster(quick_lyra_config()).run()
+        r2 = build_cluster(quick_lyra_config()).run()
         assert r1.committed_count == r2.committed_count
         assert r1.avg_latency_us == r2.avg_latency_us
         assert r1.events_processed == r2.events_processed
 
     def test_different_seed_different_schedule(self):
-        r1 = build_lyra_cluster(quick_lyra_config(seed=2)).run()
-        r2 = build_lyra_cluster(quick_lyra_config(seed=3)).run()
+        r1 = build_cluster(quick_lyra_config(seed=2)).run()
+        r2 = build_cluster(quick_lyra_config(seed=3)).run()
         assert r1.events_processed != r2.events_processed
 
 
 class TestConfigurations:
     def test_hash_commit_obfuscation_mode(self):
         cfg = quick_lyra_config(obfuscation="hash", check_dealing=False)
-        result = build_lyra_cluster(cfg).run()
+        result = build_cluster(cfg).run()
         assert result.committed_count > 0
         assert result.safety_violation is None
 
     def test_seven_nodes_two_faults_tolerated_config(self):
         cfg = quick_lyra_config(n_nodes=7, duration_us=4 * SECONDS)
-        result = build_lyra_cluster(cfg).run()
+        result = build_cluster(cfg).run()
         assert result.committed_count > 0
         assert result.safety_violation is None
 
     def test_bandwidth_disabled_still_commits(self):
         cfg = quick_lyra_config(bandwidth_enabled=False)
-        result = build_lyra_cluster(cfg).run()
+        result = build_cluster(cfg).run()
         assert result.committed_count > 0
 
     def test_partial_synchrony_liveness_after_gst(self):
@@ -114,13 +114,13 @@ class TestConfigurations:
             adversary_max_delay_us=300 * MILLISECONDS,
             duration_us=7 * SECONDS,
         )
-        result = build_lyra_cluster(cfg).run()
+        result = build_cluster(cfg).run()
         assert result.committed_count > 0
         assert result.safety_violation is None
 
     def test_crash_fault_tolerated(self):
         cfg = quick_lyra_config(n_nodes=4, clients_per_node=0, duration_us=6 * SECONDS)
-        cluster = build_lyra_cluster(cfg)
+        cluster = build_cluster(cfg)
         # Clients only on surviving replicas.
         from repro.workload.clients import ClosedLoopClient
 

@@ -1,6 +1,8 @@
 """Unit tests for the network substrate: messages, latency, bandwidth,
 adversaries, delivery."""
 
+import random
+
 import pytest
 
 from repro.net.adversary import (
@@ -112,6 +114,49 @@ class TestLatencyModels:
         model = GeoLatencyModel(topo.placement, jitter=0.0)
         new_pid = topo.place("sydney")
         assert model.base_us(0, new_pid) == int(70.0 * MILLISECONDS)
+
+    @staticmethod
+    def _geo_twins(seed, jitter=0.015):
+        """Two models over the same seed: one is driven scalar-only as the
+        reference, the other through ``one_way_block``."""
+        placement = Topology(8, EVAL_REGIONS).placement
+        return tuple(
+            GeoLatencyModel(placement, jitter=jitter, rng=RngRegistry(seed))
+            for _ in range(2)
+        )
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_geo_block_matches_scalar_sequence(self, seed):
+        scalar, block = self._geo_twins(seed)
+        dsts = list(range(8))
+        for src in (0, 3, 5):
+            want = [scalar.one_way_us(src, d) for d in dsts]
+            assert block.one_way_block(src, dsts) == want
+
+    @pytest.mark.parametrize("seed", [2, 11])
+    def test_geo_block_and_scalar_interleave_on_one_stream(self, seed):
+        """Broadcast fan-outs (block) and point-to-point sends (scalar)
+        share each source's jitter stream: any interleaving must consume
+        the same variates in the same order as all-scalar — across the
+        1024-variate refill boundary too."""
+        scalar, block = self._geo_twins(seed)
+        rnd = random.Random(seed)
+        for _ in range(1500):
+            src = rnd.randrange(8)
+            if rnd.random() < 0.5:
+                dst = rnd.randrange(8)
+                assert block.one_way_us(src, dst) == scalar.one_way_us(src, dst)
+            else:
+                dsts = sorted(rnd.sample(range(8), rnd.randint(1, 8)))
+                want = [scalar.one_way_us(src, d) for d in dsts]
+                assert block.one_way_block(src, dsts) == want
+
+    def test_geo_block_jitter_free(self):
+        scalar, block = self._geo_twins(1, jitter=0.0)
+        dsts = list(range(8))
+        assert block.one_way_block(2, dsts) == [
+            scalar.one_way_us(2, d) for d in dsts
+        ]
 
 
 class TestTopology:

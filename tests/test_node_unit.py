@@ -207,10 +207,10 @@ class TestServices:
 class TestInstanceGc:
     def test_finished_instances_reclaimed(self):
         from tests.helpers import quick_lyra_config
-        from repro.harness import build_lyra_cluster
+        from repro.harness import build_cluster
 
         cfg = quick_lyra_config(duration_us=6_000_000)
-        cluster = build_lyra_cluster(cfg)
+        cluster = build_cluster(cfg)
         result = cluster.run()
         assert result.committed_count > 0
         for node in cluster.nodes:
@@ -221,11 +221,11 @@ class TestInstanceGc:
 
     def test_late_traffic_for_finished_instance_ignored(self):
         from tests.helpers import quick_lyra_config
-        from repro.harness import build_lyra_cluster
+        from repro.harness import build_cluster
         from repro.core.vvb import VOTE0_KIND
 
         cfg = quick_lyra_config(duration_us=6_000_000)
-        cluster = build_lyra_cluster(cfg)
+        cluster = build_cluster(cfg)
         cluster.run()
         node = cluster.nodes[0]
         iid = next(iter(node._finished))

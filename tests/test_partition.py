@@ -3,7 +3,7 @@ healing (the classic partial-synchrony stress test)."""
 
 import pytest
 
-from repro.harness import ExperimentConfig, build_lyra_cluster
+from repro.harness import ExperimentConfig, build_cluster
 from repro.net.adversary import PartitionAdversary, PartitionEvent
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.workload.clients import ClosedLoopClient
@@ -20,7 +20,7 @@ def build_partitioned(heal_at_us, seed=53, n=4):
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
     )
-    cluster = build_lyra_cluster(cfg)
+    cluster = build_cluster(cfg)
     # 2-2 split: neither side holds a 2f+1 = 3 quorum.
     cluster.network.adversary = PartitionAdversary({0, 1}, heal_at_us)
     return cluster
@@ -144,7 +144,7 @@ class TestRepeatedSplitsLiveness:
             warmup_rounds=2,
             warmup_spacing_us=150 * MILLISECONDS,
         )
-        cluster = build_lyra_cluster(cfg)
+        cluster = build_cluster(cfg)
         cluster.network.adversary = PartitionAdversary(
             schedule=[
                 PartitionEvent(

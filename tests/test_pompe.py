@@ -4,7 +4,7 @@ timestamp-ordered execution, end-to-end runs, and ordering linearizability."""
 import pytest
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.pompe_cluster import build_pompe_cluster
+from repro.harness.factory import build_cluster
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config
@@ -13,7 +13,7 @@ from tests.helpers import quick_lyra_config
 @pytest.fixture(scope="module")
 def pompe_run():
     cfg = quick_lyra_config(duration_us=5 * SECONDS)
-    cluster = build_pompe_cluster(cfg)
+    cluster = build_cluster(cfg, protocol="pompe")
     result = cluster.run()
     return cluster, result
 
@@ -23,6 +23,7 @@ class TestEndToEnd:
         _, result = pompe_run
         assert result.committed_count > 0
         assert result.executed_total > 0
+        assert result.sim_wall_s > 0
 
     def test_prefix_consistency(self, pompe_run):
         _, result = pompe_run
@@ -36,11 +37,9 @@ class TestEndToEnd:
 
     def test_latency_higher_than_lyra(self, pompe_run):
         """Fig. 2's direction: Pompē needs more message rounds."""
-        from repro.harness.cluster import build_lyra_cluster
-
         _, pompe_result = pompe_run
-        lyra_result = build_lyra_cluster(
-            quick_lyra_config(duration_us=5 * SECONDS)
+        lyra_result = build_cluster(
+            quick_lyra_config(duration_us=5 * SECONDS), protocol="lyra"
         ).run()
         # ~10 delays vs ~3 delays + commit lag: Pompē should not be faster
         # by any meaningful margin on the same topology.
@@ -48,8 +47,8 @@ class TestEndToEnd:
 
     def test_determinism(self):
         cfg = quick_lyra_config(duration_us=3 * SECONDS)
-        r1 = build_pompe_cluster(cfg).run()
-        r2 = build_pompe_cluster(cfg).run()
+        r1 = build_cluster(cfg, protocol="pompe").run()
+        r2 = build_cluster(cfg, protocol="pompe").run()
         assert r1.committed_count == r2.committed_count
         assert r1.events_processed == r2.events_processed
 
@@ -57,7 +56,7 @@ class TestEndToEnd:
 class TestOrderingPhase:
     def _cluster(self):
         cfg = quick_lyra_config(clients_per_node=0, duration_us=3 * SECONDS)
-        return build_pompe_cluster(cfg)
+        return build_cluster(cfg, protocol="pompe")
 
     def test_median_within_correct_clock_range(self):
         """Ordering linearizability: the assigned median of 2f+1 signed

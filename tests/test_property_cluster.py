@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.smr import check_lower_bounded, check_output_sorted
-from repro.harness import ExperimentConfig, build_lyra_cluster
+from repro.harness import ExperimentConfig, build_cluster
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 
@@ -24,7 +24,7 @@ def run_cluster(seed: int, n_nodes: int = 4, gst_ms: int = 0):
         gst_us=gst_ms * MILLISECONDS,
         jitter=0.03,
     )
-    cluster = build_lyra_cluster(cfg)
+    cluster = build_cluster(cfg)
     result = cluster.run()
     return cluster, result
 

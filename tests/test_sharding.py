@@ -3,9 +3,9 @@ strategies (``repro.net.dissemination``).
 
 The load-bearing property is bit-determinism: a sharded run's decided
 prefixes must be byte-identical to the single-process run's, for any
-shard count, on either backend, with faults, crashes and wire coalescing
-in play.  Everything else (planning, rejection, stats plumbing, the
-bench gates) is scaffolding around that oracle.
+shard count, with faults, crashes and wire coalescing in play.
+Everything else (planning, rejection, stats plumbing, the bench gates)
+is scaffolding around that oracle.
 """
 
 from __future__ import annotations
@@ -174,15 +174,6 @@ def test_coalesced_sharded_bit_identical():
     assert sharded.digest() == single.digest()
     # The wire counters are merged across workers, not lost.
     assert sharded.result.wire_stats.get("frames_sent", 0) > 0
-
-
-@pytest.mark.slow
-def test_vector_backend_sharded_bit_identical():
-    cfg = _config(backend="vector")
-    single, sharded = _pair(cfg, 2)
-    assert sharded.digest() == single.digest()
-    # And both equal the python-backend digest: shard x backend commute.
-    assert run_sharded(_config(), 1).digest() == single.digest()
 
 
 @pytest.mark.slow

@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import (
     MILLISECONDS,
     SECONDS,
+    Event,
     Simulator,
     SimulationError,
 )
@@ -163,3 +166,132 @@ class TestRunControl:
             return order
 
         assert run_once() == run_once()
+
+
+class _NaiveSimulator:
+    """Reference engine for the fuzz below: one flat list, fully re-sorted
+    by ``(time, priority, insertion seq)`` before every single pop."""
+
+    def __init__(self):
+        self.now = 0
+        self.events_processed = 0
+        self._seq = 0
+        self._queue = []
+        self._hooks = []
+        self._dirty = False
+
+    def schedule(self, delay, callback, *, priority=0):
+        self._seq += 1
+        event = Event(self.now + delay, priority, self._seq, callback)
+        self._queue.append(event)
+        return event
+
+    def schedule_block(self, items, *, priority=0):
+        for delay, callback in items:
+            self.schedule(delay, callback, priority=priority)
+
+    def add_end_of_instant_hook(self, hook):
+        self._hooks.append(hook)
+
+    def mark_instant_dirty(self):
+        self._dirty = True
+
+    def run(self, until):
+        while True:
+            live = [ev for ev in self._queue if not ev.cancelled]
+            live.sort(key=lambda ev: (ev.time, ev.priority, ev.seq))
+            if self._dirty and (not live or live[0].time > self.now):
+                self._dirty = False
+                for hook in self._hooks:
+                    hook()
+            elif not live or live[0].time > until:
+                self.now = until
+                return
+            else:
+                self._queue.remove(live[0])
+                self.now = live[0].time
+                self.events_processed += 1
+                live[0].callback()
+
+
+def _fuzz_schedule(sim, log, seed, events=400):
+    """Drive ``sim`` through a seeded mix of ``schedule`` (with priorities),
+    ``schedule_block``, cancellations, and callbacks that schedule again —
+    including at delay 0, i.e. into the bucket being drained."""
+    rnd = random.Random(seed)
+    rnd_inner = random.Random(seed + 1)
+    cancellable = []
+
+    def make_cb(tag):
+        def cb():
+            log.append((sim.now, tag))
+            if rnd_inner.random() < 0.25:
+                sim.schedule(
+                    rnd_inner.randrange(0, 5),
+                    make_cb((tag, "nested")),
+                    priority=rnd_inner.choice([0, 0, 2]),
+                )
+            if cancellable and rnd_inner.random() < 0.05:
+                cancellable.pop(rnd_inner.randrange(len(cancellable))).cancel()
+
+        return cb
+
+    for i in range(events):
+        delay = rnd.randrange(0, 50)
+        if rnd.random() < 0.5:
+            ev = sim.schedule(
+                delay, make_cb(("s", i)), priority=rnd.choice([0, 0, 1, 5])
+            )
+            if rnd.random() < 0.4:
+                cancellable.append(ev)
+        else:
+            block = [
+                (delay + j % 3, make_cb(("blk", i, j)))
+                for j in range(rnd.randrange(1, 5))
+            ]
+            sim.schedule_block(block, priority=rnd.choice([0, 0, 3]))
+        if cancellable and rnd.random() < 0.2:
+            cancellable.pop(rnd.randrange(len(cancellable))).cancel()
+
+
+class TestAgainstNaiveReference:
+    """The bucketed queue (append fast path, insort slow path, inlined
+    bucket drain, lazy cancellation) must execute exactly the order the
+    sort-everything reference does."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
+    def test_mixed_schedule_block_cancel_nested(self, seed):
+        outcomes = []
+        for cls in (Simulator, _NaiveSimulator):
+            sim, log = cls(), []
+            _fuzz_schedule(sim, log, seed)
+            sim.run(until=20)  # a horizon that cuts through the schedule
+            mid = (len(log), sim.now)
+            sim.run(until=200)
+            outcomes.append((log, mid, sim.now, sim.events_processed))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) > 400  # nested callbacks actually ran
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_end_of_instant_hooks(self, seed):
+        outcomes = []
+        for cls in (Simulator, _NaiveSimulator):
+            sim, log = cls(), []
+
+            def hook(sim=sim, log=log):
+                log.append((sim.now, "hook"))
+                if sim.now == 3:
+                    # Hooks may emit work into the instant they close.
+                    sim.schedule(0, lambda: log.append((sim.now, "flushed")))
+
+            sim.add_end_of_instant_hook(hook)
+            _fuzz_schedule(sim, log, seed)
+            for t in (0, 3, 10, 200):
+                sim.schedule(t, sim.mark_instant_dirty)
+            sim.run(until=200)
+            outcomes.append((log, sim.now, sim.events_processed))
+        assert outcomes[0] == outcomes[1]
+        hooks = [entry for entry in outcomes[0][0] if entry[1] == "hook"]
+        # The t=200 mark sits on the ``until`` horizon: still flushed.
+        assert [t for t, _ in hooks] == [0, 3, 10, 200]
+        assert (3, "flushed") in outcomes[0][0]

@@ -1,6 +1,6 @@
 """Sweep runner: cache hit/miss, per-cell failure isolation, parallel ==
-serial determinism; plus the unified factory, its deprecation shims, the
-drop-counting null transport, and verification memoization."""
+serial determinism; plus the unified factory, the drop-counting null
+transport, and verification memoization."""
 
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ from repro.harness import (
     PompeCluster,
     available_protocols,
     build_cluster,
-    build_lyra_cluster,
-    build_pompe_cluster,
 )
 from repro.harness.sweep import (
     SweepCell,
@@ -172,7 +170,7 @@ class TestResultRoundTrip:
             ExperimentConfig.from_dict({"n_nodes": 4, "bogus": 1})
 
 
-class TestFactoryAndShims:
+class TestFactory:
     def test_factory_builds_each_protocol(self):
         assert set(available_protocols()) >= {"lyra", "pompe"}
         assert isinstance(build_cluster(tiny_config(), protocol="lyra"), LyraCluster)
@@ -183,22 +181,6 @@ class TestFactoryAndShims:
     def test_factory_rejects_unknown_protocol(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             build_cluster(tiny_config(), protocol="hotstuff-marketing-name")
-
-    def test_lyra_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="build_lyra_cluster"):
-            cluster = build_lyra_cluster(tiny_config())
-        assert isinstance(cluster, LyraCluster)
-
-    def test_pompe_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="build_pompe_cluster"):
-            cluster = build_pompe_cluster(tiny_config())
-        assert isinstance(cluster, PompeCluster)
-
-    def test_shim_result_matches_factory_result(self):
-        with pytest.warns(DeprecationWarning):
-            via_shim = build_lyra_cluster(tiny_config()).run()
-        via_factory = build_cluster(tiny_config(), protocol="lyra").run()
-        assert via_shim == via_factory
 
 
 class TestNullTransport:

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.core.types import InstanceId
-from repro.harness import build_lyra_cluster
+from repro.harness import build_cluster
 from repro.harness.experiments import delta_ablation, latency_breakdown
 from repro.metrics.tracelog import PHASES, TraceEvent, TraceLog, install_lyra_tracing
 from repro.sim.engine import SECONDS
@@ -110,7 +110,7 @@ class TestTraceLog:
 
 class TestClusterTracing:
     def test_instrumented_run_emits_pipeline_events(self):
-        cluster = build_lyra_cluster(quick_lyra_config())
+        cluster = build_cluster(quick_lyra_config())
         log = install_lyra_tracing(cluster)
         cluster.run()
         kinds = log.kinds()
@@ -126,7 +126,7 @@ class TestClusterTracing:
     def test_install_composes_with_existing_tracer(self):
         """install_lyra_tracing must not clobber a tracer already hooked on
         a node — both the prior hook and the new log keep observing."""
-        cluster = build_lyra_cluster(quick_lyra_config())
+        cluster = build_cluster(quick_lyra_config())
         seen = []
         for node in cluster.nodes:
             node.tracer = (
@@ -142,7 +142,7 @@ class TestClusterTracing:
         assert {k for _, k in seen} == set(log.kinds())
 
     def test_install_twice_feeds_both_logs(self):
-        cluster = build_lyra_cluster(quick_lyra_config())
+        cluster = build_cluster(quick_lyra_config())
         first = install_lyra_tracing(cluster)
         second = install_lyra_tracing(cluster)
         cluster.run()

@@ -93,15 +93,11 @@ class TestWorkloadSpec:
         assert spec.resolved_users(4) == 7
 
     def test_from_legacy_shape(self):
-        spec = WorkloadSpec.from_legacy(
-            clients_per_node=2, client_window=30, probe_clients=3
-        )
+        spec = WorkloadSpec.from_legacy(clients_per_node=2, client_window=30)
         assert spec.fairness is False  # legacy runs stay zero-overhead
-        main, probes = spec.groups
+        (main,) = spec.groups
+        assert (main.name, main.client) == ("main", "closed")
         assert (main.count_per_node, main.window) == (2, 30)
-        assert (probes.count, probes.one_per_node, probes.window) == (3, True, 1)
-        # Without probes there is no probe group at all.
-        assert len(WorkloadSpec.from_legacy().groups) == 1
 
 
 class TestClientRegistry:
@@ -122,17 +118,6 @@ class TestClientRegistry:
 
 
 class TestLegacyShim:
-    def test_probe_knobs_warn(self):
-        config = ExperimentConfig(n_nodes=4, probe_clients=3)
-        with pytest.warns(DeprecationWarning, match="probe_clients"):
-            spec = config.resolved_workload()
-        assert spec == WorkloadSpec.from_legacy(
-            clients_per_node=config.clients_per_node,
-            client_window=config.client_window,
-            probe_clients=3,
-            probe_window=1,
-        )
-
     def test_defaults_do_not_warn(self):
         config = ExperimentConfig(n_nodes=4)
         with warnings.catch_warnings():
@@ -141,8 +126,11 @@ class TestLegacyShim:
         assert spec.fairness is False
 
     def test_explicit_workload_wins(self):
-        explicit = WorkloadSpec(groups=(ClientGroup(name="g", count=1),))
-        config = ExperimentConfig(n_nodes=4, probe_clients=3, workload=explicit)
+        probes = ClientGroup(
+            name="probes", client="closed", count=3, one_per_node=True, window=1
+        )
+        explicit = WorkloadSpec(groups=(probes,))
+        config = ExperimentConfig(n_nodes=4, clients_per_node=2, workload=explicit)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert config.resolved_workload() is explicit
