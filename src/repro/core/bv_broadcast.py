@@ -17,7 +17,7 @@ set (BV-Uniformity), and at least one value is delivered (BV-Obligation).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Set
+from typing import Any, Callable, List, Set
 
 from repro.core.services import ProtocolServices
 
@@ -27,6 +27,16 @@ BV_KIND = "lyra.bv"
 
 class BinaryValueBroadcast:
     """One (instance, round) endpoint of BV-broadcast at one process."""
+
+    __slots__ = (
+        "services",
+        "iid",
+        "round_no",
+        "on_deliver",
+        "_votes",
+        "_voted",
+        "delivered",
+    )
 
     def __init__(
         self,
@@ -39,7 +49,8 @@ class BinaryValueBroadcast:
         self.iid = iid
         self.round_no = round_no
         self.on_deliver = on_deliver
-        self._votes: Dict[int, Set[int]] = {0: set(), 1: set()}
+        #: Voters per value, as bitmasks over sender pids.
+        self._votes: List[int] = [0, 0]
         self._voted: Set[int] = set()
         self.delivered: Set[int] = set()
 
@@ -66,13 +77,15 @@ class BinaryValueBroadcast:
         self._record(b, sender)
 
     def _record(self, b: int, sender: int) -> None:
-        votes = self._votes[b]
-        if sender in votes:
+        votes = self._votes
+        i = 1 if b else 0  # ``b`` may be any wire value equal to 0 or 1
+        bit = 1 << sender
+        if votes[i] & bit:
             return
-        votes.add(sender)
-        if len(votes) >= self.services.small_quorum and b not in self._voted:
-            self._vote(b)
-        if len(votes) >= self.services.quorum and b not in self.delivered:
+        votes[i] |= bit
+        if votes[i].bit_count() >= self.services.small_quorum and b not in self._voted:
+            self._vote(b)  # records our own vote as well
+        if votes[i].bit_count() >= self.services.quorum and b not in self.delivered:
             self.delivered.add(b)
             self.on_deliver(b)
 

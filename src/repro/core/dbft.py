@@ -27,7 +27,7 @@ that lagging correct processes terminate too.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.bv_broadcast import BinaryValueBroadcast
 from repro.core.services import ProtocolServices
@@ -41,12 +41,43 @@ AUX_KIND = "lyra.aux"
 #: adversarial schedule longer than any experiment we run.
 DEFAULT_MAX_ROUNDS = 64
 
-_FS1: FrozenSet[int] = frozenset({1})
-_FS0: FrozenSet[int] = frozenset({0})
+#: Quorum bookkeeping is kept in integers, not sets.  A set of binary
+#: values is a 2-bit mask (bit ``b`` set iff ``b`` is a member: 1 = {0},
+#: 2 = {1}, 3 = {0, 1}), a set of senders is a bitmask over pids, a set of
+#: rounds a bitmask over round numbers.  A node holds one of these per
+#: (instance, round, sender) received, so at n = 32 the set/frozenset
+#: versions were the largest single item on the heap.  ``_WIRE[mask]`` is
+#: the AUX wire form of a non-empty value mask.
+_WIRE = (None, (0,), (1,), (0, 1))
 
 
 class BinaryConsensus:
     """One BOC consensus instance (Algorithm 3) at one process."""
+
+    __slots__ = (
+        "services",
+        "iid",
+        "_on_decide",
+        "_on_message",
+        "max_rounds",
+        "round",
+        "est",
+        "decided",
+        "decided_round",
+        "closed",
+        "started",
+        "delivered_message",
+        "vvb",
+        "_vvals",
+        "_aux",
+        "_coord",
+        "_coord_sent",
+        "_timer_expired",
+        "_aux_sent",
+        "_advanced",
+        "_bv",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -83,20 +114,18 @@ class BinaryConsensus:
             perceive=perceive,
         )
 
-        self._vvals: Dict[int, Set[int]] = {}
-        self._aux: Dict[int, Dict[int, FrozenSet[int]]] = {}
-        #: Incremental view of the AUX quorum condition.  Eligibility
-        #: (``e ⊆ vvals``) is monotone — vvals only grows and AUX contents
-        #: are immutable — so each sender is counted exactly once, when its
-        #: entry first becomes eligible.  ``[count, ones, zeros, union]``
-        #: per round; not-yet-eligible entries wait in ``_aux_pending``.
-        self._aux_elig: Dict[int, list] = {}
-        self._aux_pending: Dict[int, Dict[int, FrozenSet[int]]] = {}
+        #: round -> value mask delivered into ``vvals`` so far.
+        self._vvals: Dict[int, int] = {}
+        #: round -> sender masks of the AUX messages received, indexed by
+        #: the value mask each carried; index 0 is everyone heard from
+        #: (one AUX per sender counts).
+        self._aux: Dict[int, List[int]] = {}
         self._coord: Dict[int, int] = {}
-        self._coord_sent: Set[int] = set()
-        self._timer_expired: Set[int] = set()
-        self._aux_sent: Set[int] = set()
-        self._advanced: Set[int] = set()
+        # Sets of round numbers, as bitmasks.
+        self._coord_sent = 0
+        self._timer_expired = 0
+        self._aux_sent = 0
+        self._advanced = 0
         self._bv: Dict[int, BinaryValueBroadcast] = {}
 
     # ------------------------------------------------------------------
@@ -117,9 +146,6 @@ class BinaryConsensus:
     # ------------------------------------------------------------------
     # Round-state accessors
     # ------------------------------------------------------------------
-    def vvals(self, r: int) -> Set[int]:
-        return self._vvals.setdefault(r, set())
-
     def _bv_for(self, r: int) -> BinaryValueBroadcast:
         bv = self._bv.get(r)
         if bv is None:
@@ -178,16 +204,19 @@ class BinaryConsensus:
         e = payload.get("e")
         if not isinstance(r, int) or r < 1 or not isinstance(e, (tuple, list)):
             return
-        eset = frozenset(v for v in e if v in (0, 1))
-        if not eset:
+        values = 0
+        for v in e:
+            if v in (0, 1):
+                values |= 2 if v else 1
+        if not values:
             return
-        bucket = self._aux.setdefault(r, {})
-        if sender not in bucket:
-            bucket[sender] = eset
-            if eset <= self.vvals(r):
-                self._note_eligible(r, eset)
-            else:
-                self._aux_pending.setdefault(r, {})[sender] = eset
+        aux = self._aux.get(r)
+        if aux is None:
+            aux = self._aux[r] = [0, 0, 0, 0]
+        bit = 1 << sender
+        if not aux[0] & bit:
+            aux[0] |= bit
+            aux[values] |= bit
             self._try_complete(r)
 
     # ------------------------------------------------------------------
@@ -205,21 +234,17 @@ class BinaryConsensus:
     def _deliver_value(self, r: int, b: int) -> None:
         if self.closed:
             return
-        vvals = self.vvals(r)
-        if b in vvals:
+        vvals = self._vvals.get(r, 0)
+        bit = 2 if b else 1
+        if vvals & bit:
             return
-        vvals.add(b)
-        # Promote parked AUX entries that this value makes eligible.
-        pending = self._aux_pending.get(r)
-        if pending:
-            for sender in [s for s, e in pending.items() if e <= vvals]:
-                self._note_eligible(r, pending.pop(sender))
+        self._vvals[r] = vvals | bit
         # Coordinator duty (lines 37-39): broadcast the first value.
         if (
             self.services.pid == self.coordinator_of(r)
-            and r not in self._coord_sent
+            and not self._coord_sent >> r & 1
         ):
-            self._coord_sent.add(r)
+            self._coord_sent |= 1 << r
             self.services.broadcast(
                 COORD_KIND, {"iid": self.iid, "round": r, "w": b}, 10
             )
@@ -238,61 +263,55 @@ class BinaryConsensus:
         )
 
     def _on_round_timer(self, r: int) -> None:
-        self._timer_expired.add(r)
+        self._timer_expired |= 1 << r
         self._maybe_send_aux(r)
 
     def _maybe_send_aux(self, r: int) -> None:
         """Line 40-42: once vvals ≠ ∅ and the timer expired, broadcast AUX."""
-        if self.closed or r != self.round or r in self._aux_sent:
+        if self.closed or r != self.round or self._aux_sent >> r & 1:
             return
-        vvals = self.vvals(r)
-        if not vvals or r not in self._timer_expired:
+        vvals = self._vvals.get(r, 0)
+        if not vvals or not self._timer_expired >> r & 1:
             return
         c = self._coord.get(r)
-        e = frozenset({c}) if c is not None and c in vvals else frozenset(vvals)
-        self._aux_sent.add(r)
+        # {c} when the coordinator's value is in vvals, else vvals itself.
+        e = (c is not None and vvals & (2 if c else 1)) or vvals
+        wire = _WIRE[e]
+        self._aux_sent |= 1 << r
         self.services.broadcast(
             AUX_KIND,
-            {"iid": self.iid, "round": r, "e": tuple(sorted(e))},
-            10 + 2 * len(e),
+            {"iid": self.iid, "round": r, "e": wire},
+            10 + 2 * len(wire),
         )
         self._try_complete(r)
-
-    def _note_eligible(self, r: int, eset: FrozenSet[int]) -> None:
-        state = self._aux_elig.get(r)
-        if state is None:
-            state = self._aux_elig[r] = [0, 0, 0, set()]
-        state[0] += 1
-        if eset == _FS1:
-            state[1] += 1
-        elif eset == _FS0:
-            state[2] += 1
-        state[3] |= eset
 
     def _try_complete(self, r: int) -> None:
         """Lines 43-51: evaluate the AUX quorum condition and advance.
 
-        Equivalent to rebuilding ``{s: e for s, e in aux[r].items() if
-        e <= vvals}`` and scanning it, but reads the incrementally
-        maintained counters instead — this runs once per AUX receipt and
-        per vvals growth, making it a protocol hot path at large n."""
-        if self.closed or r != self.round or r in self._advanced:
+        An AUX counts once its value set is a subset of ``vvals``.  Both
+        only grow, so the eligible senders are exactly the sender masks of
+        the value sets ``vvals`` covers — three popcounts, no per-sender
+        state.  This runs once per AUX receipt and per vvals growth,
+        making it a protocol hot path at large n."""
+        if self.closed or r != self.round or self._advanced >> r & 1:
             return
-        if r not in self._aux_sent:
+        if not self._aux_sent >> r & 1:
             return
-        state = self._aux_elig.get(r)
+        aux = self._aux.get(r)
+        if aux is None:
+            return
+        vvals = self._vvals.get(r, 0)
+        zeros = aux[1].bit_count() if vvals & 1 else 0
+        ones = aux[2].bit_count() if vvals & 2 else 0
+        both = aux[3].bit_count() if vvals == 3 else 0
         quorum = self.services.quorum
-        if state is None or state[0] < quorum:
+        if zeros + ones + both < quorum:
             return
-        if state[1] >= quorum:
-            s: FrozenSet[int] = _FS1
-        elif state[2] >= quorum:
-            s = _FS0
-        else:
-            s = frozenset(state[3])
-        if len(s) == 1:
-            (v,) = s
-            self.est = v
+        # A quorum of identical singletons {v} adopts v (deciding it when
+        # v = r mod 2); any other eligible quorum spans both values, and
+        # the estimate falls back to the round's parity bit.
+        if ones >= quorum or zeros >= quorum:
+            self.est = v = 1 if ones >= quorum else 0
             if v == r % 2 and self.decided is None:
                 self._decide(v, r)
         else:
@@ -314,7 +333,7 @@ class BinaryConsensus:
         self.services.broadcast("lyra.fetch", {"iid": self.iid}, 8)
 
     def _advance(self, r: int) -> None:
-        self._advanced.add(r)
+        self._advanced |= 1 << r
         if self.decided_round is not None and r >= self.decided_round + 2:
             self.close()
             return
@@ -334,7 +353,11 @@ class BinaryConsensus:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop participating: cancel this instance's timers."""
+        """Stop participating: cancel this instance's timers.
+
+        The instance keeps answering what does not need a live round —
+        BV relays, VVB votes and proofs, FETCH — until its host calls
+        :meth:`discard`."""
         if self.closed:
             return
         self.closed = True
@@ -342,6 +365,17 @@ class BinaryConsensus:
         self.services.timers.cancel(f"vvb-expire-{self.iid}")
         for r in range(1, self.round + 1):
             self.services.timers.cancel(f"dbft-{self.iid}-r{r}")
+
+    def discard(self) -> None:
+        """Close, and drop the VVB and BV endpoints.
+
+        Their delivery callbacks point back at this instance, so a host
+        that merely forgets a finished instance leaves a reference cycle
+        behind — and the event loop runs with the cyclic collector off.
+        Only for an instance that will be handed no further message."""
+        self.close()
+        self.vvb = None
+        self._bv.clear()
 
 
 __all__ = ["BinaryConsensus", "COORD_KIND", "AUX_KIND", "DEFAULT_MAX_ROUNDS"]

@@ -795,12 +795,15 @@ class LyraNode(SimProcess):
         return instance
 
     def _gc_instance(self, iid: InstanceId) -> None:
-        """Drop a finished instance's state (memory hygiene for long runs;
-        the linger before this is called keeps FETCH/recovery served)."""
+        """Free a finished instance: from here on only ``_finished``
+        remembers it, late traffic for it is dropped at dispatch, and the
+        instance, its VVB/BV endpoints and their vote state die by
+        reference count (the linger before this is called keeps
+        FETCH/recovery served)."""
         self._finished.add(iid)
         instance = self._instances.pop(iid, None)
         if instance is not None:
-            instance.close()
+            instance.discard()
         self._s_ref.pop(iid, None)
         self._proposed_at.pop(iid, None)
         self._preds.pop(iid, None)
@@ -977,7 +980,7 @@ class LyraNode(SimProcess):
         self.recoveries += 1
         # Volatile protocol state is gone.
         for instance in self._instances.values():
-            instance.close()
+            instance.discard()
         self._instances.clear()
         self._awaiting_message.clear()
         self._s_ref.clear()

@@ -78,6 +78,28 @@ class VvbInstance:
       by the broadcaster to refresh its distance estimates.
     """
 
+    __slots__ = (
+        "services",
+        "iid",
+        "_validate",
+        "_on_deliver",
+        "_on_vote_seq",
+        "_perceive",
+        "message",
+        "message_digest",
+        "_init_raw",
+        "equivocation_detected",
+        "_shares",
+        "_zero_votes",
+        "_sent_zero",
+        "_validated",
+        "delivered",
+        "_proof",
+        "_proof_rebroadcast",
+        "_timer_started",
+        "_fetched_from",
+    )
+
     def __init__(
         self,
         services: ProtocolServices,
@@ -101,7 +123,7 @@ class VvbInstance:
         self.equivocation_detected = False
         # Vote bookkeeping: shares for 1 are keyed by the digest they sign.
         self._shares: Dict[bytes, Dict[int, SignatureShare]] = {}
-        self._zero_votes: Set[int] = set()
+        self._zero_votes = 0  # bitmask over sender pids
         self._sent_zero = False
         self._validated = False  # we only ever share-sign once per instance
         self.delivered: Set[int] = set()
@@ -238,19 +260,18 @@ class VvbInstance:
         self._deliver_one(digest)
 
     def on_vote0(self, payload: dict, sender: int) -> None:
-        if sender in self._zero_votes:
+        bit = 1 << sender
+        if self._zero_votes & bit:
             return
         seq = payload.get("seq")
         if self._on_vote_seq is not None and isinstance(seq, int) and seq > 0:
             self._on_vote_seq(sender, seq)
-        self._zero_votes.add(sender)
+        self._zero_votes |= bit
+        zeros = self._zero_votes.bit_count()
         self._start_expiration_timer()
-        if (
-            len(self._zero_votes) >= self.services.small_quorum
-            and not self._sent_zero
-        ):
+        if zeros >= self.services.small_quorum and not self._sent_zero:
             self._broadcast_vote0()  # relay (lines 19-20)
-        if len(self._zero_votes) >= self.services.quorum and 0 not in self.delivered:
+        if zeros >= self.services.quorum and 0 not in self.delivered:
             self.delivered.add(0)  # lines 21-22
             self._on_deliver(0, None)
 

@@ -11,7 +11,6 @@ safety-check results.  Construct it through
 
 from __future__ import annotations
 
-import gc
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -528,22 +527,11 @@ class LyraCluster:
         for node in self.local_nodes():
             node.start()
         self.watchdog.start()
-        # The event loop allocates millions of short-lived events/messages
-        # and creates no reference cycles on its hot path; suspending the
-        # cyclic collector for the duration avoids repeated full-heap scans.
-        # Purely a wall-clock optimisation: virtual time is unaffected.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         loop_start = time.perf_counter()
-        try:
-            self.sim.run(until=cfg.duration_us)
-            if self.network.coalescing_enabled and self.network.pending_coalesced():
-                self._drain_coalesced(cfg.duration_us)
-        finally:
-            sim_wall_s = time.perf_counter() - loop_start
-            if gc_was_enabled:
-                gc.enable()
+        self.sim.run(until=cfg.duration_us)
+        if self.network.coalescing_enabled and self.network.pending_coalesced():
+            self._drain_coalesced(cfg.duration_us)
+        sim_wall_s = time.perf_counter() - loop_start
         self.watchdog.check_now()  # final end-of-run sample
         # End-of-run accounting: whatever is still in flight is counted
         # as incomplete, never silently dropped.

@@ -36,7 +36,8 @@ special casing for any of that; the regression tests in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Set, Tuple
 
 from repro.net.message import Message
@@ -100,7 +101,7 @@ class ReliableStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     seq: int
     frame: Message
@@ -174,30 +175,37 @@ class ReliableLayer:
         )
         pending = _Pending(seq, frame, rto_us=self.config.rto_us)
         link.unacked[seq] = pending
-        self._transmit(src, dst, link, pending)
+        self._transmit(src, dst, pending)
 
-    def _transmit(self, src: int, dst: int, link: _SenderLink, pending: _Pending) -> None:
+    def _transmit(self, src: int, dst: int, pending: _Pending) -> None:
         # Retransmissions re-send the *same* frame object: its uid is
         # stable across attempts, which is what lets FaultInjector count
         # a corrupted-then-retransmitted message once, and what lets a
         # coalescing outbox treat the retry like any other queued frame.
         self.stats.frames_sent += 1
         self.network._transmit(src, dst, pending.frame)
+        # The RTO callback names the frame by (link, seq), never by object:
+        # a closure over ``pending`` would close the cycle pending -> event
+        # -> callback -> pending and strand every acked frame until a
+        # cyclic collection (the event loop runs with the collector off).
         pending.event = self.network.sim.schedule(
-            pending.rto_us, lambda: self._on_timeout(src, dst, link, pending)
+            pending.rto_us, partial(self._on_timeout, src, dst, pending.seq)
         )
 
-    def _on_timeout(self, src: int, dst: int, link: _SenderLink, pending: _Pending) -> None:
-        if link.unacked.get(pending.seq) is not pending:
+    def _on_timeout(self, src: int, dst: int, seq: int) -> None:
+        link = self._senders[(src, dst)]
+        pending = link.unacked.get(seq)
+        if pending is None:
             return  # acked in the meantime
+        pending.event = None
         sender = self.network._processes.get(src)
         if sender is None or sender.crashed:
             # The sending process died: its transport state dies with it.
-            link.unacked.pop(pending.seq, None)
+            del link.unacked[seq]
             self.stats.sender_died += 1
             return
         if pending.retries >= self.config.max_retries:
-            link.unacked.pop(pending.seq, None)
+            del link.unacked[seq]
             self.stats.gave_up += 1
             self._pump_backlog(src, dst, link)
             return
@@ -206,7 +214,7 @@ class ReliableLayer:
             self.config.max_rto_us, int(pending.rto_us * self.config.backoff)
         )
         self.stats.retransmits += 1
-        self._transmit(src, dst, link, pending)
+        self._transmit(src, dst, pending)
 
     def _pump_backlog(self, src: int, dst: int, link: _SenderLink) -> None:
         while link.backlog and len(link.unacked) < self.config.window:
@@ -254,6 +262,7 @@ class ReliableLayer:
             return  # duplicate ack
         if pending.event is not None:
             pending.event.cancel()
+            pending.event = None
         self._pump_backlog(sender_pid, acker_pid, link)
 
     # ------------------------------------------------------------------

@@ -222,8 +222,6 @@ def _shard_worker(conn, config_dict: Dict[str, Any], node_pids: List[int]) -> No
     """Pipe-driven worker: build the full cluster, simulate the local
     partition, trade frames at every barrier.  Must stay at module top
     level so multiprocessing can target it under any start method."""
-    import gc
-
     try:
         from repro.harness.cluster import LyraCluster
         from repro.harness.config import ExperimentConfig
@@ -242,47 +240,40 @@ def _shard_worker(conn, config_dict: Dict[str, Any], node_pids: List[int]) -> No
             node.start()
         cluster.watchdog.start()
         conn.send(("ready", sorted(local)))
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         # Per-worker event-loop CPU seconds (process CPU time, so a
         # worker descheduled on an oversubscribed host does not bill the
         # other workers' slices).  max() across the fleet is the run's
         # critical path: the wall time a one-core-per-shard host needs.
         loop_cpu = 0.0
-        try:
-            while True:
-                cmd = conn.recv()
-                kind = cmd[0]
-                if kind == "run":
-                    _, target, frames = cmd
-                    cpu0 = time.process_time()
-                    inject = cluster.network.inject_remote
-                    for src, dst, arr, msg in frames:
-                        inject(src, dst, arr, msg)
-                    cluster.sim.run(until=target)
-                    loop_cpu += time.process_time() - cpu0
-                    out = captured[:]
-                    captured.clear()
-                    conn.send((out, cluster.network.pending_coalesced()))
-                elif kind == "flush":
-                    _, frames = cmd
-                    cpu0 = time.process_time()
-                    inject = cluster.network.inject_remote
-                    for src, dst, arr, msg in frames:
-                        inject(src, dst, arr, msg)
-                    cluster.network.drain_pending()
-                    loop_cpu += time.process_time() - cpu0
-                    out = captured[:]
-                    captured.clear()
-                    conn.send((out, cluster.network.pending_coalesced()))
-                elif kind == "finish":
-                    break
-                else:  # pragma: no cover - protocol bug
-                    raise RuntimeError(f"unknown shard command {kind!r}")
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        while True:
+            cmd = conn.recv()
+            kind = cmd[0]
+            if kind == "run":
+                _, target, frames = cmd
+                cpu0 = time.process_time()
+                inject = cluster.network.inject_remote
+                for src, dst, arr, msg in frames:
+                    inject(src, dst, arr, msg)
+                cluster.sim.run(until=target)
+                loop_cpu += time.process_time() - cpu0
+                out = captured[:]
+                captured.clear()
+                conn.send((out, cluster.network.pending_coalesced()))
+            elif kind == "flush":
+                _, frames = cmd
+                cpu0 = time.process_time()
+                inject = cluster.network.inject_remote
+                for src, dst, arr, msg in frames:
+                    inject(src, dst, arr, msg)
+                cluster.network.drain_pending()
+                loop_cpu += time.process_time() - cpu0
+                out = captured[:]
+                captured.clear()
+                conn.send((out, cluster.network.pending_coalesced()))
+            elif kind == "finish":
+                break
+            else:  # pragma: no cover - protocol bug
+                raise RuntimeError(f"unknown shard command {kind!r}")
         cluster.watchdog.check_now()
         cluster.workload.finalize(cluster.sim.now)
         blob = _consolidate(cluster, local_nodes)

@@ -2,14 +2,17 @@
 
 Protocols set many short-lived timers (VVB expiration timers, DBFT round
 timers, pacemaker view timers).  :class:`Timer` wraps a scheduled event with
-restart/cancel semantics; :class:`TimerWheel` tracks every live timer of one
-protocol instance so teardown can cancel them all (preventing callbacks from
+restart/cancel semantics; :class:`TimerWheel` tracks every *live* (armed)
+timer of one owner so teardown can cancel them all (preventing callbacks from
 firing into a dead object, the classic source of "ghost vote" bugs in
-simulators).
+simulators).  A timer that fires or is cancelled leaves the wheel at once:
+protocols name timers per (instance, round), so a wheel that remembered
+them would pin every consensus instance its owner ever ran.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.sim.engine import Event, Simulator
@@ -17,6 +20,8 @@ from repro.sim.engine import Event, Simulator
 
 class Timer:
     """A restartable one-shot timer bound to a simulator."""
+
+    __slots__ = ("_sim", "_callback", "_event", "fired_count")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
         self._sim = sim
@@ -56,19 +61,23 @@ class TimerWheel:
         """Arm (or re-arm) the named timer."""
         if self._closed:
             raise RuntimeError("timer wheel is closed")
-        timer = self._timers.get(name)
-        if timer is None:
-            timer = Timer(self._sim, callback)
-            self._timers[name] = timer
-        else:
-            # Rebind the callback: the same logical timer can carry
-            # round-specific closures.
-            timer._callback = callback
+        # Re-arming replaces the timer: the same logical name can carry
+        # round-specific callbacks.
+        self.cancel(name)
+        timer = self._timers[name] = Timer(
+            self._sim, partial(self._fire, name, callback)
+        )
         timer.start(delay)
         return timer
 
+    def _fire(self, name: str, callback: Callable[[], None]) -> None:
+        # Forget the timer before running it: periodic callbacks re-arm
+        # their own name from inside.
+        del self._timers[name]
+        callback()
+
     def cancel(self, name: str) -> None:
-        timer = self._timers.get(name)
+        timer = self._timers.pop(name, None)
         if timer is not None:
             timer.cancel()
 
@@ -80,6 +89,7 @@ class TimerWheel:
         """Cancel every timer and refuse further arming."""
         for timer in self._timers.values():
             timer.cancel()
+        self._timers.clear()
         self._closed = True
 
     def reopen(self) -> None:

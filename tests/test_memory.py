@@ -1,0 +1,206 @@
+"""What a run keeps in memory is its *live* protocol state.
+
+``Simulator.run`` suspends the cyclic garbage collector, so every object the
+hot path allocates must die by reference count: an acked frame, a fired or
+cancelled timer, a consensus instance past its linger window.  These tests
+run small clusters with the collector off and then ask it what it would have
+had to clean up, and check that state at the horizon does not grow with the
+length of the run.
+"""
+
+import gc
+import weakref
+from collections import Counter
+
+import pytest
+
+from repro.core.dbft import BinaryConsensus
+from repro.harness import build_cluster
+from repro.harness.config import ExperimentConfig
+from repro.net.faults import CrashEvent, FaultPlan, LinkFault
+from repro.sim.engine import MILLISECONDS
+from repro.workload.spec import ClientGroup, WorkloadSpec
+from tests.helpers import quick_lyra_config
+
+#: Per-message and per-instance classes: one of these in a cycle means the
+#: leak grows with the run.
+HOT_PATH_TYPES = {
+    "_Pending",
+    "Event",
+    "Message",
+    "BinaryConsensus",
+    "VvbInstance",
+    "BinaryValueBroadcast",
+}
+#: Ceiling on end-of-run cycles of any other kind (``inspect``/``ast``
+#: closures from consolidation — a constant, not a rate).
+MAX_UNREACHABLE = 500
+
+def _chaos_config():
+    plan = FaultPlan(
+        links=(LinkFault(drop_rate=0.15, duplicate_rate=0.05, corrupt_rate=0.02),),
+        crashes=(
+            CrashEvent(
+                pid=2,
+                crash_at_us=800 * MILLISECONDS,
+                recover_at_us=1200 * MILLISECONDS,
+            ),
+        ),
+    )
+    return quick_lyra_config(
+        seed=1,
+        batch_size=8,
+        client_window=4,
+        duration_us=2000 * MILLISECONDS,
+        fault_plan=plan,
+        reliable_channels=True,
+    )
+
+
+def _mev_open_config():
+    spec = WorkloadSpec(
+        groups=(
+            ClientGroup(
+                name="traffic",
+                client="arrival",
+                count_per_node=1,
+                arrival={"kind": "poisson", "rate_tps": 40.0},
+                body="raw",
+                users=1000,
+            ),
+            ClientGroup(
+                name="victims",
+                client="arrival",
+                count=1,
+                home=0,
+                arrival={"kind": "poisson", "rate_tps": 2.0},
+                body="amm",
+                body_params={"amount_min": 1_000, "amount_max": 5_000},
+            ),
+            ClientGroup(name="mev", client="mev", count=1, home=1, collude=True),
+        ),
+        fairness=True,
+        users=1000,
+    )
+    return ExperimentConfig(
+        n_nodes=4,
+        seed=1,
+        regions=["tokyo", "singapore", "saopaulo", "saopaulo"],
+        batch_size=1,
+        duration_us=2000 * MILLISECONDS,
+        warmup_rounds=2,
+        warmup_spacing_us=150 * MILLISECONDS,
+        workload=spec,
+    )
+
+
+SHAPES = {
+    "lyra_chaos": ("lyra", _chaos_config),
+    "lyra_closed": ("lyra", lambda: quick_lyra_config(seed=1, duration_us=2_000_000)),
+    "lyra_mev_open": ("lyra", _mev_open_config),
+    "pompe_closed": (
+        "pompe",
+        lambda: quick_lyra_config(seed=1, duration_us=2_000_000, jitter=0.0),
+    ),
+}
+
+
+def _run_collector_off(cluster):
+    """Run ``cluster`` with the collector suspended; return the result and
+    the type names of everything only a cyclic collection could free."""
+    was_enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.collect()  # garbage of earlier tests is not this run's
+    gc.disable()
+    try:
+        result = cluster.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return result, Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_hot_path_is_cycle_free(shape):
+    protocol, make_config = SHAPES[shape]
+    cluster = build_cluster(make_config(), protocol=protocol)
+    result, unreachable = _run_collector_off(cluster)
+    assert result.committed_count > 0
+    if shape == "lyra_chaos":
+        # The lossy, crashing run did take the retransmit and recovery
+        # paths the leaks used to sit on.
+        assert result.fault_stats["retransmits"] > 0
+        assert cluster.nodes[2].recoveries == 1
+    leaked = {name: unreachable[name] for name in HOT_PATH_TYPES if unreachable[name]}
+    assert not leaked
+    assert sum(unreachable.values()) < MAX_UNREACHABLE, unreachable.most_common(5)
+
+
+def _live_state(cluster):
+    """(live consensus instances, wheel entries, unacked frames) now."""
+    services = {id(node.services) for node in cluster.nodes}
+    instances = sum(
+        1
+        for obj in gc.get_objects()
+        if type(obj) is BinaryConsensus and id(obj.services) in services
+    )
+    timers = sum(len(node.services.timers._timers) for node in cluster.nodes)
+    unacked = sum(
+        len(link.unacked) for link in cluster.network.reliable._senders.values()
+    )
+    return instances, timers, unacked
+
+
+def test_state_is_bounded_by_the_linger_window_not_run_length():
+    """Live state over the second 4 s of a run is no larger than over the
+    first 4 s.  One run sampled every 250 ms instead of a 4 s and an 8 s
+    run compared at their horizons: a single instant sits at an arbitrary
+    phase of the closed loop (wheel entries swing 16..42 here), the peak
+    over a window does not."""
+    cluster = build_cluster(
+        quick_lyra_config(seed=1, duration_us=8_000_000, reliable_channels=True)
+    )
+    samples = {}
+
+    def sample(t_ms):
+        instances, timers, unacked = samples[t_ms] = _live_state(cluster)
+        # Every instance still alive is one a node still owns: nothing a
+        # node has forgotten is pinned by a timer, an event or a cycle.
+        assert instances == sum(len(node._instances) for node in cluster.nodes)
+
+    for t_ms in range(2250, 8001, 250):
+        cluster.sim.schedule_at(t_ms * MILLISECONDS, lambda t_ms=t_ms: sample(t_ms))
+    result, _ = _run_collector_off(cluster)
+    assert result.committed_count > 0
+    assert sum(len(node._finished) for node in cluster.nodes) > 100
+    first = [state for t_ms, state in samples.items() if t_ms <= 4000]
+    second = [state for t_ms, state in samples.items() if t_ms > 6000]
+    for i, what in enumerate(("instances", "wheel entries", "unacked frames")):
+        early = max(state[i] for state in first)
+        late = max(state[i] for state in second)
+        assert 0 < late <= 1.25 * early, (what, samples)
+
+
+def test_gc_instance_frees_the_instance_by_reference_count():
+    cluster = build_cluster(quick_lyra_config(seed=1, duration_us=1_500_000))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cluster.run()
+        node = cluster.nodes[0]
+        refs = {
+            iid: weakref.ref(instance) for iid, instance in node._instances.items()
+        }
+        assert refs
+        for iid, ref in refs.items():
+            assert ref() is not None
+            node._gc_instance(iid)
+            assert ref() is None
+        assert not node._instances
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
 import random
 
 import pytest
@@ -95,6 +96,45 @@ class TestCancellation:
         sim.drain(events)
         sim.run()
         assert ran == []
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_cancel_drops_the_callback_at_once(self, drive):
+        """A cancelled event must not keep its closure (a frame, an
+        instance) alive until its deadline, and neither loop may call the
+        ``None`` left behind — in the head bucket or a later one, cancelled
+        before the run or by an earlier event of the same bucket."""
+        sim = Simulator()
+        ran = []
+        doomed = [sim.schedule(t, lambda: ran.append("doomed")) for t in (5, 5, 9)]
+        sim.schedule(5, lambda: doomed[1].cancel(), priority=-1)
+        doomed[0].cancel()
+        doomed[2].cancel()
+        assert doomed[0].callback is None and doomed[2].callback is None
+        sim.schedule(5, lambda: ran.append("kept"))
+        assert sim.pending == 5  # cancelled events are counted until skipped
+        if drive == "run":
+            assert sim.run() == 2
+        else:
+            while sim.step():
+                pass
+        assert ran == ["kept"]
+        assert doomed[1].callback is None
+        assert sim.pending == 0 and sim.events_processed == 2
+
+    def test_run_suspends_the_cyclic_collector_and_restores_it(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1, lambda: seen.append(gc.isenabled()))
+        assert gc.isenabled()
+        sim.run()
+        assert seen == [False] and gc.isenabled()
+        gc.disable()
+        try:
+            sim.schedule(1, lambda: seen.append(gc.isenabled()))
+            sim.run()
+            assert seen == [False, False] and not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestRunControl:

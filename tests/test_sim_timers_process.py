@@ -94,6 +94,49 @@ class TestTimerWheel:
         wheel.set("x", 10, lambda: None)
         assert wheel.armed("x")
 
+    def test_fired_and_cancelled_timers_leave_the_wheel(self):
+        """Protocols name timers per (instance, round): a wheel that kept
+        spent timers would pin every instance its owner ever ran."""
+        sim = Simulator()
+        wheel = TimerWheel(sim)
+        fired = []
+        wheel.set("fires", 10, lambda: fired.append("fires"))
+        wheel.set("cancelled", 10, lambda: fired.append("cancelled"))
+        wheel.set("stays", 1000, lambda: fired.append("stays"))
+        wheel.cancel("cancelled")
+        sim.run(until=100)
+        assert fired == ["fires"]
+        assert set(wheel._timers) == {"stays"}
+        assert not wheel.armed("fires") and not wheel.armed("cancelled")
+        # Either name arms a fresh timer afterwards.
+        wheel.set("fires", 10, lambda: fired.append("fires again"))
+        wheel.set("cancelled", 20, lambda: fired.append("cancelled again"))
+        assert wheel.armed("fires") and wheel.armed("cancelled")
+        sim.run(until=200)
+        assert fired == ["fires", "fires again", "cancelled again"]
+        assert set(wheel._timers) == {"stays"}
+
+    def test_periodic_callback_rearming_its_own_name_survives(self):
+        sim = Simulator()
+        wheel = TimerWheel(sim)
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            wheel.set("tick", 10, tick)
+
+        wheel.set("tick", 10, tick)
+        sim.run(until=35)
+        assert ticks == [10, 20, 30]
+        assert wheel.armed("tick") and len(wheel._timers) == 1
+
+    def test_close_empties_the_wheel(self):
+        sim = Simulator()
+        wheel = TimerWheel(sim)
+        wheel.set("x", 10, lambda: None)
+        wheel.close()
+        assert not wheel._timers
+
 
 class TestTimerWheelLifecycle:
     def test_reopen_allows_rearming(self):
