@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 TX_PAYLOAD_BYTES = 32
 
@@ -85,20 +85,18 @@ class Batch:
         return len(self.txs)
 
 
-@dataclass(frozen=True, order=True)
-class InstanceId:
-    """Identity of one BOC instance: ``(proposer, batch_no)``."""
+class InstanceId(NamedTuple):
+    """Identity of one BOC instance: ``(proposer, batch_no)``.
+
+    Instance ids key every hot dict in the protocol, so this is a tuple:
+    it hashes and compares in C, and ``hash(InstanceId(p, b)) ==
+    hash((p, b))``.  It is still its own type on the wire —
+    :func:`repro.crypto.hashing.digest_of` tags it by class name via
+    ``canonical()``, unlike a bare ``(p, b)`` pair.
+    """
 
     proposer: int
     batch_no: int
-
-    def __post_init__(self) -> None:
-        # Instance ids key every hot dict in the protocol; precomputing the
-        # hash once beats re-hashing the field tuple on each lookup.
-        object.__setattr__(self, "_hash", hash((self.proposer, self.batch_no)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def wire_size(self) -> int:
         return 8

@@ -86,7 +86,9 @@ def _feed(h: Any, value: Any) -> None:
         h.update(b"S")
         h.update(len(data).to_bytes(8, "big"))
         h.update(data)
-    elif isinstance(value, (tuple, list)):
+    elif isinstance(value, (tuple, list)) and not hasattr(value, "canonical"):
+        # A tuple type that opts in to ``canonical()`` (``InstanceId``)
+        # keeps its type tag below instead of hashing as a bare sequence.
         h.update(b"L")
         h.update(len(value).to_bytes(8, "big"))
         for item in value:

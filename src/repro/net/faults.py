@@ -211,14 +211,25 @@ class FaultPlan:
         )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class FaultDecision:
-    """What the injector decided for one physical transmission."""
+    """What the injector decided for one physical transmission.
+
+    Frozen: the two overwhelmingly common outcomes are shared instances
+    (:data:`_CLEAN`, :data:`_DROP`) that no caller may mutate.
+    """
 
     drop: bool = False
     duplicate: bool = False
     corrupt: bool = False
     extra_delay_us: int = 0
+
+
+_CLEAN = FaultDecision()
+_DROP = FaultDecision(drop=True)
+
+#: Uniforms pre-drawn per refill of a lane's block.
+_BLOCK = 256
 
 
 @dataclass
@@ -259,6 +270,24 @@ class FaultInjector:
     Each (src, dst) link draws from its own named stream of the run's
     :class:`~repro.sim.rng.RngRegistry`, so adding traffic on one link
     never perturbs the fault sequence of another.
+
+    A link's state is its *fault lane*, opened on the first transmission
+    (see :meth:`_open_lane`): the link's generator resolved once, the
+    plan's rules that can ever match the link (endpoint selectors are
+    static; time windows are still checked per call) and a block of
+    pre-drawn uniforms.  ``Generator.random(k)`` yields exactly the
+    variates of k scalar ``random()`` calls, so a lane's draw sequence —
+    per active rule: drop, duplicate, corrupt, reorder — is bit-identical
+    to drawing one at a time.  The reorder *delay* is an ``integers()``
+    draw off the same bitstream and cannot be pre-drawn around, so a lane
+    any of whose rules can reorder draws scalar instead; that is a
+    property of the plan, decided once per lane.
+
+    This is not PR 14's deleted ``_BufferedUniform`` again: that was a
+    second class behind a user-set backend knob, paid a Python method call
+    per draw and was only ever measured bundled with the arena engine.
+    Here there is one injector, the choice is read off the plan, and a
+    draw is a C-level ``list.pop``.
     """
 
     def __init__(self, plan: FaultPlan, rng: RngRegistry) -> None:
@@ -269,46 +298,86 @@ class FaultInjector:
         # (retransmissions re-send the same Message object).
         self._duplicated_uids: set = set()
         self._corrupted_uids: set = set()
+        # Lanes keyed by the packed pid pair ``(src << 20) | dst`` (the
+        # packing ``Network._link_stats`` uses).
+        self._lanes: Dict[int, tuple] = {}
 
     def _stream(self, src: int, dst: int):
         return self._rng.get("faults", f"{src}->{dst}")
 
+    def _open_lane(self, src: int, dst: int) -> tuple:
+        """Build the ``(rules, gen, block, need)`` lane of one link:
+        the rules whose endpoint selectors admit it, its generator, the
+        stack of pre-drawn uniforms (next draw last; ``None`` = draw
+        scalar) and the most one :meth:`decide` call can pop from it."""
+        # The static half of ``LinkFault.matches``; decide() does the window.
+        rules = tuple(
+            lf
+            for lf in self.plan.links
+            if (lf.src is None or src in lf.src) and (lf.dst is None or dst in lf.dst)
+        )
+        gen = self._stream(src, dst) if rules else None
+        if any(lf.reorder_rate > 0.0 for lf in rules):
+            block, need = None, 0
+        else:
+            block = []
+            need = sum(
+                (lf.drop_rate > 0.0) + (lf.duplicate_rate > 0.0) + (lf.corrupt_rate > 0.0)
+                for lf in rules
+            )
+        lane = self._lanes[(src << 20) | dst] = (rules, gen, block, need)
+        return lane
+
     def decide(self, src: int, dst: int, message: Message, now: int) -> FaultDecision:
-        decision = FaultDecision()
-        active = [lf for lf in self.plan.links if lf.matches(src, dst, now)]
-        if not active:
-            return decision
-        stream = self._stream(src, dst)
-        for lf in active:
-            if lf.drop_rate > 0.0 and stream.random() < lf.drop_rate:
-                decision.drop = True
-            if lf.duplicate_rate > 0.0 and stream.random() < lf.duplicate_rate:
-                decision.duplicate = True
-            if lf.corrupt_rate > 0.0 and stream.random() < lf.corrupt_rate:
-                decision.corrupt = True
-            if lf.reorder_rate > 0.0 and stream.random() < lf.reorder_rate:
-                decision.extra_delay_us += int(
-                    stream.integers(1, max(2, lf.reorder_delay_us + 1))
+        lane = self._lanes.get((src << 20) | dst)
+        if lane is None:
+            lane = self._open_lane(src, dst)
+        rules, gen, block, need = lane
+        if block is None:
+            draw = gen.random
+        else:
+            while len(block) < need:
+                # Refill under the leftovers, reversed so pop() walks the
+                # variates in draw order.
+                block[:0] = gen.random(_BLOCK)[::-1].tolist()
+            draw = block.pop
+        drop = duplicate = corrupt = False
+        extra_delay_us = 0
+        for lf in rules:
+            if now < lf.start_us or (lf.end_us is not None and now >= lf.end_us):
+                continue
+            if lf.drop_rate > 0.0 and draw() < lf.drop_rate:
+                drop = True
+            if lf.duplicate_rate > 0.0 and draw() < lf.duplicate_rate:
+                duplicate = True
+            if lf.corrupt_rate > 0.0 and draw() < lf.corrupt_rate:
+                corrupt = True
+            if lf.reorder_rate > 0.0 and draw() < lf.reorder_rate:
+                extra_delay_us += int(
+                    gen.integers(1, max(2, lf.reorder_delay_us + 1))
                 )
-        if decision.drop:
-            self.stats.dropped += 1
+        stats = self.stats
+        if drop:
             # A dropped message neither duplicates nor reorders.
-            decision.duplicate = decision.corrupt = False
-            decision.extra_delay_us = 0
-            return decision
-        if decision.duplicate:
-            self.stats.duplicate_wire_events += 1
+            stats.dropped += 1
+            return _DROP
+        if not (duplicate or corrupt or extra_delay_us):
+            return _CLEAN
+        if duplicate:
+            stats.duplicate_wire_events += 1
             if message.uid not in self._duplicated_uids:
                 self._duplicated_uids.add(message.uid)
-                self.stats.duplicated += 1
-        if decision.corrupt:
-            self.stats.corrupt_wire_events += 1
+                stats.duplicated += 1
+        if corrupt:
+            stats.corrupt_wire_events += 1
             if message.uid not in self._corrupted_uids:
                 self._corrupted_uids.add(message.uid)
-                self.stats.corrupted += 1
-        if decision.extra_delay_us:
-            self.stats.reordered += 1
-        return decision
+                stats.corrupted += 1
+        if extra_delay_us:
+            stats.reordered += 1
+        return FaultDecision(
+            duplicate=duplicate, corrupt=corrupt, extra_delay_us=extra_delay_us
+        )
 
     @staticmethod
     def corrupted_copy(message: Message) -> Message:

@@ -325,21 +325,18 @@ class Network:
         """Fan one logical message out to every replica directly, zero-copy.
 
         The same :class:`Message` instance is shared by every recipient —
-        ``estimate_size`` ran once at construction and the checksum is
-        stamped once here instead of once per destination.  Copy-on-write
-        semantics are preserved: a corrupting link damages a *copy* of the
-        frame (``FaultInjector.corrupted_copy``) and duplicates travel as
-        clones, so per-link faults never leak into other recipients.
-        Fault decisions are drawn per destination in sorted-pid order,
-        exactly as the per-``send`` path would, keeping RNG streams — and
-        therefore whole runs — bit-identical.
+        ``estimate_size`` ran once at construction and the checksum is a
+        memoised ``(kind, size)`` lookup.  Copy-on-write semantics are
+        preserved by :meth:`_put_on_wire`, so per-link faults never leak
+        into other recipients.  Fault decisions are drawn per destination
+        in sorted-pid order, exactly as the per-``send`` path would,
+        keeping RNG streams — and therefore whole runs — bit-identical.
 
         Returns the number of send attempts (including unroutable ones),
         which callers use for traffic accounting.
         """
         processes = self._processes
         reliable = self.reliable
-        faults = self.faults
         attempts = 0
         if reliable is not None:
             # Reliable channels frame per destination (each link has its
@@ -364,12 +361,11 @@ class Network:
                     continue
                 enqueue(src, dst, message)
             return attempts
-        if faults is None and type(self.adversary) is NullAdversary:
+        if self.faults is None and type(self.adversary) is NullAdversary:
             fast = self._broadcast_fast(src, message, include_self)
             if fast >= 0:
                 return fast
-        stamped = False
-        schedule = self._schedule_delivery
+        put_on_wire = self._put_on_wire
         for dst in self._replicas:
             if dst == src and not include_self:
                 continue
@@ -377,21 +373,7 @@ class Network:
             if dst not in processes:
                 self.unroutable_dropped += 1
                 continue
-            if not stamped:
-                message.stamp_checksum()
-                stamped = True
-            if faults is not None:
-                decision = faults.decide(src, dst, message, self.sim.now)
-                if decision.drop:
-                    continue
-                wire = message
-                if decision.corrupt:
-                    wire = FaultInjector.corrupted_copy(message)
-                schedule(src, dst, wire, decision.extra_delay_us)
-                if decision.duplicate:
-                    schedule(src, dst, message.clone(), 0)
-            else:
-                schedule(src, dst, message, 0)
+            put_on_wire(src, dst, message)
         return attempts
 
     def _broadcast_fast(self, src: int, message: Message, include_self: bool) -> int:
@@ -514,59 +496,59 @@ class Network:
             stats.bundles_sent += 1
             stats.messages_coalesced += len(msgs)
         stats.frames_sent += 1
-        frame.stamp_checksum()
-        if self.faults is not None:
-            # One fault draw per physical frame: dropping or corrupting the
-            # frame takes every bundled message with it.
-            decision = self.faults.decide(src, dst, frame, self.sim.now)
-            if decision.drop:
-                return
-            wire = frame
-            if decision.corrupt:
-                wire = FaultInjector.corrupted_copy(frame)
-            self._schedule_delivery(src, dst, wire, decision.extra_delay_us)
-            if decision.duplicate:
-                self._schedule_delivery(src, dst, frame.clone(), 0)
-        else:
-            self._schedule_delivery(src, dst, frame, 0)
+        # One fault draw per physical frame: dropping or corrupting the
+        # frame takes every bundled message with it.
+        self._put_on_wire(src, dst, frame)
 
     def _transmit(self, src: int, dst: int, message: Message) -> None:
-        """Put one frame on the wire: stamp its checksum, apply link
-        faults, and schedule each surviving copy's delivery."""
+        """Send one frame now, or park it for the link's next coalesced
+        flush."""
         if dst not in self._processes:
             self.unroutable_dropped += 1
             return
         if self._coalesce:
             self._enqueue_coalesced(src, dst, message)
             return
-        message.stamp_checksum()
-        if self.faults is not None:
-            decision = self.faults.decide(src, dst, message, self.sim.now)
-            if decision.drop:
-                return
-            wire = message
-            if decision.corrupt:
-                wire = FaultInjector.corrupted_copy(message)
-            self._schedule_delivery(src, dst, wire, decision.extra_delay_us)
-            if decision.duplicate:
-                # The duplicate takes its own (jittered) path through the
-                # network, so it may arrive before or after the original.
-                self._schedule_delivery(src, dst, message.clone(), 0)
-        else:
-            self._schedule_delivery(src, dst, message, 0)
+        self._put_on_wire(src, dst, message)
+
+    def _put_on_wire(self, src: int, dst: int, frame: Message) -> None:
+        """The one way a physical frame enters a link: stamp its checksum,
+        apply the link's faults, and schedule each surviving copy.
+
+        Point-to-point sends, the general broadcast loop and coalesced
+        flushes all end here, so ``frame`` may be shared with other links:
+        a corrupting link damages a *copy* and a duplicate travels as a
+        clone taking its own (jittered) path, so it may arrive before or
+        after the original.
+        """
+        frame.stamp_checksum()
+        faults = self.faults
+        if faults is None:
+            self._schedule_delivery(src, dst, frame, 0)
+            return
+        decision = faults.decide(src, dst, frame, self.sim._now)
+        if decision.drop:
+            return
+        wire = FaultInjector.corrupted_copy(frame) if decision.corrupt else frame
+        self._schedule_delivery(src, dst, wire, decision.extra_delay_us)
+        if decision.duplicate:
+            self._schedule_delivery(src, dst, frame.clone(), 0)
 
     def _schedule_delivery(
         self, src: int, dst: int, message: Message, extra_delay_us: int
     ) -> None:
         sim = self.sim
+        now = sim._now
         size = message.size
         departure = self.bandwidth.departure_time(src, size)
         propagation = self.latency.one_way_us(src, dst)
-        extra = self.adversary.extra_delay_us(src, dst, size, sim.now)
-        if extra:
+        extra = 0
+        adversary = self.adversary
+        if type(adversary) is not NullAdversary:
+            extra = adversary.extra_delay_us(src, dst, size, now)
             # With zero adversarial delay the clamp is a no-op, so the GST
             # lookup only runs when there is something to clamp.
-            if self.config.clamp_after_gst and sim.now >= self.adversary.gst():
+            if extra and self.config.clamp_after_gst and now >= adversary.gst():
                 # After GST the adversary cannot stretch delays past Δ.
                 extra = min(extra, max(0, self.config.delta_us - propagation))
         ingress = self.bandwidth.ingress_delay_us(dst, size)
@@ -585,7 +567,7 @@ class Network:
         # schedule_at's bounds check.  Priority src+1 gives same-instant
         # deliveries a canonical sender-pid order (see _broadcast_fast).
         sim.schedule(
-            arrival - sim.now,
+            arrival - now,
             partial(self._deliver, src, dst, message),
             priority=src + 1,
         )

@@ -6,12 +6,15 @@ timestamps*, each mapping to a bucket of :class:`Event` records ordered by
 counter which guarantees a total, deterministic order even when many events
 share a timestamp — essential for reproducible distributed protocol runs.
 
-The bucket layer is a same-timestamp burst fast path: protocol broadcasts
-land n-1 deliveries (and their follow-up CPU completions) on identical
-timestamps, so most ``schedule`` calls append to an existing bucket in O(1)
-instead of sifting through one global heap whose comparisons are tuple-wide.
-Only the first event of a new timestamp pays a heap push, and the heap
-holds bare integers.
+The bucket layer is a same-timestamp burst fast path: events that share a
+timestamp (a jitter-free fan-out, a delivery and the CPU completion it
+triggers) append to an existing bucket in O(1), only the first event of a
+new timestamp pays a heap push, and the heap holds bare integers instead
+of tuple-wide keys.  How often that pays depends on the workload: with the
+default per-message jitter most deliveries land on a microsecond of their
+own — ``lyra_n32_closed`` at seed 1 pushes 1 214 765 new timestamps for
+1 947 898 processed events, so there roughly three ``schedule`` calls in
+five take the heap path, not the append.
 
 Time is an integer number of microseconds.  Integer time avoids the
 floating-point drift that makes long simulations diverge between platforms,

@@ -10,6 +10,7 @@ from repro.core.clocks import OrderingClock, PerceivedSequence
 from repro.core.distance import DistanceEstimator, requested_sequence
 from repro.core.types import AcceptedEntry, Batch, InstanceId, Transaction
 from repro.crypto.cost import ReceiveChargePlan
+from repro.crypto.hashing import digest_of
 from repro.net.message import Message
 from repro.sim.engine import Simulator
 
@@ -199,6 +200,21 @@ class TestTransactionTypes:
 
     def test_instance_id_ordering(self):
         assert InstanceId(0, 1) < InstanceId(0, 2) < InstanceId(1, 0)
+
+    def test_instance_id_is_a_tuple_that_keeps_its_type_tag(self):
+        iid = InstanceId(3, 7)
+        # Hashes like the pair it is — the value the hand-written
+        # ``__hash__`` used to cache — so set/dict iteration is unchanged.
+        assert hash(iid) == hash((3, 7))
+        assert (iid.proposer, iid.batch_no) == iid.canonical() == (3, 7)
+        assert iid.wire_size() == 8 and Message("x", iid).size == Message("x", 0).size
+        # On the wire it is still not a bare pair: the canonical digest is
+        # the one the dataclass InstanceId had (pinned from PR 15).
+        assert digest_of(iid).hex() == (
+            "980d832a12c6298819349906f981b36241351b2efaa541c758e3fa2e2d4df9ad"
+        )
+        assert digest_of(iid) != digest_of((3, 7))
+        assert digest_of((iid, b"c")) != digest_of(((3, 7), b"c"))
 
     def test_accepted_entry_order_key(self):
         a = AcceptedEntry(InstanceId(0, 0), b"a" * 32, 100)

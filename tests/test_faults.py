@@ -1,11 +1,15 @@
 """Unit tests for the fault-injection subsystem (FaultPlan/FaultInjector)."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.net.faults import (
     CrashEvent,
     FaultInjector,
     FaultPlan,
+    FaultStats,
     LinkFault,
 )
 from repro.net.message import Message
@@ -160,6 +164,245 @@ class TestFaultInjector:
         d = inj.decide(0, 1, Message("x"), now=0)
         assert 1 <= d.extra_delay_us <= 1000
         assert inj.stats.reordered == 1
+
+    def test_shared_decisions_cannot_be_mutated(self):
+        # Clean and drop outcomes are shared instances; a caller that
+        # could flip a field would corrupt every later decision.
+        inj = self._injector(FaultPlan(links=(LinkFault(drop_rate=1.0, dst=(1,)),)))
+        for dst in (1, 2):
+            d = inj.decide(0, dst, Message("x"), now=0)
+            assert d is inj.decide(0, dst, Message("x"), now=0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.drop = not d.drop
+            assert not hasattr(d, "__dict__")
+
+
+class _ReferenceInjector:
+    """The pre-lane ``FaultInjector``: ``decide`` is kept verbatim (one
+    registry lookup, one rule scan and up to four scalar draws per rule per
+    call) as the naive reference the fault lanes are diffed against."""
+
+    @dataclasses.dataclass
+    class Decision:
+        drop: bool = False
+        duplicate: bool = False
+        corrupt: bool = False
+        extra_delay_us: int = 0
+
+    def __init__(self, plan, rng):
+        self.plan = plan
+        self._rng = rng
+        self.stats = FaultStats()
+        self._duplicated_uids = set()
+        self._corrupted_uids = set()
+
+    def _stream(self, src, dst):
+        return self._rng.get("faults", f"{src}->{dst}")
+
+    def decide(self, src, dst, message, now):
+        decision = self.Decision()
+        active = [lf for lf in self.plan.links if lf.matches(src, dst, now)]
+        if not active:
+            return decision
+        stream = self._stream(src, dst)
+        for lf in active:
+            if lf.drop_rate > 0.0 and stream.random() < lf.drop_rate:
+                decision.drop = True
+            if lf.duplicate_rate > 0.0 and stream.random() < lf.duplicate_rate:
+                decision.duplicate = True
+            if lf.corrupt_rate > 0.0 and stream.random() < lf.corrupt_rate:
+                decision.corrupt = True
+            if lf.reorder_rate > 0.0 and stream.random() < lf.reorder_rate:
+                decision.extra_delay_us += int(
+                    stream.integers(1, max(2, lf.reorder_delay_us + 1))
+                )
+        if decision.drop:
+            self.stats.dropped += 1
+            # A dropped message neither duplicates nor reorders.
+            decision.duplicate = decision.corrupt = False
+            decision.extra_delay_us = 0
+            return decision
+        if decision.duplicate:
+            self.stats.duplicate_wire_events += 1
+            if message.uid not in self._duplicated_uids:
+                self._duplicated_uids.add(message.uid)
+                self.stats.duplicated += 1
+        if decision.corrupt:
+            self.stats.corrupt_wire_events += 1
+            if message.uid not in self._corrupted_uids:
+                self._corrupted_uids.add(message.uid)
+                self.stats.corrupted += 1
+        if decision.extra_delay_us:
+            self.stats.reordered += 1
+        return decision
+
+
+class TestFaultLanesMatchReference:
+    """Differential: block-buffered lanes draw the same variates, in the
+    same order, as one scalar draw per coin flip."""
+
+    PIDS = (0, 1, 2)
+    #: Decisions per link.  Plans with a base rule draw at least once per
+    #: decision, so every buffered lane refills its 256-block >= 3 times.
+    STEPS = 800
+    STEP_US = 10
+
+    @classmethod
+    def _random_plan(cls, rnd, reorder):
+        horizon = cls.STEPS * cls.STEP_US
+
+        def rate():
+            return rnd.choice((0.0, 0.0, 0.05, 0.3, 1.0))
+
+        def selector():
+            if rnd.random() < 0.5:
+                return None
+            return tuple(rnd.sample(cls.PIDS, rnd.randint(1, 2)))
+
+        def edge():
+            # Multiples of the step, so ``now`` lands exactly on edges.
+            return rnd.randrange(0, horizon, cls.STEP_US)
+
+        rules = []
+        if rnd.random() < 0.7:
+            # The ledger's shape: one always-on rule for every link.
+            rules.append(
+                LinkFault(
+                    drop_rate=rnd.choice((0.05, 0.15, 0.5)),
+                    duplicate_rate=rate(),
+                    corrupt_rate=rate(),
+                )
+            )
+        while len(rules) < 3 and (not rules or rnd.random() < 0.6):
+            start, end = sorted((edge(), edge()))
+            rules.append(
+                LinkFault(
+                    drop_rate=rate(),
+                    duplicate_rate=rate(),
+                    corrupt_rate=rate(),
+                    reorder_rate=rnd.choice((0.1, 0.5)) if reorder else 0.0,
+                    reorder_delay_us=rnd.choice((0, 1, 500, 50_000)),
+                    src=selector(),
+                    dst=selector(),
+                    start_us=start if rnd.random() < 0.6 else 0,
+                    end_us=max(end, start + cls.STEP_US) if rnd.random() < 0.6 else None,
+                )
+            )
+        return FaultPlan(links=tuple(rules))
+
+    @pytest.mark.parametrize("reorder", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_identical_decisions_and_stats(self, seed, reorder):
+        rnd = random.Random(seed * 2 + reorder)
+        plan = self._random_plan(rnd, reorder)
+        lanes = FaultInjector(plan, RngRegistry(seed))
+        naive = _ReferenceInjector(plan, RngRegistry(seed))
+        links = [(s, d) for s in self.PIDS for d in self.PIDS if s != d]
+        # A small pool of frames: retransmissions re-decide the same uid.
+        frames = [Message("x") for _ in range(40)]
+        for step in range(self.STEPS):
+            now = step * self.STEP_US
+            rnd.shuffle(links)
+            for src, dst in links:
+                frame = rnd.choice(frames)
+                got = lanes.decide(src, dst, frame, now)
+                want = naive.decide(src, dst, frame, now)
+                assert dataclasses.astuple(got) == dataclasses.astuple(want), (
+                    step,
+                    src,
+                    dst,
+                    plan,
+                )
+        assert lanes.stats.to_dict() == naive.stats.to_dict()
+
+    def test_one_decision_can_need_more_than_a_block(self):
+        # 100 rules x 3 coin flips > 256 pre-drawn uniforms.
+        rule = LinkFault(drop_rate=0.001, duplicate_rate=0.01, corrupt_rate=0.01)
+        plan = FaultPlan(links=(rule,) * 100)
+        lanes = FaultInjector(plan, RngRegistry(2))
+        naive = _ReferenceInjector(plan, RngRegistry(2))
+        for _ in range(20):
+            frame = Message("x")
+            assert dataclasses.astuple(lanes.decide(0, 1, frame, 0)) == (
+                dataclasses.astuple(naive.decide(0, 1, frame, 0))
+            )
+        assert lanes.stats.to_dict() == naive.stats.to_dict()
+
+    def test_reorder_lanes_draw_scalar_only_where_the_plan_reorders(self):
+        # The integers() reorder delay shares random()'s bitstream, so a
+        # lane with a reorder rule pre-draws nothing; its neighbours do.
+        plan = FaultPlan(
+            links=(
+                LinkFault(drop_rate=0.2),
+                LinkFault(reorder_rate=0.5, src=(0,), start_us=10**9),
+            )
+        )
+        rng = RngRegistry(5)
+        inj = FaultInjector(plan, rng)
+        untouched = RngRegistry(5)
+        for src in (0, 1):
+            inj.decide(src, 2, Message("x"), now=0)
+            used = rng.get("faults", f"{src}->2").bit_generator.state
+            fresh = untouched.get("faults", f"{src}->2")
+            fresh.random(1 if src == 0 else 256)
+            assert used == fresh.bit_generator.state
+
+
+class TestChaosWithReorderDigest:
+    def test_mixed_lanes_reproduce_the_pre_lane_run(self):
+        # The ledger's chaos smoke shape plus a reorder rule on two
+        # senders, so scalar and block-buffered lanes run side by side.
+        # Digest and counters were pinned from the scalar-only injector
+        # (PR 15) before the lanes were written.
+        from repro.bench.suite import prefix_digest
+        from repro.harness.config import ExperimentConfig
+        from repro.harness.factory import build_cluster
+        from repro.sim.engine import MILLISECONDS
+        from repro.workload.spec import ClientGroup, WorkloadSpec
+
+        plan = FaultPlan(
+            links=(
+                LinkFault(drop_rate=0.15, duplicate_rate=0.05, corrupt_rate=0.02),
+                LinkFault(reorder_rate=0.03, src=(0, 1)),
+            ),
+            crashes=(
+                CrashEvent(
+                    pid=2,
+                    crash_at_us=800 * MILLISECONDS,
+                    recover_at_us=1200 * MILLISECONDS,
+                ),
+            ),
+        )
+        clients = WorkloadSpec(
+            groups=tuple(
+                ClientGroup(
+                    name=f"main{pid}", client="closed", count=1, home=pid, window=4
+                )
+                for pid in (0, 1, 3)
+            ),
+            fairness=False,
+        )
+        config = ExperimentConfig(
+            n_nodes=4,
+            seed=1,
+            batch_size=8,
+            duration_us=2000 * MILLISECONDS,
+            warmup_rounds=2,
+            warmup_spacing_us=150 * MILLISECONDS,
+            fault_plan=plan,
+            reliable_channels=True,
+            workload=clients,
+        )
+        cluster = build_cluster(config, protocol="lyra")
+        result = cluster.run()
+        assert prefix_digest(cluster) == (
+            "7dddd0a9255fcdc7ba59f2d17ecaa1c5962b485d2f44abaca407fe41733439fa"
+        )
+        assert result.events_processed == 14405
+        stats = result.fault_stats
+        assert (stats["dropped"], stats["reordered"]) == (1528, 143)
+        assert (stats["duplicate_wire_events"], stats["corrupt_wire_events"]) == (420, 177)
+        assert (stats["frames_sent"], stats["retransmits"]) == (5547, 2828)
 
 
 class TestChecksumIntegrity:

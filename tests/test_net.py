@@ -11,6 +11,7 @@ from repro.net.adversary import (
     TargetedDelayAdversary,
 )
 from repro.net.bandwidth import BandwidthModel, NicQueue
+from repro.net.faults import FaultInjector, FaultPlan, LinkFault
 from repro.net.latency import (
     AWS_ONE_WAY_MS,
     GeoLatencyModel,
@@ -364,3 +365,85 @@ class TestNetwork:
         sim.run()
         assert net.messages_delivered == 1
         assert net.bytes_delivered == 100
+
+
+class SteppedLatency(UniformLatencyModel):
+    """Every draw is 1 ms later than the previous one, so two copies of a
+    frame that each took their own draw arrive at different times."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.draws = 0
+
+    def one_way_us(self, src, dst):
+        self.draws += 1
+        return self.draws * MILLISECONDS
+
+
+class TestOneWirePath:
+    """Point-to-point sends, the faulty broadcast loop and coalesced
+    flushes all put frames on the wire through ``_put_on_wire``: whatever
+    the route, link 0->1 treats the frame the same way."""
+
+    ROUTES = ("send", "broadcast", "coalesced")
+
+    def _net(self, fault, route):
+        sim = Simulator()
+        plan = FaultPlan(links=(LinkFault(dst=(1,), **{fault: 1.0}),))
+        latency = SteppedLatency()
+        net = Network(
+            sim,
+            latency,
+            config=NetworkConfig(bandwidth_enabled=False),
+            faults=FaultInjector(plan, RngRegistry(3)),
+        )
+        procs = [Collector(pid, sim) for pid in (0, 1, 2)]
+        for p in procs:
+            net.register(p)
+        if route == "coalesced":
+            net.enable_coalescing(0)
+        frame = Message("x", {"v": 1})
+        if route == "broadcast":
+            net.broadcast(0, frame, include_self=False)
+        else:
+            net.send(0, 1, frame)
+        return sim, net, procs, frame, latency
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_corruption_damages_a_copy(self, route):
+        sim, net, procs, frame, _ = self._net("corrupt_rate", route)
+        seen = []
+        net.add_trace_hook(lambda t, s, d, m: seen.append((d, m)))
+        sim.run()
+        assert procs[1].got == [] and net.corrupt_dropped == 1
+        assert net.faults.stats.corrupt_wire_events == 1
+        # The sender's frame — shared with every other link of a
+        # broadcast — still carries its own, valid checksum.
+        assert frame.checksum == frame.expected_checksum()
+        if route == "broadcast":
+            assert seen == [(2, frame)]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_duplicate_is_a_clone_with_its_own_latency_draw(self, route):
+        sim, net, procs, frame, latency = self._net("duplicate_rate", route)
+        seen = []
+        net.add_trace_hook(lambda t, s, d, m: seen.append((t, d, m)))
+        sim.run()
+        to_1 = [(t, m) for t, d, m in seen if d == 1]
+        assert len(to_1) == 2 and net.faults.stats.duplicate_wire_events == 1
+        (t_a, m_a), (t_b, m_b) = to_1
+        assert t_a != t_b
+        assert (m_a is frame) != (m_b is frame)
+        clone = m_b if m_a is frame else m_a
+        assert clone.uid != frame.uid and clone.checksum == frame.checksum
+        assert latency.draws == (3 if route == "broadcast" else 2)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_drop_schedules_nothing_and_counts_once(self, route):
+        sim, net, procs, frame, latency = self._net("drop_rate", route)
+        sim.run()
+        assert procs[1].got == []
+        assert net.faults.stats.dropped == 1
+        # Nothing was drawn or queued for the dropped link.
+        assert latency.draws == (1 if route == "broadcast" else 0)
+        assert net.messages_delivered == (1 if route == "broadcast" else 0)

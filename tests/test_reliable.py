@@ -6,7 +6,7 @@ from repro.net.faults import FaultInjector, FaultPlan, LinkFault
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
-from repro.net.reliable import ReliableConfig
+from repro.net.reliable import ACK_KIND, FRAME_KIND, ReliableConfig
 from repro.sim.engine import MILLISECONDS, Simulator
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
@@ -250,3 +250,49 @@ class TestFaultStatsCountOnce:
         assert stats.duplicated == 1
         assert stats.duplicate_wire_events >= 2
         assert net.reliable.stats.dup_frames >= 1
+
+
+class TestOneWirePath:
+    """First sends, retransmissions and acks — bundled or not — reach the
+    link through ``Network._put_on_wire`` and nowhere else."""
+
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_every_physical_frame_is_put_on_wire_once(self, coalesce):
+        sim = Simulator()
+        plan = FaultPlan(
+            links=(LinkFault(drop_rate=0.3, duplicate_rate=0.2, corrupt_rate=0.2),)
+        )
+        net, (a, b) = build_net(sim, plan=plan)
+        if coalesce:
+            net.enable_coalescing(0)
+        wired = []
+        put_on_wire = net._put_on_wire
+
+        def spy(src, dst, frame):
+            # Retransmissions re-send the pending frame object itself: a
+            # corrupting link must have damaged a copy, never this one.
+            assert frame.checksum in (0, frame.expected_checksum())
+            wired.append(frame.kind)
+            put_on_wire(src, dst, frame)
+
+        net._put_on_wire = spy
+        arrivals = []
+        deliver = net._deliver
+        net._deliver = lambda s, d, m: (arrivals.append(m.kind), deliver(s, d, m))
+        for i in range(30):
+            # Spread out, so coalescing cannot fold them into one bundle.
+            sim.schedule(i * MILLISECONDS, lambda i=i: a.send(1, Message("m", {"i": i})))
+        sim.run()
+        assert sorted(p["i"] for _, p, _ in b.got) == list(range(30))
+        reliable, faults = net.reliable.stats, net.faults.stats
+        assert reliable.retransmits > 0 and faults.corrupt_wire_events > 0
+        if coalesce:
+            assert len(wired) == net.wire_stats.frames_sent
+        else:
+            assert wired.count(FRAME_KIND) == reliable.frames_sent
+            assert wired.count(ACK_KIND) == reliable.acks_sent
+        # One decision per physical frame: dropped, or scheduled once plus
+        # once more if duplicated — and nothing else queues a delivery.
+        assert len(arrivals) == (
+            len(wired) - faults.dropped + faults.duplicate_wire_events
+        )
