@@ -104,6 +104,12 @@ class FinoNode(SimProcess):
         self.obf = obfuscation
         self.config = config or FinoConfig()
         self.costs = self.config.costs
+        # Constant receive costs; ``_receive_cost`` covers the rest.
+        self._RECEIVE_COSTS = {
+            VOTE_KIND: self.costs.share_verify_us,
+            PHASE_KIND: self.costs.threshold_verify_us,
+            REVEAL_KIND: self.costs.open_commit_us,
+        }
         self.rng = (rng or RngRegistry(0)).get("fino", str(pid))
         self.mempool = Mempool(self.config.batch_size)
         self.stats = FinoStats()
@@ -155,26 +161,9 @@ class FinoNode(SimProcess):
 
     # ------------------------------------------------------------------
     def _receive_cost(self, message: Message) -> int:
-        kind = message.kind
-        if kind == PROPOSE_KIND:
+        if message.kind == PROPOSE_KIND:
             return self.costs.hash_us(message.size)
-        if kind == VOTE_KIND:
-            return self.costs.share_verify_us
-        if kind == PHASE_KIND:
-            return self.costs.threshold_verify_us
-        if kind == REVEAL_KIND:
-            return self.costs.open_commit_us
         return 2
-
-    def deliver(self, message: Message, sender: int) -> None:
-        if self.crashed:
-            return
-        self.messages_received += 1
-        done_at = self.cpu.acquire(self._receive_cost(message))
-        if done_at <= self.sim.now:
-            self._process(message, sender)
-        else:
-            self.sim.schedule_at(done_at, lambda: self._process(message, sender))
 
     def _process(self, message: Message, sender: int) -> None:
         if self.crashed:

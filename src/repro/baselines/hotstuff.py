@@ -21,7 +21,7 @@ and tests feed it opaque blobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.services import ProtocolServices
@@ -78,8 +78,25 @@ class QuorumCert:
         return 32 + 8 + self.signature.wire_size()
 
 
+#: Entries the vote-digest memo may hold before it is cleared.
+_VOTE_DIGEST_MEMO_MAX = 1 << 12
+
+_vote_digest_memo: Dict[Tuple[bytes, str], bytes] = {}
+
+
 def _vote_digest(block_digest: bytes, phase: str) -> bytes:
-    return digest_of((block_digest, phase))
+    """What a phase vote signs: H(block digest, phase).
+
+    Memoized: every replica derives the same digest for each (block,
+    phase) on every vote, share check and QC check, so one SHA-256 serves
+    the whole cluster."""
+    key = (block_digest, phase)
+    digest = _vote_digest_memo.get(key)
+    if digest is None:
+        if len(_vote_digest_memo) >= _VOTE_DIGEST_MEMO_MAX:
+            _vote_digest_memo.clear()
+        digest = _vote_digest_memo[key] = digest_of(key)
+    return digest
 
 
 class HotStuffParticipant:
@@ -400,9 +417,7 @@ class HotStuffParticipant:
             if isinstance(wm, int):
                 self._wm_floor = max(self._wm_floor, wm)
                 if wm > block.watermark:
-                    import dataclasses
-
-                    block = dataclasses.replace(block, watermark=wm)
+                    block = replace(block, watermark=wm)
             self._decide(block)
 
     def _decide(self, block: Block) -> None:

@@ -120,6 +120,12 @@ class PompeNode(SimProcess):
         self.threshold_scheme = threshold
         self.config = config or PompeConfig()
         self.costs = self.config.costs
+        # Constant receive costs; ``_receive_cost`` covers the rest.
+        self._RECEIVE_COSTS = {
+            ORDER_TS_KIND: self.costs.verify_us,
+            VOTE_KIND: self.costs.share_verify_us,
+            PHASE_KIND: self.costs.threshold_verify_us,
+        }
         self.rng = (rng or RngRegistry(0)).get("pompe", str(pid))
         self.clock = OrderingClock(
             sim, skew_us=self.config.clock_skew_us, drift=self.config.clock_drift
@@ -230,34 +236,18 @@ class PompeNode(SimProcess):
     # ------------------------------------------------------------------
     def _receive_cost(self, message: Message) -> int:
         kind = message.kind
-        payload = message.payload if isinstance(message.payload, dict) else {}
         if kind == ORDER_REQ_KIND:
             return self.costs.hash_us(message.size) + self.costs.sign_us
-        if kind == ORDER_TS_KIND:
-            return self.costs.verify_us
         if kind == PROPOSE_KIND:
+            payload = message.payload if isinstance(message.payload, dict) else {}
             block = payload.get("block")
             certs = len(block.payloads) if isinstance(block, Block) else 1
             # The quadratic term: every replica verifies every certificate's
             # 2f+1 timestamp signatures.
             return certs * (2 * self.f + 1) * self.costs.verify_us
-        if kind == VOTE_KIND:
-            return self.costs.share_verify_us
-        if kind == PHASE_KIND:
-            return self.costs.threshold_verify_us
         if kind == "hs.request":
             return self.costs.hash_us(message.size)
         return 2
-
-    def deliver(self, message: Message, sender: int) -> None:
-        if self.crashed:
-            return
-        self.messages_received += 1
-        done_at = self.cpu.acquire(self._receive_cost(message))
-        if done_at <= self.sim.now:
-            self._process(message, sender)
-        else:
-            self.sim.schedule_at(done_at, lambda: self._process(message, sender))
 
     def _process(self, message: Message, sender: int) -> None:
         if self.crashed:

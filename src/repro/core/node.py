@@ -488,42 +488,6 @@ class LyraNode(SimProcess):
             return 2 * max(1, len(message.payload.get("items", ())))
         return 2
 
-    def deliver(self, message: Message, sender: int) -> None:
-        if self.crashed:
-            return
-        self.messages_received += 1
-        cost = self._RECEIVE_COSTS.get(message.kind)
-        if cost is None:
-            cost = self._receive_cost(message)
-        now = self.sim._now
-        cpu = self.cpu
-        if cpu._speed == 1.0:
-            # ``CpuModel.acquire`` unrolled for the unit-speed common case
-            # — this runs once per delivered message.
-            free = cpu._free_at
-            start = now if now > free else free
-            done_at = start + cost
-            cpu._free_at = done_at
-            cpu.busy_time += cost
-        else:
-            done_at = cpu.acquire(cost)
-        if done_at <= now:
-            self._process(message, sender)
-        else:
-            # ``partial`` over a bound method beats a closure here: no cell
-            # allocation, and the epoch guard lives in one shared function.
-            self.sim.schedule(
-                done_at - now,
-                partial(self._process_deferred, message, sender, self.incarnation),
-            )
-
-    def _process_deferred(self, message: Message, sender: int, epoch: int) -> None:
-        # A crash between acquire and completion loses the work; it must
-        # not leak into a recovered incarnation either.
-        if self.crashed or self.incarnation != epoch:
-            return
-        self._process(message, sender)
-
     def deliver_batch(self, messages: List[Message], sender: int) -> None:
         """Deliver all messages of one coalesced frame: one CPU acquire and
         one deferred event cover the whole batch, preserving the serialised

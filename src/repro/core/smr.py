@@ -33,6 +33,13 @@ def check_prefix_consistency(
     ``outputs`` maps pid -> ordered list of ``(seq, cipher_id)``.
     Returns ``None`` when safe, else a human-readable violation report.
     """
+    # Safe iff every log is a prefix of the longest one: n list compares
+    # instead of n²/2 element-by-element scans.  Only a violation pays for
+    # the pairwise pass below, which names the first diverging pair.
+    if outputs:
+        longest = max(outputs.values(), key=len)
+        if all(longest[: len(log)] == log for log in outputs.values()):
+            return None
     pids = sorted(outputs)
     for i in range(len(pids)):
         for j in range(i + 1, len(pids)):

@@ -52,7 +52,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -14,13 +14,17 @@ a substituted sub-digest — so the overall byte stream, and therefore every
 digest, signature, and cipher id, is bit-identical with the cache on or
 off.  Entries are keyed by ``id()`` and evicted eagerly via weakref
 callbacks; on CPython the callback fires before an id can be reused.
+
+:class:`KeyedHash` is the keyed-hash kernel under every signature, share
+and full-signature tag in this package: HMAC with the key block absorbed
+once.  It caches *hash states*, never tags or verdicts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from .memo import MemoCache
 
@@ -31,6 +35,42 @@ def sha256_bytes(data: bytes) -> bytes:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+class KeyedHash:
+    """HMAC (RFC 2104) under one fixed key, with the pad blocks hashed once.
+
+    ``hmac.new(key, msg, cons)`` re-derives ``key ^ ipad`` / ``key ^ opad``
+    and compresses both blocks on every call; a simulated PKI tags
+    hundreds of thousands of messages under a few hundred keys, so the
+    two padded states are built here once and ``.copy()``-ed per message.
+    ``tag(msg)`` is byte-for-byte ``hmac.new(key, msg, cons).digest()`` —
+    keys longer than the block are pre-hashed, shorter ones zero-padded —
+    and nothing about a message is remembered.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes, cons: Callable[..., Any]) -> None:
+        inner, outer = cons(), cons()
+        if len(key) > inner.block_size:
+            key = cons(key).digest()
+        key = key.ljust(inner.block_size, b"\0")
+        inner.update(key.translate(_IPAD))
+        outer.update(key.translate(_OPAD))
+        self._inner = inner
+        self._outer = outer
+
+    def tag(self, message: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 class _Recorder:
@@ -139,6 +179,22 @@ def digest_of(value: Any) -> bytes:
         return hashlib.sha256(
             b"Y" + len(value).to_bytes(8, "big") + value
         ).digest()
+    if type(value) is tuple:
+        # Flat tuples of exactly ``bytes``/``int`` — ``(digest, ts)`` under
+        # every ordering timestamp — are joined once instead of walking
+        # ``_feed``; the stream is the one ``_feed`` emits.  Exact types
+        # only: ``bool``, enums and subclasses keep their tags via ``_feed``.
+        parts = [b"L", len(value).to_bytes(8, "big")]
+        for item in value:
+            kind = type(item)
+            if kind is bytes:
+                parts += (b"Y", len(item).to_bytes(8, "big"), item)
+            elif kind is int:
+                parts.append(b"I%d;" % item)
+            else:
+                break
+        else:
+            return hashlib.sha256(b"".join(parts)).digest()
     h = hashlib.sha256()
     _feed(h, value)
     return h.digest()
@@ -147,6 +203,7 @@ def digest_of(value: Any) -> bytes:
 __all__ = [
     "sha256_bytes",
     "sha256_hex",
+    "KeyedHash",
     "digest_of",
     "digest_cache_stats",
     "clear_digest_cache",

@@ -13,7 +13,9 @@ Ed25519-class signatures via :mod:`repro.crypto.cost`.
 Verification is memoized per registry, keyed on ``(signer, digest, tag)``:
 quorum certificates and relayed proofs make every replica re-verify the
 same signatures many times, and the verdict for a given triple never
-changes, so repeat verifications skip the MAC recomputation.
+changes, so repeat verifications skip the MAC recomputation.  A miss
+recomputes the tag through the pid's :class:`~repro.crypto.hashing.KeyedHash`
+(pad states hashed once per key) and compares in constant time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.crypto.hashing import digest_of
+from repro.crypto.hashing import KeyedHash, digest_of
 from repro.crypto.memo import MemoCache
 from repro.sim.rng import derive_seed
 
@@ -49,23 +51,21 @@ class KeyRegistry:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
-        self._keys: Dict[int, bytes] = {}
+        self._macs: Dict[int, KeyedHash] = {}
         self._verify_cache = MemoCache()
 
-    def _key(self, pid: int) -> bytes:
-        key = self._keys.get(pid)
-        if key is None:
+    def _mac(self, pid: int) -> KeyedHash:
+        """``pid``'s secret key, as the keyed hash that tags under it."""
+        mac = self._macs.get(pid)
+        if mac is None:
             key = derive_seed(self._seed, "signing-key", str(pid)).to_bytes(8, "big")
-            key = hashlib.sha256(key).digest()
-            self._keys[pid] = key
-        return key
+            mac = KeyedHash(hashlib.sha256(key).digest(), hashlib.sha512)
+            self._macs[pid] = mac
+        return mac
 
     def signer(self, pid: int) -> "Signer":
         """Issue the signing capability for ``pid`` (setup-time only)."""
-        return Signer(pid, self._key(pid), self)
-
-    def _tag(self, pid: int, message: Any) -> bytes:
-        return hmac.new(self._key(pid), digest_of(message), hashlib.sha512).digest()
+        return Signer(pid, self._mac(pid), self)
 
     def verify(self, message: Any, signature: Signature, pid: int) -> bool:
         """``public-verify(m, sigma, j)`` — check ``signature`` was produced
@@ -86,9 +86,8 @@ class KeyRegistry:
             verdict = self._verify_cache.get(key)
             if verdict is not None:
                 return verdict
-        expect = hmac.new(self._key(pid), digest, hashlib.sha512).digest()
         return self._verify_cache.put(
-            key, hmac.compare_digest(expect, signature.tag)
+            key, hmac.compare_digest(self._mac(pid).tag(digest), signature.tag)
         )
 
     def verify_cache_stats(self) -> Dict[str, int]:
@@ -99,15 +98,14 @@ class KeyRegistry:
 class Signer:
     """A single process's signing capability."""
 
-    def __init__(self, pid: int, key: bytes, registry: KeyRegistry) -> None:
+    def __init__(self, pid: int, mac: KeyedHash, registry: KeyRegistry) -> None:
         self.pid = pid
-        self._key = key
+        self._mac = mac
         self._registry = registry
 
     def sign(self, message: Any) -> Signature:
         """``private-sign(m)``."""
-        tag = hmac.new(self._key, digest_of(message), hashlib.sha512).digest()
-        return Signature(self.pid, tag)
+        return Signature(self.pid, self._mac.tag(digest_of(message)))
 
     def verify(self, message: Any, signature: Signature, pid: int) -> bool:
         """Convenience passthrough to the registry's memoized verify."""

@@ -22,7 +22,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Tuple
 
-from repro.crypto.hashing import digest_of
+from repro.crypto.hashing import KeyedHash, digest_of
 from repro.crypto.memo import MemoCache
 from repro.sim.rng import derive_seed
 
@@ -73,22 +73,24 @@ class ThresholdScheme:
         self._master = hashlib.sha256(
             derive_seed(seed, "threshold-master").to_bytes(8, "big")
         ).digest()
-        self._share_keys: Dict[int, bytes] = {}
+        self._full_mac = KeyedHash(self._master, hashlib.sha384)
+        self._share_macs: Dict[int, KeyedHash] = {}
         self._verify_cache = MemoCache()
 
     # ------------------------------------------------------------------
-    def _share_key(self, pid: int) -> bytes:
-        key = self._share_keys.get(pid)
-        if key is None:
+    def _share_mac(self, pid: int) -> KeyedHash:
+        """``pid``'s share key, as the keyed hash that tags under it."""
+        mac = self._share_macs.get(pid)
+        if mac is None:
             key = hmac.new(self._master, b"share:%d" % pid, hashlib.sha256).digest()
-            self._share_keys[pid] = key
-        return key
+            mac = self._share_macs[pid] = KeyedHash(key, hashlib.sha384)
+        return mac
 
     def share_signer(self, pid: int) -> "ThresholdSigner":
         """Issue pid's share-signing capability (setup-time only)."""
         if not (0 <= pid < self.n):
             raise ValueError(f"pid {pid} outside [0, {self.n})")
-        return ThresholdSigner(pid, self._share_key(pid))
+        return ThresholdSigner(pid, self._share_mac(pid))
 
     # ------------------------------------------------------------------
     def share_verify(self, message: Any, share: SignatureShare, pid: int) -> bool:
@@ -112,9 +114,8 @@ class ThresholdScheme:
             verdict = self._verify_cache.get(key)
             if verdict is not None:
                 return verdict
-        expect = hmac.new(self._share_key(pid), digest, hashlib.sha384)
         return self._verify_cache.put(
-            key, hmac.compare_digest(expect.digest(), share.tag)
+            key, hmac.compare_digest(self._share_mac(pid).tag(digest), share.tag)
         )
 
     def combine(
@@ -132,9 +133,7 @@ class ThresholdScheme:
             raise ThresholdError(
                 f"need {self.threshold} valid shares, got {len(valid)}"
             )
-        tag = hmac.new(
-            self._master, b"full:" + digest_of(message), hashlib.sha384
-        ).digest()
+        tag = self._full_mac.tag(b"full:" + digest_of(message))
         return ThresholdSignature(tag, len(valid))
 
     def verify_full(self, signature: ThresholdSignature, message: Any) -> bool:
@@ -155,9 +154,9 @@ class ThresholdScheme:
             verdict = self._verify_cache.get(key)
             if verdict is not None:
                 return verdict
-        expect = hmac.new(self._master, b"full:" + digest, hashlib.sha384).digest()
         return self._verify_cache.put(
-            key, hmac.compare_digest(expect, signature.tag)
+            key,
+            hmac.compare_digest(self._full_mac.tag(b"full:" + digest), signature.tag),
         )
 
     def verify_cache_stats(self) -> Dict[str, int]:
@@ -168,14 +167,13 @@ class ThresholdScheme:
 class ThresholdSigner:
     """A single process's share-signing capability."""
 
-    def __init__(self, pid: int, key: bytes) -> None:
+    def __init__(self, pid: int, mac: KeyedHash) -> None:
         self.pid = pid
-        self._key = key
+        self._mac = mac
 
     def share_sign(self, message: Any) -> SignatureShare:
         """``share-sign(m)``."""
-        tag = hmac.new(self._key, digest_of(message), hashlib.sha384).digest()
-        return SignatureShare(self.pid, tag)
+        return SignatureShare(self.pid, self._mac.tag(digest_of(message)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThresholdSigner(pid={self.pid})"

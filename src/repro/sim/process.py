@@ -9,10 +9,32 @@ leader a bottleneck on real hardware.
 
 The class is transport-agnostic: a network (see :mod:`repro.net.network`)
 attaches itself and provides ``send``/``broadcast`` primitives.
+
+The receive path
+----------------
+:meth:`SimProcess.deliver` is the one CPU-queued receive path; every node
+type (Lyra, Pompē, Fino, clients, test collectors) inherits it and supplies
+three things:
+
+- ``_RECEIVE_COSTS`` — ``{message kind: µs}`` for kinds whose cost is a
+  constant.  A class attribute, or a per-instance dict when the constants
+  come from the node's :class:`~repro.crypto.cost.CryptoCosts`.  Probed
+  first, once per message.
+- ``_receive_cost(message) -> µs`` — the fallback for every kind the table
+  does not list (size- or payload-dependent costs).  Default 0: a process
+  that never charges its core dispatches synchronously.
+- ``_process(message, sender)`` — the handler, run when the core has
+  finished the job.  Default: :meth:`SimProcess.on_message`.
+
+``deliver`` reserves the core for the cost, and either runs ``_process``
+inline (the job completes now) or schedules it at the completion time,
+guarded by the incarnation it was queued in: a completion queued before
+``crash()``/``recover()`` never lands in the new incarnation.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.sim.engine import Simulator
@@ -143,11 +165,53 @@ class SimProcess:
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
+    #: Constant receive costs by message kind (see the module docstring).
+    _RECEIVE_COSTS: Dict[str, int] = {}
+
+    def _receive_cost(self, message: "Message") -> int:
+        """CPU cost of a kind ``_RECEIVE_COSTS`` does not list."""
+        return 0
+
     def deliver(self, message: "Message", sender: int) -> None:
-        """Entry point used by the network; dispatches to ``on_message``."""
+        """Entry point used by the network: queue the receive cost on the
+        core, then ``_process``."""
         if self.crashed:
             return
         self.messages_received += 1
+        cost = self._RECEIVE_COSTS.get(message.kind)
+        if cost is None:
+            cost = self._receive_cost(message)
+        now = self.sim._now
+        cpu = self.cpu
+        if cpu._speed == 1.0:
+            # ``CpuModel.acquire`` unrolled for the unit-speed common case
+            # — this runs once per delivered message.
+            free = cpu._free_at
+            start = now if now > free else free
+            done_at = start + cost
+            cpu._free_at = done_at
+            cpu.busy_time += cost
+        else:
+            done_at = cpu.acquire(cost)
+        if done_at <= now:
+            self._process(message, sender)
+        else:
+            # ``partial`` over a bound method beats a closure here: no cell
+            # allocation, and the epoch guard lives in one shared function.
+            self.sim.schedule(
+                done_at - now,
+                partial(self._process_deferred, message, sender, self.incarnation),
+            )
+
+    def _process_deferred(self, message: "Message", sender: int, epoch: int) -> None:
+        # A crash between acquire and completion loses the work; it must
+        # not leak into a recovered incarnation either.
+        if self.crashed or self.incarnation != epoch:
+            return
+        self._process(message, sender)
+
+    def _process(self, message: "Message", sender: int) -> None:
+        """Handle a message whose receive cost has been paid."""
         self.on_message(message, sender)
 
     def deliver_batch(self, messages: List["Message"], sender: int) -> None:

@@ -62,6 +62,15 @@ class TestFieldProperties:
     def test_inverse_property(self, a):
         assert F.mul(a, F.inv(a)) == 1
 
+    @given(nonzero, st.integers(-3, 3))
+    def test_inverse_equals_fermat_exponent(self, a, wraps):
+        # ``pow(a, -1, p)`` and the Fermat form a^(p-2) agree, also for
+        # representatives outside [0, p).
+        assert F.inv(a + wraps * F.p) == pow(a, F.p - 2, F.p)
+        small = PrimeField(101)
+        if a % 101:
+            assert small.inv(a) == pow(a, 99, 101)
+
     @given(elements)
     def test_neg_property(self, a):
         assert F.add(a, F.neg(a)) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.process import CpuModel, SimProcess
 from repro.sim.rng import RngRegistry, derive_seed
@@ -348,6 +349,194 @@ class TestCrashRecoveryLifecycle:
         sim.schedule_at(30, lambda: p.charge(5, lambda: done.append(sim.now)))
         sim.run()
         assert done == [35]
+
+
+class _Costed(SimProcess):
+    """A process with a table cost, a fallback cost and a recording handler."""
+
+    _RECEIVE_COSTS = {"table": 50, "free": 0}
+
+    def __init__(self, pid, sim, **kwargs):
+        super().__init__(pid, sim, **kwargs)
+        self.handled = []
+        self.fallback_calls = 0
+
+    def _receive_cost(self, message):
+        self.fallback_calls += 1
+        return 7
+
+    def _process(self, message, sender):
+        self.handled.append((self.sim.now, message.kind, sender))
+
+
+class TestReceivePath:
+    """``SimProcess.deliver`` is the one CPU-queued receive path."""
+
+    def test_default_process_dispatches_inline_to_on_message(self):
+        sim = Simulator()
+        p = SimProcess(0, sim)
+        seen = []
+        p.handler("k", lambda message, sender: seen.append((sim.now, sender)))
+        sim.schedule(40, lambda: p.deliver(Message("k"), 3))
+        sim.run()
+        assert seen == [(40, 3)]
+        assert p.messages_received == 1
+        assert sim.events_processed == 1  # no completion event was queued
+        assert p.cpu.busy_time == 0
+
+    def test_table_cost_then_fallback_cost(self):
+        sim = Simulator()
+        p = _Costed(0, sim)
+        p.deliver(Message("table"), 1)
+        assert p.fallback_calls == 0  # the table answered
+        p.deliver(Message("other"), 2)
+        assert p.fallback_calls == 1
+        assert p.handled == []  # both are queued behind the core
+        sim.run()
+        # Serialised: 50 µs, then 7 µs more.
+        assert p.handled == [(50, "table", 1), (57, "other", 2)]
+        assert p.cpu.busy_time == 57
+
+    def test_zero_table_cost_is_not_a_miss(self):
+        sim = Simulator()
+        p = _Costed(0, sim)
+        p.deliver(Message("free"), 1)
+        assert p.fallback_calls == 0
+        assert p.handled == [(0, "free", 1)]
+
+    def test_idle_core_with_zero_cost_runs_inline_busy_core_defers(self):
+        sim = Simulator()
+        p = _Costed(0, sim)
+        p.cpu.acquire(30)
+        p.deliver(Message("free"), 1)
+        assert p.handled == []
+        sim.run()
+        assert p.handled == [(30, "free", 1)]
+
+    def test_scaled_core_goes_through_cpu_model(self):
+        sim = Simulator()
+        p = _Costed(0, sim, cpu_speed=2.0)
+        p.deliver(Message("table"), 1)
+        sim.run()
+        assert p.handled == [(25, "table", 1)]
+
+    def test_crashed_process_drops_and_does_not_count(self):
+        sim = Simulator()
+        p = _Costed(0, sim)
+        p.crash()
+        p.deliver(Message("table"), 1)
+        sim.run()
+        assert p.handled == [] and p.messages_received == 0
+
+    def test_completion_does_not_land_in_next_incarnation(self):
+        sim = Simulator()
+        p = _Costed(0, sim)
+        p.deliver(Message("table"), 1)  # completes at t=50
+        sim.schedule(10, p.crash)
+        sim.schedule(20, p.recover)
+        sim.run()
+        assert p.handled == []
+        p.deliver(Message("table"), 1)  # the new incarnation still receives
+        sim.run()
+        assert [kind for _, kind, _ in p.handled] == ["table"]
+
+
+def _lyra_node():
+    from tests.test_node_unit import build_pair
+
+    return build_pair()[1][0]
+
+
+def _pompe_node():
+    from repro.baselines.pompe import PompeConfig, PompeNode
+    from repro.crypto.signatures import KeyRegistry
+    from repro.crypto.threshold import ThresholdScheme
+
+    return PompeNode(
+        0,
+        Simulator(),
+        n=4,
+        f=1,
+        registry=KeyRegistry(5),
+        threshold=ThresholdScheme(3, 4, seed=5),
+        config=PompeConfig(),
+    )
+
+
+def _fino_node(cls_name="FinoNode"):
+    from repro.baselines import fino
+    from repro.core.obfuscation import HashCommitObfuscation
+    from repro.crypto.signatures import KeyRegistry
+    from repro.crypto.threshold import ThresholdScheme
+
+    return getattr(fino, cls_name)(
+        0,
+        Simulator(),
+        n=4,
+        f=1,
+        registry=KeyRegistry(5),
+        threshold=ThresholdScheme(3, 4, seed=5),
+        obfuscation=HashCommitObfuscation(3, 4, seed=5),
+    )
+
+
+class TestEveryNodeTypeSharesTheReceivePath:
+    """A CPU completion queued before ``crash()``/``recover()`` must not
+    fire in the new incarnation — on any node type.  The baselines used to
+    schedule a bare closure with no guard."""
+
+    NODES = {
+        "lyra": _lyra_node,
+        "pompe": _pompe_node,
+        "fino": _fino_node,
+        "fino-censoring-leader": lambda: _fino_node("BlindCensoringLeaderFino"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_inherits_deliver_unchanged(self, name):
+        node = self.NODES[name]()
+        assert type(node).deliver is SimProcess.deliver
+        assert type(node)._process_deferred is SimProcess._process_deferred
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_stale_completion_never_reaches_the_handler(self, name):
+        node = self.NODES[name]()
+        sim = node.sim
+        handled = []
+        # Any kind with a non-zero cost queues a completion.  Only this
+        # frame is recorded: a recovering Lyra node also hears its peers.
+        message = Message("hs.vote" if name != "lyra" else "lyra.vote1", {})
+        node._process = lambda m, sender: m is message and handled.append(m.kind)
+        node.deliver(message, 1)
+        assert handled == [] and sim.pending == 1
+        node.crash()
+        node.recover()
+        sim.run(until=1_000_000)
+        assert handled == []
+        assert node.incarnation == 1
+        # Same message, new incarnation: handled once its cost is paid.
+        node.deliver(message, 1)
+        sim.run(until=2_000_000)
+        assert handled == [message.kind]
+
+    def test_baseline_tables_hold_the_constant_kinds(self):
+        from repro.baselines.fino import REVEAL_KIND
+        from repro.baselines.hotstuff import PHASE_KIND, VOTE_KIND
+        from repro.baselines.pompe import ORDER_TS_KIND
+        from repro.crypto.cost import DEFAULT_COSTS as costs
+
+        assert _pompe_node()._RECEIVE_COSTS == {
+            ORDER_TS_KIND: costs.verify_us,
+            VOTE_KIND: costs.share_verify_us,
+            PHASE_KIND: costs.threshold_verify_us,
+        }
+        assert _fino_node()._RECEIVE_COSTS == {
+            VOTE_KIND: costs.share_verify_us,
+            PHASE_KIND: costs.threshold_verify_us,
+            REVEAL_KIND: costs.open_commit_us,
+        }
+        # Per-instance: the class-level default stays empty.
+        assert SimProcess._RECEIVE_COSTS == {}
 
 
 class TestRng:

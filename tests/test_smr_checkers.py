@@ -1,5 +1,8 @@
 """Tests for the SMR correctness oracles."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.smr import (
     check_lower_bounded,
     check_output_sorted,
@@ -39,6 +42,75 @@ class TestPrefix:
 
     def test_single_node_passes(self):
         assert check_prefix_consistency({0: [entry(1, "a")]}) is None
+
+
+def pairwise_prefix_consistency(outputs):
+    """``check_prefix_consistency`` as it was before the longest-log fast
+    path, kept verbatim as the reference."""
+    pids = sorted(outputs)
+    for i in range(len(pids)):
+        for j in range(i + 1, len(pids)):
+            a, b = outputs[pids[i]], outputs[pids[j]]
+            shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
+            if not is_prefix(shorter, longer):
+                diverge = next(
+                    idx
+                    for idx, (x, y) in enumerate(zip(shorter, longer))
+                    if x != y
+                )
+                return (
+                    f"SMR-Safety violated between pid {pids[i]} and pid "
+                    f"{pids[j]}: logs diverge at position {diverge}: "
+                    f"{shorter[diverge]} vs {longer[diverge]}"
+                )
+    return None
+
+
+@st.composite
+def replica_logs(draw):
+    """Prefixes of one master log, some with an injected divergence."""
+    master = draw(
+        st.lists(
+            st.tuples(st.integers(0, 50), st.binary(min_size=1, max_size=3)),
+            max_size=12,
+        )
+    )
+    outputs = {}
+    for pid in draw(st.lists(st.integers(0, 9), unique=True, max_size=7)):
+        log = list(master[: draw(st.integers(0, len(master)))])
+        if log and draw(st.integers(0, 3)) == 0:
+            pos = draw(st.integers(0, len(log) - 1))
+            log[pos] = (log[pos][0] + draw(st.integers(0, 1)), b"fork")
+        if draw(st.integers(0, 5)) == 0:
+            log.append((99, b"tail"))  # longer than the master
+        outputs[pid] = log
+    return outputs
+
+
+class TestPrefixAgainstPairwiseReference:
+    @settings(max_examples=500, deadline=None)
+    @given(outputs=replica_logs())
+    def test_same_verdict_and_same_report(self, outputs):
+        assert check_prefix_consistency(outputs) == pairwise_prefix_consistency(outputs)
+
+    def test_report_names_the_first_diverging_pair(self):
+        a, b, c = entry(1, "a"), entry(2, "b"), entry(3, "c")
+        outputs = {3: [a, b, c], 1: [a, c], 2: [a, b], 0: []}
+        report = check_prefix_consistency(outputs)
+        assert report == pairwise_prefix_consistency(outputs)
+        assert "pid 1 and pid 2" in report and "position 1" in report
+
+    def test_equal_length_divergence_and_no_replicas(self):
+        outputs = {0: [entry(1, "a")], 1: [entry(1, "b")]}
+        assert check_prefix_consistency(outputs) == pairwise_prefix_consistency(outputs)
+        assert check_prefix_consistency(outputs) is not None
+        assert check_prefix_consistency({}) is None
+
+    def test_non_list_sequences_still_get_the_pairwise_answer(self):
+        # A tuple never ``==`` a list slice; the fallback scan decides.
+        log = (entry(1, "a"), entry(2, "b"))
+        assert check_prefix_consistency({0: log, 1: list(log)}) is None
+        assert check_prefix_consistency({0: log, 1: [entry(1, "x")]}) is not None
 
 
 class TestSorted:
