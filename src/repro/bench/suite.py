@@ -116,7 +116,7 @@ def _timed(body: Callable[[], int]) -> Dict[str, Any]:
 
 
 def _bench_event_loop() -> int:
-    """Self-rescheduling timer chains: schedule + heap + bucket dispatch."""
+    """Self-rescheduling timer chains: schedule + slot insort + dispatch."""
     from repro.sim.engine import Simulator
 
     sim = Simulator()
@@ -129,8 +129,8 @@ def _bench_event_loop() -> int:
 
         return tick
 
-    # Mixed periods/priorities force both the append fast path and the
-    # insort slow path, like protocol timers + message deliveries do.
+    # Short mixed periods/priorities land in the open slot (insort behind
+    # the cursor) and, at its edge, in the next one (append + sort).
     for i, period in enumerate((7, 11, 13, 17, 19, 23, 29, 31)):
         sim.schedule(period, make_chain(period, priority=i % 3))
     return sim.run(until=horizon)

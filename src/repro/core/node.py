@@ -22,7 +22,6 @@ shapes latency exactly as on real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.batching import (
@@ -510,11 +509,10 @@ class LyraNode(SimProcess):
             for message in messages:
                 self._process(message, sender)
         else:
-            self.sim.schedule(
+            self.sim.post(
                 done_at - now,
-                partial(
-                    self._process_batch_deferred, messages, sender, self.incarnation
-                ),
+                self._process_batch_deferred,
+                (messages, sender, self.incarnation),
             )
 
     def _process_batch_deferred(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.adversary import NetworkAdversary, NullAdversary
@@ -166,16 +165,17 @@ class Network:
         """Schedule a cross-shard frame received at an epoch barrier.
 
         The epoch bound guarantees ``arrival_abs_us > now`` (every frame
-        captured during epoch k arrives strictly after barrier k), so this
-        lands in a future bucket.  Delivery priority is ``src + 1``,
-        identical to a locally scheduled delivery — combined with the
-        per-sender frame order the coordinator preserves, the destination
-        bucket's total order is bit-identical to the single-process run.
+        captured during epoch k arrives strictly after barrier k).
+        Delivery priority is ``src + 1``, identical to a locally scheduled
+        delivery — combined with the per-sender frame order the
+        coordinator preserves, the total order at the arrival instant is
+        bit-identical to the single-process run.
         """
         sim = self.sim
         sim.schedule(
             arrival_abs_us - sim.now,
-            partial(self._deliver, src, dst, message),
+            self._deliver,
+            (src, dst, message),
             priority=src + 1,
         )
 
@@ -422,7 +422,7 @@ class Network:
             if local is not None and dst not in local:
                 capture(src, dst, now + delay + prop, message)
             else:
-                items.append((delay + prop, partial(deliver, src, dst, message)))
+                items.append((delay + prop, deliver, (src, dst, message)))
             delay += ser
         # Deliveries run at priority src+1: at any shared instant the
         # destination processes timers/CPU completions (priority 0) first,
@@ -452,9 +452,7 @@ class Network:
             # first — physically odd for per-NIC batching, and it would
             # break the sender-side-only property shard workers rely on.)
             self._flush_timers.add(src)
-            self.sim.schedule(
-                self._coalesce_window_us, partial(self._window_flush, src)
-            )
+            self.sim.schedule(self._coalesce_window_us, self._window_flush, (src,))
 
     def _window_flush(self, src: int) -> None:
         self._flush_timers.discard(src)
@@ -568,7 +566,8 @@ class Network:
         # deliveries a canonical sender-pid order (see _broadcast_fast).
         sim.schedule(
             arrival - now,
-            partial(self._deliver, src, dst, message),
+            self._deliver,
+            (src, dst, message),
             priority=src + 1,
         )
 

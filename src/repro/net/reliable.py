@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Set, Tuple
 
 from repro.net.message import Message
@@ -189,7 +188,7 @@ class ReliableLayer:
         # -> callback -> pending and strand every acked frame until a
         # cyclic collection (the event loop runs with the collector off).
         pending.event = self.network.sim.schedule(
-            pending.rto_us, partial(self._on_timeout, src, dst, pending.seq)
+            pending.rto_us, self._on_timeout, (src, dst, pending.seq)
         )
 
     def _on_timeout(self, src: int, dst: int, seq: int) -> None:

@@ -1,20 +1,26 @@
 """Core discrete-event simulator.
 
-The simulator keeps a two-level queue: a binary heap of *distinct
-timestamps*, each mapping to a bucket of :class:`Event` records ordered by
-``(priority, sequence)``.  The ``sequence`` component is a global insertion
-counter which guarantees a total, deterministic order even when many events
-share a timestamp — essential for reproducible distributed protocol runs.
+The queue is a **slotted calendar of call-carrying records**.  A record is
+the list ``[time, priority, seq, fn, args]``; the run loop calls
+``fn(*args)``, so the per-message hot sites queue a bound method and a
+tuple instead of allocating a closure.  ``seq`` is a global insertion
+counter: records order by ``(time, priority, seq)``, ``seq`` is unique, so
+the order is total and deterministic — essential for reproducible
+distributed protocol runs — and a comparison never reaches ``fn``.
 
-The bucket layer is a same-timestamp burst fast path: events that share a
-timestamp (a jitter-free fan-out, a delivery and the CPU completion it
-triggers) append to an existing bucket in O(1), only the first event of a
-new timestamp pays a heap push, and the heap holds bare integers instead
-of tuple-wide keys.  How often that pays depends on the workload: with the
-default per-message jitter most deliveries land on a microsecond of their
-own — ``lyra_n32_closed`` at seed 1 pushes 1 214 765 new timestamps for
-1 947 898 processed events, so there roughly three ``schedule`` calls in
-five take the heap path, not the append.
+Virtual time is cut into slots of ``2 ** _SLOT_SHIFT`` microseconds.  A
+record for a *future* slot is appended, unsorted, to that slot's list; a
+binary heap holds only the indices of the non-empty slots.  When a slot
+becomes the head it is ordered by one C-level ``list.sort()`` and drained
+through a cursor; a record scheduled into the slot being drained is
+``insort``-ed behind the consumed prefix.  Scheduling therefore costs an
+append (plus one heap push per *slot*, not per timestamp), and the
+comparisons all happen inside ``sort()`` over a short, mostly pre-sorted
+list — none of the per-event costs grows with the depth of the queue,
+which in Lyra's all-to-all phases is n² (≈ 25 k records at n = 32, ≈ 945 k
+at n = 100).  ``lyra_n32_closed`` at seed 1 pushes 22 663 slot indices
+for its 1 947 898 processed events, and a quarter of the records — CPU
+completions a few µs ahead — are insorted into the open slot.
 
 Time is an integer number of microseconds.  Integer time avoids the
 floating-point drift that makes long simulations diverge between platforms,
@@ -25,11 +31,9 @@ and a microsecond grain is fine enough to express both WAN latencies
 from __future__ import annotations
 
 import gc
-import heapq
-import itertools
 from bisect import insort
-from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 # Convenience time units, all expressed in the simulator's integer microsecond
 # grain.  ``5 * MILLISECONDS`` reads better than ``5000``.
@@ -37,54 +41,76 @@ MICROSECONDS = 1
 MILLISECONDS = 1_000
 SECONDS = 1_000_000
 
+#: log2 of the slot width in microseconds (128 µs).  A constant, not a knob:
+#: on the two Lyra ledger workloads that differ most in queue depth, shifts
+#: 6, 7 and 8 read the same and 4 and 12 are 1–7 % slower (EXPERIMENTS.md
+#: "Event queue", slot-width sweep) — narrower slots push more indices
+#: through the heap, wider ones sort longer lists and insort deeper into
+#: the open one.
+_SLOT_SHIFT = 7
+
+#: Stand-in for "no ``until`` / no ``max_events``": an int beyond any run,
+#: so the loop compares ints with ints.
+_NEVER = 1 << 62
+
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulator (time travel, re-running, ...)."""
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """The cancellable handle :meth:`Simulator.schedule` returns — the
+    queued record ``[time, priority, seq, fn, args]`` itself, under a name
+    and with read-only views of its fields.
 
-    Buckets order events by the explicit ``(priority, seq)`` key so the
-    queue pops them in deterministic order — a plain ``__slots__`` class
-    beats an ``order=True`` dataclass here because events are the single
-    most-allocated object in a run and field-by-field ``__lt__`` dispatch
-    showed up in profiles.  ``cancelled`` events stay in their bucket
-    (cancellation is O(1)) and are skipped when popped; cancelling drops
-    the callback at once, so a cancelled timer does not keep whatever its
-    closure captured (a frame, a consensus instance) alive until the
-    bucket's deadline.
+    A ``list`` subclass without an ``__init__`` of its own: building one is
+    a single C call, and slots sort it against the plain-list records of
+    :meth:`Simulator.post` and :meth:`Simulator.schedule_block` with
+    ``list``'s own comparison.
+    Cancellation is O(1) and lazy — the record stays queued and is skipped
+    when reached — but it drops ``fn`` *and* ``args`` at once, so a
+    cancelled timer does not keep what they reference (a frame, a
+    consensus instance) alive until its deadline.  ``fn is None`` is the
+    cancelled mark.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        callback: Callable[[], None],
-        cancelled: bool = False,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = cancelled
+    # ``list`` compares by value; a handle is one particular scheduling.
+    __hash__ = object.__hash__
+
+    @property
+    def time(self) -> int:
+        return self[0]
+
+    @property
+    def priority(self) -> int:
+        return self[1]
+
+    @property
+    def seq(self) -> int:
+        return self[2]
+
+    @property
+    def fn(self) -> Optional[Callable[..., None]]:
+        return self[3]
+
+    @property
+    def args(self) -> Optional[Tuple[Any, ...]]:
+        return self[4]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[3] is None
 
     def cancel(self) -> None:
-        self.cancelled = True
-        self.callback = None
+        self[3] = self[4] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Event(time={self.time}, priority={self.priority}, "
-            f"seq={self.seq}, cancelled={self.cancelled})"
+            f"Event(time={self[0]}, priority={self[1]}, "
+            f"seq={self[2]}, cancelled={self[3] is None})"
         )
-
-
-#: Bucket sort key: ties at one timestamp resolve by (priority, insertion).
-_EVENT_KEY = attrgetter("priority", "seq")
 
 
 class Simulator:
@@ -92,22 +118,23 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
-        #: Min-heap of the distinct timestamps present in ``_buckets``.
-        self._times: List[int] = []
-        #: timestamp -> events at that time, kept sorted by (priority, seq).
-        self._buckets: Dict[int, List[Event]] = {}
-        #: Cursor into the bucket currently being drained.  Only the head
-        #: bucket ever has a consumed prefix (events at earlier times are
-        #: gone, events at later times have not started), so two scalars
-        #: replace the old per-timestamp position dict.
-        self._head_time: int = -1
-        self._head_pos: int = 0
-        self._counter = itertools.count()
+        #: slot index -> records of that (future) slot, in insertion order.
+        self._slots: Dict[int, List[list]] = {}
+        #: Min-heap of the slot indices present in ``_slots``.
+        self._slot_heap: List[int] = []
+        #: The open slot: sorted, drained through ``_open_pos``; entries
+        #: before the cursor are consumed (and cleared to ``None``).  Only
+        #: the open slot is ever sorted or partly consumed.
+        self._open: List[Optional[list]] = []
+        self._open_pos: int = 0
+        self._open_slot: int = -1
+        #: Records scheduled so far — the next ``seq``.
+        self._seq: int = 0
         self._running = False
         self._stopped = False
         self._processed: int = 0
-        #: Live count of queued events (kept O(1); see ``pending``).
-        self._pending: int = 0
+        #: Cancelled records the loop has passed over.
+        self._skipped: int = 0
         #: End-of-instant hooks: run whenever the loop is about to advance
         #: past the current timestamp while the dirty flag is set.  The
         #: coalescing layer uses this to flush per-link outboxes exactly
@@ -136,8 +163,9 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones that
-        have not been skipped yet).  O(1): maintained as a live counter."""
-        return self._pending
+        have not been skipped yet).  O(1): every record scheduled is
+        executed, skipped or still queued."""
+        return self._seq - self._processed - self._skipped
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -145,74 +173,110 @@ class Simulator:
     def schedule(
         self,
         delay: int,
-        callback: Callable[[], None],
+        fn: Callable[..., None],
+        args: Tuple[Any, ...] = (),
         *,
         priority: int = 0,
     ) -> Event:
-        """Schedule ``callback`` to run ``delay`` microseconds from now.
+        """Schedule ``fn(*args)`` to run ``delay`` microseconds from now.
 
         ``priority`` breaks ties at equal timestamps: lower runs first.
         Returns the :class:`Event`, whose :meth:`Event.cancel` removes it.
+        ``delay`` is truncated to an integer.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         when = self._now + int(delay)
-        event = Event(when, priority, next(self._counter), callback)
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [event]
-            heapq.heappush(self._times, when)
-        elif priority >= bucket[-1].priority:
-            # Fast path: seq is globally monotonic, so an appended event
-            # with priority >= the tail keeps the bucket sorted.
-            bucket.append(event)
-        else:
-            lo = self._head_pos if when == self._head_time else 0
-            insort(bucket, event, lo=lo, key=_EVENT_KEY)
-        self._pending += 1
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event((when, priority, seq, fn, args))
+        self._insert(event)
         return event
 
-    def schedule_block(self, items: List, *, priority: int = 0) -> None:
-        """Schedule many ``(delay, callback)`` pairs at one ``priority``.
+    def post(
+        self,
+        delay: int,
+        fn: Callable[..., None],
+        args: Tuple[Any, ...] = (),
+        priority: int = 0,
+    ) -> None:
+        """:meth:`schedule` for the per-message hot sites, which never
+        cancel: no handle (the record is a plain list) and no checks —
+        ``delay`` must be a non-negative integer by construction; a
+        non-integer one raises :class:`SimulationError`.  Worth its
+        duplication only because it is measured: −5.8 % wall on
+        ``lyra_n32_closed`` with the receive path on it (EXPERIMENTS.md
+        "Event queue")."""
+        seq = self._seq
+        self._insert([self._now + delay, priority, seq, fn, args])
+        self._seq = seq + 1
 
-        The per-event bookkeeping (bucket/heap lookups, the pending
-        counter) is hoisted out of the loop; delays must be non-negative —
-        callers on this path (broadcast fan-out) guarantee it by
-        construction, so the guard of :meth:`schedule` is skipped.
-        """
+    def schedule_block(self, items: Iterable[tuple], *, priority: int = 0) -> None:
+        """:meth:`post` many ``(delay, fn, args)`` triples at one
+        ``priority`` (broadcast fan-out), the per-call bookkeeping hoisted
+        out of the loop.  Same contract: no handles, non-negative integer
+        delays, a non-integer one raises :class:`SimulationError` here
+        rather than surfacing mid-run."""
         now = self._now
-        times = self._times
-        buckets = self._buckets
-        counter = self._counter
-        head_time = self._head_time
-        head_pos = self._head_pos
-        for delay, callback in items:
-            when = now + delay
-            event = Event(when, priority, next(counter), callback)
-            bucket = buckets.get(when)
-            if bucket is None:
-                buckets[when] = [event]
-                heapq.heappush(times, when)
-            elif bucket[-1].priority <= priority:
-                bucket.append(event)
-            else:
-                lo = head_pos if when == head_time else 0
-                insort(bucket, event, lo=lo, key=_EVENT_KEY)
-        self._pending += len(items)
+        seq = self._seq
+        insert = self._insert
+        try:
+            for delay, fn, args in items:
+                insert([now + delay, priority, seq, fn, args])
+                seq += 1
+        finally:
+            self._seq = seq
+
+    def _insert(self, record: list) -> None:
+        """Queue ``record``: append it to its (future) slot, or insort it
+        behind the cursor of the open one."""
+        try:
+            slot = record[0] >> _SLOT_SHIFT
+        except TypeError:
+            raise SimulationError(
+                f"event times are integer microseconds (got {record[0]!r})"
+            ) from None
+        open_slot = self._open_slot
+        if slot == open_slot:
+            insort(self._open, record, lo=self._open_pos)
+            return
+        if slot < open_slot:
+            self._close_open_slot()
+        bucket = self._slots.get(slot)
+        if bucket is None:
+            self._slots[slot] = [record]
+            heappush(self._slot_heap, slot)
+        else:
+            bucket.append(record)
 
     def schedule_at(
         self,
         when: int,
-        callback: Callable[[], None],
+        fn: Callable[..., None],
+        args: Tuple[Any, ...] = (),
         *,
         priority: int = 0,
     ) -> Event:
-        """Schedule ``callback`` at absolute virtual time ``when``."""
+        """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when} (now is {self._now})"
             )
-        return self.schedule(when - self._now, callback, priority=priority)
+        return self.schedule(when - self._now, fn, args, priority=priority)
+
+    def _close_open_slot(self) -> None:
+        """Put the open slot's remaining records back among the future
+        slots.  Needed only when the loop has peeked a slot ahead of the
+        clock (``run(until=…)`` stopped before its first record) and
+        something is then scheduled into an earlier slot: the heap, not
+        the cursor, must decide what runs next."""
+        rest = self._open[self._open_pos :]
+        if rest:
+            self._slots[self._open_slot] = rest
+            heappush(self._slot_heap, self._open_slot)
+        self._open = []
+        self._open_pos = 0
+        self._open_slot = -1
 
     # ------------------------------------------------------------------
     # End-of-instant hooks
@@ -237,47 +301,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _next_event(self) -> Optional[Event]:
-        """Peek the next live event, discarding drained buckets and
-        cancelled bucket heads along the way.  On return the head cursor
-        points at the returned event, so the caller can consume it by
-        advancing ``_head_pos`` once (see ``run``/``step``)."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            bucket = buckets[t]
-            pos = start = self._head_pos if t == self._head_time else 0
-            size = len(bucket)
-            while pos < size and bucket[pos].cancelled:
-                pos += 1
-            if pos != start:
-                self._pending -= pos - start
-            if pos < size:
-                self._head_time = t
-                self._head_pos = pos
-                return bucket[pos]
-            heapq.heappop(times)
-            del buckets[t]
-            self._head_time = -1
-        return None
-
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        event = self._next_event()
-        while self._instant_dirty and (event is None or event.time > self._now):
-            self._run_instant_hooks()
-            event = self._next_event()
-        if event is None:
-            return False
-        if event.time < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event queue yielded an event in the past")
-        self._head_pos += 1
-        self._pending -= 1
-        self._now = event.time
-        self._processed += 1
-        event.callback()
-        return True
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue empties, ``until`` passes, or
@@ -289,7 +315,7 @@ class Simulator:
 
         The cyclic garbage collector is suspended for the duration (and
         restored on exit): the loop allocates millions of short-lived
-        events and messages, and repeated full-heap scans over them are
+        records and messages, and repeated full-heap scans over them are
         pure wall-clock cost.  That is only sound while the hot path
         frees everything by reference count — ``tests/test_memory.py``
         holds every protocol to it.  Virtual time is unaffected.
@@ -302,79 +328,74 @@ class Simulator:
             gc.disable()
         self._stopped = False
         executed = 0
-        # The peek logic of ``_next_event`` is inlined below: at ~2 events
-        # per delivered message the loop body dominates runs, and the
-        # extra call frame plus attribute traffic showed up in profiles.
-        times = self._times
-        buckets = self._buckets
-        limit = max_events if max_events is not None else float("inf")
+        horizon = _NEVER if until is None else until
+        limit = _NEVER if max_events is None else max_events
+        now = self._now
+        # ``open_``/``pos`` mirror ``_open``/``_open_pos``.  The cursor is
+        # written back before anything that can schedule runs (callbacks,
+        # hooks); the list is re-read after anything that can replace it
+        # (hooks — a callback runs at a time inside the open slot, so it
+        # can only insort into it).
+        open_ = self._open
+        pos = self._open_pos
         try:
-            while not self._stopped and executed < limit:
-                event = None
-                while times:
-                    t = times[0]
-                    bucket = buckets[t]
-                    pos = start = self._head_pos if t == self._head_time else 0
-                    size = len(bucket)
-                    while pos < size:
-                        ev = bucket[pos]
-                        if not ev.cancelled:
-                            event = ev
-                            break
-                        pos += 1
-                    if pos != start:
-                        self._pending -= pos - start
-                        self._head_time = t
-                        self._head_pos = pos
-                    if event is not None:
+            while executed < limit:
+                try:
+                    record = open_[pos]
+                except IndexError:
+                    # The open slot is exhausted.  If the next slot is past
+                    # the clock's own, so is its first record: flush
+                    # coalescing outboxes before the clock leaves this
+                    # instant — and before the ``until`` horizon check, so
+                    # a burst at the boundary still goes out.  Doing it
+                    # before the next slot opens lets what the hooks
+                    # schedule at delay 0 land in this one.
+                    heap = self._slot_heap
+                    if self._instant_dirty and (
+                        not heap or heap[0] > now >> _SLOT_SHIFT
+                    ):
+                        self._run_instant_hooks()
+                        open_ = self._open
+                        pos = self._open_pos
+                        continue
+                    if not heap:
+                        if now < horizon < _NEVER:
+                            self._now = horizon
                         break
-                    heapq.heappop(times)
-                    del buckets[t]
-                    self._head_time = -1
-                # Flush coalescing outboxes before the clock leaves this
-                # instant — and before the ``until`` horizon check, so a
-                # burst at the boundary still goes out.
-                if self._instant_dirty and (
-                    event is None or event.time > self._now
-                ):
-                    self._run_instant_hooks()
+                    self._open_slot = heappop(heap)
+                    open_ = self._open = self._slots.pop(self._open_slot)
+                    open_.sort()
+                    pos = self._open_pos = 0
                     continue
-                if event is None:
-                    if until is not None and self._now < until:
-                        self._now = until
-                    break
-                when = event.time
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                # Drain the whole bucket inline: while ``now == when`` no
-                # callback can schedule anything earlier (delays are
-                # non-negative), so this bucket stays at the heap head
-                # until exhausted and the heap/dict lookups above need not
-                # repeat per event.
-                self._now = when
-                self._head_time = when
-                while True:
-                    self._head_pos = pos + 1
-                    self._pending -= 1
-                    self._processed += 1
-                    event.callback()
-                    executed += 1
-                    if self._stopped or executed >= limit:
-                        break
+                fn = record[3]
+                if fn is None:  # cancelled
+                    open_[pos] = None
                     pos += 1
-                    size = len(bucket)  # callbacks may have appended
-                    event = None
-                    while pos < size:
-                        ev = bucket[pos]
-                        if not ev.cancelled:
-                            event = ev
-                            break
-                        pos += 1
-                        self._pending -= 1
-                    if event is None:
-                        self._head_pos = pos
+                    self._open_pos = pos
+                    self._skipped += 1
+                    continue
+                when = record[0]
+                if when != now:
+                    if self._instant_dirty:
+                        self._run_instant_hooks()
+                        open_ = self._open
+                        pos = self._open_pos
+                        continue
+                    if when > horizon:
+                        self._now = horizon
                         break
+                    self._now = now = when
+                # Consumed records are dropped at once, not when the slot
+                # closes: what a fired timer references must not outlive it
+                # by up to a slot width.
+                open_[pos] = None
+                pos += 1
+                self._open_pos = pos
+                self._processed += 1
+                fn(*record[4])
+                executed += 1
+                if self._stopped:
+                    break
         finally:
             self._running = False
             if gc_was_enabled:

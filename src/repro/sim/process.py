@@ -34,7 +34,6 @@ guarded by the incarnation it was queued in: a completion queued before
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.sim.engine import Simulator
@@ -196,11 +195,12 @@ class SimProcess:
         if done_at <= now:
             self._process(message, sender)
         else:
-            # ``partial`` over a bound method beats a closure here: no cell
-            # allocation, and the epoch guard lives in one shared function.
-            self.sim.schedule(
+            # The record carries the call: no closure, and the epoch guard
+            # lives in one shared method.
+            self.sim.post(
                 done_at - now,
-                partial(self._process_deferred, message, sender, self.incarnation),
+                self._process_deferred,
+                (message, sender, self.incarnation),
             )
 
     def _process_deferred(self, message: "Message", sender: int, epoch: int) -> None:
@@ -243,18 +243,20 @@ class SimProcess:
         """
         done_at = self.cpu.acquire(cost_us)
         if callback is not None:
-            epoch = self.incarnation
-
-            def _run() -> None:
-                # Work in flight when the process crashed must not land:
-                # the core lost it, and a recovered incarnation must not
-                # see callbacks from its previous life.
-                if self.crashed or self.incarnation != epoch:
-                    return
-                callback()
-
             # ``acquire`` never completes in the past.
-            self.sim.schedule(done_at - self.sim.now, _run)
+            self.sim.post(
+                done_at - self.sim._now,
+                self._run_charged,
+                (callback, self.incarnation),
+            )
+
+    def _run_charged(self, callback: Callable[[], None], epoch: int) -> None:
+        # Work in flight when the process crashed must not land: the core
+        # lost it, and a recovered incarnation must not see callbacks from
+        # its previous life.
+        if self.crashed or self.incarnation != epoch:
+            return
+        callback()
 
     # ------------------------------------------------------------------
     # Lifecycle

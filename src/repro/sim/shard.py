@@ -28,8 +28,8 @@ Sender-side completeness
 
 Canonical same-instant order
     All network deliveries are scheduled at ``priority = src + 1``
-    (timers and CPU completions stay at 0), and the engines order a
-    bucket by ``(priority, insertion)``.  Same-instant deliveries from
+    (timers and CPU completions stay at 0), and the engine orders an
+    instant by ``(priority, insertion)``.  Same-instant deliveries from
     different senders therefore execute in sender-pid order *regardless*
     of which side of a barrier scheduled them, and same-sender deliveries
     keep the sender's send order because frame order is preserved

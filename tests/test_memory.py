@@ -18,15 +18,24 @@ from repro.core.dbft import BinaryConsensus
 from repro.harness import build_cluster
 from repro.harness.config import ExperimentConfig
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
-from repro.sim.engine import MILLISECONDS
+from repro.net.latency import UniformLatencyModel
+from repro.net.message import Message
+from repro.net.network import Network, NetworkConfig
+from repro.sim.engine import MILLISECONDS, Simulator
+from repro.sim.process import SimProcess
 from repro.workload.spec import ClientGroup, WorkloadSpec
 from tests.helpers import quick_lyra_config
 
 #: Per-message and per-instance classes: one of these in a cycle means the
-#: leak grows with the run.
+#: leak grows with the run.  A queue record is an ``Event`` only when it
+#: came with a handle; the fire-and-forget ones are plain lists, so a
+#: stranded record is recognised by shape (``"record"``, see ``_kind``) —
+#: and what it pins (a ``Message``, a ``_Pending``, an instance) shows up
+#: under its own name as well.
 HOT_PATH_TYPES = {
     "_Pending",
     "Event",
+    "record",
     "Message",
     "BinaryConsensus",
     "VvbInstance",
@@ -105,18 +114,37 @@ SHAPES = {
 }
 
 
+def _kind(obj):
+    """Type name, with the engine's ``[time, priority, seq, fn, args]``
+    lists told apart from every other list."""
+    if (
+        type(obj) is list
+        and len(obj) == 5
+        and type(obj[0]) is int
+        and type(obj[2]) is int
+        and (obj[3] is None or callable(obj[3]))
+        and (obj[4] is None or type(obj[4]) is tuple)
+    ):
+        return "record"
+    return type(obj).__name__
+
+
 def _run_collector_off(cluster):
     """Run ``cluster`` with the collector suspended; return the result and
     the type names of everything only a cyclic collection could free."""
+    return _collector_off(cluster.run)
+
+
+def _collector_off(body):
     was_enabled = gc.isenabled()
     flags = gc.get_debug()
     gc.collect()  # garbage of earlier tests is not this run's
     gc.disable()
     try:
-        result = cluster.run()
+        result = body()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        return result, Counter(type(obj).__name__ for obj in gc.garbage)
+        return result, Counter(_kind(obj) for obj in gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
@@ -183,6 +211,59 @@ def test_state_is_bounded_by_the_linger_window_not_run_length():
         early = max(state[i] for state in first)
         late = max(state[i] for state in second)
         assert 0 < late <= 1.25 * early, (what, samples)
+
+
+def test_a_stranded_record_is_named_in_the_garbage():
+    """The scan above sees plain-list records and what they carry."""
+
+    class Message:
+        pass
+
+    def strand():
+        message = Message()
+        message.pinned_by = [7, 0, 3, print, (message, 1, 0)]  # a cycle
+
+    _, found = _collector_off(strand)
+    assert found["record"] == 1 and found["Message"] == 1
+
+
+def test_acked_frame_dies_when_its_rto_is_cancelled_not_when_its_slot_drains():
+    class Body:
+        pass
+
+    sim = Simulator()
+    net = Network(
+        sim, UniformLatencyModel(5 * MILLISECONDS),
+        config=NetworkConfig(bandwidth_enabled=False),
+    )
+    reliable = net.enable_reliable()
+    a, b = SimProcess(0, sim), SimProcess(1, sim)
+    net.register(a)
+    net.register(b)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # ``Message`` and ``_Pending`` are slotted without ``__weakref__``;
+        # the body only the frame's inner message holds stands in for them.
+        body = Body()
+        ref = weakref.ref(body)
+        a.send(1, Message("hello", body, 100))
+        del body
+        (pending,) = reliable._senders[(0, 1)].unacked.values()
+        assert pending.frame.payload["inner"].payload is ref()
+        rto = pending.event
+        del pending
+        while reliable.in_flight(0, 1):
+            assert ref() is not None
+            assert sim.step()
+        # The ack has just landed: the RTO is cancelled but still queued,
+        # in a slot the clock has not reached.
+        assert rto.cancelled and rto.fn is None and rto.args is None
+        assert sim.pending == 1 and rto.time > sim.now + 10 * MILLISECONDS
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_gc_instance_frees_the_instance_by_reference_count():

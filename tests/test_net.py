@@ -367,6 +367,73 @@ class TestNetwork:
         assert net.bytes_delivered == 100
 
 
+class TestFastBroadcast:
+    """The fault-free fan-out hands the engine one block of call-carrying
+    ``(delay, fn, args)`` triples — no closure per destination — and must
+    land every copy exactly when the per-destination wire path would."""
+
+    N = 5
+
+    def _net(self, sim, latency, **cfg):
+        net = Network(sim, latency, config=NetworkConfig(**cfg))
+        procs = [Collector(pid, sim) for pid in range(self.N)]
+        for p in procs:
+            net.register(p)
+        return net, procs
+
+    def _geo(self, seed=4):
+        placement = Topology(self.N, EVAL_REGIONS).placement
+        return GeoLatencyModel(placement, jitter=0.05, rng=RngRegistry(seed))
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_block_items_carry_their_call(self, include_self):
+        sim = Simulator()
+        net, procs = self._net(sim, self._geo(), rate_bps=80_000_000)
+        blocks = []
+        real_block = sim.schedule_block
+
+        def spy(items, *, priority=0):
+            blocks.append((list(items), priority))
+            real_block(items, priority=priority)
+
+        sim.schedule_block = spy
+        frame = Message("hello", {"v": 1}, 500)
+        assert net.broadcast(2, frame, include_self=include_self) == (
+            self.N if include_self else self.N - 1
+        )
+        ((items, priority),) = blocks
+        assert priority == 2 + 1  # deliveries order by sender pid
+        dsts = [d for d in range(self.N) if include_self or d != 2]
+        assert [args for _, _, args in items] == [(2, d, frame) for d in dsts]
+        for delay, fn, args in items:
+            assert type(delay) is int and delay > 0
+            assert fn == net._deliver_clean and args[2] is frame  # shared, not copied
+        # Egress serialisation staggers the copies in destination order.
+        assert sim.pending == len(dsts)
+        sim.run()
+        assert [len(p.got) for p in procs] == [int(d in dsts) for d in range(self.N)]
+        assert net.messages_delivered == len(dsts)
+
+    @pytest.mark.parametrize("bandwidth", [False, True])
+    def test_arrivals_match_the_per_destination_path(self, bandwidth):
+        arrivals = []
+        for fast in (True, False):
+            sim = Simulator()
+            net, procs = self._net(
+                sim, self._geo(), bandwidth_enabled=bandwidth, rate_bps=80_000_000
+            )
+            if not fast:
+                net._broadcast_fast = lambda *a: -1  # take the general loop
+            for k in range(3):
+                sim.schedule(
+                    k * 40, net.broadcast, (k, Message("m", {"k": k}, 700))
+                )
+            sim.run()
+            arrivals.append([p.got for p in procs])
+            assert net.messages_delivered == 3 * self.N
+        assert arrivals[0] == arrivals[1]
+
+
 class SteppedLatency(UniformLatencyModel):
     """Every draw is 1 ms later than the previous one, so two copies of a
     frame that each took their own draw arrive at different times."""

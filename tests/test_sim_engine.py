@@ -2,16 +2,22 @@
 
 import gc
 import random
+import weakref
 
 import pytest
 
 from repro.sim.engine import (
+    _SLOT_SHIFT,
     MILLISECONDS,
     SECONDS,
     Event,
     Simulator,
     SimulationError,
 )
+from repro.sim.process import SimProcess
+
+#: Slot width of the calendar queue: the tests below aim at its edges.
+SLOT = 1 << _SLOT_SHIFT
 
 
 class TestScheduling:
@@ -79,6 +85,99 @@ class TestScheduling:
         sim.run()
         assert order == [("first", 10), ("second", 15)]
 
+    def test_records_carry_their_call(self):
+        sim = Simulator()
+        got = []
+        event = sim.schedule(5, got.append, ("single",), priority=2)
+        assert isinstance(event, Event)
+        assert (event.time, event.priority, event.seq) == (5, 2, 0)
+        assert event.fn == got.append and event.args == ("single",)
+        sim.schedule_at(7, got.append, ("absolute",))
+        sim.schedule_block(
+            [(9, got.append, ("block",)), (1, got.extend, (["a", "b"],))]
+        )
+        assert sim.post(8, got.append, ("posted",)) is None  # no handle
+        sim.post(5, got.append, ("posted first",), -1)
+        assert sim.pending == 6
+        sim.run()
+        assert got == [
+            "a", "b", "posted first", "single", "absolute", "posted", "block"
+        ]
+        assert not event.cancelled  # having run is not being cancelled
+
+    def test_handles_hash_by_identity(self):
+        sim = Simulator()
+        a, b = sim.schedule(1, print), sim.schedule(1, print)
+        assert len({a, b, a}) == 2
+
+
+class TestIntegerTime:
+    """``time >> k`` needs integer times; a non-integer one must fail (or be
+    coerced) where it is scheduled, not when its slot comes up."""
+
+    def test_schedule_truncates_a_float_delay(self):
+        sim = Simulator()
+        event = sim.schedule(2.9, lambda: None)
+        assert event.time == 2 and type(event.time) is int
+        sim.run()
+        assert sim.now == 2 and type(sim.now) is int
+
+    @pytest.mark.parametrize("delay", [1.5, 3.0])
+    def test_handle_free_entries_reject_a_float_delay_at_the_call(self, delay):
+        sim = Simulator()
+        ran = []
+        with pytest.raises(SimulationError, match="integer microseconds"):
+            sim.schedule_block(
+                [(4, ran.append, ("ok",)), (delay, ran.append, ("bad",))]
+            )
+        with pytest.raises(SimulationError, match="integer microseconds"):
+            sim.post(delay, ran.append, ("bad",))
+        # What was queued before the bad item is intact and accounted for.
+        assert sim.pending == 1
+        sim.post(2, ran.append, ("posted",))
+        sim.run()
+        assert ran == ["posted", "ok"] and sim.pending == 0
+
+    def test_a_float_receive_cost_fails_in_deliver_not_mid_run(self):
+        class Sloppy(SimProcess):
+            _RECEIVE_COSTS = {"m": 2.5}
+
+        class M:
+            kind = "m"
+
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="integer microseconds"):
+            Sloppy(0, sim).deliver(M(), 1)
+        assert sim.pending == 0
+
+    @pytest.mark.parametrize("speed", [0.3, 1.0, 3.0])
+    def test_scaled_cpu_keeps_the_receive_path_on_integer_time(self, speed):
+        class Costly(SimProcess):
+            _RECEIVE_COSTS = {"m": 7}
+
+            def __init__(self, sim):
+                super().__init__(0, sim, cpu_speed=speed)
+                self.at = []
+
+            def on_message(self, message, sender):
+                self.at.append(self.sim.now)
+
+        class M:
+            kind = "m"
+
+        sim = Simulator()
+        proc = Costly(sim)
+        sim.schedule(SLOT - 3, proc.deliver, (M(), 1))
+        sim.schedule(SLOT - 3, proc.deliver, (M(), 1))
+        done = []
+        sim.schedule(SLOT - 3, proc.charge, (5, lambda: done.append(sim.now)))
+        sim.run()
+        scaled = [int(round(c / speed)) for c in (7, 7, 5)]
+        start = SLOT - 3
+        assert proc.at == [start + scaled[0], start + scaled[0] + scaled[1]]
+        assert done == [start + sum(scaled)]
+        assert all(type(t) is int for t in proc.at + done + [sim.now])
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_run(self):
@@ -109,7 +208,7 @@ class TestCancellation:
         sim.schedule(5, lambda: doomed[1].cancel(), priority=-1)
         doomed[0].cancel()
         doomed[2].cancel()
-        assert doomed[0].callback is None and doomed[2].callback is None
+        assert doomed[0].fn is None and doomed[2].fn is None
         sim.schedule(5, lambda: ran.append("kept"))
         assert sim.pending == 5  # cancelled events are counted until skipped
         if drive == "run":
@@ -118,8 +217,43 @@ class TestCancellation:
             while sim.step():
                 pass
         assert ran == ["kept"]
-        assert doomed[1].callback is None
+        assert doomed[1].fn is None
         assert sim.pending == 0 and sim.events_processed == 2
+
+    @pytest.mark.parametrize("where", ["open slot", "future slot"])
+    def test_cancel_drops_the_arguments_too(self, where):
+        """The call lives in two fields now; a cancelled RTO must release
+        the frame its ``args`` name before its slot drains."""
+
+        class Frame:
+            pass
+
+        sim = Simulator()
+        sim.schedule(3, sim.stop)
+        sim.run()  # slot 0 is open and partly drained
+        frame = Frame()
+        ref = weakref.ref(frame)
+        delay = 5 if where == "open slot" else 4 * SLOT
+        event = sim.schedule(delay, lambda f: None, (frame,))
+        del frame
+        assert ref() is not None
+        event.cancel()
+        assert ref() is None and event.args is None and event.cancelled
+        assert sim.pending == 1 and sim.run() == 0 and sim.pending == 0
+
+    def test_a_consumed_record_is_released_before_its_slot_closes(self):
+        class Payload:
+            pass
+
+        sim = Simulator()
+        payload = Payload()
+        ref = weakref.ref(payload)
+        seen = []
+        sim.schedule(2, lambda p: None, (payload,))
+        sim.schedule(4, lambda: seen.append(ref()))  # same slot, later
+        del payload
+        sim.run()
+        assert seen == [None]
 
     def test_run_suspends_the_cyclic_collector_and_restores_it(self):
         sim = Simulator()
@@ -208,9 +342,25 @@ class TestRunControl:
         assert run_once() == run_once()
 
 
+class _NaiveEvent:
+    """The reference's handle: same surface as :class:`Event`."""
+
+    def __init__(self, time, priority, seq, fn, args):
+        self.time, self.priority, self.seq = time, priority, seq
+        self.fn, self.args = fn, args
+
+    @property
+    def cancelled(self):
+        return self.fn is None
+
+    def cancel(self):
+        self.fn = self.args = None
+
+
 class _NaiveSimulator:
-    """Reference engine for the fuzz below: one flat list, fully re-sorted
-    by ``(time, priority, insertion seq)`` before every single pop."""
+    """Reference engine for the differential tests below: one flat list,
+    fully re-sorted by ``(time, priority, insertion seq)`` before every
+    single pop.  It knows nothing of slots, cursors or heaps."""
 
     def __init__(self):
         self.now = 0
@@ -219,16 +369,28 @@ class _NaiveSimulator:
         self._queue = []
         self._hooks = []
         self._dirty = False
+        self._stopped = False
 
-    def schedule(self, delay, callback, *, priority=0):
+    @property
+    def pending(self):
+        return len(self._queue)
+
+    @property
+    def live(self):
+        return sum(not ev.cancelled for ev in self._queue)
+
+    def schedule(self, delay, fn, args=(), *, priority=0):
+        event = _NaiveEvent(self.now + int(delay), priority, self._seq, fn, args)
         self._seq += 1
-        event = Event(self.now + delay, priority, self._seq, callback)
         self._queue.append(event)
         return event
 
+    def post(self, delay, fn, args=(), priority=0):
+        self.schedule(delay, fn, args, priority=priority)
+
     def schedule_block(self, items, *, priority=0):
-        for delay, callback in items:
-            self.schedule(delay, callback, priority=priority)
+        for delay, fn, args in items:
+            self.schedule(delay, fn, args, priority=priority)
 
     def add_end_of_instant_hook(self, hook):
         self._hooks.append(hook)
@@ -236,57 +398,73 @@ class _NaiveSimulator:
     def mark_instant_dirty(self):
         self._dirty = True
 
-    def run(self, until):
-        while True:
-            live = [ev for ev in self._queue if not ev.cancelled]
-            live.sort(key=lambda ev: (ev.time, ev.priority, ev.seq))
-            if self._dirty and (not live or live[0].time > self.now):
+    def stop(self):
+        self._stopped = True
+
+    def step(self):
+        return self.run(max_events=1) == 1
+
+    def run(self, until=None, max_events=None):
+        self._stopped = False
+        executed = 0
+        while max_events is None or executed < max_events:
+            self._queue.sort(key=lambda ev: (ev.time, ev.priority, ev.seq))
+            while self._queue and self._queue[0].cancelled:
+                del self._queue[0]  # skipped, like the real loop, when reached
+            head = self._queue[0] if self._queue else None
+            if self._dirty and (head is None or head.time > self.now):
                 self._dirty = False
                 for hook in self._hooks:
                     hook()
-            elif not live or live[0].time > until:
+                continue
+            if head is None:
+                if until is not None and self.now < until:
+                    self.now = until
+                break
+            if until is not None and head.time > until:
                 self.now = until
-                return
-            else:
-                self._queue.remove(live[0])
-                self.now = live[0].time
-                self.events_processed += 1
-                live[0].callback()
+                break
+            del self._queue[0]
+            self.now = head.time
+            self.events_processed += 1
+            head.fn(*head.args)
+            executed += 1
+            if self._stopped:
+                break
+        return executed
 
 
 def _fuzz_schedule(sim, log, seed, events=400):
     """Drive ``sim`` through a seeded mix of ``schedule`` (with priorities),
     ``schedule_block``, cancellations, and callbacks that schedule again —
-    including at delay 0, i.e. into the bucket being drained."""
+    including at delay 0, i.e. into the slot being drained."""
     rnd = random.Random(seed)
     rnd_inner = random.Random(seed + 1)
     cancellable = []
 
-    def make_cb(tag):
-        def cb():
-            log.append((sim.now, tag))
-            if rnd_inner.random() < 0.25:
-                sim.schedule(
-                    rnd_inner.randrange(0, 5),
-                    make_cb((tag, "nested")),
-                    priority=rnd_inner.choice([0, 0, 2]),
-                )
-            if cancellable and rnd_inner.random() < 0.05:
-                cancellable.pop(rnd_inner.randrange(len(cancellable))).cancel()
-
-        return cb
+    def fire(tag):
+        log.append((sim.now, tag))
+        if rnd_inner.random() < 0.25:
+            sim.schedule(
+                rnd_inner.randrange(0, 5),
+                fire,
+                ((tag, "nested"),),
+                priority=rnd_inner.choice([0, 0, 2]),
+            )
+        if cancellable and rnd_inner.random() < 0.05:
+            cancellable.pop(rnd_inner.randrange(len(cancellable))).cancel()
 
     for i in range(events):
         delay = rnd.randrange(0, 50)
         if rnd.random() < 0.5:
             ev = sim.schedule(
-                delay, make_cb(("s", i)), priority=rnd.choice([0, 0, 1, 5])
+                delay, fire, (("s", i),), priority=rnd.choice([0, 0, 1, 5])
             )
             if rnd.random() < 0.4:
                 cancellable.append(ev)
         else:
             block = [
-                (delay + j % 3, make_cb(("blk", i, j)))
+                (delay + j % 3, fire, (("blk", i, j),))
                 for j in range(rnd.randrange(1, 5))
             ]
             sim.schedule_block(block, priority=rnd.choice([0, 0, 3]))
@@ -294,10 +472,160 @@ def _fuzz_schedule(sim, log, seed, events=400):
             cancellable.pop(rnd.randrange(len(cancellable))).cancel()
 
 
+def _audit(sim):
+    """Walk the real queue: check what the structure promises and return
+    the number of live (queued, not cancelled) records."""
+    assert sorted(sim._slot_heap) == sorted(sim._slots)
+    assert sim._open_slot not in sim._slots
+    assert all(rec is None for rec in sim._open[: sim._open_pos])
+    rest = sim._open[sim._open_pos :]
+    assert rest == sorted(rest, key=lambda rec: rec[:3])
+    assert all(rec[0] >> _SLOT_SHIFT == sim._open_slot for rec in rest)
+    queued = list(rest)
+    for slot, records in sim._slots.items():
+        assert records and all(rec[0] >> _SLOT_SHIFT == slot for rec in records)
+        queued.extend(records)
+    # The O(1) counter is the physical length, cancelled records included.
+    assert sim.pending == len(queued)
+    assert all(rec[0] >= sim.now for rec in queued if rec[3] is not None)
+    return sum(rec[3] is not None for rec in queued)
+
+
+#: Delays on and around slot boundaries.
+EDGE_DELAYS = (0, 0, 1, 2, SLOT - 1, SLOT, SLOT + 1, 2 * SLOT, 3 * SLOT - 1, 5 * SLOT + 3)
+#: What a fired record may do besides logging itself.
+ACTIONS = ("nothing", "nothing", "nest", "nest_low", "cancel", "dirty", "stop")
+
+
+def _play(sim, ops, seed):
+    """Interpret ``ops`` against ``sim``; return everything observable: the
+    execution log, and ``(what, returned, now, events_processed, live
+    records)`` at every stop.  Live, not ``pending``: *when* a cancelled
+    record stops counting (as the loop passes it) is not part of the
+    contract — ``_audit`` holds ``pending`` to the queue's physical length."""
+    log, stops, handles = [], [], []
+    live = (lambda: _audit(sim)) if type(sim) is Simulator else (lambda: sim.live)
+    rnd = random.Random(seed)  # drawn in execution order: a reordering
+    # anywhere changes every later draw, and with it the log
+
+    def hook():
+        log.append((sim.now, "hook"))
+        if rnd.random() < 0.5:
+            # Into the instant being closed — the open slot.
+            sim.schedule(0, fire, ("flushed", "nothing"), priority=rnd.choice((-1, 0, 4)))
+
+    def fire(tag, action):
+        log.append((sim.now, tag))
+        assert len(log) < 20_000, "runaway script"
+        if action == "nest":
+            handles.append(
+                sim.schedule(
+                    rnd.choice(EDGE_DELAYS),
+                    fire,
+                    ((tag, "n"), rnd.choice(ACTIONS)),
+                    priority=rnd.choice((0, 0, 2)),
+                )
+            )
+        elif action == "nest_low":
+            # Lower priority than anything running: at delay 0 it must cut
+            # in front of what is already queued at this instant, and at
+            # the distance to the boundary in front of the next slot's head.
+            to_boundary = SLOT - sim.now % SLOT
+            sim.post(0, fire, ((tag, "low0"), "nothing"), -1)
+            sim.schedule_block(
+                [(to_boundary, fire, ((tag, "lowB"), rnd.choice(ACTIONS)))],
+                priority=-1,
+            )
+        elif action == "cancel" and handles:
+            handles[rnd.randrange(len(handles))].cancel()
+        elif action == "dirty":
+            sim.mark_instant_dirty()
+        elif action == "stop":
+            sim.stop()
+
+    sim.add_end_of_instant_hook(hook)
+    for i, op in enumerate(ops):
+        what = op[0]
+        if what == "schedule":
+            _, delay, priority, action = op
+            handles.append(sim.schedule(delay, fire, (i, action), priority=priority))
+        elif what == "block":
+            _, delays, priority, action = op
+            sim.schedule_block(
+                [(d, fire, ((i, j), action)) for j, d in enumerate(delays)],
+                priority=priority,
+            )
+        elif what == "cancel":
+            # Queued in the open slot, queued in a future one, consumed or
+            # cancelled already — whichever this handle is by now.
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+        elif what == "dirty":
+            sim.mark_instant_dirty()
+        elif what == "run":
+            _, ahead, max_events = op
+            until = None if ahead is None else sim.now + ahead
+            returned = sim.run(until=until, max_events=max_events)
+            stops.append((op, returned, sim.now, sim.events_processed, live()))
+        else:
+            assert what == "step"
+            returned = sim.step()
+            stops.append((op, returned, sim.now, sim.events_processed, live()))
+    while True:  # drain; a "stop" action may interrupt any number of times
+        returned = sim.run()
+        stops.append(("drain", returned, sim.now, sim.events_processed, live()))
+        if not sim.pending:
+            return log, stops
+
+
+def _check_script(ops, seed):
+    real = _play(Simulator(), ops, seed)
+    assert real == _play(_NaiveSimulator(), ops, seed)
+    assert real[1][-1][-1] == 0  # drained: nothing pending
+    return real
+
+
+def _random_script(seed, length=120):
+    rnd = random.Random(seed)
+    ops = []
+    for _ in range(length):
+        r = rnd.random()
+        if r < 0.45:
+            ops.append(
+                (
+                    "schedule",
+                    rnd.choice(EDGE_DELAYS) + rnd.choice((0, 0, SLOT // 2)),
+                    rnd.choice((0, 0, 1, 5)),
+                    rnd.choice(ACTIONS),
+                )
+            )
+        elif r < 0.6:
+            delays = [rnd.choice(EDGE_DELAYS) for _ in range(rnd.randrange(1, 5))]
+            ops.append(("block", delays, rnd.choice((0, 3)), rnd.choice(ACTIONS)))
+        elif r < 0.72:
+            ops.append(("cancel", rnd.randrange(1000)))
+        elif r < 0.76:
+            ops.append(("dirty",))
+        elif r < 0.9:
+            # Horizons that cut through a slot, land on its edge, or fall
+            # short of the next record; event budgets that end mid-slot.
+            ops.append(
+                (
+                    "run",
+                    rnd.choice((None, 0, 1, SLOT // 3, SLOT - 1, SLOT, 2 * SLOT + 5)),
+                    rnd.choice((None, None, 1, 3)),
+                )
+            )
+        else:
+            ops.append(("step",))
+    return ops
+
+
 class TestAgainstNaiveReference:
-    """The bucketed queue (append fast path, insort slow path, inlined
-    bucket drain, lazy cancellation) must execute exactly the order the
-    sort-everything reference does."""
+    """The slotted queue (unsorted future slots, one sort when a slot
+    opens, insort behind the cursor, lazy cancellation, a slot peeked ahead
+    of the clock) must execute exactly the order the sort-everything
+    reference does, and account for it identically at every stop."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
     def test_mixed_schedule_block_cancel_nested(self, seed):
@@ -335,3 +663,223 @@ class TestAgainstNaiveReference:
         # The t=200 mark sits on the ``until`` horizon: still flushed.
         assert [t for t, _ in hooks] == [0, 3, 10, 200]
         assert (3, "flushed") in outcomes[0][0]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_scripts_around_slot_boundaries(self, seed):
+        log, stops = _check_script(_random_script(seed), seed)
+        assert len(log) > 60
+
+    def test_the_scripts_reach_every_edge(self):
+        """The seeded scripts above do take the paths they are there for."""
+        seen = set()
+        for seed in range(40):
+            log, stops = _check_script(_random_script(seed), seed)
+            tags = [entry[1] for entry in log]
+            seen.update(t[1] for t in tags if isinstance(t, tuple) and len(t) == 2)
+            seen.update(t for t in tags if isinstance(t, str))
+            for op, returned, *_ in stops:
+                if op[0] == "run" and op[2] is not None and returned == op[2]:
+                    seen.add("max_events hit")
+                if op[0] == "step":
+                    seen.add(f"step {returned}")
+        assert {"low0", "lowB", "n", "hook", "flushed", "max_events hit"} <= seen
+        assert {"step True", "step False"} <= seen
+
+    def test_lower_priority_at_delay_zero_cuts_in(self):
+        """Into the open slot and into the next one."""
+        for cls in (Simulator, _NaiveSimulator):
+            sim, order = cls(), []
+
+            def first():
+                order.append("first")
+                sim.schedule(0, order.append, ("cut in",), priority=-1)
+                sim.schedule(
+                    SLOT - sim.now, order.append, ("cut in next",), priority=-1
+                )
+
+            sim.schedule(SLOT - 2, first, priority=3)
+            sim.schedule(SLOT - 2, order.append, ("second",), priority=3)
+            sim.schedule(SLOT, order.append, ("next slot head",))
+            sim.run()
+            assert order == [
+                "first", "cut in", "second", "cut in next", "next slot head"
+            ], cls
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_until_mid_slot_then_an_earlier_slot_is_scheduled(self, drive):
+        """``run(until=…)`` peeks the slot holding the next record; what is
+        scheduled afterwards into an *earlier* slot must still run first."""
+        for cls in (Simulator, _NaiveSimulator):
+            sim, order = cls(), []
+            sim.schedule(10, order.append, ("a",))
+            sim.schedule(6 * SLOT + 5, order.append, ("far",))
+            sim.schedule(6 * SLOT + 9, order.append, ("farther",))
+            assert sim.run(until=SLOT + 7) == 1  # stops inside slot 1
+            assert (sim.now, sim.pending) == (SLOT + 7, 2)
+            sim.schedule(SLOT, order.append, ("near",))  # slot 2 < slot 6
+            sim.schedule_block(
+                [(5 * SLOT, order.append, ("same slot as far",))], priority=-1
+            )
+            cancelled = sim.schedule(3, order.append, ("never",))
+            cancelled.cancel()
+            assert sim.pending == 5
+            if drive == "run":
+                assert sim.run(until=6 * SLOT + 7) == 3
+            else:
+                assert [sim.step() for _ in range(3)] == [True] * 3
+            assert order == ["a", "near", "far", "same slot as far"], cls
+            assert sim.pending == 1
+            sim.run()
+            assert order[-1] == "farther" and sim.pending == 0
+
+    def test_hook_when_the_next_record_is_in_a_later_slot(self):
+        for cls in (Simulator, _NaiveSimulator):
+            sim, log = cls(), []
+
+            def hook():
+                log.append((sim.now, "hook"))
+                if log == [(0, "hook"), (5, "hook")]:
+                    sim.schedule(0, log.append, ((5, "flushed into open slot"),))
+                    sim.mark_instant_dirty()  # and close the instant again
+
+            sim.add_end_of_instant_hook(hook)
+            sim.schedule(5, sim.mark_instant_dirty)
+            sim.schedule(9 * SLOT, log.append, ("later slot",))
+            sim.mark_instant_dirty()  # dirty before the run, nothing at t=0
+            sim.run()
+            assert log == [
+                (0, "hook"),
+                (5, "hook"),
+                (5, "flushed into open slot"),
+                (5, "hook"),
+                "later slot",
+            ], cls
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - the seeded scripts above still run
+    pass
+else:
+    _delay = st.one_of(
+        st.sampled_from(EDGE_DELAYS),
+        st.integers(0, 4 * SLOT),
+        st.builds(lambda k, d: max(0, k * SLOT + d), st.integers(0, 6), st.integers(-2, 2)),
+    )
+    _action = st.sampled_from(ACTIONS)
+    _op = st.one_of(
+        st.tuples(st.just("schedule"), _delay, st.sampled_from((0, 1, 5)), _action),
+        st.tuples(
+            st.just("block"),
+            st.lists(_delay, min_size=1, max_size=4),
+            st.sampled_from((0, 3)),
+            _action,
+        ),
+        st.tuples(st.just("cancel"), st.integers(0, 1000)),
+        st.tuples(st.just("dirty")),
+        st.tuples(
+            st.just("run"),
+            st.one_of(st.none(), st.integers(0, 3 * SLOT)),
+            st.one_of(st.none(), st.integers(1, 4)),
+        ),
+        st.tuples(st.just("step")),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(_op, max_size=60), seed=st.integers(0, 2**16))
+    def test_hypothesis_scripts_match_the_naive_reference(ops, seed):
+        _check_script(ops, seed)
+
+
+# ----------------------------------------------------------------------
+# End to end: pinned to the parent commit (9c37f01, the bucket queue)
+# ----------------------------------------------------------------------
+class TestPinnedToParent:
+    """Swapping the queue must move nothing a run can observe: the two
+    ledger smoke shapes that load the engine most differently — all-to-all
+    fan-out, and a cancel-heavy lossy wire — reproduce the digest, event
+    count, traffic counters and latency sample recorded before the swap."""
+
+    def _check(self, config, *, digest, events, delivered, latencies):
+        from repro.bench.suite import prefix_digest
+        from repro.harness.factory import build_cluster
+        from tests.test_crypto_kernel import latency_fingerprint
+
+        cluster = build_cluster(config, protocol="lyra")
+        result = cluster.run()
+        assert result.safety_violation is None
+        assert prefix_digest(cluster) == digest
+        assert result.events_processed == events
+        assert (result.messages_delivered, result.bytes_delivered) == delivered
+        assert latency_fingerprint(cluster.clients) == latencies
+        return cluster, result
+
+    def test_lyra_closed_and_chaos_smoke_shapes(self):
+        from repro.harness.config import ExperimentConfig
+        from repro.net.faults import CrashEvent, FaultPlan, LinkFault
+        from repro.workload.spec import ClientGroup, WorkloadSpec
+
+        rig = dict(
+            n_nodes=4,
+            seed=1,
+            duration_us=2000 * MILLISECONDS,
+            warmup_rounds=2,
+            warmup_spacing_us=150 * MILLISECONDS,
+        )
+        # ``lyra_n32_closed --smoke``
+        cluster, _ = self._check(
+            ExperimentConfig(batch_size=10, clients_per_node=1, client_window=5, **rig),
+            digest="8fa11bd25b0d3e11045e2c251bcdd0ec7180e0836bcf3aa869a319fe8285b08f",
+            events=5538,
+            delivered=(2468, 370528),
+            latencies=(
+                30,
+                "a92f61dc215047428f391153f75d42208d43dd0437b11e324254b152fd08957b",
+            ),
+        )
+        assert cluster.sim.pending == 151  # what the horizon left queued
+        # ``lyra_n7_chaos --smoke``
+        plan = FaultPlan(
+            links=(LinkFault(drop_rate=0.15, duplicate_rate=0.05, corrupt_rate=0.02),),
+            crashes=(
+                CrashEvent(
+                    pid=2,
+                    crash_at_us=800 * MILLISECONDS,
+                    recover_at_us=1200 * MILLISECONDS,
+                ),
+            ),
+        )
+        clients = WorkloadSpec(
+            groups=tuple(
+                ClientGroup(
+                    name=f"main{pid}", client="closed", count=1, home=pid, window=4
+                )
+                for pid in (0, 1, 3)
+            ),
+            fairness=False,
+        )
+        cluster, result = self._check(
+            ExperimentConfig(
+                batch_size=8,
+                fault_plan=plan,
+                reliable_channels=True,
+                workload=clients,
+                **rig,
+            ),
+            digest="09dc196edfdb0f34f418d31d6ec80f6d228c153b1c8cf425013525b51e7b1fae",
+            events=14617,
+            delivered=(2602, 317289),
+            latencies=(
+                7,
+                "c182605da3966346ee7e8123056892600b7c5c9b30ef62ead85db4ba74f34bc2",
+            ),
+        )
+        assert cluster.sim.pending == 1002
+        stats = result.fault_stats
+        assert (stats["retransmits"], stats["acks_sent"], stats["dup_frames"]) == (
+            2846,
+            4424,
+            1822,
+        )
+        assert (result.accepted_instances, result.rejected_instances) == (5, 20)
