@@ -140,9 +140,10 @@ class PrefixStallerNode(LyraNode):
 
     def _proto_broadcast(self, message: Message) -> None:
         if self.commit is not None:
-            pb = self.commit.piggyback()
-            pb = dict(pb, locked=-(1 << 50), minp=-(1 << 50))
-            message.payload["pb"] = pb
+            report = self.commit.piggyback()
+            message.payload["pb"] = report._replace(
+                locked=-(1 << 50), minp=-(1 << 50)
+            )
             message.size += self.commit.piggyback_size()
             self._charge_send_cost(message)
             self.broadcast(message)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.commit import NO_PENDING, DSHARE_KIND
+from repro.core.commit import DSHARE_KIND, NO_PENDING, StatusReport
 from repro.core.node import LyraNode
 from repro.core.types import InstanceId
 from repro.core.vvb import INIT_KIND
@@ -181,20 +181,20 @@ class PiggybackForgeryNode(LyraNode):
         self.answer_pulls = answer_pulls
         self.pulls_ignored = 0
         self.forged_reports = 0
-        self._stale_pb: Optional[dict] = None
+        self._stale_pb: Optional[StatusReport] = None
         self._stale_marker_seq: Optional[int] = None
         self._forge_seq = 0
 
     # -- forged full reports ------------------------------------------
-    def _forged_full(self, commit) -> dict:
-        pb = commit.piggyback()
+    def _forged_full(self, commit) -> StatusReport:
+        report = commit.piggyback()
         if self.mode == "stale":
             if self._stale_pb is None:
-                self._stale_pb = dict(pb)
-            return dict(self._stale_pb)
+                self._stale_pb = report
+            return self._stale_pb
         if self.mode == "inflate":
-            return dict(pb, locked=pb["locked"] + (1 << 40), minp=NO_PENDING)
-        return pb
+            return report._replace(locked=report.locked + (1 << 40), minp=NO_PENDING)
+        return report
 
     # -- forged delta reports -----------------------------------------
     def _forged_delta(self, commit) -> dict:
@@ -235,15 +235,17 @@ class PiggybackForgeryNode(LyraNode):
         # Equivocation needs per-destination frames: the network's
         # broadcast fan-out shares one Message object across recipients.
         commit = self.commit
-        pb = commit.piggyback()
+        report = commit.piggyback()
         size = commit.piggyback_size()
         self._charge_send_cost(message)
         self.forged_reports += 1
         for dst in self.network.pids():
             if dst % 2 == 0:
-                forged = dict(pb, locked=pb["locked"] + (1 << 40), minp=NO_PENDING)
+                forged = report._replace(
+                    locked=report.locked + (1 << 40), minp=NO_PENDING
+                )
             else:
-                forged = dict(pb, locked=-(1 << 50), minp=-(1 << 50))
+                forged = report._replace(locked=-(1 << 50), minp=-(1 << 50))
             copy = Message(message.kind, dict(message.payload), message.size + size)
             copy.payload["pb"] = forged
             self.send(dst, copy)

@@ -28,7 +28,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.clocks import OrderingClock, PerceivedSequence
 from repro.core.distance import requested_sequence
@@ -44,6 +54,17 @@ DSHARE_KIND = "lyra.dshare"
 #: Pull signal: "your last delta marker referenced a full report I never
 #: saw — force a full one on your next broadcast".
 PB_PULL_KIND = "lyra.pb_pull"
+
+
+class StatusReport(NamedTuple):
+    """The Algorithm-4 report piggybacked on a broadcast (line 74): the
+    sender's locked prefix ``seq_i - L``, its min-pending bound, and its
+    live accepted set.  The receiver unpacks it in one step; a forging
+    node rewrites fields with ``_replace``."""
+
+    locked: int
+    minp: int
+    acc: Tuple[AcceptedEntry, ...]
 
 
 @dataclass
@@ -151,7 +172,7 @@ class CommitState:
         self._pb_seq = 0
         self._pb_sent_state: Optional[Tuple[int, int]] = None
         self._pb_force_full = False
-        self._peer_pb: Dict[int, Tuple[int, int]] = {}  # sender -> (seq, minp)
+        self._peer_full: Dict[int, Tuple[int, int]] = {}  # sender -> (seq, minp)
         self._pull_pending: Set[int] = set()
         # Sender-side memo of the ``acc`` tuple and its summed wire size:
         # the accepted set mutates far less often than the node
@@ -193,6 +214,9 @@ class CommitState:
         # ablation and the metrics registry.
         self.lambda_rejects = 0
         self.validations = 0
+        # Reports refused for their shape (not a StatusReport, a bound that
+        # is not an int, a junk accepted entry): Byzantine traffic, counted.
+        self.malformed_reports = 0
         # Flooding mitigation: token bucket per proposer (tokens = spare
         # validation budget, refilled at max_proposer_rate_per_s).
         self._rate_tokens: Dict[int, float] = {}
@@ -221,6 +245,11 @@ class CommitState:
     def validate(self, iid: InstanceId, cipher: Any, preds: Tuple[int, ...]) -> bool:
         if len(preds) != self.services.n:
             return False
+        # ``s`` below becomes a min-pending bound this process reports, and
+        # peers refuse reports whose bounds are not ints.
+        for pred in preds:
+            if type(pred) is not int:
+                return False
         if not self._rate_limit_ok(iid.proposer):
             return False
         s = requested_sequence(preds, self.services.f)
@@ -304,13 +333,11 @@ class CommitState:
             self._pb_acc_key = self._acc_version
         return self._pb_acc_cache
 
-    def piggyback(self) -> dict:
-        """The three fields attached to every broadcast."""
-        return {
-            "locked": self.clock.read() - self.L,
-            "minp": self.min_pending,
-            "acc": self._acc_tuple(),
-        }
+    def piggyback(self) -> StatusReport:
+        """The report attached to every broadcast."""
+        return StatusReport(
+            self.clock.read() - self.L, self.min_pending, self._acc_tuple()
+        )
 
     def piggyback_size(self) -> int:
         # locked + minp + Merkle root standing in for older prefixes +
@@ -367,8 +394,10 @@ class CommitState:
         # so they only need re-evaluating for the mirror a report actually
         # moved — this handler runs once per delivered broadcast, making it
         # the single hottest protocol function in a run.
-        locked_j = int(locked_j)
-        min_j = int(min_j)
+        if type(locked_j) is not int or type(min_j) is not int:
+            # Nothing below has run: a malformed report moves no mirror.
+            self.malformed_reports += 1
+            return
         changed = False
         reports = self.locked_reports
         old = reports.get(sender)
@@ -397,14 +426,23 @@ class CommitState:
             self._seen_acc[sender] = accepted_j
             accepted_ever = self._accepted_ever
             committed_ids = self.committed_ids
-            for entry in accepted_j:
-                iid = entry.instance
-                if iid not in accepted_ever and iid not in committed_ids:
-                    accepted_ever.add(iid)
-                    self.accepted[iid] = entry
-                    self._acc_version += 1
-                    self._accepted_dirty = True
-                    self._commit_dirty = True
+            try:
+                for entry in accepted_j:
+                    iid = entry.instance
+                    if iid not in accepted_ever and iid not in committed_ids:
+                        # Adoption is rare (once per instance), so the
+                        # entry's shape is checked here, not per scan step.
+                        if not _well_formed(entry):
+                            self.malformed_reports += 1
+                            break
+                        accepted_ever.add(iid)
+                        self.accepted[iid] = entry
+                        self._acc_version += 1
+                        self._accepted_dirty = True
+                        self._commit_dirty = True
+            except (AttributeError, TypeError):
+                # Not a sequence of entries: the scan stops at the junk.
+                self.malformed_reports += 1
         if changed or self._accepted_dirty:
             self._update_prefixes()
         elif self._commit_dirty:
@@ -423,11 +461,11 @@ class CommitState:
         seq = pbd.get("s")
         if seq is not None:  # full report
             minp = pbd.get("m", NO_PENDING)
-            self._peer_pb[sender] = (seq, minp)
+            self._peer_full[sender] = (seq, minp)
             self._pull_pending.discard(sender)
             self.on_status(sender, locked, minp, pbd.get("a", ()))
             return False
-        cached = self._peer_pb.get(sender)
+        cached = self._peer_full.get(sender)
         if cached is not None and cached[0] == pbd.get("k"):
             # Marker: re-assert the cached min-pending under the new
             # locked bound.  Accepted entries were adopted with the full
@@ -443,7 +481,9 @@ class CommitState:
     def _status_locked_only(self, sender: int, locked_j: int) -> None:
         """Update only the locked report of ``sender`` (marker whose full
         report is missing: its min-pending value is unknown)."""
-        locked_j = int(locked_j)
+        if type(locked_j) is not int:
+            self.malformed_reports += 1
+            return
         reports = self.locked_reports
         old = reports.get(sender)
         if old == locked_j:
@@ -751,10 +791,21 @@ class CommitSnapshot:
     plaintexts: Dict[InstanceId, bytes]
 
 
+def _well_formed(entry: Any) -> bool:
+    """Shape check on a peer-reported accepted entry before adoption."""
+    return (
+        type(entry) is AcceptedEntry
+        and type(entry.instance) is InstanceId
+        and type(entry.cipher_id) is bytes
+        and type(entry.seq) is int
+    )
+
+
 __all__ = [
     "CommitState",
     "CommitSnapshot",
     "CommitConfig",
+    "StatusReport",
     "NO_PENDING",
     "STATUS_KIND",
     "DSHARE_KIND",

@@ -159,36 +159,44 @@ class BinaryConsensus:
         return r % self.services.n
 
     # ------------------------------------------------------------------
-    # Message handlers (dispatched by the host node)
+    # Message handlers (dispatched by the host node).  Each runs once per
+    # delivered message, so the already-joined case is tested inline
+    # instead of calling join() to find out.
     # ------------------------------------------------------------------
     def on_init(self, payload: dict, sender: int) -> None:
-        self.join()
+        if not self.started:
+            self.join()
         self.vvb.on_init(payload, sender)
 
     def on_vote1(self, payload: dict, sender: int) -> None:
-        self.join()
+        if not self.started:
+            self.join()
         self.vvb.on_vote1(payload, sender)
 
     def on_vote0(self, payload: dict, sender: int) -> None:
-        self.join()
+        if not self.started:
+            self.join()
         self.vvb.on_vote0(payload, sender)
 
     def on_deliver(self, payload: dict, sender: int) -> None:
-        self.join()
+        if not self.started:
+            self.join()
         self.vvb.on_deliver(payload, sender)
 
     def on_fetch(self, payload: dict, sender: int) -> None:
         self.vvb.on_fetch(payload, sender)
 
     def on_bv(self, payload: dict, sender: int) -> None:
-        self.join()
+        if not self.started:
+            self.join()
         r = payload.get("round", 0)
         if not isinstance(r, int) or r < 2 or r > self.max_rounds:
             return
         self._bv_for(r).on_vote(payload.get("b"), sender)
 
     def on_coord(self, payload: dict, sender: int) -> None:
-        self.join()
+        if not self.started:
+            self.join()
         r = payload.get("round", 0)
         w = payload.get("w")
         if not isinstance(r, int) or r < 1 or w not in (0, 1):
@@ -199,7 +207,8 @@ class BinaryConsensus:
         self._maybe_send_aux(r)
 
     def on_aux(self, payload: dict, sender: int) -> None:
-        self.join()
+        if not self.started:
+            self.join()
         r = payload.get("round", 0)
         e = payload.get("e")
         if not isinstance(r, int) or r < 1 or not isinstance(e, (tuple, list)):

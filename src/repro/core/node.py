@@ -37,6 +37,7 @@ from repro.core.commit import (
     DSHARE_KIND,
     PB_PULL_KIND,
     STATUS_KIND,
+    StatusReport,
 )
 from repro.core.dbft import AUX_KIND, BinaryConsensus, COORD_KIND
 from repro.core.bv_broadcast import BV_KIND
@@ -46,7 +47,7 @@ from repro.core.gossip_distance import (
     DEFAULT_GOSSIP_ROUNDS,
     GossipDistanceEstimator,
 )
-from repro.core.obfuscation import make_obfuscation
+from repro.core.obfuscation import is_reveal_share, make_obfuscation
 from repro.core.services import ProtocolServices
 from repro.core.types import AcceptedEntry, Batch, InstanceId, Transaction
 from repro.core.vvb import (
@@ -163,6 +164,8 @@ class NodeStats:
     #: referenced a full report we never saw) and pulls we answered.
     pb_pulls_sent: int = 0
     pb_pulls_served: int = 0
+    #: DSHARE items dropped at the door: not a well-formed reveal share.
+    malformed_dshares: int = 0
 
 
 class LyraNode(SimProcess):
@@ -191,6 +194,14 @@ class LyraNode(SimProcess):
         self.config = config or LyraConfig()
         self.rng = (rng or RngRegistry(0)).get("node", str(pid))
         self.costs = self.config.costs
+        # Every kind whose receive cost is a constant for this node: the
+        # protocol's fixed ones plus the two that come from ``costs``.
+        # ``_receive_cost`` covers the size- and payload-dependent rest.
+        self._RECEIVE_COSTS = {
+            **self._FIXED_RECEIVE_COSTS,
+            VOTE1_KIND: self.costs.share_verify_us,
+            DELIVER_KIND: self.costs.threshold_verify_us,
+        }
         # Batched charging for coalesced frames: one summed acquire.
         self._charge_plan = ReceiveChargePlan(self._RECEIVE_COSTS, self._receive_cost)
 
@@ -315,6 +326,7 @@ class LyraNode(SimProcess):
             "instances_joined": stats.instances_joined,
             "pb_pulls_sent": stats.pb_pulls_sent,
             "pb_pulls_served": stats.pb_pulls_served,
+            "malformed_dshares": stats.malformed_dshares,
             "messages_received": self.messages_received,
             "recoveries": self.recoveries,
             "incarnation": self.incarnation,
@@ -323,6 +335,7 @@ class LyraNode(SimProcess):
             out["committed_log_len"] = len(self.commit.output_log)
             out["accepted_instances"] = self.commit.accepted_count
             out["rejected_instances"] = self.commit.rejected_count
+            out["malformed_reports"] = self.commit.malformed_reports
         return out
 
     # ------------------------------------------------------------------
@@ -436,7 +449,7 @@ class LyraNode(SimProcess):
     # ------------------------------------------------------------------
     # Incoming messages: CPU queueing then dispatch
     # ------------------------------------------------------------------
-    _RECEIVE_COSTS = {
+    _FIXED_RECEIVE_COSTS = {
         VOTE0_KIND: 2,
         BV_KIND: 2,
         COORD_KIND: 2,
@@ -449,6 +462,7 @@ class LyraNode(SimProcess):
         GDIST_ACK_KIND: 2,
         CLIENT_TX_KIND: 2,
         PB_PULL_KIND: 1,
+        CATCHUP_REQ_KIND: 2,
     }
 
     #: Consensus-instance message kinds mapped straight to their (unbound)
@@ -466,23 +480,16 @@ class LyraNode(SimProcess):
     }
 
     def _receive_cost(self, message: Message) -> int:
+        """The kinds ``_RECEIVE_COSTS`` cannot list: cost depends on the
+        message's size or item count."""
         kind = message.kind
-        cost = self._RECEIVE_COSTS.get(kind)
-        if cost is not None:
-            return cost
         if kind == INIT_KIND:
             cost = self.costs.verify_us + self.costs.hash_us(message.size)
             if self.config.commit.check_dealing:
                 cost += self.costs.vss_check_dealing_us
             return cost
-        if kind == VOTE1_KIND:
-            return self.costs.share_verify_us
-        if kind == DELIVER_KIND:
-            return self.costs.threshold_verify_us
         if kind == DSHARE_KIND:
             return 2 * max(1, len(message.payload.get("items", ())))
-        if kind == CATCHUP_REQ_KIND:
-            return 2
         if kind == CATCHUP_RSP_KIND:
             return 2 * max(1, len(message.payload.get("items", ())))
         return 2
@@ -524,16 +531,21 @@ class LyraNode(SimProcess):
             self._process(message, sender)
 
     def _process(self, message: Message, sender: int) -> None:
-        if self.crashed:
-            return
-        payload = message.payload if isinstance(message.payload, dict) else {}
+        # Both callers (``deliver`` / ``deliver_batch`` and their deferred
+        # twins) have just tested ``crashed``.
+        payload = message.payload
+        if not isinstance(payload, dict):
+            payload = {}
+        commit = self.commit
         pb = payload.get("pb")
-        if pb is not None and self.commit is not None:
-            self.commit.on_status(
-                sender, pb.get("locked", 0), pb.get("minp", 0), pb.get("acc", ())
-            )
-        elif "pbd" in payload and self.commit is not None:
-            if self.commit.on_status_delta(sender, payload["pbd"]):
+        if pb is not None and commit is not None:
+            if type(pb) is StatusReport:
+                locked_j, min_j, accepted_j = pb
+                commit.on_status(sender, locked_j, min_j, accepted_j)
+            else:
+                commit.malformed_reports += 1
+        elif "pbd" in payload and commit is not None:
+            if commit.on_status_delta(sender, payload["pbd"]):
                 self.stats.pb_pulls_sent += 1
                 self.send(sender, Message(PB_PULL_KIND, {}, 48))
         kind = message.kind
@@ -541,8 +553,15 @@ class LyraNode(SimProcess):
         if handler is not None:
             if self._dispatch_is_default:
                 iid = payload.get("iid")
-                if isinstance(iid, InstanceId) and iid not in self._finished:
-                    handler(self._instance(iid), payload, sender)
+                if type(iid) is InstanceId:
+                    # Live instances first; ``_finished`` is disjoint from
+                    # ``_instances`` (``_gc_instance``), so it only matters
+                    # on a miss.
+                    instance = self._instances.get(iid)
+                    if instance is not None:
+                        handler(instance, payload, sender)
+                    elif iid not in self._finished:
+                        handler(self._instance(iid), payload, sender)
             else:
                 # Subclasses (attack nodes) hook instance dispatch.
                 self._dispatch_instance(kind, payload, sender)
@@ -873,8 +892,12 @@ class LyraNode(SimProcess):
                 iid, share = item
             except (TypeError, ValueError):
                 continue
-            if isinstance(iid, InstanceId):
+            if not isinstance(iid, InstanceId):
+                continue
+            if is_reveal_share(share):
                 self.commit.on_decryption_share(iid, share, sender)
+            else:
+                self.stats.malformed_dshares += 1
 
     def _on_execute(self, entry: AcceptedEntry, plaintext: bytes) -> None:
         try:

@@ -60,6 +60,10 @@ class VssObfuscation:
     def decrypt(self, cipher: VssCipher, shares: Iterable[DecryptionShare]) -> bytes:
         return self._scheme.decrypt(cipher, shares)
 
+    def decrypt_cache_stats(self) -> dict:
+        """Hit/miss counters of the scheme's interned-plaintext cache."""
+        return self._scheme.decrypt_cache_stats()
+
 
 @dataclass(frozen=True)
 class HashCommitCipher:
@@ -161,6 +165,33 @@ class HashCommitObfuscation:
         raise VssError("no valid reveal share for hash-commit cipher")
 
 
+def is_reveal_share(share: Any) -> bool:
+    """Is ``share`` a well-formed reveal share of either scheme?
+
+    A structural check for shares arriving off the wire: the exact share
+    type with fields of the exact field types, so the reveal path never
+    does arithmetic, hashing or dict keying on a Byzantine sender's junk.
+    Whether the share is *valid* is still ``verify_decryption_share``'s
+    business.
+    """
+    kind = type(share)
+    if kind is DecryptionShare:
+        inner = share.share
+        return (
+            type(share.cipher_id) is bytes
+            and type(inner) is ShamirShare
+            and type(inner.index) is int
+            and type(inner.value) is int
+        )
+    if kind is HashRevealShare:
+        return (
+            type(share.cipher_id) is bytes
+            and type(share.key) is bytes
+            and type(share.nonce) is bytes
+        )
+    return False
+
+
 def make_obfuscation(
     scheme: str, threshold: int, n: int, *, seed: int = 0
 ):
@@ -177,5 +208,6 @@ __all__ = [
     "HashCommitObfuscation",
     "HashCommitCipher",
     "HashRevealShare",
+    "is_reveal_share",
     "make_obfuscation",
 ]

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Tuple
 
 from repro.crypto.feldman import FeldmanCommitment, FeldmanVSS
 from repro.crypto.field import DEFAULT_FIELD, PrimeField
-from repro.crypto.hashing import digest_of, sha256_bytes
+from repro.crypto.hashing import KeyedHash, digest_of, sha256_bytes
 from repro.crypto.memo import MemoCache
 from repro.crypto.shamir import ShamirShare, reconstruct_secret
 from repro.sim.rng import derive_seed
@@ -117,7 +117,7 @@ class VssScheme:
         self._seal_root = hashlib.sha256(
             derive_seed(seed, "vss-seal").to_bytes(8, "big")
         ).digest()
-        self._seal_keys: Dict[int, bytes] = {}
+        self._seal_macs: Dict[int, KeyedHash] = {}
         # Successful decryptions interned by cipher id.  Any 2f+1 Feldman-
         # verified shares reconstruct the same committed key (Lemma 7), so
         # once one replica has opened a cipher the plaintext is a pure
@@ -126,16 +126,12 @@ class VssScheme:
         self._plain_cache = MemoCache(capacity=1 << 12)
 
     # ------------------------------------------------------------------
-    def _seal_key(self, pid: int) -> bytes:
-        key = self._seal_keys.get(pid)
-        if key is None:
-            key = hmac.new(self._seal_root, b"pid:%d" % pid, hashlib.sha256).digest()
-            self._seal_keys[pid] = key
-        return key
-
     def _seal_pad(self, pid: int, cipher_id: bytes) -> int:
-        raw = hmac.new(self._seal_key(pid), cipher_id, hashlib.sha256).digest()
-        return int.from_bytes(raw[:16], "big") & ((1 << 127) - 1)
+        mac = self._seal_macs.get(pid)
+        if mac is None:
+            key = hmac.new(self._seal_root, b"pid:%d" % pid, hashlib.sha256).digest()
+            mac = self._seal_macs[pid] = KeyedHash(key, hashlib.sha256)
+        return int.from_bytes(mac.tag(cipher_id)[:16], "big") & ((1 << 127) - 1)
 
     # ------------------------------------------------------------------
     def encrypt(self, plaintext: bytes, rng) -> VssCipher:
@@ -195,9 +191,7 @@ class VssScheme:
         if cached is not None:
             return cached
         key = reconstruct_secret(valid, self.threshold, self.field)
-        if self.feldman.commitment_to_secret(cipher.commitment) != pow(
-            self.feldman.g, key, self.feldman.q
-        ):
+        if self.feldman.commitment_to_secret(cipher.commitment) != self.feldman.g_pow(key):
             raise VssError("reconstructed key does not match the commitment")
         plaintext = _xor(cipher.body, _keystream(key, len(cipher.body)))
         self._plain_cache.put(cipher.cipher_id, plaintext)

@@ -11,7 +11,7 @@ from repro.core.node import (
     PROBE_ACK_KIND,
     PROBE_KIND,
 )
-from repro.core.commit import DSHARE_KIND, STATUS_KIND
+from repro.core.commit import DSHARE_KIND, STATUS_KIND, StatusReport
 from repro.core.services import ProtocolServices
 from repro.core.types import Transaction
 from repro.core.vvb import DELIVER_KIND, INIT_KIND, VOTE1_KIND
@@ -69,22 +69,37 @@ class TestReceiveCosts:
 
     def test_vote1_costs_share_verification(self):
         sim, nodes, net = build_pair()
-        assert (
-            nodes[0]._receive_cost(Message(VOTE1_KIND, {}))
-            == DEFAULT_COSTS.share_verify_us
-        )
+        assert nodes[0]._RECEIVE_COSTS[VOTE1_KIND] == DEFAULT_COSTS.share_verify_us
 
     def test_deliver_costs_threshold_verification(self):
         sim, nodes, net = build_pair()
         assert (
-            nodes[0]._receive_cost(Message(DELIVER_KIND, {}))
-            == DEFAULT_COSTS.threshold_verify_us
+            nodes[0]._RECEIVE_COSTS[DELIVER_KIND] == DEFAULT_COSTS.threshold_verify_us
         )
 
     def test_cheap_kinds(self):
         sim, nodes, net = build_pair()
         for kind in (STATUS_KIND, PROBE_KIND, PROBE_ACK_KIND, CLIENT_TX_KIND):
-            assert nodes[0]._receive_cost(Message(kind, {})) <= 3
+            assert nodes[0]._RECEIVE_COSTS[kind] <= 3
+
+    def test_table_holds_every_constant_kind_and_follows_the_cost_profile(self):
+        """The per-node table is the class's fixed kinds plus the two that
+        come from ``costs``; the size- and payload-dependent kinds stay in
+        ``_receive_cost``; one table feeds both receive paths."""
+        sim, nodes, net = build_pair(costs=DEFAULT_COSTS.scaled(2.0))
+        node = nodes[0]
+        table = node._RECEIVE_COSTS
+        assert table == {
+            **LyraNode._FIXED_RECEIVE_COSTS,
+            VOTE1_KIND: 2 * DEFAULT_COSTS.share_verify_us,
+            DELIVER_KIND: 2 * DEFAULT_COSTS.threshold_verify_us,
+        }
+        assert not {INIT_KIND, DSHARE_KIND} & set(table)
+        assert node._charge_plan.total_us(
+            [Message(VOTE1_KIND, {}), Message(DELIVER_KIND, {}), Message(STATUS_KIND, {})]
+        ) == table[VOTE1_KIND] + table[DELIVER_KIND] + table[STATUS_KIND]
+        items = {"items": (1, 2, 3)}
+        assert node._receive_cost(Message(DSHARE_KIND, items)) == 6
 
     def test_cpu_queue_defers_processing(self):
         sim, nodes, net = build_pair()
@@ -141,7 +156,9 @@ class TestPiggyback:
         sim.run(until=100_000)
         assert seen
         pb = seen[0].payload.get("pb")
-        assert pb is not None and "locked" in pb and "minp" in pb
+        assert type(pb) is StatusReport
+        assert pb._fields == ("locked", "minp", "acc")
+        assert type(pb.locked) is int and type(pb.minp) is int and pb.acc == ()
 
     def test_point_to_point_not_piggybacked(self):
         sim, nodes, net = build_pair()
