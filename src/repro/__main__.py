@@ -590,7 +590,6 @@ def cmd_workload(args) -> None:
     from repro.harness.factory import build_cluster
     from repro.metrics.capacity import extrapolate_users
     from repro.sim.engine import MILLISECONDS
-    from repro.workload.spec import mev_node_classes
 
     protocols = _parse_protocols(args.protocol)
     # The MEV cell needs the Fig. 1 geometry: the replica majority far
@@ -619,12 +618,7 @@ def cmd_workload(args) -> None:
         )
         if regions is not None:
             config.regions = regions
-        cluster = build_cluster(
-            config,
-            protocol=protocol,
-            node_classes=mev_node_classes(spec, protocol, n) or None,
-        )
-        result = cluster.run()
+        result = build_cluster(config, protocol=protocol).run()
 
         print(f"\n## WORKLOAD — {protocol} n={n} seed={args.seed}")
         print(

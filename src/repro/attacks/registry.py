@@ -1,8 +1,7 @@
 """Name → class registry for attack replicas.
 
-Mirrors :func:`repro.workload.spec.mev_node_classes`: a serialisable
-description (``ExperimentConfig.attack_nodes``) resolves here into the
-``node_classes`` / ``node_kwargs`` maps the cluster builders take, so
+A serialisable description (``ExperimentConfig.attack_nodes``) resolves
+here into the ``node_classes`` / ``node_kwargs`` maps the cluster takes, so
 attack experiments — and fuzzer schedules — can ride the sweep cache and
 cross process boundaries like any other config knob.
 
@@ -24,7 +23,6 @@ from repro.attacks.byzantine import (
     SilentProposerNode,
 )
 from repro.attacks.corpus import PiggybackForgeryNode, SelectiveRevealNode
-from repro.core.node import LyraNode
 
 #: Every attack replica class, by stable name.  Names are wire format:
 #: they appear in serialized ``ExperimentConfig.attack_nodes`` entries and
@@ -80,16 +78,4 @@ def resolve_attack_nodes(
     return classes, kwargs
 
 
-def byzantine_pids(node_classes: Mapping[int, type]) -> Tuple[int, ...]:
-    """Pids whose class deviates from the honest :class:`LyraNode` — the
-    set that counts against the resilience bound f alongside crashes."""
-    return tuple(
-        sorted(
-            pid
-            for pid, cls in node_classes.items()
-            if cls is not LyraNode and issubclass(cls, LyraNode)
-        )
-    )
-
-
-__all__ = ["ATTACK_NODE_CLASSES", "resolve_attack_nodes", "byzantine_pids"]
+__all__ = ["ATTACK_NODE_CLASSES", "resolve_attack_nodes"]

@@ -310,22 +310,26 @@ def _chaos_config():
 
 
 def _cache_snapshot(cluster) -> Dict[str, Dict[str, Any]]:
-    """Hit/miss counters from every cache layer the run exercised."""
+    """Hit/miss counters from every cache layer the run exercised.
+
+    The one cache inventory: the cluster's ``cache`` metrics source
+    flattens this same dict.
+    """
     from repro.crypto import feldman, hashing
 
     caches: Dict[str, Dict[str, Any]] = {
         "digest": hashing.digest_cache_stats(),
         "feldman_verify": feldman.verify_cache_stats(),
     }
-    registry = getattr(cluster, "registry", None)
-    if registry is not None and hasattr(registry, "verify_cache_stats"):
-        caches["signature_verify"] = registry.verify_cache_stats()
-    threshold = getattr(cluster, "threshold", None)
-    if threshold is not None and hasattr(threshold, "verify_cache_stats"):
-        caches["threshold_verify"] = threshold.verify_cache_stats()
-    obf = getattr(cluster, "obf", None)
-    if obf is not None and hasattr(obf, "decrypt_cache_stats"):
-        caches["vss_decrypt"] = obf.decrypt_cache_stats()
+    for name, owner, accessor in (
+        ("signature_verify", cluster.registry, "verify_cache_stats"),
+        ("threshold_verify", cluster.threshold, "verify_cache_stats"),
+        # ``obf`` is None under Pompē, and the hash scheme has no cache.
+        ("vss_decrypt", cluster.obf, "decrypt_cache_stats"),
+    ):
+        stats = getattr(owner, accessor, None)
+        if stats is not None:
+            caches[name] = stats()
     return caches
 
 

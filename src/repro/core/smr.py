@@ -15,6 +15,8 @@ guarantees hold *in the implementation*, not just in the proofs:
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import eq, gt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -22,7 +24,9 @@ def is_prefix(shorter: Sequence, longer: Sequence) -> bool:
     """True iff ``shorter`` is a prefix of ``longer``."""
     if len(shorter) > len(longer):
         return False
-    return all(a == b for a, b in zip(shorter, longer))
+    # The element loop stays in C: the watchdog runs this over every
+    # replica's whole log at every sample.
+    return all(map(eq, shorter, longer))
 
 
 def check_prefix_consistency(
@@ -62,6 +66,8 @@ def check_prefix_consistency(
 def check_output_sorted(output: Sequence[Tuple[int, bytes]]) -> Optional[str]:
     """The committed log must be ordered by decided sequence number
     (Definition 5), ties broken by cipher id."""
+    if not any(map(gt, output, islice(output, 1, None))):
+        return None  # the common case, with the element loop in C
     for idx in range(1, len(output)):
         if output[idx - 1] > output[idx]:
             return (

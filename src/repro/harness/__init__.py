@@ -1,7 +1,9 @@
-"""Experiment harness: cluster builders, sweeps and figure regenerators.
+"""Experiment harness: the cluster, sweeps and figure regenerators.
 
-- :func:`build_cluster` — the unified factory: assemble a full simulated
-  deployment for any registered protocol from an :class:`ExperimentConfig`.
+- :func:`build_cluster` — the factory: assemble a full simulated
+  deployment from an :class:`ExperimentConfig` as one :class:`Cluster`,
+  with the protocol's adapter (Lyra or Pompē) supplying the replicas and
+  their taps.
 - :mod:`repro.harness.sweep` — parallel (config, seed) grid sweeps with
   content-addressed result caching.
 - :mod:`repro.harness.experiments` — one entry point per paper artefact
@@ -9,13 +11,8 @@
 """
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.cluster import ExperimentResult, LyraCluster
-from repro.harness.factory import (
-    available_protocols,
-    build_cluster,
-    register_protocol,
-)
-from repro.harness.pompe_cluster import PompeCluster
+from repro.harness.cluster import Cluster, ExperimentResult
+from repro.harness.factory import available_protocols, build_cluster
 from repro.harness.sweep import (
     SweepCell,
     SweepReport,
@@ -26,10 +23,8 @@ from repro.harness.sweep import (
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "LyraCluster",
-    "PompeCluster",
+    "Cluster",
     "build_cluster",
-    "register_protocol",
     "available_protocols",
     "SweepCell",
     "SweepReport",

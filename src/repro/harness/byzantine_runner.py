@@ -18,6 +18,7 @@ from repro.attacks.byzantine import (
     SilentProposerNode,
 )
 from repro.attacks.pompe_attacks import CensoringLeaderNode
+from repro.harness.cluster import check_safety
 from repro.harness.config import ExperimentConfig
 from repro.harness.factory import build_cluster
 from repro.sim.engine import MILLISECONDS, SECONDS
@@ -95,20 +96,13 @@ def run_byzantine_case(case: str, *, seed: int = 13, n: int = 4) -> Dict:
     result = cluster.run(skip_safety_check=True)
     # Safety over CORRECT replicas only (the Byzantine one may lie about
     # its own output).
-    from repro.core.smr import check_output_sorted, check_prefix_consistency
-
-    outputs = {
-        node.pid: node.output_sequence()
-        for node in cluster.nodes
-        if node.pid != byz_pid
-    }
-    violation = check_prefix_consistency(outputs)
-    if violation is None:
-        for pid, output in outputs.items():
-            err = check_output_sorted(output)
-            if err:
-                violation = f"pid {pid}: {err}"
-                break
+    violation = check_safety(
+        {
+            node.pid: node.output_sequence()
+            for node in cluster.nodes
+            if node.pid != byz_pid
+        }
+    )
 
     correct_completed = sum(
         c.stats.completed for c in cluster.clients[: n - 1]

@@ -1,12 +1,20 @@
-"""The Lyra cluster and the experiment result schema.
+"""One cluster for every protocol, and the experiment result schema.
 
-:class:`LyraCluster` assembles a full simulated deployment — topology,
-WAN, PKI, threshold/VSS schemes, replicas, workload clients — from an
+:class:`Cluster` assembles a full simulated deployment — topology, WAN,
+PKI, replicas, workload clients, fault injector, network options,
+invariant watchdog, metrics registry — from an
 :class:`~repro.harness.config.ExperimentConfig`; ``run()`` drives it for
 the configured virtual duration and returns consolidated measurements plus
-safety-check results.  Construct it through
-:func:`repro.harness.factory.build_cluster`; the Pompē equivalent lives in
-:mod:`repro.harness.pompe_cluster`.
+safety-check results.  Everything that differs between protocols sits in a
+small adapter, one per protocol (:data:`PROTOCOLS`): it builds the replicas,
+maps their execution callback onto the cluster's execution tap, installs
+the MEV ordering-phase tap, and names the config features the protocol
+cannot honour.  Construct a cluster through
+:func:`repro.harness.factory.build_cluster`.
+
+The result consolidation — latency summary, windowed throughput, end-of-run
+safety check — is one set of helpers shared with the sharded coordinator
+in :mod:`repro.sim.shard`.
 """
 
 from __future__ import annotations
@@ -14,8 +22,9 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.baselines.pompe import PompeConfig, PompeNode
 from repro.core.clocks import true_distance_us
 from repro.core.commit import CommitConfig
 from repro.core.gossip_distance import GossipDistanceEstimator
@@ -26,6 +35,7 @@ from repro.crypto.cost import DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
 from repro.harness.config import ExperimentConfig
+from repro.metrics.fairness import fairness_block
 from repro.metrics.invariants import InvariantWatchdog
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracelog import TraceLog, install_lyra_tracing
@@ -35,8 +45,7 @@ from repro.net.faults import FaultInjector
 from repro.net.latency import make_latency_model
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Topology
-from repro.metrics.fairness import fairness_block
-from repro.sim.engine import SECONDS, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.clients import TxKey, _BaseClient
 from repro.workload.kvstore import KvStore
@@ -117,64 +126,88 @@ class ExperimentResult:
         return cls(**data)
 
 
-class LyraCluster:
-    """A fully wired Lyra deployment inside one simulator.
-
-    ``node_classes`` maps pid -> a :class:`LyraNode` subclass (Byzantine
-    behaviours for attack experiments); ``node_kwargs`` maps pid -> extra
-    constructor kwargs for that subclass.
-
-    ``local_pids`` puts the cluster in shard-worker mode (see
-    :mod:`repro.sim.shard`): the FULL cluster is still built — identical
-    construction-time RNG draws, pids and topology on every worker — but
-    crash-plan events, the watchdog and client traffic are restricted to
-    the local partition; remote clients are neutered via ``crashed=True``
-    (:meth:`SimProcess.send` drops silently when crashed).
-    """
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        *,
-        node_classes: Optional[Dict[int, type]] = None,
-        node_kwargs: Optional[Dict[int, dict]] = None,
-        local_pids: Optional[Sequence[int]] = None,
-    ) -> None:
-        self.config = config
-        self.local_pids: Optional[frozenset] = (
-            frozenset(local_pids) if local_pids is not None else None
+# ----------------------------------------------------------------------
+# Result consolidation, shared by Cluster.run() and the shard coordinator
+# ----------------------------------------------------------------------
+def summarise_latencies(result: ExperimentResult, latencies: List[int]) -> None:
+    """Store the submit->reply sample on ``result`` with its avg/p50/p99."""
+    result.latencies_us = latencies
+    if latencies:
+        result.avg_latency_us = float(statistics.fmean(latencies))
+        ordered = sorted(latencies)
+        result.p50_latency_us = float(ordered[len(ordered) // 2])
+        result.p99_latency_us = float(
+            ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
         )
-        self.sim = Simulator()
-        self.rng = RngRegistry(config.seed)
-        f = config.resolved_f()
-        n = config.n_nodes
 
-        # Resolve config-declared attack replicas through the registry;
-        # explicit builder arguments override them per pid.
-        if config.attack_nodes:
-            from repro.attacks.registry import resolve_attack_nodes
 
-            attack_classes, attack_kwargs = resolve_attack_nodes(
-                config.attack_nodes, n
-            )
-            attack_classes.update(node_classes or {})
-            for pid, extra in (node_kwargs or {}).items():
-                attack_kwargs[pid] = {**attack_kwargs.get(pid, {}), **extra}
-            node_classes = attack_classes
-            node_kwargs = attack_kwargs
+def windowed_throughput(
+    exec_events: Iterable[List[Tuple[int, int]]], measure_from: int, duration_us: int
+) -> float:
+    """Committed-transaction throughput over the measurement window, from
+    replica-side ``(time, tx count)`` execution logs (the paper reports
+    replica-observed commit throughput).  All correct replicas execute the
+    same log; the median replica is robust to stragglers still draining at
+    the cutoff."""
+    window_us = max(1, duration_us - measure_from)
+    per_node = sorted(
+        sum(count for t, count in events if t >= measure_from)
+        for events in exec_events
+    )
+    if not per_node:
+        return 0.0
+    return per_node[len(per_node) // 2] * 1_000_000.0 / window_us
 
-        self.topology = Topology(n, config.regions)
-        self.registry = KeyRegistry(config.seed)
-        self.threshold = ThresholdScheme(2 * f + 1, n, seed=config.seed)
-        self.obf = make_obfuscation(
-            config.obfuscation, 2 * f + 1, n, seed=config.seed
+
+def check_safety(outputs: Dict[int, List[Tuple[int, bytes]]]) -> Optional[str]:
+    """End-of-run SMR safety: prefix agreement, then each log sorted."""
+    violation = check_prefix_consistency(outputs)
+    if violation is None:
+        for pid in sorted(outputs):
+            err = check_output_sorted(outputs[pid])
+            if err is not None:
+                return f"pid {pid}: {err}"
+    return violation
+
+
+def instance_counts(nodes: Iterable) -> Tuple[int, int]:
+    """``(accepted, rejected)`` BOC instances: accepted is the furthest
+    replica's count, rejected the sum over replicas.  Replicas without a
+    Lyra commit state (Pompē) contribute nothing."""
+    commits = [c for c in (getattr(node, "commit", None) for node in nodes) if c]
+    return (
+        max((c.accepted_count for c in commits), default=0),
+        sum(c.rejected_count for c in commits),
+    )
+
+
+# ----------------------------------------------------------------------
+# Protocol adapters
+# ----------------------------------------------------------------------
+class LyraAdapter:
+    """Lyra: commit-reveal replicas whose payloads are first readable at
+    execution."""
+
+    node_class = LyraNode
+
+    def unsupported(self, config: ExperimentConfig) -> List[str]:
+        return []
+
+    def byzantine_classes(self, config: ExperimentConfig):
+        """Config-declared attack replicas, through the attack registry."""
+        if not config.attack_nodes:
+            return {}, {}
+        from repro.attacks.registry import resolve_attack_nodes
+
+        return resolve_attack_nodes(config.attack_nodes, config.n_nodes)
+
+    def build_nodes(self, cluster: "Cluster", classes, kwargs) -> List[LyraNode]:
+        config = cluster.config
+        cluster.obf = make_obfuscation(
+            config.obfuscation, 2 * cluster.f + 1, cluster.n, seed=config.seed
         )
-        costs = DEFAULT_COSTS.scaled(config.cpu_cost_scale)
-
-        # Replicas.
-        self.nodes: List[LyraNode] = []
-        skew_rng = self.rng.get("clock-skew")
-        for pid in range(n):
+        nodes = []
+        for pid, skew_us in enumerate(cluster.clock_skews()):
             node_cfg = LyraConfig(
                 batch_size=config.batch_size,
                 batch_timeout_us=config.batch_timeout_us,
@@ -198,28 +231,199 @@ class LyraCluster:
                 gossip_spacing_us=config.gossip_spacing_us,
                 gossip_seed=config.seed,
                 obfuscation=config.obfuscation,
-                costs=costs,
-                clock_skew_us=int(
-                    skew_rng.integers(
-                        -config.clock_skew_max_us, config.clock_skew_max_us + 1
-                    )
-                ),
+                costs=cluster.costs,
+                clock_skew_us=skew_us,
             )
-            cls = (node_classes or {}).get(pid, LyraNode)
-            extra = (node_kwargs or {}).get(pid, {})
-            node = cls(
+            cls = classes.get(pid, LyraNode)
+            extra = {"obfuscation": cluster.obf, **kwargs.get(pid, {})}
+            nodes.append(cluster.replica(cls, pid, node_cfg, **extra))
+        return nodes
+
+    def tap_execution(self, cluster: "Cluster", node: LyraNode, tap) -> None:
+        # The KV store is applied here only: Pompē keeps no store (at n=100
+        # it would hold ~200k entries for no reader).
+        store = cluster.stores[node.pid] = KvStore()
+
+        def hook(entry, batch):
+            store.apply_batch(batch)
+            tap(batch)
+
+        node.on_executed = hook
+
+    def tap_ordering(self, node: LyraNode, bots: Tuple) -> None:
+        # Bodies are VSS-encrypted until commit, so a bot's first look is
+        # its home replica's execution — why sandwiches structurally fail.
+        prev = node.on_executed
+
+        def hook(entry, batch):
+            prev(entry, batch)
+            for bot in bots:
+                bot.on_observed_batch(batch)
+
+        node.on_executed = hook
+
+    def instrument(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
+        for node in cluster.nodes:
+            node.enable_metrics(registry)
+        # Estimator error vs the latency model's ground truth (per-node
+        # estimator health is registered by ``enable_metrics`` itself).
+        registry.add_source("distance", cluster.distance_error_stats)
+
+    def before_snapshot(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
+        # End-of-run estimator accuracy: per-pair abs errors land in a
+        # registry histogram (p50/p99 via the shared summary path).
+        registry.histogram("distance", "abs_error_us").observe_many(
+            cluster._distance_error_values()[1]
+        )
+
+
+class PompeAdapter:
+    """Pompē: clear-text ordering phase, then HotStuff, then execution in
+    assigned-timestamp order."""
+
+    node_class = PompeNode
+
+    def unsupported(self, config: ExperimentConfig) -> List[str]:
+        plan = config.fault_plan
+        checks = (
+            (config.tracing, "tracing=True (install_lyra_tracing is Lyra's)"),
+            (config.attack_nodes, "attack_nodes (the registry holds Lyra nodes)"),
+            (
+                config.distance_mode != "probe",
+                f"distance_mode={config.distance_mode!r} (Pompē learns no distances)",
+            ),
+            (
+                config.dissemination == "gossip",
+                "dissemination='gossip' (it relies on Lyra's pull repair for "
+                "replicas the push misses)",
+            ),
+            (
+                plan is not None
+                and any(ev.recover_at_us is not None for ev in plan.crashes),
+                "crash recover_at_us (PompeNode has no recover(): nothing "
+                "re-arms batch-flush, wm-tick, resubmit or the view timer)",
+            ),
+        )
+        return [why for failed, why in checks if failed]
+
+    def byzantine_classes(self, config: ExperimentConfig):
+        """A colluding MEV bot's home replica cherry-picks timestamps: it
+        biases the assigned timestamps of the batches it orders (the bot's
+        front-runs) downward — protocol-legal for a Byzantine node."""
+        classes = {}
+        for group in config.resolved_workload().groups:
+            if group.client == "mev" and group.collude:
+                # Imported only when needed: the attacks package is ~10 ms.
+                from repro.attacks.pompe_attacks import CherryPickingOrdererNode
+
+                for home in set(group.homes(config.n_nodes)):
+                    classes[home] = CherryPickingOrdererNode
+        return classes, {}
+
+    def build_nodes(self, cluster: "Cluster", classes, kwargs) -> List[PompeNode]:
+        config = cluster.config
+        return [
+            cluster.replica(
+                classes.get(pid, PompeNode),
                 pid,
-                self.sim,
-                n=n,
-                f=f,
-                registry=self.registry,
-                threshold=self.threshold,
-                obfuscation=self.obf,
-                config=node_cfg,
-                rng=self.rng,
-                **extra,
+                PompeConfig(
+                    batch_size=config.batch_size,
+                    batch_timeout_us=config.batch_timeout_us,
+                    costs=cluster.costs,
+                    clock_skew_us=skew_us,
+                ),
+                **kwargs.get(pid, {}),
             )
-            self.nodes.append(node)
+            for pid, skew_us in enumerate(cluster.clock_skews())
+        ]
+
+    def tap_execution(self, cluster: "Cluster", node: PompeNode, tap) -> None:
+        node.on_executed = lambda cert: tap(cert.batch)
+
+    def tap_ordering(self, node: PompeNode, bots: Tuple) -> None:
+        # Batches travel in clear text during the ordering phase, so the bot
+        # sees every victim payload before a timestamp is assigned — the
+        # attack surface Lyra closes.  Chained after any existing hook (a
+        # colluding CherryPickingOrdererNode installs its own).
+        prev = node.observe_batch
+
+        def tap(batch, sender):
+            if prev is not None:
+                prev(batch, sender)
+            for bot in bots:
+                bot.on_observed_batch(batch)
+
+        node.observe_batch = tap
+
+    def instrument(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
+        pass
+
+    def before_snapshot(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
+        pass
+
+
+#: Protocol name -> adapter; ``build_cluster`` and the CLI read this table.
+PROTOCOLS: Dict[str, Any] = {"lyra": LyraAdapter(), "pompe": PompeAdapter()}
+
+
+class Cluster:
+    """A fully wired deployment of one protocol inside one simulator.
+
+    ``node_classes`` maps pid -> a replica subclass (Byzantine behaviours
+    for attack experiments); ``node_kwargs`` maps pid -> extra constructor
+    kwargs for that subclass.  Both override, per pid, the replicas the
+    config itself implies (``attack_nodes`` under Lyra, colluding MEV bots'
+    home replicas under Pompē).
+
+    ``local_pids`` puts the cluster in shard-worker mode (see
+    :mod:`repro.sim.shard`): the FULL cluster is still built — identical
+    construction-time RNG draws, pids and topology on every worker — but
+    crash-plan events, the watchdog and client traffic are restricted to
+    the local partition; remote clients are neutered via ``crashed=True``
+    (:meth:`SimProcess.send` drops silently when crashed).
+    """
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        *,
+        protocol: str = "lyra",
+        node_classes: Optional[Dict[int, type]] = None,
+        node_kwargs: Optional[Dict[int, dict]] = None,
+        local_pids: Optional[Sequence[int]] = None,
+    ) -> None:
+        adapter = PROTOCOLS.get(protocol.lower())
+        if adapter is None:
+            known = ", ".join(sorted(PROTOCOLS))
+            raise ValueError(f"unknown protocol {protocol!r}; available: {known}")
+        problems = adapter.unsupported(config)
+        if problems:
+            raise ValueError(f"{protocol} cannot honour: " + "; ".join(problems))
+        self.protocol = adapter
+        self.config = config
+        self.local_pids: Optional[frozenset] = (
+            frozenset(local_pids) if local_pids is not None else None
+        )
+        self.sim = Simulator()
+        self.rng = RngRegistry(config.seed)
+        self.f = f = config.resolved_f()
+        self.n = n = config.n_nodes
+
+        # Replica classes the config implies; explicit builder arguments
+        # override them per pid.
+        classes, kwargs = adapter.byzantine_classes(config)
+        classes.update(node_classes or {})
+        for pid, extra in (node_kwargs or {}).items():
+            kwargs[pid] = {**kwargs.get(pid, {}), **extra}
+
+        self.topology = Topology(n, config.regions)
+        self.registry = KeyRegistry(config.seed)
+        self.threshold = ThresholdScheme(2 * f + 1, n, seed=config.seed)
+        self.costs = DEFAULT_COSTS.scaled(config.cpu_cost_scale)
+        #: The commit-reveal scheme (set by the Lyra adapter; Pompē orders
+        #: clear text).
+        self.obf = None
+        self.nodes: List = adapter.build_nodes(self, classes, kwargs)
 
         # Clients: declared by the workload spec (legacy knobs shim into
         # an equivalent spec), resolved through the client registry, each
@@ -262,14 +466,8 @@ class LyraCluster:
         if plan is not None and not plan.empty:
             # Crashes and Byzantine/attack replicas share the resilience
             # budget: the plan is rejected if they jointly exceed f.
-            byz = tuple(
-                sorted(
-                    pid
-                    for pid, cls in (node_classes or {}).items()
-                    if cls is not LyraNode
-                )
-            )
-            plan.validate_for(n, f, byzantine=byz)
+            byz = sorted(p for p, c in classes.items() if c is not adapter.node_class)
+            plan.validate_for(n, f, byzantine=tuple(byz))
             self.fault_injector = FaultInjector(plan, self.rng)
         self.network = Network(
             self.sim,
@@ -328,8 +526,6 @@ class LyraCluster:
         self.metrics: Optional[MetricsRegistry] = None
         if config.metrics:
             self.metrics = MetricsRegistry()
-            for node in self.nodes:
-                node.enable_metrics(self.metrics)
             self.network.enable_link_stats()
             self.metrics.add_source("wire", self._wire_source)
             if self.fault_injector is not None:
@@ -342,10 +538,7 @@ class LyraCluster:
                 )
             self.metrics.add_source("cache", self._cache_source)
             self.metrics.add_source("workload", self.workload.metrics_source)
-            # Estimator error vs the latency model's ground truth (works
-            # for both distance modes; per-node estimator health is
-            # registered by ``LyraNode.enable_metrics`` itself).
-            self.metrics.add_source("distance", self.distance_error_stats)
+            adapter.instrument(self, self.metrics)
 
         # Always-on invariant watchdog: prefix agreement, commit
         # regression, ordered output, and post-GST liveness.  A shard
@@ -356,46 +549,58 @@ class LyraCluster:
             self.sim, self.local_nodes(), f=f, gst_us=liveness_from
         )
 
-        # Execution layer + per-node execution event log (time, tx count).
-        # The fairness layer taps replica 0's execution order (all correct
-        # replicas execute the same log), and MEV bots observe payloads at
-        # their home replica's execution — under Lyra that is the first
-        # moment *any* replica can read a VSS-encrypted body, which is why
-        # sandwiches structurally fail here (contrast the Pompē cluster's
-        # cleartext ordering-phase tap).
+        # Execution taps: a per-replica execution event log (time, tx
+        # count) for throughput, replica 0's execution order for the
+        # fairness layer (all correct replicas execute the same log), and
+        # the MEV bots' view of payloads at their home replica.
         self.committed_order: List[TxKey] = []
-        mev_by_home = self.workload.mev_bots_by_home()
+        #: Per-replica key-value stores (Lyra only).
         self.stores: Dict[int, KvStore] = {}
         self.exec_events: Dict[int, List[Tuple[int, int]]] = {}
+        mev_by_home = self.workload.mev_bots_by_home()
         for node in self.nodes:
-            store = KvStore()
-            self.stores[node.pid] = store
-            events: List[Tuple[int, int]] = []
-            self.exec_events[node.pid] = events
-
-            def _hook(entry, batch, store=store, events=events, node=node):
-                store.apply_batch(batch)
-                events.append((node.sim.now, len(batch)))
-
-            hook = _hook
-            if self.workload_spec.fairness and node.pid == 0:
-
-                def hook(entry, batch, prev=hook, order=self.committed_order):
-                    prev(entry, batch)
-                    order.extend(tx.key() for tx in batch.txs)
-
+            adapter.tap_execution(self, node, self._execution_tap(node.pid))
             bots = mev_by_home.get(node.pid)
             if bots:
-
-                def hook(entry, batch, prev=hook, bots=tuple(bots)):
-                    prev(entry, batch)
-                    for bot in bots:
-                        bot.on_observed_batch(batch)
-
-            node.on_executed = hook
+                adapter.tap_ordering(node, tuple(bots))
 
     # ------------------------------------------------------------------
-    def local_nodes(self) -> List[LyraNode]:
+    # Construction helpers for the adapters
+    # ------------------------------------------------------------------
+    def clock_skews(self) -> List[int]:
+        """One constant clock skew per replica, in pid order."""
+        rng = self.rng.get("clock-skew")
+        bound = self.config.clock_skew_max_us
+        return [int(rng.integers(-bound, bound + 1)) for _ in range(self.n)]
+
+    def replica(self, cls: type, pid: int, node_config, **extra):
+        """Construct one replica with the cluster-wide PKI and RNG."""
+        return cls(
+            pid,
+            self.sim,
+            n=self.n,
+            f=self.f,
+            registry=self.registry,
+            threshold=self.threshold,
+            config=node_config,
+            rng=self.rng,
+            **extra,
+        )
+
+    def _execution_tap(self, pid: int) -> Callable:
+        events = self.exec_events[pid] = []
+        sim = self.sim
+        fair = self.workload_spec.fairness and pid == 0
+        order = self.committed_order
+
+        def tap(batch):
+            events.append((sim.now, len(batch)))
+            if fair:
+                order.extend(tx.key() for tx in batch.txs)
+
+        return tap
+
+    def local_nodes(self) -> List:
         """The replicas this process simulates (all of them outside shard
         mode)."""
         if self.local_pids is None:
@@ -418,27 +623,31 @@ class LyraCluster:
         return out
 
     def _cache_source(self) -> Dict[str, float]:
-        from repro.crypto import feldman, hashing
+        """The bench suite's cache inventory, flattened to ``layer.key``."""
+        from repro.bench.suite import _cache_snapshot
 
-        layers: Dict[str, Dict[str, Any]] = {
-            "digest": hashing.digest_cache_stats(),
-            "feldman_verify": feldman.verify_cache_stats(),
+        return {
+            f"{layer}.{key}": value
+            for layer, stats in _cache_snapshot(self).items()
+            for key, value in stats.items()
+            if isinstance(value, (int, float))
         }
-        if hasattr(self.registry, "verify_cache_stats"):
-            layers["signature_verify"] = self.registry.verify_cache_stats()
-        if hasattr(self.threshold, "verify_cache_stats"):
-            layers["threshold_verify"] = self.threshold.verify_cache_stats()
-        if hasattr(self.obf, "decrypt_cache_stats"):
-            layers["vss_decrypt"] = self.obf.decrypt_cache_stats()
-        out: Dict[str, float] = {}
-        for layer, stats in layers.items():
-            for key, value in stats.items():
-                if isinstance(value, (int, float)):
-                    out[f"{layer}.{key}"] = value
-        return out
+
+    def fault_stats(self) -> Dict[str, int]:
+        """Transport drop counters plus fault-injector and reliable-channel
+        stats, when those layers are on."""
+        stats: Dict[str, int] = {
+            "unroutable_dropped": self.network.unroutable_dropped,
+            "corrupt_dropped": self.network.corrupt_dropped,
+        }
+        if self.fault_injector is not None:
+            stats.update(self.fault_injector.stats.to_dict())
+        if self.network.reliable is not None:
+            stats.update(self.network.reliable.stats.to_dict())
+        return stats
 
     # ------------------------------------------------------------------
-    # Distance-estimation accounting (tentpole: gossip estimator)
+    # Distance-estimation accounting (Lyra replicas only)
     # ------------------------------------------------------------------
     def _distance_error_values(self) -> Tuple[int, List[float]]:
         """``(pairs_total, per-pair abs errors)`` of every local node's
@@ -537,53 +746,33 @@ class LyraCluster:
         # as incomplete, never silently dropped.
         self.workload.finalize(self.sim.now)
 
-        measure_from = cfg.measurement_start_us()
-        latencies: List[int] = []
-        for client in self.clients:
-            latencies.extend(client.stats.latencies_us)
-        # Throughput: replica-side executed transactions over the
-        # measurement window (clients only see their own completions).
-        executed_total = max(
-            (node.stats.txs_executed for node in self.nodes), default=0
-        )
-
+        accepted, rejected = instance_counts(self.nodes)
         result = ExperimentResult(
             n_nodes=cfg.n_nodes,
             duration_us=cfg.duration_us,
-            executed_total=executed_total,
+            # Replica-side executions (clients only see their own).
+            executed_total=max(
+                (node.stats.txs_executed for node in self.nodes), default=0
+            ),
             committed_count=sum(c.stats.completed for c in self.clients),
-            latencies_us=latencies,
             events_processed=self.sim.events_processed,
             messages_delivered=self.network.messages_delivered,
             bytes_delivered=self.network.bytes_delivered,
+            accepted_instances=accepted,
+            rejected_instances=rejected,
+            invariant_checks=self.watchdog.report.checks_run,
+            invariant_violations=[
+                v.render() for v in self.watchdog.report.violations
+            ],
+            fault_stats=self.fault_stats(),
             sim_wall_s=sim_wall_s,
         )
-        if latencies:
-            result.avg_latency_us = float(statistics.fmean(latencies))
-            ordered = sorted(latencies)
-            result.p50_latency_us = float(ordered[len(ordered) // 2])
-            result.p99_latency_us = float(ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))])
-        result.throughput_tps = self._windowed_throughput(measure_from)
-        result.rejected_instances = sum(
-            node.commit.rejected_count for node in self.nodes if node.commit
+        summarise_latencies(
+            result, [lat for c in self.clients for lat in c.stats.latencies_us]
         )
-        result.accepted_instances = max(
-            (node.commit.accepted_count for node in self.nodes if node.commit),
-            default=0,
+        result.throughput_tps = windowed_throughput(
+            self.exec_events.values(), cfg.measurement_start_us(), cfg.duration_us
         )
-        result.invariant_checks = self.watchdog.report.checks_run
-        result.invariant_violations = [
-            v.render() for v in self.watchdog.report.violations
-        ]
-        stats: Dict[str, int] = {
-            "unroutable_dropped": self.network.unroutable_dropped,
-            "corrupt_dropped": self.network.corrupt_dropped,
-        }
-        if self.fault_injector is not None:
-            stats.update(self.fault_injector.stats.to_dict())
-        if self.network.reliable is not None:
-            stats.update(self.network.reliable.stats.to_dict())
-        result.fault_stats = stats
         if self.workload_spec.fairness:
             block = fairness_block(
                 submitted_order=self.workload.submit_order(),
@@ -596,32 +785,21 @@ class LyraCluster:
         if self.network.wire_stats.frames_sent:
             result.wire_stats = self.network.wire_stats.to_dict()
         if self.dissemination is not None:
-            result.wire_stats = dict(result.wire_stats)
             result.wire_stats["dissemination"] = self.dissemination.stats_dict()
         if cfg.distance_mode == "gossip":
-            result.wire_stats = dict(result.wire_stats)
             result.wire_stats["gossip_distance"] = self.gossip_distance_stats()
             result.wire_stats["distance_error"] = self.distance_error_stats()
         if self.metrics is not None:
-            # End-of-run estimator accuracy: per-pair abs errors land in a
-            # registry histogram (p50/p99 via the shared summary path).
-            self.metrics.histogram("distance", "abs_error_us").observe_many(
-                self._distance_error_values()[1]
-            )
+            self.protocol.before_snapshot(self, self.metrics)
             snap = self.metrics.snapshot()
             link = self.network.link_stats()
             if link:
                 snap["links"] = link
             result.metrics = snap
         if not skip_safety_check:
-            outputs = {node.pid: node.output_sequence() for node in self.nodes}
-            result.safety_violation = check_prefix_consistency(outputs)
-            if result.safety_violation is None:
-                for pid, output in outputs.items():
-                    err = check_output_sorted(output)
-                    if err is not None:
-                        result.safety_violation = f"pid {pid}: {err}"
-                        break
+            result.safety_violation = check_safety(
+                {node.pid: node.output_sequence() for node in self.nodes}
+            )
         return result
 
     def _drain_coalesced(self, horizon_us: int) -> None:
@@ -646,22 +824,13 @@ class LyraCluster:
             if not self.network.pending_coalesced():
                 break
 
-    def _windowed_throughput(self, measure_from: int) -> float:
-        """Committed-transaction throughput over the measurement window,
-        from replica-side execution timestamps (the paper reports
-        replica-observed commit throughput)."""
-        window_us = max(1, self.config.duration_us - measure_from)
-        per_node = [
-            sum(count for t, count in events if t >= measure_from)
-            for events in self.exec_events.values()
-        ]
-        if not per_node:
-            return 0.0
-        # All correct replicas execute the same log; take the median to be
-        # robust to stragglers still draining at the cutoff.
-        per_node.sort()
-        total = per_node[len(per_node) // 2]
-        return total * 1_000_000.0 / window_us
 
-
-__all__ = ["LyraCluster", "ExperimentResult"]
+__all__ = [
+    "Cluster",
+    "ExperimentResult",
+    "PROTOCOLS",
+    "check_safety",
+    "instance_counts",
+    "summarise_latencies",
+    "windowed_throughput",
+]

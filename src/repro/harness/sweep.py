@@ -65,7 +65,10 @@ from repro.harness.config import ExperimentConfig
 #: ``config.to_dict()`` like every other field).
 #: Schema 3: ``ExperimentConfig`` dropped three fields; records written
 #: with them would fail ``from_dict``'s unknown-field check.
-CACHE_SCHEMA = 3
+#: Schema 4: Pompē runs on the shared cluster, so its results now carry
+#: the watchdog's ``invariant_checks``, ``fault_stats`` and an
+#: ordered-output safety check.
+CACHE_SCHEMA = 4
 
 
 # ----------------------------------------------------------------------

@@ -214,7 +214,7 @@ class Network:
         past the simulator's run horizon, leaving messages parked in
         outboxes when the run stops — they must be flushed (and the
         resulting deliveries given time to land), not silently dropped.
-        :meth:`LyraCluster.run` calls this in its end-of-run drain loop.
+        :meth:`Cluster.run` calls this in its end-of-run drain loop.
         Returns the number of messages flushed.
         """
         pending = self.pending_coalesced()

@@ -54,7 +54,6 @@ submission/observation order).
 from __future__ import annotations
 
 import hashlib
-import statistics
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -223,11 +222,11 @@ def _shard_worker(conn, config_dict: Dict[str, Any], node_pids: List[int]) -> No
     partition, trade frames at every barrier.  Must stay at module top
     level so multiprocessing can target it under any start method."""
     try:
-        from repro.harness.cluster import LyraCluster
+        from repro.harness.cluster import Cluster
         from repro.harness.config import ExperimentConfig
 
         config = ExperimentConfig.from_dict(config_dict)
-        cluster = LyraCluster(config, local_pids=node_pids)
+        cluster = Cluster(config, local_pids=node_pids)
         local_nodes = set(node_pids)
         local = set(node_pids) | {
             c.pid for c in cluster.clients if c.home in local_nodes
@@ -290,9 +289,12 @@ def _shard_worker(conn, config_dict: Dict[str, Any], node_pids: List[int]) -> No
 
 def _consolidate(cluster, local_nodes: set) -> Dict[str, Any]:
     """Everything the coordinator needs from one worker, as plain data."""
+    from repro.harness.cluster import instance_counts
+
     nodes = cluster.local_nodes()
     clients = [c for c in cluster.clients if c.home in local_nodes]
-    blob: Dict[str, Any] = {
+    accepted, rejected = instance_counts(nodes)
+    return {
         "outputs": {node.pid: node.output_sequence() for node in nodes},
         "exec_events": {
             pid: events
@@ -307,19 +309,14 @@ def _consolidate(cluster, local_nodes: set) -> Dict[str, Any]:
         "latencies": sorted(
             (c.pid, list(c.stats.latencies_us)) for c in clients
         ),
-        "rejected": sum(n.commit.rejected_count for n in nodes if n.commit),
-        "accepted": max(
-            (n.commit.accepted_count for n in nodes if n.commit), default=0
-        ),
+        "rejected": rejected,
+        "accepted": accepted,
         "invariant_checks": cluster.watchdog.report.checks_run,
         "watchdog_ticks": cluster.watchdog.ticks,
         "invariant_violations": [
             v.render() for v in cluster.watchdog.report.violations
         ],
-        "fault_stats": {
-            "unroutable_dropped": cluster.network.unroutable_dropped,
-            "corrupt_dropped": cluster.network.corrupt_dropped,
-        },
+        "fault_stats": cluster.fault_stats(),
         "wire_stats": (
             cluster.network.wire_stats.to_dict()
             if cluster.network.wire_stats.frames_sent
@@ -331,11 +328,6 @@ def _consolidate(cluster, local_nodes: set) -> Dict[str, Any]:
             else None
         ),
     }
-    if cluster.fault_injector is not None:
-        blob["fault_stats"].update(cluster.fault_injector.stats.to_dict())
-    if cluster.network.reliable is not None:
-        blob["fault_stats"].update(cluster.network.reliable.stats.to_dict())
-    return blob
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +460,7 @@ def run_sharded(config, n_shards: int) -> ShardedRun:
             pending = workers.run_to(now)
             barriers += 1
         if pending and config.coalesce and config.coalesce_window_us > 0:
-            # Mirror LyraCluster._drain_coalesced across the fleet: flush
+            # Mirror Cluster._drain_coalesced across the fleet: flush
             # every open window, give the protocol Δ-sized grace steps —
             # each cut into epoch-bounded sub-barriers so lookahead still
             # holds — and stop when no worker has parked messages (or at
@@ -506,9 +498,9 @@ def run_sharded(config, n_shards: int) -> ShardedRun:
 
 
 def _run_single(config, plan: ShardPlan) -> ShardedRun:
-    from repro.harness.cluster import LyraCluster
+    from repro.harness.cluster import Cluster
 
-    cluster = LyraCluster(config)
+    cluster = Cluster(config)
     result = cluster.run()
     outputs = {node.pid: node.output_sequence() for node in cluster.nodes}
     return ShardedRun(result=result, outputs=outputs, plan=plan)
@@ -516,8 +508,12 @@ def _run_single(config, plan: ShardPlan) -> ShardedRun:
 
 def _merge(config, blobs: List[Dict[str, Any]], wall_s: float):
     """Fold worker blobs into one ExperimentResult + the merged outputs."""
-    from repro.core.smr import check_output_sorted, check_prefix_consistency
-    from repro.harness.cluster import ExperimentResult
+    from repro.harness.cluster import (
+        ExperimentResult,
+        check_safety,
+        summarise_latencies,
+        windowed_throughput,
+    )
 
     outputs: Dict[int, list] = {}
     exec_events: Dict[int, list] = {}
@@ -538,9 +534,7 @@ def _merge(config, blobs: List[Dict[str, Any]], wall_s: float):
         result.committed_count += blob["committed_count"]
         result.executed_total = max(result.executed_total, blob["executed_total"])
         result.rejected_instances += blob["rejected"]
-        result.accepted_instances = max(
-            result.accepted_instances, blob["accepted"]
-        )
+        result.accepted_instances = max(result.accepted_instances, blob["accepted"])
         result.invariant_checks += blob["invariant_checks"]
         result.invariant_violations.extend(blob["invariant_violations"])
         for key, value in blob["fault_stats"].items():
@@ -576,39 +570,17 @@ def _merge(config, blobs: List[Dict[str, Any]], wall_s: float):
         )
         result.wire_stats = wire_stats
     if dissemination is not None:
-        result.wire_stats = dict(result.wire_stats)
         result.wire_stats["dissemination"] = dissemination
 
-    latencies: List[int] = []
-    for _pid, values in sorted(latencies_by_pid):
-        latencies.extend(values)
-    result.latencies_us = latencies
-    if latencies:
-        result.avg_latency_us = float(statistics.fmean(latencies))
-        ordered = sorted(latencies)
-        result.p50_latency_us = float(ordered[len(ordered) // 2])
-        result.p99_latency_us = float(
-            ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-        )
-    # Same estimator as LyraCluster._windowed_throughput: per-node window
-    # sums, median across the merged fleet.
-    measure_from = config.measurement_start_us()
-    window_us = max(1, config.duration_us - measure_from)
-    per_node = sorted(
-        sum(count for t, count in events if t >= measure_from)
-        for events in exec_events.values()
+    summarise_latencies(
+        result,
+        [lat for _pid, values in sorted(latencies_by_pid) for lat in values],
     )
-    if per_node:
-        result.throughput_tps = (
-            per_node[len(per_node) // 2] * 1_000_000.0 / window_us
-        )
+    # Per-node window sums, median across the merged fleet.
+    result.throughput_tps = windowed_throughput(
+        exec_events.values(), config.measurement_start_us(), config.duration_us
+    )
     # The cross-shard safety check is the whole point: prefix agreement
     # is verified over the union of every worker's replicas.
-    result.safety_violation = check_prefix_consistency(outputs)
-    if result.safety_violation is None:
-        for pid in sorted(outputs):
-            err = check_output_sorted(outputs[pid])
-            if err is not None:
-                result.safety_violation = f"pid {pid}: {err}"
-                break
+    result.safety_violation = check_safety(outputs)
     return result, outputs

@@ -36,7 +36,6 @@ from repro.workload.spec import (
     Workload,
     WorkloadSpec,
     build_workload,
-    mev_node_classes,
 )
 
 __all__ = [
@@ -63,6 +62,5 @@ __all__ = [
     "client_class",
     "make_arrivals",
     "make_body_sampler",
-    "mev_node_classes",
     "register_client",
 ]

@@ -330,33 +330,9 @@ def build_workload(
     return workload
 
 
-def mev_node_classes(
-    spec: WorkloadSpec, protocol: str, n: int
-) -> Dict[int, type]:
-    """Byzantine node classes implied by colluding MEV-bot groups.
-
-    Under Pompē a colluding bot's home replica becomes a
-    :class:`~repro.attacks.pompe_attacks.CherryPickingOrdererNode`, which
-    biases the assigned timestamps of the batches it orders (the bot's
-    front-runs) downward — protocol-legal for a Byzantine node.  Lyra has
-    no cleartext ordering phase to exploit, so no classes are injected.
-    """
-    if protocol.lower() != "pompe":
-        return {}
-    classes: Dict[int, type] = {}
-    for group in spec.groups:
-        if group.client == "mev" and group.collude:
-            from repro.attacks.pompe_attacks import CherryPickingOrdererNode
-
-            for home in set(group.homes(n)):
-                classes[home] = CherryPickingOrdererNode
-    return classes
-
-
 __all__ = [
     "ClientGroup",
     "WorkloadSpec",
     "Workload",
     "build_workload",
-    "mev_node_classes",
 ]

@@ -78,7 +78,6 @@ MODULES = [
     "repro.harness.config",
     "repro.harness.experiments",
     "repro.harness.factory",
-    "repro.harness.pompe_cluster",
     "repro.harness.rounds",
     "repro.harness.sweep",
 ]

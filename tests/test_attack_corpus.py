@@ -10,11 +10,7 @@ import pytest
 
 from repro.attacks.corpus import CORPUS, PiggybackForgeryNode, SelectiveRevealNode
 from repro.attacks.fuzz import run_schedule
-from repro.attacks.registry import (
-    ATTACK_NODE_CLASSES,
-    byzantine_pids,
-    resolve_attack_nodes,
-)
+from repro.attacks.registry import ATTACK_NODE_CLASSES, resolve_attack_nodes
 from repro.harness import ExperimentConfig, build_cluster
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
@@ -114,7 +110,6 @@ class TestRegistry:
         assert classes[1] is ATTACK_NODE_CLASSES["cipher-replay"]
         assert classes[2] is SelectiveRevealNode
         assert kwargs[2] == {"mode": "delay"}
-        assert byzantine_pids(classes) == (1, 2)
 
     def test_resolve_rejects_unknown_names_and_pids(self):
         with pytest.raises(ValueError):

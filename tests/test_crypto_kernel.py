@@ -263,7 +263,11 @@ class TestPinnedToParent:
         assert prefix_digest(cluster) == (
             "7d9f4029ea216e420a733b55e3dd84745ccb65a04656f791372ec31d39bc4d4d"
         )
-        assert result.events_processed == 1102
+        # The protocol's 1102 events plus the invariant watchdog's 250 ms
+        # ticks, which read state and schedule nothing else.
+        assert cluster.watchdog.ticks == 8
+        assert result.events_processed == 1102 + cluster.watchdog.ticks
+        assert result.invariant_checks > 0 and not result.invariant_violations
         assert (result.messages_delivered, result.bytes_delivered) == (468, 82896)
         assert latency_fingerprint(cluster.clients) == (
             30,

@@ -201,7 +201,7 @@ class TestWatchdogExtraChecks:
         assert any(v.check == "late" for v in dog.report.violations)
 
     def test_cluster_final_sample_catches_late_violation(self):
-        """LyraCluster.run performs one check_now after the simulator
+        """Cluster.run performs one check_now after the simulator
         drains, so a check that only fires at/after the configured
         duration still lands in the result."""
         from repro.harness import ExperimentConfig, build_cluster

@@ -1,10 +1,14 @@
 """Tests for the Pompē baseline: ordering phase, median assignment,
-timestamp-ordered execution, end-to-end runs, and ordering linearizability."""
+timestamp-ordered execution, end-to-end runs, ordering linearizability,
+and what the shared cluster gives it (watchdog, fault plans, reliable
+channels) or refuses."""
 
 import pytest
 
+from repro.baselines.pompe import PompeNode
 from repro.harness.config import ExperimentConfig
 from repro.harness.factory import build_cluster
+from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config
@@ -120,3 +124,155 @@ class TestOrderingPhase:
         batch, sender = observed[0]
         assert sender == 0
         assert any(t.body.startswith(b"SECRET-INTENT") for t in batch.txs)
+
+
+LOSSY = FaultPlan(links=(LinkFault(drop_rate=0.1, duplicate_rate=0.05),))
+
+
+class ReverseDrainNode(PompeNode):
+    """Executes each drained set of certificates in descending timestamp
+    order: the shape of the known decide-overtake bug, on demand."""
+
+    def _drain_executions(self) -> None:
+        ready = sorted(
+            (c for c in self._decided.values() if c.assigned_ts <= self._watermark),
+            key=lambda c: (c.assigned_ts, c.batch_digest),
+            reverse=True,
+        )
+        for cert in ready:
+            del self._decided[cert.batch_digest]
+            self._executed.add(cert.batch_digest)
+            self.executed_log.append((cert.assigned_ts, cert.batch_digest))
+            self._execute(cert)
+
+
+class TestSharedCluster:
+    """Pompē runs the same cluster as Lyra: watchdog, fault plans, reliable
+    channels and network options apply, and what it cannot honour is a
+    named rejection."""
+
+    def test_watchdog_runs_on_a_default_run(self, pompe_run):
+        cluster, result = pompe_run
+        assert result.invariant_checks > 0
+        assert result.invariant_checks == cluster.watchdog.ticks + 1
+        assert result.invariant_violations == []
+
+    def test_watchdog_flags_out_of_order_execution(self):
+        # Two-transaction batches: several certificates become executable
+        # at once, so a reversed drain shows.  jitter=0 keeps links FIFO:
+        # with jitter this very shape already trips the honest baseline
+        # (a pipelined decide overtakes its predecessor).
+        cfg = quick_lyra_config(duration_us=3 * SECONDS, batch_size=2, jitter=0.0)
+        honest = build_cluster(cfg, protocol="pompe").run()
+        assert honest.invariant_violations == []
+        cluster = build_cluster(
+            cfg,
+            protocol="pompe",
+            node_classes={pid: ReverseDrainNode for pid in range(4)},
+        )
+        result = cluster.run()
+        assert any("ordered-output" in v for v in result.invariant_violations)
+        # The end-of-run check now includes ordered output too.
+        assert "out of order" in (result.safety_violation or "")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"coalesce": True}, {"dissemination": "tree", "fanout": 2}],
+        ids=["plain", "coalesce", "tree"],
+    )
+    def test_lossy_links_with_reliable_channels(self, extra):
+        """The fault plan and the network options are honoured, the run
+        still commits, and the watchdog agrees with the end-of-run check.
+        (Safety itself is not asserted: see the decide-overtake test.)"""
+        cfg = quick_lyra_config(
+            duration_us=3 * SECONDS, fault_plan=LOSSY, reliable_channels=True, **extra
+        )
+        result = build_cluster(cfg, protocol="pompe").run()
+        assert result.committed_count > 0
+        stats = result.fault_stats
+        assert stats["dropped"] > 0 and stats["duplicated"] > 0
+        assert stats["retransmits"] > 0 and stats["dup_frames"] > 0
+        assert (result.safety_violation is None) == (not result.invariant_violations)
+        if "coalesce" in extra:
+            assert result.wire_stats["frames_sent"] > 0
+        if "dissemination" in extra:
+            assert result.wire_stats["dissemination"]["strategy"] == "tree"
+
+    def test_lossy_links_expose_the_decide_overtake(self):
+        """Known baseline bug, reproduced at n=4: a retransmitted HotStuff
+        ``decide`` for height h lands after h+1's, and Pompē executes
+        decided certificates in arrival order, so replicas diverge.  The
+        watchdog flags it; a fix that decides strictly by height turns
+        this test around."""
+        cfg = quick_lyra_config(
+            duration_us=3 * SECONDS,
+            fault_plan=LOSSY,
+            reliable_channels=True,
+            jitter=0.0,
+        )
+        cluster = build_cluster(cfg, protocol="pompe")
+        result = cluster.run()
+        assert any("prefix-agreement" in v for v in result.invariant_violations)
+        assert result.safety_violation is not None
+        overtaken = [
+            node.pid
+            for node in cluster.nodes
+            if [b.height for b in node.hotstuff.decided_blocks]
+            != sorted(b.height for b in node.hotstuff.decided_blocks)
+        ]
+        assert overtaken
+
+    def test_colluding_orderer_counts_against_the_crash_budget(self):
+        from repro.workload.spec import ClientGroup, WorkloadSpec
+
+        spec = WorkloadSpec(
+            groups=(
+                ClientGroup(name="mev", client="mev", count=1, home=1, collude=True),
+            )
+        )
+        plan = FaultPlan(crashes=(CrashEvent(pid=2, crash_at_us=1 * SECONDS),))
+        cfg = quick_lyra_config(workload=spec, fault_plan=plan)
+        with pytest.raises(ValueError, match="jointly exceed"):
+            build_cluster(cfg, protocol="pompe")
+
+    def test_crash_stop_is_honoured(self):
+        plan = FaultPlan(crashes=(CrashEvent(pid=3, crash_at_us=1 * SECONDS),))
+        cfg = quick_lyra_config(duration_us=3 * SECONDS, fault_plan=plan)
+        cluster = build_cluster(cfg, protocol="pompe")
+        result = cluster.run()
+        assert cluster.nodes[3].crashed
+        assert result.safety_violation is None
+        assert result.invariant_violations == []
+        assert len(cluster.nodes[0].executed_log) > len(
+            cluster.nodes[3].executed_log
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"tracing": True}, "tracing"),
+            ({"attack_nodes": {1: "equivocate"}}, "attack_nodes"),
+            ({"distance_mode": "gossip"}, "distance_mode"),
+            ({"dissemination": "gossip"}, "dissemination"),
+            (
+                {
+                    "fault_plan": FaultPlan(
+                        crashes=(
+                            CrashEvent(
+                                pid=3,
+                                crash_at_us=1 * SECONDS,
+                                recover_at_us=2 * SECONDS,
+                            ),
+                        )
+                    )
+                },
+                "recover_at_us",
+            ),
+        ],
+        ids=["tracing", "attack_nodes", "distance_mode", "gossip", "recover"],
+    )
+    def test_unsupported_config_is_rejected(self, overrides, field):
+        cfg = quick_lyra_config(**overrides)
+        with pytest.raises(ValueError, match=field):
+            build_cluster(cfg, protocol="pompe")
+        build_cluster(cfg, protocol="lyra")  # Lyra honours every one

@@ -590,6 +590,11 @@ class TestDecryptCacheIsReported:
         source = cluster._cache_source()
         assert source["vss_decrypt.hits"] == stats["hits"]
         assert source["vss_decrypt.misses"] == stats["misses"]
+        # One inventory: the metrics source is the snapshot, flattened.
+        counters = result.metrics["counters"]
+        for layer, layer_stats in _cache_snapshot(cluster).items():
+            for key in ("hits", "misses"):
+                assert counters[f"cache.{layer}.{key}"]["total"] == layer_stats[key]
 
     def test_hash_commit_has_no_such_cache(self):
         config = ExperimentConfig(n_nodes=4, seed=1, obfuscation="hash")

@@ -13,10 +13,9 @@ from repro.crypto.memo import MemoCache
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
 from repro.harness import (
+    Cluster,
     ExperimentConfig,
     ExperimentResult,
-    LyraCluster,
-    PompeCluster,
     available_protocols,
     build_cluster,
 )
@@ -173,10 +172,11 @@ class TestResultRoundTrip:
 class TestFactory:
     def test_factory_builds_each_protocol(self):
         assert set(available_protocols()) >= {"lyra", "pompe"}
-        assert isinstance(build_cluster(tiny_config(), protocol="lyra"), LyraCluster)
-        assert isinstance(
-            build_cluster(tiny_config(), protocol="pompe"), PompeCluster
-        )
+        lyra = build_cluster(tiny_config(), protocol="lyra")
+        pompe = build_cluster(tiny_config(), protocol="pompe")
+        assert isinstance(lyra, Cluster) and isinstance(pompe, Cluster)
+        assert type(lyra.nodes[0]).__name__ == "LyraNode"
+        assert type(pompe.nodes[0]).__name__ == "PompeNode"
 
     def test_factory_rejects_unknown_protocol(self):
         with pytest.raises(ValueError, match="unknown protocol"):

@@ -21,12 +21,7 @@ from repro.workload.clients import (
     client_class,
 )
 from repro.workload.mev import MevBotClient
-from repro.workload.spec import (
-    ClientGroup,
-    WorkloadSpec,
-    build_workload,
-    mev_node_classes,
-)
+from repro.workload.spec import ClientGroup, WorkloadSpec, build_workload
 from tests.test_workload import EchoReplica
 
 
@@ -310,16 +305,30 @@ def run_mev_cell(protocol, seed=2):
         workload=spec,
     )
     config.regions = ["tokyo", "singapore"] + ["saopaulo"] * (n - 2)
-    cluster = build_cluster(
-        config,
-        protocol=protocol,
-        node_classes=mev_node_classes(spec, protocol, n) or None,
-    )
+    cluster = build_cluster(config, protocol=protocol)
     result = cluster.run()
     return result.fairness["sandwich"]
 
 
 class TestMevAsymmetry:
+    def test_colluding_bot_home_is_resolved_by_the_cluster(self):
+        from repro.attacks.pompe_attacks import CherryPickingOrdererNode
+        from repro.baselines.pompe import PompeNode
+
+        spec = WorkloadSpec(
+            groups=(
+                ClientGroup(name="mev", client="mev", count=1, home=1, collude=True),
+            )
+        )
+        config = ExperimentConfig(n_nodes=4, workload=spec)
+        pompe = build_cluster(config, protocol="pompe")
+        assert [type(node) for node in pompe.nodes] == [
+            PompeNode, CherryPickingOrdererNode, PompeNode, PompeNode
+        ]
+        # Lyra has no clear-text ordering phase to exploit.
+        lyra = build_cluster(config, protocol="lyra")
+        assert {type(node).__name__ for node in lyra.nodes} == {"LyraNode"}
+
     def test_pompe_cleartext_sandwiches_succeed(self):
         s = run_mev_cell("pompe")
         assert s["launched"] > 0
