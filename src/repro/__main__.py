@@ -271,24 +271,7 @@ def cmd_run(args) -> None:
 
     protocol = _parse_protocols(args.protocol)[0]
     config = _config_from_args(args, args.n, args.seed)
-    shards = getattr(args, "shards", 1)
-    extra = {}
-    if shards > 1:
-        if protocol != "lyra":
-            raise SystemExit("--shards currently supports the lyra protocol only")
-        from repro.sim.shard import run_sharded
-
-        run = run_sharded(config, shards)
-        result = run.result
-        extra = {
-            "shards": run.plan.n_shards,
-            "epoch_us": run.plan.epoch_us,
-            "barriers": run.barriers,
-            "frames_exchanged": run.frames_exchanged,
-            "prefix_sha256": run.digest(),
-        }
-    else:
-        result = build_cluster(config, protocol=protocol).run()
+    result = build_cluster(config, protocol=protocol).run()
     _print(
         f"RUN — {protocol} n={args.n} seed={args.seed}",
         {
@@ -300,7 +283,6 @@ def cmd_run(args) -> None:
             "latency_ms": round(result.avg_latency_ms, 1),
             "p99_ms": round(result.p99_latency_us / 1000.0, 1),
             "safety": result.safety_violation,
-            **extra,
         },
     )
 
@@ -704,7 +686,6 @@ def cmd_bench(args) -> None:
         macro_duration_ms=args.duration_ms,
         coalesce=args.coalesce,
         observability=args.observability,
-        shards=args.shards,
         dissemination=args.dissemination,
         fanout=args.fanout,
         gossip_distance=args.gossip_distance,
@@ -745,29 +726,6 @@ def cmd_bench(args) -> None:
                     f"tot {row['ncalls']:>9} calls  {row['function']}"
                 )
     failed = False
-    if args.shards > 1:
-        from repro.bench.suite import check_sharding
-
-        shard_failures = check_sharding(report)
-        if shard_failures:
-            print("\nBENCH SHARDING CHECK: FAIL")
-            for f in shard_failures:
-                print(f"  - {f}")
-            failed = True
-        else:
-            scells = [
-                c for name, c in report["macro"].items()
-                if name.endswith("_sharded")
-            ]
-            extra = ""
-            if scells and scells[0].get("speedup_vs_single") is not None:
-                extra = (
-                    f", {scells[0]['shards']} shards "
-                    f"{scells[0]['speedup_vs_single']}x vs single-process"
-                )
-            print(
-                f"\nBENCH SHARDING CHECK: PASS (digest identical{extra})"
-            )
     if args.dissemination:
         from repro.bench.suite import check_dissemination
 
@@ -987,14 +945,6 @@ def main(argv=None) -> int:
     _add_protocol_flag(prun, "lyra")
     prun.add_argument("--n", type=int, default=4, help="cluster size")
     prun.add_argument("--seed", type=int, default=1)
-    prun.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition the cluster over N lockstep worker processes "
-        "(decided prefixes stay bit-identical to --shards 1)",
-    )
     _add_config_flags(prun)
     prun.set_defaults(fn=cmd_run)
 
@@ -1059,15 +1009,6 @@ def main(argv=None) -> int:
         "events/sec overhead or decided-prefix digest drift",
     )
     pbench.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="also run the scaling cell through the partitioned core with N "
-        "worker processes and fail unless its decided-prefix digest matches "
-        "the single-process cell bit-for-bit",
-    )
-    pbench.add_argument(
         "--dissemination",
         choices=["tree", "gossip"],
         default=None,
@@ -1111,8 +1052,6 @@ def main(argv=None) -> int:
     )
     pbench.add_argument(
         "--max-slowdown",
-        "--tolerance",  # legacy spelling
-        dest="max_slowdown",
         type=float,
         default=0.30,
         help="allowed events/sec slowdown vs baseline (default 0.30)",

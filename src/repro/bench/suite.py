@@ -247,16 +247,24 @@ _MICRO_BENCHES: Dict[str, Callable[[], int]] = {
 # ----------------------------------------------------------------------
 # Macro cells
 # ----------------------------------------------------------------------
+def digest_outputs(outputs: Dict[int, Sequence[Tuple[int, bytes]]]) -> str:
+    """sha256 over every node's decided prefix (``pid -> [(seq,
+    cipher_id)]``), in pid order."""
+    h = hashlib.sha256()
+    for pid in sorted(outputs):
+        for seq, cipher_id in outputs[pid]:
+            h.update(seq.to_bytes(8, "big", signed=True))
+            h.update(cipher_id)
+        h.update(b"|")
+    return h.hexdigest()
+
+
 def prefix_digest(cluster) -> str:
     """sha256 over every node's decided prefix, in pid order.
 
     This is the suite's bit-determinism oracle: any reordering, loss, or
-    extra decision anywhere in the cluster changes the digest.  Delegates
-    to :func:`repro.sim.shard.digest_outputs` so single-process and
-    sharded runs hash the identical format.
+    extra decision anywhere in the cluster changes the digest.
     """
-    from repro.sim.shard import digest_outputs
-
     return digest_outputs(
         {node.pid: node.output_sequence() for node in cluster.nodes}
     )
@@ -426,73 +434,6 @@ def _run_macro_cell(
     return cell
 
 
-def _run_sharded_cell(name: str, config, n_shards: int) -> Dict[str, Any]:
-    """Run one macro cell through the partitioned core (``repro.sim.shard``).
-
-    The cell dict mirrors ``_run_macro_cell`` so ``check_against_baseline``
-    compares it like any other cell; ``check_sharding`` additionally gates
-    its decided-prefix digest against the single-process base cell in the
-    same report (bit-identical or fail).
-
-    ``events_per_s`` is the *critical-path* event rate: total events over
-    the slowest worker's event-loop CPU seconds — the rate a host with
-    one core per shard sustains.  On such a host it converges with the
-    coordinator-wall rate (recorded separately as ``events_per_s_wall``);
-    on an oversubscribed host the wall rate collapses to time-slicing
-    while the critical-path rate still measures the partitioning itself.
-    """
-    from repro.sim.shard import run_sharded
-
-    start = time.perf_counter()
-    run = run_sharded(config, n_shards)
-    wall = time.perf_counter() - start
-    result = run.result
-    events = result.events_processed
-    critical_path = max(run.worker_loop_cpu_s, default=0.0)
-    loop_wall = critical_path or result.sim_wall_s or wall
-    cell = {
-        "n": config.n_nodes,
-        "seed": config.seed,
-        "duration_ms": config.duration_us // 1000,
-        "events": events,
-        "wall_s": round(wall, 3),
-        "events_per_s": round(events / loop_wall, 1) if loop_wall > 0 else 0.0,
-        "committed": result.committed_count,
-        "executed_total": result.executed_total,
-        "throughput_tps": round(result.throughput_tps, 1),
-        "avg_latency_ms": round(result.avg_latency_ms, 2),
-        "p99_latency_ms": round(result.p99_latency_us / 1000.0, 2),
-        "messages_delivered": result.messages_delivered,
-        "safety_violation": result.safety_violation,
-        "invariant_violations": list(result.invariant_violations),
-        "prefix_sha256": run.digest(),
-        "caches": {},  # per-worker caches stay in the workers
-        "shards": run.plan.n_shards,
-        "epoch_us": run.plan.epoch_us,
-        "barriers": run.barriers,
-        "frames_exchanged": run.frames_exchanged,
-        "events_per_s_basis": "critical_path",
-        "events_per_s_wall": (
-            round(events / (result.sim_wall_s or wall), 1)
-            if (result.sim_wall_s or wall) > 0
-            else 0.0
-        ),
-        "worker_loop_cpu_s": list(run.worker_loop_cpu_s),
-    }
-    wire = result.wire_stats
-    if "frames_sent" in wire:
-        cell["coalesced"] = True
-        cell["frames_sent"] = wire["frames_sent"]
-        cell["wire_messages_sent"] = wire["messages_sent"]
-        cell["coalescing_ratio"] = wire["coalescing_ratio"]
-    if config.dissemination != "all2all":
-        cell["dissemination"] = config.dissemination
-        cell["fanout"] = config.fanout
-        if "dissemination" in wire:
-            cell["dissemination_stats"] = wire["dissemination"]
-    return cell
-
-
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
@@ -503,7 +444,6 @@ def run_bench_suite(
     macro_duration_ms: Optional[int] = None,
     coalesce: bool = False,
     observability: bool = False,
-    shards: int = 1,
     dissemination: Optional[str] = None,
     fanout: int = 8,
     gossip_distance: bool = False,
@@ -524,11 +464,6 @@ def run_bench_suite(
     ``observability`` adds an ``*_observed`` headline variant with span
     tracing and the metrics registry enabled — ``check_observability``
     then gates its cost (<5% events/sec overhead, identical digest).
-    ``shards`` > 1 re-runs the scaling cell (``goodcase_n100`` in full
-    mode, the headline cell in quick mode) through the partitioned core
-    as a ``<cell>_sharded`` twin with that many worker processes; the
-    twin records ``speedup_vs_single`` against the same-report base cell
-    and ``check_sharding`` gates digest equality between the pair.
     ``dissemination`` ("tree"/"gossip") adds a ``<cell>_<strategy>`` twin
     of the headline (and n=100, when present) cell with that broadcast
     strategy and the given ``fanout`` — ``check_dissemination`` then
@@ -619,22 +554,6 @@ def run_bench_suite(
             f"{cell_cfg.duration_us // 1000} ms) ..."
         )
         macro[name] = _run_macro_cell(name, cell_cfg, profile=profile)
-    if shards > 1:
-        # The sharded twin of the scaling cell: same configuration, run
-        # through the partitioned core.  Its digest must equal the
-        # single-process cell's (check_sharding); its speedup is the
-        # headline number the partitioned core exists for.
-        target = "goodcase_n100" if "goodcase_n100" in macro else headline
-        target_cfg = dict(cells)[target]
-        sname = f"{target}_sharded"
-        say(f"macro: {sname} ({shards} shard workers) ...")
-        scell = _run_sharded_cell(sname, target_cfg, shards)
-        base_eps = macro[target].get("events_per_s", 0.0)
-        if base_eps:
-            scell["speedup_vs_single"] = round(
-                scell["events_per_s"] / base_eps, 2
-            )
-        macro[sname] = scell
     if observability:
         oname = f"{headline}_observed"
         say(f"macro: {oname} (tracing + metrics on) ...")
@@ -732,48 +651,6 @@ def _cell_shape(cell: Dict[str, Any]) -> tuple:
         cell.get("duration_ms"),
         bool(cell.get("coalesced")),
     )
-
-
-def check_sharding(report: Dict[str, Any]) -> List[str]:
-    """Partitioned-core determinism gate within one report.
-
-    ``run_bench_suite(shards=N)`` re-runs the scaling cell through
-    ``repro.sim.shard`` as a ``<cell>_sharded`` twin; the decided-prefix
-    digest and event count must match the single-process base cell
-    exactly — the sharded core is an execution strategy, never a
-    semantics change.  Returns failure strings (empty = bit-identical).
-    """
-    failures: List[str] = []
-    macro = report.get("macro", {})
-    pairs = 0
-    for name, twin in macro.items():
-        if not name.endswith("_sharded"):
-            continue
-        base = macro.get(name[: -len("_sharded")])
-        if base is None:
-            continue
-        pairs += 1
-        if twin.get("prefix_sha256") != base.get("prefix_sha256"):
-            failures.append(
-                f"{name}: decided-prefix digest {twin.get('prefix_sha256')} "
-                f"!= single-process cell {base.get('prefix_sha256')} "
-                f"({twin.get('shards')}-shard divergence)"
-            )
-        # events_processed IS compared: remote clients are neutered with
-        # their timer chains cancelled, and the coordinator subtracts the
-        # duplicate per-worker watchdog tick chains at merge time, so the
-        # sharded count must equal the single-process one exactly.
-        for key in ("events", "committed", "executed_total"):
-            if twin.get(key) != base.get(key):
-                failures.append(
-                    f"{name}: {key} {twin.get(key)} != "
-                    f"single-process {base.get(key)}"
-                )
-    if pairs == 0:
-        failures.append(
-            "report has no sharded twin cells (run the suite with shards=N)"
-        )
-    return failures
 
 
 def check_dissemination(report: Dict[str, Any]) -> List[str]:
@@ -979,7 +856,6 @@ __all__ = [
     "OBSERVABILITY_MAX_OVERHEAD",
     "OBSERVABILITY_REPEATS",
     "check_observability",
-    "check_sharding",
     "check_dissemination",
     "COALESCE_BENCH_WINDOW_US",
     "environment_block",
@@ -987,5 +863,6 @@ __all__ = [
     "write_report",
     "check_against_baseline",
     "default_output_path",
+    "digest_outputs",
     "prefix_digest",
 ]

@@ -29,9 +29,9 @@ no slack) always supersedes the gossip layer.
 
 Peer choice per round is a pure function of ``(seed, pid, incarnation,
 round)`` via :func:`repro.net.dissemination.seeded_sample` — no shared RNG
-stream is consumed, so gossip runs stay bit-deterministic and
-shard-invariant, the same property the gossip *dissemination* strategy
-relies on.
+stream is consumed, so peer sets never depend on global event
+interleaving and gossip runs stay bit-deterministic, the same property the
+gossip *dissemination* strategy relies on.
 
 Churn: crash/recovery bumps a node's incarnation.  Peers that see a
 higher incarnation in a gossip exchange drop their (possibly stale)
@@ -107,9 +107,9 @@ class GossipDistanceEstimator(DistanceEstimator):
     def peers_for_round(self, round_no: int, incarnation: int = 0) -> List[int]:
         """The ``fanout`` peers this node contacts in ``round_no``.
 
-        A pure function of (seed, pid, incarnation, round): every shard
-        worker computes the same sets without any shared RNG stream, and a
-        recovered incarnation walks a fresh peer sequence.
+        A pure function of (seed, pid, incarnation, round): no shared RNG
+        stream is consumed, and a recovered incarnation walks a fresh peer
+        sequence.
         """
         pool = [p for p in range(self.n) if p != self.self_pid]
         token = f"gdist|{self.seed}|{self.self_pid}|{incarnation}|{round_no}"

@@ -11,10 +11,6 @@ maps their execution callback onto the cluster's execution tap, installs
 the MEV ordering-phase tap, and names the config features the protocol
 cannot honour.  Construct a cluster through
 :func:`repro.harness.factory.build_cluster`.
-
-The result consolidation — latency summary, windowed throughput, end-of-run
-safety check — is one set of helpers shared with the sharded coordinator
-in :mod:`repro.sim.shard`.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.baselines.pompe import PompeConfig, PompeNode
 from repro.core.clocks import true_distance_us
@@ -127,7 +123,7 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Result consolidation, shared by Cluster.run() and the shard coordinator
+# Result consolidation
 # ----------------------------------------------------------------------
 def summarise_latencies(result: ExperimentResult, latencies: List[int]) -> None:
     """Store the submit->reply sample on ``result`` with its avg/p50/p99."""
@@ -374,13 +370,6 @@ class Cluster:
     kwargs for that subclass.  Both override, per pid, the replicas the
     config itself implies (``attack_nodes`` under Lyra, colluding MEV bots'
     home replicas under Pompē).
-
-    ``local_pids`` puts the cluster in shard-worker mode (see
-    :mod:`repro.sim.shard`): the FULL cluster is still built — identical
-    construction-time RNG draws, pids and topology on every worker — but
-    crash-plan events, the watchdog and client traffic are restricted to
-    the local partition; remote clients are neutered via ``crashed=True``
-    (:meth:`SimProcess.send` drops silently when crashed).
     """
 
     def __init__(
@@ -390,7 +379,6 @@ class Cluster:
         protocol: str = "lyra",
         node_classes: Optional[Dict[int, type]] = None,
         node_kwargs: Optional[Dict[int, dict]] = None,
-        local_pids: Optional[Sequence[int]] = None,
     ) -> None:
         adapter = PROTOCOLS.get(protocol.lower())
         if adapter is None:
@@ -401,9 +389,6 @@ class Cluster:
             raise ValueError(f"{protocol} cannot honour: " + "; ".join(problems))
         self.protocol = adapter
         self.config = config
-        self.local_pids: Optional[frozenset] = (
-            frozenset(local_pids) if local_pids is not None else None
-        )
         self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
         self.f = f = config.resolved_f()
@@ -494,23 +479,8 @@ class Cluster:
             self.network.register(node, replica=True)
         for client in self.clients:
             self.network.register(client, replica=False)
-        if self.local_pids is not None:
-            # A client belongs to its home replica's shard (``local_pids``
-            # holds node pids; client pids are only assigned during build).
-            for client in self.clients:
-                if client.home not in self.local_pids:
-                    # Remote clients exist (identical pid/RNG layout on
-                    # every worker) but generate no traffic here: their
-                    # sends drop at the crashed check, and neuter()
-                    # additionally cancels their pending timer events so
-                    # the worker's event count carries no phantom client
-                    # ticks.  Their RNG streams are per-client, so the
-                    # neutering perturbs nothing.
-                    client.neuter()
         if plan is not None:
             for ev in plan.crashes:
-                if self.local_pids is not None and ev.pid not in self.local_pids:
-                    continue  # the owning shard schedules this crash
                 node = self.nodes[ev.pid]
                 self.sim.schedule_at(ev.crash_at_us, node.crash)
                 if ev.recover_at_us is not None:
@@ -541,12 +511,10 @@ class Cluster:
             adapter.instrument(self, self.metrics)
 
         # Always-on invariant watchdog: prefix agreement, commit
-        # regression, ordered output, and post-GST liveness.  A shard
-        # worker watches only its local replicas — the remote ones never
-        # start here and would trip the liveness check.
+        # regression, ordered output, and post-GST liveness.
         liveness_from = max(adversary.gst(), config.measurement_start_us())
         self.watchdog = InvariantWatchdog(
-            self.sim, self.local_nodes(), f=f, gst_us=liveness_from
+            self.sim, self.nodes, f=f, gst_us=liveness_from
         )
 
         # Execution taps: a per-replica execution event log (time, tx
@@ -600,13 +568,6 @@ class Cluster:
 
         return tap
 
-    def local_nodes(self) -> List:
-        """The replicas this process simulates (all of them outside shard
-        mode)."""
-        if self.local_pids is None:
-            return self.nodes
-        return [node for node in self.nodes if node.pid in self.local_pids]
-
     # ------------------------------------------------------------------
     # Metrics scrape sources (polled at snapshot time, never on hot paths)
     # ------------------------------------------------------------------
@@ -650,12 +611,12 @@ class Cluster:
     # Distance-estimation accounting (Lyra replicas only)
     # ------------------------------------------------------------------
     def _distance_error_values(self) -> Tuple[int, List[float]]:
-        """``(pairs_total, per-pair abs errors)`` of every local node's
+        """``(pairs_total, per-pair abs errors)`` of every node's
         estimator vs the latency-model ground truth; pairs with no
         estimate yet are counted in the total but contribute no error."""
         errors: List[float] = []
         pairs_total = 0
-        for node in self.local_nodes():
+        for node in self.nodes:
             for peer in self.nodes:
                 if peer.pid == node.pid:
                     continue
@@ -703,7 +664,7 @@ class Cluster:
         """
         per_node = [
             node.estimator.gossip_stats()
-            for node in self.local_nodes()
+            for node in self.nodes
             if isinstance(node.estimator, GossipDistanceEstimator)
         ]
         if not per_node:
@@ -733,7 +694,7 @@ class Cluster:
     def run(self, *, skip_safety_check: bool = False) -> ExperimentResult:
         """Run the configured duration and consolidate measurements."""
         cfg = self.config
-        for node in self.local_nodes():
+        for node in self.nodes:
             node.start()
         self.watchdog.start()
         loop_start = time.perf_counter()

@@ -49,7 +49,7 @@ class ExperimentConfig:
     #: today's behaviour), ``"tree"`` (deterministic k-ary relay tree per
     #: sender) or ``"gossip"`` (seeded push fan-out with protocol pull
     #: repair).  See :mod:`repro.net.dissemination` and EXPERIMENTS.md
-    #: "Sharded runs and dissemination strategies".
+    #: "Dissemination strategies".
     dissemination: str = "all2all"
     #: Relay fan-out for ``tree``/``gossip`` (ignored by ``all2all``).
     fanout: int = 8

@@ -99,11 +99,8 @@ class InvariantWatchdog:
         self.stall_window_us = stall_window_us
         self.report = InvariantReport()
         #: Periodic ``_tick`` events processed so far.  Distinct from
-        #: ``report.checks_run`` (which also counts explicit
-        #: ``check_now`` calls): shard workers each run their own tick
-        #: chain over the same horizon, and the coordinator subtracts the
-        #: duplicate chains from the summed event count so sharded runs
-        #: report the same ``events_processed`` as single-process ones.
+        #: ``report.checks_run``, which also counts explicit
+        #: ``check_now`` calls.
         self.ticks = 0
         self._last_logs: Dict[int, List[Tuple[int, bytes]]] = {}
         self._last_progress_us = 0

@@ -17,7 +17,7 @@ paper's n=100.  This module adds two sub-quadratic alternatives behind
     the wire carries exactly n-1 copies (plus envelope headers).  The tree
     is the heap layout over ``[sender] + sorted other replicas``, a pure
     function of (sender, replica set) — no randomness, so runs are
-    bit-deterministic and shard-invariant.  When ``fanout >= n-1`` every
+    bit-deterministic.  When ``fanout >= n-1`` every
     other replica is a direct child and the strategy *degenerates to the
     exact all2all path* (same inner message, same fast-path schedule, same
     digests) — the property the CI twin cell pins at n=4.
@@ -28,7 +28,7 @@ paper's n=100.  This module adds two sub-quadratic alternatives behind
     a TTL bound, and duplicate receipts are suppressed by (origin, seq).
     Peer choice is a pure hash of ``(seed, origin, seq, relay)`` — seeded,
     deterministic, and independent of global event interleaving, so gossip
-    runs stay bit-deterministic and shard-invariant too.  Losses (an
+    runs stay bit-deterministic too.  Losses (an
     unreached node) are repaired by the protocol layer itself: Lyra's
     periodic status exchange pulls missing instances exactly like its
     piggyback/pull recovery path, so gossip trades bounded wire cost for
@@ -70,9 +70,9 @@ def seeded_sample(token: bytes, pool: List[int], k: int) -> List[int]:
 
     sha256 of the token seeds a 64-bit LCG walk over the shrinking pool:
     deterministic, cheap, and unbiased enough for peer sampling.  Because
-    the draw consumes no shared RNG stream, every worker — and every shard
-    layout — computes the same sample, which is what keeps gossip runs
-    bit-deterministic and shard-invariant.  ``pool`` is consumed in place.
+    the draw consumes no shared RNG stream, the sample never depends on how
+    other consumers' draws interleave, which is what keeps gossip runs
+    bit-deterministic.  ``pool`` is consumed in place.
     """
     if len(pool) <= k:
         return pool
@@ -240,12 +240,12 @@ class GossipDissemination(Dissemination):
         self.pushes = 0
         self.duplicates_suppressed = 0
         self.deliveries = 0
-        #: Per-origin envelope sequence; only the origin's shard ever
-        #: increments an origin's counter, so it is shard-local state.
+        #: Per-origin envelope sequence: only the origin increments its
+        #: counter, so it is a function of the origin's own timeline.
         self._next_seq: Dict[int, int] = {}
-        #: (dst, origin, seq) receipts already delivered.  ``Message.uid``
-        #: is process-local and NOT stable across shard workers; the
-        #: explicit (origin, seq) pair is.
+        #: (dst, origin, seq) receipts already delivered.  Each relay
+        #: forwards a fresh envelope with its own ``Message.uid``, so the
+        #: explicit (origin, seq) pair is what identifies one broadcast.
         self._seen: Set[Tuple[int, int, int]] = set()
 
     def _ttl(self, n: int) -> int:
@@ -266,9 +266,9 @@ class GossipDissemination(Dissemination):
     ) -> List[int]:
         """``fanout`` distinct peers for ``relay`` to push to.
 
-        A pure function of (seed, origin, seq, relay): every worker —
-        and every shard layout — computes the same peer sets without
-        consuming any shared RNG stream.
+        A pure function of (seed, origin, seq, relay): no shared RNG
+        stream is consumed, so the peer sets never depend on global event
+        interleaving.
         """
         pool = [p for p in replicas if p != relay and p != origin]
         token = f"{self.seed}|{origin}|{seq}|{relay}".encode()

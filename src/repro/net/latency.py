@@ -97,14 +97,6 @@ class LatencyModel:
         one_way_us = self.one_way_us
         return [one_way_us(src, dst) for dst in dsts]
 
-    def floor_us(self, src: int, dst: int) -> int:
-        """A hard lower bound on every possible :meth:`one_way_us` sample
-        for the pair.  The sharded runner derives its epoch length from the
-        minimum cross-shard floor (conservative-lookahead PDES), so this
-        must never exceed an actual sample.  Jitter-free models are exact.
-        """
-        return self.base_us(src, dst)
-
 
 class UniformLatencyModel(LatencyModel):
     """Constant latency between every pair — the unit-test workhorse."""
@@ -131,10 +123,9 @@ class GeoLatencyModel(LatencyModel):
     Jitter is drawn from *per-source* streams (``("net", "jitter", src)``):
     each sender's draw order is then a function of that sender's own send
     sequence alone, never of how sends from different nodes interleave
-    globally.  That is what lets the sharded runner partition senders
-    across worker processes and still produce bit-identical samples — a
-    single shared stream would entangle every node's draws with the global
-    execution order.
+    globally.  A single shared stream would entangle every node's draws
+    with the global execution order, so any change to how two senders'
+    events interleave would reshuffle every later sample in the run.
     """
 
     def __init__(
@@ -186,20 +177,6 @@ class GeoLatencyModel(LatencyModel):
                 cached = int(ms * MILLISECONDS)
             self._base_cache[key] = cached
         return cached
-
-    def floor_us(self, src: int, dst: int) -> int:
-        """Smallest sample the clamp pipeline can emit for the pair: noise
-        is truncated at ``-3σ`` and the result never drops below 20% of
-        base, so ``max(int(base·(1−3σ)), int(base·0.2))`` is exact."""
-        base = self.base_us(src, dst)
-        if self.jitter <= 0 or src == dst:
-            return base
-        lo = 1.0 - 3 * self.jitter
-        if lo < 0.2:
-            lo = 0.2
-        sample_min = int(base * lo)
-        floor = int(base * 0.2)
-        return sample_min if sample_min > floor else floor
 
     def one_way_us(self, src: int, dst: int) -> int:
         base = self.base_us(src, dst)
@@ -283,8 +260,7 @@ def make_latency_model(
 ) -> LatencyModel:
     """The WAN model a cluster runs on: a set ``uniform_delay_us`` selects
     jitter-free uniform links (analytically checkable), otherwise the geo
-    matrix.  The cluster builder and the shard planner both resolve the
-    model here, so the epoch bound is derived from the model that runs."""
+    matrix."""
     if uniform_delay_us is not None:
         return UniformLatencyModel(uniform_delay_us)
     return GeoLatencyModel(placement, jitter=jitter, rng=rng)

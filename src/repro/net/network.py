@@ -108,11 +108,6 @@ class Network:
         self._processes: Dict[int, SimProcess] = {}
         self._replicas: List[int] = []
         self._trace_hooks: List[TraceHook] = []
-        # Shard mode (see ``enable_sharding``): deliveries to pids outside
-        # ``_local_pids`` are captured as cross-shard frames instead of
-        # being scheduled locally.  ``None`` = everything is local.
-        self._local_pids: Optional[frozenset] = None
-        self._capture: Optional[Callable[[int, int, int, Message], None]] = None
         self.messages_delivered = 0
         self.bytes_delivered = 0
         self.unroutable_dropped = 0
@@ -140,44 +135,6 @@ class Network:
         """Install a broadcast dissemination strategy (see
         :mod:`repro.net.dissemination`); ``None`` restores native all2all."""
         self.dissemination = strategy
-
-    def enable_sharding(
-        self,
-        local_pids,
-        capture: Callable[[int, int, int, Message], None],
-    ) -> None:
-        """Partition this network for a shard worker.
-
-        Delivery times are computed entirely sender-side (egress queueing,
-        the sender's jitter stream, per-link fault draws), so a delivery
-        whose destination lives on another shard is complete the moment
-        its arrival time is known: ``capture(src, dst, arrival_abs_us,
-        message)`` records it as a cross-shard frame for the epoch barrier
-        instead of scheduling a local event.  The destination's worker
-        re-injects it via :meth:`inject_remote`.
-        """
-        self._local_pids = frozenset(local_pids)
-        self._capture = capture
-
-    def inject_remote(
-        self, src: int, dst: int, arrival_abs_us: int, message: Message
-    ) -> None:
-        """Schedule a cross-shard frame received at an epoch barrier.
-
-        The epoch bound guarantees ``arrival_abs_us > now`` (every frame
-        captured during epoch k arrives strictly after barrier k).
-        Delivery priority is ``src + 1``, identical to a locally scheduled
-        delivery — combined with the per-sender frame order the
-        coordinator preserves, the total order at the arrival instant is
-        bit-identical to the single-process run.
-        """
-        sim = self.sim
-        sim.schedule(
-            arrival_abs_us - sim.now,
-            self._deliver,
-            (src, dst, message),
-            priority=src + 1,
-        )
 
     def enable_coalescing(self, window_us: int = 0) -> None:
         """Turn on link-level frame coalescing.
@@ -415,19 +372,15 @@ class Network:
             delay = 0
         props = self.latency.one_way_block(src, dsts)
         deliver = self._deliver_clean
-        local = self._local_pids
-        capture = self._capture
         items = []
         for dst, prop in zip(dsts, props):
-            if local is not None and dst not in local:
-                capture(src, dst, now + delay + prop, message)
-            else:
-                items.append((delay + prop, deliver, (src, dst, message)))
+            items.append((delay + prop, deliver, (src, dst, message)))
             delay += ser
         # Deliveries run at priority src+1: at any shared instant the
         # destination processes timers/CPU completions (priority 0) first,
-        # then deliveries ordered by sender pid — a canonical order that no
-        # cross-shard insertion race can perturb.
+        # then deliveries ordered by sender pid.  The same-instant order is
+        # thus a function of who sent, not of which sender's event happened
+        # to schedule first, and every pinned digest depends on it.
         sim.schedule_block(items, priority=src + 1)
         return count
 
@@ -446,11 +399,11 @@ class Network:
             self.sim.mark_instant_dirty()
         elif src not in self._flush_timers:
             # One flush timer per *sender* per burst: the sender's own
-            # first enqueue arms it, so a node's flush times are a pure
-            # function of its own timeline.  (A cluster-global timer
-            # would couple every sender's flush to whoever enqueued
-            # first — physically odd for per-NIC batching, and it would
-            # break the sender-side-only property shard workers rely on.)
+            # first enqueue arms it, so a node's flush times (and the RNG
+            # draws its flushes make) are a pure function of its own
+            # timeline.  A cluster-global timer would couple every
+            # sender's flush to whoever enqueued first — physically odd
+            # for per-NIC batching.
             self._flush_timers.add(src)
             self.sim.schedule(self._coalesce_window_us, self._window_flush, (src,))
 
@@ -551,15 +504,6 @@ class Network:
                 extra = min(extra, max(0, self.config.delta_us - propagation))
         ingress = self.bandwidth.ingress_delay_us(dst, size)
         arrival = departure + propagation + extra + ingress + extra_delay_us
-        local = self._local_pids
-        if local is not None and dst not in local:
-            # Shard worker: the destination lives elsewhere.  The arrival
-            # time above consumed exactly the sender-side state a
-            # single-process run would have (egress queue, jitter stream,
-            # fault draw happened in the caller), so handing the frame to
-            # the barrier keeps both sides bit-identical.
-            self._capture(src, dst, arrival, message)
-            return
         # ``arrival >= now`` by construction (departure is never in the
         # past and the remaining terms are non-negative), so this can skip
         # schedule_at's bounds check.  Priority src+1 gives same-instant

@@ -95,28 +95,6 @@ class _BaseClient(SimProcess):
         #: fairness report compares committed order against.
         self.record_submissions = False
         self.submit_log: List[Tuple[int, TxKey]] = []
-        #: The client's next self-scheduled timer event, retained so
-        #: :meth:`neuter` can cancel it (shard workers neuter the remote
-        #: copies of every client).
-        self._pending_event: Optional[Any] = None
-
-    def neuter(self) -> None:
-        """Permanently silence this client (shard-worker remote copies).
-
-        ``crashed=True`` alone makes sends drop silently but leaves the
-        client's timer chain firing — the ClosedLoop start event, the
-        first OpenLoop tick, and (worst) the ArrivalClient's entire
-        arrival schedule would still run on every worker, inflating the
-        summed event count above the single-process run.  Cancelling the
-        pending event kills the chain at its root: cancelled events are
-        skipped without being counted, so a neutered client contributes
-        exactly zero processed events.
-        """
-        self.crashed = True
-        event = self._pending_event
-        if event is not None:
-            event.cancel()
-            self._pending_event = None
 
     def _submit_one(self, body: Optional[bytes] = None) -> Transaction:
         tx = self.gen.next(
@@ -178,10 +156,9 @@ class ClosedLoopClient(_BaseClient):
         super().__init__(pid, sim, home, body=body)
         self.window = window
         self.stop_at_us = stop_at_us
-        self._pending_event = sim.schedule(start_at_us, self._start)
+        sim.schedule(start_at_us, self._start)
 
     def _start(self) -> None:
-        self._pending_event = None
         for _ in range(self.window):
             self._submit_one()
 
@@ -229,10 +206,9 @@ class OpenLoopClient(_BaseClient):
         self.remaining = count
         self.stop_at_us = stop_at_us
         if stop_at_us is None or start_at_us < stop_at_us:
-            self._pending_event = sim.schedule(start_at_us, self._tick)
+            sim.schedule(start_at_us, self._tick)
 
     def _tick(self) -> None:
-        self._pending_event = None
         if self.crashed:
             return
         if self.stop_at_us is not None and self.sim.now >= self.stop_at_us:
@@ -244,7 +220,7 @@ class OpenLoopClient(_BaseClient):
         self._submit_one()
         next_at = self.sim.now + self.interval_us
         if self.stop_at_us is None or next_at < self.stop_at_us:
-            self._pending_event = self.sim.schedule(self.interval_us, self._tick)
+            self.sim.schedule(self.interval_us, self._tick)
 
     @classmethod
     def from_group(cls, pid, sim, home, group, ctx: BuildContext):
@@ -295,10 +271,9 @@ class ArrivalClient(_BaseClient):
         t = next(self._times, None)
         if t is None:
             return
-        self._pending_event = self.sim.schedule_at(t, self._fire)
+        self.sim.schedule_at(t, self._fire)
 
     def _fire(self) -> None:
-        self._pending_event = None
         if self.crashed:
             # A dead client must not keep replaying its arrival schedule:
             # the chain ends here (clients never recover).

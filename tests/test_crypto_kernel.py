@@ -276,7 +276,7 @@ class TestPinnedToParent:
 
     def test_fino_shape(self):
         from repro.sim.engine import SECONDS
-        from repro.sim.shard import digest_outputs
+        from repro.bench.suite import digest_outputs
         from tests.test_fino import attach_clients, build_fino
 
         sim, nodes, net = build_fino()
