@@ -14,7 +14,6 @@ Usage::
     python -m repro obfuscation     # VSS vs hash commit-reveal
     python -m repro decomp          # latency decomposition + Δ sensitivity
     python -m repro report          # phase-latency decomposition report
-    python -m repro report --outdir results   # legacy artefact bundle
     python -m repro all             # everything above (quick mode)
 
     python -m repro run --protocol pompe --n 7          # one cluster
@@ -209,14 +208,7 @@ def cmd_decomp(args) -> None:
 def cmd_report(args) -> None:
     """Observability report: the paper's per-phase latency decomposition
     plus wire/fault/cache stats — from a fresh traced run, or from a
-    dumped trace JSONL.  With ``--outdir``, the legacy artefact generator
-    (results.json + REPORT.md) runs instead."""
-    if args.outdir is not None:
-        from repro.harness.artifacts import generate_report
-
-        generate_report(args.outdir)
-        return
-
+    dumped trace JSONL."""
     from repro.metrics.report import render_run_report
     from repro.metrics.spans import export_chrome_trace
     from repro.metrics.tracelog import TraceLog
@@ -672,124 +664,30 @@ def cmd_workload(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    """Run the fixed micro/macro perf suite and emit BENCH_<date>.json."""
+    """Run the bench table, emit BENCH_<date>.json, and with
+    ``--check-against`` exit 1 unless every digest oracle holds."""
+    import json
+
     from repro.bench import (
         check_against_baseline,
         default_output_path,
         run_bench_suite,
+        write_report,
     )
-    from repro.bench.suite import write_report
 
-    report = run_bench_suite(
-        quick=args.quick,
-        macro_n=args.n,
-        macro_duration_ms=args.duration_ms,
-        coalesce=args.coalesce,
-        observability=args.observability,
-        dissemination=args.dissemination,
-        fanout=args.fanout,
-        gossip_distance=args.gossip_distance,
-        gossip_round_budgets=tuple(args.gossip_rounds),
-        gossip_fanout=args.gossip_fanout,
-        profile=args.profile,
-    )
-    out = args.out or default_output_path()
-    path = write_report(report, out)
-    print(f"\n## BENCH — wrote {path}")
-    env = report.get("environment", {})
-    print(
-        f"environment: python={env.get('python')} numpy={env.get('numpy')} "
-        f"blas={env.get('blas')} cpu={env.get('cpu')}"
-    )
-    headline = report["macro"][report["headline"]]
-    print(
-        f"headline: {report['headline']} "
-        f"events/s={headline['events_per_s']} "
-        f"events={headline['events']} wall_s={headline['wall_s']} "
-        f"prefix={headline['prefix_sha256'][:16]}…"
-    )
-    digest = report["caches"].get("digest", {})
-    sig = report["caches"].get("signature_verify", {})
-    print(
-        f"caches: digest hit-rate={digest.get('hit_rate', 0.0)} "
-        f"signature-verify hit-rate={sig.get('hit_rate', 0.0)}"
-    )
-    if args.profile:
-        for cname, cell in report["macro"].items():
-            rows = cell.get("profile_top")
-            if not rows:
-                continue
-            print(f"\nprofile: {cname} (top {len(rows)} by cumulative time)")
-            for row in rows:
-                print(
-                    f"  {row['cumtime_s']:>9.3f}s cum {row['tottime_s']:>9.3f}s "
-                    f"tot {row['ncalls']:>9} calls  {row['function']}"
-                )
-    failed = False
-    if args.dissemination:
-        from repro.bench.suite import check_dissemination
-
-        diss_failures = check_dissemination(report)
-        if diss_failures:
-            print(f"\nBENCH DISSEMINATION CHECK ({args.dissemination}): FAIL")
-            for f in diss_failures:
-                print(f"  - {f}")
-            failed = True
-        else:
-            print(
-                f"\nBENCH DISSEMINATION CHECK ({args.dissemination}): PASS"
-            )
-    if args.gossip_distance:
-        from repro.bench.suite import check_gossip_distance
-
-        gd_failures = check_gossip_distance(report)
-        if gd_failures:
-            print("\nBENCH GOSSIP-DISTANCE CHECK: FAIL")
-            for f in gd_failures:
-                print(f"  - {f}")
-            failed = True
-        else:
-            print(
-                "\nBENCH GOSSIP-DISTANCE CHECK: PASS "
-                "(safe, converged, O(n*fanout) wire bound held)"
-            )
-    if args.observability:
-        from repro.bench.suite import check_observability
-
-        obs_failures = check_observability(report)
-        if obs_failures:
-            print("\nBENCH OBSERVABILITY CHECK: FAIL")
-            for f in obs_failures:
-                print(f"  - {f}")
-            failed = True
-        else:
-            obs = report["macro"][f"{report['headline']}_observed"]
-            overhead = obs.get("overhead_vs_plain")
-            if overhead is None:
-                overhead = 1.0 - obs["events_per_s"] / max(
-                    1e-9, headline["events_per_s"]
-                )
-            print(
-                f"\nBENCH OBSERVABILITY CHECK: PASS "
-                f"(paired overhead {overhead * 100:+.1f}%, "
-                f"digest identical)"
-            )
-    if args.check_against:
-        import json as _json
-
-        baseline = _json.loads(open(args.check_against).read())
-        failures = check_against_baseline(
-            report, baseline, tolerance=args.max_slowdown
-        )
-        if failures:
-            print(f"\nBENCH CHECK vs {args.check_against}: FAIL")
-            for f in failures:
-                print(f"  - {f}")
-            failed = True
-        else:
-            print(f"\nBENCH CHECK vs {args.check_against}: PASS")
-    if failed:
+    report = run_bench_suite(quick=args.quick)
+    path = write_report(report, args.out or default_output_path())
+    print(f"wrote {path}")
+    if not args.check_against:
+        return
+    with open(args.check_against) as fh:
+        failures = check_against_baseline(report, json.load(fh))
+    if failures:
+        print(f"BENCH CHECK vs {args.check_against}: FAIL")
+        for f in failures:
+            print(f"  - {f}")
         raise SystemExit(1)
+    print(f"BENCH CHECK vs {args.check_against}: PASS")
 
 
 def cmd_sweep(args) -> None:
@@ -900,12 +798,6 @@ def main(argv=None) -> int:
         "report",
         help="per-phase latency decomposition + wire/fault/cache stats",
     )
-    pr.add_argument(
-        "--outdir",
-        default=None,
-        help="legacy mode: write results/results.json + REPORT.md here "
-        "instead of the observability report",
-    )
     pr.add_argument("--n", type=int, default=4, help="cluster size")
     pr.add_argument("--seed", type=int, default=1)
     pr.add_argument(
@@ -971,21 +863,13 @@ def main(argv=None) -> int:
     psweep.set_defaults(fn=cmd_sweep)
 
     pbench = sub.add_parser(
-        "bench", help="run the fixed perf suite and emit BENCH_<date>.json"
+        "bench",
+        help="run the digest-oracle table and emit BENCH_<date>.json",
     )
     pbench.add_argument(
         "--quick",
         action="store_true",
-        help="swap the n=32 headline cell for a small CI-sized one",
-    )
-    pbench.add_argument(
-        "--n", type=int, default=None, help="override headline cell size"
-    )
-    pbench.add_argument(
-        "--duration-ms",
-        type=int,
-        default=None,
-        help="override headline cell virtual duration",
+        help="skip the full-only rows (goodcase_n32, goodcase_n100)",
     )
     pbench.add_argument(
         "--out", default=None, help="output path (default: ./BENCH_<date>.json)"
@@ -994,67 +878,8 @@ def main(argv=None) -> int:
         "--check-against",
         default=None,
         metavar="BASELINE_JSON",
-        help="compare against a baseline report; exit 1 on regression",
-    )
-    pbench.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="also run *_coalesced macro cells (wire coalescing + delta "
-        "piggybacks on; the classic cells still run for digest checks)",
-    )
-    pbench.add_argument(
-        "--observability",
-        action="store_true",
-        help="also run a tracing+metrics headline cell and fail on >5%% "
-        "events/sec overhead or decided-prefix digest drift",
-    )
-    pbench.add_argument(
-        "--dissemination",
-        choices=["tree", "gossip"],
-        default=None,
-        help="also run a headline twin cell under that broadcast strategy; "
-        "a degenerate tree (fanout >= n-1) must reproduce the all2all "
-        "digest exactly",
-    )
-    pbench.add_argument(
-        "--fanout",
-        type=int,
-        default=8,
-        help="relay fan-out for --dissemination tree/gossip (default 8)",
-    )
-    pbench.add_argument(
-        "--gossip-distance",
-        action="store_true",
-        help="also run headline twin cells with epidemic gossip distance "
-        "estimation, sweeping --gossip-rounds budgets, and fail on any "
-        "safety, convergence, or O(n*fanout) wire-bound violation",
-    )
-    pbench.add_argument(
-        "--gossip-rounds",
-        type=int,
-        nargs="+",
-        default=[2, 6],
-        metavar="R",
-        help="gossip round budgets for --gossip-distance twins (default 2 6)",
-    )
-    pbench.add_argument(
-        "--gossip-fanout",
-        type=int,
-        default=3,
-        help="peers contacted per gossip distance round (default 3)",
-    )
-    pbench.add_argument(
-        "--profile",
-        action="store_true",
-        help="wrap each macro cell in cProfile and report the top-20 "
-        "functions by cumulative time (events/sec then carries profiler "
-        "overhead and is excluded from baseline comparison)",
-    )
-    pbench.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=0.30,
-        help="allowed events/sec slowdown vs baseline (default 0.30)",
+        help="check every row against its pin and every twin against its "
+        "base; exit 1 on any failure",
     )
     pbench.set_defaults(fn=cmd_bench)
 

@@ -1,24 +1,28 @@
-"""Reproducible performance benchmarks: ``python -m repro bench``.
+"""Bit-determinism oracles: ``python -m repro bench``.
 
-The suite establishes the repo's perf trajectory: every PR can run the same
-fixed micro/macro cells and compare events/sec, cache hit rates, and the
-decided-prefix digest against a checked-in baseline (``BENCH_<date>.json``).
+A fixed table of cluster runs (``CELLS``) each records a sha256 digest
+of every node's decided prefix; ``check_against_baseline`` compares them
+with the pins in ``benchmarks/bench_baseline.json`` and each twin with
+its base row.  Nothing here is timed — wall-clock performance is
+measured by the ledger (``benchmarks/ledger``).
 """
 
 from repro.bench.suite import (
     BENCH_SCHEMA_VERSION,
+    CELLS,
     check_against_baseline,
-    check_gossip_distance,
     default_output_path,
     environment_block,
     run_bench_suite,
+    write_report,
 )
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
+    "CELLS",
     "run_bench_suite",
     "check_against_baseline",
-    "check_gossip_distance",
     "default_output_path",
     "environment_block",
+    "write_report",
 ]

@@ -1,55 +1,36 @@
-"""The fixed micro/macro benchmark suite behind ``python -m repro bench``.
+"""The digest oracles behind ``python -m repro bench``.
 
-Micro benches time the hot primitives the perf layer optimised (event loop,
-digest cache, size estimation, memo-cache churn, Feldman verification,
-message checksums).  Macro cells run whole clusters through the factory —
-the good case at the paper's scale and the chaos smoke configuration — and
-record events/sec alongside a sha256 digest of every node's decided prefix.
-That digest is the bit-determinism oracle: two builds of this repo run the
-same cell to the same decided sequence or the comparison fails hard,
-independent of how fast the host is.
+One table, ``CELLS``, lists every row: a config builder, whether the row
+runs only in the full suite, and the row whose digest it must reproduce
+(its *base*), or ``None``.  Each row runs a whole cluster through the
+factory and records a sha256 digest of every node's decided prefix.
+That digest is the bit-determinism oracle: two builds of this repo run
+the same row to the same decided sequence or the check fails, however
+fast the host is.  A *twin* differs from its base only in a way that
+must not move the digest, so a twin run proves that claim.
 
-``check_against_baseline`` compares a fresh report to a checked-in one:
-prefix mismatches and invariant violations always fail; throughput only
-fails below ``(1 - tolerance)`` of baseline, so slow CI hardware passes
-while real regressions do not.
+``check_against_baseline`` is the one check.  It fails on a safety or
+invariant violation, on a digest that differs from its pin in the
+checked-in baseline or from its base row's, and on a row the baseline
+does not pin.  Nothing is timed: wall-clock cost is the ledger's job
+(``benchmarks/ledger``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import platform
 import sys
-import time
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
-#: Relative slowdown vs baseline events/sec that fails the comparison.
-DEFAULT_TOLERANCE = 0.30
-
-#: Maximum relative events/sec overhead the observability layer (tracing
-#: + metrics on) may show versus the same-report headline cell.
-OBSERVABILITY_MAX_OVERHEAD = 0.05
-
-#: Interleaved (observed, plain) repeat pairs for the overhead gate.
-#: Shared CI runners drift by tens of percent on second timescales, so
-#: the gate estimates overhead twice — median of per-pair events/sec
-#: ratios, and ratio of the best events/sec either side reached — and
-#: takes the smaller.  Noise inflates the two estimators through
-#: different mechanisms (a frequency step mid-pair skews the median;
-#: unpaired minima can land in different machine regimes), while a real
-#: regression inflates both, so requiring corroboration keeps the gate
-#: sensitive without flaking.  A block that still reads over budget is
-#: re-measured once: transient runner regimes do not reproduce, genuine
-#: regressions do.
-OBSERVABILITY_REPEATS = 9
-
-#: Coalescing window used by the ``*_coalesced`` macro cells: long enough
-#: to bundle protocol bursts (~2x ratio at n=32) while staying well under
+#: Coalescing window used by the ``*_coalesced`` rows: long enough to
+#: bundle protocol bursts (~2x ratio at n=32) while staying well under
 #: the WAN latency grain, so ordering behaviour stays realistic.
 COALESCE_BENCH_WINDOW_US = 1000
 
@@ -75,7 +56,7 @@ def _cpu_model() -> Optional[str]:
 
 
 def environment_block() -> Dict[str, Any]:
-    """Provenance header for bench reports: two hosts (or two numpy/BLAS
+    """Provenance header for timing reports: two hosts (or two numpy/BLAS
     builds) are not throughput-comparable, so every report records what it
     ran on."""
     env: Dict[str, Any] = {
@@ -101,151 +82,7 @@ def environment_block() -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Micro benches
-# ----------------------------------------------------------------------
-def _timed(body: Callable[[], int]) -> Dict[str, Any]:
-    """Run ``body`` (returns its operation count) under a wall clock."""
-    start = time.perf_counter()
-    ops = body()
-    wall = time.perf_counter() - start
-    return {
-        "iterations": ops,
-        "wall_s": round(wall, 6),
-        "ops_per_s": round(ops / wall, 1) if wall > 0 else 0.0,
-    }
-
-
-def _bench_event_loop() -> int:
-    """Self-rescheduling timer chains: schedule + slot insort + dispatch."""
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    horizon = 1_000_000  # 1 virtual second
-
-    def make_chain(period: int, priority: int):
-        def tick() -> None:
-            if sim.now + period <= horizon:
-                sim.schedule(period, tick, priority=priority)
-
-        return tick
-
-    # Short mixed periods/priorities land in the open slot (insort behind
-    # the cursor) and, at its edge, in the next one (append + sort).
-    for i, period in enumerate((7, 11, 13, 17, 19, 23, 29, 31)):
-        sim.schedule(period, make_chain(period, priority=i % 3))
-    return sim.run(until=horizon)
-
-
-def _bench_digest_cache() -> int:
-    """Repeated hashing of one immutable object: all hits after the first."""
-    from repro.core.types import Batch, Transaction
-    from repro.crypto.hashing import digest_of
-
-    batch = Batch(
-        proposer=1,
-        batch_no=7,
-        txs=tuple(Transaction(client_id=9, nonce=i) for i in range(10)),
-    )
-    n = 50_000
-    for _ in range(n):
-        digest_of(batch)
-    return n
-
-
-def _bench_estimate_size() -> int:
-    """Size estimation over a nested protocol-shaped payload."""
-    from repro.core.types import Batch, InstanceId, Transaction
-    from repro.net.message import estimate_size
-
-    payload = {
-        "instance": InstanceId(3, 12),
-        "batch": Batch(
-            proposer=3,
-            batch_no=12,
-            txs=tuple(Transaction(client_id=4, nonce=i) for i in range(8)),
-        ),
-        "shares": [(i, b"\x00" * 17) for i in range(4)],
-    }
-    n = 20_000
-    for _ in range(n):
-        estimate_size(payload)
-    return n
-
-
-def _bench_memo_cache_churn() -> int:
-    """Insert-heavy workload at the capacity boundary: batch eviction."""
-    from repro.crypto.memo import MemoCache
-
-    cache = MemoCache(capacity=1024)
-    n = 100_000
-    for i in range(n):
-        key = i % 4096  # 4x capacity: constant eviction pressure
-        if cache.get(key) is None:
-            cache.put(key, i)
-    return n
-
-
-def _bench_feldman_verify() -> int:
-    """Cached share verification — one cold check then memoized verdicts."""
-    import numpy as np
-
-    from repro.crypto.feldman import FeldmanVSS
-
-    vss = FeldmanVSS()
-    rng = np.random.default_rng(1)
-    shares, commitment = vss.deal(12345, threshold=3, n_shares=4, rng=rng)
-    n = 20_000
-    for i in range(n):
-        vss.verify_share(shares[i % len(shares)], commitment)
-    return n
-
-
-def _bench_message_checksum() -> int:
-    """Frame integrity: stamp once, verify many (the broadcast pattern)."""
-    from repro.net.message import Message
-
-    msg = Message("bench", payload={"seq": 1, "blob": b"\x00" * 64})
-    msg.stamp_checksum()
-    n = 100_000
-    for _ in range(n):
-        msg.verify_checksum()
-    return n
-
-
-def _bench_workload_gen() -> int:
-    """Open-loop generation: Poisson arrivals + Zipf bodies, no network."""
-    import numpy as np
-
-    from repro.workload.generator import make_body_sampler
-    from repro.workload.arrivals import make_arrivals
-
-    n = 20_000
-    rng = np.random.default_rng(7)
-    arrivals = make_arrivals("poisson", rate_tps=1000.0)
-    body = make_body_sampler("kv_zipf", {"keyspace": 100_000, "skew": 1.1}, rng)
-    produced = 0
-    while produced < n:
-        for _ in arrivals.times(rng, 0, 1_000_000):
-            body()
-            produced += 1
-            if produced >= n:
-                break
-    return produced
-
-
-_MICRO_BENCHES: Dict[str, Callable[[], int]] = {
-    "event_loop": _bench_event_loop,
-    "digest_cache_hit": _bench_digest_cache,
-    "estimate_size_nested": _bench_estimate_size,
-    "memo_cache_churn": _bench_memo_cache_churn,
-    "feldman_verify_cached": _bench_feldman_verify,
-    "message_checksum_verify": _bench_message_checksum,
-    "workload_openloop_gen": _bench_workload_gen,
-}
-
-
-# ----------------------------------------------------------------------
-# Macro cells
+# Digests
 # ----------------------------------------------------------------------
 def digest_outputs(outputs: Dict[int, Sequence[Tuple[int, bytes]]]) -> str:
     """sha256 over every node's decided prefix (``pid -> [(seq,
@@ -270,7 +107,34 @@ def prefix_digest(cluster) -> str:
     )
 
 
-def _goodcase_config(n: int, duration_ms: int):
+def _cache_snapshot(cluster) -> Dict[str, Dict[str, Any]]:
+    """Hit/miss counters from every cache layer the run exercised.
+
+    The one cache inventory: the cluster's ``cache`` metrics source
+    flattens this same dict.
+    """
+    from repro.crypto import feldman, hashing
+
+    caches: Dict[str, Dict[str, Any]] = {
+        "digest": hashing.digest_cache_stats(),
+        "feldman_verify": feldman.verify_cache_stats(),
+    }
+    for name, owner, accessor in (
+        ("signature_verify", cluster.registry, "verify_cache_stats"),
+        ("threshold_verify", cluster.threshold, "verify_cache_stats"),
+        # ``obf`` is None under Pompē, and the hash scheme has no cache.
+        ("vss_decrypt", cluster.obf, "decrypt_cache_stats"),
+    ):
+        stats = getattr(owner, accessor, None)
+        if stats is not None:
+            caches[name] = stats()
+    return caches
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+def _goodcase_config(n: int, duration_ms: int, **overrides):
     from repro.harness.config import ExperimentConfig
     from repro.sim.engine import MILLISECONDS
 
@@ -283,6 +147,7 @@ def _goodcase_config(n: int, duration_ms: int):
         duration_us=duration_ms * MILLISECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
+        **overrides,
     )
 
 
@@ -317,85 +182,56 @@ def _chaos_config():
     )
 
 
-def _cache_snapshot(cluster) -> Dict[str, Dict[str, Any]]:
-    """Hit/miss counters from every cache layer the run exercised.
-
-    The one cache inventory: the cluster's ``cache`` metrics source
-    flattens this same dict.
-    """
-    from repro.crypto import feldman, hashing
-
-    caches: Dict[str, Dict[str, Any]] = {
-        "digest": hashing.digest_cache_stats(),
-        "feldman_verify": feldman.verify_cache_stats(),
-    }
-    for name, owner, accessor in (
-        ("signature_verify", cluster.registry, "verify_cache_stats"),
-        ("threshold_verify", cluster.threshold, "verify_cache_stats"),
-        # ``obf`` is None under Pompē, and the hash scheme has no cache.
-        ("vss_decrypt", cluster.obf, "decrypt_cache_stats"),
-    ):
-        stats = getattr(owner, accessor, None)
-        if stats is not None:
-            caches[name] = stats()
-    return caches
+def _coalesced(config):
+    """Wire coalescing + delta piggybacks on: a different schedule, so
+    these rows carry their own pins rather than twin their base."""
+    return dataclasses.replace(
+        config, coalesce=True, coalesce_window_us=COALESCE_BENCH_WINDOW_US
+    )
 
 
-def _profile_top(prof, limit: int = 20) -> List[Dict[str, Any]]:
-    """The ``limit`` most expensive functions by cumulative time."""
-    import pstats
+#: name -> (config builder, full suite only?, base row whose digest this
+#: row must reproduce, or None).  Rows run in this order, in one process:
+#: the twins come after the coalesced rows, so a twin that reproduces its
+#: base also shows the coalesced runs left no process-wide state behind.
+CELLS: Dict[str, Tuple[Callable[[], Any], bool, Optional[str]]] = {
+    "goodcase_n4": (lambda: _goodcase_config(4, 1500), False, None),
+    "chaos_smoke": (_chaos_config, False, None),
+    "goodcase_n4_coalesced": (
+        lambda: _coalesced(_goodcase_config(4, 1500)), False, None,
+    ),
+    "chaos_smoke_coalesced": (lambda: _coalesced(_chaos_config()), False, None),
+    # Observability is read-only: spans and metrics draw no randomness
+    # and schedule no events.
+    "goodcase_n4_observed": (
+        lambda: _goodcase_config(4, 1500, tracing=True, metrics=True),
+        False,
+        "goodcase_n4",
+    ),
+    # fanout >= n-1 makes every tree relay a direct send: the exact
+    # all2all path.
+    "goodcase_n4_tree": (
+        lambda: _goodcase_config(4, 1500, dissemination="tree", fanout=8),
+        False,
+        "goodcase_n4",
+    ),
+    # The n=32 headline shape (the ledger's lyra_n32_closed) and the n=100
+    # scaling shape: too slow for CI's quick run, so full runs only.
+    "goodcase_n32": (lambda: _goodcase_config(32, 3000), True, None),
+    "goodcase_n100": (lambda: _goodcase_config(100, 1000), True, None),
+}
 
-    stats = pstats.Stats(prof)
-    rows: List[Dict[str, Any]] = []
-    ranked = sorted(stats.stats.items(), key=lambda kv: kv[1][3], reverse=True)
-    for (filename, lineno, funcname), (_cc, ncalls, tottime, cumtime, _callers) in ranked[
-        :limit
-    ]:
-        short = filename
-        marker = "/repro/"
-        if marker in short:
-            short = "repro/" + short.split(marker, 1)[1]
-        rows.append(
-            {
-                "function": f"{short}:{lineno}({funcname})",
-                "ncalls": ncalls,
-                "tottime_s": round(tottime, 4),
-                "cumtime_s": round(cumtime, 4),
-            }
-        )
-    return rows
 
-
-def _run_macro_cell(
-    name: str, config, *, protocol: str = "lyra", profile: bool = False
-) -> Dict[str, Any]:
+def _run_row(config) -> Dict[str, Any]:
     from repro.harness.factory import build_cluster
 
-    cluster = build_cluster(config, protocol=protocol)
-    profiler = None
-    if profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    start = time.perf_counter()
+    cluster = build_cluster(config)
     result = cluster.run()
-    wall = time.perf_counter() - start
-    if profiler is not None:
-        profiler.disable()
-    events = result.events_processed
-    # events/sec is a hot-path throughput measure: divide by the event
-    # loop's own wall time, not the full run() (which also consolidates
-    # results — one-off reporting such as the metrics snapshot would
-    # otherwise pollute the observability overhead gate).
-    loop_wall = result.sim_wall_s or wall
-    cell = {
+    return {
         "n": config.n_nodes,
         "seed": config.seed,
         "duration_ms": config.duration_us // 1000,
-        "events": events,
-        "wall_s": round(wall, 3),
-        "events_per_s": round(events / loop_wall, 1) if loop_wall > 0 else 0.0,
+        "events": result.events_processed,
         "committed": result.committed_count,
         "executed_total": result.executed_total,
         "throughput_tps": round(result.throughput_tps, 1),
@@ -407,232 +243,29 @@ def _run_macro_cell(
         "prefix_sha256": prefix_digest(cluster),
         "caches": _cache_snapshot(cluster),
     }
-    wire = result.wire_stats
-    if "frames_sent" in wire:
-        cell["coalesced"] = True
-        cell["frames_sent"] = wire["frames_sent"]
-        cell["wire_messages_sent"] = wire["messages_sent"]
-        cell["coalescing_ratio"] = wire["coalescing_ratio"]
-    if config.dissemination != "all2all":
-        cell["dissemination"] = config.dissemination
-        cell["fanout"] = config.fanout
-        if "dissemination" in wire:
-            cell["dissemination_stats"] = wire["dissemination"]
-    if config.distance_mode != "probe":
-        cell["distance_mode"] = config.distance_mode
-        cell["gossip_fanout"] = config.gossip_fanout
-        cell["gossip_rounds"] = config.gossip_rounds
-        if "gossip_distance" in wire:
-            cell["gossip_distance"] = wire["gossip_distance"]
-        if "distance_error" in wire:
-            cell["distance_error"] = wire["distance_error"]
-    if profiler is not None:
-        # Profiled cells carry instrumentation overhead: their events/sec
-        # is not baseline-comparable and the checker skips it.
-        cell["profiled"] = True
-        cell["profile_top"] = _profile_top(profiler)
-    return cell
 
 
-# ----------------------------------------------------------------------
-# Suite driver
-# ----------------------------------------------------------------------
-def run_bench_suite(
-    *,
-    quick: bool = False,
-    macro_n: Optional[int] = None,
-    macro_duration_ms: Optional[int] = None,
-    coalesce: bool = False,
-    observability: bool = False,
-    dissemination: Optional[str] = None,
-    fanout: int = 8,
-    gossip_distance: bool = False,
-    gossip_round_budgets: Sequence[int] = (2, 6),
-    gossip_fanout: int = 3,
-    profile: bool = False,
-    progress: Optional[Callable[[str], None]] = print,
-) -> Dict[str, Any]:
-    """Run the full suite and return the report dict.
-
-    ``quick`` swaps the n=32 headline cell for a small one (CI smoke);
-    ``macro_n``/``macro_duration_ms`` override the headline cell's shape
-    (the prefix digest is then only comparable to baselines with the same
-    shape — ``check_against_baseline`` checks that before comparing).
-    ``coalesce`` adds ``*_coalesced`` variants of the macro cells (wire
-    coalescing + delta piggybacks on); the classic cells still run, so a
-    coalescing report remains digest-comparable on the compat path.
-    ``observability`` adds an ``*_observed`` headline variant with span
-    tracing and the metrics registry enabled — ``check_observability``
-    then gates its cost (<5% events/sec overhead, identical digest).
-    ``dissemination`` ("tree"/"gossip") adds a ``<cell>_<strategy>`` twin
-    of the headline (and n=100, when present) cell with that broadcast
-    strategy and the given ``fanout`` — ``check_dissemination`` then
-    requires a degenerate tree (fanout >= n-1) to reproduce the all2all
-    digest exactly.
-    ``gossip_distance`` adds a ``<headline>_gdist<r>`` twin per round
-    budget in ``gossip_round_budgets``, running warm-up distance
-    estimation through the epidemic gossip estimator
-    (``distance_mode="gossip"``) instead of all-to-all probes —
-    ``check_gossip_distance`` then gates safety, full convergence at the
-    largest budget, and the O(n·fanout) wire bound (no node requests
-    more than ``gossip_fanout`` peers in any round).
-    ``profile`` wraps each macro cell in cProfile and attaches the top-20
-    cumulative functions (``profile_top``); profiled events/sec carries
-    instrumentation overhead and is excluded from baseline comparison.
-    """
-    import dataclasses
-
-    say = progress or (lambda _msg: None)
-    suite_start = time.perf_counter()
-
-    micro: Dict[str, Dict[str, Any]] = {}
-    for name, body in _MICRO_BENCHES.items():
-        say(f"micro: {name} ...")
-        micro[name] = _timed(body)
-
+def run_bench_suite(*, quick: bool = False) -> Dict[str, Any]:
+    """Run every ``CELLS`` row (``quick`` skips the full-only ones),
+    printing one line per finished row, and return the report dict."""
     macro: Dict[str, Dict[str, Any]] = {}
-    if quick:
-        headline = "goodcase_n4"
-        cfg = _goodcase_config(macro_n or 4, macro_duration_ms or 1500)
-    else:
-        headline = "goodcase_n32"
-        cfg = _goodcase_config(macro_n or 32, macro_duration_ms or 3000)
-
-    cells: List[Tuple[str, Any]] = [(headline, cfg), ("chaos_smoke", _chaos_config())]
-    if not quick:
-        # The scaling oracle: ten times the paper's n, long enough for the
-        # pipeline to fill.  Its digest is checked in like every other
-        # cell's, so future builds must reproduce the n=100 schedule
-        # bit-for-bit.
-        cells.append(("goodcase_n100", _goodcase_config(100, 1000)))
-    if coalesce:
-        for name, base_cfg in list(cells):
-            if name == "goodcase_n100":
-                continue
-            cells.append(
-                (
-                    f"{name}_coalesced",
-                    dataclasses.replace(
-                        base_cfg,
-                        coalesce=True,
-                        coalesce_window_us=COALESCE_BENCH_WINDOW_US,
-                    ),
-                )
-            )
-    if dissemination and dissemination != "all2all":
-        for name, base_cfg in list(cells):
-            if name not in (headline, "goodcase_n100"):
-                continue
-            cells.append(
-                (
-                    f"{name}_{dissemination}",
-                    dataclasses.replace(
-                        base_cfg, dissemination=dissemination, fanout=fanout
-                    ),
-                )
-            )
-    if gossip_distance:
-        # Gossip-distance twins of the headline cell, one per warm-up
-        # round budget: the sweep shows how fast the epidemic estimator
-        # buys back the probe path's accuracy while never costing more
-        # than n·fanout messages per round.
-        for rounds in gossip_round_budgets:
-            cells.append(
-                (
-                    f"{headline}_gdist{rounds}",
-                    dataclasses.replace(
-                        cfg,
-                        distance_mode="gossip",
-                        gossip_fanout=gossip_fanout,
-                        gossip_rounds=rounds,
-                    ),
-                )
-            )
-    for name, cell_cfg in cells:
-        say(
-            f"macro: {name} (n={cell_cfg.n_nodes}, "
-            f"{cell_cfg.duration_us // 1000} ms) ..."
+    for name, (build, full_only, base) in CELLS.items():
+        if quick and full_only:
+            continue
+        row = macro[name] = _run_row(build())
+        twin = f"  (twin of {base})" if base else ""
+        print(
+            f"{name:<22} n={row['n']:<3} events={row['events']:>9} "
+            f"committed={row['committed']:>5} "
+            f"prefix={row['prefix_sha256'][:16]}…{twin}",
+            flush=True,
         )
-        macro[name] = _run_macro_cell(name, cell_cfg, profile=profile)
-    if observability:
-        oname = f"{headline}_observed"
-        say(f"macro: {oname} (tracing + metrics on) ...")
-        ocfg = dataclasses.replace(cfg, tracing=True, metrics=True)
-        # Same shape as the headline cell, so the decided-prefix digests
-        # are directly comparable — the "observability is read-only" oracle.
-        obs_cell = _run_macro_cell(oname, ocfg)
-        # Overhead estimate: interleaved (observed, plain) runs in ABBA
-        # order.  Two robust estimators of the same quantity — median of
-        # per-pair events/sec ratios, and the ratio of the best
-        # events/sec either side reached — and the gate records the
-        # smaller (see OBSERVABILITY_REPEATS).  Quick cells are
-        # stretched to a few seconds of virtual time so one sample is a
-        # throughput measure, not scheduler noise.
-        pair_cfg = (
-            dataclasses.replace(cfg, duration_us=max(cfg.duration_us, 10_000_000))
-            if quick
-            else cfg
-        )
-        pair_ocfg = dataclasses.replace(pair_cfg, tracing=True, metrics=True)
-        say(
-            f"macro: {oname} overhead gate "
-            f"({OBSERVABILITY_REPEATS} ABBA pairs, "
-            f"{pair_cfg.duration_us // 1000} ms each) ..."
-        )
-
-        def _overhead_block() -> Optional[Tuple[float, float]]:
-            ratios: List[float] = []
-            best_plain = 0.0
-            best_obs = 0.0
-            for rep in range(OBSERVABILITY_REPEATS):
-                if rep % 2 == 0:
-                    o = _run_macro_cell(oname, pair_ocfg)
-                    p = _run_macro_cell(headline, pair_cfg)
-                else:
-                    p = _run_macro_cell(headline, pair_cfg)
-                    o = _run_macro_cell(oname, pair_ocfg)
-                best_plain = max(best_plain, p["events_per_s"])
-                best_obs = max(best_obs, o["events_per_s"])
-                if p["events_per_s"] > 0:
-                    ratios.append(o["events_per_s"] / p["events_per_s"])
-            if not ratios or best_plain <= 0:
-                return None
-            ratios.sort()
-            median_est = 1.0 - ratios[len(ratios) // 2]
-            best_est = 1.0 - best_obs / best_plain
-            return (median_est, best_est)
-
-        block = _overhead_block()
-        if block is not None and min(block) > OBSERVABILITY_MAX_OVERHEAD:
-            # A shared runner can sit in a slow regime for the whole
-            # block; a transient regime does not reproduce, a genuine
-            # regression does, so re-measure once and keep the smaller
-            # reading.
-            say(f"macro: {oname} overhead above budget, re-measuring ...")
-            retry = _overhead_block()
-            if retry is not None and min(retry) < min(block):
-                block = retry
-        if block is not None:
-            median_est, best_est = block
-            obs_cell["overhead_median_pairs"] = round(median_est, 4)
-            obs_cell["overhead_best_pairs"] = round(best_est, 4)
-            obs_cell["overhead_vs_plain"] = round(min(median_est, best_est), 4)
-        macro[oname] = obs_cell
-
-    report: Dict[str, Any] = {
+    return {
         "schema": BENCH_SCHEMA_VERSION,
         "generated": date.today().isoformat(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "environment": environment_block(),
         "quick": quick,
-        "headline": headline,
-        "suite_wall_s": round(time.perf_counter() - suite_start, 3),
-        "micro": micro,
         "macro": macro,
-        "caches": macro[headline]["caches"],
     }
-    return report
 
 
 def write_report(report: Dict[str, Any], out_path: str | Path) -> Path:
@@ -641,228 +274,53 @@ def write_report(report: Dict[str, Any], out_path: str | Path) -> Path:
     return path
 
 
-# ----------------------------------------------------------------------
-# Baseline comparison
-# ----------------------------------------------------------------------
-def _cell_shape(cell: Dict[str, Any]) -> tuple:
-    return (
-        cell.get("n"),
-        cell.get("seed"),
-        cell.get("duration_ms"),
-        bool(cell.get("coalesced")),
-    )
-
-
-def check_dissemination(report: Dict[str, Any]) -> List[str]:
-    """Dissemination-strategy gates within one report.
-
-    Every ``<cell>_<strategy>`` twin must stay safe (no invariant or
-    safety violations — gossip reroutes traffic but may never reorder a
-    decided prefix into unsafety).  A *degenerate tree* twin — fanout
-    >= n-1, so every relay is a direct send — must additionally
-    reproduce the base cell's all2all digest bit-for-bit; that is the
-    oracle CI pins at n=4.
-    """
-    failures: List[str] = []
-    macro = report.get("macro", {})
-    pairs = 0
-    for name, twin in macro.items():
-        strategy = twin.get("dissemination")
-        if not strategy:
-            continue
-        base = macro.get(name[: -(len(strategy) + 1)])
-        if base is None or not name.endswith(f"_{strategy}"):
-            continue
-        pairs += 1
-        if twin.get("safety_violation") or twin.get("invariant_violations"):
-            failures.append(
-                f"{name}: {strategy} dissemination broke safety: "
-                f"{twin.get('safety_violation') or twin.get('invariant_violations')}"
-            )
-        degenerate = (
-            strategy == "tree"
-            and twin.get("fanout", 0) >= twin.get("n", 0) - 1
-        )
-        if degenerate and twin.get("prefix_sha256") != base.get("prefix_sha256"):
-            failures.append(
-                f"{name}: degenerate tree (fanout {twin.get('fanout')} >= "
-                f"n-1) digest {twin.get('prefix_sha256')} != all2all cell "
-                f"{base.get('prefix_sha256')}"
-            )
-    if pairs == 0:
-        failures.append(
-            "report has no dissemination twin cells "
-            "(run the suite with dissemination='tree'/'gossip')"
-        )
-    return failures
-
-
-def check_gossip_distance(report: Dict[str, Any]) -> List[str]:
-    """Gossip distance-estimation gates within one report.
-
-    Every ``*_gdist<r>`` twin must stay safe and must respect the
-    O(n·fanout) wire bound: the per-node wire accounting's
-    ``max_requests_per_round`` can never exceed ``gossip_fanout`` (a
-    node that probed more peers than its fan-out in any round would be
-    doing hidden all-to-all work).  The twin with the *largest* round
-    budget must additionally reach full convergence — every node's
-    estimator covering all n-1 peers — because that is the budget the
-    default configuration ships with.
-    """
-    failures: List[str] = []
-    twins = [
-        (name, cell)
-        for name, cell in report.get("macro", {}).items()
-        if cell.get("distance_mode") == "gossip"
-    ]
-    if not twins:
-        return [
-            "report has no gossip-distance twin cells "
-            "(run the suite with gossip_distance=True)"
-        ]
-    for name, cell in twins:
-        if cell.get("safety_violation") or cell.get("invariant_violations"):
-            failures.append(
-                f"{name}: gossip distance estimation broke safety: "
-                f"{cell.get('safety_violation') or cell.get('invariant_violations')}"
-            )
-        stats = cell.get("gossip_distance")
-        if not stats:
-            failures.append(f"{name}: cell carries no gossip wire stats")
-            continue
-        fanout = cell.get("gossip_fanout", 0)
-        if stats.get("max_requests_per_round", 0) > fanout:
-            failures.append(
-                f"{name}: a node sent {stats['max_requests_per_round']} "
-                f"gossip requests in one round, above fanout {fanout} "
-                f"(O(n*fanout) bound violated)"
-            )
-    best_name, best = max(twins, key=lambda nc: nc[1].get("gossip_rounds", 0))
-    stats = best.get("gossip_distance") or {}
-    n = best.get("n", 0)
-    if stats and stats.get("converged_nodes", 0) < n:
-        failures.append(
-            f"{best_name}: only {stats.get('converged_nodes', 0)}/{n} nodes "
-            f"converged within {best.get('gossip_rounds')} gossip rounds"
-        )
-    return failures
-
-
 def check_against_baseline(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
+    report: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[str]:
     """Return a list of failure strings (empty means the report passes).
 
-    Hard failures (hardware-independent): a macro cell's decided-prefix
-    digest differs from baseline for the same cell shape, any invariant or
-    safety violation.  Soft failure: macro events/sec below
-    ``baseline * (1 - tolerance)``.
-    """
-    if not 0 <= tolerance < 1:
-        raise ValueError("tolerance must be in [0, 1)")
-    failures: List[str] = []
-    base_macro = baseline.get("macro", {})
-    for name, cell in current.get("macro", {}).items():
-        if cell.get("safety_violation"):
-            failures.append(f"{name}: safety violation: {cell['safety_violation']}")
-        if cell.get("invariant_violations"):
-            failures.append(
-                f"{name}: {len(cell['invariant_violations'])} invariant "
-                f"violation(s): {cell['invariant_violations'][0]}"
-            )
-        base = base_macro.get(name)
-        if base is None:
-            continue
-        if _cell_shape(base) != _cell_shape(cell):
-            failures.append(
-                f"{name}: cell shape {_cell_shape(cell)} does not match "
-                f"baseline shape {_cell_shape(base)}; not comparable"
-            )
-            continue
-        if base.get("prefix_sha256") and cell.get("prefix_sha256") != base["prefix_sha256"]:
-            failures.append(
-                f"{name}: decided-prefix digest {cell.get('prefix_sha256')} "
-                f"!= baseline {base['prefix_sha256']} (determinism regression)"
-            )
-        base_eps = base.get("events_per_s", 0.0)
-        if base_eps and not cell.get("profiled"):
-            floor = base_eps * (1.0 - tolerance)
-            if cell.get("events_per_s", 0.0) < floor:
-                failures.append(
-                    f"{name}: {cell.get('events_per_s')} events/s is below "
-                    f"{floor:.1f} ({(1 - tolerance) * 100:.0f}% of baseline "
-                    f"{base_eps})"
-                )
-    return failures
-
-
-def check_observability(
-    report: Dict[str, Any],
-    *,
-    max_overhead: float = OBSERVABILITY_MAX_OVERHEAD,
-) -> List[str]:
-    """Gate the observability layer's cost within one report.
-
-    The ``<headline>_observed`` cell ran the same configuration as the
-    headline cell with tracing + metrics on, back to back in the same
-    process — so the comparison is hardware-independent.  Failures:
-    decided-prefix digest drift (observability perturbed the run) or
-    events/sec more than ``max_overhead`` below the headline cell.
+    Every row must be safe, free of invariant violations, pinned in
+    ``baseline`` and equal to its pin; every twin must equal its base
+    row.  Baseline rows the report did not run (the full-only rows of a
+    quick run) are ignored.
     """
     failures: List[str] = []
-    headline = report.get("headline")
-    macro = report.get("macro", {})
-    base = macro.get(headline)
-    obs = macro.get(f"{headline}_observed")
-    if base is None or obs is None:
-        return [f"report has no {headline} + {headline}_observed cell pair"]
-    if obs.get("prefix_sha256") != base.get("prefix_sha256"):
-        failures.append(
-            f"{headline}_observed: decided-prefix digest "
-            f"{obs.get('prefix_sha256')} != plain cell "
-            f"{base.get('prefix_sha256')} (observability perturbed the run)"
-        )
-    # Prefer the paired estimate (smaller of the pair-median and
-    # best-throughput estimators over interleaved repeat pairs, recorded
-    # by run_bench_suite) — it cancels CPU frequency drift that a
-    # single-sample comparison of tens-of-milliseconds cells cannot.
-    overhead = obs.get("overhead_vs_plain")
-    if overhead is not None:
-        if overhead > max_overhead:
+    pins = baseline.get("macro", {})
+    rows = report.get("macro", {})
+    for name, row in rows.items():
+        digest = row.get("prefix_sha256")
+        if row.get("safety_violation"):
+            failures.append(f"{name}: safety violation: {row['safety_violation']}")
+        if row.get("invariant_violations"):
             failures.append(
-                f"{headline}_observed: {overhead * 100:.1f}% paired "
-                f"overhead exceeds the {max_overhead * 100:.0f}% budget"
+                f"{name}: {len(row['invariant_violations'])} invariant "
+                f"violation(s): {row['invariant_violations'][0]}"
             )
-        return failures
-    base_eps = base.get("events_per_s", 0.0)
-    if base_eps:
-        floor = base_eps * (1.0 - max_overhead)
-        obs_eps = obs.get("events_per_s", 0.0)
-        if obs_eps < floor:
+        pin = pins.get(name, {}).get("prefix_sha256")
+        if pin is None:
+            failures.append(f"{name}: no pinned digest in the baseline")
+        elif digest != pin:
             failures.append(
-                f"{headline}_observed: {obs_eps} events/s is below {floor:.1f} "
-                f"(> {max_overhead * 100:.0f}% observability overhead vs "
-                f"{base_eps})"
+                f"{name}: decided-prefix digest {digest} != baseline pin "
+                f"{pin} (determinism regression)"
+            )
+        base = CELLS[name][2] if name in CELLS else None
+        if base in rows and digest != rows[base].get("prefix_sha256"):
+            failures.append(
+                f"{name}: digest {digest} != its base row {base}'s "
+                f"{rows[base].get('prefix_sha256')} (twin diverged)"
             )
     return failures
 
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "DEFAULT_TOLERANCE",
-    "OBSERVABILITY_MAX_OVERHEAD",
-    "OBSERVABILITY_REPEATS",
-    "check_observability",
-    "check_dissemination",
-    "COALESCE_BENCH_WINDOW_US",
-    "environment_block",
-    "run_bench_suite",
-    "write_report",
+    "CELLS",
     "check_against_baseline",
     "default_output_path",
     "digest_outputs",
+    "environment_block",
     "prefix_digest",
+    "run_bench_suite",
+    "write_report",
 ]

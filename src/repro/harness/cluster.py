@@ -85,10 +85,9 @@ class ExperimentResult:
     # run's WorkloadSpec has ``fairness`` on, empty otherwise.
     fairness: Dict[str, Any] = field(default_factory=dict)
     # Wall-clock seconds spent inside the event loop proper (excludes
-    # post-run consolidation: snapshotting, safety checks).  The bench
-    # suite's events/sec — and the observability overhead gate — divide
-    # by this, so one-off reporting costs don't pollute a hot-path
-    # throughput measure.  Host timing, not a simulation result: it is
+    # post-run consolidation: snapshotting, safety checks).  The ledger
+    # subtracts it from the run's wall time to report consolidation
+    # cost separately.  Host timing, not a simulation result: it is
     # excluded from to_dict() and from equality so serialized results —
     # and result comparisons — stay deterministic.
     sim_wall_s: float = field(default=0.0, compare=False)

@@ -71,7 +71,6 @@ MODULES = [
     "repro.metrics.throughput",
     "repro.metrics.tracelog",
     "repro.harness",
-    "repro.harness.artifacts",
     "repro.harness.attack_runner",
     "repro.harness.byzantine_runner",
     "repro.harness.cluster",

@@ -1,22 +1,29 @@
-"""Tests for the repro.bench suite: report schema, determinism oracle,
-and baseline comparison logic."""
+"""Tests for the repro.bench table: row schema, the determinism oracle,
+the one baseline check, and the table's own invariants."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
+from repro.bench import suite
 from repro.bench.suite import (
     BENCH_SCHEMA_VERSION,
-    _run_macro_cell,
-    _timed,
+    CELLS,
+    _run_row,
     check_against_baseline,
-    check_observability,
     default_output_path,
     prefix_digest,
     write_report,
 )
 from repro.harness.config import ExperimentConfig
 from repro.sim.engine import MILLISECONDS
+
+BASELINE = (
+    Path(__file__).resolve().parents[1] / "benchmarks" / "bench_baseline.json"
+)
 
 
 def _small_config(**overrides):
@@ -34,25 +41,15 @@ def _small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-class TestTimed:
-    def test_reports_iterations_and_rate(self):
-        out = _timed(lambda: 1000)
-        assert out["iterations"] == 1000
-        assert out["wall_s"] >= 0
-        assert out["ops_per_s"] > 0
-
-
 class TestMacroCell:
     def test_schema_and_determinism(self):
-        cell_a = _run_macro_cell("t", _small_config())
-        cell_b = _run_macro_cell("t", _small_config())
+        cell_a = _run_row(_small_config())
+        cell_b = _run_row(_small_config())
         for key in (
             "n",
             "seed",
             "duration_ms",
             "events",
-            "wall_s",
-            "events_per_s",
             "committed",
             "prefix_sha256",
             "invariant_violations",
@@ -93,7 +90,7 @@ class TestMacroCell:
 
 class TestReportIo:
     def test_write_report_round_trips(self, tmp_path):
-        report = {"schema": BENCH_SCHEMA_VERSION, "macro": {}, "micro": {}}
+        report = {"schema": BENCH_SCHEMA_VERSION, "macro": {}}
         path = write_report(report, tmp_path / "BENCH_test.json")
         assert json.loads(path.read_text()) == report
 
@@ -103,15 +100,14 @@ class TestReportIo:
         assert path.suffix == ".json"
 
 
-def _report(events_per_s=1000.0, prefix="ab" * 32, violations=(), safety=None):
+def _report(prefix="ab" * 32, violations=(), safety=None, name="cell"):
     return {
         "schema": BENCH_SCHEMA_VERSION,
         "macro": {
-            "cell": {
+            name: {
                 "n": 4,
                 "seed": 1,
                 "duration_ms": 800,
-                "events_per_s": events_per_s,
                 "prefix_sha256": prefix,
                 "invariant_violations": list(violations),
                 "safety_violation": safety,
@@ -121,105 +117,128 @@ def _report(events_per_s=1000.0, prefix="ab" * 32, violations=(), safety=None):
 
 
 class TestCheckAgainstBaseline:
+    """One test per failure mode of the one check."""
+
     def test_identical_passes(self):
         assert check_against_baseline(_report(), _report()) == []
 
-    def test_small_slowdown_within_tolerance_passes(self):
-        current = _report(events_per_s=800.0)  # 20% below baseline
-        assert check_against_baseline(current, _report(), tolerance=0.30) == []
-
-    def test_large_slowdown_fails(self):
-        current = _report(events_per_s=500.0)  # 50% below baseline
-        failures = check_against_baseline(current, _report(), tolerance=0.30)
-        assert len(failures) == 1
-        assert "below" in failures[0]
-
-    def test_speedup_passes(self):
-        assert check_against_baseline(_report(events_per_s=9999.0), _report()) == []
-
     def test_prefix_mismatch_is_hard_failure(self):
-        current = _report(prefix="cd" * 32)
-        failures = check_against_baseline(current, _report())
-        assert any("determinism" in f for f in failures)
+        failures = check_against_baseline(_report(prefix="cd" * 32), _report())
+        assert len(failures) == 1
+        assert "determinism" in failures[0]
+
+    def test_twin_mismatch_fails(self):
+        # Both rows equal their pins, but the twin no longer reproduces
+        # its base row: the table's claim is what fails.
+        base, twin = "goodcase_n4", "goodcase_n4_observed"
+        assert CELLS[twin][2] == base
+        report = _report(name=base)
+        report["macro"][twin] = dict(
+            report["macro"][base], prefix_sha256="cd" * 32
+        )
+        failures = check_against_baseline(report, report)
+        assert len(failures) == 1
+        assert "twin diverged" in failures[0] and failures[0].startswith(twin)
 
     def test_invariant_violation_fails(self):
         current = _report(violations=["prefix divergence at seq 3"])
         failures = check_against_baseline(current, _report())
-        assert any("invariant" in f for f in failures)
+        assert len(failures) == 1
+        assert "invariant" in failures[0]
 
     def test_safety_violation_fails(self):
         current = _report(safety="pid 1 diverged")
         failures = check_against_baseline(current, _report())
-        assert any("safety" in f for f in failures)
-
-    def test_shape_mismatch_skips_prefix_compare(self):
-        baseline = _report()
-        baseline["macro"]["cell"]["n"] = 32
-        failures = check_against_baseline(_report(prefix="cd" * 32), baseline)
         assert len(failures) == 1
-        assert "not comparable" in failures[0]
-        assert not any("determinism" in f for f in failures)
+        assert "safety" in failures[0]
+
+    def test_row_missing_from_baseline_fails(self):
+        baseline = _report(name="other")
+        failures = check_against_baseline(_report(), baseline)
+        assert len(failures) == 1
+        assert "no pinned digest" in failures[0]
 
     def test_unknown_cell_in_baseline_ignored(self):
+        # A quick run skips the full-only rows the baseline still pins.
         baseline = _report()
-        baseline["macro"] = {"other": baseline["macro"]["cell"]}
+        baseline["macro"]["other"] = dict(baseline["macro"]["cell"])
         assert check_against_baseline(_report(), baseline) == []
 
-    def test_tolerance_validated(self):
-        with pytest.raises(ValueError):
-            check_against_baseline(_report(), _report(), tolerance=1.5)
+
+class TestCellsTable:
+    def test_twins_differ_from_base_only_in_digest_neutral_fields(self):
+        # A twin may only be declared on a change that must not move the
+        # digest: observability on, or a tree degenerate enough
+        # (fanout >= n-1) to be the all2all path.
+        twins = 0
+        for name, (build, _full_only, base) in CELLS.items():
+            if base is None:
+                continue
+            twins += 1
+            assert CELLS[base][2] is None, f"{name}: base {base} is a twin"
+            twin_cfg, base_cfg = build(), CELLS[base][0]()
+            changed = {
+                f.name
+                for f in dataclasses.fields(ExperimentConfig)
+                if getattr(twin_cfg, f.name) != getattr(base_cfg, f.name)
+            }
+            degenerate_tree = (
+                twin_cfg.dissemination == "tree"
+                and twin_cfg.fanout >= twin_cfg.n_nodes - 1
+            )
+            assert changed, f"{name}: identical to {base}"
+            assert changed <= {"tracing", "metrics"} or (
+                changed <= {"dissemination", "fanout"} and degenerate_tree
+            ), f"{name}: differs from {base} in {sorted(changed)}"
+        assert twins >= 2
+
+    def test_every_row_pinned_in_checked_in_baseline(self):
+        pins = json.loads(BASELINE.read_text())["macro"]
+        for name, (build, _full_only, base) in CELLS.items():
+            assert name in pins, f"{name} has no pin"
+            pin = pins[name]
+            assert len(pin["prefix_sha256"]) == 64
+            cfg = build()
+            assert (pin["n"], pin["seed"], pin["duration_ms"]) == (
+                cfg.n_nodes,
+                cfg.seed,
+                cfg.duration_us // 1000,
+            ), name
+            if base is not None:
+                assert pin["prefix_sha256"] == pins[base]["prefix_sha256"]
 
 
-def _observed_report(base_eps=1000.0, obs_eps=980.0, obs_prefix=None):
-    prefix = "ab" * 32
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "headline": "cell",
-        "macro": {
-            "cell": {"events_per_s": base_eps, "prefix_sha256": prefix},
-            "cell_observed": {
-                "events_per_s": obs_eps,
-                "prefix_sha256": obs_prefix if obs_prefix is not None else prefix,
-            },
-        },
-    }
+class TestBenchCommand:
+    def test_quick_run_checks_table_rows_in_order(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        table = {
+            "small": (_small_config, False, None),
+            "small_observed": (
+                lambda: _small_config(tracing=True, metrics=True),
+                False,
+                "small",
+            ),
+            "big": (lambda: _small_config(n_nodes=7), True, None),
+        }
+        monkeypatch.setattr(suite, "CELLS", table)
+        out = tmp_path / "BENCH_quick.json"
+        assert main(["bench", "--quick", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert list(report["macro"]) == ["small", "small_observed"]
+        digest = report["macro"]["small"]["prefix_sha256"]
+        assert report["macro"]["small_observed"]["prefix_sha256"] == digest
 
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(report))
+        argv = ["bench", "--quick", "--out", str(out)]
+        argv += ["--check-against", str(baseline)]
+        assert main(argv) == 0
+        assert "PASS" in capsys.readouterr().out
 
-class TestCheckObservability:
-    def test_small_overhead_passes(self):
-        assert check_observability(_observed_report(obs_eps=960.0)) == []
-
-    def test_overhead_beyond_budget_fails(self):
-        failures = check_observability(_observed_report(obs_eps=900.0))
-        assert len(failures) == 1
-        assert "overhead" in failures[0]
-
-    def test_digest_drift_is_hard_failure(self):
-        failures = check_observability(
-            _observed_report(obs_eps=1000.0, obs_prefix="cd" * 32)
-        )
-        assert any("perturbed" in f for f in failures)
-
-    def test_missing_pair_reported(self):
-        report = _observed_report()
-        del report["macro"]["cell_observed"]
-        failures = check_observability(report)
-        assert len(failures) == 1 and "pair" in failures[0]
-
-    def test_custom_budget(self):
-        report = _observed_report(obs_eps=900.0)  # 10% overhead
-        assert check_observability(report, max_overhead=0.15) == []
-
-    def test_paired_estimate_preferred_over_eps(self):
-        # The paired estimator, when present, decides the gate even when
-        # the single-sample events/sec comparison would say otherwise.
-        report = _observed_report(obs_eps=900.0)  # naive eps: 10% over
-        report["macro"]["cell_observed"]["overhead_vs_plain"] = 0.02
-        assert check_observability(report) == []
-
-    def test_paired_estimate_beyond_budget_fails(self):
-        report = _observed_report(obs_eps=990.0)  # naive eps: 1% over
-        report["macro"]["cell_observed"]["overhead_vs_plain"] = 0.08
-        failures = check_observability(report)
-        assert len(failures) == 1
-        assert "paired" in failures[0]
+        report["macro"]["small"]["prefix_sha256"] = "cd" * 32
+        baseline.write_text(json.dumps(report))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "FAIL" in capsys.readouterr().out

@@ -31,18 +31,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_report_subcommand(self, tmp_path, capsys, monkeypatch):
-        # Patch the registry down to the two cheapest experiments so the
-        # CLI path is exercised without minutes of simulation.
-        import repro.harness.artifacts as artifacts
-
-        cheap = [e for e in artifacts.EXPERIMENTS if e[0] in ("LAT3", "FIG3")]
-        monkeypatch.setattr(artifacts, "EXPERIMENTS", cheap)
-        outdir = str(tmp_path / "r")
-        assert main(["report", "--outdir", outdir]) == 0
-        assert (tmp_path / "r" / "REPORT.md").exists()
-        assert (tmp_path / "r" / "results.json").exists()
-
     def test_report_fresh_run_prints_phase_table(self, tmp_path, capsys):
         trace_path = str(tmp_path / "trace.jsonl")
         chrome_path = str(tmp_path / "trace.json")

@@ -1,5 +1,5 @@
-"""Broadcast dissemination strategies (``repro.net.dissemination``), their
-sweep cache keys, and the ``check_dissemination`` bench gate.
+"""Broadcast dissemination strategies (``repro.net.dissemination``) and
+their sweep cache keys.
 
 The load-bearing property is bit-determinism: a degenerate tree must
 reproduce the all2all decided prefix exactly, and relaying strategies
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.suite import check_dissemination, prefix_digest
+from repro.bench.suite import prefix_digest
 from repro.harness.config import ExperimentConfig
 from repro.harness.factory import build_cluster
 from repro.harness.sweep import cell_key
@@ -115,49 +115,3 @@ class TestCacheKeys:
         assert cell_key(_config(fanout=4), "lyra") != cell_key(
             _config(fanout=8), "lyra"
         )
-
-
-class TestBenchGates:
-    def _report(self, macro):
-        return {"macro": macro}
-
-    def test_check_dissemination_degenerate_tree_gate(self):
-        macro = {
-            "cell": {"prefix_sha256": "aa"},
-            "cell_tree": {
-                "prefix_sha256": "bb",
-                "dissemination": "tree",
-                "fanout": 8,
-                "n": 4,
-            },
-        }
-        failures = check_dissemination(self._report(macro))
-        assert any("degenerate tree" in f for f in failures)
-        macro["cell_tree"]["prefix_sha256"] = "aa"
-        assert check_dissemination(self._report(macro)) == []
-
-    def test_check_dissemination_relaying_tree_not_digest_gated(self):
-        macro = {
-            "cell": {"prefix_sha256": "aa"},
-            "cell_tree": {
-                "prefix_sha256": "bb",
-                "dissemination": "tree",
-                "fanout": 2,
-                "n": 32,
-            },
-        }
-        assert check_dissemination(self._report(macro)) == []
-
-    def test_check_dissemination_flags_safety(self):
-        macro = {
-            "cell": {"prefix_sha256": "aa"},
-            "cell_gossip": {
-                "prefix_sha256": "bb",
-                "dissemination": "gossip",
-                "fanout": 3,
-                "n": 8,
-                "safety_violation": "prefix divergence",
-            },
-        }
-        failures = check_dissemination(self._report(macro))
-        assert any("safety" in f for f in failures)

@@ -3,8 +3,6 @@
 path, crash/recovery re-estimation (churn), and the warm-up
 configuration-unification regression guards."""
 
-import copy
-
 import pytest
 
 from repro.bench.suite import prefix_digest
@@ -293,44 +291,3 @@ class TestGossipChurn:
                     cluster.latency.base_us(node.pid, peer.pid),
                 )
                 assert abs(est - truth) < cfg.lambda_us
-
-
-class TestGossipBenchGate:
-    def test_check_gossip_distance_gate(self):
-        from repro.bench.suite import check_gossip_distance
-
-        good = {
-            "macro": {
-                "goodcase_n4": {"n": 4, "prefix_sha256": "aa"},
-                "goodcase_n4_gdist6": {
-                    "n": 4,
-                    "distance_mode": "gossip",
-                    "gossip_fanout": 3,
-                    "gossip_rounds": 6,
-                    "safety_violation": None,
-                    "invariant_violations": [],
-                    "gossip_distance": {
-                        "max_requests_per_round": 3,
-                        "converged_nodes": 4,
-                    },
-                },
-            }
-        }
-        assert check_gossip_distance(good) == []
-        # Fanout bound violated.
-        over = copy.deepcopy(good)
-        over["macro"]["goodcase_n4_gdist6"]["gossip_distance"][
-            "max_requests_per_round"
-        ] = 4
-        assert any("fanout" in f for f in check_gossip_distance(over))
-        # Convergence shortfall at the largest budget.
-        unconverged = copy.deepcopy(good)
-        unconverged["macro"]["goodcase_n4_gdist6"]["gossip_distance"][
-            "converged_nodes"
-        ] = 3
-        assert any("converged" in f for f in check_gossip_distance(unconverged))
-        # No twins at all.
-        assert any(
-            "no gossip-distance twin" in f
-            for f in check_gossip_distance({"macro": {}})
-        )
