@@ -65,7 +65,10 @@ class BandwidthModel:
 
     ``rate_bps`` may be a single number (uniform NICs) or a per-pid mapping.
     ``enabled=False`` turns the model into a zero-cost pass-through, which
-    unit tests use to isolate protocol logic from queueing.
+    unit tests use to isolate protocol logic from queueing.  The network
+    resolves a link's sender egress and receiver ingress queue once, into
+    its per-link record, and does :meth:`NicQueue.enqueue`'s arithmetic
+    there.
     """
 
     DEFAULT_RATE = 1_000_000_000  # 1 Gbps, the paper's instance class
@@ -101,18 +104,6 @@ class BandwidthModel:
             q = NicQueue(self._sim, self._rate_for(pid))
             self._ingress[pid] = q
         return q
-
-    def departure_time(self, src: int, size_bytes: int) -> int:
-        """Queue a message on ``src``'s egress; return wire departure time."""
-        if not self.enabled:
-            return self._sim.now
-        return self.egress(src).enqueue(size_bytes)
-
-    def ingress_delay_us(self, dst: int, size_bytes: int) -> int:
-        """Serialisation cost charged at the receiver when it arrives."""
-        if not self.enabled:
-            return 0
-        return self.ingress(dst).serialisation_us(size_bytes)
 
     def egress_backlog_us(self, pid: int) -> int:
         if not self.enabled:

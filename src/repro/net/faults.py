@@ -231,6 +231,9 @@ _DROP = FaultDecision(drop=True)
 #: Uniforms pre-drawn per refill of a lane's block.
 _BLOCK = 256
 
+#: A lane rule's ``end_us`` when the rule never ends.
+_FOREVER = 1 << 62
+
 
 @dataclass
 class FaultStats:
@@ -272,7 +275,7 @@ class FaultInjector:
     never perturbs the fault sequence of another.
 
     A link's state is its *fault lane*, opened on the first transmission
-    (see :meth:`_open_lane`): the link's generator resolved once, the
+    (see :meth:`lane`): the link's generator resolved once, the
     plan's rules that can ever match the link (endpoint selectors are
     static; time windows are still checked per call) and a block of
     pre-drawn uniforms.  ``Generator.random(k)`` yields exactly the
@@ -300,38 +303,52 @@ class FaultInjector:
         self._corrupted_uids: set = set()
         # Lanes keyed by the packed pid pair ``(src << 20) | dst`` (the
         # packing ``Network._link_stats`` uses).
-        self._lanes: Dict[int, tuple] = {}
+        self._lanes: Dict[int, Optional[tuple]] = {}
 
     def _stream(self, src: int, dst: int):
         return self._rng.get("faults", f"{src}->{dst}")
 
-    def _open_lane(self, src: int, dst: int) -> tuple:
-        """Build the ``(rules, gen, block, need)`` lane of one link:
-        the rules whose endpoint selectors admit it, its generator, the
-        stack of pre-drawn uniforms (next draw last; ``None`` = draw
-        scalar) and the most one :meth:`decide` call can pop from it."""
+    def lane(self, src: int, dst: int) -> Optional[tuple]:
+        """The ``(rules, gen, block, need)`` lane of link ``src -> dst``,
+        opened on first use: the rules whose endpoint selectors admit it,
+        its generator, the stack of pre-drawn uniforms (next draw last;
+        ``None`` = draw scalar) and the most one decision can pop from it.
+        ``None`` when no rule can ever match the link: it never draws."""
+        key = (src << 20) | dst
+        if key in self._lanes:
+            return self._lanes[key]
         # The static half of ``LinkFault.matches``; decide() does the window.
+        # Each rule is flattened to a plain tuple, read once per decision.
         rules = tuple(
-            lf
+            (
+                lf.start_us,
+                _FOREVER if lf.end_us is None else lf.end_us,
+                lf.drop_rate,
+                lf.duplicate_rate,
+                lf.corrupt_rate,
+                lf.reorder_rate,
+                lf.reorder_delay_us,
+            )
             for lf in self.plan.links
             if (lf.src is None or src in lf.src) and (lf.dst is None or dst in lf.dst)
         )
-        gen = self._stream(src, dst) if rules else None
-        if any(lf.reorder_rate > 0.0 for lf in rules):
-            block, need = None, 0
+        if not rules:
+            lane = None
+        elif any(rule[5] > 0.0 for rule in rules):
+            lane = (rules, self._stream(src, dst), None, 0)
         else:
-            block = []
-            need = sum(
-                (lf.drop_rate > 0.0) + (lf.duplicate_rate > 0.0) + (lf.corrupt_rate > 0.0)
-                for lf in rules
-            )
-        lane = self._lanes[(src << 20) | dst] = (rules, gen, block, need)
+            need = sum((rule[2] > 0.0) + (rule[3] > 0.0) + (rule[4] > 0.0) for rule in rules)
+            lane = (rules, self._stream(src, dst), [], need)
+        self._lanes[key] = lane
         return lane
 
     def decide(self, src: int, dst: int, message: Message, now: int) -> FaultDecision:
-        lane = self._lanes.get((src << 20) | dst)
-        if lane is None:
-            lane = self._open_lane(src, dst)
+        lane = self.lane(src, dst)
+        return _CLEAN if lane is None else self.decide_on(lane, message, now)
+
+    def decide_on(self, lane: tuple, message: Message, now: int) -> FaultDecision:
+        """:meth:`decide` on a lane already resolved by :meth:`lane` (the
+        network keeps each link's lane in its per-link record)."""
         rules, gen, block, need = lane
         if block is None:
             draw = gen.random
@@ -343,19 +360,17 @@ class FaultInjector:
             draw = block.pop
         drop = duplicate = corrupt = False
         extra_delay_us = 0
-        for lf in rules:
-            if now < lf.start_us or (lf.end_us is not None and now >= lf.end_us):
+        for start, end, drop_rate, dup_rate, corrupt_rate, reorder_rate, reorder_us in rules:
+            if now < start or now >= end:
                 continue
-            if lf.drop_rate > 0.0 and draw() < lf.drop_rate:
+            if drop_rate > 0.0 and draw() < drop_rate:
                 drop = True
-            if lf.duplicate_rate > 0.0 and draw() < lf.duplicate_rate:
+            if dup_rate > 0.0 and draw() < dup_rate:
                 duplicate = True
-            if lf.corrupt_rate > 0.0 and draw() < lf.corrupt_rate:
+            if corrupt_rate > 0.0 and draw() < corrupt_rate:
                 corrupt = True
-            if lf.reorder_rate > 0.0 and draw() < lf.reorder_rate:
-                extra_delay_us += int(
-                    gen.integers(1, max(2, lf.reorder_delay_us + 1))
-                )
+            if reorder_rate > 0.0 and draw() < reorder_rate:
+                extra_delay_us += int(gen.integers(1, max(2, reorder_us + 1)))
         stats = self.stats
         if drop:
             # A dropped message neither duplicates nor reorders.

@@ -11,7 +11,7 @@ faster than the direct path), which [26] shows occurs on real WANs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.sim.engine import MILLISECONDS
 from repro.sim.rng import RngRegistry
@@ -78,24 +78,28 @@ def triangle_violations(
     return out
 
 
-class LatencyModel:
-    """Interface: sample a one-way propagation delay in microseconds."""
+#: A link's jitter stream: ``[buffer, cursor, refill, bound]``.  A sample is
+#: ``int(base * (1 + noise))`` for the next ``noise`` of ``buffer`` (refilled
+#: by ``refill()`` when the cursor runs off its end) clamped to
+#: ``±bound``, and never below the link's floor.  The network draws
+#: samples itself, from its per-link record, in send order.
+JitterStream = list
 
-    def one_way_us(self, src: int, dst: int) -> int:
-        raise NotImplementedError
+
+class LatencyModel:
+    """Interface: the terms a link's one-way propagation delays are
+    sampled from, in microseconds."""
 
     def base_us(self, src: int, dst: int) -> int:
         """Jitter-free base latency (used by distance-prediction tests)."""
         raise NotImplementedError
 
-    def one_way_block(self, src: int, dsts) -> List[int]:
-        """Batch form of :meth:`one_way_us` over several destinations.
-
-        The default samples scalar-wise in destination order, so any model
-        stays bit-identical whether the network fans out one call at a time
-        or in a block; subclasses override it purely for speed."""
-        one_way_us = self.one_way_us
-        return [one_way_us(src, dst) for dst in dsts]
+    def link_terms(self, src: int, dst: int) -> Tuple[int, int, Optional[JitterStream]]:
+        """``(base, floor, stream)`` of link ``src -> dst``: every sample is
+        ``base`` when ``stream`` is None, else a draw from ``stream``
+        (see :data:`JitterStream`) that never falls below ``floor``."""
+        base = self.base_us(src, dst)
+        return base, base, None
 
 
 class UniformLatencyModel(LatencyModel):
@@ -108,24 +112,22 @@ class UniformLatencyModel(LatencyModel):
     def base_us(self, src: int, dst: int) -> int:
         return self.self_delay_us if src == dst else self.delay_us
 
-    def one_way_us(self, src: int, dst: int) -> int:
-        return self.base_us(src, dst)
-
 
 class GeoLatencyModel(LatencyModel):
     """Region-matrix latency with multiplicative truncated-normal jitter.
 
     ``placement`` maps pid -> region name.  ``jitter`` is the standard
-    deviation as a fraction of the base latency; samples are truncated at
-    ``±3σ`` and never below 20% of base (queueing can add delay but light
-    does not speed up).
+    deviation as a fraction of the base latency, fixed at construction;
+    samples are truncated at ``±3σ`` and never below 20% of base (queueing
+    can add delay but light does not speed up).  Self-links never jitter.
 
     Jitter is drawn from *per-source* streams (``("net", "jitter", src)``):
     each sender's draw order is then a function of that sender's own send
     sequence alone, never of how sends from different nodes interleave
     globally.  A single shared stream would entangle every node's draws
     with the global execution order, so any change to how two senders'
-    events interleave would reshuffle every later sample in the run.
+    events interleave would reshuffle every later sample in the run.  All
+    of a sender's links share its one stream state.
     """
 
     def __init__(
@@ -140,8 +142,6 @@ class GeoLatencyModel(LatencyModel):
         self.placement = placement if isinstance(placement, dict) else dict(placement)
         self.jitter = float(jitter)
         self._registry = rng or RngRegistry(0)
-        # Pre-resolve base latencies for every known pid pair lazily.
-        self._base_cache: Dict[Tuple[int, int], int] = {}
         # Jitter draws are batched: numpy's Generator fills a size-n request
         # with exactly the same variates as n scalar calls, so refilling a
         # buffer keeps each stream bit-identical while amortising the
@@ -149,106 +149,34 @@ class GeoLatencyModel(LatencyModel):
         # lists (``tolist`` preserves every float64 bit-exactly) because
         # indexing a list yields Python floats whose arithmetic is several
         # times faster than numpy scalars on this per-message path.
-        # src -> [buffer, cursor, generator].
-        self._streams: Dict[int, list] = {}
-        self._noise_sigma = self.jitter
+        # src -> its JitterStream.
+        self._streams: Dict[int, JitterStream] = {}
 
-    def _stream(self, src: int) -> list:
+    def _stream(self, src: int) -> JitterStream:
         state = self._streams.get(src)
         if state is None:
-            state = self._streams[src] = [
-                [],
-                0,
-                self._registry.get("net", "jitter", str(src)),
-            ]
+            normal = self._registry.get("net", "jitter", str(src)).normal
+            jitter = self.jitter
+
+            def refill() -> List[float]:
+                return normal(0.0, jitter, 1024).tolist()
+
+            state = self._streams[src] = [[], 0, refill, 3 * jitter]
         return state
 
     def region_of(self, pid: int) -> str:
         return self.placement[pid]
 
     def base_us(self, src: int, dst: int) -> int:
-        key = (src, dst)
-        cached = self._base_cache.get(key)
-        if cached is None:
-            if src == dst:
-                cached = 10
-            else:
-                ms = region_latency_ms(self.placement[src], self.placement[dst])
-                cached = int(ms * MILLISECONDS)
-            self._base_cache[key] = cached
-        return cached
+        if src == dst:
+            return 10
+        return int(region_latency_ms(self.placement[src], self.placement[dst]) * MILLISECONDS)
 
-    def one_way_us(self, src: int, dst: int) -> int:
+    def link_terms(self, src: int, dst: int) -> Tuple[int, int, Optional[JitterStream]]:
         base = self.base_us(src, dst)
-        jitter = self.jitter
-        if jitter <= 0 or src == dst:
-            return base
-        if self._noise_sigma != jitter:
-            self._streams.clear()
-            self._noise_sigma = jitter
-        state = self._streams.get(src)
-        if state is None:
-            state = self._stream(src)
-        buf, pos, gen = state
-        if pos >= len(buf):
-            buf = state[0] = gen.normal(0.0, jitter, 1024).tolist()
-            pos = 0
-        noise = buf[pos]
-        state[1] = pos + 1
-        if noise > (hi := 3 * jitter):
-            noise = hi
-        elif noise < -hi:
-            noise = -hi
-        sample = int(base * (1.0 + noise))
-        floor = int(base * 0.2)
-        return sample if sample > floor else floor
-
-    def one_way_block(self, src: int, dsts) -> List[int]:
-        """Sample ``one_way_us(src, d)`` for every ``d`` in ``dsts``.
-
-        Consumes ``src``'s jitter stream in exactly the per-destination
-        order of the scalar method (self-destinations draw nothing), so
-        broadcast fan-outs that switch to this batch form keep runs
-        bit-identical.
-        """
-        jitter = self.jitter
-        base_us = self.base_us
-        if jitter <= 0:
-            return [base_us(src, d) for d in dsts]
-        if self._noise_sigma != jitter:
-            self._streams.clear()
-            self._noise_sigma = jitter
-        state = self._streams.get(src)
-        if state is None:
-            state = self._stream(src)
-        buf, pos, gen = state
-        out = []
-        size = len(buf)
-        refill = gen.normal
-        hi = 3 * jitter
-        base_cache_get = self._base_cache.get
-        for dst in dsts:
-            base = base_cache_get((src, dst))
-            if base is None:
-                base = base_us(src, dst)
-            if dst == src:
-                out.append(base)
-                continue
-            if pos >= size:
-                buf = state[0] = refill(0.0, jitter, 1024).tolist()
-                pos = 0
-                size = 1024
-            noise = buf[pos]
-            pos += 1
-            if noise > hi:
-                noise = hi
-            elif noise < -hi:
-                noise = -hi
-            sample = int(base * (1.0 + noise))
-            floor = int(base * 0.2)
-            out.append(sample if sample > floor else floor)
-        state[1] = pos
-        return out
+        if self.jitter <= 0 or src == dst:
+            return base, base, None
+        return base, int(base * 0.2), self._stream(src)
 
 
 def make_latency_model(

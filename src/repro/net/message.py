@@ -142,7 +142,9 @@ class Message:
         return crc
 
     def stamp_checksum(self) -> None:
-        self.checksum = self.expected_checksum()
+        # The memo probe inlined: this runs once per physical frame.  A CRC
+        # is never 0, so a miss is the only falsy result.
+        self.checksum = _crc_cache.get((self.kind, self.size)) or self.expected_checksum()
 
     def verify_checksum(self) -> bool:
         """True when the frame arrived undamaged (or was never stamped)."""

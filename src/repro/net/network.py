@@ -83,6 +83,26 @@ class NetworkConfig:
     clamp_after_gst: bool = True
 
 
+class _Link:
+    """One directed link's wire state, resolved on the link's first frame.
+
+    It holds what the per-frame path would otherwise look up by
+    ``(src, dst)`` in five places: the destination process (processes are
+    never deregistered), the sender's egress and the receiver's ingress
+    :class:`~repro.net.bandwidth.NicQueue` (``None`` with bandwidth off),
+    the :meth:`~repro.net.latency.LatencyModel.link_terms` (the jitter
+    stream is the sender's, shared by all its links), the fault lane
+    (``None`` without a matching fault rule) and the link-stats slot
+    (``None`` while link stats are off).  No field changes after the
+    record is built, except that enabling link stats gives it a slot.
+    """
+
+    __slots__ = (
+        "src", "dst", "key", "process", "egress", "ingress",
+        "base", "floor", "jitter", "lane", "counts",
+    )
+
+
 class Network:
     """Connects :class:`SimProcess` instances over simulated channels."""
 
@@ -119,11 +139,18 @@ class Network:
         self._outboxes: Dict[Tuple[int, int], List[Message]] = {}
         #: Senders with an armed window-flush timer (window > 0 only).
         self._flush_timers: set = set()
-        # Per-link delivery counters keyed by the packed pid pair
-        # ``(src << 20) | dst`` — an int key skips the per-message tuple
+        #: Where a link's frames go: onto the wire, or into the coalescing
+        #: outbox once ``enable_coalescing`` has run.
+        self._transmit: Callable[[int, int, Message], None] = self._put_on_wire
+        # Link records and the per-link delivery counters are keyed by the
+        # packed pid pair ``(src << 20) | dst`` — an int key skips the tuple
         # allocation and tuple hash a ``(src, dst)`` key would cost.
-        # None until ``enable_link_stats`` so the delivery hot path pays
-        # only a None check when disabled.
+        self._links: Dict[int, _Link] = {}
+        #: A sender's records over the replica group, keyed by
+        #: ``(src << 1) | include_self``; rebuilt when the group changes.
+        self._rows: Dict[int, List[_Link]] = {}
+        # ``[messages, bytes]`` slots, shared with the records.  None until
+        # ``enable_link_stats``.
         self._link_stats: Optional[Dict[int, List[int]]] = None
 
     def enable_reliable(self, config: Optional[ReliableConfig] = None) -> ReliableLayer:
@@ -153,6 +180,7 @@ class Network:
             return
         self._coalesce = True
         self._coalesce_window_us = int(window_us)
+        self._transmit = self._enqueue_coalesced
         if self._coalesce_window_us == 0:
             self.sim.add_end_of_instant_hook(self._flush_outboxes)
 
@@ -187,9 +215,12 @@ class Network:
         """
         if self._link_stats is None:
             self._link_stats = {}
+            for key, link in self._links.items():
+                link.counts = self._link_stats[key] = [0, 0]
 
     def link_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-link delivery counters as ``{"src->dst": {messages, bytes}}``."""
+        """Per-link delivery counters as ``{"src->dst": {messages, bytes}}``
+        (links that delivered nothing are left out)."""
         if not self._link_stats:
             return {}
         return {
@@ -198,16 +229,38 @@ class Network:
                 "bytes": counts[1],
             }
             for key, counts in sorted(self._link_stats.items())
+            if counts[0]
         }
 
     def _count_link(self, src: int, dst: int, size: int) -> None:
-        # Slow-path helper; the delivery hot paths inline this body.
+        # Slow-path helper; the delivery hot paths count on the record.
         try:
             counts = self._link_stats[(src << 20) | dst]
         except KeyError:
             counts = self._link_stats[(src << 20) | dst] = [0, 0]
         counts[0] += 1
         counts[1] += size
+
+    def _link(self, src: int, dst: int) -> _Link:
+        """The record of link ``src -> dst`` (``dst`` must be registered),
+        built on first use."""
+        key = (src << 20) | dst
+        link = self._links.get(key)
+        if link is not None:
+            return link
+        link = self._links[key] = _Link()
+        link.src, link.dst, link.key = src, dst, key
+        link.process = self._processes[dst]
+        bandwidth = self.bandwidth
+        if bandwidth.enabled:
+            link.egress, link.ingress = bandwidth.egress(src), bandwidth.ingress(dst)
+        else:
+            link.egress = link.ingress = None
+        link.base, link.floor, link.jitter = self.latency.link_terms(src, dst)
+        link.lane = None if self.faults is None else self.faults.lane(src, dst)
+        stats = self._link_stats
+        link.counts = None if stats is None else stats.setdefault(key, [0, 0])
+        return link
 
     # ------------------------------------------------------------------
     # Registration
@@ -221,6 +274,7 @@ class Network:
             # Keep the broadcast group sorted with one O(n) insertion
             # instead of a full re-sort per registration.
             insort(self._replicas, process.pid)
+            self._rows.clear()
         process.attach(self)
 
     def pids(self) -> List[int]:
@@ -254,13 +308,13 @@ class Network:
         than raising, so traffic to deregistered targets degrades
         gracefully instead of killing the whole simulation.
         """
-        if dst not in self._processes:
-            self.unroutable_dropped += 1
-            return
-        if self.reliable is not None:
-            self.reliable.send(src, dst, message)
+        reliable = self.reliable
+        if reliable is None:
+            self._transmit(src, dst, message)  # counts unroutable itself
+        elif dst in self._processes:
+            reliable.send(src, dst, message)
         else:
-            self._transmit(src, dst, message)
+            self.unroutable_dropped += 1
 
     def broadcast(
         self, src: int, message: Message, *, include_self: bool = True
@@ -289,92 +343,89 @@ class Network:
         in sorted-pid order, exactly as the per-``send`` path would,
         keeping RNG streams — and therefore whole runs — bit-identical.
 
-        Returns the number of send attempts (including unroutable ones),
-        which callers use for traffic accounting.
+        Returns the number of send attempts, which callers use for traffic
+        accounting.
         """
-        processes = self._processes
         reliable = self.reliable
+        if (
+            reliable is None
+            and not self._coalesce
+            and self.faults is None
+            and type(self.adversary) is NullAdversary
+        ):
+            return self._broadcast_fast(src, message, include_self)
+        # Reliable channels frame per destination (each link has its own
+        # sequence space); the inner message object stays shared.
+        send = self._transmit if reliable is None else reliable.send
         attempts = 0
-        if reliable is not None:
-            # Reliable channels frame per destination (each link has its
-            # own sequence space); the inner message object stays shared.
-            for dst in self._replicas:
-                if dst == src and not include_self:
-                    continue
-                attempts += 1
-                if dst not in processes:
-                    self.unroutable_dropped += 1
-                    continue
-                reliable.send(src, dst, message)
-            return attempts
-        if self._coalesce:
-            enqueue = self._enqueue_coalesced
-            for dst in self._replicas:
-                if dst == src and not include_self:
-                    continue
-                attempts += 1
-                if dst not in processes:
-                    self.unroutable_dropped += 1
-                    continue
-                enqueue(src, dst, message)
-            return attempts
-        if self.faults is None and type(self.adversary) is NullAdversary:
-            fast = self._broadcast_fast(src, message, include_self)
-            if fast >= 0:
-                return fast
-        put_on_wire = self._put_on_wire
         for dst in self._replicas:
-            if dst == src and not include_self:
-                continue
-            attempts += 1
-            if dst not in processes:
-                self.unroutable_dropped += 1
-                continue
-            put_on_wire(src, dst, message)
+            if dst != src or include_self:
+                attempts += 1
+                send(src, dst, message)
         return attempts
 
     def _broadcast_fast(self, src: int, message: Message, include_self: bool) -> int:
-        """Fan-out without per-destination model calls.
+        """Fan-out over the sender's row of link records.
 
         Applies when nothing perturbs the pipeline per destination — no
-        faults, a null adversary, and uniform NIC rates: the k-th egress
-        departure is then exactly ``first_departure + k * serialisation``
-        and the ingress delay is one shared value, so the per-destination
-        work collapses to one jitter draw (batched via ``one_way_block``,
-        preserving stream order) and one ``schedule``.  Returns -1 when the
-        preconditions do not hold and the general loop must run instead.
+        faults and a null adversary.  The k-th egress departure is then
+        exactly ``first_departure + k * serialisation`` on the sender's NIC,
+        so what is left per destination is its ingress serialisation, one
+        jitter draw (off the sender's stream, in destination order, as
+        per-destination sends would draw) and one ``schedule_block`` triple.
         """
-        bandwidth = self.bandwidth
-        if bandwidth.enabled and isinstance(bandwidth._rates, dict):
-            return -1
-        if include_self or src not in self._replicas:
-            dsts = self._replicas
-        else:
-            dsts = [dst for dst in self._replicas if dst != src]
-        count = len(dsts)
+        key = (src << 1) | include_self
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [
+                self._link(src, dst)
+                for dst in self._replicas
+                if include_self or dst != src
+            ]
+        count = len(row)
         if not count:
             return 0
         message.stamp_checksum()
         sim = self.sim
         now = sim._now
         size = message.size
-        if bandwidth.enabled:
-            queue = bandwidth.egress(src)
-            ser = queue.serialisation_us(size)
-            free = queue._free_at
-            start = now if now > free else free
-            queue._free_at = start + count * ser
-            queue.bytes_total += count * size
-            ingress = bandwidth.ingress(src).serialisation_us(size)
-            delay = start - now + ser + ingress
+        egress = row[0].egress
+        if egress is None:
+            ser = delay = 0
         else:
-            ser = 0
-            delay = 0
-        props = self.latency.one_way_block(src, dsts)
+            ser = egress._ser_cache.get(size)
+            if ser is None:
+                ser = egress.serialisation_us(size)
+            free = egress._free_at
+            start = now if now > free else free
+            egress._free_at = start + count * ser
+            egress.bytes_total += count * size
+            delay = start - now + ser
         deliver = self._deliver_clean
         items = []
-        for dst, prop in zip(dsts, props):
-            items.append((delay + prop, deliver, (src, dst, message)))
+        for link in row:
+            prop = link.base
+            stream = link.jitter
+            if stream is not None:
+                # One draw, as in ``_put_on_wire``.
+                buf, pos, refill, bound = stream
+                if pos >= len(buf):
+                    buf = stream[0] = refill()
+                    pos = 0
+                noise = buf[pos]
+                stream[1] = pos + 1
+                if noise > bound:
+                    noise = bound
+                elif noise < -bound:
+                    noise = -bound
+                prop = int(prop * (1.0 + noise))
+                if prop < link.floor:
+                    prop = link.floor
+            ingress = link.ingress
+            if ingress is not None:
+                in_ser = ingress._ser_cache.get(size)
+                prop += ingress.serialisation_us(size) if in_ser is None else in_ser
+            items.append((delay + prop, deliver, (link, message)))
             delay += ser
         # Deliveries run at priority src+1: at any shared instant the
         # destination processes timers/CPU completions (priority 0) first,
@@ -388,7 +439,11 @@ class Network:
     # Wire-frame coalescing
     # ------------------------------------------------------------------
     def _enqueue_coalesced(self, src: int, dst: int, message: Message) -> None:
-        """Park ``message`` in the (src, dst) outbox until the flush."""
+        """Park ``message`` in the (src, dst) outbox until the flush (or
+        count it unroutable)."""
+        if dst not in self._processes:
+            self.unroutable_dropped += 1
+            return
         key = (src, dst)
         box = self._outboxes.get(key)
         if box is None:
@@ -451,74 +506,105 @@ class Network:
         # frame takes every bundled message with it.
         self._put_on_wire(src, dst, frame)
 
-    def _transmit(self, src: int, dst: int, message: Message) -> None:
-        """Send one frame now, or park it for the link's next coalesced
-        flush."""
-        if dst not in self._processes:
-            self.unroutable_dropped += 1
-            return
-        if self._coalesce:
-            self._enqueue_coalesced(src, dst, message)
-            return
-        self._put_on_wire(src, dst, message)
-
     def _put_on_wire(self, src: int, dst: int, frame: Message) -> None:
-        """The one way a physical frame enters a link: stamp its checksum,
-        apply the link's faults, and schedule each surviving copy.
+        """The one routine that turns a physical frame into queued
+        deliveries, over the link's record: stamp the checksum, apply the
+        link's faults, and queue each surviving copy with
+        :meth:`Simulator.post` (a delivery is never cancelled).
 
-        Point-to-point sends, the general broadcast loop and coalesced
+        Arrival = egress departure + propagation (base plus the sender's
+        jitter draw) + adversarial delay (clamped to Δ after GST) + ingress
+        serialisation + the fault's reorder delay.  Point-to-point sends,
+        reliable frames and acks, the general broadcast loop and coalesced
         flushes all end here, so ``frame`` may be shared with other links:
         a corrupting link damages a *copy* and a duplicate travels as a
         clone taking its own (jittered) path, so it may arrive before or
-        after the original.
+        after the original.  An unregistered destination is counted as
+        unroutable.
         """
+        link = self._links.get((src << 20) | dst)
+        if link is None:
+            if dst not in self._processes:
+                self.unroutable_dropped += 1
+                return
+            link = self._link(src, dst)
         frame.stamp_checksum()
-        faults = self.faults
-        if faults is None:
-            self._schedule_delivery(src, dst, frame, 0)
-            return
-        decision = faults.decide(src, dst, frame, self.sim._now)
-        if decision.drop:
-            return
-        wire = FaultInjector.corrupted_copy(frame) if decision.corrupt else frame
-        self._schedule_delivery(src, dst, wire, decision.extra_delay_us)
-        if decision.duplicate:
-            self._schedule_delivery(src, dst, frame.clone(), 0)
-
-    def _schedule_delivery(
-        self, src: int, dst: int, message: Message, extra_delay_us: int
-    ) -> None:
         sim = self.sim
         now = sim._now
-        size = message.size
-        departure = self.bandwidth.departure_time(src, size)
-        propagation = self.latency.one_way_us(src, dst)
-        extra = 0
+        wire = frame
+        reorder = 0
+        duplicate = False
+        if link.lane is not None:
+            decision = self.faults.decide_on(link.lane, frame, now)
+            if decision.drop:
+                return
+            if decision.corrupt:
+                wire = FaultInjector.corrupted_copy(frame)
+            reorder = decision.extra_delay_us
+            duplicate = decision.duplicate
+        size = frame.size
+        egress = link.egress
+        if egress is None:
+            ingress = 0
+        else:
+            ser = egress._ser_cache.get(size)
+            if ser is None:
+                ser = egress.serialisation_us(size)
+            ingress = link.ingress._ser_cache.get(size)
+            if ingress is None:
+                ingress = link.ingress.serialisation_us(size)
         adversary = self.adversary
-        if type(adversary) is not NullAdversary:
-            extra = adversary.extra_delay_us(src, dst, size, now)
-            # With zero adversarial delay the clamp is a no-op, so the GST
-            # lookup only runs when there is something to clamp.
-            if extra and self.config.clamp_after_gst and now >= adversary.gst():
-                # After GST the adversary cannot stretch delays past Δ.
-                extra = min(extra, max(0, self.config.delta_us - propagation))
-        ingress = self.bandwidth.ingress_delay_us(dst, size)
-        arrival = departure + propagation + extra + ingress + extra_delay_us
-        # ``arrival >= now`` by construction (departure is never in the
-        # past and the remaining terms are non-negative), so this can skip
-        # schedule_at's bounds check.  Priority src+1 gives same-instant
-        # deliveries a canonical sender-pid order (see _broadcast_fast).
-        sim.schedule(
-            arrival - now,
-            self._deliver,
-            (src, dst, message),
-            priority=src + 1,
-        )
+        if type(adversary) is NullAdversary:
+            adversary = None
+        while True:
+            if egress is None:
+                departure = now
+            else:
+                free = egress._free_at
+                departure = egress._free_at = (now if now > free else free) + ser
+                egress.bytes_total += size
+            prop = link.base
+            stream = link.jitter
+            if stream is not None:
+                buf, pos, refill, bound = stream
+                if pos >= len(buf):
+                    buf = stream[0] = refill()
+                    pos = 0
+                noise = buf[pos]
+                stream[1] = pos + 1
+                if noise > bound:
+                    noise = bound
+                elif noise < -bound:
+                    noise = -bound
+                prop = int(prop * (1.0 + noise))
+                if prop < link.floor:
+                    prop = link.floor
+            if adversary is not None:
+                extra = adversary.extra_delay_us(src, dst, size, now)
+                # With zero adversarial delay the clamp is a no-op, so the
+                # GST lookup only runs when there is something to clamp.
+                if extra and self.config.clamp_after_gst and now >= adversary.gst():
+                    # After GST the adversary cannot stretch delays past Δ.
+                    extra = min(extra, max(0, self.config.delta_us - prop))
+                prop += extra
+            # Every term is non-negative and departure is never in the past.
+            # Priority src+1 gives same-instant deliveries a canonical
+            # sender-pid order (see _broadcast_fast).
+            sim.post(
+                departure - now + prop + ingress + reorder,
+                self._deliver,
+                (link, wire),
+                src + 1,
+            )
+            if not duplicate:
+                return
+            # Once more for the duplicate: a clean clone with its own
+            # departure, jitter draw and adversary delay, and no reorder.
+            duplicate = False
+            wire = frame.clone()
+            reorder = 0
 
-    def _deliver(self, src: int, dst: int, message: Message) -> None:
-        process = self._processes.get(dst)
-        if process is None:
-            return
+    def _deliver(self, link: _Link, message: Message) -> None:
         checksum = message.checksum
         if checksum and checksum != message.expected_checksum():
             # Damaged in flight: indistinguishable from loss at this layer.
@@ -527,42 +613,20 @@ class Network:
             if self.faults is not None:
                 self.faults.stats.corrupt_detected += 1
             return
-        if message.kind == BUNDLE_KIND:
-            self._deliver_bundle(src, dst, message, process)
-            return
-        if self.reliable is not None and message.kind in (FRAME_KIND, ACK_KIND):
-            self.reliable.on_receive(src, dst, message, process)
-            return
-        dissemination = self.dissemination
-        if dissemination is not None and message.kind in dissemination.kinds:
+        kind = message.kind
+        if kind == BUNDLE_KIND:
+            self._deliver_bundle(link, message)
+        elif self.reliable is not None and kind in (FRAME_KIND, ACK_KIND):
+            self.reliable.on_receive(link, message)
+        elif self.dissemination is not None and kind in self.dissemination.kinds:
             # Relay envelope: the strategy forwards down the tree / pushes
             # to gossip peers, then delivers the inner message itself (it
             # also handles crashed relays, counting the starved subtree).
-            dissemination.on_envelope(self, src, dst, message)
-            return
-        if process.crashed:
-            return
-        # ``deliver_local`` inlined — this is the per-message hot path.
-        self.messages_delivered += 1
-        self.bytes_delivered += message.size
-        stats = self._link_stats
-        if stats is not None:
-            # ``_count_link`` inlined: a per-message call is measurable
-            # against the observability overhead budget.
-            try:
-                counts = stats[(src << 20) | dst]
-            except KeyError:
-                counts = stats[(src << 20) | dst] = [0, 0]
-            counts[0] += 1
-            counts[1] += message.size
-        if self._trace_hooks:
-            for hook in self._trace_hooks:
-                hook(self.sim.now, src, dst, message)
-        process.deliver(message, src)
+            self.dissemination.on_envelope(self, link.src, link.dst, message)
+        else:
+            self._deliver_clean(link, message)
 
-    def _deliver_bundle(
-        self, src: int, dst: int, bundle: Message, process: SimProcess
-    ) -> None:
+    def _deliver_bundle(self, link: _Link, bundle: Message) -> None:
         """Unpack one coalesced frame at its destination.
 
         Reliable-layer frames/acks are routed to the reliable layer (whose
@@ -572,24 +636,20 @@ class Network:
         the frame.
         """
         reliable = self.reliable
+        src, dst, process, counts = link.src, link.dst, link.process, link.counts
         now = self.sim.now
         trace_hooks = self._trace_hooks
-        stats = self._link_stats
         dissemination = self.dissemination
         batch: List[Message] = []
         for inner in bundle.payload:
             if reliable is not None and inner.kind in (FRAME_KIND, ACK_KIND):
-                reliable.on_receive(src, dst, inner, process)
+                reliable.on_receive(link, inner)
             elif dissemination is not None and inner.kind in dissemination.kinds:
                 dissemination.on_envelope(self, src, dst, inner)
             elif not process.crashed:
                 self.messages_delivered += 1
                 self.bytes_delivered += inner.size
-                if stats is not None:
-                    try:
-                        counts = stats[(src << 20) | dst]
-                    except KeyError:
-                        counts = stats[(src << 20) | dst] = [0, 0]
+                if counts is not None:
                     counts[0] += 1
                     counts[1] += inner.size
                 if trace_hooks:
@@ -599,28 +659,27 @@ class Network:
         if batch and not process.crashed:
             process.deliver_batch(batch, src)
 
-    def _deliver_clean(self, src: int, dst: int, message: Message) -> None:
-        """Delivery for fast-path broadcasts: the checksum was stamped by
-        the sender an instant ago and no fault injector exists on this
-        path, so re-verifying it (and sniffing for reliable-layer frames,
-        which imply a fault injector) would be pure overhead."""
-        process = self._processes.get(dst)
-        if process is None or process.crashed:
+    def _deliver_clean(self, link: _Link, message: Message) -> None:
+        """Hand an intact application message to the link's process.
+
+        Fast-path broadcasts are delivered here directly: their checksum
+        was stamped by the sender an instant ago and no fault injector
+        exists on that path, so re-verifying it (and sniffing for
+        reliable-layer frames, which imply a fault injector) would be pure
+        overhead."""
+        process = link.process
+        if process.crashed:
             return
         self.messages_delivered += 1
         self.bytes_delivered += message.size
-        stats = self._link_stats
-        if stats is not None:
-            try:
-                counts = stats[(src << 20) | dst]
-            except KeyError:
-                counts = stats[(src << 20) | dst] = [0, 0]
+        counts = link.counts
+        if counts is not None:
             counts[0] += 1
             counts[1] += message.size
         if self._trace_hooks:
             for hook in self._trace_hooks:
-                hook(self.sim.now, src, dst, message)
-        process.deliver(message, src)
+                hook(self.sim.now, link.src, link.dst, message)
+        process.deliver(message, link.src)
 
     def deliver_local(
         self, src: int, dst: int, message: Message, process: SimProcess

@@ -21,8 +21,9 @@ randomness is used, so runs stay bit-deterministic.
 
 Interaction with link-level coalescing: every physical transmission this
 layer makes — first sends, retransmissions, and acks — goes through
-:meth:`Network._transmit`, which is the same gate application traffic
-uses.  When the network has coalescing enabled, those frames and acks
+``Network._transmit``, which is the same gate application traffic uses:
+straight onto the wire (``Network._put_on_wire``) while coalescing is off.
+When the network has coalescing enabled, those frames and acks
 land in the per-(src, dst) outbox and ride the same wire bundles as
 everything else destined for that link in the same window: an ack
 travelling back to a sender piggybacks on whatever data frames the
@@ -37,14 +38,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Set
 
 from repro.net.message import Message
 from repro.sim.engine import Event, MILLISECONDS, SECONDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.network import Network
-    from repro.sim.process import SimProcess
+    from repro.net.network import Network, _Link
 
 FRAME_KIND = "net.frame"
 ACK_KIND = "net.ack"
@@ -58,7 +58,11 @@ ACK_BYTES = 48
 class ReliableConfig:
     """Retransmission tunables (defaults sized for WAN delta ~150 ms)."""
 
-    #: Initial retransmission timeout.  Should dominate one RTT.
+    #: Initial retransmission timeout.  It does *not* dominate one RTT on
+    #: the geo matrix (one-way latencies reach 131 ms between evaluation
+    #: regions), so under loss most retransmissions are spurious
+    #: (EXPERIMENTS.md "Lossy wire", defect (a)).  Changing it moves every
+    #: lossy-wire digest.
     rto_us: int = 60 * MILLISECONDS
     #: Multiplicative backoff applied after every timeout.
     backoff: float = 2.0
@@ -147,15 +151,21 @@ class ReliableLayer:
         self.network = network
         self.config = config or ReliableConfig()
         self.stats = ReliableStats()
-        self._senders: Dict[Tuple[int, int], _SenderLink] = {}
-        self._receivers: Dict[Tuple[int, int], _ReceiverLink] = {}
+        # Keyed by the packed pid pair ``(src << 20) | dst`` of the data
+        # direction, like the network's link records.
+        self._senders: Dict[int, _SenderLink] = {}
+        self._receivers: Dict[int, _ReceiverLink] = {}
 
     # ------------------------------------------------------------------
     # Sender side
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, message: Message) -> None:
         self.stats.data_sends += 1
-        link = self._senders.setdefault((src, dst), _SenderLink())
+        # Not ``setdefault``: its default argument would build (and throw
+        # away) a _SenderLink on every send.
+        link = self._senders.get((src << 20) | dst)
+        if link is None:
+            link = self._senders[(src << 20) | dst] = _SenderLink()
         if len(link.unacked) >= self.config.window:
             if len(link.backlog) >= self.config.max_backlog:
                 self.stats.backlog_dropped += 1
@@ -192,7 +202,7 @@ class ReliableLayer:
         )
 
     def _on_timeout(self, src: int, dst: int, seq: int) -> None:
-        link = self._senders[(src, dst)]
+        link = self._senders[(src << 20) | dst]
         pending = link.unacked.get(seq)
         if pending is None:
             return  # acked in the meantime
@@ -222,13 +232,14 @@ class ReliableLayer:
     # ------------------------------------------------------------------
     # Receiver side
     # ------------------------------------------------------------------
-    def on_receive(
-        self, src: int, dst: int, message: Message, process: "SimProcess"
-    ) -> None:
-        """Entry point from the network for ``net.frame``/``net.ack``."""
+    def on_receive(self, link: "_Link", message: Message) -> None:
+        """Entry point from the network for ``net.frame``/``net.ack``
+        arriving over ``link``."""
+        src, dst = link.src, link.dst
         if message.kind == ACK_KIND:
-            self._on_ack(sender_pid=dst, acker_pid=src, payload=message.payload)
+            self._on_ack(dst, src, message.payload)
             return
+        process = link.process
         if process.crashed:
             return  # a crashed receiver neither acks nor delivers
         payload = message.payload if isinstance(message.payload, dict) else {}
@@ -242,7 +253,9 @@ class ReliableLayer:
         # with any reverse-direction data frames queued this instant.
         self.stats.acks_sent += 1
         self.network._transmit(dst, src, Message(ACK_KIND, {"seq": seq}, ACK_BYTES))
-        receiver = self._receivers.setdefault((src, dst), _ReceiverLink())
+        receiver = self._receivers.get(link.key)
+        if receiver is None:
+            receiver = self._receivers[link.key] = _ReceiverLink()
         if not receiver.accept(seq):
             self.stats.dup_frames += 1
             return
@@ -253,7 +266,7 @@ class ReliableLayer:
         if not isinstance(payload, dict):
             return
         seq = payload.get("seq")
-        link = self._senders.get((sender_pid, acker_pid))
+        link = self._senders.get((sender_pid << 20) | acker_pid)
         if link is None or not isinstance(seq, int):
             return
         pending = link.unacked.pop(seq, None)
@@ -266,7 +279,7 @@ class ReliableLayer:
 
     # ------------------------------------------------------------------
     def in_flight(self, src: int, dst: int) -> int:
-        link = self._senders.get((src, dst))
+        link = self._senders.get((src << 20) | dst)
         return len(link.unacked) if link else 0
 
 

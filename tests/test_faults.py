@@ -452,8 +452,8 @@ class TestCorruptionDelivery:
         msg = Message("x", {"v": 1})
         msg.stamp_checksum()
         bad = FaultInjector.corrupted_copy(msg)
-        net._deliver(0, 1, bad)  # corrupted duplicate arrives first
-        net._deliver(0, 1, msg)  # then the clean original
+        net._deliver(net._link(0, 1), bad)  # corrupted duplicate arrives first
+        net._deliver(net._link(0, 1), msg)  # then the clean original
         assert net.corrupt_dropped == 1
         assert len(got) == 1
         assert got[0].verify_checksum()

@@ -249,7 +249,7 @@ def test_acked_frame_dies_when_its_rto_is_cancelled_not_when_its_slot_drains():
         ref = weakref.ref(body)
         a.send(1, Message("hello", body, 100))
         del body
-        (pending,) = reliable._senders[(0, 1)].unacked.values()
+        (pending,) = reliable._senders[(0 << 20) | 1].unacked.values()
         assert pending.frame.payload["inner"].payload is ref()
         rto = pending.event
         del pending

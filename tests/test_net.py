@@ -3,9 +3,11 @@ adversaries, delivery."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.net.adversary import (
+    NetworkAdversary,
     NullAdversary,
     PartialSynchronyAdversary,
     TargetedDelayAdversary,
@@ -24,7 +26,7 @@ from repro.net.network import Network, NetworkConfig
 from repro.net.topology import EVAL_REGIONS, FIG1_REGIONS, Topology
 from repro.sim.engine import MILLISECONDS, SECONDS, Simulator
 from repro.sim.process import SimProcess
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, derive_seed
 
 
 class Collector(SimProcess):
@@ -94,8 +96,8 @@ class TestLatencyModels:
 
     def test_uniform_model(self):
         m = UniformLatencyModel(1000)
-        assert m.one_way_us(0, 1) == 1000
-        assert m.one_way_us(2, 2) == m.self_delay_us
+        assert m.link_terms(0, 1) == (1000, 1000, None)
+        assert m.link_terms(2, 2)[0] == m.self_delay_us
 
     def test_geo_base_matches_matrix(self):
         topo = Topology(3, ["oregon", "ireland", "sydney"])
@@ -106,8 +108,7 @@ class TestLatencyModels:
         topo = Topology(2, ["oregon", "ireland"])
         model = GeoLatencyModel(topo.placement, jitter=0.05, rng=RngRegistry(1))
         base = model.base_us(0, 1)
-        for _ in range(200):
-            sample = model.one_way_us(0, 1)
+        for sample in _wire_delays(model, [(0, 1)] * 200, 2):
             assert base * 0.2 <= sample <= base * 1.16
 
     def test_geo_sees_late_placements(self):
@@ -118,45 +119,50 @@ class TestLatencyModels:
 
     @staticmethod
     def _geo_twins(seed, jitter=0.015):
-        """Two models over the same seed: one is driven scalar-only as the
-        reference, the other through ``one_way_block``."""
+        """Two models over the same seed: the parent's scalar sampler as
+        the reference, and the model the network's link records draw from."""
         placement = Topology(8, EVAL_REGIONS).placement
-        return tuple(
-            GeoLatencyModel(placement, jitter=jitter, rng=RngRegistry(seed))
-            for _ in range(2)
+        return (
+            _ReferenceGeo(placement, jitter=jitter, rng=RngRegistry(seed)),
+            GeoLatencyModel(placement, jitter=jitter, rng=RngRegistry(seed)),
         )
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_geo_block_matches_scalar_sequence(self, seed):
-        scalar, block = self._geo_twins(seed)
-        dsts = list(range(8))
-        for src in (0, 3, 5):
-            want = [scalar.one_way_us(src, d) for d in dsts]
-            assert block.one_way_block(src, dsts) == want
+        # A broadcast fan-out (one ``schedule_block`` over the sender's row
+        # of link records) draws what scalar samples would, in pid order.
+        scalar, model = self._geo_twins(seed)
+        want = [scalar.one_way_us(src, d) for src in (0, 3, 5) for d in range(8)]
+        assert _wire_delays(model, [(0, None), (3, None), (5, None)], 8) == want
 
     @pytest.mark.parametrize("seed", [2, 11])
     def test_geo_block_and_scalar_interleave_on_one_stream(self, seed):
-        """Broadcast fan-outs (block) and point-to-point sends (scalar)
-        share each source's jitter stream: any interleaving must consume
-        the same variates in the same order as all-scalar — across the
-        1024-variate refill boundary too."""
-        scalar, block = self._geo_twins(seed)
+        """Broadcast fan-outs and point-to-point sends share each source's
+        jitter stream: any interleaving must consume the same variates in
+        the same order as all-scalar — across the 1024-variate refill
+        boundary too."""
+        scalar, model = self._geo_twins(seed)
         rnd = random.Random(seed)
-        for _ in range(1500):
+        actions, want = [], []
+        draws = [0] * 8
+        for _ in range(2500):
             src = rnd.randrange(8)
-            if rnd.random() < 0.5:
+            if rnd.random() < 0.3:
                 dst = rnd.randrange(8)
-                assert block.one_way_us(src, dst) == scalar.one_way_us(src, dst)
+                actions.append((src, dst))
+                want.append(scalar.one_way_us(src, dst))
+                draws[src] += dst != src
             else:
-                dsts = sorted(rnd.sample(range(8), rnd.randint(1, 8)))
-                want = [scalar.one_way_us(src, d) for d in dsts]
-                assert block.one_way_block(src, dsts) == want
+                actions.append((src, None))
+                want.extend(scalar.one_way_us(src, d) for d in range(8))
+                draws[src] += 7
+        assert min(draws) > 1024  # every stream is refilled mid-run
+        assert _wire_delays(model, actions, 8) == want
 
     def test_geo_block_jitter_free(self):
-        scalar, block = self._geo_twins(1, jitter=0.0)
-        dsts = list(range(8))
-        assert block.one_way_block(2, dsts) == [
-            scalar.one_way_us(2, d) for d in dsts
+        scalar, model = self._geo_twins(1, jitter=0.0)
+        assert _wire_delays(model, [(2, None)], 8) == [
+            scalar.one_way_us(2, d) for d in range(8)
         ]
 
 
@@ -199,10 +205,19 @@ class TestBandwidth:
         assert q.backlog_us() == 150
 
     def test_disabled_model_passthrough(self):
+        # With bandwidth off a 10 MB frame leaves at once and costs no
+        # ingress time: it arrives after exactly its propagation delay.
         sim = Simulator()
-        bw = BandwidthModel(sim, enabled=False)
-        assert bw.departure_time(0, 10_000_000) == sim.now
-        assert bw.ingress_delay_us(0, 10_000_000) == 0
+        net = Network(
+            sim, UniformLatencyModel(1000), config=NetworkConfig(bandwidth_enabled=False)
+        )
+        a, b = Collector(0, sim), Collector(1, sim)
+        net.register(a)
+        net.register(b)
+        a.send(1, Message("big", None, 10_000_000))
+        sim.run()
+        assert b.got == [(1000, "big", 0)]
+        assert net._link(0, 1).egress is None and net._link(0, 1).ingress is None
 
     def test_per_pid_rates(self):
         sim = Simulator()
@@ -404,26 +419,30 @@ class TestFastBroadcast:
         ((items, priority),) = blocks
         assert priority == 2 + 1  # deliveries order by sender pid
         dsts = [d for d in range(self.N) if include_self or d != 2]
-        assert [args for _, _, args in items] == [(2, d, frame) for d in dsts]
-        for delay, fn, args in items:
+        # Each call carries its link's record, so delivery looks nothing up.
+        assert [args[0] for _, _, args in items] == [net._link(2, d) for d in dsts]
+        for delay, fn, (link, message) in items:
             assert type(delay) is int and delay > 0
-            assert fn == net._deliver_clean and args[2] is frame  # shared, not copied
+            assert fn == net._deliver_clean and message is frame  # shared, not copied
         # Egress serialisation staggers the copies in destination order.
         assert sim.pending == len(dsts)
         sim.run()
         assert [len(p.got) for p in procs] == [int(d in dsts) for d in range(self.N)]
         assert net.messages_delivered == len(dsts)
 
-    @pytest.mark.parametrize("bandwidth", [False, True])
+    @pytest.mark.parametrize("bandwidth", [False, True, "per-pid"])
     def test_arrivals_match_the_per_destination_path(self, bandwidth):
+        # Per-pid NIC rates take the fast path too: its row of records
+        # holds each destination's own ingress queue.
+        rate = {1: 8_000_000, 3: 40_000_000} if bandwidth == "per-pid" else 80_000_000
         arrivals = []
         for fast in (True, False):
             sim = Simulator()
             net, procs = self._net(
-                sim, self._geo(), bandwidth_enabled=bandwidth, rate_bps=80_000_000
+                sim, self._geo(), bandwidth_enabled=bool(bandwidth), rate_bps=rate
             )
             if not fast:
-                net._broadcast_fast = lambda *a: -1  # take the general loop
+                net.adversary = _ZeroAdversary()  # take the general loop
             for k in range(3):
                 sim.schedule(
                     k * 40, net.broadcast, (k, Message("m", {"k": k}, 700))
@@ -432,19 +451,6 @@ class TestFastBroadcast:
             arrivals.append([p.got for p in procs])
             assert net.messages_delivered == 3 * self.N
         assert arrivals[0] == arrivals[1]
-
-
-class SteppedLatency(UniformLatencyModel):
-    """Every draw is 1 ms later than the previous one, so two copies of a
-    frame that each took their own draw arrive at different times."""
-
-    def __init__(self):
-        super().__init__(0)
-        self.draws = 0
-
-    def one_way_us(self, src, dst):
-        self.draws += 1
-        return self.draws * MILLISECONDS
 
 
 class TestOneWirePath:
@@ -457,7 +463,9 @@ class TestOneWirePath:
     def _net(self, fault, route):
         sim = Simulator()
         plan = FaultPlan(links=(LinkFault(dst=(1,), **{fault: 1.0}),))
-        latency = SteppedLatency()
+        latency = GeoLatencyModel(
+            Topology(3, EVAL_REGIONS).placement, jitter=0.05, rng=RngRegistry(3)
+        )
         net = Network(
             sim,
             latency,
@@ -503,7 +511,7 @@ class TestOneWirePath:
         assert (m_a is frame) != (m_b is frame)
         clone = m_b if m_a is frame else m_a
         assert clone.uid != frame.uid and clone.checksum == frame.checksum
-        assert latency.draws == (3 if route == "broadcast" else 2)
+        assert _draws(latency, 0) == (3 if route == "broadcast" else 2)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_drop_schedules_nothing_and_counts_once(self, route):
@@ -512,5 +520,390 @@ class TestOneWirePath:
         assert procs[1].got == []
         assert net.faults.stats.dropped == 1
         # Nothing was drawn or queued for the dropped link.
-        assert latency.draws == (1 if route == "broadcast" else 0)
+        assert _draws(latency, 0) == (1 if route == "broadcast" else 0)
         assert net.messages_delivered == (1 if route == "broadcast" else 0)
+
+
+class _ZeroAdversary(NetworkAdversary):
+    """Never delays, but is not the null adversary: broadcasts take the
+    general per-destination loop."""
+
+    def extra_delay_us(self, src, dst, size, now):
+        return 0
+
+
+def _draws(latency, src):
+    """Variates ``src``'s jitter stream has handed out (within its first
+    buffer)."""
+    stream = latency._streams.get(src)
+    return 0 if stream is None else stream[1]
+
+
+def _wire_delays(latency, actions, n):
+    """Send ``actions`` one second apart over a bandwidth-free network of
+    ``n`` collectors — ``(src, dst)`` point to point, ``(src, None)`` a
+    broadcast to all — and return every delivery's propagation delay, in
+    send order, then destination pid order."""
+    sim = Simulator()
+    net = Network(sim, latency, config=NetworkConfig(bandwidth_enabled=False))
+    procs = [Collector(pid, sim) for pid in range(n)]
+    for p in procs:
+        net.register(p)
+    for k, (src, dst) in enumerate(actions):
+        message = Message(str(k))
+        if dst is None:
+            sim.schedule(k * SECONDS, net.broadcast, (src, message))
+        else:
+            sim.schedule(k * SECONDS, net.send, (src, dst, message))
+    sim.run()
+    got = sorted(
+        (int(kind), p.pid, t - int(kind) * SECONDS) for p in procs for t, kind, _ in p.got
+    )
+    return [delay for _, _, delay in got]
+
+
+# ----------------------------------------------------------------------
+# The per-frame wire path as it was before link records — each frame
+# looked its terms up in the bandwidth, latency and fault models — kept
+# verbatim as the reference the records are diffed against.
+# ----------------------------------------------------------------------
+
+
+class _ReferenceGeo(GeoLatencyModel):
+    """``GeoLatencyModel`` sampling one ``one_way_us`` call per frame."""
+
+    def __init__(self, placement, *, jitter=0.03, rng=None):
+        # Keep a live reference when given a dict: topologies may place
+        # auxiliary processes (clients, attackers) after the model exists.
+        self.placement = placement if isinstance(placement, dict) else dict(placement)
+        self.jitter = float(jitter)
+        self._registry = rng or RngRegistry(0)
+        # Pre-resolve base latencies for every known pid pair lazily.
+        self._base_cache = {}
+        # src -> [buffer, cursor, generator].
+        self._streams = {}
+        self._noise_sigma = self.jitter
+
+    def _stream(self, src):
+        state = self._streams.get(src)
+        if state is None:
+            state = self._streams[src] = [
+                [],
+                0,
+                self._registry.get("net", "jitter", str(src)),
+            ]
+        return state
+
+    def base_us(self, src, dst):
+        key = (src, dst)
+        cached = self._base_cache.get(key)
+        if cached is None:
+            if src == dst:
+                cached = 10
+            else:
+                ms = region_latency_ms(self.placement[src], self.placement[dst])
+                cached = int(ms * MILLISECONDS)
+            self._base_cache[key] = cached
+        return cached
+
+    def one_way_us(self, src, dst):
+        base = self.base_us(src, dst)
+        jitter = self.jitter
+        if jitter <= 0 or src == dst:
+            return base
+        if self._noise_sigma != jitter:
+            self._streams.clear()
+            self._noise_sigma = jitter
+        state = self._streams.get(src)
+        if state is None:
+            state = self._stream(src)
+        buf, pos, gen = state
+        if pos >= len(buf):
+            buf = state[0] = gen.normal(0.0, jitter, 1024).tolist()
+            pos = 0
+        noise = buf[pos]
+        state[1] = pos + 1
+        if noise > (hi := 3 * jitter):
+            noise = hi
+        elif noise < -hi:
+            noise = -hi
+        sample = int(base * (1.0 + noise))
+        floor = int(base * 0.2)
+        return sample if sample > floor else floor
+
+    def link_terms(self, src, dst):
+        # The reference network samples through ``one_way_us`` alone; its
+        # link records are read for delivery only.
+        return self.base_us(src, dst), 0, None
+
+
+class _ReferenceUniform(UniformLatencyModel):
+    def one_way_us(self, src, dst):
+        return self.base_us(src, dst)
+
+
+class _ReferenceBandwidth(BandwidthModel):
+    def departure_time(self, src, size_bytes):
+        """Queue a message on ``src``'s egress; return wire departure time."""
+        if not self.enabled:
+            return self._sim.now
+        return self.egress(src).enqueue(size_bytes)
+
+    def ingress_delay_us(self, dst, size_bytes):
+        """Serialisation cost charged at the receiver when it arrives."""
+        if not self.enabled:
+            return 0
+        return self.ingress(dst).serialisation_us(size_bytes)
+
+
+class _ReferenceNetwork(Network):
+    """``_put_on_wire`` and ``_schedule_delivery`` as they were, over the
+    reference models.  A broadcast fans out one ``_put_on_wire`` per
+    destination, which the old fast path matched bit for bit."""
+
+    def __init__(self, sim, latency, adversary, config, faults):
+        super().__init__(sim, latency, adversary, config, faults)
+        self.bandwidth = _ReferenceBandwidth(
+            sim, rate_bps=config.rate_bps, enabled=config.bandwidth_enabled
+        )
+
+    def _broadcast_fast(self, src, message, include_self):
+        count = 0
+        for dst in self._replicas:
+            if include_self or dst != src:
+                self._put_on_wire(src, dst, message)
+                count += 1
+        return count
+
+    def _put_on_wire(self, src, dst, frame):
+        frame.stamp_checksum()
+        faults = self.faults
+        if faults is None:
+            self._schedule_delivery(src, dst, frame, 0)
+            return
+        decision = faults.decide(src, dst, frame, self.sim._now)
+        if decision.drop:
+            return
+        wire = FaultInjector.corrupted_copy(frame) if decision.corrupt else frame
+        self._schedule_delivery(src, dst, wire, decision.extra_delay_us)
+        if decision.duplicate:
+            self._schedule_delivery(src, dst, frame.clone(), 0)
+
+    def _schedule_delivery(self, src, dst, message, extra_delay_us):
+        sim = self.sim
+        now = sim._now
+        size = message.size
+        departure = self.bandwidth.departure_time(src, size)
+        propagation = self.latency.one_way_us(src, dst)
+        extra = 0
+        adversary = self.adversary
+        if type(adversary) is not NullAdversary:
+            extra = adversary.extra_delay_us(src, dst, size, now)
+            # With zero adversarial delay the clamp is a no-op, so the GST
+            # lookup only runs when there is something to clamp.
+            if extra and self.config.clamp_after_gst and now >= adversary.gst():
+                # After GST the adversary cannot stretch delays past Δ.
+                extra = min(extra, max(0, self.config.delta_us - propagation))
+        ingress = self.bandwidth.ingress_delay_us(dst, size)
+        arrival = departure + propagation + extra + ingress + extra_delay_us
+        # ``arrival >= now`` by construction (departure is never in the
+        # past and the remaining terms are non-negative), so this can skip
+        # schedule_at's bounds check.  Priority src+1 gives same-instant
+        # deliveries a canonical sender-pid order (see _broadcast_fast).
+        sim.schedule(
+            arrival - now,
+            self._deliver,
+            (src, dst, message),
+            priority=src + 1,
+        )
+
+    def _deliver(self, src, dst, message):
+        # The old callback shape, onto today's delivery.
+        Network._deliver(self, self._link(src, dst), message)
+
+
+class _StubbornAdversary(NetworkAdversary):
+    """Delays every frame by a seeded random amount before its GST and
+    after it, so the network's post-GST clamp to Δ decides the late ones."""
+
+    def __init__(self, gst_us, rng):
+        self._gst = gst_us
+        self._integers = rng.get("adversary", "stubborn").integers
+
+    def gst(self):
+        return self._gst
+
+    def extra_delay_us(self, src, dst, size, now):
+        return int(self._integers(0, 80 * MILLISECONDS))
+
+
+def _queued(record):
+    """An engine record, with a delivery's arguments reduced to what both
+    callback shapes carry: the link's ends and the frame's wire fields."""
+    time, priority, seq, fn, args = record
+    if not fn.__name__.startswith("_deliver"):
+        return time, priority, seq, fn.__name__
+    if len(args) == 2:
+        link, message = args
+        src, dst = link.src, link.dst
+    else:
+        src, dst, message = args
+    return time, priority, seq, src, dst, message.kind, message.size, message.checksum
+
+
+def _stream_positions(rng):
+    """Every stream of ``rng`` that has drawn, with its generator state."""
+    return {
+        key: gen.bit_generator.state
+        for key, gen in rng._streams.items()
+        if gen.bit_generator.state
+        != np.random.default_rng(
+            derive_seed(rng.root_seed, *key.split("/"))
+        ).bit_generator.state
+    }
+
+
+class TestLinkRecordsMatchReference:
+    """Differential: over seeded random frame sequences, the link records
+    queue every delivery at the same time, priority and queue position as
+    the per-frame lookups did, deliver the same messages, and leave every
+    jitter, fault and adversary stream at the same position."""
+
+    N = 4
+    HORIZON = 2 * SECONDS
+    CASES = {
+        "faults": {"faults": True},
+        "faults-bandwidth-off": {"faults": True, "bandwidth": False},
+        "faults-per-pid-rates": {"faults": True, "rates": {0: 8_000_000, 2: 40_000_000}},
+        "clean": {},
+        "clean-bandwidth-off": {"bandwidth": False},
+        "clean-per-pid-rates": {"rates": {0: 8_000_000, 2: 40_000_000}},
+        "adversary-across-gst": {"adversary": True},
+        "uniform": {"uniform": True, "faults": True},
+        "jitter-free": {"jitter": 0.0, "faults": True},
+        # 3σ > 0.8: samples hit the 20 % floor.
+        "wild-jitter": {"jitter": 0.4},
+        "coalescing": {"faults": True, "coalesce": True},
+        "reliable": {"faults": True, "reliable": True},
+        "reliable-coalescing": {"faults": True, "reliable": True, "coalesce": True},
+    }
+
+    def _script(self, seed):
+        """Timed actions, a pure function of ``seed``.  Pid 3 crashes and
+        recovers; pid 4 is placed (and joins the replicas) mid-run, after
+        other links have carried frames."""
+        rnd = random.Random(seed)
+        half = self.HORIZON // 2
+        script = [
+            (self.HORIZON * 2 // 5, "crash", 3),
+            (self.HORIZON * 7 // 10, "recover", 3),
+            (half, "place", None),
+        ]
+        for k in range(300):
+            at = rnd.randrange(self.HORIZON)
+            pids = range(self.N + (at > half))
+            size = rnd.choice((48, 120, 700, 1500, 9000))
+            if rnd.random() < 0.6:
+                # Self-sends included.
+                act = ("send", rnd.choice(pids), rnd.choice(pids), size)
+            else:
+                act = ("broadcast", rnd.choice(pids), rnd.random() < 0.5, size)
+            script.append((at, f"m{k}") + act)
+        return script
+
+    def _run(self, reference, case, seed):
+        sim = Simulator()
+        rng = RngRegistry(seed)
+        topo = Topology(self.N, EVAL_REGIONS)
+        if case.get("uniform"):
+            latency = (_ReferenceUniform if reference else UniformLatencyModel)(
+                3 * MILLISECONDS
+            )
+        else:
+            latency = (_ReferenceGeo if reference else GeoLatencyModel)(
+                topo.placement, jitter=case.get("jitter", 0.05), rng=rng
+            )
+        faults = None
+        if case.get("faults"):
+            plan = FaultPlan(
+                links=(
+                    LinkFault(drop_rate=0.15, duplicate_rate=0.1, corrupt_rate=0.05),
+                    LinkFault(reorder_rate=0.2, src=(1,), start_us=SECONDS // 2),
+                )
+            )
+            faults = FaultInjector(plan, rng)
+        adversary = (
+            _StubbornAdversary(self.HORIZON // 2, rng) if case.get("adversary") else None
+        )
+        config = NetworkConfig(
+            delta_us=60 * MILLISECONDS,
+            bandwidth_enabled=case.get("bandwidth", True),
+            rate_bps=case.get("rates", 80_000_000),
+        )
+        net = (_ReferenceNetwork if reference else Network)(
+            sim, latency, adversary, config, faults
+        )
+        if case.get("reliable"):
+            net.enable_reliable()
+        if case.get("coalesce"):
+            net.enable_coalescing(0)
+        procs = {pid: Collector(pid, sim) for pid in range(self.N)}
+        for p in procs.values():
+            net.register(p)
+        queued = []
+        insert = sim._insert
+        sim._insert = lambda record: (queued.append(_queued(record)), insert(record))
+
+        def place():
+            pid = topo.place("sydney")
+            procs[pid] = Collector(pid, sim)
+            net.register(procs[pid])
+
+        for at, what, *act in self._script(seed):
+            if what in ("crash", "recover"):
+                sim.schedule(at, lambda m=what, pid=act[0]: getattr(procs[pid], m)())
+            elif what == "place":
+                sim.schedule(at, place)
+            elif act[0] == "send":
+                _, src, dst, size = act
+                sim.schedule(at, lambda s=src, d=dst, m=Message(what, None, size): procs[s].send(d, m))
+            else:
+                _, src, include_self, size = act
+                sim.schedule(
+                    at,
+                    lambda s=src, i=include_self, m=Message(what, None, size): (
+                        procs[s].broadcast(m, include_self=i)
+                    ),
+                )
+        sim.run()
+        return {
+            "queued": queued,
+            "got": {pid: p.got for pid, p in procs.items()},
+            "counters": (
+                net.messages_delivered,
+                net.bytes_delivered,
+                net.corrupt_dropped,
+                net.unroutable_dropped,
+            ),
+            "faults": faults.stats.to_dict() if faults else None,
+            "reliable": net.reliable.stats.to_dict() if net.reliable else None,
+            "wire": net.wire_stats.to_dict(),
+            "streams": _stream_positions(rng),
+            "jitter": {
+                src: state[:2]
+                for src, state in getattr(latency, "_streams", {}).items()
+                if state[0]
+            },
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_identical_queue_deliveries_and_streams(self, case, seed):
+        new = self._run(False, self.CASES[case], seed)
+        old = self._run(True, self.CASES[case], seed)
+        assert len(new["queued"]) > 300
+        for got, want in zip(new["queued"], old["queued"]):
+            assert got == want
+        for key in old:
+            assert new[key] == old[key], key
+        assert new["got"][4]  # the late-placed pid was reached

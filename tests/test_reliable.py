@@ -276,9 +276,11 @@ class TestOneWirePath:
             put_on_wire(src, dst, frame)
 
         net._put_on_wire = spy
+        if not coalesce:
+            net._transmit = spy  # bound to the wire itself at construction
         arrivals = []
         deliver = net._deliver
-        net._deliver = lambda s, d, m: (arrivals.append(m.kind), deliver(s, d, m))
+        net._deliver = lambda link, m: (arrivals.append(m.kind), deliver(link, m))
         for i in range(30):
             # Spread out, so coalescing cannot fold them into one bundle.
             sim.schedule(i * MILLISECONDS, lambda i=i: a.send(1, Message("m", {"i": i})))
