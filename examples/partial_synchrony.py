@@ -14,7 +14,11 @@ Run:  python examples/partial_synchrony.py
 """
 
 from repro.harness import ExperimentConfig, build_cluster
-from repro.net.adversary import PartialSynchronyAdversary, PartitionAdversary
+from repro.net.adversary import (
+    PartialSynchronyAdversary,
+    PartitionAdversary,
+    PartitionEvent,
+)
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.sim.rng import RngRegistry
 
@@ -54,7 +58,11 @@ def main() -> None:
     report("adversary until GST=2s", cluster, cluster.run())
 
     cluster = build_cluster(base_config())
-    cluster.network.adversary = PartitionAdversary({0, 1}, heal_at_us=3 * SECONDS)
+    cluster.network.adversary = PartitionAdversary(
+        schedule=[
+            PartitionEvent(groups=(frozenset({0, 1}),), heal_at_us=3 * SECONDS)
+        ]
+    )
     # Peek mid-partition: no quorum, no commits.
     cluster_nodes = cluster.nodes
     for node in cluster_nodes:

@@ -766,9 +766,7 @@ def main(argv=None) -> int:
     p2.add_argument("ns", nargs="*", help="node counts (default: quick sweep)")
     _add_protocol_flag(p2, "lyra,pompe")
     p2.set_defaults(fn=cmd_fig2)
-    p3 = sub.add_parser("fig3")
-    _add_protocol_flag(p3, "lyra,pompe")
-    p3.set_defaults(fn=cmd_fig3)
+    sub.add_parser("fig3").set_defaults(fn=cmd_fig3)
     sub.add_parser("rounds").set_defaults(fn=cmd_rounds)
     sub.add_parser("lambda").set_defaults(fn=cmd_lambda)
     sub.add_parser("batch").set_defaults(fn=cmd_batch)

@@ -16,23 +16,31 @@ side" (São Paulo — Carole in the paper's figure), ``t2`` *arrives before*
   requesting a backdated sequence number is rejected by the acceptance
   window (``run_fig1_lyra``).
 
-Both entry points run full message-level clusters; the scenario object
-also exposes a closed-form arrival analysis used by tests and the
+Both entry points build full message-level clusters through
+:func:`~repro.harness.factory.build_cluster`, watchdog on; the scenario
+object also exposes a closed-form arrival analysis used by tests and the
 quickstart example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.attacks.pompe_attacks import CherryPickingOrdererNode, ObservingAttacker
-from repro.core.node import CLIENT_TX_KIND
-from repro.core.smr import front_running_succeeded
-from repro.core.types import Transaction
+from repro.attacks.pompe_attacks import (
+    ATTACK_MARKER,
+    VICTIM_MARKER,
+    CherryPickingOrdererNode,
+    batch_contains,
+)
+from repro.core.node import LyraNode
+from repro.core.types import Batch, InstanceId, Transaction
 from repro.harness.config import ExperimentConfig
+from repro.harness.factory import build_cluster
 from repro.net.latency import region_latency_ms
 from repro.sim.engine import MILLISECONDS
+from repro.workload.clients import OpenLoopClient
+from repro.workload.spec import WorkloadSpec
 
 
 @dataclass
@@ -107,9 +115,148 @@ class Fig1Outcome:
     attack_succeeded: Optional[bool]
     victim_position: Optional[int]
     attacker_position: Optional[int]
-    attacker_observed_plaintext: bool
+    attacker_observed_plaintext: bool = False
     attacker_rejected: bool = False
     detail: str = ""
+    #: The cluster watchdog's findings over the run.
+    invariant_violations: List[str] = field(default_factory=list)
+
+
+class LyraBackdatingAttacker(LyraNode):
+    """The strongest Mallory against Lyra: she cannot read ciphertexts, so
+    she waits for the reveal and then tries to inject a front-running
+    transaction with a *backdated* sequence-number prediction set.  The
+    validation function (Equation 1) rejects it at every correct replica.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.observed_plaintext_at: Optional[int] = None
+        self.attacked_at: Optional[int] = None
+        self.attack_iid: Optional[InstanceId] = None
+        self.attack_decision: Optional[int] = None
+        self.victim_seq: Optional[int] = None
+        self._attack_nonce = 0
+
+    def _on_execute(self, entry, plaintext: bytes) -> None:
+        super()._on_execute(entry, plaintext)
+        if self.observed_plaintext_at is not None:
+            return
+        try:
+            batch = Batch.deserialize(
+                entry.instance.proposer, entry.instance.batch_no, plaintext
+            )
+        except ValueError:
+            return
+        if not batch_contains(batch, VICTIM_MARKER):
+            return
+        # First moment Mallory can READ the victim's payload: post-commit.
+        self.observed_plaintext_at = self.sim.now
+        self.victim_seq = entry.seq
+        self._launch_backdated(entry.seq)
+
+    def _launch_backdated(self, victim_seq: int) -> None:
+        self.attacked_at = self.sim.now
+        tx = Transaction(self.pid, self._attack_nonce, ATTACK_MARKER)
+        self._attack_nonce += 1
+        iid = InstanceId(self.pid, self._batch_counter)
+        self._batch_counter += 1
+        self.attack_iid = iid
+        batch = Batch(self.pid, iid.batch_no, (tx,))
+        cipher = self.obf.encrypt(batch.serialize(), self.rng, self.pid)
+        # Claim every replica perceived the transaction just before the
+        # victim's sequence number — a lie by now, hence rejected.
+        preds = tuple(victim_seq - 1_000 for _ in range(self.n))
+        self._s_ref[iid] = victim_seq - 1_000
+        self._instance(iid).propose(cipher, preds)
+
+    def _on_decide(self, iid, v, m) -> None:
+        if iid == self.attack_iid:
+            self.attack_decision = v
+        super()._on_decide(iid, v, m)
+
+
+def _run_fig1(
+    scenario: Optional[Fig1Scenario],
+    protocol: str,
+    attacker_cls: type,
+    *,
+    seed: int,
+    duration_us: int,
+    victim_start_us: int,
+):
+    """Run one Fig. 1 deployment: a jitter-free, skew-free WAN on the
+    scenario's regions, one-transaction batches, Mallory at pid 1, and
+    Alice — one marker-bodied transaction from the victim's region, homed
+    at pid 0.  Returns the cluster and an outcome carrying the positions of
+    the first victim and attacker batches in pid 0's executed order.
+
+    Alice is registered after the build: no :class:`ClientGroup` field
+    carries a literal transaction body.
+    """
+    scenario = scenario or Fig1Scenario()
+    config = ExperimentConfig(
+        n_nodes=scenario.n,
+        regions=scenario.regions(),
+        seed=seed,
+        jitter=0.0,
+        clock_skew_max_us=0,
+        delta_us=200 * MILLISECONDS,
+        batch_size=1,
+        batch_timeout_us=20 * MILLISECONDS,
+        warmup_rounds=3,
+        warmup_spacing_us=200 * MILLISECONDS,
+        workload=WorkloadSpec(fairness=False),
+        duration_us=duration_us,
+    )
+    cluster = build_cluster(config, protocol=protocol, node_classes={1: attacker_cls})
+    alice = OpenLoopClient(
+        cluster.topology.place(scenario.victim_region),
+        cluster.sim,
+        0,
+        interval_us=1_000_000,
+        start_at_us=victim_start_us,
+        count=1,
+        body=VICTIM_MARKER,
+    )
+    cluster.clients.append(alice)
+    cluster.network.register(alice, replica=False)
+
+    executed: List[Batch] = []
+    home = cluster.nodes[0]
+    tap = home.on_executed
+    if protocol == "pompe":
+
+        def record(cert) -> None:
+            tap(cert)
+            executed.append(cert.batch)
+
+    else:
+
+        def record(entry, batch) -> None:
+            tap(entry, batch)
+            executed.append(batch)
+
+    home.on_executed = record
+    result = cluster.run()
+
+    def first(marker: bytes) -> Optional[int]:
+        return next(
+            (i for i, batch in enumerate(executed) if batch_contains(batch, marker)),
+            None,
+        )
+
+    victim_pos, attacker_pos = first(VICTIM_MARKER), first(ATTACK_MARKER)
+    if victim_pos is None:
+        succeeded = None
+    else:
+        succeeded = attacker_pos is not None and attacker_pos < victim_pos
+    return cluster, Fig1Outcome(
+        attack_succeeded=succeeded,
+        victim_position=victim_pos,
+        attacker_position=attacker_pos,
+        invariant_violations=result.invariant_violations,
+    )
 
 
 def run_fig1_pompe(
@@ -125,10 +272,22 @@ def run_fig1_pompe(
     its own front-running transaction and cherry-picks the lowest 2f+1
     timestamp endorsements.
     """
-    from repro.harness.attack_runner import run_pompe_attack
-
-    scenario = scenario or Fig1Scenario()
-    return run_pompe_attack(scenario, seed=seed, duration_us=duration_us)
+    cluster, outcome = _run_fig1(
+        scenario,
+        "pompe",
+        CherryPickingOrdererNode,
+        seed=seed,
+        duration_us=duration_us,
+        victim_start_us=1_000_000,
+    )
+    attack = cluster.nodes[1].attack
+    outcome.attacker_observed_plaintext = attack.observed_at_us is not None
+    outcome.detail = (
+        f"observed at {attack.observed_at_us}us, "
+        f"attacked at {attack.attacked_at_us}us, executed order: "
+        f"victim@{outcome.victim_position} attacker@{outcome.attacker_position}"
+    )
+    return outcome
 
 
 def run_fig1_lyra(
@@ -139,14 +298,33 @@ def run_fig1_lyra(
 ) -> Fig1Outcome:
     """Run Fig. 1 against a Lyra cluster.
 
-    The attacker watches every cipher it receives; it can only react to
+    The attacker (:class:`LyraBackdatingAttacker`) can only react to
     *content* after the reveal, at which point it attempts a backdated
     sequence number — rejected by the acceptance window (locked prefix).
     """
-    from repro.harness.attack_runner import run_lyra_attack
+    cluster, outcome = _run_fig1(
+        scenario,
+        "lyra",
+        LyraBackdatingAttacker,
+        seed=seed,
+        duration_us=duration_us,
+        victim_start_us=1_500_000,  # after warm-up
+    )
+    attacker: LyraBackdatingAttacker = cluster.nodes[1]
+    outcome.attacker_observed_plaintext = attacker.observed_plaintext_at is not None
+    outcome.attacker_rejected = attacker.attack_decision == 0
+    outcome.detail = (
+        f"plaintext visible at {attacker.observed_plaintext_at}us "
+        f"(post-commit), backdated attack decision={attacker.attack_decision}, "
+        f"victim@{outcome.victim_position} attacker@{outcome.attacker_position}"
+    )
+    return outcome
 
-    scenario = scenario or Fig1Scenario()
-    return run_lyra_attack(scenario, seed=seed, duration_us=duration_us)
 
-
-__all__ = ["Fig1Scenario", "Fig1Outcome", "run_fig1_pompe", "run_fig1_lyra"]
+__all__ = [
+    "Fig1Scenario",
+    "Fig1Outcome",
+    "LyraBackdatingAttacker",
+    "run_fig1_pompe",
+    "run_fig1_lyra",
+]

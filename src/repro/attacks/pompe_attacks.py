@@ -32,14 +32,6 @@ VICTIM_MARKER = b"VICTM"
 ATTACK_MARKER = b"ATTCK"
 
 
-def is_victim_tx(tx: Transaction) -> bool:
-    return tx.body.startswith(VICTIM_MARKER)
-
-
-def is_attack_tx(tx: Transaction) -> bool:
-    return tx.body.startswith(ATTACK_MARKER)
-
-
 def batch_contains(batch: Batch, marker: bytes) -> bool:
     return any(tx.body.startswith(marker) for tx in batch.txs)
 
@@ -151,7 +143,5 @@ __all__ = [
     "ObservingAttacker",
     "VICTIM_MARKER",
     "ATTACK_MARKER",
-    "is_victim_tx",
-    "is_attack_tx",
     "batch_contains",
 ]

@@ -10,7 +10,7 @@ performance study — EXPERIMENTS.md records the values used for every figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -47,29 +47,17 @@ class CryptoCosts:
         return self.vss_decrypt_per_share_us * max(1, n_shares)
 
     def scaled(self, factor: float) -> "CryptoCosts":
-        """A uniformly faster/slower cost profile (CPU-speed ablations)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        fields = {
-            name: max(0, int(round(getattr(self, name) * factor)))
-            for name in (
-                "sign_us",
-                "verify_us",
-                "share_sign_us",
-                "share_verify_us",
-                "combine_per_share_us",
-                "threshold_verify_us",
-                "vss_encrypt_base_us",
-                "vss_encrypt_per_share_us",
-                "vss_check_dealing_us",
-                "vss_partial_decrypt_us",
-                "vss_decrypt_per_share_us",
-                "hash_per_256b_us",
-                "commit_us",
-                "open_commit_us",
-            )
-        }
-        return replace(self, **fields)
+        """A uniformly faster/slower cost profile (CPU-speed ablations);
+        ``scaled(0)`` is the zero-cost profile :data:`FREE_COSTS`."""
+        if factor < 0:
+            raise ValueError("scale factor must be non-negative")
+        return replace(
+            self,
+            **{
+                f.name: int(round(getattr(self, f.name) * factor))
+                for f in fields(self)
+            },
+        )
 
 
 class ReceiveChargePlan:
@@ -106,21 +94,6 @@ class ReceiveChargePlan:
 DEFAULT_COSTS = CryptoCosts()
 
 #: Zero-cost profile for logic-only unit tests.
-FREE_COSTS = CryptoCosts(
-    sign_us=0,
-    verify_us=0,
-    share_sign_us=0,
-    share_verify_us=0,
-    combine_per_share_us=0,
-    threshold_verify_us=0,
-    vss_encrypt_base_us=0,
-    vss_encrypt_per_share_us=0,
-    vss_check_dealing_us=0,
-    vss_partial_decrypt_us=0,
-    vss_decrypt_per_share_us=0,
-    hash_per_256b_us=0,
-    commit_us=0,
-    open_commit_us=0,
-)
+FREE_COSTS = DEFAULT_COSTS.scaled(0)
 
 __all__ = ["CryptoCosts", "ReceiveChargePlan", "DEFAULT_COSTS", "FREE_COSTS"]

@@ -2,8 +2,8 @@
 
 - :func:`build_cluster` — the factory: assemble a full simulated
   deployment from an :class:`ExperimentConfig` as one :class:`Cluster`,
-  with the protocol's adapter (Lyra or Pompē) supplying the replicas and
-  their taps.
+  with the protocol's adapter (Lyra, Pompē or Fino) supplying the
+  replicas and their taps.  It is the only way a deployment is built.
 - :mod:`repro.harness.sweep` — parallel (config, seed) grid sweeps with
   content-addressed result caching.
 - :mod:`repro.harness.experiments` — one entry point per paper artefact

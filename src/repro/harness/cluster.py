@@ -6,11 +6,12 @@ invariant watchdog, metrics registry — from an
 :class:`~repro.harness.config.ExperimentConfig`; ``run()`` drives it for
 the configured virtual duration and returns consolidated measurements plus
 safety-check results.  Everything that differs between protocols sits in a
-small adapter, one per protocol (:data:`PROTOCOLS`): it builds the replicas,
-maps their execution callback onto the cluster's execution tap, installs
-the MEV ordering-phase tap, and names the config features the protocol
-cannot honour.  Construct a cluster through
-:func:`repro.harness.factory.build_cluster`.
+small adapter, one per protocol (:data:`PROTOCOLS`: Lyra, Pompē, Fino): it
+builds the replicas, maps their execution callback onto the cluster's
+execution tap, installs the MEV ordering-phase tap, and names the config
+features the protocol cannot honour.  Construct a cluster through
+:func:`repro.harness.factory.build_cluster`; it is the only way a
+deployment is built.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.baselines.fino import FinoConfig, FinoNode
 from repro.baselines.pompe import PompeConfig, PompeNode
 from repro.core.clocks import true_distance_us
 from repro.core.commit import CommitConfig
 from repro.core.gossip_distance import GossipDistanceEstimator
 from repro.core.node import LyraConfig, LyraNode
-from repro.core.obfuscation import make_obfuscation
+from repro.core.obfuscation import HashCommitObfuscation, make_obfuscation
 from repro.core.smr import check_output_sorted, check_prefix_consistency
 from repro.crypto.cost import DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
@@ -208,7 +210,8 @@ class LyraAdapter:
                 batch_timeout_us=config.batch_timeout_us,
                 commit=CommitConfig(
                     lambda_us=config.lambda_us,
-                    check_dealing=config.check_dealing,
+                    # The hash scheme has no dealing to check.
+                    check_dealing=config.obfuscation == "vss",
                     max_proposer_rate_per_s=config.max_proposer_rate_per_s,
                     delta_piggyback=(
                         config.delta_piggyback
@@ -223,7 +226,6 @@ class LyraAdapter:
                 distance_mode=config.distance_mode,
                 gossip_fanout=config.gossip_fanout,
                 gossip_rounds=config.gossip_rounds,
-                gossip_spacing_us=config.gossip_spacing_us,
                 gossip_seed=config.seed,
                 obfuscation=config.obfuscation,
                 costs=cluster.costs,
@@ -279,13 +281,15 @@ class PompeAdapter:
     node_class = PompeNode
 
     def unsupported(self, config: ExperimentConfig) -> List[str]:
+        """What a HotStuff-sequenced replica cannot honour (Fino's too)."""
+        name = self.node_class.__name__
         plan = config.fault_plan
         checks = (
             (config.tracing, "tracing=True (install_lyra_tracing is Lyra's)"),
             (config.attack_nodes, "attack_nodes (the registry holds Lyra nodes)"),
             (
                 config.distance_mode != "probe",
-                f"distance_mode={config.distance_mode!r} (Pompē learns no distances)",
+                f"distance_mode={config.distance_mode!r} ({name} learns no distances)",
             ),
             (
                 config.dissemination == "gossip",
@@ -295,8 +299,8 @@ class PompeAdapter:
             (
                 plan is not None
                 and any(ev.recover_at_us is not None for ev in plan.crashes),
-                "crash recover_at_us (PompeNode has no recover(): nothing "
-                "re-arms batch-flush, wm-tick, resubmit or the view timer)",
+                f"crash recover_at_us ({name} has no recover(): nothing "
+                "re-arms its batch-flush, HotStuff view or other timers)",
             ),
         )
         return [why for failed, why in checks if failed]
@@ -357,8 +361,59 @@ class PompeAdapter:
         pass
 
 
+class FinoAdapter(PompeAdapter):
+    """Fino: hash-committed batches sequenced blind by a HotStuff leader,
+    executed in block order as their proposers reveal them.  It refuses
+    what Pompē refuses (the same HotStuff substrate)."""
+
+    node_class = FinoNode
+
+    def byzantine_classes(self, config: ExperimentConfig):
+        return {}, {}
+
+    def build_nodes(self, cluster: "Cluster", classes, kwargs) -> List[FinoNode]:
+        config = cluster.config
+        cluster.obf = HashCommitObfuscation(
+            2 * cluster.f + 1, cluster.n, seed=config.seed
+        )
+        node_cfg = FinoConfig(
+            batch_size=config.batch_size,
+            batch_timeout_us=config.batch_timeout_us,
+            costs=cluster.costs,
+        )
+        return [
+            cluster.replica(
+                classes.get(pid, FinoNode),
+                pid,
+                node_cfg,
+                obfuscation=cluster.obf,
+                **kwargs.get(pid, {}),
+            )
+            for pid in range(cluster.n)
+        ]
+
+    def tap_execution(self, cluster: "Cluster", node: FinoNode, tap) -> None:
+        node.on_executed = tap
+
+    def tap_ordering(self, node: FinoNode, bots: Tuple) -> None:
+        # The leader sequences ciphers, so a bot's first look at a payload
+        # is its home replica's execution, as under Lyra.
+        prev = node.on_executed
+
+        def hook(batch):
+            prev(batch)
+            for bot in bots:
+                bot.on_observed_batch(batch)
+
+        node.on_executed = hook
+
+
 #: Protocol name -> adapter; ``build_cluster`` and the CLI read this table.
-PROTOCOLS: Dict[str, Any] = {"lyra": LyraAdapter(), "pompe": PompeAdapter()}
+PROTOCOLS: Dict[str, Any] = {
+    "lyra": LyraAdapter(),
+    "pompe": PompeAdapter(),
+    "fino": FinoAdapter(),
+}
 
 
 class Cluster:
@@ -460,7 +515,6 @@ class Cluster:
             NetworkConfig(
                 delta_us=config.delta_us,
                 bandwidth_enabled=config.bandwidth_enabled,
-                rate_bps=config.rate_bps,
             ),
             faults=self.fault_injector,
         )
@@ -690,12 +744,17 @@ class Cluster:
         }
 
     # ------------------------------------------------------------------
-    def run(self, *, skip_safety_check: bool = False) -> ExperimentResult:
-        """Run the configured duration and consolidate measurements."""
-        cfg = self.config
+    def start(self) -> None:
+        """Start every replica and the watchdog; ``run()`` calls this, and
+        callers that drive ``sim.run`` themselves call it instead."""
         for node in self.nodes:
             node.start()
         self.watchdog.start()
+
+    def run(self, *, skip_safety_check: bool = False) -> ExperimentResult:
+        """Run the configured duration and consolidate measurements."""
+        cfg = self.config
+        self.start()
         loop_start = time.perf_counter()
         self.sim.run(until=cfg.duration_us)
         if self.network.coalescing_enabled and self.network.pending_coalesced():

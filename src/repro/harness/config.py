@@ -41,8 +41,8 @@ class ExperimentConfig:
     #: BOC should decide in 3 message delays of this value (§III).
     uniform_delay_us: Optional[int] = None
     jitter: float = 0.015
+    #: 1 Gbps NICs (``BandwidthModel.DEFAULT_RATE``) when enabled.
     bandwidth_enabled: bool = True
-    rate_bps: float = 1_000_000_000.0
     gst_us: int = 0  # 0 = synchronous from the start
     adversary_max_delay_us: int = 400 * MILLISECONDS
     #: Broadcast dissemination strategy: ``"all2all"`` (direct fan-out,
@@ -60,8 +60,9 @@ class ExperimentConfig:
     lambda_us: int = 5 * MILLISECONDS
     #: §VI-D flooding mitigation: per-proposer instance rate cap (None=off).
     max_proposer_rate_per_s: float | None = None
+    #: ``"vss"`` (§II-B) or ``"hash"`` (§VI-A).  Replicas check the VSS
+    #: dealing of every INIT exactly when the scheme is ``"vss"``.
     obfuscation: str = "vss"
-    check_dealing: bool = True
     status_interval_us: int = 25 * MILLISECONDS
     #: Warm-up defaults come from ``repro.core.node`` — the single source
     #: of truth shared with ``LyraConfig``, so direct core users and
@@ -80,8 +81,6 @@ class ExperimentConfig:
     #: Warm-up gossip rounds — the convergence/accuracy budget the
     #: distance-error ablation sweeps.
     gossip_rounds: int = DEFAULT_GOSSIP_ROUNDS
-    #: Spacing between gossip rounds.
-    gossip_spacing_us: int = 50 * MILLISECONDS
     clock_skew_max_us: int = 20 * MILLISECONDS
 
     # Workload.
@@ -114,7 +113,7 @@ class ExperimentConfig:
     #: see :class:`repro.core.commit.CommitConfig.report_quorum`.
     report_quorum: Optional[int] = None
 
-    # Cost model scaling (1.0 = DESIGN.md §5 calibration).
+    # Cost model scaling (1.0 = DESIGN.md §5 calibration, 0 = free crypto).
     cpu_cost_scale: float = 1.0
 
     # Wire-frame coalescing: bundle all messages a node emits toward one

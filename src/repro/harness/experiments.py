@@ -26,6 +26,7 @@ from repro.harness.sweep import (
     sweep_cache_dir,
     sweep_workers,
 )
+from repro.core.types import Transaction
 from repro.metrics.capacity import CapacityInputs, lyra_capacity, pompe_capacity
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.workload.spec import ClientGroup, WorkloadSpec
@@ -130,7 +131,8 @@ def fig2_commit_latency(
         for protocol in protocols:
             res = by_cell[(protocol, n)]
             row[f"{protocol}_latency_ms"] = round(res.avg_latency_ms, 1)
-            loaded[protocol] = loaded_model[protocol](n, f, res.avg_latency_us)
+            if protocol in loaded_model:  # Fino has no queueing model
+                loaded[protocol] = loaded_model[protocol](n, f, res.avg_latency_us)
         if "lyra" in loaded and "pompe" in loaded:
             row["ratio"] = round(
                 by_cell[("pompe", n)].avg_latency_us
@@ -139,8 +141,8 @@ def fig2_commit_latency(
             )
         # At the benchmark operating point (queueing model on top of the
         # measured protocol latency — see EXPERIMENTS.md FIG2).
-        for protocol in protocols:
-            row[f"{protocol}_loaded_ms"] = round(loaded[protocol] / 1000.0, 1)
+        for protocol, loaded_us in loaded.items():
+            row[f"{protocol}_loaded_ms"] = round(loaded_us / 1000.0, 1)
         if "lyra" in loaded and "pompe" in loaded:
             row["loaded_ratio"] = round(
                 loaded["pompe"] / max(1.0, loaded["lyra"]), 2
@@ -231,12 +233,99 @@ def fig1_frontrunning(*, seed: int = 7) -> List[Dict]:
     ]
 
 
+def _delays_to_first_call(
+    protocol: str,
+    n: int,
+    delay_us: int,
+    seed: int,
+    *,
+    pid: int,
+    hook: str,
+    request,
+    warmup_delays: int,
+    horizon_delays: int,
+    **knobs,
+) -> float:
+    """Message delays from ``request(node)`` at replica ``pid`` to the first
+    call of that node's ``hook`` method (``inf`` if none within
+    ``horizon_delays``).  The cluster makes every hop cost exactly one
+    delay D with Δ = D: uniform jitter-free links, no skew, no bandwidth
+    queueing, free crypto, one-transaction batches and no clients.  The
+    request goes in after ``warmup_delays``."""
+    cluster = build_cluster(
+        ExperimentConfig(
+            n_nodes=n,
+            seed=seed,
+            uniform_delay_us=delay_us,
+            delta_us=delay_us,
+            bandwidth_enabled=False,
+            cpu_cost_scale=0.0,
+            clock_skew_max_us=0,
+            batch_size=1,
+            workload=WorkloadSpec(fairness=False),
+            **knobs,
+        ),
+        protocol=protocol,
+    )
+    sim, node = cluster.sim, cluster.nodes[pid]
+    cluster.start()
+    sim.run(until=warmup_delays * delay_us)
+
+    called_at: List[int] = []
+    inner = getattr(node, hook)
+
+    def traced(*args):
+        called_at.append(sim.now)
+        inner(*args)
+
+    setattr(node, hook, traced)
+    start = sim.now
+    request(node)
+    sim.run(until=start + horizon_delays * delay_us)
+    return (called_at[0] - start) / delay_us if called_at else float("inf")
+
+
+def measure_lyra_rounds(n: int = 4, delay_ms: int = 40, seed: int = 1) -> float:
+    """Delays from ordered-propose to the proposer's BOC decision, once the
+    distance warm-up has converged."""
+    delay_us = delay_ms * MILLISECONDS
+    return _delays_to_first_call(
+        "lyra",
+        n,
+        delay_us,
+        seed,
+        pid=0,
+        hook="_on_decide",
+        request=lambda node: node._propose_batch([Transaction(999, 0)]),
+        warmup_delays=12,
+        horizon_delays=20,
+        warmup_rounds=2,
+        warmup_spacing_us=4 * delay_us,
+        status_interval_us=2 * delay_us,
+    )
+
+
+def measure_pompe_rounds(n: int = 4, delay_ms: int = 40, seed: int = 1) -> float:
+    """Delays from the ordering broadcast to execution at the proposer, a
+    non-leader so the certificate relay hop is included (the leader of
+    view 0 is pid 0)."""
+    return _delays_to_first_call(
+        "pompe",
+        n,
+        delay_ms * MILLISECONDS,
+        seed,
+        pid=1,
+        hook="on_executed",
+        request=lambda node: node.submit(Transaction(999, 0)),
+        warmup_delays=4,
+        horizon_delays=40,
+    )
+
+
 def goodcase_latency_rounds(n: int = 4, *, delay_ms: int = 40) -> Dict:
     """§IV claim: Lyra's BOC decides in 3 message delays in the good case
     (vs Pompē's 11 rounds).  Runs a single instance on a uniform-latency
     network with Δ equal to one delay and counts elapsed delays."""
-    from repro.harness.rounds import measure_lyra_rounds, measure_pompe_rounds
-
     lyra_rounds = measure_lyra_rounds(n=n, delay_ms=delay_ms)
     pompe_rounds = measure_pompe_rounds(n=n, delay_ms=delay_ms)
     return {
@@ -338,8 +427,6 @@ def latency_breakdown(*, n: int = 4, seed: int = 29) -> List[Dict]:
     - ``committed->executed`` — the commit-reveal round (decryption-share
       quorum, Lemma 7).
     """
-    from repro.metrics.tracelog import install_lyra_tracing
-
     cfg = ExperimentConfig(
         n_nodes=n,
         seed=seed,
@@ -349,12 +436,13 @@ def latency_breakdown(*, n: int = 4, seed: int = 29) -> List[Dict]:
         duration_us=6 * SECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
+        tracing=True,
     )
-    # Needs the live cluster object for trace installation, so this one
-    # runs in-process rather than through the sweep runner.
+    # Reads the live cluster's trace and proposer state, so this one runs
+    # in-process rather than through the sweep runner.
     cluster = build_cluster(cfg, protocol="lyra")
-    log = install_lyra_tracing(cluster)
     cluster.run()
+    log = cluster.trace
 
     sums: Dict[str, List[int]] = {}
     for node in cluster.nodes:
@@ -445,7 +533,6 @@ def obfuscation_ablation(*, n: int = 4, seed: int = 19) -> List[Dict]:
                 n_nodes=n,
                 seed=seed,
                 obfuscation=scheme,
-                check_dealing=(scheme == "vss"),
                 batch_size=10,
                 clients_per_node=1,
                 client_window=5,
@@ -639,6 +726,8 @@ __all__ = [
     "fig3_throughput",
     "fig3_sim_validation",
     "goodcase_latency_rounds",
+    "measure_lyra_rounds",
+    "measure_pompe_rounds",
     "lambda_ablation",
     "ablation_distance_error",
     "obfuscation_ablation",

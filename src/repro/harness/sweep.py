@@ -68,7 +68,9 @@ from repro.harness.config import ExperimentConfig
 #: Schema 4: Pompē runs on the shared cluster, so its results now carry
 #: the watchdog's ``invariant_checks``, ``fault_stats`` and an
 #: ordered-output safety check.
-CACHE_SCHEMA = 4
+#: Schema 5: ``ExperimentConfig`` dropped ``rate_bps``,
+#: ``gossip_spacing_us`` and ``check_dealing``.
+CACHE_SCHEMA = 5
 
 
 # ----------------------------------------------------------------------
@@ -207,56 +209,6 @@ class SweepReport:
         return merge_snapshots(
             [r.metrics for r in self.results() if getattr(r, "metrics", None)]
         )
-
-    def aggregate_fairness(self) -> Dict[str, Any]:
-        """Consolidate the fairness blocks of every successful cell.
-
-        Sums the accounting and sandwich counters across cells and
-        count-weights the reorder statistics — the sweep-level view of
-        "how unfair was this grid", keyed to feed the same report path
-        as single runs.  Cells without a fairness block contribute
-        nothing; returns ``{}`` when no cell produced one.
-        """
-        blocks = [
-            r.fairness for r in self.results() if getattr(r, "fairness", None)
-        ]
-        if not blocks:
-            return {}
-        out: Dict[str, Any] = {
-            "cells": len(blocks),
-            "submitted": sum(b.get("submitted", 0) for b in blocks),
-            "committed": sum(b.get("committed", 0) for b in blocks),
-        }
-        sandwich: Dict[str, float] = {}
-        for key in ("attempts", "launched", "landed", "successes"):
-            sandwich[key] = sum(
-                b.get("sandwich", {}).get(key, 0) for b in blocks
-            )
-        sandwich["success_rate"] = (
-            sandwich["successes"] / sandwich["attempts"]
-            if sandwich["attempts"]
-            else 0.0
-        )
-        out["sandwich"] = sandwich
-        total = sum(b.get("reorder", {}).get("count", 0) for b in blocks)
-        if total:
-            out["reorder"] = {
-                "count": total,
-                "mean": sum(
-                    b["reorder"]["mean"] * b["reorder"]["count"]
-                    for b in blocks
-                    if b.get("reorder", {}).get("count")
-                )
-                / total,
-                "max": max(b["reorder"]["max"] for b in blocks),
-                "kendall_tau": sum(
-                    b["reorder"]["kendall_tau"] * b["reorder"]["count"]
-                    for b in blocks
-                    if b.get("reorder", {}).get("count")
-                )
-                / total,
-            }
-        return out
 
 
 # ----------------------------------------------------------------------

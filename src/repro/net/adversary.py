@@ -12,8 +12,8 @@ bound holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Sequence, Set, Tuple
 
 from repro.sim.engine import MILLISECONDS, Simulator
 from repro.sim.rng import RngRegistry
@@ -147,32 +147,14 @@ class PartitionAdversary(NetworkAdversary):
     of dropping messages (channels stay reliable: everything is delivered
     once the partition heals).
 
-    The legacy single-split form ``PartitionAdversary(group_a, heal_at_us)``
-    still works; the general form takes ``schedule=[PartitionEvent, ...]``
-    with any number of groups per event and per-event heal times.
+    ``schedule`` lists the episodes (:class:`PartitionEvent`), each with
+    any number of groups and its own heal time.
     """
 
-    def __init__(
-        self,
-        group_a: Optional[Iterable[int]] = None,
-        heal_at_us: Optional[int] = None,
-        *,
-        schedule: Optional[Sequence[PartitionEvent]] = None,
-    ) -> None:
-        if schedule is not None:
-            if group_a is not None or heal_at_us is not None:
-                raise ValueError("pass either (group_a, heal_at_us) or schedule")
-            self.schedule: Tuple[PartitionEvent, ...] = tuple(schedule)
-        else:
-            if group_a is None or heal_at_us is None:
-                raise ValueError("group_a and heal_at_us are both required")
-            self.schedule = (
-                PartitionEvent(
-                    groups=(frozenset(group_a),), heal_at_us=int(heal_at_us)
-                ),
-            )
-        # Legacy attribute, kept for callers that introspect the split.
-        self.group_a: Set[int] = set(self.schedule[0].groups[0])
+    def __init__(self, *, schedule: Sequence[PartitionEvent]) -> None:
+        self.schedule: Tuple[PartitionEvent, ...] = tuple(schedule)
+        if not self.schedule:
+            raise ValueError("schedule needs at least one PartitionEvent")
 
     def gst(self) -> int:
         return max(ev.heal_at_us for ev in self.schedule)

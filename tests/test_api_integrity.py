@@ -71,13 +71,11 @@ MODULES = [
     "repro.metrics.throughput",
     "repro.metrics.tracelog",
     "repro.harness",
-    "repro.harness.attack_runner",
     "repro.harness.byzantine_runner",
     "repro.harness.cluster",
     "repro.harness.config",
     "repro.harness.experiments",
     "repro.harness.factory",
-    "repro.harness.rounds",
     "repro.harness.sweep",
 ]
 

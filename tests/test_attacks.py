@@ -1,5 +1,5 @@
 """Attack-scenario tests: Fig. 1 front-running, Byzantine Lyra replicas,
-and the censoring Pompē leader.
+and the censoring Pompē and Fino leaders.
 
 These are the paper's headline security claims as executable assertions:
 the front-run lands on clear-text ordering and is structurally impossible
@@ -14,6 +14,7 @@ from repro.harness.byzantine_runner import (
     run_byzantine_case,
     run_censorship_case,
 )
+from repro.harness.experiments import fig1_frontrunning
 
 
 class TestFig1Analytic:
@@ -43,6 +44,7 @@ class TestFig1EndToEnd:
         assert outcome.attacker_observed_plaintext
         assert outcome.attack_succeeded is True
         assert outcome.attacker_position < outcome.victim_position
+        assert outcome.invariant_violations == []
 
     def test_attack_fails_against_lyra(self):
         outcome = run_fig1_lyra(Fig1Scenario())
@@ -52,6 +54,28 @@ class TestFig1EndToEnd:
         assert outcome.attack_succeeded is False
         assert outcome.attacker_rejected is True
         assert outcome.attacker_observed_plaintext  # but only post-commit
+        assert outcome.invariant_violations == []
+
+    def test_rows_pinned(self):
+        """The exact Fig. 1 rows of the hand-wired deployments that the
+        shared cluster replaced."""
+        rows = fig1_frontrunning()
+        assert [(r["system"], r["attack_succeeded"], r["detail"]) for r in rows] == [
+            ("arrival-analysis", True, "victim median 150.0ms vs attacker 140.0ms"),
+            (
+                "pompe",
+                True,
+                "observed at 1035461us, attacked at 1035461us, "
+                "executed order: victim@1 attacker@0",
+            ),
+            (
+                "lyra",
+                False,
+                "plaintext visible at 2380427us (post-commit), backdated "
+                "attack decision=0, victim@0 attacker@None",
+            ),
+        ]
+        assert rows[2]["attacker_rejected"] is True
 
 
 @pytest.mark.slow
@@ -79,10 +103,15 @@ class TestCensorship:
     def test_leader_censors_pompe_but_not_lyra(self):
         rows = run_censorship_case()
         pompe_row = next(r for r in rows if r["system"].startswith("pompe"))
+        fino_row = next(r for r in rows if r["system"].startswith("fino"))
         lyra_row = next(r for r in rows if r["system"] == "lyra")
         assert pompe_row["victim_completed"] == 0
         assert pompe_row["others_completed"] > 0
         assert pompe_row["certs_censored"] > 0
+        # Blind to content, Fino's leader still starves the victim.
+        assert fino_row["victim_completed"] == 0
+        assert fino_row["others_completed"] > 0
+        assert fino_row["certs_censored"] > 0
         assert lyra_row["victim_completed"] > 0
 
 

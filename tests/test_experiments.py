@@ -10,8 +10,9 @@ from repro.harness.experiments import (
     format_rows,
     goodcase_latency_rounds,
     lambda_ablation,
+    measure_lyra_rounds,
+    measure_pompe_rounds,
 )
-from repro.harness.rounds import measure_lyra_rounds, measure_pompe_rounds
 
 
 class TestGoodCaseRounds:
@@ -34,6 +35,13 @@ class TestGoodCaseRounds:
         row = goodcase_latency_rounds(n=4, delay_ms=40)
         assert row["lyra_decide_rounds"] < row["pompe_commit_rounds"]
         assert row["paper_lyra"] == 3 and row["paper_pompe"] == 11
+
+    def test_pinned_default_rounds(self):
+        """The exact LAT3 numbers the hand-wired deployments produced
+        before the measurement moved onto the shared cluster."""
+        row = goodcase_latency_rounds()
+        assert row["lyra_decide_rounds"] == 3.000375
+        assert row["pompe_commit_rounds"] == 10.0
 
 
 @pytest.mark.slow

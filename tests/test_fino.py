@@ -1,6 +1,7 @@
 """Tests for the Fino-style baseline: blind order-fairness works for
 content (no pre-commit plaintext), but a blind Byzantine leader can still
-censor by proposer — the paper's §I critique."""
+censor by proposer — the paper's §I critique.  Plus what the shared
+cluster gives it (watchdog, MEV tap) or refuses."""
 
 import pytest
 
@@ -20,7 +21,12 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import MILLISECONDS, SECONDS, Simulator
 from repro.sim.rng import RngRegistry
+from repro.harness.factory import build_cluster
+from repro.net.faults import CrashEvent, FaultPlan
 from repro.workload.clients import ClosedLoopClient
+from repro.workload.spec import ClientGroup, WorkloadSpec
+
+from tests.helpers import quick_lyra_config
 
 DELAY = 10 * MILLISECONDS
 
@@ -138,3 +144,89 @@ class TestBlindCensorship:
         assert leader.censored_count > 0
         assert victim.stats.completed == 0
         assert all(c.stats.completed > 0 for c in others)
+
+
+class TestSharedCluster:
+    """Fino is a third ``PROTOCOLS`` adapter: it runs on the same cluster
+    as Lyra and Pompē, watchdog on, and refuses by name what FinoNode
+    cannot honour."""
+
+    def test_n4_run_is_safe_with_a_clean_watchdog(self):
+        # jitter=0 keeps links FIFO: see the decide-overtake test below.
+        cfg = quick_lyra_config(duration_us=3 * SECONDS, jitter=0.0)
+        cluster = build_cluster(cfg, protocol="fino")
+        result = cluster.run()
+        assert all(type(node) is FinoNode for node in cluster.nodes)
+        assert isinstance(cluster.obf, HashCommitObfuscation)
+        assert result.committed_count > 0
+        assert result.safety_violation is None
+        assert result.invariant_checks == cluster.watchdog.ticks + 1
+        assert result.invariant_violations == []
+
+    def test_jitter_exposes_the_decide_overtake(self):
+        """Fino shares Pompē's HotStuff substrate and its known bug: with
+        jitter a ``decide`` for height h+1 can land before h's, and blocks
+        are handed over in arrival order, so replicas diverge at seed 2.
+        A fix that decides strictly by height turns this test around."""
+        cluster = build_cluster(quick_lyra_config(seed=2), protocol="fino")
+        result = cluster.run()
+        assert any("prefix-agreement" in v for v in result.invariant_violations)
+        assert any(
+            [b.height for b in node.hotstuff.decided_blocks]
+            != sorted(b.height for b in node.hotstuff.decided_blocks)
+            for node in cluster.nodes
+        )
+
+    def test_mev_bot_sees_payloads_only_after_execution(self):
+        spec = WorkloadSpec(
+            groups=(
+                ClientGroup(
+                    name="victims",
+                    client="arrival",
+                    count=1,
+                    home=0,
+                    arrival={"kind": "poisson", "rate_tps": 5.0},
+                    body="amm",
+                    body_params={"amount_min": 1_000, "amount_max": 5_000},
+                ),
+                ClientGroup(name="mev", client="mev", count=1, home=1, collude=True),
+            )
+        )
+        cfg = quick_lyra_config(
+            workload=spec, jitter=0.0, batch_size=1, duration_us=3 * SECONDS
+        )
+        cluster = build_cluster(cfg, protocol="fino")
+        # ``collude`` asks for a timestamp-biasing replica: Fino has none.
+        assert type(cluster.nodes[1]) is FinoNode
+        sandwich = cluster.run().fairness["sandwich"]
+        assert sandwich["attempts"] > 0  # the execution tap fed the bot
+        assert sandwich["successes"] == 0
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"tracing": True}, "tracing"),
+            ({"attack_nodes": {1: "equivocate"}}, "attack_nodes"),
+            ({"distance_mode": "gossip"}, "distance_mode"),
+            ({"dissemination": "gossip"}, "dissemination"),
+            (
+                {
+                    "fault_plan": FaultPlan(
+                        crashes=(
+                            CrashEvent(
+                                pid=3,
+                                crash_at_us=1 * SECONDS,
+                                recover_at_us=2 * SECONDS,
+                            ),
+                        )
+                    )
+                },
+                "recover_at_us",
+            ),
+        ],
+        ids=["tracing", "attack_nodes", "distance_mode", "gossip", "recover"],
+    )
+    def test_unsupported_config_is_rejected(self, overrides, field):
+        cfg = quick_lyra_config(**overrides)
+        with pytest.raises(ValueError, match=f"fino cannot honour.*{field}"):
+            build_cluster(cfg, protocol="fino")

@@ -91,7 +91,7 @@ class TestDeterminism:
 
 class TestConfigurations:
     def test_hash_commit_obfuscation_mode(self):
-        cfg = quick_lyra_config(obfuscation="hash", check_dealing=False)
+        cfg = quick_lyra_config(obfuscation="hash")
         result = build_cluster(cfg).run()
         assert result.committed_count > 0
         assert result.safety_violation is None

@@ -193,13 +193,19 @@ class TestCostModel:
         assert double.verify_us == 2 * DEFAULT_COSTS.verify_us
         assert double.sign_us == 2 * DEFAULT_COSTS.sign_us
 
-    def test_scaled_rejects_nonpositive(self):
+    def test_scaled_rejects_negative(self):
         from repro.crypto.cost import DEFAULT_COSTS
 
         import pytest as _pytest
 
         with _pytest.raises(ValueError):
-            DEFAULT_COSTS.scaled(0)
+            DEFAULT_COSTS.scaled(-1)
+
+    def test_scaled_zero_is_free(self):
+        from repro.crypto.cost import DEFAULT_COSTS, FREE_COSTS
+
+        assert DEFAULT_COSTS.scaled(0) == FREE_COSTS
+        assert DEFAULT_COSTS.scaled(1.0) == DEFAULT_COSTS
 
     def test_hash_cost_scales_with_size(self):
         from repro.crypto.cost import DEFAULT_COSTS

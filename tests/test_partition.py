@@ -22,24 +22,31 @@ def build_partitioned(heal_at_us, seed=53, n=4):
     )
     cluster = build_cluster(cfg)
     # 2-2 split: neither side holds a 2f+1 = 3 quorum.
-    cluster.network.adversary = PartitionAdversary({0, 1}, heal_at_us)
+    cluster.network.adversary = split({0, 1}, heal_at_us)
     return cluster
+
+
+def split(group, heal_at_us):
+    """One episode isolating ``group`` from everyone else until heal."""
+    return PartitionAdversary(
+        schedule=[PartitionEvent(groups=(frozenset(group),), heal_at_us=heal_at_us)]
+    )
 
 
 class TestAdversaryUnit:
     def test_same_side_unaffected(self):
-        adv = PartitionAdversary({0, 1}, heal_at_us=1000)
+        adv = split({0, 1}, heal_at_us=1000)
         assert adv.extra_delay_us(0, 1, 10, now=0) == 0
         assert adv.extra_delay_us(2, 3, 10, now=0) == 0
 
     def test_cross_partition_held_until_heal(self):
-        adv = PartitionAdversary({0, 1}, heal_at_us=1000)
+        adv = split({0, 1}, heal_at_us=1000)
         assert adv.extra_delay_us(0, 2, 10, now=400) == 600
         assert adv.extra_delay_us(2, 0, 10, now=999) == 1
         assert adv.extra_delay_us(0, 2, 10, now=1000) == 0
 
     def test_gst_is_heal_time(self):
-        assert PartitionAdversary({0}, 777).gst() == 777
+        assert split({0}, 777).gst() == 777
 
 
 class TestPartitionEvent:
@@ -116,20 +123,12 @@ class TestScheduledAdversary:
         assert adv.extra_delay_us(0, 1, 10, now=100) == 4900
 
     def test_ctor_forms_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            PartitionAdversary(
-                {0},
-                100,
-                schedule=[
-                    PartitionEvent(groups=(frozenset({0}),), heal_at_us=100)
-                ],
-            )
-        with pytest.raises(ValueError):
-            PartitionAdversary({0})  # missing heal time
-
-    def test_legacy_group_a_attribute_preserved(self):
-        adv = PartitionAdversary({0, 1}, 500)
-        assert adv.group_a == {0, 1}
+        # ``schedule`` is the only form: positional groups and an empty
+        # schedule are refused.
+        with pytest.raises(TypeError):
+            PartitionAdversary({0}, 100)
+        with pytest.raises(ValueError, match="at least one"):
+            PartitionAdversary(schedule=[])
 
 
 class TestRepeatedSplitsLiveness:
