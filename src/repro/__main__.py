@@ -3,18 +3,10 @@ clusters, or fan out cached parallel sweeps.
 
 Usage::
 
-    python -m repro fig1            # Fig. 1 front-running attack
-    python -m repro fig2 [n ...]    # Fig. 2 commit latency sweep
-    python -m repro fig3            # Fig. 3 throughput model
-    python -m repro rounds          # good-case message delays (Theorem 3)
-    python -m repro lambda          # λ ablation (§VI-B)
-    python -m repro batch           # batch-size ablation (§VI-B)
-    python -m repro distance        # distance-estimator error ablation
-    python -m repro byzantine       # §VI-D behaviours + censorship
-    python -m repro obfuscation     # VSS vs hash commit-reveal
-    python -m repro decomp          # latency decomposition + Δ sensitivity
-    python -m repro report          # phase-latency decomposition report
-    python -m repro all             # everything above (quick mode)
+    python -m repro experiment              # every paper table (quick mode)
+    python -m repro experiment fig2 lambda  # the named tables only
+    python -m repro experiment distance --out ABLATION_distance_error.json
+    python -m repro report                  # phase-latency decomposition report
 
     python -m repro run --protocol pompe --n 7          # one cluster
     python -m repro chaos --loss 0.15 --crash 2:2000:3000  # fault schedule
@@ -23,10 +15,11 @@ Usage::
         --cache-dir results/sweep-cache                  # cached grid
 
 Cluster-running commands accept a uniform ``--protocol`` flag mapping onto
-the :func:`repro.harness.build_cluster` factory.  Set ``REPRO_FULL=1`` for
-the paper's full node counts; ``REPRO_WORKERS`` / ``REPRO_CACHE``
-parallelise and cache the figure entry points the same way ``sweep`` does
-explicitly.
+the :func:`repro.harness.build_cluster` factory.  The experiment names are
+the keys of :data:`repro.harness.experiments.EXPERIMENTS`.  Set
+``REPRO_FULL=1`` for the paper's full node counts; ``REPRO_WORKERS`` /
+``REPRO_CACHE`` parallelise and cache the figure entry points the same way
+``sweep`` does explicitly.
 """
 
 from __future__ import annotations
@@ -131,78 +124,37 @@ def _add_config_flags(parser) -> None:
     )
 
 
-def cmd_fig1(args) -> None:
-    _print("FIG 1 — front-running", exp.fig1_frontrunning())
+def _experiment_name(value: str) -> str:
+    if value not in exp.EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {value!r}; choose from "
+            f"{', '.join(exp.EXPERIMENTS)}"
+        )
+    return value
 
 
-def cmd_fig2(args) -> None:
-    from repro.metrics.ascii_chart import chart_fig2
-
-    protocols = _parse_protocols(args.protocol)
-    ns = [int(x) for x in args.ns] if args.ns else None
-    rows = exp.fig2_commit_latency(ns, protocols=protocols)
-    _print("FIG 2 — commit latency vs n (ms)", rows)
-    if set(protocols) >= {"lyra", "pompe"}:
-        print()
-        print(chart_fig2(rows))
-
-
-def cmd_fig3(args) -> None:
-    from repro.metrics.ascii_chart import chart_fig3
-
-    rows = exp.fig3_throughput()
-    _print("FIG 3 — throughput vs n (k tx/s)", rows)
-    print()
-    print(chart_fig3(rows))
-    _print("FIG 3 — message-level validation (n=4)", exp.fig3_sim_validation())
-
-
-def cmd_rounds(args) -> None:
-    _print("LAT3 — good-case message delays", exp.goodcase_latency_rounds())
-
-
-def cmd_lambda(args) -> None:
-    _print("LAM — lambda sweep", exp.lambda_ablation())
-    _print("LAM — jitter sensitivity", exp.jitter_sensitivity())
-
-
-def cmd_batch(args) -> None:
-    _print("BATCH — batch-size sweep", exp.batch_ablation())
-
-
-def cmd_distance(args) -> None:
+def cmd_experiment(args) -> None:
+    """Print the named paper tables (every one without names); ``--out``
+    also writes them as ``{name: [{"title", "rows"}]}`` JSON."""
     import json
-    import os
 
-    rows = exp.ablation_distance_error(
-        tuple(args.rounds) if args.rounds else (1, 2, 4, 6),
-        n=args.n,
-        seed=args.seed,
-    )
-    _print("DIST — estimator error vs λ-validation failures", rows)
-    path = args.out or "ABLATION_distance_error.json"
-    outdir = os.path.dirname(path)
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({"n": args.n, "seed": args.seed, "rows": rows},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nartifact written to {path}")
-
-
-def cmd_byzantine(args) -> None:
-    _print("BYZ — Byzantine behaviours", exp.byzantine_behaviours())
-    _print("BYZ — censorship comparison", exp.censorship_comparison())
-
-
-def cmd_obfuscation(args) -> None:
-    _print("OBF — VSS vs hash commit-reveal", exp.obfuscation_ablation())
-
-
-def cmd_decomp(args) -> None:
-    _print("DECOMP — latency phases", exp.latency_breakdown())
-    _print("DECOMP — delta sensitivity", exp.delta_ablation())
+    tables = {}
+    for name in args.names or exp.EXPERIMENTS:
+        tables[name] = []
+        for section in exp.EXPERIMENTS[name]:
+            rows = section.rows()
+            if isinstance(rows, dict):
+                rows = [rows]
+            _print(section.title, rows)
+            if section.chart is not None:
+                print()
+                print(section.chart(rows))
+            tables[name].append({"title": section.title, "rows": rows})
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(tables, fh, indent=2, ensure_ascii=False)
+            fh.write("\n")
+        print(f"\nwrote {args.out}")
 
 
 def cmd_report(args) -> None:
@@ -743,55 +695,26 @@ def cmd_sweep(args) -> None:
         raise SystemExit(1)
 
 
-def cmd_all(args) -> None:
-    cmd_rounds(args)
-    cmd_fig1(args)
-    cmd_fig2(argparse.Namespace(ns=None, protocol="lyra,pompe"))
-    cmd_fig3(args)
-    cmd_lambda(args)
-    cmd_batch(args)
-    cmd_byzantine(args)
-    cmd_obfuscation(args)
-    cmd_decomp(args)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the Lyra paper's tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fig1").set_defaults(fn=cmd_fig1)
-    p2 = sub.add_parser("fig2")
-    p2.add_argument("ns", nargs="*", help="node counts (default: quick sweep)")
-    _add_protocol_flag(p2, "lyra,pompe")
-    p2.set_defaults(fn=cmd_fig2)
-    sub.add_parser("fig3").set_defaults(fn=cmd_fig3)
-    sub.add_parser("rounds").set_defaults(fn=cmd_rounds)
-    sub.add_parser("lambda").set_defaults(fn=cmd_lambda)
-    sub.add_parser("batch").set_defaults(fn=cmd_batch)
-    pdist = sub.add_parser(
-        "distance",
-        help="distance-estimator error ablation (probe vs gossip rounds)",
+    pexp = sub.add_parser(
+        "experiment", help="print the paper's tables and figures by name"
     )
-    pdist.add_argument("--n", type=int, default=16, help="cluster size")
-    pdist.add_argument("--seed", type=int, default=23)
-    pdist.add_argument(
-        "--rounds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="gossip round budgets to sweep (default: 1 2 4 6)",
+    pexp.add_argument(
+        "names",
+        nargs="*",
+        type=_experiment_name,
+        metavar="NAME",
+        help=f"any of: {', '.join(exp.EXPERIMENTS)} (default: all, in that order)",
     )
-    pdist.add_argument(
-        "--out",
-        default=None,
-        help="artifact path (default: ./ABLATION_distance_error.json)",
+    pexp.add_argument(
+        "--out", default=None, metavar="PATH", help="also write the rows as JSON"
     )
-    pdist.set_defaults(fn=cmd_distance)
-    sub.add_parser("byzantine").set_defaults(fn=cmd_byzantine)
-    sub.add_parser("obfuscation").set_defaults(fn=cmd_obfuscation)
-    sub.add_parser("decomp").set_defaults(fn=cmd_decomp)
+    pexp.set_defaults(fn=cmd_experiment)
     pr = sub.add_parser(
         "report",
         help="per-phase latency decomposition + wire/fault/cache stats",
@@ -1017,7 +940,6 @@ def main(argv=None) -> int:
     )
     pfuzz.set_defaults(fn=cmd_fuzz)
 
-    sub.add_parser("all").set_defaults(fn=cmd_all)
     args = parser.parse_args(argv)
     args.fn(args)
     return 0

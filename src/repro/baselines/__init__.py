@@ -7,15 +7,12 @@
   an ordering phase (2f+1 signed timestamps, median assignment) feeding
   ordering certificates into HotStuff, with timestamp-ordered execution
   behind a stability watermark.
-- :mod:`repro.baselines.dbft_binary` — vanilla DBFT binary agreement [8],
-  the primitive Lyra's Algorithm 3 modifies.
 - :mod:`repro.baselines.fino` — Fino-style commit-reveal SMR [23]
   ("blind order-fairness"): payload obfuscation without leaderlessness.
 """
 
 from repro.baselines.hotstuff import Block, HotStuffParticipant, QuorumCert
 from repro.baselines.pompe import OrderingCert, PompeConfig, PompeNode
-from repro.baselines.dbft_binary import BinaryAgreement
 from repro.baselines.fino import BlindCensoringLeaderFino, FinoConfig, FinoNode
 
 __all__ = [
@@ -25,7 +22,6 @@ __all__ = [
     "OrderingCert",
     "PompeConfig",
     "PompeNode",
-    "BinaryAgreement",
     "FinoNode",
     "FinoConfig",
     "BlindCensoringLeaderFino",

@@ -135,20 +135,10 @@ def _cache_snapshot(cluster) -> Dict[str, Dict[str, Any]]:
 # The table
 # ----------------------------------------------------------------------
 def _goodcase_config(n: int, duration_ms: int, **overrides):
-    from repro.harness.config import ExperimentConfig
+    from repro.harness.config import closed_loop_config
     from repro.sim.engine import MILLISECONDS
 
-    return ExperimentConfig(
-        n_nodes=n,
-        seed=1,
-        batch_size=10,
-        clients_per_node=1,
-        client_window=5,
-        duration_us=duration_ms * MILLISECONDS,
-        warmup_rounds=2,
-        warmup_spacing_us=150 * MILLISECONDS,
-        **overrides,
-    )
+    return closed_loop_config(n, 1, duration_ms * MILLISECONDS, **overrides)
 
 
 def _chaos_config():

@@ -9,8 +9,8 @@ Implements every primitive §II-B of the paper assumes, from scratch:
 - ``vss-encrypt`` / ``vss-partial-decrypt`` / ``vss-decrypt`` — commit-reveal
   transaction obfuscation built on real Shamir secret sharing with Feldman
   verifiability (:mod:`repro.crypto.vss_encryption`).
-- Collision-resistant hashing, Halevi–Micali hash commitments, and Merkle
-  trees (used by the Commit protocol to compress accepted-set piggybacks).
+- Collision-resistant hashing and Merkle trees (used by the Commit
+  protocol to compress accepted-set piggybacks).
 
 Security model: the algebra (field arithmetic, polynomial secret sharing,
 Lagrange reconstruction, Feldman commitments) is implemented for real and
@@ -29,7 +29,6 @@ from repro.crypto.field import PrimeField, DEFAULT_FIELD
 from repro.crypto.polynomial import Polynomial, lagrange_interpolate_at
 from repro.crypto.shamir import ShamirShare, split_secret, reconstruct_secret
 from repro.crypto.feldman import FeldmanVSS, FeldmanCommitment, VerifiedShare
-from repro.crypto.commitment import HashCommitment, commit, open_commitment
 from repro.crypto.signatures import KeyRegistry, Signer, Signature
 from repro.crypto.threshold import (
     ThresholdScheme,
@@ -58,9 +57,6 @@ __all__ = [
     "FeldmanVSS",
     "FeldmanCommitment",
     "VerifiedShare",
-    "HashCommitment",
-    "commit",
-    "open_commitment",
     "KeyRegistry",
     "Signer",
     "Signature",

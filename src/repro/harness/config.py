@@ -252,4 +252,28 @@ class ExperimentConfig:
         return cls(**data)
 
 
-__all__ = ["ExperimentConfig"]
+def closed_loop_config(
+    n_nodes: int,
+    seed: int,
+    duration_us: int,
+    *,
+    warmup_rounds: int = 2,
+    **overrides: Any,
+) -> ExperimentConfig:
+    """The closed-loop rig the ablations and the bench rows share: batches
+    of 10, one closed-loop client per node with window 5, and warm-up
+    rounds 150 ms apart.  ``overrides`` sets any other field."""
+    return ExperimentConfig(
+        n_nodes=n_nodes,
+        seed=seed,
+        batch_size=10,
+        clients_per_node=1,
+        client_window=5,
+        duration_us=duration_us,
+        warmup_rounds=warmup_rounds,
+        warmup_spacing_us=150 * MILLISECONDS,
+        **overrides,
+    )
+
+
+__all__ = ["ExperimentConfig", "closed_loop_config"]

@@ -1,10 +1,11 @@
 """One entry point per paper artefact (see DESIGN.md §4).
 
-Each function returns a list of row dicts — the same rows the paper's
-figure plots — and is wrapped by a benchmark in ``benchmarks/``.  Set
-``REPRO_FULL=1`` to sweep the paper's full node counts (n up to 100,
-minutes of wall-clock); the default quick sweeps keep CI fast while
-preserving every qualitative claim.
+Each function returns the row dicts the paper's figure or table plots.
+:data:`EXPERIMENTS` names every artefact and lists its printed sections;
+``python -m repro experiment [NAME ...]`` runs them.  Set ``REPRO_FULL=1``
+to sweep the paper's full node counts (n up to 100, minutes of
+wall-clock); the default quick sweeps keep CI fast while preserving every
+qualitative claim.
 
 Every cluster-running entry point routes through
 :func:`repro.harness.sweep.run_sweep`, so ``REPRO_WORKERS=<k>`` fans the
@@ -15,9 +16,14 @@ grid across CPU cores and ``REPRO_CACHE=<dir>`` makes repeat invocations
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.harness.config import ExperimentConfig
+from repro.harness.byzantine_runner import (
+    run_byzantine_case,
+    run_censorship_case,
+    run_warmup_bias_case,
+)
+from repro.harness.config import ExperimentConfig, closed_loop_config
 from repro.harness.cluster import ExperimentResult
 from repro.harness.factory import build_cluster
 from repro.harness.sweep import (
@@ -27,7 +33,9 @@ from repro.harness.sweep import (
     sweep_workers,
 )
 from repro.core.types import Transaction
+from repro.metrics.ascii_chart import chart_fig2, chart_fig3
 from repro.metrics.capacity import CapacityInputs, lyra_capacity, pompe_capacity
+from repro.metrics.spans import decompose_phases
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.workload.spec import ClientGroup, WorkloadSpec
 
@@ -351,16 +359,12 @@ def lambda_ablation(
     cells = [
         SweepCell(
             "lyra",
-            ExperimentConfig(
-                n_nodes=n,
-                seed=seed,
-                lambda_us=lam * MILLISECONDS,
-                batch_size=10,
-                clients_per_node=1,
-                client_window=5,
-                duration_us=6 * SECONDS,
+            closed_loop_config(
+                n,
+                seed,
+                6 * SECONDS,
                 warmup_rounds=3,
-                warmup_spacing_us=150 * MILLISECONDS,
+                lambda_us=lam * MILLISECONDS,
                 jitter=0.015,
             ),
         )
@@ -427,49 +431,23 @@ def latency_breakdown(*, n: int = 4, seed: int = 29) -> List[Dict]:
     - ``committed->executed`` — the commit-reveal round (decryption-share
       quorum, Lemma 7).
     """
-    cfg = ExperimentConfig(
-        n_nodes=n,
-        seed=seed,
-        batch_size=10,
-        clients_per_node=1,
-        client_window=5,
-        duration_us=6 * SECONDS,
-        warmup_rounds=2,
-        warmup_spacing_us=150 * MILLISECONDS,
-        tracing=True,
+    # Reads the live cluster's trace, so this one runs in-process rather
+    # than through the sweep runner.
+    cluster = build_cluster(
+        closed_loop_config(n, seed, 6 * SECONDS, tracing=True), protocol="lyra"
     )
-    # Reads the live cluster's trace and proposer state, so this one runs
-    # in-process rather than through the sweep runner.
-    cluster = build_cluster(cfg, protocol="lyra")
     cluster.run()
-    log = cluster.trace
-
-    sums: Dict[str, List[int]] = {}
-    for node in cluster.nodes:
-        for iid in list(node._proposed_at):
-            if iid.proposer != node.pid:
-                continue
-            for phase, dur in log.phase_durations_us(iid, node.pid).items():
-                sums.setdefault(phase, []).append(dur)
-    rows: List[Dict] = []
-    for phase in (
-        "proposed->decided",
-        "decided->committed",
-        "committed->executed",
-        "total",
-    ):
-        samples = sums.get(phase, [])
-        if not samples:
-            continue
-        rows.append(
-            {
-                "phase": phase,
-                "mean_ms": round(sum(samples) / len(samples) / 1000.0, 1),
-                "max_ms": round(max(samples) / 1000.0, 1),
-                "samples": len(samples),
-            }
-        )
-    return rows
+    return [
+        {
+            "phase": phase,
+            "mean_ms": round(summary.mean / 1000.0, 1),
+            "max_ms": round(summary.maximum / 1000.0, 1),
+            "samples": summary.count,
+        }
+        for phase, summary in decompose_phases(
+            cluster.trace, proposer_only=True
+        ).items()
+    ]
 
 
 def delta_ablation(
@@ -489,16 +467,8 @@ def delta_ablation(
     cells = [
         SweepCell(
             "lyra",
-            ExperimentConfig(
-                n_nodes=n,
-                seed=seed,
-                delta_us=delta_ms * MILLISECONDS,
-                batch_size=10,
-                clients_per_node=1,
-                client_window=5,
-                duration_us=8 * SECONDS,
-                warmup_rounds=2,
-                warmup_spacing_us=150 * MILLISECONDS,
+            closed_loop_config(
+                n, seed, 8 * SECONDS, delta_us=delta_ms * MILLISECONDS
             ),
         )
         for delta_ms in deltas_ms
@@ -527,20 +497,7 @@ def obfuscation_ablation(*, n: int = 4, seed: int = 19) -> List[Dict]:
     """
     schemes = ("vss", "hash")
     cells = [
-        SweepCell(
-            "lyra",
-            ExperimentConfig(
-                n_nodes=n,
-                seed=seed,
-                obfuscation=scheme,
-                batch_size=10,
-                clients_per_node=1,
-                client_window=5,
-                duration_us=6 * SECONDS,
-                warmup_rounds=2,
-                warmup_spacing_us=150 * MILLISECONDS,
-            ),
-        )
+        SweepCell("lyra", closed_loop_config(n, seed, 6 * SECONDS, obfuscation=scheme))
         for scheme in schemes
     ]
     rows: List[Dict] = []
@@ -570,17 +527,7 @@ def jitter_sensitivity(
     cells = [
         SweepCell(
             "lyra",
-            ExperimentConfig(
-                n_nodes=n,
-                seed=seed,
-                jitter=jitter,
-                batch_size=10,
-                clients_per_node=1,
-                client_window=5,
-                duration_us=6 * SECONDS,
-                warmup_rounds=3,
-                warmup_spacing_us=150 * MILLISECONDS,
-            ),
+            closed_loop_config(n, seed, 6 * SECONDS, warmup_rounds=3, jitter=jitter),
         )
         for jitter in jitters
     ]
@@ -623,17 +570,8 @@ def ablation_distance_error(
     """
 
     def _cfg(mode: str, rounds: int) -> ExperimentConfig:
-        return ExperimentConfig(
-            n_nodes=n,
-            seed=seed,
-            batch_size=10,
-            clients_per_node=1,
-            client_window=5,
-            duration_us=4 * SECONDS,
-            warmup_rounds=2,
-            warmup_spacing_us=150 * MILLISECONDS,
-            distance_mode=mode,
-            gossip_rounds=rounds,
+        return closed_loop_config(
+            n, seed, 4 * SECONDS, distance_mode=mode, gossip_rounds=rounds
         )
 
     cells = [("probe", 0, _cfg("probe", 1))]
@@ -672,8 +610,6 @@ def ablation_distance_error(
 def byzantine_behaviours(*, seed: int = 13) -> List[Dict]:
     """§VI-D: one Byzantine replica per run, measuring that the cluster
     stays safe and live (and what the attack costs)."""
-    from repro.harness.byzantine_runner import run_byzantine_case
-
     rows = []
     for case in (
         "baseline",
@@ -690,13 +626,12 @@ def byzantine_behaviours(*, seed: int = 13) -> List[Dict]:
 def censorship_comparison(*, seed: int = 17) -> List[Dict]:
     """§V-E: a censoring HotStuff leader starves a victim's batches in
     Pompē; leaderless Lyra has no role capable of this."""
-    from repro.harness.byzantine_runner import run_censorship_case
-
     return run_censorship_case(seed=seed)
 
 
 def format_rows(rows: List[Dict]) -> str:
-    """Render rows as an aligned text table (what the benches print)."""
+    """Render rows as an aligned text table (what ``repro experiment``
+    prints)."""
     if not rows:
         return "(no rows)"
     keys: List[str] = []
@@ -714,6 +649,59 @@ def format_rows(rows: List[Dict]) -> str:
             "  ".join(str(row.get(k, "")).ljust(widths[k]) for k in keys)
         )
     return "\n".join(lines)
+
+
+class Section(NamedTuple):
+    """One printed table of an experiment: its title, the function that
+    computes its rows (a single row may come back as a bare dict), and
+    optionally an ASCII chart drawn from those rows."""
+
+    title: str
+    rows: Callable[[], Union[Dict, List[Dict]]]
+    chart: Optional[Callable[[List[Dict]], str]] = None
+
+
+def _distance_rows() -> List[Dict]:
+    """Full mode: the n=16 shape of the checked-in artefact.  Quick: CI's
+    n=8 shape."""
+    if full_mode():
+        return ablation_distance_error()
+    return ablation_distance_error((1, 4), n=8)
+
+
+#: Every paper artefact by name, each an ordered tuple of sections.
+#: ``python -m repro experiment`` with no name runs them in this order.
+EXPERIMENTS: Dict[str, Tuple[Section, ...]] = {
+    "rounds": (Section("LAT3 — good-case message delays", goodcase_latency_rounds),),
+    "fig1": (Section("FIG 1 — front-running", fig1_frontrunning),),
+    "fig2": (
+        Section("FIG 2 — commit latency vs n (ms)", fig2_commit_latency, chart_fig2),
+    ),
+    "fig3": (
+        Section("FIG 3 — throughput vs n (k tx/s)", fig3_throughput, chart_fig3),
+        Section("FIG 3 — message-level validation (n=4)", fig3_sim_validation),
+    ),
+    "lambda": (
+        Section("LAM — lambda sweep", lambda_ablation),
+        Section("LAM — jitter sensitivity", jitter_sensitivity),
+    ),
+    "batch": (Section("BATCH — batch-size sweep", batch_ablation),),
+    "byzantine": (
+        Section("BYZ — Byzantine behaviours", byzantine_behaviours),
+        Section("BYZ — censorship comparison", censorship_comparison),
+        Section("BYZ — warm-up bias (recovery after GST)", run_warmup_bias_case),
+    ),
+    "obfuscation": (
+        Section("OBF — VSS vs hash commit-reveal", obfuscation_ablation),
+    ),
+    "decomp": (
+        Section("DECOMP — latency phases", latency_breakdown),
+        Section("DECOMP — delta sensitivity", delta_ablation),
+    ),
+    "distance": (
+        Section("DIST — estimator error vs λ-validation failures", _distance_rows),
+    ),
+}
 
 
 __all__ = [
@@ -738,4 +726,6 @@ __all__ = [
     "byzantine_behaviours",
     "censorship_comparison",
     "format_rows",
+    "Section",
+    "EXPERIMENTS",
 ]

@@ -1,9 +1,8 @@
-"""Measurement utilities: latency statistics, throughput windows, and the
-capacity model used to extrapolate saturation throughput to large n
-(DESIGN.md §2, substitution for real-testbed throughput runs)."""
+"""Measurement utilities: latency statistics and the capacity model used
+to extrapolate saturation throughput to large n (DESIGN.md §2,
+substitution for real-testbed throughput runs)."""
 
 from repro.metrics.stats import LatencySummary, percentile, summarize_latencies
-from repro.metrics.throughput import ThroughputWindow
 from repro.metrics.capacity import (
     CapacityInputs,
     extrapolate_users,
@@ -43,7 +42,6 @@ __all__ = [
     "LatencySummary",
     "percentile",
     "summarize_latencies",
-    "ThroughputWindow",
     "CapacityInputs",
     "count_inversions",
     "extrapolate_users",

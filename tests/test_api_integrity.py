@@ -20,7 +20,6 @@ MODULES = [
     "repro.net.network",
     "repro.net.topology",
     "repro.crypto",
-    "repro.crypto.commitment",
     "repro.crypto.cost",
     "repro.crypto.feldman",
     "repro.crypto.field",
@@ -47,7 +46,6 @@ MODULES = [
     "repro.core.types",
     "repro.core.vvb",
     "repro.baselines",
-    "repro.baselines.dbft_binary",
     "repro.baselines.fino",
     "repro.baselines.hotstuff",
     "repro.baselines.pompe",
@@ -68,7 +66,6 @@ MODULES = [
     "repro.metrics.capacity",
     "repro.metrics.fairness",
     "repro.metrics.stats",
-    "repro.metrics.throughput",
     "repro.metrics.tracelog",
     "repro.harness",
     "repro.harness.byzantine_runner",

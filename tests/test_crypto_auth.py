@@ -1,11 +1,9 @@
-"""Tests for signatures, threshold signatures, commitments, hashing, and
-Merkle trees."""
+"""Tests for signatures, threshold signatures, hashing, and Merkle trees."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.commitment import commit, open_commitment
 from repro.crypto.hashing import digest_of, sha256_bytes, sha256_hex
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.signatures import KeyRegistry, Signature
@@ -14,9 +12,6 @@ from repro.crypto.threshold import (
     ThresholdError,
     ThresholdScheme,
 )
-from repro.sim.rng import RngRegistry
-
-RNG = RngRegistry(7)
 
 
 class TestSignatures:
@@ -96,25 +91,6 @@ class TestThreshold:
             ThresholdScheme(0, 4)
         with pytest.raises(ValueError):
             ThresholdScheme(5, 4)
-
-
-class TestCommitments:
-    def test_commit_open_roundtrip(self):
-        com, nonce = commit(b"the deal", RNG.get("c1"))
-        assert open_commitment(com, b"the deal", nonce)
-
-    def test_wrong_message_rejected(self):
-        com, nonce = commit(b"the deal", RNG.get("c2"))
-        assert not open_commitment(com, b"another deal", nonce)
-
-    def test_wrong_nonce_rejected(self):
-        com, nonce = commit(b"the deal", RNG.get("c3"))
-        assert not open_commitment(com, b"the deal", b"\x00" * 32)
-
-    def test_hiding_from_nonce_entropy(self):
-        c1, _ = commit(b"same", RNG.get("c4"))
-        c2, _ = commit(b"same", RNG.get("c5"))
-        assert c1.digest != c2.digest
 
 
 class TestCanonicalHashing:

@@ -1,5 +1,5 @@
-"""Tests for metrics: latency stats, throughput windows, and the Fig. 3
-capacity model's paper-shape properties."""
+"""Tests for metrics: latency stats and the Fig. 3 capacity model's
+paper-shape properties."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.metrics.capacity import (
     pompe_cert_profile,
 )
 from repro.metrics.stats import LatencySummary, percentile, summarize_latencies
-from repro.metrics.throughput import ThroughputWindow
 
 PAPER_NS = [5, 10, 16, 31, 61, 100]
 
@@ -40,55 +39,6 @@ class TestStats:
         s = summarize_latencies([1000.0])
         assert s.mean_ms == 1.0
         assert "mean=1.0ms" in s.row()
-
-
-class TestThroughputWindow:
-    def test_rate_over_window(self):
-        w = ThroughputWindow()
-        for t in range(0, 1_000_000, 100_000):
-            w.record(t, 10)
-        assert w.rate_tps(0, 1_000_000) == 100.0
-
-    def test_window_filtering(self):
-        w = ThroughputWindow()
-        w.record(100, 5)
-        w.record(900, 5)
-        assert w.total(0, 500) == 5
-        assert w.total(500) == 5
-
-    def test_empty_and_degenerate(self):
-        w = ThroughputWindow()
-        assert w.rate_tps(0, 0) == 0.0
-        assert w.timeline(10) == []
-
-    def test_timeline_buckets(self):
-        w = ThroughputWindow()
-        w.record(0, 1)
-        w.record(5, 1)
-        w.record(15, 1)
-        line = w.timeline(10)
-        assert line[0][0] == 0 and line[1][0] == 10
-
-    def test_timeline_zero_fills_gaps(self):
-        """Buckets with no events must appear with rate 0, not vanish —
-        a stall plotted from the timeline has to show as a dip."""
-        w = ThroughputWindow()
-        w.record(0, 1)
-        w.record(5, 1)
-        w.record(35, 1)
-        line = w.timeline(10)
-        assert [start for start, _ in line] == [0, 10, 20, 30]
-        assert line[1][1] == 0.0 and line[2][1] == 0.0
-        assert line[0][1] > 0.0 and line[3][1] > 0.0
-
-    def test_timeline_gap_fill_respects_first_bucket(self):
-        w = ThroughputWindow()
-        w.record(25, 2)  # first event well past t=0
-        w.record(45, 2)
-        line = w.timeline(10)
-        # Starts at the first occupied bucket, not at zero.
-        assert [start for start, _ in line] == [20, 30, 40]
-        assert line[1][1] == 0.0
 
 
 class TestCapacityShape:

@@ -173,6 +173,29 @@ class TestLatencyBreakdown:
         rows = latency_breakdown()
         by_phase = {r["phase"]: r for r in rows}
         assert by_phase["proposed->decided"]["max_ms"] <= 450.0
+        # ...and the total stays sub-second.
+        assert by_phase["total"]["mean_ms"] < 1000.0
+
+    def test_every_proposed_instance_is_sampled(self, monkeypatch):
+        """The rows cover every instance its proposer proposed, not only
+        those still live at the horizon: a node forgets an instance 10·Δ
+        after it finishes."""
+        from repro.harness import experiments
+
+        clusters = []
+
+        def build_and_keep(*args, **kwargs):
+            clusters.append(build_cluster(*args, **kwargs))
+            return clusters[-1]
+
+        monkeypatch.setattr(experiments, "build_cluster", build_and_keep)
+        by_phase = {r["phase"]: r for r in latency_breakdown()}
+        proposed = sum(
+            1
+            for e in clusters[0].trace.events
+            if e.kind == "proposed" and e.node == e.instance[0]
+        )
+        assert by_phase["proposed->decided"]["samples"] == proposed
 
 
 class TestDeltaAblation:
