@@ -1,25 +1,31 @@
-"""Command-line entry point: regenerate any paper artefact, run single
-clusters, or fan out cached parallel sweeps.
+"""Command-line entry point: regenerate any paper artefact, run one
+deployment, or fan out cached parallel sweeps.
 
 Usage::
 
     python -m repro experiment              # every paper table (quick mode)
     python -m repro experiment fig2 lambda  # the named tables only
     python -m repro experiment distance --out ABLATION_distance_error.json
-    python -m repro report                  # phase-latency decomposition report
 
-    python -m repro run --protocol pompe --n 7          # one cluster
-    python -m repro chaos --loss 0.15 --crash 2:2000:3000  # fault schedule
+    python -m repro run --protocol lyra,pompe --n 7       # one deployment each
+    python -m repro run --loss 0.15 --crash 2:2000:3000   # under a fault plan
+    python -m repro run --arrival poisson --mev           # open loop, Fig. 1 cell
+    python -m repro run --trace --delay-ms 10             # phase decomposition
     python -m repro sweep --protocol lyra,pompe \\
         --n 4 7 10 --seeds 1 2 3 --workers 4 \\
         --cache-dir results/sweep-cache                  # cached grid
 
-Cluster-running commands accept a uniform ``--protocol`` flag mapping onto
-the :func:`repro.harness.build_cluster` factory.  The experiment names are
-the keys of :data:`repro.harness.experiments.EXPERIMENTS`.  Set
-``REPRO_FULL=1`` for the paper's full node counts; ``REPRO_WORKERS`` /
-``REPRO_CACHE`` parallelise and cache the figure entry points the same way
-``sweep`` does explicitly.
+``run`` and ``sweep`` map their flags onto one ``ExperimentConfig``
+through :func:`config_from_args`; ``--protocol`` names adapters of the
+:func:`repro.harness.build_cluster` factory.  ``run`` renders every result
+with :func:`repro.metrics.report.render_run_report` and ends with one
+``RESULT: PASS|FAIL`` line.  It exits 0 when clean, 1 on any safety or
+invariant violation or a missing fairness block, and 2 on a usage error or
+a config the protocol adapter rejects.  The experiment names are the keys
+of :data:`repro.harness.experiments.EXPERIMENTS`.  Set ``REPRO_FULL=1`` for
+the paper's full node counts; ``REPRO_WORKERS`` / ``REPRO_CACHE``
+parallelise and cache the figure entry points the same way ``sweep`` does
+explicitly.
 """
 
 from __future__ import annotations
@@ -29,12 +35,34 @@ import sys
 
 from repro.harness import experiments as exp
 
+#: The open-loop workload's flags, which need ``--arrival``, and the
+#: closed-loop rig's, which conflict with it; each with its default.  The
+#: parser leaves them unset unless given (``argparse.SUPPRESS``).
+_ARRIVAL_FLAGS = {
+    "mev": False,
+    "offered_tps": 200.0,
+    "users": 1000,
+    "body": "raw",
+    "trace_file": None,
+    "victim_tps": 2.0,
+}
+_CLOSED_LOOP_FLAGS = {"clients": 1, "window": 5}
+#: Fault flag -> the ``LinkFault`` rate it sets.
+_RATE_FLAGS = {
+    "loss": "drop_rate",
+    "dup": "duplicate_rate",
+    "reorder": "reorder_rate",
+    "corrupt": "corrupt_rate",
+}
+
 
 def _print(title: str, rows) -> None:
     print(f"\n## {title}")
-    if isinstance(rows, dict):
-        rows = [rows]
     print(exp.format_rows(rows))
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _parse_protocols(value: str):
@@ -43,50 +71,178 @@ def _parse_protocols(value: str):
     names = tuple(p.strip().lower() for p in value.split(",") if p.strip())
     unknown = [p for p in names if p not in available_protocols()]
     if unknown:
-        raise SystemExit(
+        raise argparse.ArgumentTypeError(
             f"unknown protocol(s) {', '.join(unknown)}; "
             f"available: {', '.join(available_protocols())}"
         )
     if not names:
-        raise SystemExit("--protocol needs at least one protocol name")
+        raise argparse.ArgumentTypeError("needs at least one protocol name")
     return names
 
 
-def _add_protocol_flag(parser, default: str) -> None:
-    parser.add_argument(
-        "--protocol",
-        default=default,
-        help=f"comma-separated protocol name(s) (default: {default})",
-    )
-
-
-def _config_from_args(args, n: int, seed: int):
-    from repro.harness.config import ExperimentConfig
+def _crash_event(spec: str):
+    from repro.net.faults import CrashEvent
     from repro.sim.engine import MILLISECONDS
 
-    return ExperimentConfig(
+    try:
+        pid, *times_ms = (int(part) for part in spec.split(":"))
+    except ValueError:
+        times_ms = []
+    if len(times_ms) not in (1, 2):
+        raise argparse.ArgumentTypeError(
+            f"bad spec {spec!r}; expected pid:crash_ms[:recover_ms]"
+        )
+    times_us = [ms * MILLISECONDS for ms in times_ms] + [None]
+    return CrashEvent(pid=pid, crash_at_us=times_us[0], recover_at_us=times_us[1])
+
+
+def _workload_spec(opts, arrival: str, n: int, duration_us: int):
+    """The open-loop ``WorkloadSpec`` of the ``--arrival`` flags in ``opts``."""
+    from repro.sim.engine import SECONDS
+    from repro.workload.spec import ClientGroup, WorkloadSpec
+
+    per_client = max(opts["offered_tps"] / n, 1e-3)
+    process = {"kind": arrival, "rate_tps": per_client}
+    if arrival == "diurnal":
+        # Compress the day/night cycle into the run so the modulation is
+        # actually visible over a short horizon.
+        process["period_us"] = max(1 * SECONDS, duration_us // 2)
+    elif arrival == "trace":
+        if opts["trace_file"]:
+            with open(opts["trace_file"]) as fh:
+                offsets = [int(line) for line in fh if line.strip()]
+        else:
+            # No trace given: replay a uniform schedule at the offered rate.
+            gap = int(1_000_000 / per_client)
+            count = max(1, int(per_client * duration_us / 1_000_000))
+            offsets = [i * gap for i in range(count)]
+        process = {"kind": "trace", "offsets_us": offsets}
+    groups = [
+        ClientGroup(
+            name="traffic",
+            client="arrival",
+            count_per_node=1,
+            arrival=process,
+            body=opts["body"],
+            users=opts["users"],
+        )
+    ]
+    if opts["mev"]:
+        # The Fig. 1 cell: AMM victims homed far from the replica
+        # majority, one MEV bot colocated with a (Pompē-colluding)
+        # replica close to it.
+        groups.append(
+            ClientGroup(
+                name="victims",
+                client="arrival",
+                count=1,
+                home=0,
+                arrival={"kind": "poisson", "rate_tps": opts["victim_tps"]},
+                body="amm",
+                body_params={"amount_min": 1_000, "amount_max": 5_000},
+            )
+        )
+        groups.append(
+            ClientGroup(name="mev", client="mev", count=1, home=1, collude=True)
+        )
+    return WorkloadSpec(groups=tuple(groups), fairness=True, users=opts["users"])
+
+
+def config_from_args(args, n: int | None, seed: int):
+    """Map ``run``/``sweep`` flags onto one ``ExperimentConfig`` (``n=None``
+    picks 4, or 7 with ``--mev``).  Raises ``ValueError`` naming the flag
+    of a conflicting pair."""
+    from repro.harness.config import ExperimentConfig
+    from repro.net.faults import FaultPlan, LinkFault
+    from repro.sim.engine import MILLISECONDS
+
+    given = vars(args)
+    arrival = given.get("arrival")
+    wanted, banned = (
+        (_CLOSED_LOOP_FLAGS, _ARRIVAL_FLAGS)
+        if arrival is None
+        else (_ARRIVAL_FLAGS, _CLOSED_LOOP_FLAGS)
+    )
+    clash = [_flag(dest) for dest in banned if dest in given]
+    if clash:
+        raise ValueError(
+            f"{clash[0]} requires --arrival"
+            if arrival is None
+            else f"--arrival conflicts with {clash[0]}"
+        )
+    exports = [_flag(d) for d in ("export_trace", "export_chrome") if given.get(d)]
+    if exports and not given.get("trace"):
+        raise ValueError(f"{exports[0]} requires --trace")
+    opts = {dest: given.get(dest, default) for dest, default in wanted.items()}
+    mev = opts.get("mev", False)
+    n = n if n is not None else (7 if mev else 4)
+    config = ExperimentConfig(
         n_nodes=n,
         seed=seed,
-        batch_size=args.batch,
+        batch_size=given.get("batch", 1 if mev else 10),
         lambda_us=args.lambda_ms * MILLISECONDS,
-        clients_per_node=args.clients,
-        client_window=args.window,
         duration_us=args.duration_ms * MILLISECONDS,
         warmup_rounds=args.warmup_rounds,
         warmup_spacing_us=150 * MILLISECONDS,
-        dissemination=getattr(args, "dissemination", None) or "all2all",
-        fanout=getattr(args, "fanout", 8),
-        distance_mode=getattr(args, "distance_mode", None) or "probe",
-        gossip_fanout=getattr(args, "gossip_fanout", 3),
-        gossip_rounds=getattr(args, "gossip_rounds", 6),
+        dissemination=args.dissemination,
+        fanout=args.fanout,
+        distance_mode=args.distance_mode,
+        gossip_fanout=args.gossip_fanout,
+        gossip_rounds=args.gossip_rounds,
+        tracing=bool(given.get("trace")),
+        metrics=bool(given.get("trace")),
     )
+    if arrival is None:
+        config.clients_per_node = opts["clients"]
+        config.client_window = opts["window"]
+    else:
+        if mev:
+            # The Fig. 1 geometry: the replica majority far from the
+            # victim's home and the bot's colluding replica between them.
+            if n < 3:
+                raise ValueError("--mev needs --n >= 3")
+            config.regions = ["tokyo", "singapore"] + ["saopaulo"] * (n - 2)
+        config.workload = _workload_spec(opts, arrival, n, config.duration_us)
+    rates = {rate: given.get(flag, 0.0) for flag, rate in _RATE_FLAGS.items()}
+    crashes = tuple(given.get("crash") or ())
+    if any(rates.values()) or crashes:
+        config.fault_plan = FaultPlan(links=(LinkFault(**rates),), crashes=crashes)
+        config.reliable_channels = any(rate > 0 for rate in rates.values())
+    if given.get("delay_ms") is not None:
+        # The §III rig: uniform jitter-free links with Δ = one delay, so
+        # BOC's 3-message-delay decision bound is directly visible in the
+        # proposed->decided row.
+        config.uniform_delay_us = config.delta_us = args.delay_ms * MILLISECONDS
+    return config
 
 
 def _add_config_flags(parser) -> None:
-    parser.add_argument("--batch", type=int, default=10, help="batch size")
+    """The flags ``run`` and ``sweep`` share."""
+    parser.add_argument(
+        "--protocol",
+        type=_parse_protocols,
+        default="lyra",
+        help="comma-separated protocol name(s) (default: lyra)",
+    )
+    parser.add_argument(
+        "--batch",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="batch size (default 10, or 1 with --mev)",
+    )
     parser.add_argument("--lambda-ms", type=int, default=5, help="λ in ms")
-    parser.add_argument("--clients", type=int, default=1, help="clients per node")
-    parser.add_argument("--window", type=int, default=5, help="client window")
+    parser.add_argument(
+        "--clients",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="closed-loop clients per node (default 1)",
+    )
+    parser.add_argument(
+        "--window",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="closed-loop client window (default 5)",
+    )
     parser.add_argument(
         "--duration-ms", type=int, default=4000, help="virtual duration in ms"
     )
@@ -124,6 +280,112 @@ def _add_config_flags(parser) -> None:
     )
 
 
+def _add_run_flags(parser) -> None:
+    """``run``'s own flags: cluster size and seed, faults, open-loop load
+    and observability."""
+    parser.add_argument(
+        "--n", type=int, default=None, help="cluster size (default 4, or 7 with --mev)"
+    )
+    parser.add_argument("--seed", type=int, default=1)
+    faults = parser.add_argument_group(
+        "faults",
+        "any of these builds a FaultPlan; a link rate > 0 also turns on "
+        "reliable channels",
+    )
+    for flag, rate in _RATE_FLAGS.items():
+        faults.add_argument(
+            _flag(flag),
+            type=float,
+            default=0.0,
+            help=f"per-link {rate.replace('_', ' ')} (default 0)",
+        )
+    faults.add_argument(
+        "--crash",
+        action="append",
+        type=_crash_event,
+        metavar="PID:CRASH_MS[:RECOVER_MS]",
+        help="schedule a crash (repeatable); omit RECOVER_MS for crash-stop",
+    )
+    load = parser.add_argument_group(
+        "open-loop workload",
+        "--arrival replaces the closed-loop rig; the other flags here need it",
+    )
+    load.add_argument(
+        "--arrival",
+        choices=("poisson", "bursty", "diurnal", "trace"),
+        help="arrival process of the main traffic group",
+    )
+    load.add_argument(
+        "--offered-tps",
+        type=float,
+        default=argparse.SUPPRESS,
+        help="aggregate offered rate of the main traffic group (default 200)",
+    )
+    load.add_argument(
+        "--users",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="simulated user population the traffic stands in for (Poisson "
+        "superposition; feeds the capacity extrapolation; default 1000)",
+    )
+    load.add_argument(
+        "--body",
+        choices=("raw", "kv_zipf", "amm"),
+        default=argparse.SUPPRESS,
+        help="body mix of the main traffic group (default raw)",
+    )
+    load.add_argument(
+        "--trace-file",
+        default=argparse.SUPPRESS,
+        metavar="PATH",
+        help="with --arrival trace: file of submission offsets (µs, one "
+        "per line)",
+    )
+    load.add_argument(
+        "--mev",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="add the adversarial cell: AMM victim traffic plus a "
+        "colluding MEV bot chasing it (Fig. 1 geometry)",
+    )
+    load.add_argument(
+        "--victim-tps",
+        type=float,
+        default=argparse.SUPPRESS,
+        help="victim swap rate in the --mev cell (default 2)",
+    )
+    obs = parser.add_argument_group("observability")
+    obs.add_argument(
+        "--trace",
+        action="store_true",
+        help="trace phases and collect metrics (Lyra only)",
+    )
+    obs.add_argument(
+        "--delay-ms",
+        type=int,
+        help="uniform jitter-free one-way link delay in ms (makes the "
+        "proposed->decided p50 checkable against 3 message delays)",
+    )
+    obs.add_argument(
+        "--all-nodes",
+        action="store_true",
+        help="decompose phases at every node, not just each proposer",
+    )
+    obs.add_argument(
+        "--export-trace", metavar="PATH", help="dump the run's TraceLog as JSONL"
+    )
+    obs.add_argument(
+        "--export-chrome",
+        metavar="PATH",
+        help="export spans in chrome://tracing JSON format",
+    )
+    obs.add_argument(
+        "--trace-jsonl",
+        metavar="PATH",
+        help="render a dumped TraceLog JSONL instead of running",
+    )
+
+
 def _experiment_name(value: str) -> str:
     if value not in exp.EXPERIMENTS:
         raise argparse.ArgumentTypeError(
@@ -157,12 +419,21 @@ def cmd_experiment(args) -> None:
         print(f"\nwrote {args.out}")
 
 
-def cmd_report(args) -> None:
-    """Observability report: the paper's per-phase latency decomposition
-    plus wire/fault/cache stats — from a fresh traced run, or from a
-    dumped trace JSONL."""
-    from repro.metrics.report import render_run_report
+def _export(trace, jsonl_path, chrome_path) -> None:
     from repro.metrics.spans import export_chrome_trace
+
+    if jsonl_path:
+        print(f"wrote {trace.dump_jsonl(jsonl_path)} trace events to {jsonl_path}")
+    if chrome_path:
+        count = export_chrome_trace(trace, chrome_path)
+        print(f"wrote {count} chrome://tracing events to {chrome_path}")
+
+
+def cmd_run(args) -> None:
+    """Run one deployment per ``--protocol`` name, in turn, and render each
+    result; ``--trace-jsonl`` renders a dumped trace without running."""
+    from repro.harness.factory import build_cluster
+    from repro.metrics.report import render_run_report, run_failures
     from repro.metrics.tracelog import TraceLog
 
     if args.trace_jsonl:
@@ -174,123 +445,30 @@ def cmd_report(args) -> None:
                 proposer_only=not args.all_nodes,
             )
         )
-        if args.export_chrome:
-            count = export_chrome_trace(trace, args.export_chrome)
-            print(f"wrote {count} chrome://tracing events to {args.export_chrome}")
+        _export(trace, None, args.export_chrome)
         return
-
-    from repro.harness.factory import build_cluster
-    from repro.sim.engine import MILLISECONDS
-
-    config = _config_from_args(args, args.n, args.seed)
-    config.tracing = True
-    config.metrics = True
-    if args.delay_ms is not None:
-        # The §III rig: uniform jitter-free links with Δ = one delay, so
-        # BOC's 3-message-delay decision bound is directly visible in the
-        # proposed->decided row.
-        config.uniform_delay_us = args.delay_ms * MILLISECONDS
-        config.delta_us = args.delay_ms * MILLISECONDS
-    cluster = build_cluster(config, protocol="lyra")
-    result = cluster.run()
-    print(
-        render_run_report(
-            trace=cluster.trace,
-            result=result,
-            title=f"Observability report — lyra n={args.n} seed={args.seed}",
-            proposer_only=not args.all_nodes,
-        )
-    )
-    if args.export_trace:
-        count = cluster.trace.dump_jsonl(args.export_trace)
-        print(f"wrote {count} trace events to {args.export_trace}")
-    if args.export_chrome:
-        count = export_chrome_trace(cluster.trace, args.export_chrome)
-        print(f"wrote {count} chrome://tracing events to {args.export_chrome}")
-
-
-def cmd_run(args) -> None:
-    """Run one cluster through the unified factory and print its result."""
-    from repro.harness.factory import build_cluster
-
-    protocol = _parse_protocols(args.protocol)[0]
-    config = _config_from_args(args, args.n, args.seed)
-    result = build_cluster(config, protocol=protocol).run()
-    _print(
-        f"RUN — {protocol} n={args.n} seed={args.seed}",
-        {
-            "protocol": protocol,
-            "n": args.n,
-            "seed": args.seed,
-            "committed": result.committed_count,
-            "throughput_tps": round(result.throughput_tps, 1),
-            "latency_ms": round(result.avg_latency_ms, 1),
-            "p99_ms": round(result.p99_latency_us / 1000.0, 1),
-            "safety": result.safety_violation,
-        },
-    )
-
-
-def cmd_chaos(args) -> None:
-    """Run a seeded fault schedule and print a pass/fail invariant report."""
-    from repro.harness.factory import build_cluster
-    from repro.net.faults import CrashEvent, FaultPlan, LinkFault
-    from repro.sim.engine import MILLISECONDS
-
-    crashes = []
-    for spec in args.crash or []:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3):
-            raise SystemExit(
-                f"bad --crash spec {spec!r}; expected pid:crash_ms[:recover_ms]"
-            )
-        pid, crash_ms = int(parts[0]), int(parts[1])
-        recover_ms = int(parts[2]) if len(parts) == 3 else None
-        crashes.append(
-            CrashEvent(
-                pid=pid,
-                crash_at_us=crash_ms * MILLISECONDS,
-                recover_at_us=(
-                    recover_ms * MILLISECONDS if recover_ms is not None else None
-                ),
+    try:
+        config = config_from_args(args, args.n, args.seed)
+        clusters = [build_cluster(config, protocol=p) for p in args.protocol]
+    except ValueError as err:
+        args.error(str(err))
+    failed = False
+    for protocol, cluster in zip(args.protocol, clusters):
+        result = cluster.run()
+        print(
+            render_run_report(
+                result=result,
+                cluster=cluster,
+                protocol=protocol,
+                title=f"RUN — {protocol} n={config.n_nodes} seed={config.seed}",
+                proposer_only=not args.all_nodes,
             )
         )
-    plan = FaultPlan(
-        links=(
-            LinkFault(
-                drop_rate=args.loss,
-                duplicate_rate=args.dup,
-                reorder_rate=args.reorder,
-                corrupt_rate=args.corrupt,
-            ),
-        ),
-        crashes=tuple(crashes),
-    )
-    config = _config_from_args(args, args.n, args.seed)
-    config.fault_plan = plan
-    config.reliable_channels = True
-    cluster = build_cluster(config, protocol="lyra")
-    result = cluster.run()
-
-    print(f"## CHAOS — n={args.n} seed={args.seed}")
-    print(
-        f"fault plan: loss={args.loss} dup={args.dup} reorder={args.reorder} "
-        f"corrupt={args.corrupt} crashes={len(crashes)}"
-    )
-    print()
-    print("fault stats:")
-    for key in sorted(result.fault_stats):
-        print(f"  {key:<20} {result.fault_stats[key]}")
-    print()
-    print("committed log lengths:")
-    for node in cluster.nodes:
-        marker = f" (recovered x{node.recoveries})" if node.recoveries else ""
-        print(f"  pid {node.pid}: {len(node.output_sequence())}{marker}")
-    print()
-    print(cluster.watchdog.report.render())
-    if result.safety_violation is not None:
-        print(f"end-of-run safety violation: {result.safety_violation}")
-    if result.safety_violation is not None or result.invariant_violations:
+        failed = failed or bool(run_failures(result, config))
+        if cluster.trace is not None:
+            _export(cluster.trace, args.export_trace, args.export_chrome)
+    print("RESULT: " + ("FAIL" if failed else "PASS"))
+    if failed:
         raise SystemExit(1)
 
 
@@ -442,179 +620,6 @@ def cmd_fuzz(args) -> None:
         raise SystemExit(1)
 
 
-def _workload_spec_from_args(args, n: int, duration_us: int):
-    """Translate the workload CLI flags into a WorkloadSpec."""
-    from repro.sim.engine import SECONDS
-    from repro.workload.spec import ClientGroup, WorkloadSpec
-
-    per_client = max(args.offered_tps / n, 1e-3)
-    if args.arrival == "poisson":
-        arrival = {"kind": "poisson", "rate_tps": per_client}
-    elif args.arrival == "bursty":
-        arrival = {"kind": "bursty", "rate_tps": per_client}
-    elif args.arrival == "diurnal":
-        # Compress the day/night cycle into the run so the modulation is
-        # actually visible over a short horizon.
-        arrival = {
-            "kind": "diurnal",
-            "rate_tps": per_client,
-            "period_us": max(1 * SECONDS, duration_us // 2),
-        }
-    elif args.arrival == "trace":
-        if args.trace_file:
-            with open(args.trace_file) as fh:
-                offsets = [int(line) for line in fh if line.strip()]
-        else:
-            # No trace given: replay a uniform schedule at the offered rate.
-            gap = int(1_000_000 / per_client)
-            count = max(1, int(per_client * duration_us / 1_000_000))
-            offsets = [i * gap for i in range(count)]
-        arrival = {"kind": "trace", "offsets_us": offsets}
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit(f"unknown arrival process {args.arrival!r}")
-
-    groups = [
-        ClientGroup(
-            name="traffic",
-            client="arrival",
-            count_per_node=1,
-            arrival=arrival,
-            body=args.body,
-            users=args.users,
-        )
-    ]
-    if args.mev:
-        # The Fig. 1 cell: AMM victims homed far from the replica
-        # majority, one MEV bot colocated with a (Pompē-colluding)
-        # replica close to it.
-        groups.append(
-            ClientGroup(
-                name="victims",
-                client="arrival",
-                count=1,
-                home=0,
-                arrival={"kind": "poisson", "rate_tps": args.victim_tps},
-                body="amm",
-                body_params={"amount_min": 1_000, "amount_max": 5_000},
-            )
-        )
-        groups.append(
-            ClientGroup(
-                name="mev",
-                client="mev",
-                count=1,
-                home=1,
-                collude=True,
-            )
-        )
-    return WorkloadSpec(groups=tuple(groups), fairness=True, users=args.users)
-
-
-def cmd_workload(args) -> None:
-    """Run the open-loop traffic engine and print the fairness report."""
-    from repro.harness.config import ExperimentConfig
-    from repro.harness.factory import build_cluster
-    from repro.metrics.capacity import extrapolate_users
-    from repro.sim.engine import MILLISECONDS
-
-    protocols = _parse_protocols(args.protocol)
-    # The MEV cell needs the Fig. 1 geometry: the replica majority far
-    # from the victim's home and the bot's colluding replica between
-    # them, plus per-transaction batches so ordering races are visible.
-    n = args.n if args.n is not None else (7 if args.mev else 4)
-    batch = args.batch if args.batch is not None else (1 if args.mev else 10)
-    regions = None
-    if args.mev:
-        if n < 3:
-            raise SystemExit("--mev needs n >= 3")
-        regions = ["tokyo", "singapore"] + ["saopaulo"] * (n - 2)
-    duration_us = args.duration_ms * MILLISECONDS
-    spec = _workload_spec_from_args(args, n, duration_us)
-
-    failed = False
-    for protocol in protocols:
-        config = ExperimentConfig(
-            n_nodes=n,
-            seed=args.seed,
-            batch_size=batch,
-            duration_us=duration_us,
-            warmup_rounds=2,
-            warmup_spacing_us=150 * MILLISECONDS,
-            workload=spec,
-        )
-        if regions is not None:
-            config.regions = regions
-        result = build_cluster(config, protocol=protocol).run()
-
-        print(f"\n## WORKLOAD — {protocol} n={n} seed={args.seed}")
-        print(
-            f"arrival={args.arrival} offered={args.offered_tps:g}tps "
-            f"users={args.users} body={args.body} "
-            f"mev={'on' if args.mev else 'off'}"
-        )
-        block = result.fairness
-        if not block:
-            print("FAIL: result has no fairness block")
-            failed = True
-            continue
-        counts = block.get("counts", {})
-        print(
-            f"throughput_tps={result.throughput_tps:.1f} "
-            f"submitted={counts.get('submitted')} "
-            f"completed={counts.get('completed')} "
-            f"incomplete={counts.get('incomplete')}"
-        )
-        reorder = block["reorder"]
-        print(
-            f"reorder distance: mean={reorder['mean']:.2f} "
-            f"p99={reorder['p99']} max={reorder['max']} "
-            f"kendall_tau={reorder['kendall_tau']:.4f} "
-            f"(over {reorder['count']} txs)"
-        )
-        sandwich = block["sandwich"]
-        print(
-            f"sandwich: attempts={sandwich['attempts']} "
-            f"launched={sandwich['launched']} landed={sandwich['landed']} "
-            f"successes={sandwich['successes']} "
-            f"success_rate={sandwich['success_rate']:.3f}"
-        )
-        for name, row in sorted(block.get("latency", {}).items()):
-            print(
-                f"latency[{name}]: p50={row['p50_us'] / 1000:.1f}ms "
-                f"p99={row['p99_us'] / 1000:.1f}ms "
-                f"(count={row['count']})"
-            )
-        cap = extrapolate_users(
-            protocol=protocol,
-            n=n,
-            f=config.resolved_f(),
-            users=spec.resolved_users(n),
-            offered_tps=spec.offered_tps(n),
-            measured_tps=result.throughput_tps,
-        )
-        print(
-            f"capacity[{protocol}]: model_tps={cap['capacity_tps']:.0f} "
-            f"binding={cap['binding_resource']} "
-            f"per_user_tps={cap['per_user_tps']:.2e} "
-            f"users_at_capacity={cap['users_at_capacity']:.3g} "
-            f"sustainable={cap['sustainable']}"
-        )
-        if result.safety_violation is not None:
-            print(f"FAIL: safety violation: {result.safety_violation}")
-            failed = True
-        if result.invariant_violations:
-            print(
-                f"FAIL: {len(result.invariant_violations)} invariant "
-                f"violation(s); first: {result.invariant_violations[0]}"
-            )
-            failed = True
-    print()
-    if failed:
-        print("RESULT: FAIL")
-        raise SystemExit(1)
-    print("RESULT: PASS")
-
-
 def cmd_bench(args) -> None:
     """Run the bench table, emit BENCH_<date>.json, and with
     ``--check-against`` exit 1 unless every digest oracle holds."""
@@ -646,10 +651,12 @@ def cmd_sweep(args) -> None:
     """Fan a (protocol, n, seed) grid across workers with result caching."""
     from repro.harness.sweep import grid_cells, run_sweep
 
-    protocols = _parse_protocols(args.protocol)
-    base = _config_from_args(args, args.n[0], args.seeds[0])
+    try:
+        base = config_from_args(args, args.n[0], args.seeds[0])
+    except ValueError as err:
+        args.error(str(err))
     cells = grid_cells(
-        base, protocols=protocols, seeds=args.seeds, n_nodes=args.n
+        base, protocols=args.protocol, seeds=args.seeds, n_nodes=args.n
     )
 
     def _progress(record, done, total) -> None:
@@ -695,7 +702,8 @@ def cmd_sweep(args) -> None:
         raise SystemExit(1)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser: one subparser per subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the Lyra paper's tables and figures.",
@@ -715,56 +723,19 @@ def main(argv=None) -> int:
         "--out", default=None, metavar="PATH", help="also write the rows as JSON"
     )
     pexp.set_defaults(fn=cmd_experiment)
-    pr = sub.add_parser(
-        "report",
-        help="per-phase latency decomposition + wire/fault/cache stats",
-    )
-    pr.add_argument("--n", type=int, default=4, help="cluster size")
-    pr.add_argument("--seed", type=int, default=1)
-    pr.add_argument(
-        "--delay-ms",
-        type=int,
-        default=None,
-        help="uniform jitter-free one-way link delay in ms (makes the "
-        "proposed->decided p50 checkable against 3 message delays)",
-    )
-    pr.add_argument(
-        "--trace-jsonl",
-        default=None,
-        metavar="PATH",
-        help="render from a dumped TraceLog JSONL instead of running",
-    )
-    pr.add_argument(
-        "--all-nodes",
-        action="store_true",
-        help="decompose phases at every node, not just each proposer",
-    )
-    pr.add_argument(
-        "--export-trace",
-        default=None,
-        metavar="PATH",
-        help="dump the run's TraceLog as JSONL",
-    )
-    pr.add_argument(
-        "--export-chrome",
-        default=None,
-        metavar="PATH",
-        help="export spans in chrome://tracing JSON format",
-    )
-    _add_config_flags(pr)
-    pr.set_defaults(fn=cmd_report)
 
-    prun = sub.add_parser("run", help="run one cluster via the factory")
-    _add_protocol_flag(prun, "lyra")
-    prun.add_argument("--n", type=int, default=4, help="cluster size")
-    prun.add_argument("--seed", type=int, default=1)
+    prun = sub.add_parser(
+        "run",
+        help="run one deployment per protocol: faults, open-loop load, "
+        "tracing; one report each and one RESULT line",
+    )
+    _add_run_flags(prun)
     _add_config_flags(prun)
-    prun.set_defaults(fn=cmd_run)
+    prun.set_defaults(fn=cmd_run, error=prun.error)
 
     psweep = sub.add_parser(
         "sweep", help="parallel cached sweep over a (protocol, n, seed) grid"
     )
-    _add_protocol_flag(psweep, "lyra")
     psweep.add_argument(
         "--n", type=int, nargs="+", default=[4], help="node counts to sweep"
     )
@@ -781,7 +752,7 @@ def main(argv=None) -> int:
         "--force", action="store_true", help="ignore and overwrite cached cells"
     )
     _add_config_flags(psweep)
-    psweep.set_defaults(fn=cmd_sweep)
+    psweep.set_defaults(fn=cmd_sweep, error=psweep.error)
 
     pbench = sub.add_parser(
         "bench",
@@ -803,100 +774,6 @@ def main(argv=None) -> int:
         "base; exit 1 on any failure",
     )
     pbench.set_defaults(fn=cmd_bench)
-
-    pwork = sub.add_parser(
-        "workload",
-        help="open-loop traffic engine: arrival-driven load, fairness "
-        "report, capacity extrapolation",
-    )
-    _add_protocol_flag(pwork, "lyra")
-    pwork.add_argument(
-        "--n",
-        type=int,
-        default=None,
-        help="cluster size (default: 4, or 7 with --mev)",
-    )
-    pwork.add_argument("--seed", type=int, default=1)
-    pwork.add_argument(
-        "--arrival",
-        choices=("poisson", "bursty", "diurnal", "trace"),
-        default="poisson",
-        help="arrival process of the main traffic group",
-    )
-    pwork.add_argument(
-        "--offered-tps",
-        type=float,
-        default=200.0,
-        help="aggregate offered rate of the main traffic group (tx/s)",
-    )
-    pwork.add_argument(
-        "--users",
-        type=int,
-        default=1000,
-        help="simulated user population the traffic stands in for "
-        "(Poisson superposition; feeds the capacity extrapolation)",
-    )
-    pwork.add_argument(
-        "--body",
-        choices=("raw", "kv_zipf", "amm"),
-        default="raw",
-        help="body mix of the main traffic group",
-    )
-    pwork.add_argument(
-        "--trace-file",
-        default=None,
-        metavar="PATH",
-        help="with --arrival trace: file of submission offsets (µs, one "
-        "per line)",
-    )
-    pwork.add_argument(
-        "--mev",
-        action="store_true",
-        help="add the adversarial cell: AMM victim traffic plus a "
-        "colluding MEV bot chasing it (Fig. 1 geometry)",
-    )
-    pwork.add_argument(
-        "--victim-tps",
-        type=float,
-        default=2.0,
-        help="victim swap rate in the --mev cell",
-    )
-    pwork.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="batch size (default: 10, or 1 with --mev)",
-    )
-    pwork.add_argument(
-        "--duration-ms", type=int, default=4000, help="virtual duration in ms"
-    )
-    pwork.set_defaults(fn=cmd_workload)
-
-    pchaos = sub.add_parser(
-        "chaos", help="run a seeded fault schedule and print an invariant report"
-    )
-    pchaos.add_argument("--n", type=int, default=4, help="cluster size")
-    pchaos.add_argument("--seed", type=int, default=1)
-    pchaos.add_argument(
-        "--loss", type=float, default=0.1, help="per-link drop probability"
-    )
-    pchaos.add_argument(
-        "--dup", type=float, default=0.02, help="per-link duplication probability"
-    )
-    pchaos.add_argument(
-        "--reorder", type=float, default=0.02, help="per-link reordering probability"
-    )
-    pchaos.add_argument(
-        "--corrupt", type=float, default=0.01, help="per-link corruption probability"
-    )
-    pchaos.add_argument(
-        "--crash",
-        action="append",
-        metavar="PID:CRASH_MS[:RECOVER_MS]",
-        help="schedule a crash (repeatable); omit RECOVER_MS for crash-stop",
-    )
-    _add_config_flags(pchaos)
-    pchaos.set_defaults(fn=cmd_chaos)
 
     pfuzz = sub.add_parser(
         "fuzz",
@@ -940,7 +817,11 @@ def main(argv=None) -> int:
     )
     pfuzz.set_defaults(fn=cmd_fuzz)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     args.fn(args)
     return 0
 

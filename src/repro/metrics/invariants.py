@@ -64,15 +64,6 @@ class InvariantReport:
             ],
         }
 
-    def render(self) -> str:
-        lines = [
-            f"invariant checks run : {self.checks_run}",
-            f"violations           : {len(self.violations)}",
-        ]
-        lines.extend(v.render() for v in self.violations)
-        lines.append("RESULT: " + ("PASS" if self.ok else "FAIL"))
-        return "\n".join(lines)
-
 
 class InvariantWatchdog:
     """Periodically samples a cluster's replicas and checks invariants.

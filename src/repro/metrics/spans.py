@@ -4,7 +4,7 @@ Turns raw point events into per-instance *spans* covering the paper's
 commit pipeline — ``proposed → decided`` (BOC, 3 message delays),
 ``decided → committed`` (Commit-protocol lag), ``committed → executed``
 (commit-reveal) — and aggregates them into the per-phase latency
-decomposition rendered by ``python -m repro report``.  Also exports
+decomposition rendered by ``python -m repro run --trace``.  Also exports
 spans in chrome://tracing "Trace Event Format" for visual inspection
 in ``chrome://tracing`` / Perfetto.
 """

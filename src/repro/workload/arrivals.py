@@ -12,11 +12,11 @@ from a dedicated :class:`numpy.random.Generator`, so the arrival sequence
 of a run is a pure function of ``(seed, spec)`` — identical across
 repeats, worker counts, and wire-coalescing settings.  A million thin
 per-user Poisson streams superpose into one Poisson stream at the
-aggregate rate, which is how ``python -m repro workload --users 1000000``
-simulates a million-user population without a million client processes:
-the engine draws from the aggregate process and the capacity model
-(:func:`repro.metrics.capacity.extrapolate_users`) scales the verdict
-back to the user population.
+aggregate rate, which is how ``python -m repro run --arrival poisson
+--users 1000000`` simulates a million-user population without a million
+client processes: the engine draws from the aggregate process and the
+capacity model (:func:`repro.metrics.capacity.extrapolate_users`) scales
+the verdict back to the user population.
 
 Processes are registered by ``kind`` so :class:`~repro.workload.spec
 .WorkloadSpec` can name them declaratively (mirroring the protocol and

@@ -13,7 +13,7 @@ On top of that, the open-loop traffic engine adds clients whose submission
 - :class:`ArrivalClient` — submissions drawn from an
   :class:`~repro.workload.arrivals.ArrivalProcess` (Poisson / bursty /
   diurnal / trace-replay) with a pluggable body sampler — the workhorse of
-  ``python -m repro workload``.
+  ``python -m repro run --arrival ...``.
 - :class:`~repro.workload.mev.MevBotClient` — adversarial traffic chasing
   victim transactions (registered on import of :mod:`repro.workload.mev`).
 

@@ -4,8 +4,144 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, config_from_args, main
 from repro.harness import experiments as exp
+from repro.harness.config import ExperimentConfig
+from repro.net.faults import CrashEvent, FaultPlan, LinkFault
+from repro.sim.engine import MILLISECONDS as MS
+from repro.workload.spec import ClientGroup, WorkloadSpec
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit status, whether it returns or raises ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _run_config(argv) -> ExperimentConfig:
+    args = build_parser().parse_args(["run", *argv])
+    return config_from_args(args, args.n, args.seed)
+
+
+def _closed_loop(duration_ms, **overrides) -> ExperimentConfig:
+    """The closed-loop rig `chaos`, `report` and `run` built from flags."""
+    rig = dict(
+        n_nodes=4,
+        seed=1,
+        batch_size=10,
+        clients_per_node=1,
+        client_window=5,
+        duration_us=duration_ms * MS,
+        warmup_rounds=2,
+        warmup_spacing_us=150 * MS,
+    )
+    return ExperimentConfig(**{**rig, **overrides})
+
+
+def _traffic(rate_tps, users):
+    return ClientGroup(
+        name="traffic",
+        client="arrival",
+        count_per_node=1,
+        arrival={"kind": "poisson", "rate_tps": rate_tps},
+        body="raw",
+        users=users,
+    )
+
+
+#: The invocations ``run`` replaced, each as ``run`` flags beside the
+#: config its old subcommand built.
+REPLACED_INVOCATIONS = {
+    # CI's chaos smoke: `chaos` implied reorder 0.02 and reliable channels.
+    "chaos-ci-smoke": (
+        "--seed 1 --loss 0.15 --dup 0.05 --reorder 0.02 --corrupt 0.02 "
+        "--crash 2:2000:3000 --duration-ms 5000 --batch 8 --window 4",
+        lambda: _closed_loop(
+            5000,
+            batch_size=8,
+            client_window=4,
+            fault_plan=FaultPlan(
+                links=(LinkFault(0.15, 0.05, 0.02, corrupt_rate=0.02),),
+                crashes=(CrashEvent(2, 2000 * MS, 3000 * MS),),
+            ),
+            reliable_channels=True,
+        ),
+    ),
+    # CI's workload smoke.
+    "workload-ci-smoke": (
+        "--arrival poisson --n 4 --offered-tps 100 --users 1000000 "
+        "--duration-ms 2500 --seed 1",
+        lambda: ExperimentConfig(
+            n_nodes=4,
+            seed=1,
+            batch_size=10,
+            duration_us=2500 * MS,
+            warmup_rounds=2,
+            warmup_spacing_us=150 * MS,
+            workload=WorkloadSpec(
+                groups=(_traffic(25.0, 1_000_000),), fairness=True, users=1_000_000
+            ),
+        ),
+    ),
+    # tests/test_chaos.py's CLI call, with `chaos`'s implied rates.
+    "chaos-test": (
+        "--loss 0.1 --dup 0.02 --reorder 0.02 --corrupt 0.01 "
+        "--crash 2:1500:2500 --duration-ms 4000 --batch 8 --window 3",
+        lambda: _closed_loop(
+            4000,
+            batch_size=8,
+            client_window=3,
+            fault_plan=FaultPlan(
+                links=(LinkFault(0.1, 0.02, 0.02, corrupt_rate=0.01),),
+                crashes=(CrashEvent(2, 1500 * MS, 2500 * MS),),
+            ),
+            reliable_channels=True,
+        ),
+    ),
+    # `report --delay-ms 10`: a fresh traced run on uniform 10 ms links.
+    "report-delay": (
+        "--trace --delay-ms 10",
+        lambda: _closed_loop(
+            4000,
+            tracing=True,
+            metrics=True,
+            uniform_delay_us=10 * MS,
+            delta_us=10 * MS,
+        ),
+    ),
+    # The ledger's lyra_n7_mev_open shape.
+    "workload-mev": (
+        "--arrival poisson --mev --n 7 --offered-tps 150 --duration-ms 6000",
+        lambda: ExperimentConfig(
+            n_nodes=7,
+            seed=1,
+            batch_size=1,
+            duration_us=6000 * MS,
+            warmup_rounds=2,
+            warmup_spacing_us=150 * MS,
+            regions=["tokyo", "singapore"] + ["saopaulo"] * 5,
+            workload=WorkloadSpec(
+                groups=(
+                    _traffic(150 / 7, 1000),
+                    ClientGroup(
+                        name="victims",
+                        client="arrival",
+                        count=1,
+                        home=0,
+                        arrival={"kind": "poisson", "rate_tps": 2.0},
+                        body="amm",
+                        body_params={"amount_min": 1_000, "amount_max": 5_000},
+                    ),
+                    ClientGroup(name="mev", client="mev", count=1, home=1, collude=True),
+                ),
+                fairness=True,
+                users=1000,
+            ),
+        ),
+    ),
+}
 
 
 class TestCli:
@@ -64,7 +200,8 @@ class TestCli:
         assert (
             main(
                 [
-                    "report",
+                    "run",
+                    "--trace",
                     "--duration-ms",
                     "1500",
                     "--export-trace",
@@ -92,7 +229,7 @@ class TestCli:
             log.record(t, 0, kind, (0, 0))
         path = str(tmp_path / "trace.jsonl")
         log.dump_jsonl(path)
-        assert main(["report", "--trace-jsonl", path]) == 0
+        assert main(["run", "--trace-jsonl", path]) == 0
         out = capsys.readouterr().out
         assert "proposed->decided" in out
         assert "total" in out
@@ -119,3 +256,54 @@ class TestDistanceCli:
             ("gossip", 4),
         ]
         assert rows[1]["converged_nodes"] == 8
+
+
+class TestRun:
+    @pytest.mark.parametrize("name", sorted(REPLACED_INVOCATIONS))
+    def test_builds_the_config_of_the_replaced_subcommand(self, name):
+        flags, expected = REPLACED_INVOCATIONS[name]
+        assert _run_config(flags.split()).to_dict() == expected().to_dict()
+
+    def test_fino_safety_violation_exits_1(self, capsys):
+        assert _exit_code(["run", "--protocol", "fino", "--n", "4", "--seed", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "SAFETY VIOLATION" in out
+        assert out.rstrip().endswith("RESULT: FAIL")
+
+    def test_runs_every_named_protocol(self, capsys):
+        argv = ["run", "--protocol", "lyra,pompe", "--n", "4", "--duration-ms", "1500"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "# RUN — lyra n=4 seed=1" in out
+        assert "# RUN — pompe n=4 seed=1" in out
+        assert out.count("RESULT:") == 1
+
+    def test_fino_open_loop_reports_no_capacity_model(self, capsys):
+        argv = ["run", "--protocol", "fino", "--arrival", "poisson", "--n", "4"]
+        assert main([*argv, "--duration-ms", "1500"]) == 0
+        out = capsys.readouterr().out
+        assert "## Fairness: sandwich" in out
+        assert "## Fairness: capacity[fino]" in out
+        assert "no capacity model for protocol 'fino'" in out
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--protocol", "pompe", "--trace"], "tracing"),
+            (["--protocol", "pompe", "--crash", "1:500:900"], "recover_at_us"),
+            (["--crash", "nonsense"], "--crash"),
+            (["--arrival", "poisson", "--window", "4"], "--window"),
+        ],
+        ids=["pompe-trace", "pompe-crash-recover", "bad-crash-spec", "arrival-window"],
+    )
+    def test_rejects_by_name(self, argv, named, capsys):
+        assert _exit_code(["run", *argv, "--duration-ms", "500"]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "RESULT" not in captured.out
+
+    def test_lossy_pompe_is_a_verdict_not_a_rejection(self, capsys):
+        """Pompē honours a fault plan; under loss it hits the known decide
+        overtake (ROADMAP 2(a)) and exits 1."""
+        assert _exit_code(["run", "--protocol", "pompe", "--loss", "0.1"]) == 1
+        assert capsys.readouterr().out.rstrip().endswith("RESULT: FAIL")

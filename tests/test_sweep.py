@@ -307,7 +307,7 @@ class TestSweepCli:
             ["run", "--protocol", "pompe", "--n", "4", "--duration-ms", "1500"]
         ) == 0
         out = capsys.readouterr().out
-        assert "pompe" in out and "throughput_tps" in out
+        assert "# RUN — pompe n=4 seed=1" in out and "throughput=" in out
 
     def test_cli_rejects_unknown_protocol(self):
         from repro.__main__ import main
