@@ -18,7 +18,6 @@ does not pin.  Nothing is timed: wall-clock cost is the ledger's job
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import platform
@@ -28,12 +27,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 BENCH_SCHEMA_VERSION = 2
-
-#: Coalescing window used by the ``*_coalesced`` rows: long enough to
-#: bundle protocol bursts (~2x ratio at n=32) while staying well under
-#: the WAN latency grain, so ordering behaviour stays realistic.
-COALESCE_BENCH_WINDOW_US = 1000
-
 
 def default_output_path(directory: str | Path = ".") -> Path:
     """``BENCH_<ISO date>.json`` in ``directory``."""
@@ -141,7 +134,7 @@ def _goodcase_config(n: int, duration_ms: int, **overrides):
     return closed_loop_config(n, 1, duration_ms * MILLISECONDS, **overrides)
 
 
-def _chaos_config():
+def _chaos_config(**overrides):
     """The chaos smoke cell: lossy links plus a crash/recover, over
     reliable channels — the configuration CI's chaos job exercises."""
     from repro.harness.config import ExperimentConfig
@@ -169,28 +162,25 @@ def _chaos_config():
         warmup_spacing_us=150 * MILLISECONDS,
         fault_plan=plan,
         reliable_channels=True,
-    )
-
-
-def _coalesced(config):
-    """Wire coalescing + delta piggybacks on: a different schedule, so
-    these rows carry their own pins rather than twin their base."""
-    return dataclasses.replace(
-        config, coalesce=True, coalesce_window_us=COALESCE_BENCH_WINDOW_US
+        **overrides,
     )
 
 
 #: name -> (config builder, full suite only?, base row whose digest this
 #: row must reproduce, or None).  Rows run in this order, in one process:
-#: the twins come after the coalesced rows, so a twin that reproduces its
-#: base also shows the coalesced runs left no process-wide state behind.
+#: the twins come after the ``*_delta`` rows, so a twin that reproduces its
+#: base also shows the delta runs left no process-wide state behind.
 CELLS: Dict[str, Tuple[Callable[[], Any], bool, Optional[str]]] = {
     "goodcase_n4": (lambda: _goodcase_config(4, 1500), False, None),
     "chaos_smoke": (_chaos_config, False, None),
-    "goodcase_n4_coalesced": (
-        lambda: _coalesced(_goodcase_config(4, 1500)), False, None,
+    # Delta-encoded Algorithm-4 reports (``"pbd"`` markers, ``lyra.pb_pull``
+    # recovery): a different schedule, so these rows carry their own pins.
+    "goodcase_n4_delta": (
+        lambda: _goodcase_config(4, 1500, delta_piggyback=True), False, None,
     ),
-    "chaos_smoke_coalesced": (lambda: _coalesced(_chaos_config()), False, None),
+    "chaos_smoke_delta": (
+        lambda: _chaos_config(delta_piggyback=True), False, None,
+    ),
     # Observability is read-only: spans and metrics draw no randomness
     # and schedule no events.
     "goodcase_n4_observed": (

@@ -57,7 +57,7 @@ from repro.core.vvb import (
     VOTE0_KIND,
     VOTE1_KIND,
 )
-from repro.crypto.cost import CryptoCosts, DEFAULT_COSTS, ReceiveChargePlan
+from repro.crypto.cost import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
 from repro.net.message import Message
@@ -202,8 +202,6 @@ class LyraNode(SimProcess):
             VOTE1_KIND: self.costs.share_verify_us,
             DELIVER_KIND: self.costs.threshold_verify_us,
         }
-        # Batched charging for coalesced frames: one summed acquire.
-        self._charge_plan = ReceiveChargePlan(self._RECEIVE_COSTS, self._receive_cost)
 
         self.clock = OrderingClock(
             sim,
@@ -494,45 +492,9 @@ class LyraNode(SimProcess):
             return 2 * max(1, len(message.payload.get("items", ())))
         return 2
 
-    def deliver_batch(self, messages: List[Message], sender: int) -> None:
-        """Deliver all messages of one coalesced frame: one CPU acquire and
-        one deferred event cover the whole batch, preserving the serialised
-        total cost of delivering them back to back."""
-        if self.crashed:
-            return
-        self.messages_received += len(messages)
-        cost = self._charge_plan.total_us(messages)
-        now = self.sim._now
-        cpu = self.cpu
-        if cpu._speed == 1.0:
-            free = cpu._free_at
-            start = now if now > free else free
-            done_at = start + cost
-            cpu._free_at = done_at
-            cpu.busy_time += cost
-        else:
-            done_at = cpu.acquire(cost)
-        if done_at <= now:
-            for message in messages:
-                self._process(message, sender)
-        else:
-            self.sim.post(
-                done_at - now,
-                self._process_batch_deferred,
-                (messages, sender, self.incarnation),
-            )
-
-    def _process_batch_deferred(
-        self, messages: List[Message], sender: int, epoch: int
-    ) -> None:
-        if self.crashed or self.incarnation != epoch:
-            return
-        for message in messages:
-            self._process(message, sender)
-
     def _process(self, message: Message, sender: int) -> None:
-        # Both callers (``deliver`` / ``deliver_batch`` and their deferred
-        # twins) have just tested ``crashed``.
+        # Both callers (``deliver`` and its deferred twin) have just
+        # tested ``crashed``.
         payload = message.payload
         if not isinstance(payload, dict):
             payload = {}

@@ -60,40 +60,10 @@ class CryptoCosts:
         )
 
 
-class ReceiveChargePlan:
-    """Batched receive-side charging: one summed CPU acquire per frame.
-
-    A coalesced frame delivers many application messages at one instant;
-    charging them one ``acquire`` at a time costs a CPU-model round trip
-    per message for a result that is arithmetically just a sum (the core
-    is serialised, so ``acquire(a); acquire(b)`` ends exactly at
-    ``acquire(a + b)``).  The plan folds a node's dense kind->µs table and
-    its payload-dependent fallback into a single pass that produces that
-    sum, which the node then charges with one acquire — identical virtual
-    time, one queueing decision.
-    """
-
-    __slots__ = ("_table_get", "_fallback")
-
-    def __init__(self, table, fallback) -> None:
-        self._table_get = table.get
-        self._fallback = fallback
-
-    def total_us(self, messages) -> int:
-        """Summed cost of delivering ``messages`` back to back."""
-        table_get = self._table_get
-        fallback = self._fallback
-        total = 0
-        for message in messages:
-            cost = table_get(message.kind)
-            total += cost if cost is not None else fallback(message)
-        return total
-
-
 #: Default calibration (see DESIGN.md §5).
 DEFAULT_COSTS = CryptoCosts()
 
 #: Zero-cost profile for logic-only unit tests.
 FREE_COSTS = DEFAULT_COSTS.scaled(0)
 
-__all__ = ["CryptoCosts", "ReceiveChargePlan", "DEFAULT_COSTS", "FREE_COSTS"]
+__all__ = ["CryptoCosts", "DEFAULT_COSTS", "FREE_COSTS"]

@@ -75,8 +75,8 @@ class ExperimentResult:
     invariant_checks: int = 0
     invariant_violations: List[str] = field(default_factory=list)
     fault_stats: Dict[str, int] = field(default_factory=dict)
-    # Link-level coalescing counters (frames vs logical messages); empty
-    # dict when the run did not enable coalescing.
+    # Dissemination and gossip-distance blocks; empty dict on an all2all,
+    # probe-distance run.
     wire_stats: Dict[str, Any] = field(default_factory=dict)
     # Observability: the metrics-registry snapshot of the run (empty dict
     # unless ``ExperimentConfig.metrics`` was on).  Plain JSON, so it
@@ -213,11 +213,7 @@ class LyraAdapter:
                     # The hash scheme has no dealing to check.
                     check_dealing=config.obfuscation == "vss",
                     max_proposer_rate_per_s=config.max_proposer_rate_per_s,
-                    delta_piggyback=(
-                        config.delta_piggyback
-                        if config.delta_piggyback is not None
-                        else config.coalesce
-                    ),
+                    delta_piggyback=config.delta_piggyback,
                     report_quorum=config.report_quorum,
                 ),
                 status_interval_us=config.status_interval_us,
@@ -287,6 +283,15 @@ class PompeAdapter:
         checks = (
             (config.tracing, "tracing=True (install_lyra_tracing is Lyra's)"),
             (config.attack_nodes, "attack_nodes (the registry holds Lyra nodes)"),
+            (
+                config.delta_piggyback,
+                "delta_piggyback=True (it encodes Lyra's Algorithm-4 reports)",
+            ),
+            (
+                config.report_quorum is not None,
+                f"report_quorum={config.report_quorum} (it sets Lyra's "
+                "Algorithm-4 report quorum)",
+            ),
             (
                 config.distance_mode != "probe",
                 f"distance_mode={config.distance_mode!r} ({name} learns no distances)",
@@ -526,8 +531,6 @@ class Cluster:
             self.network.set_dissemination(self.dissemination)
         if config.reliable_channels:
             self.network.enable_reliable()
-        if config.coalesce:
-            self.network.enable_coalescing(config.coalesce_window_us)
         for node in self.nodes:
             self.network.register(node, replica=True)
         for client in self.clients:
@@ -626,15 +629,12 @@ class Cluster:
     # ------------------------------------------------------------------
     def _wire_source(self) -> Dict[str, float]:
         net = self.network
-        out: Dict[str, float] = {
+        return {
             "messages_delivered": net.messages_delivered,
             "bytes_delivered": net.bytes_delivered,
             "unroutable_dropped": net.unroutable_dropped,
             "corrupt_dropped": net.corrupt_dropped,
         }
-        if net.wire_stats.frames_sent:
-            out.update(net.wire_stats.to_dict())
-        return out
 
     def _cache_source(self) -> Dict[str, float]:
         """The bench suite's cache inventory, flattened to ``layer.key``."""
@@ -757,8 +757,6 @@ class Cluster:
         self.start()
         loop_start = time.perf_counter()
         self.sim.run(until=cfg.duration_us)
-        if self.network.coalescing_enabled and self.network.pending_coalesced():
-            self._drain_coalesced(cfg.duration_us)
         sim_wall_s = time.perf_counter() - loop_start
         self.watchdog.check_now()  # final end-of-run sample
         # End-of-run accounting: whatever is still in flight is counted
@@ -801,8 +799,6 @@ class Cluster:
             )
             block["counts"] = self.workload.counts()
             result.fairness = block
-        if self.network.wire_stats.frames_sent:
-            result.wire_stats = self.network.wire_stats.to_dict()
         if self.dissemination is not None:
             result.wire_stats["dissemination"] = self.dissemination.stats_dict()
         if cfg.distance_mode == "gossip":
@@ -820,28 +816,6 @@ class Cluster:
                 {node.pid: node.output_sequence() for node in self.nodes}
             )
         return result
-
-    def _drain_coalesced(self, horizon_us: int) -> None:
-        """Flush coalescing windows left open at the run horizon.
-
-        With ``coalesce_window_us > 0`` the shared per-burst flush timer
-        can land past ``duration_us``, which would strand messages in
-        their outboxes — commits in flight at the cutoff would silently
-        vanish.  Force-flush and give the protocol a bounded grace (in
-        Δ-sized steps, re-flushing between steps) so in-flight work
-        lands.  No-op for window-0 coalescing (end-of-instant hooks keep
-        outboxes empty) and for non-coalesced runs, whose event streams
-        — and decided-prefix digests — are therefore unchanged.
-        """
-        delta = self.network.delta_us
-        deadline = horizon_us + 10 * delta
-        while True:
-            self.network.drain_pending()
-            if self.sim.now >= deadline:
-                break
-            self.sim.run(until=min(self.sim.now + delta, deadline))
-            if not self.network.pending_coalesced():
-                break
 
 
 __all__ = [

@@ -116,18 +116,10 @@ class ExperimentConfig:
     # Cost model scaling (1.0 = DESIGN.md §5 calibration, 0 = free crypto).
     cpu_cost_scale: float = 1.0
 
-    # Wire-frame coalescing: bundle all messages a node emits toward one
-    # destination within the same simulated instant (window 0) — or within
-    # ``coalesce_window_us`` of the first enqueue — into a single frame
-    # with one event, one latency/bandwidth draw, one checksum and one
-    # fault draw.  Off by default: the compat path is the bit-determinism
-    # oracle that coalesced runs are validated against.
-    coalesce: bool = False
-    coalesce_window_us: int = 0
-    #: Delta-encode Algorithm-4 piggyback reports: full reports only when
-    #: the min-pending/accepted state changed, cheap "no change since seq
-    #: k" markers otherwise.  ``None`` follows ``coalesce``.
-    delta_piggyback: Optional[bool] = None
+    #: Delta-encode Algorithm-4 piggyback reports (Lyra only): full
+    #: reports only when the min-pending/accepted state changed, cheap "no
+    #: change since seq k" markers otherwise.
+    delta_piggyback: bool = False
 
     # Observability: span tracing (proposed → decided → committed →
     # executed per instance, read via ``cluster.trace``) and the metrics

@@ -70,7 +70,9 @@ from repro.harness.config import ExperimentConfig
 #: ordered-output safety check.
 #: Schema 5: ``ExperimentConfig`` dropped ``rate_bps``,
 #: ``gossip_spacing_us`` and ``check_dealing``.
-CACHE_SCHEMA = 5
+#: Schema 6: ``ExperimentConfig`` dropped the two link-level frame
+#: bundling fields, and ``delta_piggyback`` is a plain ``bool``.
+CACHE_SCHEMA = 6
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Low-overhead metrics registry: the observability layer's data plane.
 
 Every instrumented layer (VVB/DBFT message dispatch, the Commit protocol,
-commit-reveal, the reliable channel, the coalescing outbox) emits into one
+commit-reveal, the reliable channel) emits into one
 :class:`MetricsRegistry`, keyed by ``(layer, name, node)``.  Two emission
 styles keep the hot path cheap:
 
@@ -12,7 +12,7 @@ styles keep the hot path cheap:
   None``-style check at wiring time and nothing per event.
 - **scrape sources** — :meth:`MetricsRegistry.add_source` registers a
   zero-cost-until-snapshot callable returning ``{name: number}``; existing
-  counter structs (``NodeStats``, ``WireStats``, ``FaultStats``,
+  counter structs (``NodeStats``, ``FaultStats``,
   ``ReliableStats``, cache layers) are folded in at :meth:`snapshot` time
   without touching their hot paths at all.
 

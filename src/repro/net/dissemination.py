@@ -52,7 +52,7 @@ from repro.net.message import Message
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
 
-#: Envelope kinds (namespaced like ``net.bundle``/``net.frame``).
+#: Envelope kinds (namespaced like ``net.frame``/``net.ack``).
 TREE_KIND = "net.tree"
 GOSSIP_KIND = "net.gossip"
 

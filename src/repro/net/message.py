@@ -16,14 +16,6 @@ from typing import Any, Dict, Tuple
 # authentication MAC — roughly what the Rust prototype's header costs.
 HEADER_BYTES = 40
 
-#: Kind tag of a coalesced wire frame: several same-instant messages for one
-#: (src, dst) link travelling as a single physical frame (one event, one
-#: latency/bandwidth draw, one checksum, one fault draw).  The payload is a
-#: tuple of the inner :class:`Message` objects.
-BUNDLE_KIND = "net.bundle"
-#: Frame overhead of a bundle: length prefix + frame checksum + flags.
-BUNDLE_HEADER_BYTES = 24
-
 _msg_counter = itertools.count()
 
 
@@ -164,6 +156,4 @@ __all__ = [
     "Message",
     "estimate_size",
     "HEADER_BYTES",
-    "BUNDLE_KIND",
-    "BUNDLE_HEADER_BYTES",
 ]

@@ -20,52 +20,20 @@ adds transferable signatures.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.net.adversary import NetworkAdversary, NullAdversary
 from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import FaultInjector
 from repro.net.latency import LatencyModel, UniformLatencyModel
-from repro.net.message import BUNDLE_HEADER_BYTES, BUNDLE_KIND, Message
+from repro.net.message import Message
 from repro.net.reliable import ACK_KIND, FRAME_KIND, ReliableConfig, ReliableLayer
 from repro.sim.engine import MILLISECONDS, Simulator
 from repro.sim.process import SimProcess
 
 #: Hook signature: (time_us, src, dst, message) -> None
 TraceHook = Callable[[int, int, int, Message], None]
-
-
-@dataclass
-class WireStats:
-    """Coalescing-layer counters: logical messages vs physical frames."""
-
-    #: Logical messages that entered the coalescing layer.
-    messages_sent: int = 0
-    #: Physical frames actually put on the wire by flushes.
-    frames_sent: int = 0
-    #: Frames that carried more than one message.
-    bundles_sent: int = 0
-    #: Messages that travelled inside a multi-message frame.
-    messages_coalesced: int = 0
-    #: Flush passes that sent at least one frame.
-    flushes: int = 0
-
-    def coalescing_ratio(self) -> float:
-        """Average messages per physical frame (1.0 = no coalescing win)."""
-        if self.frames_sent == 0:
-            return 1.0
-        return self.messages_sent / self.frames_sent
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "messages_sent": self.messages_sent,
-            "frames_sent": self.frames_sent,
-            "bundles_sent": self.bundles_sent,
-            "messages_coalesced": self.messages_coalesced,
-            "flushes": self.flushes,
-            "coalescing_ratio": round(self.coalescing_ratio(), 4),
-        }
 
 
 @dataclass
@@ -132,16 +100,6 @@ class Network:
         self.bytes_delivered = 0
         self.unroutable_dropped = 0
         self.corrupt_dropped = 0
-        # Wire-frame coalescing (off by default; see ``enable_coalescing``).
-        self.wire_stats = WireStats()
-        self._coalesce = False
-        self._coalesce_window_us = 0
-        self._outboxes: Dict[Tuple[int, int], List[Message]] = {}
-        #: Senders with an armed window-flush timer (window > 0 only).
-        self._flush_timers: set = set()
-        #: Where a link's frames go: onto the wire, or into the coalescing
-        #: outbox once ``enable_coalescing`` has run.
-        self._transmit: Callable[[int, int, Message], None] = self._put_on_wire
         # Link records and the per-link delivery counters are keyed by the
         # packed pid pair ``(src << 20) | dst`` — an int key skips the tuple
         # allocation and tuple hash a ``(src, dst)`` key would cost.
@@ -162,50 +120,6 @@ class Network:
         """Install a broadcast dissemination strategy (see
         :mod:`repro.net.dissemination`); ``None`` restores native all2all."""
         self.dissemination = strategy
-
-    def enable_coalescing(self, window_us: int = 0) -> None:
-        """Turn on link-level frame coalescing.
-
-        All messages emitted on one (src, dst) link during the same
-        simulated instant (``window_us == 0``) — or within ``window_us``
-        of the sender's first enqueue (``window_us > 0``) — leave as one
-        physical frame: one delivery event, one latency/bandwidth draw, one
-        checksum, and one fault draw.  Fault semantics are per frame (a
-        dropped/corrupted frame takes every bundled message with it), and
-        flushes walk links in sorted-pid order so RNG draws stay
-        deterministic.  Reliable-layer frames and acks ride the same
-        bundles.
-        """
-        if self._coalesce:
-            return
-        self._coalesce = True
-        self._coalesce_window_us = int(window_us)
-        self._transmit = self._enqueue_coalesced
-        if self._coalesce_window_us == 0:
-            self.sim.add_end_of_instant_hook(self._flush_outboxes)
-
-    @property
-    def coalescing_enabled(self) -> bool:
-        return self._coalesce
-
-    def pending_coalesced(self) -> int:
-        """Messages parked in open coalescing windows, awaiting a flush."""
-        return sum(len(box) for box in self._outboxes.values())
-
-    def drain_pending(self) -> int:
-        """Force-flush every open coalescing window right now.
-
-        With ``coalesce_window_us > 0`` the shared flush timer can land
-        past the simulator's run horizon, leaving messages parked in
-        outboxes when the run stops — they must be flushed (and the
-        resulting deliveries given time to land), not silently dropped.
-        :meth:`Cluster.run` calls this in its end-of-run drain loop.
-        Returns the number of messages flushed.
-        """
-        pending = self.pending_coalesced()
-        if pending:
-            self._flush_outboxes()
-        return pending
 
     def enable_link_stats(self) -> None:
         """Track per-(src, dst) delivered message/byte counts.
@@ -310,7 +224,7 @@ class Network:
         """
         reliable = self.reliable
         if reliable is None:
-            self._transmit(src, dst, message)  # counts unroutable itself
+            self._put_on_wire(src, dst, message)  # counts unroutable itself
         elif dst in self._processes:
             reliable.send(src, dst, message)
         else:
@@ -349,14 +263,13 @@ class Network:
         reliable = self.reliable
         if (
             reliable is None
-            and not self._coalesce
             and self.faults is None
             and type(self.adversary) is NullAdversary
         ):
             return self._broadcast_fast(src, message, include_self)
         # Reliable channels frame per destination (each link has its own
         # sequence space); the inner message object stays shared.
-        send = self._transmit if reliable is None else reliable.send
+        send = self._put_on_wire if reliable is None else reliable.send
         attempts = 0
         for dst in self._replicas:
             if dst != src or include_self:
@@ -435,77 +348,6 @@ class Network:
         sim.schedule_block(items, priority=src + 1)
         return count
 
-    # ------------------------------------------------------------------
-    # Wire-frame coalescing
-    # ------------------------------------------------------------------
-    def _enqueue_coalesced(self, src: int, dst: int, message: Message) -> None:
-        """Park ``message`` in the (src, dst) outbox until the flush (or
-        count it unroutable)."""
-        if dst not in self._processes:
-            self.unroutable_dropped += 1
-            return
-        key = (src, dst)
-        box = self._outboxes.get(key)
-        if box is None:
-            box = self._outboxes[key] = []
-        box.append(message)
-        self.wire_stats.messages_sent += 1
-        if self._coalesce_window_us == 0:
-            self.sim.mark_instant_dirty()
-        elif src not in self._flush_timers:
-            # One flush timer per *sender* per burst: the sender's own
-            # first enqueue arms it, so a node's flush times (and the RNG
-            # draws its flushes make) are a pure function of its own
-            # timeline.  A cluster-global timer would couple every
-            # sender's flush to whoever enqueued first — physically odd
-            # for per-NIC batching.
-            self._flush_timers.add(src)
-            self.sim.schedule(self._coalesce_window_us, self._window_flush, (src,))
-
-    def _window_flush(self, src: int) -> None:
-        self._flush_timers.discard(src)
-        keys = [key for key in self._outboxes if key[0] == src]
-        if not keys:
-            # drain_pending beat the timer to these outboxes; nothing to do.
-            return
-        self.wire_stats.flushes += 1
-        flush_link = self._flush_link
-        for key in sorted(keys):
-            flush_link(key[0], key[1], self._outboxes.pop(key))
-
-    def _flush_outboxes(self) -> None:
-        """Send every dirty link's outbox as one physical frame per link.
-
-        Links flush in sorted (src, dst) order so the fault/latency RNG
-        stream — and therefore the whole run — is deterministic.
-        """
-        boxes = self._outboxes
-        if not boxes:
-            return
-        self._outboxes = {}
-        self.wire_stats.flushes += 1
-        flush_link = self._flush_link
-        for key in sorted(boxes):
-            flush_link(key[0], key[1], boxes[key])
-
-    def _flush_link(self, src: int, dst: int, msgs: List[Message]) -> None:
-        stats = self.wire_stats
-        if len(msgs) == 1:
-            # A lone message needs no bundle wrapper: it IS the frame.
-            frame = msgs[0]
-        else:
-            frame = Message(
-                BUNDLE_KIND,
-                tuple(msgs),
-                BUNDLE_HEADER_BYTES + sum(m.size for m in msgs),
-            )
-            stats.bundles_sent += 1
-            stats.messages_coalesced += len(msgs)
-        stats.frames_sent += 1
-        # One fault draw per physical frame: dropping or corrupting the
-        # frame takes every bundled message with it.
-        self._put_on_wire(src, dst, frame)
-
     def _put_on_wire(self, src: int, dst: int, frame: Message) -> None:
         """The one routine that turns a physical frame into queued
         deliveries, over the link's record: stamp the checksum, apply the
@@ -515,8 +357,8 @@ class Network:
         Arrival = egress departure + propagation (base plus the sender's
         jitter draw) + adversarial delay (clamped to Δ after GST) + ingress
         serialisation + the fault's reorder delay.  Point-to-point sends,
-        reliable frames and acks, the general broadcast loop and coalesced
-        flushes all end here, so ``frame`` may be shared with other links:
+        reliable frames and acks and the general broadcast loop all end
+        here, so ``frame`` may be shared with other links:
         a corrupting link damages a *copy* and a duplicate travels as a
         clone taking its own (jittered) path, so it may arrive before or
         after the original.  An unregistered destination is counted as
@@ -608,15 +450,12 @@ class Network:
         checksum = message.checksum
         if checksum and checksum != message.expected_checksum():
             # Damaged in flight: indistinguishable from loss at this layer.
-            # A damaged bundle loses every message it carried.
             self.corrupt_dropped += 1
             if self.faults is not None:
                 self.faults.stats.corrupt_detected += 1
             return
         kind = message.kind
-        if kind == BUNDLE_KIND:
-            self._deliver_bundle(link, message)
-        elif self.reliable is not None and kind in (FRAME_KIND, ACK_KIND):
+        if self.reliable is not None and kind in (FRAME_KIND, ACK_KIND):
             self.reliable.on_receive(link, message)
         elif self.dissemination is not None and kind in self.dissemination.kinds:
             # Relay envelope: the strategy forwards down the tree / pushes
@@ -625,39 +464,6 @@ class Network:
             self.dissemination.on_envelope(self, link.src, link.dst, message)
         else:
             self._deliver_clean(link, message)
-
-    def _deliver_bundle(self, link: _Link, bundle: Message) -> None:
-        """Unpack one coalesced frame at its destination.
-
-        Reliable-layer frames/acks are routed to the reliable layer (whose
-        acks go back through ``_transmit`` and therefore coalesce on the
-        return path); application messages are handed to the process in
-        one batch so the CPU model charges a single queueing decision for
-        the frame.
-        """
-        reliable = self.reliable
-        src, dst, process, counts = link.src, link.dst, link.process, link.counts
-        now = self.sim.now
-        trace_hooks = self._trace_hooks
-        dissemination = self.dissemination
-        batch: List[Message] = []
-        for inner in bundle.payload:
-            if reliable is not None and inner.kind in (FRAME_KIND, ACK_KIND):
-                reliable.on_receive(link, inner)
-            elif dissemination is not None and inner.kind in dissemination.kinds:
-                dissemination.on_envelope(self, src, dst, inner)
-            elif not process.crashed:
-                self.messages_delivered += 1
-                self.bytes_delivered += inner.size
-                if counts is not None:
-                    counts[0] += 1
-                    counts[1] += inner.size
-                if trace_hooks:
-                    for hook in trace_hooks:
-                        hook(now, src, dst, inner)
-                batch.append(inner)
-        if batch and not process.crashed:
-            process.deliver_batch(batch, src)
 
     def _deliver_clean(self, link: _Link, message: Message) -> None:
         """Hand an intact application message to the link's process.

@@ -19,19 +19,10 @@ between :meth:`SimProcess.send` and the lossy :class:`Network`:
 All timers run on the simulator, all state is keyed by (src, dst), and no
 randomness is used, so runs stay bit-deterministic.
 
-Interaction with link-level coalescing: every physical transmission this
-layer makes — first sends, retransmissions, and acks — goes through
-``Network._transmit``, which is the same gate application traffic uses:
-straight onto the wire (``Network._put_on_wire``) while coalescing is off.
-When the network has coalescing enabled, those frames and acks
-land in the per-(src, dst) outbox and ride the same wire bundles as
-everything else destined for that link in the same window: an ack
-travelling back to a sender piggybacks on whatever data frames the
-receiver owes that peer.  Fault decisions then apply per *bundle*, so a
-corrupted bundle fails every inner frame's checksum at once and each is
-retransmitted individually after its own timeout.  This layer needs no
-special casing for any of that; the regression tests in
-``tests/test_reliable.py`` (``TestCoalescedFrames``) pin the behaviour.
+Every physical transmission this layer makes — first sends,
+retransmissions, and acks — goes through ``Network._put_on_wire``, the
+same routine application traffic uses, so each frame and each ack takes
+its own fault draw.
 """
 
 from __future__ import annotations
@@ -189,10 +180,9 @@ class ReliableLayer:
     def _transmit(self, src: int, dst: int, pending: _Pending) -> None:
         # Retransmissions re-send the *same* frame object: its uid is
         # stable across attempts, which is what lets FaultInjector count
-        # a corrupted-then-retransmitted message once, and what lets a
-        # coalescing outbox treat the retry like any other queued frame.
+        # a corrupted-then-retransmitted message once.
         self.stats.frames_sent += 1
-        self.network._transmit(src, dst, pending.frame)
+        self.network._put_on_wire(src, dst, pending.frame)
         # The RTO callback names the frame by (link, seq), never by object:
         # a closure over ``pending`` would close the cycle pending -> event
         # -> callback -> pending and strand every acked frame until a
@@ -248,11 +238,9 @@ class ReliableLayer:
         if not isinstance(seq, int) or inner is None:
             return
         # Ack every receipt — the original ack may have been lost, and the
-        # sender will retransmit until one gets through.  Under coalescing
-        # this ack joins the (dst, src) outbox and shares a wire bundle
-        # with any reverse-direction data frames queued this instant.
+        # sender will retransmit until one gets through.
         self.stats.acks_sent += 1
-        self.network._transmit(dst, src, Message(ACK_KIND, {"seq": seq}, ACK_BYTES))
+        self.network._put_on_wire(dst, src, Message(ACK_KIND, {"seq": seq}, ACK_BYTES))
         receiver = self._receivers.get(link.key)
         if receiver is None:
             receiver = self._receivers[link.key] = _ReceiverLink()

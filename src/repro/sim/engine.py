@@ -135,12 +135,6 @@ class Simulator:
         self._processed: int = 0
         #: Cancelled records the loop has passed over.
         self._skipped: int = 0
-        #: End-of-instant hooks: run whenever the loop is about to advance
-        #: past the current timestamp while the dirty flag is set.  The
-        #: coalescing layer uses this to flush per-link outboxes exactly
-        #: once per simulated instant (see ``add_end_of_instant_hook``).
-        self._instant_hooks: List[Callable[[], None]] = []
-        self._instant_dirty = False
 
     # ------------------------------------------------------------------
     # Clock
@@ -279,26 +273,6 @@ class Simulator:
         self._open_slot = -1
 
     # ------------------------------------------------------------------
-    # End-of-instant hooks
-    # ------------------------------------------------------------------
-    def add_end_of_instant_hook(self, hook: Callable[[], None]) -> None:
-        """Register ``hook`` to run when the loop is about to leave the
-        current timestamp (or the queue empties) while the instant is
-        marked dirty.  Hooks fire *before* the ``until`` horizon check, so
-        work emitted at the final instant of a bounded ``run`` is still
-        flushed.  Hooks may schedule new events and re-mark the instant."""
-        self._instant_hooks.append(hook)
-
-    def mark_instant_dirty(self) -> None:
-        """Request an end-of-instant hook pass before time next advances."""
-        self._instant_dirty = True
-
-    def _run_instant_hooks(self) -> None:
-        self._instant_dirty = False
-        for hook in self._instant_hooks:
-            hook()
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
@@ -332,10 +306,9 @@ class Simulator:
         limit = _NEVER if max_events is None else max_events
         now = self._now
         # ``open_``/``pos`` mirror ``_open``/``_open_pos``.  The cursor is
-        # written back before anything that can schedule runs (callbacks,
-        # hooks); the list is re-read after anything that can replace it
-        # (hooks — a callback runs at a time inside the open slot, so it
-        # can only insort into it).
+        # written back before a callback runs; a callback runs at a time
+        # inside the open slot, so it can only insort into the list, never
+        # replace it.
         open_ = self._open
         pos = self._open_pos
         try:
@@ -343,21 +316,8 @@ class Simulator:
                 try:
                     record = open_[pos]
                 except IndexError:
-                    # The open slot is exhausted.  If the next slot is past
-                    # the clock's own, so is its first record: flush
-                    # coalescing outboxes before the clock leaves this
-                    # instant — and before the ``until`` horizon check, so
-                    # a burst at the boundary still goes out.  Doing it
-                    # before the next slot opens lets what the hooks
-                    # schedule at delay 0 land in this one.
+                    # The open slot is exhausted.
                     heap = self._slot_heap
-                    if self._instant_dirty and (
-                        not heap or heap[0] > now >> _SLOT_SHIFT
-                    ):
-                        self._run_instant_hooks()
-                        open_ = self._open
-                        pos = self._open_pos
-                        continue
                     if not heap:
                         if now < horizon < _NEVER:
                             self._now = horizon
@@ -376,11 +336,6 @@ class Simulator:
                     continue
                 when = record[0]
                 if when != now:
-                    if self._instant_dirty:
-                        self._run_instant_hooks()
-                        open_ = self._open
-                        pos = self._open_pos
-                        continue
                     if when > horizon:
                         self._now = horizon
                         break

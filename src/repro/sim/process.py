@@ -34,7 +34,7 @@ guarded by the incarnation it was queued in: a completion queued before
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.timers import TimerWheel
@@ -213,17 +213,6 @@ class SimProcess:
     def _process(self, message: "Message", sender: int) -> None:
         """Handle a message whose receive cost has been paid."""
         self.on_message(message, sender)
-
-    def deliver_batch(self, messages: List["Message"], sender: int) -> None:
-        """Deliver several same-frame messages from ``sender``.
-
-        The network calls this when a coalesced frame unpacks into multiple
-        application messages.  The default just loops :meth:`deliver`;
-        subclasses may override to amortise per-message overhead (one CPU
-        acquire, one deferred event) across the batch.
-        """
-        for message in messages:
-            self.deliver(message, sender)
 
     def on_message(self, message: "Message", sender: int) -> None:
         """Dispatch on the message kind; subclasses may override entirely."""

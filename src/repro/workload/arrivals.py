@@ -10,7 +10,7 @@ protocol back-pressure.
 Every process here yields absolute submission timestamps (virtual µs)
 from a dedicated :class:`numpy.random.Generator`, so the arrival sequence
 of a run is a pure function of ``(seed, spec)`` — identical across
-repeats, worker counts, and wire-coalescing settings.  A million thin
+repeats, worker counts, and fault plans.  A million thin
 per-user Poisson streams superpose into one Poisson stream at the
 aggregate rate, which is how ``python -m repro run --arrival poisson
 --users 1000000`` simulates a million-user population without a million

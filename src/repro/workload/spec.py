@@ -12,12 +12,12 @@ Design invariants:
 - **Legacy identity.**  :meth:`WorkloadSpec.from_legacy` reproduces the
   pre-spec client rig *exactly*: same construction order, same
   constructor arguments, no extra rng draws — so runs with a legacy spec
-  are bit-identical to the pre-refactor harness (the sweep cache and the
-  coalescing determinism oracle both depend on this).
+  are bit-identical to the pre-refactor harness (the sweep cache depends
+  on this).
 - **Determinism.**  All randomness used by workload clients flows
   through per-client named rng streams (``("workload", label, ...)``),
   so the submission schedule is a pure function of ``(seed, spec)`` and
-  independent of protocol, coalescing, and every other random consumer.
+  independent of protocol, fault plans, and every other random consumer.
 - **A million users without a million processes.**  Independent thin
   Poisson user streams superpose into one Poisson stream, so a group
   carries a ``users`` population whose aggregate offered rate one

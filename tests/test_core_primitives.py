@@ -1,5 +1,5 @@
-"""Tests for clocks, perceived sequences, distance prediction, types,
-batching, and receive-side charging — the small core building blocks."""
+"""Tests for clocks, perceived sequences, distance prediction, types and
+batching — the small core building blocks."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,6 @@ from repro.core.batching import Mempool
 from repro.core.clocks import OrderingClock, PerceivedSequence
 from repro.core.distance import DistanceEstimator, requested_sequence
 from repro.core.types import AcceptedEntry, Batch, InstanceId, Transaction
-from repro.crypto.cost import ReceiveChargePlan
 from repro.crypto.hashing import digest_of
 from repro.net.message import Message
 from repro.sim.engine import Simulator
@@ -289,17 +288,3 @@ class TestMempoolRequeue:
         assert pool.add(tx)
         assert not pool.add(tx)
         assert len(pool) == 1
-
-
-class TestReceiveChargePlan:
-    def test_sums_like_per_message_loop(self):
-        fallback_calls = []
-
-        def fallback(m):
-            fallback_calls.append(m.kind)
-            return 7
-
-        plan = ReceiveChargePlan({"a": 2, "b": 3}, fallback)
-        msgs = [Message(kind, {}) for kind in ("a", "b", "zzz", "a")]
-        assert plan.total_us(msgs) == 2 + 3 + 7 + 2
-        assert fallback_calls == ["zzz"]

@@ -209,6 +209,8 @@ class TestSharedCluster:
             ({"attack_nodes": {1: "equivocate"}}, "attack_nodes"),
             ({"distance_mode": "gossip"}, "distance_mode"),
             ({"dissemination": "gossip"}, "dissemination"),
+            ({"delta_piggyback": True}, "delta_piggyback"),
+            ({"report_quorum": 3}, "report_quorum"),
             (
                 {
                     "fault_plan": FaultPlan(
@@ -224,7 +226,15 @@ class TestSharedCluster:
                 "recover_at_us",
             ),
         ],
-        ids=["tracing", "attack_nodes", "distance_mode", "gossip", "recover"],
+        ids=[
+            "tracing",
+            "attack_nodes",
+            "distance_mode",
+            "gossip",
+            "delta_piggyback",
+            "report_quorum",
+            "recover",
+        ],
     )
     def test_unsupported_config_is_rejected(self, overrides, field):
         cfg = quick_lyra_config(**overrides)

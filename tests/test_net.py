@@ -454,11 +454,11 @@ class TestFastBroadcast:
 
 
 class TestOneWirePath:
-    """Point-to-point sends, the faulty broadcast loop and coalesced
-    flushes all put frames on the wire through ``_put_on_wire``: whatever
-    the route, link 0->1 treats the frame the same way."""
+    """Point-to-point sends and the faulty broadcast loop both put frames
+    on the wire through ``_put_on_wire``: whatever the route, link 0->1
+    treats the frame the same way."""
 
-    ROUTES = ("send", "broadcast", "coalesced")
+    ROUTES = ("send", "broadcast")
 
     def _net(self, fault, route):
         sim = Simulator()
@@ -475,8 +475,6 @@ class TestOneWirePath:
         procs = [Collector(pid, sim) for pid in (0, 1, 2)]
         for p in procs:
             net.register(p)
-        if route == "coalesced":
-            net.enable_coalescing(0)
         frame = Message("x", {"v": 1})
         if route == "broadcast":
             net.broadcast(0, frame, include_self=False)
@@ -783,9 +781,7 @@ class TestLinkRecordsMatchReference:
         "jitter-free": {"jitter": 0.0, "faults": True},
         # 3σ > 0.8: samples hit the 20 % floor.
         "wild-jitter": {"jitter": 0.4},
-        "coalescing": {"faults": True, "coalesce": True},
         "reliable": {"faults": True, "reliable": True},
-        "reliable-coalescing": {"faults": True, "reliable": True, "coalesce": True},
     }
 
     def _script(self, seed):
@@ -845,8 +841,6 @@ class TestLinkRecordsMatchReference:
         )
         if case.get("reliable"):
             net.enable_reliable()
-        if case.get("coalesce"):
-            net.enable_coalescing(0)
         procs = {pid: Collector(pid, sim) for pid in range(self.N)}
         for p in procs.values():
             net.register(p)
@@ -887,7 +881,6 @@ class TestLinkRecordsMatchReference:
             ),
             "faults": faults.stats.to_dict() if faults else None,
             "reliable": net.reliable.stats.to_dict() if net.reliable else None,
-            "wire": net.wire_stats.to_dict(),
             "streams": _stream_positions(rng),
             "jitter": {
                 src: state[:2]

@@ -85,7 +85,7 @@ class TestReceiveCosts:
     def test_table_holds_every_constant_kind_and_follows_the_cost_profile(self):
         """The per-node table is the class's fixed kinds plus the two that
         come from ``costs``; the size- and payload-dependent kinds stay in
-        ``_receive_cost``; one table feeds both receive paths."""
+        ``_receive_cost``."""
         sim, nodes, net = build_pair(costs=DEFAULT_COSTS.scaled(2.0))
         node = nodes[0]
         table = node._RECEIVE_COSTS
@@ -95,9 +95,6 @@ class TestReceiveCosts:
             DELIVER_KIND: 2 * DEFAULT_COSTS.threshold_verify_us,
         }
         assert not {INIT_KIND, DSHARE_KIND} & set(table)
-        assert node._charge_plan.total_us(
-            [Message(VOTE1_KIND, {}), Message(DELIVER_KIND, {}), Message(STATUS_KIND, {})]
-        ) == table[VOTE1_KIND] + table[DELIVER_KIND] + table[STATUS_KIND]
         items = {"items": (1, 2, 3)}
         assert node._receive_cost(Message(DSHARE_KIND, items)) == 6
 

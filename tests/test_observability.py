@@ -1,6 +1,6 @@
 """Observability-layer tests: the metrics registry, span construction and
-report rendering, digest-neutrality of tracing+metrics, the coalescing
-end-of-run drain, and registry snapshots across crash–recovery."""
+report rendering, digest-neutrality of tracing+metrics, and registry
+snapshots across crash–recovery."""
 
 import json
 
@@ -29,11 +29,7 @@ from repro.metrics.spans import (
 )
 from repro.metrics.tracelog import TraceLog
 from repro.net.faults import CrashEvent, FaultPlan
-from repro.net.latency import UniformLatencyModel
-from repro.net.message import Message
-from repro.net.network import Network, NetworkConfig
-from repro.sim.engine import MILLISECONDS, SECONDS, Simulator
-from repro.sim.process import SimProcess
+from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config
 
@@ -224,7 +220,7 @@ class TestReportRendering:
             committed_count=10,
             executed_total=40,
             throughput_tps=10.0,
-            wire_stats={"frames_sent": 9},
+            wire_stats={"dissemination": {"strategy": "tree"}},
             metrics={
                 "counters": {"cache.digest.hits": {"total": 5}},
                 "gauges": {},
@@ -262,75 +258,6 @@ class TestReportRendering:
             n_nodes=4, duration_us=1, safety_violation="diverged at seq 3"
         )
         assert "SAFETY VIOLATION" in render_run_report(result=result)
-
-
-# ----------------------------------------------------------------------
-# Coalescing end-of-run drain (the flush-at-horizon bugfix)
-# ----------------------------------------------------------------------
-class _Collector(SimProcess):
-    def __init__(self, pid, sim):
-        super().__init__(pid, sim)
-        self.got = []
-
-    def on_message(self, message, sender):
-        self.got.append((message.kind, message.payload, sender))
-
-
-class TestCoalescingDrain:
-    def _net(self, sim, window_us):
-        net = Network(
-            sim,
-            UniformLatencyModel(5 * MILLISECONDS),
-            config=NetworkConfig(bandwidth_enabled=False),
-        )
-        net.enable_coalescing(window_us)
-        procs = [_Collector(pid, sim) for pid in range(2)]
-        for p in procs:
-            net.register(p)
-        return net, procs
-
-    def test_open_window_at_horizon_is_flushed_not_dropped(self):
-        """A message enqueued into a 500 ms window with a 100 ms horizon
-        sits parked when the run stops; drain_pending() must flush it so
-        a follow-up run delivers it."""
-        sim = Simulator()
-        net, (a, b) = self._net(sim, window_us=500 * MILLISECONDS)
-        a.send(1, Message("m", {"i": 0}))
-        sim.run(until=100 * MILLISECONDS)
-        assert b.got == []
-        assert net.pending_coalesced() == 1
-        assert net.drain_pending() == 1
-        assert net.pending_coalesced() == 0
-        sim.run(until=200 * MILLISECONDS)
-        assert [p["i"] for _, p, _ in b.got] == [0]
-
-    def test_drain_is_noop_when_nothing_pending(self):
-        sim = Simulator()
-        net, (a, b) = self._net(sim, window_us=0)
-        a.send(1, Message("m", {"i": 0}))
-        sim.run(until=100 * MILLISECONDS)
-        assert net.pending_coalesced() == 0
-        assert net.drain_pending() == 0
-
-    def test_cluster_run_drains_wide_windows(self):
-        """The regression the drain loop exists for: a coalescing window
-        larger than the inter-event gaps near the horizon leaves frames
-        parked when the simulator stops — the run must flush them and let
-        the commit pipeline finish, not silently drop the tail."""
-        cfg = quick_lyra_config(
-            coalesce=True,
-            coalesce_window_us=20 * MILLISECONDS,
-            duration_us=3 * SECONDS,
-        )
-        cluster = build_cluster(cfg, protocol="lyra")
-        result = cluster.run()
-        assert result.safety_violation is None
-        assert result.invariant_violations == []
-        assert result.executed_total > 0
-        # Every window was closed out by the end-of-run drain.
-        assert cluster.network.pending_coalesced() == 0
-        # The drain granted extra simulated time beyond the horizon.
-        assert cluster.sim.now >= cfg.duration_us
 
 
 # ----------------------------------------------------------------------

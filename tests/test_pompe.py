@@ -177,8 +177,8 @@ class TestSharedCluster:
 
     @pytest.mark.parametrize(
         "extra",
-        [{}, {"coalesce": True}, {"dissemination": "tree", "fanout": 2}],
-        ids=["plain", "coalesce", "tree"],
+        [{}, {"dissemination": "tree", "fanout": 2}],
+        ids=["plain", "tree"],
     )
     def test_lossy_links_with_reliable_channels(self, extra):
         """The fault plan and the network options are honoured, the run
@@ -193,8 +193,6 @@ class TestSharedCluster:
         assert stats["dropped"] > 0 and stats["duplicated"] > 0
         assert stats["retransmits"] > 0 and stats["dup_frames"] > 0
         assert (result.safety_violation is None) == (not result.invariant_violations)
-        if "coalesce" in extra:
-            assert result.wire_stats["frames_sent"] > 0
         if "dissemination" in extra:
             assert result.wire_stats["dissemination"]["strategy"] == "tree"
 
@@ -254,6 +252,8 @@ class TestSharedCluster:
             ({"attack_nodes": {1: "equivocate"}}, "attack_nodes"),
             ({"distance_mode": "gossip"}, "distance_mode"),
             ({"dissemination": "gossip"}, "dissemination"),
+            ({"delta_piggyback": True}, "delta_piggyback"),
+            ({"report_quorum": 3}, "report_quorum"),
             (
                 {
                     "fault_plan": FaultPlan(
@@ -269,7 +269,15 @@ class TestSharedCluster:
                 "recover_at_us",
             ),
         ],
-        ids=["tracing", "attack_nodes", "distance_mode", "gossip", "recover"],
+        ids=[
+            "tracing",
+            "attack_nodes",
+            "distance_mode",
+            "gossip",
+            "delta_piggyback",
+            "report_quorum",
+            "recover",
+        ],
     )
     def test_unsupported_config_is_rejected(self, overrides, field):
         cfg = quick_lyra_config(**overrides)

@@ -1,7 +1,5 @@
 """Unit tests for the ack/retransmit channel over a lossy network."""
 
-import pytest
-
 from repro.net.faults import FaultInjector, FaultPlan, LinkFault
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
@@ -179,38 +177,6 @@ class TestChecksum:
         assert Message("x").verify_checksum()
 
 
-class TestCoalescedFrames:
-    def test_acks_piggyback_on_coalesced_frames(self):
-        # With coalescing on, a burst of reliable sends bundles the data
-        # frames into one physical frame, and the acks (all emitted at the
-        # delivery instant) coalesce on the return path the same way.
-        sim = Simulator()
-        net, (a, b) = build_net(sim)
-        net.enable_coalescing(0)
-        for i in range(5):
-            a.send(1, Message("m", {"i": i}))
-        sim.run()
-        assert [p["i"] for _, p, _ in b.got] == [0, 1, 2, 3, 4]
-        assert net.reliable.stats.delivered == 5
-        assert net.reliable.stats.acks_sent == 5
-        assert net.reliable.stats.retransmits == 0
-        ws = net.wire_stats
-        # One data bundle out, one ack bundle back.
-        assert ws.bundles_sent >= 2
-        assert ws.frames_sent < ws.messages_sent
-        assert ws.coalescing_ratio() > 1.0
-
-    def test_windowed_coalescing_delivers_exactly_once(self):
-        sim = Simulator()
-        net, (a, b) = build_net(sim)
-        net.enable_coalescing(500)
-        for i in range(8):
-            a.send(1, Message("m", {"i": i}))
-        sim.run()
-        assert [p["i"] for _, p, _ in b.got] == list(range(8))
-        assert net.reliable.stats.delivered == 8
-
-
 class TestFaultStatsCountOnce:
     def test_corrupted_then_retransmitted_counts_once(self):
         # Corrupt every transmission for the first 100 ms: the frame's
@@ -253,18 +219,15 @@ class TestFaultStatsCountOnce:
 
 
 class TestOneWirePath:
-    """First sends, retransmissions and acks — bundled or not — reach the
-    link through ``Network._put_on_wire`` and nowhere else."""
+    """First sends, retransmissions and acks reach the link through
+    ``Network._put_on_wire`` and nowhere else."""
 
-    @pytest.mark.parametrize("coalesce", [False, True])
-    def test_every_physical_frame_is_put_on_wire_once(self, coalesce):
+    def test_every_physical_frame_is_put_on_wire_once(self):
         sim = Simulator()
         plan = FaultPlan(
             links=(LinkFault(drop_rate=0.3, duplicate_rate=0.2, corrupt_rate=0.2),)
         )
         net, (a, b) = build_net(sim, plan=plan)
-        if coalesce:
-            net.enable_coalescing(0)
         wired = []
         put_on_wire = net._put_on_wire
 
@@ -276,23 +239,17 @@ class TestOneWirePath:
             put_on_wire(src, dst, frame)
 
         net._put_on_wire = spy
-        if not coalesce:
-            net._transmit = spy  # bound to the wire itself at construction
         arrivals = []
         deliver = net._deliver
         net._deliver = lambda link, m: (arrivals.append(m.kind), deliver(link, m))
         for i in range(30):
-            # Spread out, so coalescing cannot fold them into one bundle.
             sim.schedule(i * MILLISECONDS, lambda i=i: a.send(1, Message("m", {"i": i})))
         sim.run()
         assert sorted(p["i"] for _, p, _ in b.got) == list(range(30))
         reliable, faults = net.reliable.stats, net.faults.stats
         assert reliable.retransmits > 0 and faults.corrupt_wire_events > 0
-        if coalesce:
-            assert len(wired) == net.wire_stats.frames_sent
-        else:
-            assert wired.count(FRAME_KIND) == reliable.frames_sent
-            assert wired.count(ACK_KIND) == reliable.acks_sent
+        assert wired.count(FRAME_KIND) == reliable.frames_sent
+        assert wired.count(ACK_KIND) == reliable.acks_sent
         # One decision per physical frame: dropped, or scheduled once plus
         # once more if duplicated — and nothing else queues a delivery.
         assert len(arrivals) == (

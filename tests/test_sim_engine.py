@@ -367,8 +367,6 @@ class _NaiveSimulator:
         self.events_processed = 0
         self._seq = 0
         self._queue = []
-        self._hooks = []
-        self._dirty = False
         self._stopped = False
 
     @property
@@ -392,12 +390,6 @@ class _NaiveSimulator:
         for delay, fn, args in items:
             self.schedule(delay, fn, args, priority=priority)
 
-    def add_end_of_instant_hook(self, hook):
-        self._hooks.append(hook)
-
-    def mark_instant_dirty(self):
-        self._dirty = True
-
     def stop(self):
         self._stopped = True
 
@@ -412,11 +404,6 @@ class _NaiveSimulator:
             while self._queue and self._queue[0].cancelled:
                 del self._queue[0]  # skipped, like the real loop, when reached
             head = self._queue[0] if self._queue else None
-            if self._dirty and (head is None or head.time > self.now):
-                self._dirty = False
-                for hook in self._hooks:
-                    hook()
-                continue
             if head is None:
                 if until is not None and self.now < until:
                     self.now = until
@@ -494,7 +481,7 @@ def _audit(sim):
 #: Delays on and around slot boundaries.
 EDGE_DELAYS = (0, 0, 1, 2, SLOT - 1, SLOT, SLOT + 1, 2 * SLOT, 3 * SLOT - 1, 5 * SLOT + 3)
 #: What a fired record may do besides logging itself.
-ACTIONS = ("nothing", "nothing", "nest", "nest_low", "cancel", "dirty", "stop")
+ACTIONS = ("nothing", "nothing", "nest", "nest_low", "cancel", "stop")
 
 
 def _play(sim, ops, seed):
@@ -507,12 +494,6 @@ def _play(sim, ops, seed):
     live = (lambda: _audit(sim)) if type(sim) is Simulator else (lambda: sim.live)
     rnd = random.Random(seed)  # drawn in execution order: a reordering
     # anywhere changes every later draw, and with it the log
-
-    def hook():
-        log.append((sim.now, "hook"))
-        if rnd.random() < 0.5:
-            # Into the instant being closed — the open slot.
-            sim.schedule(0, fire, ("flushed", "nothing"), priority=rnd.choice((-1, 0, 4)))
 
     def fire(tag, action):
         log.append((sim.now, tag))
@@ -538,12 +519,9 @@ def _play(sim, ops, seed):
             )
         elif action == "cancel" and handles:
             handles[rnd.randrange(len(handles))].cancel()
-        elif action == "dirty":
-            sim.mark_instant_dirty()
         elif action == "stop":
             sim.stop()
 
-    sim.add_end_of_instant_hook(hook)
     for i, op in enumerate(ops):
         what = op[0]
         if what == "schedule":
@@ -560,8 +538,6 @@ def _play(sim, ops, seed):
             # cancelled already — whichever this handle is by now.
             if handles:
                 handles[op[1] % len(handles)].cancel()
-        elif what == "dirty":
-            sim.mark_instant_dirty()
         elif what == "run":
             _, ahead, max_events = op
             until = None if ahead is None else sim.now + ahead
@@ -604,8 +580,6 @@ def _random_script(seed, length=120):
             ops.append(("block", delays, rnd.choice((0, 3)), rnd.choice(ACTIONS)))
         elif r < 0.72:
             ops.append(("cancel", rnd.randrange(1000)))
-        elif r < 0.76:
-            ops.append(("dirty",))
         elif r < 0.9:
             # Horizons that cut through a slot, land on its edge, or fall
             # short of the next record; event budgets that end mid-slot.
@@ -640,30 +614,6 @@ class TestAgainstNaiveReference:
         assert outcomes[0] == outcomes[1]
         assert len(outcomes[0][0]) > 400  # nested callbacks actually ran
 
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_end_of_instant_hooks(self, seed):
-        outcomes = []
-        for cls in (Simulator, _NaiveSimulator):
-            sim, log = cls(), []
-
-            def hook(sim=sim, log=log):
-                log.append((sim.now, "hook"))
-                if sim.now == 3:
-                    # Hooks may emit work into the instant they close.
-                    sim.schedule(0, lambda: log.append((sim.now, "flushed")))
-
-            sim.add_end_of_instant_hook(hook)
-            _fuzz_schedule(sim, log, seed)
-            for t in (0, 3, 10, 200):
-                sim.schedule(t, sim.mark_instant_dirty)
-            sim.run(until=200)
-            outcomes.append((log, sim.now, sim.events_processed))
-        assert outcomes[0] == outcomes[1]
-        hooks = [entry for entry in outcomes[0][0] if entry[1] == "hook"]
-        # The t=200 mark sits on the ``until`` horizon: still flushed.
-        assert [t for t, _ in hooks] == [0, 3, 10, 200]
-        assert (3, "flushed") in outcomes[0][0]
-
     @pytest.mark.parametrize("seed", range(40))
     def test_scripts_around_slot_boundaries(self, seed):
         log, stops = _check_script(_random_script(seed), seed)
@@ -682,7 +632,7 @@ class TestAgainstNaiveReference:
                     seen.add("max_events hit")
                 if op[0] == "step":
                     seen.add(f"step {returned}")
-        assert {"low0", "lowB", "n", "hook", "flushed", "max_events hit"} <= seen
+        assert {"low0", "lowB", "n", "max_events hit"} <= seen
         assert {"step True", "step False"} <= seen
 
     def test_lower_priority_at_delay_zero_cuts_in(self):
@@ -732,29 +682,6 @@ class TestAgainstNaiveReference:
             sim.run()
             assert order[-1] == "farther" and sim.pending == 0
 
-    def test_hook_when_the_next_record_is_in_a_later_slot(self):
-        for cls in (Simulator, _NaiveSimulator):
-            sim, log = cls(), []
-
-            def hook():
-                log.append((sim.now, "hook"))
-                if log == [(0, "hook"), (5, "hook")]:
-                    sim.schedule(0, log.append, ((5, "flushed into open slot"),))
-                    sim.mark_instant_dirty()  # and close the instant again
-
-            sim.add_end_of_instant_hook(hook)
-            sim.schedule(5, sim.mark_instant_dirty)
-            sim.schedule(9 * SLOT, log.append, ("later slot",))
-            sim.mark_instant_dirty()  # dirty before the run, nothing at t=0
-            sim.run()
-            assert log == [
-                (0, "hook"),
-                (5, "hook"),
-                (5, "flushed into open slot"),
-                (5, "hook"),
-                "later slot",
-            ], cls
-
 
 try:
     from hypothesis import given, settings
@@ -777,7 +704,6 @@ else:
             _action,
         ),
         st.tuples(st.just("cancel"), st.integers(0, 1000)),
-        st.tuples(st.just("dirty")),
         st.tuples(
             st.just("run"),
             st.one_of(st.none(), st.integers(0, 3 * SLOT)),

@@ -1,6 +1,6 @@
 """WorkloadSpec engine tests: placement, serialisation, the legacy shim,
-registry resolution, end-of-run accounting, per-seed determinism (with and
-without wire coalescing), and the Pompē-vs-Lyra MEV asymmetry."""
+registry resolution, end-of-run accounting, per-seed determinism, and the
+Pompē-vs-Lyra MEV asymmetry."""
 
 import warnings
 
@@ -216,7 +216,7 @@ class TestDeterminismAndAccounting:
         assert all(t <= 50_000 for t, _ in workload.submission_log())
 
 
-def run_cluster_cell(protocol="lyra", *, coalesce=False, metrics=False, seed=5):
+def run_cluster_cell(protocol="lyra", *, metrics=False, seed=5):
     config = ExperimentConfig(
         n_nodes=4,
         seed=seed,
@@ -224,7 +224,6 @@ def run_cluster_cell(protocol="lyra", *, coalesce=False, metrics=False, seed=5):
         duration_us=1_500 * MILLISECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
-        coalesce=coalesce,
         metrics=metrics,
         workload=WorkloadSpec(
             groups=(
@@ -253,23 +252,6 @@ class TestClusterIntegration:
         assert (
             counts["submitted"] == counts["completed"] + counts["incomplete"]
         )
-
-    def test_deterministic_across_coalescing(self):
-        logs = {}
-        for coalesce in (False, True):
-            cluster, result = run_cluster_cell(coalesce=coalesce, seed=6)
-            logs[coalesce] = (
-                cluster.workload.submission_log(),
-                cluster.committed_order,
-            )
-        # The submission schedule is a pure function of (seed, spec): the
-        # wire-level coalescing setting must not perturb it.  The committed
-        # order is a *robustness* check, not bit-identity: coalescing
-        # changes message timing (bundle sizes, delta piggyback), so
-        # timestamp medians of txs submitted within a jitter of each other
-        # can flip on unlucky seeds — this seed has no such close call.
-        assert logs[False] == logs[True]
-        assert len(logs[False][0]) > 0
 
     def test_metrics_source_registered(self):
         cluster, _ = run_cluster_cell(metrics=True)
