@@ -133,7 +133,11 @@ class HotStuffParticipant:
         self.blocks: Dict[int, Block] = {}  # height -> block we voted on
         self._voted: Dict[Tuple[int, str], bool] = {}
         self._queue: List[Any] = []  # leader: pending payloads
-        self._leader_shares: Dict[Tuple[int, str], Dict[int, SignatureShare]] = {}
+        # Leader: the shares collected per (height, phase); ``None`` once
+        # that phase's QC is formed.
+        self._leader_shares: Dict[
+            Tuple[int, str], Optional[Dict[int, SignatureShare]]
+        ] = {}
         self._leader_blocks: Dict[int, Block] = {}
         self._inflight: Set[int] = set()
         self._clock_reports: Dict[int, int] = {}
@@ -154,6 +158,7 @@ class HotStuffParticipant:
         # lets a new leader re-propose orphaned payloads after a view
         # change.
         self._tracked_requests: Dict[bytes, Any] = {}
+        # Decided heights, in decide order, as payload-free records.
         self.decided_blocks: List[Block] = []
         self._started = False
 
@@ -353,20 +358,18 @@ class HotStuffParticipant:
             _vote_digest(digest, phase), share, sender
         ):
             return
-        bucket = self._leader_shares.setdefault((height, phase), {})
-        if sender in bucket:
-            return
+        key = (height, phase)
+        bucket = self._leader_shares.setdefault(key, {})
+        if bucket is None or sender in bucket:
+            return  # the QC is formed, or a repeat share
         bucket[sender] = share
         if len(bucket) >= 2 * self.services.f + 1:
+            self._leader_shares[key] = None
             self._advance_phase(block, phase, bucket)
 
     def _advance_phase(
         self, block: Block, phase: str, shares: Dict[int, SignatureShare]
     ) -> None:
-        key = (block.height, phase + "/qc")
-        if self._voted.get(key):
-            return
-        self._voted[key] = True
         try:
             full = self.services.threshold.combine(
                 _vote_digest(block.digest, phase), shares.values()
@@ -432,7 +435,13 @@ class HotStuffParticipant:
                 self._decided_payloads.add(pid_)
                 self._inflight_payloads.discard(pid_)
                 self._tracked_requests.pop(pid_, None)
-        self.decided_blocks.append(block)
+        # Late phase traffic for this height reads only its view, height
+        # and digest, so the payloads (Pompē's certificates) are dropped.
+        record = Block(block.view, block.height, (), block.watermark, block.digest)
+        self.decided_blocks.append(record)
+        for table in (self.blocks, self._leader_blocks):
+            if block.height in table:
+                table[block.height] = record
         self.on_decide(block)
         if self.is_leader:
             self._maybe_propose()

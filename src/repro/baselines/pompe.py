@@ -215,6 +215,9 @@ class PompeNode(SimProcess):
         cert = self._unacked.pop(digest, None)
         if cert is None or digest in self._executed:
             return
+        # The stale certificate never executes, so nothing else pops its
+        # proposal time; the re-ordered batch gets its own.
+        self._proposed_at.pop(digest, None)
         self._start_ordering(list(cert.batch.txs))
 
     def _resubmit_tick(self) -> None:

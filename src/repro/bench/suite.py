@@ -113,7 +113,6 @@ def _cache_snapshot(cluster) -> Dict[str, Dict[str, Any]]:
         "feldman_verify": feldman.verify_cache_stats(),
     }
     for name, owner, accessor in (
-        ("signature_verify", cluster.registry, "verify_cache_stats"),
         ("threshold_verify", cluster.threshold, "verify_cache_stats"),
         # ``obf`` is None under Pompē, and the hash scheme has no cache.
         ("vss_decrypt", cluster.obf, "decrypt_cache_stats"),

@@ -10,12 +10,12 @@ process exactly its own :class:`Signer`, so no process (including simulated
 Byzantine ones) can sign for another.  Tag length and verify cost match
 Ed25519-class signatures via :mod:`repro.crypto.cost`.
 
-Verification is memoized per registry, keyed on ``(signer, digest, tag)``:
-quorum certificates and relayed proofs make every replica re-verify the
-same signatures many times, and the verdict for a given triple never
-changes, so repeat verifications skip the MAC recomputation.  A miss
-recomputes the tag through the pid's :class:`~repro.crypto.hashing.KeyedHash`
-(pad states hashed once per key) and compares in constant time.
+Verification recomputes the tag through the pid's
+:class:`~repro.crypto.hashing.KeyedHash` (pad states hashed once per key)
+and compares in constant time.  Verdicts are not memoized: Pompē verifies
+each signed timestamp once, so a memo there only grew (tens of thousands
+of verdicts per n=100 run, none read again), and Lyra's repeats come to a
+few thousand MACs per run.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.crypto.hashing import KeyedHash, digest_of
-from repro.crypto.memo import MemoCache
 from repro.sim.rng import derive_seed
 
 SIGNATURE_BYTES = 64
@@ -52,7 +51,6 @@ class KeyRegistry:
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._macs: Dict[int, KeyedHash] = {}
-        self._verify_cache = MemoCache()
 
     def _mac(self, pid: int) -> KeyedHash:
         """``pid``'s secret key, as the keyed hash that tags under it."""
@@ -69,30 +67,12 @@ class KeyRegistry:
 
     def verify(self, message: Any, signature: Signature, pid: int) -> bool:
         """``public-verify(m, sigma, j)`` — check ``signature`` was produced
-        by ``pid`` over ``message``.  Memoized on ``(pid, digest, tag)``."""
+        by ``pid`` over ``message``."""
         if signature.signer != pid:
             return False
-        if type(message) is bytes:
-            # Bytes messages key the memo directly (distinct namespace):
-            # hits skip the digest recomputation.
-            key = ("b", pid, message, signature.tag)
-            verdict = self._verify_cache.get(key)
-            if verdict is not None:
-                return verdict
-            digest = digest_of(message)
-        else:
-            digest = digest_of(message)
-            key = (pid, digest, signature.tag)
-            verdict = self._verify_cache.get(key)
-            if verdict is not None:
-                return verdict
-        return self._verify_cache.put(
-            key, hmac.compare_digest(self._mac(pid).tag(digest), signature.tag)
+        return hmac.compare_digest(
+            self._mac(pid).tag(digest_of(message)), signature.tag
         )
-
-    def verify_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters of the verification memo (diagnostics)."""
-        return self._verify_cache.stats()
 
 
 class Signer:
@@ -108,7 +88,7 @@ class Signer:
         return Signature(self.pid, self._mac.tag(digest_of(message)))
 
     def verify(self, message: Any, signature: Signature, pid: int) -> bool:
-        """Convenience passthrough to the registry's memoized verify."""
+        """Convenience passthrough to the registry's verify."""
         return self._registry.verify(message, signature, pid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -115,13 +115,10 @@ class TestSignatureLayersMatchHmac:
         ).digest()
         sig = registry.signer(pid).sign(message)
         assert sig == Signature(pid, expect)
-        # Miss, then hit: the verdict is the same both times.
-        assert registry.verify(message, sig, pid) is True
         assert registry.verify(message, sig, pid) is True
         forged = Signature(pid, bytes([expect[0] ^ 1]) + expect[1:])
         assert registry.verify(message, forged, pid) is False
         assert registry.verify(message, sig, pid + 1) is False
-        assert registry.verify_cache_stats()["misses"] == 2
 
     @settings(max_examples=60, deadline=None)
     @given(message=messages, seed=st.integers(0, 2**32))

@@ -3,7 +3,14 @@ view changes, and payload dedup."""
 
 import pytest
 
-from repro.baselines.hotstuff import Block, HotStuffParticipant
+from repro.baselines.hotstuff import (
+    PHASES,
+    VOTE_KIND,
+    Block,
+    HotStuffParticipant,
+    QuorumCert,
+    _vote_digest,
+)
 from repro.core.services import ProtocolServices
 from repro.crypto.cost import FREE_COSTS
 from repro.crypto.hashing import digest_of
@@ -208,3 +215,113 @@ class TestWatermark:
         b1 = Block.build(0, 1, (Payload("a"),), 0)
         b2 = Block.build(0, 1, (Payload("b"),), 0)
         assert b1.digest != b2.digest
+
+
+def _participant(pid, outbox, registry, threshold, n=4):
+    """A participant whose sends and broadcasts land in ``outbox`` as
+    ``(dst, message)`` (``dst`` None for a broadcast)."""
+    services = ProtocolServices(
+        pid=pid,
+        n=n,
+        f=(n - 1) // 3,
+        sim=Simulator(),
+        delta_us=DELAY,
+        signer=registry.signer(pid),
+        registry=registry,
+        threshold=threshold,
+        costs=FREE_COSTS,
+        send_fn=lambda dst, msg: outbox.append((dst, msg)),
+        broadcast_fn=lambda msg: outbox.append((None, msg)),
+    )
+    return HotStuffParticipant(services, on_decide=lambda block: None)
+
+
+def _qc(threshold, block, phase):
+    digest = _vote_digest(block.digest, phase)
+    shares = [threshold.share_signer(pid).share_sign(digest) for pid in range(3)]
+    return QuorumCert(block.digest, phase, threshold.combine(digest, shares))
+
+
+def _vote(threshold, block, phase, pid):
+    share = threshold.share_signer(pid).share_sign(_vote_digest(block.digest, phase))
+    return {
+        "height": block.height,
+        "digest": block.digest,
+        "phase": phase,
+        "share": share,
+        "clock": 0,
+    }
+
+
+class TestLateTraffic:
+    """Traffic that reaches a height after it decided is handled as it
+    always was, although the decided block keeps no payloads."""
+
+    def test_commit_step_after_decide_still_votes(self):
+        registry, threshold = KeyRegistry(21), ThresholdScheme(3, 4, seed=21)
+        outbox = []
+        replica = _participant(1, outbox, registry, threshold)
+        block = Block.build(0, 0, (Payload("a"),), 0)
+        replica.on_propose({"block": block}, sender=0)
+        replica.on_phase(
+            {"height": 0, "step": "precommit", "qc": _qc(threshold, block, "prepare")},
+            sender=0,
+        )
+        # Jitter lets DECIDE overtake the COMMIT step.
+        replica.on_phase(
+            {"height": 0, "step": "decide", "qc": _qc(threshold, block, "commit")},
+            sender=0,
+        )
+        assert replica.decided_heights == {0}
+        outbox.clear()
+        replica.on_phase(
+            {"height": 0, "step": "commit", "qc": _qc(threshold, block, "precommit")},
+            sender=0,
+        )
+        ((dst, message),) = outbox
+        assert dst == 0 and message.kind == VOTE_KIND
+        assert (message.payload["phase"], message.payload["digest"]) == (
+            "commit",
+            block.digest,
+        )
+        assert threshold.share_verify(
+            _vote_digest(block.digest, "commit"), message.payload["share"], 1
+        )
+
+    def test_vote_after_qc_is_verified_and_dropped(self, monkeypatch):
+        registry, threshold = KeyRegistry(21), ThresholdScheme(3, 4, seed=21)
+        outbox = []
+        leader = _participant(0, outbox, registry, threshold)
+        leader.submit(Payload("a"))
+        ((_, proposal),) = outbox
+        block = proposal.payload["block"]
+        commit_qc = _qc(threshold, block, "commit")
+        verified, combined = [], []
+        share_verify, combine = threshold.share_verify, threshold.combine
+        monkeypatch.setattr(
+            threshold,
+            "share_verify",
+            lambda *args: verified.append(args[2]) or share_verify(*args),
+        )
+        monkeypatch.setattr(
+            threshold,
+            "combine",
+            lambda *args: combined.append(args[0]) or combine(*args),
+        )
+
+        def late_vote(phase):
+            outbox.clear()
+            verified.clear()
+            leader.on_vote(_vote(threshold, block, phase, 3), sender=3)
+            assert verified == [3] and outbox == []
+
+        for phase in PHASES:
+            for pid in range(3):
+                leader.on_vote(_vote(threshold, block, phase, pid), sender=pid)
+            late_vote(phase)
+        assert len(combined) == 3
+        leader.on_phase({"height": 0, "step": "decide", "qc": commit_qc}, sender=0)
+        assert leader.decided_heights == {0}
+        for phase in PHASES:
+            late_vote(phase)
+        assert len(combined) == 3

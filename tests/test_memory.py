@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.baselines.pompe import OrderingCert
 from repro.core.dbft import BinaryConsensus
 from repro.harness import build_cluster
 from repro.harness.config import ExperimentConfig
@@ -40,6 +41,9 @@ HOT_PATH_TYPES = {
     "BinaryConsensus",
     "VvbInstance",
     "BinaryValueBroadcast",
+    "OrderingCert",
+    "Block",
+    "QuorumCert",
 }
 #: Ceiling on end-of-run cycles of any other kind (``inspect``/``ast``
 #: closures from consolidation — a constant, not a rate).
@@ -183,6 +187,30 @@ def _live_state(cluster):
     return instances, timers, unacked
 
 
+def _sampled_run(cluster, sample):
+    """Run ``cluster`` with the collector off, calling ``sample()`` every
+    250 ms over seconds 2–8; return the result and the samples by ms."""
+    samples = {}
+    for t_ms in range(2250, 8001, 250):
+        cluster.sim.schedule_at(
+            t_ms * MILLISECONDS,
+            lambda t_ms=t_ms: samples.__setitem__(t_ms, sample()),
+        )
+    result, _ = _run_collector_off(cluster)
+    return result, samples
+
+
+def _assert_no_growth(samples, names):
+    """Each sampled quantity peaks over seconds 6–8 at no more than 1.25×
+    its peak over seconds 2–4 (and is not zero throughout)."""
+    first = [state for t_ms, state in samples.items() if t_ms <= 4000]
+    second = [state for t_ms, state in samples.items() if t_ms > 6000]
+    for i, what in enumerate(names):
+        early = max(state[i] for state in first)
+        late = max(state[i] for state in second)
+        assert 0 < late <= 1.25 * early, (what, samples)
+
+
 def test_state_is_bounded_by_the_linger_window_not_run_length():
     """Live state over the second 4 s of a run is no larger than over the
     first 4 s.  One run sampled every 250 ms instead of a 4 s and an 8 s
@@ -192,25 +220,45 @@ def test_state_is_bounded_by_the_linger_window_not_run_length():
     cluster = build_cluster(
         quick_lyra_config(seed=1, duration_us=8_000_000, reliable_channels=True)
     )
-    samples = {}
 
-    def sample(t_ms):
-        instances, timers, unacked = samples[t_ms] = _live_state(cluster)
+    def sample():
+        state = _live_state(cluster)
         # Every instance still alive is one a node still owns: nothing a
         # node has forgotten is pinned by a timer, an event or a cycle.
-        assert instances == sum(len(node._instances) for node in cluster.nodes)
+        assert state[0] == sum(len(node._instances) for node in cluster.nodes)
+        return state
 
-    for t_ms in range(2250, 8001, 250):
-        cluster.sim.schedule_at(t_ms * MILLISECONDS, lambda t_ms=t_ms: sample(t_ms))
-    result, _ = _run_collector_off(cluster)
+    result, samples = _sampled_run(cluster, sample)
     assert result.committed_count > 0
     assert sum(len(node._finished) for node in cluster.nodes) > 100
-    first = [state for t_ms, state in samples.items() if t_ms <= 4000]
-    second = [state for t_ms, state in samples.items() if t_ms > 6000]
-    for i, what in enumerate(("instances", "wheel entries", "unacked frames")):
-        early = max(state[i] for state in first)
-        late = max(state[i] for state in second)
-        assert 0 < late <= 1.25 * early, (what, samples)
+    _assert_no_growth(samples, ("instances", "wheel entries", "unacked frames"))
+
+
+def test_comparison_side_state_is_bounded_by_run_length():
+    """The Pompē twin of the test above: ordering certificates and
+    HotStuff share buckets alive over seconds 6–8 of a run are no more
+    than over seconds 2–4.  A decided height keeps a payload-free record
+    and a formed QC's bucket is dropped, so neither grows with the run."""
+    # The ``pompe_closed`` shape, 8 s long.
+    cluster = build_cluster(
+        quick_lyra_config(seed=1, duration_us=8_000_000, jitter=0.0),
+        protocol="pompe",
+    )
+
+    def sample():
+        certs = sum(1 for obj in gc.get_objects() if type(obj) is OrderingCert)
+        buckets = sum(
+            1
+            for node in cluster.nodes
+            for bucket in node.hotstuff._leader_shares.values()
+            if bucket
+        )
+        return certs, buckets
+
+    result, samples = _sampled_run(cluster, sample)
+    assert result.committed_count > 0
+    assert sum(len(node.hotstuff.decided_blocks) for node in cluster.nodes) > 100
+    _assert_no_growth(samples, ("ordering certificates", "share buckets"))
 
 
 def test_a_stranded_record_is_named_in_the_garbage():

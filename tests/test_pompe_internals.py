@@ -109,6 +109,23 @@ class TestStaleBounce:
         for node in nodes:
             assert node.executed_log == sorted(node.executed_log)
 
+    def test_own_stale_cert_forgets_its_proposal_time(self):
+        """The stale certificate never executes, so re-ordering it must
+        drop its proposal time; only the fresh batch keeps one."""
+        sim, nodes = build_pompe()
+        sim.run(until=3 * SECONDS)
+        node = nodes[1]
+        floor = node.hotstuff._wm_floor
+        stale = make_cert(nodes, proposer=1, ts=floor - 1_000, nonce=77)
+        node._unacked[stale.batch_digest] = stale
+        node._proposed_at[stale.batch_digest] = sim.now
+        pending = set(node._pending_order)
+        node._on_stale_cert(stale)
+        assert stale.batch_digest not in node._proposed_at
+        (fresh,) = set(node._pending_order) - pending
+        assert node._pending_order[fresh]["batch"].txs == stale.batch.txs
+        assert fresh in node._proposed_at
+
 
 class TestResubmission:
     def test_certs_survive_leader_crash(self):
