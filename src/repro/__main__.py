@@ -190,7 +190,6 @@ def config_from_args(args, n: int | None, seed: int):
         gossip_fanout=args.gossip_fanout,
         gossip_rounds=args.gossip_rounds,
         tracing=bool(given.get("trace")),
-        metrics=bool(given.get("trace")),
     )
     if arrival is None:
         config.clients_per_node = opts["clients"]

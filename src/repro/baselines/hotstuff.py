@@ -346,7 +346,11 @@ class HotStuffParticipant:
         share = payload.get("share")
         digest = payload.get("digest")
         clock = payload.get("clock")
-        if phase not in PHASES or not isinstance(share, SignatureShare):
+        if (
+            type(height) is not int
+            or phase not in PHASES
+            or not isinstance(share, SignatureShare)
+        ):
             return
         if isinstance(clock, int):
             prev = self._clock_reports.get(sender, 0)
@@ -401,7 +405,11 @@ class HotStuffParticipant:
         height = payload.get("height")
         step = payload.get("step")
         qc = payload.get("qc")
-        if sender != self.leader or not isinstance(qc, QuorumCert):
+        if (
+            sender != self.leader
+            or type(height) is not int
+            or not isinstance(qc, QuorumCert)
+        ):
             return
         block = self.blocks.get(height) or self._leader_blocks.get(height)
         if block is None or qc.block_digest != block.digest:

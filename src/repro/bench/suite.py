@@ -106,10 +106,9 @@ def _cache_snapshot(cluster) -> Dict[str, Dict[str, Any]]:
     The one cache inventory: the cluster's ``cache`` metrics source
     flattens this same dict.
     """
-    from repro.crypto import feldman, hashing
+    from repro.crypto import feldman
 
     caches: Dict[str, Dict[str, Any]] = {
-        "digest": hashing.digest_cache_stats(),
         "feldman_verify": feldman.verify_cache_stats(),
     }
     for name, owner, accessor in (
@@ -180,10 +179,10 @@ CELLS: Dict[str, Tuple[Callable[[], Any], bool, Optional[str]]] = {
     "chaos_smoke_delta": (
         lambda: _chaos_config(delta_piggyback=True), False, None,
     ),
-    # Observability is read-only: spans and metrics draw no randomness
+    # Observability is read-only: spans and counters draw no randomness
     # and schedule no events.
     "goodcase_n4_observed": (
-        lambda: _goodcase_config(4, 1500, tracing=True, metrics=True),
+        lambda: _goodcase_config(4, 1500, tracing=True),
         False,
         "goodcase_n4",
     ),

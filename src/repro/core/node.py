@@ -166,6 +166,13 @@ class NodeStats:
     pb_pulls_served: int = 0
     #: DSHARE items dropped at the door: not a well-formed reveal share.
     malformed_dshares: int = 0
+    #: BOC decisions seen here, by value (1 = accepted, 0 = rejected).
+    decided_accept: int = 0
+    decided_reject: int = 0
+    #: Commit waves (Algorithm 4) and the decryption-share broadcasts
+    #: they triggered (Lemma 7).
+    waves: int = 0
+    dshare_batches: int = 0
 
 
 class LyraNode(SimProcess):
@@ -265,37 +272,28 @@ class LyraNode(SimProcess):
         #: Optional protocol tracer: (kind, iid, **detail) -> None
         #: (see repro.metrics.tracelog.install_lyra_tracing).
         self.tracer: Optional[Callable] = None
-        # Metrics (see ``enable_metrics``): one bool guard on the hot
-        # paths; phase timestamps only accumulate when enabled.
-        self._metrics_on = False
-        self._decided_at: Dict[InstanceId, int] = {}
-        self._committed_at: Dict[InstanceId, int] = {}
 
     def _trace(self, kind: str, iid: Optional[InstanceId] = None, **detail) -> None:
         if self.tracer is not None:
             self.tracer(kind, iid, **detail)
 
     def enable_metrics(self, registry) -> None:
-        """Emit into a :class:`~repro.metrics.registry.MetricsRegistry`.
-
-        Creates push handles for the paper's phase decomposition — BOC
-        decision time at the proposer, Commit-protocol lag and reveal
-        time at every replica — plus accept/reject and commit-wave
-        counters, and registers ``NodeStats`` (and commit-state depth)
-        as a scrape source.  Call before ``start()``.  Never schedules
-        events or draws randomness, so runs stay bit-identical.
-        """
+        """Register ``NodeStats`` (and commit-state depth) and distance
+        health as scrape sources of a
+        :class:`~repro.metrics.registry.MetricsRegistry`.  Phase latencies
+        come from the trace, not from here."""
         pid = self.pid
-        self._metrics_on = True
-        self._m_decide_us = registry.histogram("boc", "decide_us", pid)
-        self._m_commit_lag_us = registry.histogram("commit", "lag_us", pid)
-        self._m_reveal_us = registry.histogram("reveal", "exec_us", pid)
-        self._m_e2e_us = registry.histogram("commit", "e2e_us", pid)
-        self._m_accepted = registry.counter("boc", "decided_accept", pid)
-        self._m_rejected = registry.counter("boc", "decided_reject", pid)
-        self._m_waves = registry.counter("commit", "waves", pid)
-        self._m_dshares = registry.counter("reveal", "dshare_batches", pid)
+        stats = self.stats
         registry.add_source("node", self._metrics_source, pid)
+        for layer, name in (
+            ("boc", "decided_accept"),
+            ("boc", "decided_reject"),
+            ("commit", "waves"),
+            ("reveal", "dshare_batches"),
+        ):
+            registry.add_source(
+                layer, lambda name=name: {name: getattr(stats, name)}, pid
+            )
         registry.add_source("distance", self._distance_metrics_source, pid)
 
     def _distance_metrics_source(self) -> Dict[str, float]:
@@ -750,8 +748,6 @@ class LyraNode(SimProcess):
         self._s_ref.pop(iid, None)
         self._proposed_at.pop(iid, None)
         self._preds.pop(iid, None)
-        self._decided_at.pop(iid, None)
-        self._committed_at.pop(iid, None)
 
     def _schedule_gc(self, iid: InstanceId) -> None:
         linger = 10 * self.services.delta_us
@@ -786,13 +782,8 @@ class LyraNode(SimProcess):
         self, iid: InstanceId, v: int, m: Optional[Tuple[Any, Tuple[int, ...]]]
     ) -> None:
         self._trace("decided", iid, value=v)
-        if self._metrics_on:
-            (self._m_accepted if v == 1 else self._m_rejected).inc()
-            self._decided_at[iid] = self.sim.now
-            proposed = self._proposed_at.get(iid)
-            if proposed is not None:
-                self._m_decide_us.observe(self.sim.now - proposed)
         if v == 1:
+            self.stats.decided_accept += 1
             self._own_batches.pop(iid, None)
             if m is None:
                 self._awaiting_message.add(iid)
@@ -800,6 +791,7 @@ class LyraNode(SimProcess):
                 self._preds[iid] = m[1]
                 self.commit.on_accept(iid, m[0], m[1])
         else:
+            self.stats.decided_reject += 1
             self.commit.on_reject(iid)
             # SMR-Liveness: re-input our own rejected transactions; by the
             # time they are re-proposed the distance estimates will have
@@ -813,14 +805,7 @@ class LyraNode(SimProcess):
     # Commit-reveal (Algorithm 4 lines 89-95)
     # ------------------------------------------------------------------
     def _on_commit_wave(self, wave: List[AcceptedEntry]) -> None:
-        if self._metrics_on:
-            self._m_waves.inc()
-            now = self.sim.now
-            for entry in wave:
-                self._committed_at[entry.instance] = now
-                decided = self._decided_at.get(entry.instance)
-                if decided is not None:
-                    self._m_commit_lag_us.observe(now - decided)
+        self.stats.waves += 1
         for entry in wave:
             self._trace("committed", entry.instance, seq=entry.seq)
             if entry.instance.proposer == self.pid:
@@ -830,8 +815,7 @@ class LyraNode(SimProcess):
                     self.stats.own_batch_latencies_us.append(self.sim.now - proposed)
         items = self.commit.decryption_shares_for(wave)
         if items:
-            if self._metrics_on:
-                self._m_dshares.inc()
+            self.stats.dshare_batches += 1
             self._broadcast_decryption_shares(items)
 
     def _broadcast_decryption_shares(
@@ -881,14 +865,6 @@ class LyraNode(SimProcess):
             self.stats.replayed_txs_dropped += len(batch.txs) - len(fresh)
         batch = Batch(batch.proposer, batch.batch_no, fresh)
         self._trace("executed", entry.instance, txs=len(batch), seq=entry.seq)
-        if self._metrics_on:
-            now = self.sim.now
-            committed = self._committed_at.pop(entry.instance, None)
-            if committed is not None:
-                self._m_reveal_us.observe(now - committed)
-            proposed = self._proposed_at.get(entry.instance)
-            if proposed is not None:
-                self._m_e2e_us.observe(now - proposed)
         self._schedule_gc(entry.instance)
         self.stats.txs_executed += len(batch)
         for tx in batch.txs:
@@ -932,8 +908,6 @@ class LyraNode(SimProcess):
         self._awaiting_message.clear()
         self._s_ref.clear()
         self._proposed_at.clear()
-        self._decided_at.clear()
-        self._committed_at.clear()
         self._preds.clear()
         self._own_batches.clear()
         self._tx_origin.clear()

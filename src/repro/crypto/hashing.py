@@ -5,15 +5,8 @@ code can hash tuples/lists/ints/bytes without inventing ad-hoc encodings
 (two structurally equal values always hash equal; type confusion between
 e.g. ``1`` and ``"1"`` is prevented by type tags).
 
-Objects exposing ``canonical()`` (signatures, ciphers, quorum proofs) are
-hashed through a bounded digest cache: the serialised byte contribution of
-each object is memoized by identity, so signing and verifying the same
-proof at every replica canonicalises it once instead of O(n) times.  The
-cache stores the exact bytes that would have been fed to the hash — never
-a substituted sub-digest — so the overall byte stream, and therefore every
-digest, signature, and cipher id, is bit-identical with the cache on or
-off.  Entries are keyed by ``id()`` and evicted eagerly via weakref
-callbacks; on CPython the callback fires before an id can be reused.
+Objects opt in by exposing ``canonical()`` (a stable tuple): they hash as
+their type name followed by that tuple.
 
 :class:`KeyedHash` is the keyed-hash kernel under every signature, share
 and full-signature tag in this package: HMAC with the key block absorbed
@@ -23,10 +16,7 @@ once.  It caches *hash states*, never tags or verdicts.
 from __future__ import annotations
 
 import hashlib
-import weakref
-from typing import Any, Callable, Dict
-
-from .memo import MemoCache
+from typing import Any, Callable
 
 
 def sha256_bytes(data: bytes) -> bytes:
@@ -71,37 +61,6 @@ class KeyedHash:
         outer = self._outer.copy()
         outer.update(inner.digest())
         return outer.digest()
-
-
-class _Recorder:
-    """Collects the byte contribution of one object for the digest cache."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self) -> None:
-        self.parts = []
-
-    def update(self, data: bytes) -> None:
-        self.parts.append(data)
-
-
-_digest_cache = MemoCache(capacity=1 << 15)
-_digest_refs: Dict[int, "weakref.ref"] = {}
-
-
-def _drop_entry(key: int, _ref: Any = None) -> None:
-    _digest_cache.discard(key)
-    _digest_refs.pop(key, None)
-
-
-def digest_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the canonical-object digest cache."""
-    return _digest_cache.stats()
-
-
-def clear_digest_cache() -> None:
-    _digest_cache.clear()
-    _digest_refs.clear()
 
 
 def _feed(h: Any, value: Any) -> None:
@@ -153,21 +112,8 @@ def _feed(h: Any, value: Any) -> None:
         canonical = getattr(value, "canonical", None)
         if canonical is None:
             raise TypeError(f"cannot canonically hash {type(value).__name__}")
-        key = id(value)
-        blob = _digest_cache.get(key)
-        if blob is None:
-            rec = _Recorder()
-            rec.update(type(value).__name__.encode())
-            _feed(rec, canonical() if callable(canonical) else canonical)
-            blob = b"".join(rec.parts)
-            try:
-                ref = weakref.ref(value, lambda _r, _k=key: _drop_entry(_k))
-            except TypeError:
-                pass  # not weakref-able: feed without caching
-            else:
-                _digest_refs[key] = ref
-                _digest_cache.put(key, blob)
-        h.update(blob)
+        h.update(type(value).__name__.encode())
+        _feed(h, canonical() if callable(canonical) else canonical)
 
 
 def digest_of(value: Any) -> bytes:
@@ -205,6 +151,4 @@ __all__ = [
     "sha256_hex",
     "KeyedHash",
     "digest_of",
-    "digest_cache_stats",
-    "clear_digest_cache",
 ]

@@ -6,9 +6,9 @@ every hop, and retransmissions repeat all of it.  Verification is
 referentially transparent — the same key always yields the same verdict —
 so a small cache removes the redundant MAC work without changing any
 observable behaviour (forged tags cache ``False`` just as honestly as valid
-tags cache ``True``).  The same table also backs digest and size
-memoization, so stored values are arbitrary (verdicts, digests, byte
-blobs), never ``None``.
+tags cache ``True``).  The same table also backs VSS decrypt plaintext
+memoization, so stored values are arbitrary (verdicts, byte strings),
+never ``None``.
 
 The cache is FIFO-bounded so long adversarial runs cannot grow it without
 limit.  Eviction happens in batches: popping a single entry per insert at
@@ -38,10 +38,8 @@ class MemoCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: High-water occupancy.  Id-keyed caches evict through weakref
-        #: callbacks (:meth:`discard`), so end-of-run ``size`` can read 0
-        #: even after millions of hits — ``peak`` records how big the
-        #: table actually got.
+        #: High-water occupancy: batch eviction drops ``size`` below
+        #: it, so ``peak`` records how big the table actually got.
         self.peak = 0
         self._entries: Dict[Hashable, Any] = {}
 
@@ -76,10 +74,6 @@ class MemoCache:
         if len(entries) > self.peak:
             self.peak = len(entries)
         return value
-
-    def discard(self, key: Hashable) -> None:
-        """Remove ``key`` if present (used by weakref eviction callbacks)."""
-        self._entries.pop(key, None)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -79,7 +79,7 @@ class ExperimentResult:
     # probe-distance run.
     wire_stats: Dict[str, Any] = field(default_factory=dict)
     # Observability: the metrics-registry snapshot of the run (empty dict
-    # unless ``ExperimentConfig.metrics`` was on).  Plain JSON, so it
+    # unless ``ExperimentConfig.tracing`` was on).  Plain JSON, so it
     # crosses sweep worker boundaries and the on-disk result cache.
     metrics: Dict[str, Any] = field(default_factory=dict)
     # Fairness report (reorder distance, sandwich outcomes, per-group
@@ -262,13 +262,6 @@ class LyraAdapter:
         # estimator health is registered by ``enable_metrics`` itself).
         registry.add_source("distance", cluster.distance_error_stats)
 
-    def before_snapshot(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
-        # End-of-run estimator accuracy: per-pair abs errors land in a
-        # registry histogram (p50/p99 via the shared summary path).
-        registry.histogram("distance", "abs_error_us").observe_many(
-            cluster._distance_error_values()[1]
-        )
-
 
 class PompeAdapter:
     """Pompē: clear-text ordering phase, then HotStuff, then execution in
@@ -360,9 +353,6 @@ class PompeAdapter:
         node.observe_batch = tap
 
     def instrument(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
-        pass
-
-    def before_snapshot(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
         pass
 
 
@@ -542,15 +532,15 @@ class Cluster:
                 if ev.recover_at_us is not None:
                     self.sim.schedule_at(ev.recover_at_us, node.recover)
 
-        # Observability: span tracing over the node tracer hook, and the
-        # metrics registry every layer emits into.  Both off by default;
-        # neither draws randomness nor schedules events, so enabling them
-        # leaves the decided prefix bit-identical.
+        # Observability, one switch: span tracing over the node tracer
+        # hook, per-link wire stats, and the registry of counters every
+        # layer is scraped for.  Off by default; none of it draws
+        # randomness or schedules events, so turning it on leaves the
+        # decided prefix bit-identical.
         self.trace: Optional[TraceLog] = None
+        self.metrics: Optional[MetricsRegistry] = None
         if config.tracing:
             self.trace = install_lyra_tracing(self)
-        self.metrics: Optional[MetricsRegistry] = None
-        if config.metrics:
             self.metrics = MetricsRegistry()
             self.network.enable_link_stats()
             self.metrics.add_source("wire", self._wire_source)
@@ -805,7 +795,6 @@ class Cluster:
             result.wire_stats["gossip_distance"] = self.gossip_distance_stats()
             result.wire_stats["distance_error"] = self.distance_error_stats()
         if self.metrics is not None:
-            self.protocol.before_snapshot(self, self.metrics)
             snap = self.metrics.snapshot()
             link = self.network.link_stats()
             if link:

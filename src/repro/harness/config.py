@@ -121,13 +121,13 @@ class ExperimentConfig:
     #: change since seq k" markers otherwise.
     delta_piggyback: bool = False
 
-    # Observability: span tracing (proposed → decided → committed →
-    # executed per instance, read via ``cluster.trace``) and the metrics
-    # registry (``ExperimentResult.metrics`` snapshot).  Both off by
-    # default; neither perturbs RNG streams or event timing, so enabling
-    # them leaves decided prefixes bit-identical.
+    # Observability, one switch (Lyra only): span tracing (proposed →
+    # decided → committed → executed per instance, read via
+    # ``cluster.trace``), per-link wire stats, and the counter snapshot
+    # in ``ExperimentResult.metrics``.  Off by default; it perturbs no
+    # RNG stream or event timing, so enabling it leaves decided prefixes
+    # bit-identical.
     tracing: bool = False
-    metrics: bool = False
 
     def __post_init__(self) -> None:
         # Late import: net.dissemination must not import harness code.

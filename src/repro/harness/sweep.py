@@ -72,7 +72,9 @@ from repro.harness.config import ExperimentConfig
 #: ``gossip_spacing_us`` and ``check_dealing``.
 #: Schema 6: ``ExperimentConfig`` dropped the two link-level frame
 #: bundling fields, and ``delta_piggyback`` is a plain ``bool``.
-CACHE_SCHEMA = 6
+#: Schema 7: ``ExperimentConfig`` dropped ``metrics`` (``tracing`` is the
+#: one observability switch).
+CACHE_SCHEMA = 7
 
 
 # ----------------------------------------------------------------------
@@ -199,18 +201,6 @@ class SweepReport:
 
     def results(self) -> List[ExperimentResult]:
         return [r.result for r in self.records if r.result is not None]
-
-    def aggregate_metrics(self) -> Dict[str, Any]:
-        """Merge the metrics-registry snapshots of every successful cell
-        (cells that ran without ``metrics=True`` contribute nothing).
-        Counters sum, gauges average, histogram summaries merge with
-        count-weighted percentiles — see
-        :func:`repro.metrics.registry.merge_snapshots`."""
-        from repro.metrics.registry import merge_snapshots
-
-        return merge_snapshots(
-            [r.metrics for r in self.results() if getattr(r, "metrics", None)]
-        )
 
 
 # ----------------------------------------------------------------------

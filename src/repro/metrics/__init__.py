@@ -20,10 +20,7 @@ from repro.metrics.fairness import (
     sandwich_stats,
 )
 from repro.metrics.tracelog import TraceLog, TraceEvent, install_lyra_tracing
-from repro.metrics.registry import (
-    MetricsRegistry,
-    merge_snapshots,
-)
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import (
     Span,
     build_spans,
@@ -58,7 +55,6 @@ __all__ = [
     "TraceEvent",
     "install_lyra_tracing",
     "MetricsRegistry",
-    "merge_snapshots",
     "Span",
     "build_spans",
     "decompose_phases",

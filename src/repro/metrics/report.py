@@ -8,8 +8,8 @@ block the run carries: the paper's per-phase latency decomposition
 (proposed → decided → committed → executed, each with p50/p90/p99) when
 traced; per-link wire and fault statistics; per-replica log lengths and
 the watchdog's verdict when a fault plan ran; reorder, sandwich, latency
-and capacity when the workload asked for fairness; cache hit rates and
-metrics-registry highlights.
+and capacity when the workload asked for fairness; cache hit rates and the
+registry's counter totals.
 """
 
 from __future__ import annotations
@@ -73,19 +73,6 @@ def _render_links(links: Dict[str, Dict[str, int]], limit: int = 12) -> List[str
 
 def _render_registry(snapshot: Dict[str, Any]) -> List[str]:
     lines: List[str] = []
-    hists = snapshot.get("histograms", {})
-    if hists:
-        lines.append("## Registry histograms (pooled across nodes, ms)")
-        for name in sorted(hists):
-            s = hists[name].get("all", {})
-            if not s.get("count"):
-                continue
-            lines.append(
-                f"  {name:<24} count={s['count']:<7} "
-                f"p50={s['p50'] / 1000.0:.2f} p90={s['p90'] / 1000.0:.2f} "
-                f"p99={s['p99'] / 1000.0:.2f}"
-            )
-        lines.append("")
     counters = snapshot.get("counters", {})
     cache_lines = []
     other_lines = []

@@ -65,8 +65,8 @@ class TestMacroCell:
         assert cell_a["prefix_sha256"] == cell_b["prefix_sha256"]
         assert cell_a["events"] == cell_b["events"]
         # Cache layers report hits/misses through the suite.
-        assert "digest" in cell_a["caches"]
-        assert cell_a["caches"]["digest"]["hits"] >= 0
+        assert "feldman_verify" in cell_a["caches"]
+        assert cell_a["caches"]["feldman_verify"]["hits"] >= 0
 
     def test_prefix_digest_sensitive_to_output(self):
         class FakeNode:
@@ -215,7 +215,7 @@ class TestBenchCommand:
         table = {
             "small": (_small_config, False, None),
             "small_observed": (
-                lambda: _small_config(tracing=True, metrics=True),
+                lambda: _small_config(tracing=True),
                 False,
                 "small",
             ),

@@ -106,7 +106,6 @@ REPLACED_INVOCATIONS = {
         lambda: _closed_loop(
             4000,
             tracing=True,
-            metrics=True,
             uniform_delay_us=10 * MS,
             delta_us=10 * MS,
         ),

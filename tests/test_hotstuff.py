@@ -4,6 +4,7 @@ view changes, and payload dedup."""
 import pytest
 
 from repro.baselines.hotstuff import (
+    PHASE_KIND,
     PHASES,
     VOTE_KIND,
     Block,
@@ -325,3 +326,38 @@ class TestLateTraffic:
         for phase in PHASES:
             late_vote(phase)
         assert len(combined) == 3
+
+
+class TestUnhashableHeight:
+    """A vote or phase message whose ``height`` is not an int is dropped
+    before any table lookup: no exception and no state change."""
+
+    @staticmethod
+    def _state(hs):
+        return (
+            hs.view,
+            hs.next_height,
+            hs._wm_floor,
+            set(hs.decided_heights),
+            dict(hs.blocks),
+            dict(hs._leader_blocks),
+            {k: None if v is None else dict(v) for k, v in hs._leader_shares.items()},
+            dict(hs._clock_reports),
+        )
+
+    def test_vote_and_phase_with_unhashable_height_are_dropped(self):
+        sim, nodes, net = build_hs_cluster()
+        nodes[0].hs.submit(Payload("a"))
+        sim.run(until=1_000_000)
+        assert all(node.decided for node in nodes)
+        threshold = nodes[0].threshold_scheme
+        block = nodes[0].hs._leader_blocks[0]
+        before = [self._state(node.hs) for node in nodes]
+        vote = _vote(threshold, block, "prepare", 1)
+        vote["height"] = [1]
+        vote["clock"] = 10**9
+        nodes[0].hs.handle(VOTE_KIND, vote, 1)
+        phase = {"height": {"x": 1}, "step": "decide", "qc": _qc(threshold, block, "commit")}
+        for node in nodes:
+            node.hs.handle(PHASE_KIND, phase, 0)
+        assert [self._state(node.hs) for node in nodes] == before

@@ -1,25 +1,16 @@
-"""Observability-layer tests: the metrics registry, span construction and
-report rendering, digest-neutrality of tracing+metrics, and registry
-snapshots across crash–recovery."""
+"""Observability-layer tests: the counter registry, span construction and
+report rendering, digest-neutrality of tracing, and registry snapshots
+across crash–recovery."""
 
 import json
+from collections import Counter
 
-import pytest
-
+from repro.__main__ import main
 from repro.bench.suite import prefix_digest
 from repro.core.types import InstanceId
 from repro.harness import build_cluster
 from repro.harness.cluster import ExperimentResult
-from repro.harness.sweep import CellRecord, SweepReport
-from repro.metrics.registry import (
-    GLOBAL_NODE,
-    Histogram,
-    MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    merge_snapshots,
-)
+from repro.metrics.registry import GLOBAL_NODE, MetricsRegistry
 from repro.metrics.report import render_phase_table, render_run_report
 from repro.metrics.spans import (
     PHASE_PAIRS,
@@ -37,122 +28,32 @@ from tests.helpers import quick_lyra_config
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-class TestRegistryInstruments:
-    def test_counter_gauge_histogram_handles(self):
-        reg = MetricsRegistry()
-        c = reg.counter("boc", "decided", 0)
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        # Same key returns the same live handle.
-        assert reg.counter("boc", "decided", 0) is c
-        g = reg.gauge("net", "queue_depth", 1)
-        g.set(3.5)
-        assert g.value == 3.5
-        h = reg.histogram("commit", "lag_us", 2)
-        for v in (10.0, 20.0, 30.0):
-            h.observe(v)
-        s = h.summary()
-        assert s["count"] == 3 and s["min"] == 10.0 and s["max"] == 30.0
-
-    def test_disabled_registry_hands_out_null_handles(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("a", "b", 0) is NULL_COUNTER
-        assert reg.gauge("a", "b", 0) is NULL_GAUGE
-        assert reg.histogram("a", "b", 0) is NULL_HISTOGRAM
-        # Null handles absorb writes; snapshot stays empty.
-        reg.counter("a", "b", 0).inc()
-        reg.histogram("a", "b", 0).observe(1.0)
-        reg.add_source("a", lambda: {"x": 1})
-        assert reg.snapshot() == {}
-
-    def test_histogram_memory_is_bounded_but_count_exact(self):
-        h = Histogram(capacity=4)
-        for v in range(100):
-            h.observe(float(v))
-        assert h.count == 100
-        assert len(h.samples) == 4
-        assert h.minimum == 0.0 and h.maximum == 99.0
-        assert h.summary()["sum"] == sum(range(100))
-
-    def test_histogram_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            Histogram(capacity=0)
-
-
 class TestRegistrySnapshot:
     def test_snapshot_shape_and_totals(self):
         reg = MetricsRegistry()
-        reg.counter("boc", "decided", 0).inc(3)
-        reg.counter("boc", "decided", 1).inc(2)
-        reg.counter("net", "global").inc()  # no node -> GLOBAL_NODE key
-        reg.gauge("net", "depth", 0).set(7)
-        reg.histogram("commit", "lag_us", 0).observe(100.0)
-        reg.histogram("commit", "lag_us", 1).observe(300.0)
+        reg.add_source("boc", lambda: {"decided": 3}, 0)
+        reg.add_source("boc", lambda: {"decided": 2}, 1)
+        reg.add_source("net", lambda: {"global": 1})  # no node -> GLOBAL_NODE
         snap = reg.snapshot()
+        assert set(snap) == {"counters"}
         decided = snap["counters"]["boc.decided"]
         assert decided == {"per_node": {"0": 3, "1": 2}, "total": 5}
         assert snap["counters"]["net.global"]["per_node"] == {GLOBAL_NODE: 1}
-        assert snap["gauges"]["net.depth"]["per_node"] == {"0": 7}
-        lag = snap["histograms"]["commit.lag_us"]
-        assert lag["per_node"]["0"]["count"] == 1
-        # "all" pools samples across nodes.
-        assert lag["all"]["count"] == 2
-        assert lag["all"]["min"] == 100.0 and lag["all"]["max"] == 300.0
         # Plain JSON all the way down.
         json.dumps(snap)
 
     def test_sources_fold_into_counters(self):
         reg = MetricsRegistry()
-        reg.counter("node", "txs", 0).inc(10)
+        reg.add_source("node", lambda: {"txs": 10}, 0)
         reg.add_source("node", lambda: {"txs": 5, "polls": 1}, 0)
         reg.add_source("node", lambda: {"polls": 2}, 1)
         snap = reg.snapshot()
-        # Source values merge with same-named push counters per node.
+        # Same-named values from several sources sum per node.
         assert snap["counters"]["node.txs"]["per_node"]["0"] == 15
         assert snap["counters"]["node.polls"] == {
             "per_node": {"0": 1, "1": 2},
             "total": 3,
         }
-
-
-class TestMergeSnapshots:
-    def _snap(self, total, gauge, hist_count, hist_p50):
-        return {
-            "counters": {"boc.decided": {"total": total}},
-            "gauges": {"net.depth": {"per_node": {"0": gauge}}},
-            "histograms": {
-                "commit.lag_us": {
-                    "all": {
-                        "count": hist_count,
-                        "sum": hist_p50 * hist_count,
-                        "min": 1.0,
-                        "max": 9.0,
-                        "mean": hist_p50,
-                        "p50": hist_p50,
-                        "p90": hist_p50,
-                        "p99": hist_p50,
-                    }
-                }
-            },
-        }
-
-    def test_counters_sum_gauges_average_histograms_weight(self):
-        merged = merge_snapshots(
-            [self._snap(3, 10.0, 1, 100.0), self._snap(7, 30.0, 3, 200.0), {}]
-        )
-        assert merged["cells"] == 2  # empty snapshots contribute nothing
-        assert merged["counters"]["boc.decided"]["total"] == 10
-        assert merged["gauges"]["net.depth"]["mean"] == 20.0
-        lag = merged["histograms"]["commit.lag_us"]["all"]
-        assert lag["count"] == 4
-        # Count-weighted p50: (100*1 + 200*3) / 4.
-        assert lag["p50"] == 175.0
-
-    def test_merge_of_nothing_is_empty_shell(self):
-        merged = merge_snapshots([])
-        assert merged["cells"] == 0
-        assert merged["counters"] == {} and merged["histograms"] == {}
 
 
 # ----------------------------------------------------------------------
@@ -222,21 +123,9 @@ class TestReportRendering:
             throughput_tps=10.0,
             wire_stats={"dissemination": {"strategy": "tree"}},
             metrics={
-                "counters": {"cache.digest.hits": {"total": 5}},
-                "gauges": {},
-                "histograms": {
-                    "commit.lag_us": {
-                        "all": {
-                            "count": 2,
-                            "sum": 400.0,
-                            "min": 100.0,
-                            "max": 300.0,
-                            "mean": 200.0,
-                            "p50": 200.0,
-                            "p90": 300.0,
-                            "p99": 300.0,
-                        }
-                    }
+                "counters": {
+                    "cache.feldman_verify.hits": {"total": 5},
+                    "boc.decided_accept": {"total": 9},
                 },
                 "links": {"0->1": {"messages": 12, "bytes": 3400}},
             },
@@ -250,7 +139,7 @@ class TestReportRendering:
         assert "Wire stats" in text
         assert "Per-link deliveries" in text
         assert "0->1" in text
-        assert "Registry histograms" in text
+        assert "Registry counters" in text
         assert "Cache layers" in text
 
     def test_run_report_flags_violations(self):
@@ -261,16 +150,16 @@ class TestReportRendering:
 
 
 # ----------------------------------------------------------------------
-# Cluster integration: digest neutrality, crash–recovery, sweep rollup
+# Cluster integration: digest neutrality, crash–recovery, one switch
 # ----------------------------------------------------------------------
 class TestClusterObservability:
     def test_tracing_and_metrics_do_not_perturb_the_run(self):
         """The whole layer must be read-only: same seed, same decided
-        prefixes and executed totals with observability on and off."""
+        prefixes and executed totals with ``tracing`` on and off."""
         plain = build_cluster(quick_lyra_config(), protocol="lyra")
         plain_result = plain.run()
         observed = build_cluster(
-            quick_lyra_config(tracing=True, metrics=True), protocol="lyra"
+            quick_lyra_config(tracing=True), protocol="lyra"
         )
         observed_result = observed.run()
         assert prefix_digest(observed) == prefix_digest(plain)
@@ -278,7 +167,7 @@ class TestClusterObservability:
         assert observed_result.committed_count == plain_result.committed_count
 
     def test_metrics_snapshot_lands_in_result(self):
-        cluster = build_cluster(quick_lyra_config(metrics=True), protocol="lyra")
+        cluster = build_cluster(quick_lyra_config(tracing=True), protocol="lyra")
         result = cluster.run()
         snap = result.metrics
         # executed_total reports the best replica; the scraped counter
@@ -286,7 +175,7 @@ class TestClusterObservability:
         executed = snap["counters"]["node.txs_executed"]["per_node"]
         assert max(executed.values()) == result.executed_total
         assert snap["counters"]["boc.decided_accept"]["total"] > 0
-        assert snap["histograms"]["commit.e2e_us"]["all"]["count"] > 0
+        assert set(snap) == {"counters", "links"}
         # Link stats ride along under "links".
         assert snap["links"]
         assert all(
@@ -298,6 +187,35 @@ class TestClusterObservability:
         )
         assert round_tripped.metrics == result.metrics
 
+    def test_decided_counters_match_trace_events(self):
+        """Per node, the BOC decision counters count exactly the trace's
+        ``decided`` events, split by decided value."""
+        cluster = build_cluster(quick_lyra_config(tracing=True), protocol="lyra")
+        counters = cluster.run().metrics["counters"]
+        decided, accepted = Counter(), Counter()
+        for event in cluster.trace.events:
+            if event.kind == "decided":
+                decided[event.node] += 1
+                accepted[event.node] += dict(event.detail)["value"] == 1
+        assert decided
+        accept = counters["boc.decided_accept"]["per_node"]
+        reject = counters["boc.decided_reject"]["per_node"]
+        for node in cluster.nodes:
+            key = str(node.pid)
+            assert accept[key] == accepted[node.pid]
+            assert accept[key] + reject[key] == decided[node.pid]
+
+    def test_traced_run_report_prints_each_phase_figure_once(self, capsys):
+        """``run --trace`` prints the phase table and no second copy of
+        the same figures as registry histograms."""
+        argv = ["run", "--n", "4", "--seed", "1", "--duration-ms", "2000"]
+        assert main(argv + ["--trace"]) == 0
+        text = capsys.readouterr().out
+        assert "RESULT: PASS" in text
+        assert text.count("Phase latency decomposition") == 1
+        assert "Registry histograms" not in text
+        assert "Registry counters" in text
+
     def test_trace_attached_when_tracing_enabled(self):
         cluster = build_cluster(quick_lyra_config(tracing=True), protocol="lyra")
         cluster.run()
@@ -308,16 +226,14 @@ class TestClusterObservability:
 
     def test_snapshot_sane_across_crash_recovery(self):
         """Registry sources are bound to the live node object, so a
-        recovered incarnation keeps reporting through the same entry —
-        and the per-instance phase dicts cleared by recover() must not
-        poison the snapshot."""
+        recovered incarnation keeps reporting through the same entry."""
         crash = CrashEvent(
             pid=2,
             crash_at_us=1_500 * MILLISECONDS,
             recover_at_us=2_200 * MILLISECONDS,
         )
         cfg = quick_lyra_config(
-            metrics=True,
+            tracing=True,
             reliable_channels=True,
             fault_plan=FaultPlan(crashes=(crash,)),
         )
@@ -332,30 +248,3 @@ class TestClusterObservability:
             snap["counters"]["node.incarnation"]["per_node"]["0"] + 1
         )
         json.dumps(snap)
-
-    def test_sweep_aggregates_cell_snapshots(self):
-        def record(total):
-            result = ExperimentResult(
-                n_nodes=4,
-                duration_us=1,
-                metrics={"counters": {"boc.decided_accept": {"total": total}}},
-            )
-            return CellRecord(
-                key=f"k{total}",
-                protocol="lyra",
-                config={},
-                status="ok",
-                result=result,
-            )
-
-        no_metrics = CellRecord(
-            key="plain",
-            protocol="lyra",
-            config={},
-            status="ok",
-            result=ExperimentResult(n_nodes=4, duration_us=1),
-        )
-        report = SweepReport(records=[record(3), record(4), no_metrics])
-        merged = report.aggregate_metrics()
-        assert merged["cells"] == 2
-        assert merged["counters"]["boc.decided_accept"]["total"] == 7

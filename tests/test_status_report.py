@@ -579,7 +579,7 @@ class TestDecryptCacheIsReported:
             duration_us=2 * SECONDS,
             warmup_rounds=2,
             warmup_spacing_us=150 * MILLISECONDS,
-            metrics=True,
+            tracing=True,
         )
         cluster = build_cluster(config, protocol="lyra")
         result = cluster.run()

@@ -216,7 +216,7 @@ class TestDeterminismAndAccounting:
         assert all(t <= 50_000 for t, _ in workload.submission_log())
 
 
-def run_cluster_cell(protocol="lyra", *, metrics=False, seed=5):
+def run_cluster_cell(protocol="lyra", *, tracing=False, seed=5):
     config = ExperimentConfig(
         n_nodes=4,
         seed=seed,
@@ -224,7 +224,7 @@ def run_cluster_cell(protocol="lyra", *, metrics=False, seed=5):
         duration_us=1_500 * MILLISECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
-        metrics=metrics,
+        tracing=tracing,
         workload=WorkloadSpec(
             groups=(
                 ClientGroup(
@@ -254,7 +254,7 @@ class TestClusterIntegration:
         )
 
     def test_metrics_source_registered(self):
-        cluster, _ = run_cluster_cell(metrics=True)
+        cluster, _ = run_cluster_cell(tracing=True)
         counters = cluster.metrics.snapshot()["counters"]
         assert counters["workload.submitted"]["total"] > 0
         assert "workload.traffic.completed" in counters
