@@ -34,6 +34,7 @@ import argparse
 import sys
 
 from repro.harness import experiments as exp
+from repro.net.dissemination import DISSEMINATION_STRATEGIES
 
 #: The open-loop workload's flags, which need ``--arrival``, and the
 #: closed-loop rig's, which conflict with it; each with its default.  The
@@ -248,15 +249,16 @@ def _add_config_flags(parser) -> None:
     parser.add_argument("--warmup-rounds", type=int, default=2)
     parser.add_argument(
         "--dissemination",
-        choices=["all2all", "tree", "gossip"],
+        choices=DISSEMINATION_STRATEGIES,
         default="all2all",
-        help="broadcast dissemination strategy (default all2all)",
+        help="broadcast dissemination: all2all (direct fan-out) or tree "
+        "(k-ary relay tree per sender; default all2all)",
     )
     parser.add_argument(
         "--fanout",
         type=int,
         default=8,
-        help="relay fan-out for tree/gossip dissemination (default 8)",
+        help="relay fan-out for tree dissemination (default 8)",
     )
     parser.add_argument(
         "--distance-mode",

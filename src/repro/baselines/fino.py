@@ -273,6 +273,16 @@ class FinoNode(SimProcess):
     def output_sequence(self) -> List[Tuple[int, bytes]]:
         return list(self.executed_log)
 
+    def work_pending(self) -> bool:
+        """Unbatched transactions, decided ciphers awaiting their reveal,
+        or undecided HotStuff blocks that carry payloads (the watchdog's
+        liveness check)."""
+        return (
+            len(self.mempool) > 0
+            or bool(self._pending_reveal)
+            or self.hotstuff.payloads_pending()
+        )
+
 
 class BlindCensoringLeaderFino(FinoNode):
     """A Byzantine Fino leader: it cannot *read* any cipher, yet it can

@@ -482,6 +482,17 @@ class HotStuffParticipant:
             h not in self.decided_heights for h in self.blocks
         )
 
+    def payloads_pending(self) -> bool:
+        """An undecided block carries payloads.  Unlike
+        :meth:`blocks_pending` this ignores the empty heartbeat blocks an
+        idle leader keeps in flight, so an idle chain is not work."""
+        decided = self.decided_heights
+        return any(
+            block.payloads
+            for h, block in self.blocks.items()
+            if h not in decided
+        )
+
     def _send_viewchange(self, new_view: int) -> None:
         if new_view in self._sent_viewchange or new_view <= self.view:
             return

@@ -399,6 +399,16 @@ class PompeNode(SimProcess):
     def output_sequence(self) -> List[Tuple[int, bytes]]:
         return list(self.executed_log)
 
+    def work_pending(self) -> bool:
+        """Unbatched transactions, batches still collecting timestamps, or
+        undecided HotStuff blocks that carry payloads (the watchdog's
+        liveness check)."""
+        return (
+            len(self.mempool) > 0
+            or bool(self._pending_order)
+            or self.hotstuff.payloads_pending()
+        )
+
 
 __all__ = [
     "PompeNode",

@@ -28,10 +28,9 @@ estimate toward the best available path, and a direct sample (weight 1.0,
 no slack) always supersedes the gossip layer.
 
 Peer choice per round is a pure function of ``(seed, pid, incarnation,
-round)`` via :func:`repro.net.dissemination.seeded_sample` — no shared RNG
-stream is consumed, so peer sets never depend on global event
-interleaving and gossip runs stay bit-deterministic, the same property the
-gossip *dissemination* strategy relies on.
+round)`` via :func:`seeded_sample` — no shared RNG stream is consumed, so
+peer sets never depend on global event interleaving and gossip runs stay
+bit-deterministic.
 
 Churn: crash/recovery bumps a node's incarnation.  Peers that see a
 higher incarnation in a gossip exchange drop their (possibly stale)
@@ -41,10 +40,10 @@ re-estimation burst — no operator action, no global restart.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.distance import DEFAULT_WINDOW, DistanceEstimator
-from repro.net.dissemination import seeded_sample
 
 #: Default peers contacted per gossip round (constant, NOT a function of n).
 DEFAULT_GOSSIP_FANOUT = 3
@@ -58,6 +57,25 @@ HOP_DECAY = 0.5
 
 #: Gossip-layer weights saturate here; direct medians implicitly carry 1.0.
 MAX_WEIGHT = 1.0
+
+
+def seeded_sample(token: bytes, pool: List[int], k: int) -> List[int]:
+    """``k`` distinct elements of ``pool``, a pure function of ``token``.
+
+    sha256 of the token seeds a 64-bit LCG walk over the shrinking pool:
+    deterministic, cheap, and unbiased enough for peer sampling.  Because
+    the draw consumes no shared RNG stream, the sample never depends on how
+    other consumers' draws interleave, which is what keeps gossip runs
+    bit-deterministic.  ``pool`` is consumed in place.
+    """
+    if len(pool) <= k:
+        return pool
+    x = int.from_bytes(hashlib.sha256(token).digest()[:8], "big")
+    chosen: List[int] = []
+    for _ in range(k):
+        x = (x * 6364136223846793005 + 1442695040888963407) & (2**64 - 1)
+        chosen.append(pool.pop(x % len(pool)))
+    return chosen
 
 
 class GossipDistanceEstimator(DistanceEstimator):
@@ -173,6 +191,8 @@ class GossipDistanceEstimator(DistanceEstimator):
                 or peer == self.self_pid
                 or peer == via
                 or not (0 <= peer < self.n)
+                or not isinstance(est, (int, float))
+                or not isinstance(weight, (int, float))
                 or not weight > 0.0
             ):
                 continue

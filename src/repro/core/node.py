@@ -166,6 +166,9 @@ class NodeStats:
     pb_pulls_served: int = 0
     #: DSHARE items dropped at the door: not a well-formed reveal share.
     malformed_dshares: int = 0
+    #: Catch-up responses and gossip-distance exchanges dropped at the
+    #: door: a field of the wrong type.
+    malformed_messages: int = 0
     #: BOC decisions seen here, by value (1 = accepted, 0 = rejected).
     decided_accept: int = 0
     decided_reject: int = 0
@@ -323,6 +326,7 @@ class LyraNode(SimProcess):
             "pb_pulls_sent": stats.pb_pulls_sent,
             "pb_pulls_served": stats.pb_pulls_served,
             "malformed_dshares": stats.malformed_dshares,
+            "malformed_messages": stats.malformed_messages,
             "messages_received": self.messages_received,
             "recoveries": self.recoveries,
             "incarnation": self.incarnation,
@@ -635,11 +639,12 @@ class LyraNode(SimProcess):
         clock reading (the direct ``d_ij`` sample for the requester) and
         our own vector (the pull half of push-pull averaging)."""
         ref = payload.get("ref")
-        if not isinstance(ref, int):
+        inc, vec = payload.get("inc", 0), payload.get("vec", ())
+        if not (isinstance(ref, int) and self._gossip_fields_ok(inc, vec)):
+            self.stats.malformed_messages += 1
             return
-        inc = payload.get("inc", 0)
         if isinstance(self.estimator, GossipDistanceEstimator):
-            self.estimator.merge(sender, payload.get("vec", ()), inc)
+            self.estimator.merge(sender, vec, inc)
         self.send(
             sender,
             self._gossip_vector_message(
@@ -649,13 +654,21 @@ class LyraNode(SimProcess):
 
     def _on_gdist_ack(self, payload: dict, sender: int) -> None:
         ref, seq = payload.get("ref"), payload.get("seq")
+        inc, vec = payload.get("inc", 0), payload.get("vec", ())
+        if not self._gossip_fields_ok(inc, vec):
+            self.stats.malformed_messages += 1
+            return
         if isinstance(ref, int) and isinstance(seq, int):
             # Same direct sample a probe ack would have produced.
             self.estimator.record(sender, ref, seq)
         if isinstance(self.estimator, GossipDistanceEstimator):
-            self.estimator.merge(
-                sender, payload.get("vec", ()), payload.get("inc", 0)
-            )
+            self.estimator.merge(sender, vec, inc)
+
+    @staticmethod
+    def _gossip_fields_ok(inc, vec) -> bool:
+        """The incarnation is an int and the vector a sequence; ``merge``
+        itself skips entries that are not (peer, estimate, weight)."""
+        return isinstance(inc, int) and isinstance(vec, (tuple, list))
 
     # ------------------------------------------------------------------
     # Client path and batching
@@ -980,7 +993,12 @@ class LyraNode(SimProcess):
         total = payload.get("total")
         base = payload.get("have")
         items = payload.get("items", ())
-        if not isinstance(total, int) or not isinstance(base, int):
+        if not (
+            isinstance(total, int)
+            and isinstance(base, int)
+            and isinstance(items, (tuple, list))
+        ):
+            self.stats.malformed_messages += 1
             return
         self._catchup_totals[sender] = total
         for offset, item in enumerate(items):
@@ -988,7 +1006,9 @@ class LyraNode(SimProcess):
                 entry, cipher, plaintext = item
             except (TypeError, ValueError):
                 continue
-            if not isinstance(entry, AcceptedEntry):
+            if not isinstance(entry, AcceptedEntry) or not (
+                plaintext is None or isinstance(plaintext, bytes)
+            ):
                 continue
             pos = base + offset
             if pos < len(self.commit.output_log):
@@ -1060,6 +1080,12 @@ class LyraNode(SimProcess):
     # ------------------------------------------------------------------
     def output_sequence(self) -> List[Tuple[int, bytes]]:
         return self.commit.output_sequence() if self.commit else []
+
+    def work_pending(self) -> bool:
+        """Accepted-but-uncommitted or pending instances (the watchdog's
+        liveness check)."""
+        commit = self.commit
+        return commit is not None and bool(commit.accepted or commit.pending)
 
     def executed_count(self) -> int:
         return self.commit.executed_count if self.commit else 0

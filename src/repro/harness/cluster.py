@@ -38,7 +38,7 @@ from repro.metrics.invariants import InvariantWatchdog
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracelog import TraceLog, install_lyra_tracing
 from repro.net.adversary import NullAdversary, PartialSynchronyAdversary
-from repro.net.dissemination import make_dissemination
+from repro.net.dissemination import TreeDissemination
 from repro.net.faults import FaultInjector
 from repro.net.latency import make_latency_model
 from repro.net.network import Network, NetworkConfig
@@ -290,11 +290,6 @@ class PompeAdapter:
                 f"distance_mode={config.distance_mode!r} ({name} learns no distances)",
             ),
             (
-                config.dissemination == "gossip",
-                "dissemination='gossip' (it relies on Lyra's pull repair for "
-                "replicas the push misses)",
-            ),
-            (
                 plan is not None
                 and any(ev.recover_at_us is not None for ev in plan.crashes),
                 f"crash recover_at_us ({name} has no recover(): nothing "
@@ -513,12 +508,8 @@ class Cluster:
             ),
             faults=self.fault_injector,
         )
-        # Broadcast dissemination strategy (None = native all2all).
-        self.dissemination = make_dissemination(
-            config.dissemination, fanout=config.fanout, seed=config.seed
-        )
-        if self.dissemination is not None:
-            self.network.set_dissemination(self.dissemination)
+        if config.dissemination == "tree":
+            self.network.tree = TreeDissemination(config.fanout)
         if config.reliable_channels:
             self.network.enable_reliable()
         for node in self.nodes:
@@ -789,8 +780,8 @@ class Cluster:
             )
             block["counts"] = self.workload.counts()
             result.fairness = block
-        if self.dissemination is not None:
-            result.wire_stats["dissemination"] = self.dissemination.stats_dict()
+        if self.network.tree is not None:
+            result.wire_stats["dissemination"] = self.network.tree.stats_dict()
         if cfg.distance_mode == "gossip":
             result.wire_stats["gossip_distance"] = self.gossip_distance_stats()
             result.wire_stats["distance_error"] = self.distance_error_stats()

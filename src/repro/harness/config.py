@@ -15,6 +15,7 @@ from repro.core.node import (
     DISTANCE_MODES,
     warmup_duration_us,
 )
+from repro.net.dissemination import DISSEMINATION_STRATEGIES
 from repro.net.faults import FaultPlan
 from repro.net.topology import EVAL_REGIONS
 from repro.sim.engine import MILLISECONDS, SECONDS
@@ -46,12 +47,11 @@ class ExperimentConfig:
     gst_us: int = 0  # 0 = synchronous from the start
     adversary_max_delay_us: int = 400 * MILLISECONDS
     #: Broadcast dissemination strategy: ``"all2all"`` (direct fan-out,
-    #: today's behaviour), ``"tree"`` (deterministic k-ary relay tree per
-    #: sender) or ``"gossip"`` (seeded push fan-out with protocol pull
-    #: repair).  See :mod:`repro.net.dissemination` and EXPERIMENTS.md
+    #: today's behaviour) or ``"tree"`` (deterministic k-ary relay tree per
+    #: sender).  See :mod:`repro.net.dissemination` and EXPERIMENTS.md
     #: "Dissemination strategies".
     dissemination: str = "all2all"
-    #: Relay fan-out for ``tree``/``gossip`` (ignored by ``all2all``).
+    #: Relay fan-out for ``tree`` (ignored by ``all2all``).
     fanout: int = 8
 
     # Protocol.
@@ -130,9 +130,6 @@ class ExperimentConfig:
     tracing: bool = False
 
     def __post_init__(self) -> None:
-        # Late import: net.dissemination must not import harness code.
-        from repro.net.dissemination import DISSEMINATION_STRATEGIES
-
         if self.dissemination not in DISSEMINATION_STRATEGIES:
             raise ValueError(
                 f"unknown dissemination {self.dissemination!r}: "

@@ -69,7 +69,8 @@ class InvariantWatchdog:
     """Periodically samples a cluster's replicas and checks invariants.
 
     ``nodes`` is the list of replica objects; each must expose
-    ``output_sequence()``, ``crashed``, and ``pid`` (``LyraNode`` does).
+    ``output_sequence()``, ``work_pending()``, ``crashed`` and ``pid``
+    (every replica class does).
     """
 
     def __init__(
@@ -173,7 +174,8 @@ class InvariantWatchdog:
         if now < self.gst_us or down > self.f:
             self._last_progress_us = now  # liveness not promised here
             return
-        if not self._work_pending(up):
+        if not any(node.work_pending() for node in self.nodes if node.pid in up):
+            # Stalls with an empty pipeline are idleness.
             self._last_progress_us = now
             return
         if now - self._last_progress_us > self.stall_window_us:
@@ -182,19 +184,6 @@ class InvariantWatchdog:
                 f"no commit progress for {now - self._last_progress_us} us "
                 f"(gst={self.gst_us} us, {down} replicas down)",
             )
-
-    def _work_pending(self, up: Set[int]) -> bool:
-        """Is any up replica still holding accepted-but-uncommitted or
-        pending work?  Stalls with an empty pipeline are idleness."""
-        for node in self.nodes:
-            if node.pid not in up:
-                continue
-            commit = getattr(node, "commit", None)
-            if commit is None:
-                continue
-            if commit.accepted or commit.pending:
-                return True
-        return False
 
 
 __all__ = ["InvariantWatchdog", "InvariantReport", "InvariantViolation"]

@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.net.adversary import NetworkAdversary, NullAdversary
 from repro.net.bandwidth import BandwidthModel
+from repro.net.dissemination import TREE_KIND, TreeDissemination
 from repro.net.faults import FaultInjector
 from repro.net.latency import LatencyModel, UniformLatencyModel
 from repro.net.message import Message
@@ -91,8 +92,8 @@ class Network:
         )
         self.faults = faults
         self.reliable: Optional[ReliableLayer] = None
-        #: Broadcast dissemination strategy (``None`` = native all2all).
-        self.dissemination = None
+        #: Relay tree for broadcasts (``None`` = native all2all).
+        self.tree: Optional[TreeDissemination] = None
         self._processes: Dict[int, SimProcess] = {}
         self._replicas: List[int] = []
         self._trace_hooks: List[TraceHook] = []
@@ -115,11 +116,6 @@ class Network:
         """Layer ack/retransmit channels over this network's links."""
         self.reliable = ReliableLayer(self, config)
         return self.reliable
-
-    def set_dissemination(self, strategy) -> None:
-        """Install a broadcast dissemination strategy (see
-        :mod:`repro.net.dissemination`); ``None`` restores native all2all."""
-        self.dissemination = strategy
 
     def enable_link_stats(self) -> None:
         """Track per-(src, dst) delivered message/byte counts.
@@ -235,13 +231,12 @@ class Network:
     ) -> int:
         """Fan one logical message out to the replica group.
 
-        With a dissemination strategy installed the strategy decides the
-        fan-out shape (relay tree, gossip pushes); otherwise this is the
-        native all2all path.
+        With a relay tree installed the tree decides the fan-out shape;
+        otherwise this is the native all2all path.
         """
-        dissemination = self.dissemination
-        if dissemination is not None:
-            return dissemination.broadcast(self, src, message, include_self)
+        tree = self.tree
+        if tree is not None:
+            return tree.broadcast(self, src, message, include_self)
         return self.broadcast_all2all(src, message, include_self=include_self)
 
     def broadcast_all2all(
@@ -457,11 +452,11 @@ class Network:
         kind = message.kind
         if self.reliable is not None and kind in (FRAME_KIND, ACK_KIND):
             self.reliable.on_receive(link, message)
-        elif self.dissemination is not None and kind in self.dissemination.kinds:
-            # Relay envelope: the strategy forwards down the tree / pushes
-            # to gossip peers, then delivers the inner message itself (it
-            # also handles crashed relays, counting the starved subtree).
-            self.dissemination.on_envelope(self, link.src, link.dst, message)
+        elif kind == TREE_KIND and self.tree is not None:
+            # Relay envelope: the tree forwards it down the subtree, then
+            # delivers the inner message itself (it also counts envelopes
+            # that die at a crashed relay).
+            self.tree.on_envelope(self, link.src, link.dst, message)
         else:
             self._deliver_clean(link, message)
 
@@ -492,11 +487,10 @@ class Network:
     ) -> None:
         """Hand an application-level message to its destination process,
         updating delivery counters and firing trace hooks."""
-        dissemination = self.dissemination
-        if dissemination is not None and message.kind in dissemination.kinds:
+        if message.kind == TREE_KIND and self.tree is not None:
             # Reliable-layer frames reach here bypassing ``_deliver``; an
-            # envelope payload must still be routed through the strategy.
-            dissemination.on_envelope(self, src, dst, message)
+            # envelope payload must still be routed through the tree.
+            self.tree.on_envelope(self, src, dst, message)
             return
         self.messages_delivered += 1
         self.bytes_delivered += message.size

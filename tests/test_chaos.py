@@ -160,6 +160,9 @@ class TestWatchdog:
             def output_sequence(self):
                 return list(self.log)
 
+            def work_pending(self):
+                return False
+
         sim = Simulator()
         nodes = [FakeNode(0), FakeNode(1)]
         dog = InvariantWatchdog(sim, nodes, f=0)
@@ -184,6 +187,9 @@ class TestWatchdog:
 
             def output_sequence(self):
                 return list(self.log)
+
+            def work_pending(self):
+                return False
 
         sim = Simulator()
         nodes = [

@@ -1,9 +1,9 @@
-"""Broadcast dissemination strategies (``repro.net.dissemination``) and
-their sweep cache keys.
+"""Broadcast dissemination (``repro.net.dissemination``) and its sweep
+cache keys.
 
 The load-bearing property is bit-determinism: a degenerate tree must
-reproduce the all2all decided prefix exactly, and relaying strategies
-must stay safe and reproduce their own digest run after run.
+reproduce the all2all decided prefix exactly, and a relaying tree must
+stay safe and reproduce its own digest run after run.
 """
 
 from __future__ import annotations
@@ -11,16 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.suite import prefix_digest
-from repro.harness.config import ExperimentConfig
+from repro.harness.config import ExperimentConfig, closed_loop_config
 from repro.harness.factory import build_cluster
 from repro.harness.sweep import cell_key
-from repro.net.dissemination import (
-    DISSEMINATION_STRATEGIES,
-    GossipDissemination,
-    TreeDissemination,
-    make_dissemination,
-)
-from repro.sim.engine import MILLISECONDS
+from repro.net.dissemination import DISSEMINATION_STRATEGIES, TreeDissemination
+from repro.net.faults import CrashEvent, FaultPlan
+from repro.sim.engine import MILLISECONDS, SECONDS
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -47,20 +43,27 @@ def _run(cfg: ExperimentConfig):
 
 class TestDisseminationConstruction:
     def test_all2all_is_the_null_strategy(self):
-        assert make_dissemination("all2all", fanout=8, seed=1) is None
+        assert build_cluster(_config()).network.tree is None
 
     def test_known_strategies(self):
-        assert set(DISSEMINATION_STRATEGIES) == {"all2all", "tree", "gossip"}
-        assert isinstance(
-            make_dissemination("tree", fanout=2, seed=1), TreeDissemination
-        )
-        assert isinstance(
-            make_dissemination("gossip", fanout=2, seed=1), GossipDissemination
-        )
+        assert DISSEMINATION_STRATEGIES == ("all2all", "tree")
+        tree = build_cluster(_config(dissemination="tree", fanout=2)).network.tree
+        assert isinstance(tree, TreeDissemination) and tree.fanout == 2
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="dissemination"):
-            make_dissemination("flood", fanout=2, seed=1)
+        # Rejected when the config is built, so every protocol, ``sweep``
+        # and ``experiment`` refuse it alike.
+        for name in ("gossip", "flood"):
+            with pytest.raises(ValueError, match="dissemination.*all2all.*tree"):
+                ExperimentConfig(dissemination=name)
+
+    def test_cli_refuses_gossip(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--dissemination", "gossip"])
+        assert exit_info.value.code == 2
+        assert "all2all" in capsys.readouterr().err
 
     def test_config_validates_knobs(self):
         with pytest.raises(ValueError, match="dissemination"):
@@ -92,24 +95,25 @@ def test_relaying_tree_safe_and_deterministic():
     assert stats["tree_broadcasts"] > 0 and stats["relays"] > 0
 
 
-@pytest.mark.slow
-def test_gossip_safe_and_deterministic():
-    cfg = _config(n_nodes=6, dissemination="gossip", fanout=3)
-    result, digest = _run(cfg)
-    _, again = _run(cfg)
-    assert digest == again
-    assert result.safety_violation is None
-    assert not result.invariant_violations
-    stats = result.wire_stats["dissemination"]
-    assert stats["strategy"] == "gossip"
-    assert stats["pushes"] > 0 and stats["deliveries"] > 0
+@pytest.mark.parametrize("protocol", ["lyra", "pompe", "fino"])
+def test_crashed_relay_starves_its_subtree(protocol):
+    """A crashed relay's subtree never receives the broadcasts routed
+    through it, and no protocol here re-pulls them, so commits stop.  The
+    watchdog must see that stall on every protocol: each replica class
+    reports its own pending work."""
+    plan = FaultPlan(crashes=(CrashEvent(pid=1, crash_at_us=1500 * MILLISECONDS),))
+    cfg = closed_loop_config(
+        7, 1, 6 * SECONDS, dissemination="tree", fanout=2, fault_plan=plan
+    )
+    result = build_cluster(cfg, protocol=protocol).run()
+    assert result.wire_stats["dissemination"]["dead_relays"] > 0
+    assert any("post-gst-liveness" in v for v in result.invariant_violations)
 
 
 class TestCacheKeys:
     def test_dissemination_changes_cell_key(self):
         base = cell_key(_config(), "lyra")
         assert cell_key(_config(dissemination="tree"), "lyra") != base
-        assert cell_key(_config(dissemination="gossip"), "lyra") != base
 
     def test_fanout_changes_cell_key(self):
         assert cell_key(_config(fanout=4), "lyra") != cell_key(

@@ -208,7 +208,6 @@ class TestSharedCluster:
             ({"tracing": True}, "tracing"),
             ({"attack_nodes": {1: "equivocate"}}, "attack_nodes"),
             ({"distance_mode": "gossip"}, "distance_mode"),
-            ({"dissemination": "gossip"}, "dissemination"),
             ({"delta_piggyback": True}, "delta_piggyback"),
             ({"report_quorum": 3}, "report_quorum"),
             (
@@ -230,7 +229,6 @@ class TestSharedCluster:
             "tracing",
             "attack_nodes",
             "distance_mode",
-            "gossip",
             "delta_piggyback",
             "report_quorum",
             "recover",
@@ -240,3 +238,9 @@ class TestSharedCluster:
         cfg = quick_lyra_config(**overrides)
         with pytest.raises(ValueError, match=f"fino cannot honour.*{field}"):
             build_cluster(cfg, protocol="fino")
+
+    def test_gossip_dissemination_is_rejected_before_the_adapter(self):
+        # The config itself refuses the deleted strategy, so a fino run
+        # can never be handed one and the adapter needs no check of its own.
+        with pytest.raises(ValueError, match="dissemination.*all2all.*tree"):
+            quick_lyra_config(dissemination="gossip")

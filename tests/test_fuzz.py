@@ -203,6 +203,9 @@ class TestWatchdogExtraChecks:
             def output_sequence(self):
                 return []
 
+            def work_pending(self):
+                return False
+
         sim = Simulator()
         return InvariantWatchdog(sim, [FakeNode(0), FakeNode(1)], f=0)
 

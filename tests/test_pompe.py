@@ -251,7 +251,6 @@ class TestSharedCluster:
             ({"tracing": True}, "tracing"),
             ({"attack_nodes": {1: "equivocate"}}, "attack_nodes"),
             ({"distance_mode": "gossip"}, "distance_mode"),
-            ({"dissemination": "gossip"}, "dissemination"),
             ({"delta_piggyback": True}, "delta_piggyback"),
             ({"report_quorum": 3}, "report_quorum"),
             (
@@ -273,7 +272,6 @@ class TestSharedCluster:
             "tracing",
             "attack_nodes",
             "distance_mode",
-            "gossip",
             "delta_piggyback",
             "report_quorum",
             "recover",
@@ -284,3 +282,9 @@ class TestSharedCluster:
         with pytest.raises(ValueError, match=field):
             build_cluster(cfg, protocol="pompe")
         build_cluster(cfg, protocol="lyra")  # Lyra honours every one
+
+    def test_gossip_dissemination_is_rejected_before_the_adapter(self):
+        # The config itself refuses the deleted strategy, so a pompe run
+        # can never be handed one and the adapter needs no check of its own.
+        with pytest.raises(ValueError, match="dissemination.*all2all.*tree"):
+            quick_lyra_config(dissemination="gossip")
