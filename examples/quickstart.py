@@ -50,10 +50,6 @@ def main() -> None:
     for seq, cid in head:
         print(f"  seq={seq:>12}  cipher={cid.hex()[:16]}…")
 
-    # And the executed KV state is identical everywhere.
-    sizes = {pid: len(store) for pid, store in cluster.stores.items()}
-    print(f"kv store sizes     : {sizes}")
-
 
 if __name__ == "__main__":
     main()

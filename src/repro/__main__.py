@@ -502,20 +502,22 @@ def cmd_fuzz(args) -> None:
     import os
 
     from repro.attacks.fuzz import (
-        FuzzSchedule,
         generate_schedule,
         run_corpus,
         run_schedule,
         shrink_schedule,
     )
+    from repro.harness.config import ExperimentConfig
+    from repro.net.faults import FaultPlan
     from repro.sim.engine import MILLISECONDS
 
     def describe(schedule) -> str:
-        parts = [f"{len(schedule.attacks)} atk"]
-        if schedule.plan.links:
-            parts.append(f"{len(schedule.plan.links)} links")
-        if schedule.plan.crashes:
-            parts.append(f"{len(schedule.plan.crashes)} crashes")
+        plan = schedule.fault_plan or FaultPlan()
+        parts = [f"{len(schedule.attack_nodes or {})} atk"]
+        if plan.links:
+            parts.append(f"{len(plan.links)} links")
+        if plan.crashes:
+            parts.append(f"{len(plan.crashes)} crashes")
         if schedule.delta_piggyback:
             parts.append("pbd")
         return ", ".join(parts)
@@ -558,16 +560,20 @@ def cmd_fuzz(args) -> None:
         return
 
     # ------------------------------------------------------------------
-    # Replay mode: re-run a saved schedule (or saved outcome) JSON; when
-    # the artifact carries a digest the replay must be bit-identical.
+    # Replay mode: re-run a saved schedule (an ExperimentConfig dict) or
+    # saved outcome JSON; when the artifact carries a digest the replay
+    # must be bit-identical.  A malformed artifact is a usage error.
     # ------------------------------------------------------------------
     if args.replay:
-        with open(args.replay) as fh:
-            data = json.load(fh)
-        if "minimized" in data:  # a batch-mode violation artifact
-            data = data["minimized"]
-        saved_digest = data.get("digest")
-        schedule = FuzzSchedule.from_dict(data.get("schedule", data))
+        try:
+            with open(args.replay) as fh:
+                data = json.load(fh)
+            if "minimized" in data:  # a batch-mode violation artifact
+                data = data["minimized"]
+            saved_digest = data.get("digest")
+            schedule = ExperimentConfig.from_dict(data.get("schedule", data))
+        except (OSError, ValueError, TypeError, AttributeError) as err:
+            args.error(f"bad replay artifact {args.replay}: {err}")
         print(f"## FUZZ — replay {args.replay}")
         outcome = run_schedule(schedule)
         report(f"seed {schedule.seed} [{describe(schedule)}]", outcome)
@@ -623,7 +629,9 @@ def cmd_fuzz(args) -> None:
 
 def cmd_bench(args) -> None:
     """Run the bench table, emit BENCH_<date>.json, and with
-    ``--check-against`` exit 1 unless every digest oracle holds."""
+    ``--check-against`` exit 1 unless every digest, event count and
+    commit count matches its pin; a pass names the rows that commit
+    nothing."""
     import json
 
     from repro.bench import (
@@ -646,6 +654,9 @@ def cmd_bench(args) -> None:
             print(f"  - {f}")
         raise SystemExit(1)
     print(f"BENCH CHECK vs {args.check_against}: PASS")
+    for name, row in report["macro"].items():
+        if row["committed"] == 0:
+            print(f"  note: {name} commits 0 transactions (its digest pins empty logs)")
 
 
 def cmd_sweep(args) -> None:
@@ -816,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="directory for minimized violation artifacts (default: cwd)",
     )
-    pfuzz.set_defaults(fn=cmd_fuzz)
+    pfuzz.set_defaults(fn=cmd_fuzz, error=pfuzz.error)
 
     return parser
 

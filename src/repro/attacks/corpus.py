@@ -28,8 +28,8 @@ stresses, with the expected oracle verdict — runnable via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.commit import DSHARE_KIND, NO_PENDING, StatusReport
 from repro.core.node import LyraNode
@@ -273,37 +273,17 @@ class CorpusCase:
     #: the bug class the hardened default defends against).
     expect_violation: bool
     description: str
-    #: seed -> FuzzSchedule (imported lazily to avoid a module cycle).
-    build: Callable[[int], Any]
+    #: The run's ``ExperimentConfig.attack_nodes``.
+    attack_nodes: Dict[int, Any]
+    #: The run's other :func:`~repro.attacks.fuzz.fuzz_config` settings.
+    knobs: Dict[str, Any] = field(default_factory=dict)
 
     def schedule(self, seed: int = 1):
-        return self.build(seed)
+        """This case's run: an ``ExperimentConfig`` on the fuzz rig
+        (imported lazily, because the fuzzer imports this module)."""
+        from repro.attacks.fuzz import fuzz_config
 
-
-def _case_schedule(
-    seed: int,
-    *,
-    attacks: Tuple[Tuple[int, str, Dict[str, Any]], ...],
-    delta_piggyback: bool = False,
-    report_quorum: Optional[int] = None,
-    batch_size: int = 8,
-    client_window: int = 4,
-    note: str = "",
-):
-    from repro.attacks.fuzz import AttackAssignment, FuzzSchedule
-
-    return FuzzSchedule(
-        seed=seed,
-        attacks=tuple(
-            AttackAssignment(pid=pid, name=name, kwargs=dict(kwargs))
-            for pid, name, kwargs in attacks
-        ),
-        delta_piggyback=delta_piggyback,
-        report_quorum=report_quorum,
-        batch_size=batch_size,
-        client_window=client_window,
-        note=note,
-    )
+        return fuzz_config(seed, attack_nodes=self.attack_nodes, **self.knobs)
 
 
 def _build_corpus() -> Dict[str, CorpusCase]:
@@ -318,11 +298,9 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "shares still reveal every committed payload and no probe "
                 "may succeed."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=((1, "selective-reveal", {"mode": "withhold"}),),
-                note="selective-reveal-withhold",
-            ),
+            attack_nodes={
+                1: {"name": "selective-reveal", "kwargs": {"mode": "withhold"}}
+            },
         ),
         CorpusCase(
             name="selective-reveal-targeted",
@@ -333,13 +311,12 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "the victim still reaches the threshold from the other "
                 "honest replicas."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=(
-                    (1, "selective-reveal", {"mode": "targeted", "victims": [0]}),
-                ),
-                note="selective-reveal-targeted",
-            ),
+            attack_nodes={
+                1: {
+                    "name": "selective-reveal",
+                    "kwargs": {"mode": "targeted", "victims": [0]},
+                }
+            },
         ),
         CorpusCase(
             name="selective-reveal-delay",
@@ -350,11 +327,7 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "order is already fixed, so timing the reveal gains "
                 "nothing and execution merely lags."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=((1, "selective-reveal", {"mode": "delay"}),),
-                note="selective-reveal-delay",
-            ),
+            attack_nodes={1: {"name": "selective-reveal", "kwargs": {"mode": "delay"}}},
         ),
         CorpusCase(
             name="pb-forge-stale",
@@ -365,11 +338,9 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "single stale report cannot hold back min-of-top-2f+1 "
                 "bounds."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=((1, "piggyback-forgery", {"mode": "stale"}),),
-                note="pb-forge-stale",
-            ),
+            attack_nodes={
+                1: {"name": "piggyback-forgery", "kwargs": {"mode": "stale"}}
+            },
         ),
         CorpusCase(
             name="pb-forge-inflate",
@@ -381,11 +352,9 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "commits; min-of-top-2f+1 keeps the derived bound at an "
                 "honest report."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=((1, "piggyback-forgery", {"mode": "inflate"}),),
-                note="pb-forge-inflate",
-            ),
+            attack_nodes={
+                1: {"name": "piggyback-forgery", "kwargs": {"mode": "inflate"}}
+            },
         ),
         CorpusCase(
             name="pb-forge-equivocate",
@@ -396,11 +365,9 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "stalling ones; both forgeries are single reports inside "
                 "each peer's top-2f+1 selection."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=((1, "piggyback-forgery", {"mode": "equivocate"}),),
-                note="pb-forge-equivocate",
-            ),
+            attack_nodes={
+                1: {"name": "piggyback-forgery", "kwargs": {"mode": "equivocate"}}
+            },
         ),
         CorpusCase(
             name="pbd-forge-marker",
@@ -412,12 +379,10 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "min-pending for it, which degrades freshness but never "
                 "safety."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=((1, "piggyback-forgery", {"mode": "stale-marker"}),),
-                delta_piggyback=True,
-                note="pbd-forge-marker",
-            ),
+            attack_nodes={
+                1: {"name": "piggyback-forgery", "kwargs": {"mode": "stale-marker"}}
+            },
+            knobs={"delta_piggyback": True},
         ),
         CorpusCase(
             name="pbd-forge-bogus",
@@ -428,18 +393,13 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "never existed and drops every pb_pull request; peers "
                 "fall back to locked-only updates for it and stay safe."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=(
-                    (
-                        1,
-                        "piggyback-forgery",
-                        {"mode": "bogus-marker", "answer_pulls": False},
-                    ),
-                ),
-                delta_piggyback=True,
-                note="pbd-forge-bogus",
-            ),
+            attack_nodes={
+                1: {
+                    "name": "piggyback-forgery",
+                    "kwargs": {"mode": "bogus-marker", "answer_pulls": False},
+                }
+            },
+            knobs={"delta_piggyback": True},
         ),
         CorpusCase(
             name="pb-forge-inflate-weakened",
@@ -461,14 +421,10 @@ def _build_corpus() -> Dict[str, CorpusCase]:
                 "in flight at a time the premature commits stay accidentally "
                 "ordered and the bug hides."
             ),
-            build=lambda seed: _case_schedule(
-                seed,
-                attacks=((1, "piggyback-forgery", {"mode": "inflate"}),),
-                report_quorum=1,
-                batch_size=2,
-                client_window=16,
-                note="pb-forge-inflate-weakened",
-            ),
+            attack_nodes={
+                1: {"name": "piggyback-forgery", "kwargs": {"mode": "inflate"}}
+            },
+            knobs={"report_quorum": 1, "batch_size": 2, "window": 16},
         ),
     ]
     return {case.name: case for case in cases}

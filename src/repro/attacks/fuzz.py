@@ -1,13 +1,13 @@
 """Seeded adversarial-schedule fuzzer.
 
-A :class:`FuzzSchedule` is a pure-data description of one adversarial run:
-which replicas run which attack behaviour (from the
-:mod:`repro.attacks.registry`), the link-fault and crash schedule (the
-PR-2 :class:`~repro.net.faults.FaultPlan` machinery), and the protocol
-knobs that shape the attack surface (delta piggybacking, the weakened
-``report_quorum``).  Schedules serialise to JSON and replay bit-identically
-— :func:`run_schedule` digests the per-replica committed logs so a replay
-can assert exact equality.
+A fuzz schedule is a plain :class:`~repro.harness.config.ExperimentConfig`
+built by :func:`fuzz_config`: which replicas run which attack behaviour
+(``attack_nodes``, names from :mod:`repro.attacks.registry`), the
+link-fault and crash schedule (``fault_plan``), and the protocol knobs that
+shape the attack surface (``delta_piggyback``, the weakened
+``report_quorum``).  It serialises through ``to_dict``/``from_dict`` like
+every other run and replays bit-identically — :func:`run_schedule` digests
+the per-replica committed logs so a replay can assert exact equality.
 
 :func:`generate_schedule` is a pure function of the seed: the same seed
 always yields the same schedule, and generated schedules always respect
@@ -16,7 +16,7 @@ within f), so any invariant violation they produce is a reproduction bug,
 not an over-budget adversary.
 
 :func:`shrink_schedule` bisects a failing schedule ddmin-style over its
-components (attack assignments, link faults, crash events) to a minimal
+components (attack entries, link faults, crash events) to a minimal
 still-failing repro — the artifact ``python -m repro fuzz`` saves on
 violation.
 
@@ -29,140 +29,45 @@ decrypts a payload pre-commit is an invariant violation.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.attacks.corpus import CORPUS, CorpusCase, SelectiveRevealNode
-from repro.attacks.registry import ATTACK_NODE_CLASSES
+from repro.harness.config import ExperimentConfig
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.sim.rng import RngRegistry
+from repro.workload.spec import ClientGroup, WorkloadSpec
 
 
-@dataclass(frozen=True)
-class AttackAssignment:
-    """One replica running one registry attack behaviour."""
-
-    pid: int
-    name: str
-    kwargs: Tuple[Tuple[str, Any], ...] = ()
-
-    def __init__(self, pid: int, name: str, kwargs: Any = ()) -> None:
-        object.__setattr__(self, "pid", int(pid))
-        object.__setattr__(self, "name", str(name))
-        if isinstance(kwargs, dict):
-            kwargs = tuple(sorted(kwargs.items()))
-        object.__setattr__(
-            self, "kwargs", tuple((str(k), v) for k, v in kwargs)
-        )
-        if self.name not in ATTACK_NODE_CLASSES:
-            raise ValueError(
-                f"unknown attack {self.name!r}; known: "
-                f"{sorted(ATTACK_NODE_CLASSES)}"
-            )
-
-    def kwargs_dict(self) -> Dict[str, Any]:
-        return dict(self.kwargs)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"pid": self.pid, "name": self.name, "kwargs": self.kwargs_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AttackAssignment":
-        unknown = set(data) - {"pid", "name", "kwargs"}
-        if unknown:
-            raise ValueError(f"unknown AttackAssignment fields: {sorted(unknown)}")
-        return cls(data["pid"], data["name"], data.get("kwargs") or {})
-
-
-@dataclass(frozen=True)
-class FuzzSchedule:
-    """A complete, serialisable adversarial schedule for one run."""
-
-    seed: int
-    n_nodes: int = 4
-    duration_us: int = 3 * SECONDS
-    batch_size: int = 8
-    client_window: int = 4
-    attacks: Tuple[AttackAssignment, ...] = ()
-    plan: FaultPlan = field(default_factory=FaultPlan)
-    delta_piggyback: bool = False
-    reliable_channels: bool = False
-    #: Weakened-validation knob (None = the safe 2f+1); see CommitConfig.
-    report_quorum: Optional[int] = None
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attacks", tuple(self.attacks))
-
-    def resolved_f(self) -> int:
-        return max(0, (self.n_nodes - 1) // 3)
-
-    def attacker_pids(self) -> Tuple[int, ...]:
-        return tuple(sorted({a.pid for a in self.attacks}))
-
-    def to_config(self):
-        """The :class:`~repro.harness.config.ExperimentConfig` of this
-        schedule (imported lazily: the harness imports the registry)."""
-        from repro.harness.config import ExperimentConfig
-
-        return ExperimentConfig(
-            n_nodes=self.n_nodes,
-            seed=self.seed,
-            batch_size=self.batch_size,
-            client_window=self.client_window,
-            duration_us=self.duration_us,
-            delta_piggyback=self.delta_piggyback,
-            reliable_channels=self.reliable_channels,
-            fault_plan=self.plan if not self.plan.empty else None,
-            attack_nodes=(
-                {
-                    a.pid: {"name": a.name, "kwargs": a.kwargs_dict()}
-                    for a in self.attacks
-                }
-                or None
-            ),
-            report_quorum=self.report_quorum,
-            warmup_rounds=2,
-        )
-
-    # ------------------------------------------------------------------
-    # Serialization — saved schedules are the fuzzer's replay artifacts.
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "n_nodes": self.n_nodes,
-            "duration_us": self.duration_us,
-            "batch_size": self.batch_size,
-            "client_window": self.client_window,
-            "attacks": [a.to_dict() for a in self.attacks],
-            "plan": self.plan.to_dict(),
-            "delta_piggyback": self.delta_piggyback,
-            "reliable_channels": self.reliable_channels,
-            "report_quorum": self.report_quorum,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FuzzSchedule":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FuzzSchedule fields: {sorted(unknown)}")
-        data = dict(data)
-        data["attacks"] = tuple(
-            AttackAssignment.from_dict(raw) if isinstance(raw, dict) else raw
-            for raw in data.get("attacks", ())
-        )
-        plan = data.get("plan")
-        if plan is not None and not isinstance(plan, FaultPlan):
-            data["plan"] = FaultPlan.from_dict(plan)
-        elif plan is None:
-            data["plan"] = FaultPlan()
-        return cls(**data)
+def fuzz_config(
+    seed: int,
+    *,
+    n_nodes: int = 4,
+    duration_us: int = 3 * SECONDS,
+    batch_size: int = 8,
+    window: int = 4,
+    **knobs: Any,
+) -> ExperimentConfig:
+    """The rig every fuzz schedule and corpus case runs on: batches of 8,
+    one closed-loop client per replica with window 4, two warm-up rounds.
+    ``knobs`` sets the attack surface (``attack_nodes``, ``fault_plan``,
+    ``delta_piggyback``, ``reliable_channels``, ``report_quorum``)."""
+    return ExperimentConfig(
+        n_nodes=n_nodes,
+        seed=seed,
+        batch_size=batch_size,
+        workload=WorkloadSpec(
+            groups=(ClientGroup(name="main", count_per_node=1, window=window),),
+            fairness=False,
+        ),
+        duration_us=duration_us,
+        warmup_rounds=2,
+        **knobs,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +104,7 @@ def _attack_menu(rng, n_nodes: int, delta: bool):
 
 def generate_schedule(
     seed: int, *, n_nodes: int = 4, duration_us: int = 3 * SECONDS
-) -> FuzzSchedule:
+) -> ExperimentConfig:
     """Deterministically derive an honest-majority adversarial schedule.
 
     Pure in ``seed`` (plus the explicit shape arguments): the same inputs
@@ -218,10 +123,10 @@ def generate_schedule(
         int(p) for p in rng.choice(n_nodes, size=n_attackers, replace=False)
     )
     menu = _attack_menu(rng, n_nodes, delta)
-    attacks = []
+    attacks = {}
     for pid in attacker_pids:
         name, kw = menu[int(rng.integers(0, len(menu)))]
-        attacks.append(AttackAssignment(pid=pid, name=name, kwargs=kw()))
+        attacks[pid] = {"name": name, "kwargs": kw()}
 
     # Link faults: 0..2 windowed rules at moderate rates.
     links: List[LinkFault] = []
@@ -260,15 +165,15 @@ def generate_schedule(
             CrashEvent(pid=pid, crash_at_us=crash_at, recover_at_us=recover_at)
         )
 
-    return FuzzSchedule(
-        seed=seed,
+    plan = FaultPlan(links=tuple(links), crashes=tuple(crashes))
+    return fuzz_config(
+        seed,
         n_nodes=n_nodes,
         duration_us=duration_us,
-        attacks=tuple(attacks),
-        plan=FaultPlan(links=tuple(links), crashes=tuple(crashes)),
+        attack_nodes=attacks or None,
+        fault_plan=None if plan.empty else plan,
         delta_piggyback=delta,
         reliable_channels=bool(links),
-        note=f"generated seed={seed}",
     )
 
 
@@ -279,7 +184,7 @@ def generate_schedule(
 class FuzzOutcome:
     """What one schedule run produced, plus a replay digest."""
 
-    schedule: FuzzSchedule
+    schedule: ExperimentConfig
     ok: bool
     violations: List[str]
     safety_violation: Optional[str]
@@ -307,12 +212,11 @@ class FuzzOutcome:
         }
 
 
-def run_schedule(schedule: FuzzSchedule) -> FuzzOutcome:
+def run_schedule(schedule: ExperimentConfig) -> FuzzOutcome:
     """Build the cluster, run the schedule, and apply the oracle."""
     from repro.harness.factory import build_cluster
 
-    config = schedule.to_config()
-    cluster = build_cluster(config, protocol="lyra")
+    cluster = build_cluster(schedule, protocol="lyra")
 
     # Commit-reveal secrecy oracle: a probing attacker that manages to
     # decrypt any payload pre-commit is an invariant violation (Lemma 7).
@@ -366,49 +270,44 @@ def run_schedule(schedule: FuzzSchedule) -> FuzzOutcome:
 # ----------------------------------------------------------------------
 # Shrinking: ddmin-style schedule bisection.
 # ----------------------------------------------------------------------
-def _components(
-    schedule: FuzzSchedule,
-) -> List[Tuple[str, Any]]:
+def _components(schedule: ExperimentConfig) -> List[Tuple[str, Any]]:
+    plan = schedule.fault_plan or FaultPlan()
     out: List[Tuple[str, Any]] = []
-    out.extend(("attack", a) for a in schedule.attacks)
-    out.extend(("link", lf) for lf in schedule.plan.links)
-    out.extend(("crash", ce) for ce in schedule.plan.crashes)
+    out.extend(("attack", item) for item in (schedule.attack_nodes or {}).items())
+    out.extend(("link", lf) for lf in plan.links)
+    out.extend(("crash", ce) for ce in plan.crashes)
     return out
 
 
-def _rebuild(schedule: FuzzSchedule, comps: List[Tuple[str, Any]]) -> FuzzSchedule:
-    attacks = tuple(c for kind, c in comps if kind == "attack")
-    links = tuple(c for kind, c in comps if kind == "link")
-    crashes = tuple(c for kind, c in comps if kind == "crash")
-    return FuzzSchedule(
-        seed=schedule.seed,
-        n_nodes=schedule.n_nodes,
-        duration_us=schedule.duration_us,
-        batch_size=schedule.batch_size,
-        client_window=schedule.client_window,
-        attacks=attacks,
-        plan=FaultPlan(links=links, crashes=crashes),
-        delta_piggyback=schedule.delta_piggyback,
-        reliable_channels=schedule.reliable_channels,
-        report_quorum=schedule.report_quorum,
-        note=schedule.note + " (shrunk)" if schedule.note else "(shrunk)",
+def _rebuild(
+    schedule: ExperimentConfig, comps: List[Tuple[str, Any]]
+) -> ExperimentConfig:
+    def kept(kind: str) -> tuple:
+        return tuple(c for k, c in comps if k == kind)
+
+    plan = FaultPlan(links=kept("link"), crashes=kept("crash"))
+    return dataclasses.replace(
+        schedule,
+        attack_nodes=dict(kept("attack")) or None,
+        fault_plan=None if plan.empty else plan,
     )
 
 
 def shrink_schedule(
-    schedule: FuzzSchedule,
-    failing: Optional[Callable[[FuzzSchedule], bool]] = None,
+    schedule: ExperimentConfig,
+    failing: Optional[Callable[[ExperimentConfig], bool]] = None,
     *,
     max_runs: int = 64,
-) -> FuzzSchedule:
+) -> ExperimentConfig:
     """Bisect a failing schedule to a minimal still-failing repro.
 
     ``failing(schedule)`` must return True while the schedule still
     trips the oracle (default: re-run it).  Removal works ddmin-style
-    over the schedule's components — attack assignments, link faults,
-    crash events — halving chunks first, then single components.  Knobs
-    (``report_quorum``, ``delta_piggyback``) are preserved: they are part
-    of the repro, not removable noise.
+    over the schedule's components — ``attack_nodes`` entries, and the
+    ``fault_plan``'s link faults and crash events — halving chunks first,
+    then single components.  Every other field (``report_quorum``,
+    ``delta_piggyback``, ...) is preserved: knobs are part of the repro,
+    not removable noise.
     """
     if failing is None:
         failing = lambda s: not run_schedule(s).ok
@@ -477,10 +376,9 @@ def run_corpus(
 
 
 __all__ = [
-    "AttackAssignment",
-    "FuzzSchedule",
     "FuzzOutcome",
     "CorpusVerdict",
+    "fuzz_config",
     "generate_schedule",
     "run_schedule",
     "shrink_schedule",

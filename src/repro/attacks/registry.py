@@ -12,7 +12,7 @@ without a cycle.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.attacks.byzantine import (
     CipherReplayNode,
@@ -38,43 +38,18 @@ ATTACK_NODE_CLASSES: Dict[str, type] = {
     "piggyback-forgery": PiggybackForgeryNode,
 }
 
-#: One attack assignment: a bare registry name, or {"name": ..., "kwargs": {...}}.
-AttackSpec = Union[str, Mapping[str, Any]]
-
 
 def resolve_attack_nodes(
-    attack_nodes: Mapping[Union[int, str], AttackSpec], n: int
+    attack_nodes: Mapping[int, Mapping[str, Any]],
 ) -> Tuple[Dict[int, type], Dict[int, dict]]:
-    """Resolve ``ExperimentConfig.attack_nodes`` into builder maps.
-
-    Keys may be ints or their string form (JSON object keys); values are
-    registry names or ``{"name", "kwargs"}`` mappings.  Returns
-    ``(node_classes, node_kwargs)`` keyed by pid.
-    """
+    """Map ``ExperimentConfig.attack_nodes`` (checked and made canonical
+    when the config was built) to the ``(node_classes, node_kwargs)``
+    builder maps, keyed by pid."""
     classes: Dict[int, type] = {}
     kwargs: Dict[int, dict] = {}
-    for raw_pid, spec in attack_nodes.items():
-        pid = int(raw_pid)
-        if not 0 <= pid < n:
-            raise ValueError(f"attack_nodes targets unknown pid {pid} (n={n})")
-        if isinstance(spec, str):
-            spec = {"name": spec}
-        unknown = set(spec) - {"name", "kwargs"}
-        if unknown:
-            raise ValueError(
-                f"unknown attack_nodes fields for pid {pid}: {sorted(unknown)}"
-            )
-        name = spec.get("name")
-        cls = ATTACK_NODE_CLASSES.get(name)
-        if cls is None:
-            raise ValueError(
-                f"unknown attack node class {name!r}; known: "
-                f"{sorted(ATTACK_NODE_CLASSES)}"
-            )
-        classes[pid] = cls
-        extra = dict(spec.get("kwargs") or {})
-        # JSON round-trips tuples as lists; node constructors normalise.
-        kwargs[pid] = extra
+    for pid, spec in attack_nodes.items():
+        classes[pid] = ATTACK_NODE_CLASSES[spec["name"]]
+        kwargs[pid] = dict(spec["kwargs"])
     return classes, kwargs
 
 

@@ -1,9 +1,9 @@
 """Bit-determinism oracles: ``python -m repro bench``.
 
 A fixed table of cluster runs (``CELLS``) each records a sha256 digest
-of every node's decided prefix; ``check_against_baseline`` compares them
-with the pins in ``benchmarks/bench_baseline.json`` and each twin with
-its base row.  Nothing here is timed — wall-clock performance is
+of every node's decided prefix, its event count and its commit count;
+``check_against_baseline`` compares them with the pins in
+``benchmarks/bench_baseline.json`` and each twin with its base row.  Nothing here is timed — wall-clock performance is
 measured by the ledger (``benchmarks/ledger``).
 """
 

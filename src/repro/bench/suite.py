@@ -10,9 +10,12 @@ fast the host is.  A *twin* differs from its base only in a way that
 must not move the digest, so a twin run proves that claim.
 
 ``check_against_baseline`` is the one check.  It fails on a safety or
-invariant violation, on a digest that differs from its pin in the
-checked-in baseline or from its base row's, and on a row the baseline
-does not pin.  Nothing is timed: wall-clock cost is the ledger's job
+invariant violation, on a digest, event count or commit count that
+differs from its pin in the checked-in baseline or from its base row's,
+and on a row the baseline does not pin.  The counts make a pin that
+holds no transactions visible: a row that commits nothing pins the
+digest of empty logs, which no change that keeps it empty can move.
+Nothing is timed: wall-clock cost is the ledger's job
 (``benchmarks/ledger``).
 """
 
@@ -259,21 +262,24 @@ def write_report(report: Dict[str, Any], out_path: str | Path) -> Path:
     return path
 
 
+#: The row fields a run must reproduce: its pin's, and a twin its base's.
+PINNED_FIELDS = ("prefix_sha256", "events", "committed")
+
+
 def check_against_baseline(
     report: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[str]:
     """Return a list of failure strings (empty means the report passes).
 
     Every row must be safe, free of invariant violations, pinned in
-    ``baseline`` and equal to its pin; every twin must equal its base
-    row.  Baseline rows the report did not run (the full-only rows of a
-    quick run) are ignored.
+    ``baseline`` and equal to its pin on every ``PINNED_FIELDS`` entry;
+    every twin must equal its base row on them too.  Baseline rows the
+    report did not run (the full-only rows of a quick run) are ignored.
     """
     failures: List[str] = []
     pins = baseline.get("macro", {})
     rows = report.get("macro", {})
     for name, row in rows.items():
-        digest = row.get("prefix_sha256")
         if row.get("safety_violation"):
             failures.append(f"{name}: safety violation: {row['safety_violation']}")
         if row.get("invariant_violations"):
@@ -281,26 +287,29 @@ def check_against_baseline(
                 f"{name}: {len(row['invariant_violations'])} invariant "
                 f"violation(s): {row['invariant_violations'][0]}"
             )
-        pin = pins.get(name, {}).get("prefix_sha256")
+        pin = pins.get(name)
         if pin is None:
             failures.append(f"{name}: no pinned digest in the baseline")
-        elif digest != pin:
-            failures.append(
-                f"{name}: decided-prefix digest {digest} != baseline pin "
-                f"{pin} (determinism regression)"
-            )
         base = CELLS[name][2] if name in CELLS else None
-        if base in rows and digest != rows[base].get("prefix_sha256"):
-            failures.append(
-                f"{name}: digest {digest} != its base row {base}'s "
-                f"{rows[base].get('prefix_sha256')} (twin diverged)"
-            )
+        for key in PINNED_FIELDS:
+            value = row.get(key)
+            if pin is not None and value != pin.get(key):
+                failures.append(
+                    f"{name}: {key} {value} != baseline pin {pin.get(key)} "
+                    "(determinism regression)"
+                )
+            if base in rows and value != rows[base].get(key):
+                failures.append(
+                    f"{name}: {key} {value} != its base row {base}'s "
+                    f"{rows[base].get(key)} (twin diverged)"
+                )
     return failures
 
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "CELLS",
+    "PINNED_FIELDS",
     "check_against_baseline",
     "default_output_path",
     "digest_outputs",

@@ -11,13 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.attacks.byzantine import (
-    EquivocatingNode,
-    FloodingNode,
-    FutureSequenceNode,
-    PrefixStallerNode,
-    SilentProposerNode,
-)
 from repro.attacks.pompe_attacks import CensoringLeaderNode
 from repro.baselines.fino import BlindCensoringLeaderFino
 from repro.harness.cluster import check_safety
@@ -26,33 +19,34 @@ from repro.harness.factory import build_cluster
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.workload.spec import ClientGroup, WorkloadSpec
 
-_CASES: Dict[str, Optional[type]] = {
-    "baseline": None,
-    "equivocator": EquivocatingNode,
-    "silent-proposer": SilentProposerNode,
-    "flooder": FloodingNode,
-    "flooder-limited": FloodingNode,  # with the fair-allocation rate cap on
-    "future-sequence": FutureSequenceNode,
-    "prefix-staller": PrefixStallerNode,
-}
+_FLOOD = {"name": "flood", "kwargs": {"flood_interval_us": 200 * MILLISECONDS}}
 
-_CASE_KWARGS: Dict[str, dict] = {
-    "silent-proposer": {"reach": 2},  # INIT reaches only f+1 replicas
-    "flooder": {"flood_interval_us": 200 * MILLISECONDS},
-    "flooder-limited": {"flood_interval_us": 200 * MILLISECONDS},
-    "future-sequence": {"offset_us": 3_600_000_000},
+#: case -> the Byzantine replica's ``attack_nodes`` spec (None: all honest).
+_CASE_ATTACKS: Dict[str, Optional[dict]] = {
+    "baseline": None,
+    "equivocator": {"name": "equivocate"},
+    # INIT reaches only f+1 replicas.
+    "silent-proposer": {"name": "silent-proposer", "kwargs": {"reach": 2}},
+    "flooder": _FLOOD,
+    "flooder-limited": _FLOOD,  # with the fair-allocation rate cap on
+    "future-sequence": {
+        "name": "future-sequence",
+        "kwargs": {"offset_us": 3_600_000_000},
+    },
+    "prefix-staller": {"name": "prefix-staller"},
 }
 
 
 def byzantine_cases() -> List[str]:
-    return list(_CASES)
+    return list(_CASE_ATTACKS)
 
 
 def run_byzantine_case(case: str, *, seed: int = 13, n: int = 4) -> Dict:
     """One Byzantine Lyra replica; report liveness/safety of the cluster."""
-    if case not in _CASES:
+    if case not in _CASE_ATTACKS:
         raise ValueError(f"unknown Byzantine case {case!r}")
     byz_pid = n - 1
+    attack = _CASE_ATTACKS[case]
     # Clients only on correct replicas (round-robin homes 0..n-2).  The
     # Byzantine proposer cases also fuel the attacker's mempool: it needs
     # transactions to misbehave with.
@@ -70,13 +64,9 @@ def run_byzantine_case(case: str, *, seed: int = 13, n: int = 4) -> Dict:
         # The fair-allocation cap (§VI-D) throttles flooders while leaving
         # honest proposal rates (well under 3/s here) untouched.
         max_proposer_rate_per_s=3.0 if case == "flooder-limited" else None,
+        attack_nodes={byz_pid: attack} if attack else None,
     )
-    byz_cls = _CASES[case]
-    cluster = build_cluster(
-        cfg,
-        node_classes={byz_pid: byz_cls} if byz_cls else None,
-        node_kwargs={byz_pid: _CASE_KWARGS.get(case, {})} if byz_cls else None,
-    )
+    cluster = build_cluster(cfg)
     result = cluster.run(skip_safety_check=True)
     # Safety over CORRECT replicas only (the Byzantine one may lie about
     # its own output).
@@ -155,8 +145,10 @@ def run_censorship_case(*, seed: int = 17, n: int = 4) -> List[Dict]:
         n_nodes=n,
         seed=seed,
         batch_size=5,
-        clients_per_node=1,
-        client_window=3,
+        workload=WorkloadSpec(
+            groups=(ClientGroup(name="main", count_per_node=1, window=3),),
+            fairness=False,
+        ),
         duration_us=10 * SECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,

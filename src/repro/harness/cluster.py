@@ -46,7 +46,6 @@ from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.clients import TxKey, _BaseClient
-from repro.workload.kvstore import KvStore
 from repro.workload.spec import build_workload
 
 
@@ -196,7 +195,7 @@ class LyraAdapter:
             return {}, {}
         from repro.attacks.registry import resolve_attack_nodes
 
-        return resolve_attack_nodes(config.attack_nodes, config.n_nodes)
+        return resolve_attack_nodes(config.attack_nodes)
 
     def build_nodes(self, cluster: "Cluster", classes, kwargs) -> List[LyraNode]:
         config = cluster.config
@@ -233,15 +232,7 @@ class LyraAdapter:
         return nodes
 
     def tap_execution(self, cluster: "Cluster", node: LyraNode, tap) -> None:
-        # The KV store is applied here only: Pompē keeps no store (at n=100
-        # it would hold ~200k entries for no reader).
-        store = cluster.stores[node.pid] = KvStore()
-
-        def hook(entry, batch):
-            store.apply_batch(batch)
-            tap(batch)
-
-        node.on_executed = hook
+        node.on_executed = lambda entry, batch: tap(batch)
 
     def tap_ordering(self, node: LyraNode, bots: Tuple) -> None:
         # Bodies are VSS-encrypted until commit, so a bot's first look is
@@ -559,8 +550,6 @@ class Cluster:
         # fairness layer (all correct replicas execute the same log), and
         # the MEV bots' view of payloads at their home replica.
         self.committed_order: List[TxKey] = []
-        #: Per-replica key-value stores (Lyra only).
-        self.stores: Dict[int, KvStore] = {}
         self.exec_events: Dict[int, List[Tuple[int, int]]] = {}
         mev_by_home = self.workload.mev_bots_by_home()
         for node in self.nodes:

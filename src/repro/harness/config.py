@@ -102,11 +102,12 @@ class ExperimentConfig:
     reliable_channels: bool = False
 
     # Adversarial replicas: pid -> attack spec (a registry name, or
-    # {"name": ..., "kwargs": {...}}), resolved through
-    # ``repro.attacks.registry.ATTACK_NODE_CLASSES`` at cluster build time.
-    # Serialisable, so attack experiments and fuzzer schedules ride the
-    # sweep cache like any other knob.  Explicit ``node_classes`` builder
-    # arguments override entries here per pid.
+    # {"name": ..., "kwargs": {...}}), checked against
+    # ``repro.attacks.registry.ATTACK_NODE_CLASSES`` at construction and
+    # stored as {"name", "kwargs"}.  Serialisable, so attack experiments
+    # and fuzzer schedules (which are configs) ride the sweep cache like
+    # any other knob.  Explicit ``node_classes`` builder arguments
+    # override entries here per pid.
     attack_nodes: Optional[Dict[int, Any]] = None
     #: Commit-protocol report quorum override (``None`` = the safe 2f+1).
     #: A deliberately weakenable validation knob for the attack corpus —
@@ -150,6 +151,40 @@ class ExperimentConfig:
             raise ValueError(
                 f"gossip_rounds must be >= 1, got {self.gossip_rounds}"
             )
+        if self.attack_nodes:
+            self.attack_nodes = self._checked_attack_nodes()
+
+    def _checked_attack_nodes(self) -> Dict[int, Dict[str, Any]]:
+        """``attack_nodes`` in canonical form (int pids in order, every
+        spec ``{"name", "kwargs"}``), or ``ValueError`` for a spec the
+        registry cannot build: an unknown name, a pid outside
+        ``0..n_nodes-1``, or a key besides ``name``/``kwargs``.  The
+        registry is imported here only, so configs without attackers
+        never load it."""
+        from repro.attacks.registry import ATTACK_NODE_CLASSES
+
+        checked: Dict[int, Dict[str, Any]] = {}
+        for raw_pid, spec in self.attack_nodes.items():
+            pid = int(raw_pid)
+            if not 0 <= pid < self.n_nodes:
+                raise ValueError(
+                    f"attack_nodes targets unknown pid {pid} (n={self.n_nodes})"
+                )
+            if isinstance(spec, str):
+                spec = {"name": spec}
+            if not isinstance(spec, dict) or set(spec) - {"name", "kwargs"}:
+                raise ValueError(
+                    f"attack_nodes[{pid}] must be a registry name or "
+                    f"{{'name', 'kwargs'}}, got {spec!r}"
+                )
+            name = spec.get("name")
+            if not isinstance(name, str) or name not in ATTACK_NODE_CLASSES:
+                raise ValueError(
+                    f"unknown attack node class {name!r}; known: "
+                    f"{sorted(ATTACK_NODE_CLASSES)}"
+                )
+            checked[pid] = {"name": name, "kwargs": dict(spec.get("kwargs") or {})}
+        return dict(sorted(checked.items()))
 
     def resolved_f(self) -> int:
         if self.f is not None:
@@ -202,18 +237,6 @@ class ExperimentConfig:
         data["workload"] = (
             self.workload.to_dict() if self.workload is not None else None
         )
-        if self.attack_nodes is not None:
-            # Canonical form: int keys sorted, bare names normalised to
-            # the {"name", "kwargs"} shape (JSON stringifies the keys;
-            # from_dict converts them back).
-            data["attack_nodes"] = {
-                int(pid): (
-                    {"name": spec, "kwargs": {}}
-                    if isinstance(spec, str)
-                    else dict(spec)
-                )
-                for pid, spec in sorted(self.attack_nodes.items())
-            }
         return data
 
     @classmethod
@@ -233,11 +256,6 @@ class ExperimentConfig:
             data["workload"], WorkloadSpec
         ):
             data["workload"] = WorkloadSpec.from_dict(data["workload"])
-        if data.get("attack_nodes") is not None:
-            # JSON object keys are strings; pids are ints.
-            data["attack_nodes"] = {
-                int(pid): spec for pid, spec in data["attack_nodes"].items()
-            }
         return cls(**data)
 
 

@@ -1,10 +1,11 @@
 """Workloads: the declarative traffic engine.
 
 §VI-A: the paper's evaluation uses closed-loop clients submitting unique
-32-byte transactions, with committed transactions written to a key-value
-store.  On top of that rig, the open-loop traffic engine drives the
-protocol with arrival-process-driven clients (Poisson / bursty / diurnal
-/ trace), synthetic body mixes (raw, Zipf hot-key KV, AMM orders) and
+32-byte transactions (it also writes committed transactions to a
+key-value store; no measurement reads one, so none is kept here).  On
+top of that rig, the open-loop traffic engine drives the protocol with
+arrival-process-driven clients (Poisson / bursty / diurnal / trace),
+synthetic body mixes (raw, Zipf hot-key KV, AMM orders) and
 adversarial MEV bots — all declared through :class:`WorkloadSpec` and
 instantiated by :func:`build_workload` behind the client registry.
 """
@@ -29,7 +30,6 @@ from repro.workload.clients import (
     register_client,
 )
 from repro.workload.generator import TxGenerator, make_body_sampler
-from repro.workload.kvstore import KvStore
 from repro.workload.mev import MevBotClient, SandwichAttempt
 from repro.workload.spec import (
     ClientGroup,
@@ -46,7 +46,6 @@ __all__ = [
     "ClientStats",
     "ClosedLoopClient",
     "DiurnalArrivals",
-    "KvStore",
     "MevBotClient",
     "OpenLoopClient",
     "PoissonArrivals",

@@ -58,7 +58,6 @@ MODULES = [
     "repro.workload.arrivals",
     "repro.workload.clients",
     "repro.workload.generator",
-    "repro.workload.kvstore",
     "repro.workload.mev",
     "repro.workload.spec",
     "repro.metrics",

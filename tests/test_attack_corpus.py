@@ -100,24 +100,38 @@ class TestRegistry:
         assert ATTACK_NODE_CLASSES["piggyback-forgery"] is PiggybackForgeryNode
 
     def test_resolve_bare_and_structured_specs(self):
-        classes, kwargs = resolve_attack_nodes(
-            {
+        cfg = _small_config(
+            attack_nodes={
                 1: "cipher-replay",
                 "2": {"name": "selective-reveal", "kwargs": {"mode": "delay"}},
-            },
-            4,
+            }
         )
+        assert cfg.attack_nodes == {
+            1: {"name": "cipher-replay", "kwargs": {}},
+            2: {"name": "selective-reveal", "kwargs": {"mode": "delay"}},
+        }
+        classes, kwargs = resolve_attack_nodes(cfg.attack_nodes)
         assert classes[1] is ATTACK_NODE_CLASSES["cipher-replay"]
         assert classes[2] is SelectiveRevealNode
-        assert kwargs[2] == {"mode": "delay"}
+        assert kwargs == {1: {}, 2: {"mode": "delay"}}
 
-    def test_resolve_rejects_unknown_names_and_pids(self):
-        with pytest.raises(ValueError):
-            resolve_attack_nodes({1: "no-such-attack"}, 4)
-        with pytest.raises(ValueError):
-            resolve_attack_nodes({9: "cipher-replay"}, 4)
-        with pytest.raises(ValueError):
-            resolve_attack_nodes({1: {"name": "cipher-replay", "junk": 1}}, 4)
+    @pytest.mark.parametrize(
+        "spec,problem",
+        [
+            ({1: "no-such-attack"}, "no-such-attack"),
+            ({1: {"name": "no-such-attack"}}, "no-such-attack"),
+            ({9: "cipher-replay"}, "unknown pid 9"),
+            ({-1: "cipher-replay"}, "unknown pid -1"),
+            ({1: {"name": "cipher-replay", "junk": 1}}, "junk"),
+            ({1: 7}, "registry name"),
+        ],
+        ids=["name", "structured-name", "pid-9", "pid-negative", "extra-key", "junk"],
+    )
+    def test_config_rejects_bad_attack_specs_at_construction(self, spec, problem):
+        """The one attack-spec check: a spec the registry cannot build is
+        refused when the config is made, not when the cluster is."""
+        with pytest.raises(ValueError, match=problem):
+            _small_config(attack_nodes=spec)
 
     def test_config_attack_nodes_builds_attack_replicas(self):
         cfg = _small_config(

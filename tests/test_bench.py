@@ -12,6 +12,7 @@ from repro.bench import suite
 from repro.bench.suite import (
     BENCH_SCHEMA_VERSION,
     CELLS,
+    PINNED_FIELDS,
     _run_row,
     check_against_baseline,
     default_output_path,
@@ -108,6 +109,8 @@ def _report(prefix="ab" * 32, violations=(), safety=None, name="cell"):
                 "n": 4,
                 "seed": 1,
                 "duration_ms": 800,
+                "events": 3958,
+                "committed": 20,
                 "prefix_sha256": prefix,
                 "invariant_violations": list(violations),
                 "safety_violation": safety,
@@ -139,6 +142,26 @@ class TestCheckAgainstBaseline:
         failures = check_against_baseline(report, report)
         assert len(failures) == 1
         assert "twin diverged" in failures[0] and failures[0].startswith(twin)
+
+    @pytest.mark.parametrize("key", ["events", "committed"])
+    def test_changed_count_fails(self, key):
+        # Same digest, different count: a row that commits nothing pins
+        # the digest of empty logs, so only its counts can see a change.
+        current = _report()
+        current["macro"]["cell"][key] += 1
+        failures = check_against_baseline(current, _report())
+        assert len(failures) == 1
+        assert failures[0].startswith(f"cell: {key} ")
+
+    @pytest.mark.parametrize("key", ["events", "committed"])
+    def test_twin_count_mismatch_fails(self, key):
+        base, twin = "goodcase_n4", "goodcase_n4_observed"
+        report = _report(name=base)
+        report["macro"][twin] = dict(report["macro"][base])
+        report["macro"][twin][key] += 1
+        failures = check_against_baseline(report, report)
+        assert len(failures) == 1
+        assert "twin diverged" in failures[0] and key in failures[0]
 
     def test_invariant_violation_fails(self):
         current = _report(violations=["prefix divergence at seq 3"])
@@ -204,8 +227,11 @@ class TestCellsTable:
                 cfg.seed,
                 cfg.duration_us // 1000,
             ), name
+            assert isinstance(pin["events"], int) and pin["events"] > 0, name
+            assert isinstance(pin["committed"], int), name
             if base is not None:
-                assert pin["prefix_sha256"] == pins[base]["prefix_sha256"]
+                for key in PINNED_FIELDS:
+                    assert pin[key] == pins[base][key], (name, key)
 
 
 class TestBenchCommand:
@@ -242,3 +268,25 @@ class TestBenchCommand:
             main(argv)
         assert exc.value.code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_passing_check_names_rows_that_commit_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Clients start after the 300 ms warm-up, so the 200 ms row
+        # commits nothing and its digest pins empty logs.
+        def sized(ms):
+            return lambda: _small_config(duration_us=ms * MILLISECONDS)
+
+        table = {"busy": (sized(1500), False, None), "idle": (sized(200), False, None)}
+        monkeypatch.setattr(suite, "CELLS", table)
+        out = tmp_path / "BENCH_quick.json"
+        assert main(["bench", "--quick", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["macro"]["idle"]["committed"] == 0
+        assert report["macro"]["busy"]["committed"] > 0
+        capsys.readouterr()
+        argv = ["bench", "--quick", "--out", str(out), "--check-against", str(out)]
+        assert main(argv) == 0
+        out_lines = capsys.readouterr().out.splitlines()
+        notes = [line for line in out_lines if "note:" in line]
+        assert len(notes) == 1 and "idle commits 0" in notes[0]

@@ -3,28 +3,31 @@ function of the seed, saved schedules replay bit-identically from JSON,
 the ddmin shrinker minimizes failing schedules, and custom watchdog
 checks catch violations that only manifest at the end of a run."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.attacks.fuzz import (
-    AttackAssignment,
-    FuzzSchedule,
+    fuzz_config,
     generate_schedule,
     run_schedule,
     shrink_schedule,
 )
+from repro.harness.config import ExperimentConfig
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
+from repro.workload.spec import WorkloadSpec
+
+
+def _json_round_trip(config):
+    return ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
 
 
 class TestScheduleGeneration:
     def test_same_seed_same_schedule(self):
         for seed in (0, 3, 11):
-            assert (
-                generate_schedule(seed).to_dict()
-                == generate_schedule(seed).to_dict()
-            )
+            assert generate_schedule(seed) == generate_schedule(seed)
 
     def test_different_seeds_differ(self):
         dicts = [generate_schedule(s).to_dict() for s in range(8)]
@@ -34,45 +37,52 @@ class TestScheduleGeneration:
         for seed in range(20):
             s = generate_schedule(seed)
             # Must not raise: attackers ∪ simultaneous crashes ≤ f.
-            s.plan.validate_for(s.n_nodes, s.resolved_f(), s.attacker_pids())
+            (s.fault_plan or FaultPlan()).validate_for(
+                s.n_nodes, s.resolved_f(), tuple(s.attack_nodes or ())
+            )
 
     def test_json_round_trip_is_exact(self):
         for seed in range(6):
             s = generate_schedule(seed)
-            back = FuzzSchedule.from_dict(json.loads(json.dumps(s.to_dict())))
-            assert back == s
+            assert _json_round_trip(s) == s
 
     def test_unknown_schedule_fields_rejected(self):
         data = generate_schedule(0).to_dict()
         data["junk"] = 1
         with pytest.raises(ValueError, match="junk"):
-            FuzzSchedule.from_dict(data)
+            ExperimentConfig.from_dict(data)
 
     def test_attack_assignment_validates_name(self):
-        with pytest.raises(ValueError):
-            AttackAssignment(1, "no-such-attack")
-        a = AttackAssignment(1, "selective-reveal", {"mode": "delay"})
-        assert a.kwargs_dict() == {"mode": "delay"}
-        assert AttackAssignment.from_dict(a.to_dict()) == a
+        """An attack entry names a registry behaviour, checked when the
+        schedule is built, and its kwargs survive JSON."""
+        with pytest.raises(ValueError, match="no-such-attack"):
+            fuzz_config(1, attack_nodes={1: "no-such-attack"})
+        spec = {"name": "selective-reveal", "kwargs": {"mode": "delay"}}
+        s = fuzz_config(1, attack_nodes={1: spec})
+        assert s.attack_nodes == {1: spec}
+        assert _json_round_trip(s).attack_nodes == s.attack_nodes
 
     def test_to_config_maps_knobs(self):
-        s = FuzzSchedule(
-            seed=5,
-            attacks=(AttackAssignment(1, "piggyback-forgery"),),
+        """A schedule is the config it runs: the fuzz rig plus the knobs."""
+        plan = FaultPlan(links=(LinkFault(drop_rate=0.1),))
+        s = fuzz_config(
+            5,
+            attack_nodes={1: "piggyback-forgery"},
             delta_piggyback=True,
             report_quorum=1,
-            plan=FaultPlan(links=(LinkFault(drop_rate=0.1),)),
+            fault_plan=plan,
             reliable_channels=True,
         )
-        cfg = s.to_config()
-        assert cfg.seed == 5
-        assert cfg.delta_piggyback is True
-        assert cfg.report_quorum == 1
-        assert cfg.reliable_channels is True
-        assert cfg.attack_nodes == {
-            1: {"name": "piggyback-forgery", "kwargs": {}}
-        }
-        assert cfg.fault_plan is s.plan
+        assert s.seed == 5
+        assert s.delta_piggyback is True
+        assert s.report_quorum == 1
+        assert s.reliable_channels is True
+        assert s.attack_nodes == {1: {"name": "piggyback-forgery", "kwargs": {}}}
+        assert s.fault_plan is plan
+        assert (s.batch_size, s.warmup_rounds, s.duration_us) == (8, 2, 3 * SECONDS)
+        # The rig's clients, stated explicitly: the legacy closed loop.
+        legacy = WorkloadSpec.from_legacy(clients_per_node=1, client_window=4)
+        assert s.workload == legacy
 
 
 class TestReplayDeterminism:
@@ -88,8 +98,7 @@ class TestReplayDeterminism:
         JSON, rebuild it, and the rerun produces the same digest."""
         s = generate_schedule(0)
         original = run_schedule(s)
-        rebuilt = FuzzSchedule.from_dict(json.loads(json.dumps(s.to_dict())))
-        replay = run_schedule(rebuilt)
+        replay = run_schedule(_json_round_trip(s))
         assert replay.digest == original.digest
         assert replay.violations == original.violations
 
@@ -126,13 +135,10 @@ class TestPinnedOutcomes:
 
 class TestShrinking:
     def _fat_schedule(self):
-        return FuzzSchedule(
-            seed=1,
-            attacks=(
-                AttackAssignment(0, "cipher-replay"),
-                AttackAssignment(1, "piggyback-forgery"),
-            ),
-            plan=FaultPlan(
+        return fuzz_config(
+            1,
+            attack_nodes={0: "cipher-replay", 1: "piggyback-forgery"},
+            fault_plan=FaultPlan(
                 links=(
                     LinkFault(drop_rate=0.1),
                     LinkFault(duplicate_rate=0.05),
@@ -144,40 +150,33 @@ class TestShrinking:
 
     def test_shrinks_to_single_culprit_component(self):
         # Oracle stub: the failure needs only the pid-1 attacker.
-        failing = lambda s: any(a.pid == 1 for a in s.attacks)
+        failing = lambda s: 1 in (s.attack_nodes or {})
         small = shrink_schedule(self._fat_schedule(), failing)
-        assert [a.pid for a in small.attacks] == [1]
-        assert small.plan.links == ()
-        assert small.plan.crashes == ()
+        assert list(small.attack_nodes) == [1]
+        assert small.fault_plan is None
 
     def test_shrink_preserves_knobs(self):
-        fat = self._fat_schedule()
-        fat = FuzzSchedule(
-            **{
-                **{f: getattr(fat, f) for f in (
-                    "seed", "n_nodes", "duration_us", "batch_size",
-                    "client_window", "attacks", "plan", "reliable_channels",
-                )},
-                "report_quorum": 1,
-                "delta_piggyback": True,
-            }
+        fat = dataclasses.replace(
+            self._fat_schedule(), report_quorum=1, delta_piggyback=True
         )
         small = shrink_schedule(fat, lambda s: True)
+        assert small.attack_nodes is None and small.fault_plan is None
+        # Everything but the removable components is untouched.
+        assert small == dataclasses.replace(fat, attack_nodes=None, fault_plan=None)
         assert small.report_quorum == 1
         assert small.delta_piggyback is True
 
     def test_shrink_keeps_failing_pair(self):
         # Failure needs the crash AND one specific link fault together.
         def failing(s):
-            return bool(s.plan.crashes) and any(
-                lf.drop_rate > 0 for lf in s.plan.links
-            )
+            plan = s.fault_plan or FaultPlan()
+            return bool(plan.crashes) and any(lf.drop_rate > 0 for lf in plan.links)
 
         small = shrink_schedule(self._fat_schedule(), failing)
         assert failing(small)
-        assert small.attacks == ()
-        assert len(small.plan.links) == 1
-        assert len(small.plan.crashes) == 1
+        assert small.attack_nodes is None
+        assert len(small.fault_plan.links) == 1
+        assert len(small.fault_plan.crashes) == 1
 
     def test_shrink_respects_run_budget(self):
         calls = []
@@ -307,3 +306,34 @@ class TestFuzzCli:
         path.write_text(json.dumps(data))
         with pytest.raises(SystemExit):
             main(["fuzz", "--replay", str(path)])
+
+    @pytest.mark.parametrize(
+        "change,problem",
+        [
+            (None, "Expecting property name"),
+            ({"junk": 1}, "junk"),
+            ({"attack_nodes": {"1": "no-such-attack"}}, "no-such-attack"),
+            ({"attack_nodes": {"9": "cipher-replay"}}, "unknown pid 9"),
+        ],
+        ids=["not-json", "unknown-field", "unknown-attack", "pid-out-of-range"],
+    )
+    def test_malformed_replay_artifact_is_a_usage_error(
+        self, tmp_path, capsys, change, problem
+    ):
+        """Exit 1 means "violation found", so a replay artifact that is
+        not a schedule exits 2 with one line naming the problem."""
+        from repro.__main__ import main
+
+        path = tmp_path / "bad.json"
+        if change is None:
+            path.write_text("{not json")
+        else:
+            path.write_text(json.dumps({**generate_schedule(8).to_dict(), **change}))
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--replay", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "FUZZ" not in captured.out  # nothing ran
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "bad replay artifact" in errors[0] and problem in errors[0]

@@ -48,17 +48,6 @@ class TestSafety:
         for node in cluster.nodes:
             assert check_output_sorted(node.output_sequence()) is None
 
-    def test_kv_stores_agree_on_common_prefix(self, baseline_run):
-        cluster, _ = baseline_run
-        # All nodes executed the same count in this quiesced run; their
-        # stores must be identical.
-        counts = {len(cluster.stores[pid]) for pid in cluster.stores}
-        snapshots = [s.snapshot() for s in cluster.stores.values()]
-        shortest = min(snapshots, key=len)
-        for snap in snapshots:
-            for key, value in shortest.items():
-                assert snap.get(key) == value
-
     def test_lower_bounded_sequence_numbers(self, baseline_run):
         """Definition 6 / Lemma 2, checked against ground truth."""
         cluster, _ = baseline_run

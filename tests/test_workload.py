@@ -1,9 +1,9 @@
-"""Tests for workload components: generators, clients, KV execution."""
+"""Tests for workload components: generators and clients."""
 
 import pytest
 
 from repro.core.node import CLIENT_REPLY_KIND, CLIENT_TX_KIND
-from repro.core.types import Batch, Transaction
+from repro.core.types import Transaction
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
@@ -11,7 +11,6 @@ from repro.sim.engine import Simulator
 from repro.sim.process import SimProcess
 from repro.workload.clients import ClosedLoopClient, OpenLoopClient
 from repro.workload.generator import TxGenerator, decode_kv_write
-from repro.workload.kvstore import KvStore
 
 
 class EchoReplica(SimProcess):
@@ -116,34 +115,3 @@ class TestOpenLoopClient:
         net.register(client, replica=False)
         sim.run(until=10_500)
         assert client.stats.submitted == 11
-
-
-class TestKvStore:
-    def test_apply_kv_writes(self):
-        store = KvStore()
-        gen = TxGenerator(0)
-        store.apply(gen.kv_write(1, 10))
-        store.apply(gen.kv_write(1, 20))
-        assert store.get(1) == 20
-        assert store.applied_txs == 2
-
-    def test_apply_batch(self):
-        store = KvStore()
-        gen = TxGenerator(0)
-        batch = Batch(0, 0, (gen.kv_write(1, 1), gen.kv_write(2, 2)))
-        store.apply_batch(batch)
-        assert store.applied_batches == 1
-        assert len(store) == 2
-
-    def test_opaque_txs_recorded(self):
-        store = KvStore()
-        store.apply(Transaction(1, 5, b"opaque"))
-        assert len(store) == 1
-
-    def test_snapshot_is_copy(self):
-        store = KvStore()
-        gen = TxGenerator(0)
-        store.apply(gen.kv_write(1, 1))
-        snap = store.snapshot()
-        snap[1] = 999
-        assert store.get(1) == 1
