@@ -4,26 +4,25 @@
 Three runs of the same 4-node Lyra cluster:
 
 1. a synchronous baseline;
-2. an adversary delaying arbitrary messages (up to 400 ms) until GST = 2 s
-   — safety holds throughout, commits flow once the network stabilises;
+2. an adversary delaying every message by a random amount (up to 400 ms)
+   until GST = 2 s — safety holds throughout, commits flow once the
+   network stabilises;
 3. a 2–2 network partition healing at t = 3 s — neither side holds a
    2f+1 quorum, so *nothing* commits during the split (and nothing
    unsafe happens), then both sides converge on one log.
+
+Both adversaries are :class:`~repro.net.faults.FaultPlan` rules whose
+``gst_us`` also tells the invariant watchdog when liveness is due.
 
 Run:  python examples/partial_synchrony.py
 """
 
 from repro.harness import ExperimentConfig, build_cluster
-from repro.net.adversary import (
-    PartialSynchronyAdversary,
-    PartitionAdversary,
-    PartitionEvent,
-)
+from repro.net.faults import FaultPlan, LinkFault, partition_faults
 from repro.sim.engine import MILLISECONDS, SECONDS
-from repro.sim.rng import RngRegistry
 
 
-def base_config(seed=71):
+def base_config(seed=71, fault_plan=None):
     return ExperimentConfig(
         n_nodes=4,
         seed=seed,
@@ -33,6 +32,7 @@ def base_config(seed=71):
         duration_us=10 * SECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
+        fault_plan=fault_plan,
     )
 
 
@@ -51,18 +51,16 @@ def main() -> None:
     cluster = build_cluster(base_config())
     report("synchronous", cluster, cluster.run())
 
-    cluster = build_cluster(base_config())
-    cluster.network.adversary = PartialSynchronyAdversary(
-        2 * SECONDS, max_delay_us=400 * MILLISECONDS, rng=RngRegistry(71)
+    gst = 2 * SECONDS
+    random_delays = LinkFault(
+        reorder_rate=1.0, reorder_delay_us=400 * MILLISECONDS, end_us=gst
     )
+    cluster = build_cluster(base_config(fault_plan=FaultPlan(links=(random_delays,), gst_us=gst)))
     report("adversary until GST=2s", cluster, cluster.run())
 
-    cluster = build_cluster(base_config())
-    cluster.network.adversary = PartitionAdversary(
-        schedule=[
-            PartitionEvent(groups=(frozenset({0, 1}),), heal_at_us=3 * SECONDS)
-        ]
-    )
+    heal = 3 * SECONDS
+    split = partition_faults([{0, 1}], 4, heal_at_us=heal)
+    cluster = build_cluster(base_config(fault_plan=FaultPlan(links=split, gst_us=heal)))
     # Peek mid-partition: no quorum, no commits.
     cluster_nodes = cluster.nodes
     for node in cluster_nodes:

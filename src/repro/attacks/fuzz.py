@@ -285,7 +285,8 @@ def _rebuild(
     def kept(kind: str) -> tuple:
         return tuple(c for k, c in comps if k == kind)
 
-    plan = FaultPlan(links=kept("link"), crashes=kept("crash"))
+    gst_us = (schedule.fault_plan or FaultPlan()).gst_us
+    plan = FaultPlan(links=kept("link"), crashes=kept("crash"), gst_us=gst_us)
     return dataclasses.replace(
         schedule,
         attack_nodes=dict(kept("attack")) or None,

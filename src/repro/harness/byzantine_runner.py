@@ -16,6 +16,7 @@ from repro.baselines.fino import BlindCensoringLeaderFino
 from repro.harness.cluster import check_safety
 from repro.harness.config import ExperimentConfig
 from repro.harness.factory import build_cluster
+from repro.net.faults import FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.workload.spec import ClientGroup, WorkloadSpec
 
@@ -105,8 +106,11 @@ def run_warmup_bias_case(*, seed: int = 59, n: int = 4) -> Dict:
     continuous re-probing and vote piggybacks re-converge the estimates
     after GST and its transactions commit (the "unexpected change ...
     triggers the rejection" then recovery story)."""
-    from repro.net.adversary import TargetedDelayAdversary
-
+    gst = 2 * SECONDS
+    victim_links = (
+        LinkFault(src=(2,), delay_us=400 * MILLISECONDS, end_us=gst),
+        LinkFault(dst=(2,), delay_us=400 * MILLISECONDS, end_us=gst),
+    )
     cfg = ExperimentConfig(
         n_nodes=n,
         seed=seed,
@@ -118,11 +122,9 @@ def run_warmup_bias_case(*, seed: int = 59, n: int = 4) -> Dict:
         duration_us=12 * SECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
+        fault_plan=FaultPlan(links=victim_links, gst_us=gst),
     )
     cluster = build_cluster(cfg)
-    cluster.network.adversary = TargetedDelayAdversary(
-        {2}, 400 * MILLISECONDS, gst_us=2 * SECONDS
-    )
     client = cluster.clients[0]
     result = cluster.run()
     return {

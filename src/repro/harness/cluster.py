@@ -37,9 +37,8 @@ from repro.metrics.fairness import fairness_block
 from repro.metrics.invariants import InvariantWatchdog
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracelog import TraceLog, install_lyra_tracing
-from repro.net.adversary import NullAdversary, PartialSynchronyAdversary
 from repro.net.dissemination import TreeDissemination
-from repro.net.faults import FaultInjector
+from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.latency import make_latency_model
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Topology
@@ -469,21 +468,14 @@ class Cluster:
             jitter=config.jitter,
             rng=self.rng,
         )
-        adversary = (
-            PartialSynchronyAdversary(
-                config.gst_us,
-                max_delay_us=config.adversary_max_delay_us,
-                rng=self.rng,
-            )
-            if config.gst_us > 0
-            else NullAdversary()
-        )
-        # Chaos engine: link faults execute inside the network, crash
-        # events are scheduled on the replicas, and the reliable layer
-        # re-implements the §II-A channel abstraction over the lossy wire.
+        # Chaos engine: link faults (the partial-synchrony adversary's
+        # delays and holds among them) execute inside the network, crash
+        # events are scheduled on the replicas, the plan's GST starts the
+        # watchdog's liveness check, and the reliable layer re-implements
+        # the §II-A channel abstraction over the lossy wire.
         self.fault_injector: Optional[FaultInjector] = None
-        plan = config.fault_plan
-        if plan is not None and not plan.empty:
+        plan = config.fault_plan or FaultPlan()
+        if not plan.empty:
             # Crashes and Byzantine/attack replicas share the resilience
             # budget: the plan is rejected if they jointly exceed f.
             byz = sorted(p for p, c in classes.items() if c is not adapter.node_class)
@@ -492,7 +484,6 @@ class Cluster:
         self.network = Network(
             self.sim,
             latency,
-            adversary,
             NetworkConfig(
                 delta_us=config.delta_us,
                 bandwidth_enabled=config.bandwidth_enabled,
@@ -507,12 +498,11 @@ class Cluster:
             self.network.register(node, replica=True)
         for client in self.clients:
             self.network.register(client, replica=False)
-        if plan is not None:
-            for ev in plan.crashes:
-                node = self.nodes[ev.pid]
-                self.sim.schedule_at(ev.crash_at_us, node.crash)
-                if ev.recover_at_us is not None:
-                    self.sim.schedule_at(ev.recover_at_us, node.recover)
+        for ev in plan.crashes:
+            node = self.nodes[ev.pid]
+            self.sim.schedule_at(ev.crash_at_us, node.crash)
+            if ev.recover_at_us is not None:
+                self.sim.schedule_at(ev.recover_at_us, node.recover)
 
         # Observability, one switch: span tracing over the node tracer
         # hook, per-link wire stats, and the registry of counters every
@@ -540,7 +530,7 @@ class Cluster:
 
         # Always-on invariant watchdog: prefix agreement, commit
         # regression, ordered output, and post-GST liveness.
-        liveness_from = max(adversary.gst(), config.measurement_start_us())
+        liveness_from = max(plan.gst_us, config.measurement_start_us())
         self.watchdog = InvariantWatchdog(
             self.sim, self.nodes, f=f, gst_us=liveness_from
         )

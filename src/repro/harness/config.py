@@ -44,8 +44,6 @@ class ExperimentConfig:
     jitter: float = 0.015
     #: 1 Gbps NICs (``BandwidthModel.DEFAULT_RATE``) when enabled.
     bandwidth_enabled: bool = True
-    gst_us: int = 0  # 0 = synchronous from the start
-    adversary_max_delay_us: int = 400 * MILLISECONDS
     #: Broadcast dissemination strategy: ``"all2all"`` (direct fan-out,
     #: today's behaviour) or ``"tree"`` (deterministic k-ary relay tree per
     #: sender).  See :mod:`repro.net.dissemination` and EXPERIMENTS.md

@@ -74,7 +74,8 @@ from repro.harness.config import ExperimentConfig
 #: bundling fields, and ``delta_piggyback`` is a plain ``bool``.
 #: Schema 7: ``ExperimentConfig`` dropped ``metrics`` (``tracing`` is the
 #: one observability switch).
-CACHE_SCHEMA = 7
+#: Schema 8: ``ExperimentConfig`` dropped ``gst_us``/``adversary_max_delay_us``; ``FaultPlan``/``LinkFault`` gained fields.
+CACHE_SCHEMA = 8
 
 
 # ----------------------------------------------------------------------

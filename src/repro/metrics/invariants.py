@@ -179,10 +179,11 @@ class InvariantWatchdog:
             self._last_progress_us = now
             return
         if now - self._last_progress_us > self.stall_window_us:
+            # Named by when it started, so one stall is one violation.
             self._record(
                 "post-gst-liveness",
-                f"no commit progress for {now - self._last_progress_us} us "
-                f"(gst={self.gst_us} us, {down} replicas down)",
+                f"no commit progress since {self._last_progress_us} us "
+                f"(gst={self.gst_us} us)",
             )
 
 

@@ -1,13 +1,16 @@
-"""Deterministic fault injection: lossy links and crash–recovery schedules.
+"""Deterministic fault injection: everything the wire does wrong, in one plan.
 
-The paper *assumes* reliable authenticated channels and crash-free correct
-processes (§II-A).  A production SMR system has to implement both, so the
-chaos engine lets experiments drop that assumption and check the protocol's
-invariants survive:
+The paper's model (§II-A) lets an adversary delay messages until an
+unknown Global Stabilisation Time (GST), but never drop them, and assumes
+reliable authenticated channels and crash-free correct processes.  One
+:class:`FaultPlan` describes both the adversary the model allows and the
+faults a production SMR system has to survive on top of it:
 
 - a :class:`FaultPlan` is pure data — per-link loss/duplication/reordering/
-  corruption rates with time windows (:class:`LinkFault`) plus scheduled
-  crash/recover events (:class:`CrashEvent`) — so it can live inside an
+  corruption rates, fixed delays and partition holds with time windows
+  (:class:`LinkFault`), scheduled crash/recover events
+  (:class:`CrashEvent`) and the GST from which the network is promised to
+  be synchronous — so it can live inside an
   :class:`~repro.harness.config.ExperimentConfig` and be swept over like
   any other parameter;
 - a :class:`FaultInjector` executes the link faults inside the
@@ -15,14 +18,17 @@ invariants survive:
   per-link seeded stream so the same seed replays the same fault sequence
   bit-for-bit.
 
-Crash events are *interpreted by the cluster builder* (which owns the
-processes), not by the injector.
+Crash events and ``gst_us`` are *interpreted by the cluster builder*
+(which owns the processes and the invariant watchdog), not by the
+injector.  :func:`partition_faults` writes a network partition as one
+``hold`` rule per side; a pre-GST random delay is a ``reorder_rate=1.0``
+rule ending at GST.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, Optional, Sequence, Tuple
 
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS
@@ -37,6 +43,11 @@ class LinkFault:
     matches every pid); ``start_us``/``end_us`` bound the active window
     (``end_us=None`` means until the end of the run).  Rates are
     independent per-message probabilities in ``[0, 1]``.
+
+    ``delay_us`` and ``hold`` are the model's adversary: deterministic,
+    they draw no random number, apply to every copy of a frame and do not
+    stack — a frame waits the largest of its matching rules' delays.  Both
+    need an ``end_us`` no later than the plan's ``gst_us``.
     """
 
     #: Probability the message is silently lost.
@@ -55,12 +66,27 @@ class LinkFault:
     dst: Optional[Tuple[int, ...]] = None
     start_us: int = 0
     end_us: Optional[int] = None
+    #: Fixed extra delay for every matching frame.
+    delay_us: int = 0
+    #: Hold every matching frame until ``end_us`` (a partition).
+    hold: bool = False
 
     def __post_init__(self) -> None:
         for name in ("drop_rate", "duplicate_rate", "reorder_rate", "corrupt_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        for name in ("start_us", "reorder_delay_us", "delay_us"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.end_us is not None and self.end_us <= self.start_us:
+            raise ValueError(
+                f"end_us must be after start_us, got [{self.start_us}, {self.end_us})"
+            )
+        if self.hold and self.end_us is None:
+            raise ValueError("a hold rule needs end_us: held frames leave then")
+        if self.hold and self.delay_us:
+            raise ValueError("a rule either holds or delays, not both")
         # Normalise endpoint selectors to sorted tuples so to_dict() output
         # (and the sweep cache content hash) is canonical.
         for name in ("src", "dst"):
@@ -98,10 +124,16 @@ class CrashEvent:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A complete, serialisable fault schedule for one run."""
+    """A complete, serialisable fault schedule for one run.
+
+    ``gst_us`` is the time from which the plan promises a synchronous
+    network: no ``delay_us`` or ``hold`` rule outlasts it, and the
+    invariant watchdog expects commit progress after it.
+    """
 
     links: Tuple[LinkFault, ...] = ()
     crashes: Tuple[CrashEvent, ...] = ()
+    gst_us: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "links", tuple(self.links))
@@ -110,10 +142,18 @@ class FaultPlan:
             "crashes",
             tuple(sorted(self.crashes, key=lambda e: (e.crash_at_us, e.pid))),
         )
+        if self.gst_us < 0:
+            raise ValueError(f"gst_us must be non-negative, got {self.gst_us}")
+        for lf in self.links:
+            if (lf.delay_us or lf.hold) and (lf.end_us is None or lf.end_us > self.gst_us):
+                raise ValueError(
+                    f"a delay or hold rule must end by gst_us={self.gst_us}, "
+                    f"got end_us={lf.end_us}"
+                )
 
     @property
     def empty(self) -> bool:
-        return not self.links and not self.crashes
+        return not self.links and not self.crashes and not self.gst_us
 
     def validate_for(
         self, n_nodes: int, f: int, byzantine: Sequence[int] = ()
@@ -137,6 +177,11 @@ class FaultPlan:
         for ev in self.crashes:
             if not 0 <= ev.pid < n_nodes:
                 raise ValueError(f"crash event targets unknown pid {ev.pid}")
+        for lf in self.links:
+            for name in ("src", "dst"):
+                for pid in getattr(lf, name) or ():
+                    if not 0 <= pid < n_nodes:
+                        raise ValueError(f"link fault {name} names unknown pid {pid}")
         # Worst-case joint adversary at each crash/recover moment.
         moments = sorted(
             {ev.crash_at_us for ev in self.crashes}
@@ -178,6 +223,8 @@ class FaultPlan:
                 "dst": list(lf.dst) if lf.dst is not None else None,
                 "start_us": lf.start_us,
                 "end_us": lf.end_us,
+                "delay_us": lf.delay_us,
+                "hold": lf.hold,
             }
 
         return {
@@ -190,6 +237,7 @@ class FaultPlan:
                 }
                 for ev in self.crashes
             ],
+            "gst_us": self.gst_us,
         }
 
     @classmethod
@@ -208,7 +256,48 @@ class FaultPlan:
         return cls(
             links=tuple(build(LinkFault, raw) for raw in data.get("links", ())),
             crashes=tuple(build(CrashEvent, raw) for raw in data.get("crashes", ())),
+            gst_us=data.get("gst_us", 0),
         )
+
+
+def partition_faults(
+    groups: Sequence[AbstractSet[int]],
+    n_nodes: int,
+    *,
+    start_us: int = 0,
+    heal_at_us: int,
+) -> Tuple[LinkFault, ...]:
+    """A network partition from ``start_us`` until ``heal_at_us``, as one
+    ``hold`` rule per side: every frame from a side to any replica outside
+    it is held until the heal, the strongest schedule partial synchrony
+    allows short of dropping.  Replica pids left out of every group form
+    the remainder side.  Give the plan a ``gst_us`` of at least the latest
+    heal."""
+    replicas = frozenset(range(n_nodes))
+    sides = [frozenset(int(p) for p in group) for group in groups]
+    if not sides:
+        raise ValueError("a partition needs at least one group")
+    seen: frozenset = frozenset()
+    for side in sides:
+        if seen & side:
+            raise ValueError(f"pids {sorted(seen & side)} appear in two groups")
+        seen |= side
+    if not seen <= replicas:
+        raise ValueError(f"pids {sorted(seen - replicas)} are not replicas")
+    if heal_at_us <= start_us:
+        raise ValueError("heal_at_us must be after start_us")
+    sides.append(replicas - seen)
+    return tuple(
+        LinkFault(
+            src=tuple(side),
+            dst=tuple(replicas - side),
+            start_us=start_us,
+            end_us=heal_at_us,
+            hold=True,
+        )
+        for side in sides
+        if side and side != replicas
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +311,10 @@ class FaultDecision:
     drop: bool = False
     duplicate: bool = False
     corrupt: bool = False
+    #: The reorder delay, on the original copy only.
     extra_delay_us: int = 0
+    #: The fixed delay or hold, on every copy.
+    delay_us: int = 0
 
 
 _CLEAN = FaultDecision()
@@ -250,6 +342,8 @@ class FaultStats:
     dropped: int = 0
     duplicated: int = 0
     reordered: int = 0
+    #: Transmissions given a fixed delay or held.
+    delayed: int = 0
     corrupted: int = 0
     corrupt_detected: int = 0
     duplicate_wire_events: int = 0
@@ -260,6 +354,7 @@ class FaultStats:
             "dropped": self.dropped,
             "duplicated": self.duplicated,
             "reordered": self.reordered,
+            "delayed": self.delayed,
             "corrupted": self.corrupted,
             "corrupt_detected": self.corrupt_detected,
             "duplicate_wire_events": self.duplicate_wire_events,
@@ -328,6 +423,8 @@ class FaultInjector:
                 lf.corrupt_rate,
                 lf.reorder_rate,
                 lf.reorder_delay_us,
+                lf.delay_us,
+                lf.hold,
             )
             for lf in self.plan.links
             if (lf.src is None or src in lf.src) and (lf.dst is None or dst in lf.dst)
@@ -359,10 +456,17 @@ class FaultInjector:
                 block[:0] = gen.random(_BLOCK)[::-1].tolist()
             draw = block.pop
         drop = duplicate = corrupt = False
-        extra_delay_us = 0
-        for start, end, drop_rate, dup_rate, corrupt_rate, reorder_rate, reorder_us in rules:
+        extra_delay_us = fixed_us = 0
+        for (
+            start, end, drop_rate, dup_rate, corrupt_rate, reorder_rate, reorder_us,
+            delay_us, hold,
+        ) in rules:
             if now < start or now >= end:
                 continue
+            if hold:
+                delay_us = end - now
+            if delay_us > fixed_us:
+                fixed_us = delay_us
             if drop_rate > 0.0 and draw() < drop_rate:
                 drop = True
             if dup_rate > 0.0 and draw() < dup_rate:
@@ -376,7 +480,7 @@ class FaultInjector:
             # A dropped message neither duplicates nor reorders.
             stats.dropped += 1
             return _DROP
-        if not (duplicate or corrupt or extra_delay_us):
+        if not (duplicate or corrupt or extra_delay_us or fixed_us):
             return _CLEAN
         if duplicate:
             stats.duplicate_wire_events += 1
@@ -390,8 +494,13 @@ class FaultInjector:
                 stats.corrupted += 1
         if extra_delay_us:
             stats.reordered += 1
+        if fixed_us:
+            stats.delayed += 1
         return FaultDecision(
-            duplicate=duplicate, corrupt=corrupt, extra_delay_us=extra_delay_us
+            duplicate=duplicate,
+            corrupt=corrupt,
+            extra_delay_us=extra_delay_us,
+            delay_us=fixed_us,
         )
 
     @staticmethod
@@ -407,6 +516,7 @@ __all__ = [
     "LinkFault",
     "CrashEvent",
     "FaultPlan",
+    "partition_faults",
     "FaultDecision",
     "FaultStats",
     "FaultInjector",

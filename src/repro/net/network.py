@@ -3,14 +3,15 @@
 Delivery time of a message =
     egress serialisation (NIC queue at the sender)
   + propagation latency (region matrix + jitter)
-  + adversarial delay (zero after GST)
+  + the fault plan's fixed delay or partition hold (none after GST)
   + ingress serialisation (NIC queue at the receiver)
+  + the fault plan's random reorder delay
 
-By default channels deliver every message (the §II-A reliable-channel
-abstraction taken as given).  With a :class:`~repro.net.faults.FaultInjector`
-attached, links drop/duplicate/reorder/corrupt per their
-:class:`~repro.net.faults.FaultPlan`; layering a
-:class:`~repro.net.reliable.ReliableLayer` on top (``enable_reliable``)
+By default channels deliver every message promptly (the §II-A
+reliable-channel abstraction taken as given).  With a
+:class:`~repro.net.faults.FaultInjector` attached, links delay/hold/drop/
+duplicate/reorder/corrupt per their :class:`~repro.net.faults.FaultPlan`;
+layering a :class:`~repro.net.reliable.ReliableLayer` on top (``enable_reliable``)
 then *implements* §II-A over the lossy wire with acks and retransmission.
 Authentication is by construction: the receiver learns the true sender pid
 (processes cannot impersonate each other), the cryptographic layer on top
@@ -23,7 +24,6 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.net.adversary import NetworkAdversary, NullAdversary
 from repro.net.bandwidth import BandwidthModel
 from repro.net.dissemination import TREE_KIND, TreeDissemination
 from repro.net.faults import FaultInjector
@@ -48,8 +48,6 @@ class NetworkConfig:
     bandwidth_enabled: bool = True
     #: NIC line rate in bits/s (uniform across nodes unless a dict).
     rate_bps: float | Dict[int, float] = BandwidthModel.DEFAULT_RATE
-    #: Enforce the Δ bound after GST by clamping residual adversarial delay.
-    clamp_after_gst: bool = True
 
 
 class _Link:
@@ -79,13 +77,11 @@ class Network:
         self,
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
-        adversary: Optional[NetworkAdversary] = None,
         config: Optional[NetworkConfig] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.sim = sim
         self.latency = latency or UniformLatencyModel()
-        self.adversary = adversary or NullAdversary()
         self.config = config or NetworkConfig()
         self.bandwidth = BandwidthModel(
             sim, rate_bps=self.config.rate_bps, enabled=self.config.bandwidth_enabled
@@ -256,11 +252,7 @@ class Network:
         accounting.
         """
         reliable = self.reliable
-        if (
-            reliable is None
-            and self.faults is None
-            and type(self.adversary) is NullAdversary
-        ):
+        if reliable is None and self.faults is None:
             return self._broadcast_fast(src, message, include_self)
         # Reliable channels frame per destination (each link has its own
         # sequence space); the inner message object stays shared.
@@ -276,7 +268,7 @@ class Network:
         """Fan-out over the sender's row of link records.
 
         Applies when nothing perturbs the pipeline per destination — no
-        faults and a null adversary.  The k-th egress departure is then
+        fault injector.  The k-th egress departure is then
         exactly ``first_departure + k * serialisation`` on the sender's NIC,
         so what is left per destination is its ingress serialisation, one
         jitter draw (off the sender's stream, in destination order, as
@@ -350,10 +342,10 @@ class Network:
         :meth:`Simulator.post` (a delivery is never cancelled).
 
         Arrival = egress departure + propagation (base plus the sender's
-        jitter draw) + adversarial delay (clamped to Δ after GST) + ingress
-        serialisation + the fault's reorder delay.  Point-to-point sends,
-        reliable frames and acks and the general broadcast loop all end
-        here, so ``frame`` may be shared with other links:
+        jitter draw) + ingress serialisation + the fault's fixed delay or
+        hold (every copy) + its reorder delay (the original only).
+        Point-to-point sends, reliable frames and acks and the general
+        broadcast loop all end here, so ``frame`` may be shared with other links:
         a corrupting link damages a *copy* and a duplicate travels as a
         clone taking its own (jittered) path, so it may arrive before or
         after the original.  An unregistered destination is counted as
@@ -369,7 +361,7 @@ class Network:
         sim = self.sim
         now = sim._now
         wire = frame
-        reorder = 0
+        reorder = delay = 0
         duplicate = False
         if link.lane is not None:
             decision = self.faults.decide_on(link.lane, frame, now)
@@ -378,6 +370,7 @@ class Network:
             if decision.corrupt:
                 wire = FaultInjector.corrupted_copy(frame)
             reorder = decision.extra_delay_us
+            delay = decision.delay_us
             duplicate = decision.duplicate
         size = frame.size
         egress = link.egress
@@ -390,9 +383,6 @@ class Network:
             ingress = link.ingress._ser_cache.get(size)
             if ingress is None:
                 ingress = link.ingress.serialisation_us(size)
-        adversary = self.adversary
-        if type(adversary) is NullAdversary:
-            adversary = None
         while True:
             if egress is None:
                 departure = now
@@ -416,19 +406,11 @@ class Network:
                 prop = int(prop * (1.0 + noise))
                 if prop < link.floor:
                     prop = link.floor
-            if adversary is not None:
-                extra = adversary.extra_delay_us(src, dst, size, now)
-                # With zero adversarial delay the clamp is a no-op, so the
-                # GST lookup only runs when there is something to clamp.
-                if extra and self.config.clamp_after_gst and now >= adversary.gst():
-                    # After GST the adversary cannot stretch delays past Δ.
-                    extra = min(extra, max(0, self.config.delta_us - prop))
-                prop += extra
             # Every term is non-negative and departure is never in the past.
             # Priority src+1 gives same-instant deliveries a canonical
             # sender-pid order (see _broadcast_fast).
             sim.post(
-                departure - now + prop + ingress + reorder,
+                departure - now + prop + ingress + delay + reorder,
                 self._deliver,
                 (link, wire),
                 src + 1,
@@ -436,7 +418,7 @@ class Network:
             if not duplicate:
                 return
             # Once more for the duplicate: a clean clone with its own
-            # departure, jitter draw and adversary delay, and no reorder.
+            # departure and jitter draw, the same fixed delay, no reorder.
             duplicate = False
             wire = frame.clone()
             reorder = 0

@@ -13,8 +13,8 @@ MODULES = [
     "repro.sim.rng",
     "repro.sim.timers",
     "repro.net",
-    "repro.net.adversary",
     "repro.net.bandwidth",
+    "repro.net.faults",
     "repro.net.latency",
     "repro.net.message",
     "repro.net.network",

@@ -100,14 +100,15 @@ def test_crashed_relay_starves_its_subtree(protocol):
     """A crashed relay's subtree never receives the broadcasts routed
     through it, and no protocol here re-pulls them, so commits stop.  The
     watchdog must see that stall on every protocol: each replica class
-    reports its own pending work."""
+    reports its own pending work, and one stall is one violation."""
     plan = FaultPlan(crashes=(CrashEvent(pid=1, crash_at_us=1500 * MILLISECONDS),))
     cfg = closed_loop_config(
         7, 1, 6 * SECONDS, dissemination="tree", fanout=2, fault_plan=plan
     )
     result = build_cluster(cfg, protocol=protocol).run()
     assert result.wire_stats["dissemination"]["dead_relays"] > 0
-    assert any("post-gst-liveness" in v for v in result.invariant_violations)
+    stalls = [v for v in result.invariant_violations if "post-gst-liveness" in v]
+    assert len(stalls) == 1, stalls
 
 
 class TestCacheKeys:

@@ -127,9 +127,10 @@ class TestTargetedAdversary:
         """An adversary delays everything touching one replica until GST;
         its batches commit afterwards."""
         from repro.harness import build_cluster
-        from repro.net.adversary import TargetedDelayAdversary
+        from repro.net.faults import FaultPlan, LinkFault
         from repro.workload.clients import ClosedLoopClient
 
+        gst = 2 * SECONDS
         cfg = ExperimentConfig(
             n_nodes=4,
             seed=47,
@@ -138,11 +139,15 @@ class TestTargetedAdversary:
             duration_us=8 * SECONDS,
             warmup_rounds=2,
             warmup_spacing_us=150 * MILLISECONDS,
+            fault_plan=FaultPlan(
+                links=(
+                    LinkFault(src=(2,), delay_us=400 * MILLISECONDS, end_us=gst),
+                    LinkFault(dst=(2,), delay_us=400 * MILLISECONDS, end_us=gst),
+                ),
+                gst_us=gst,
+            ),
         )
         cluster = build_cluster(cfg)
-        cluster.network.adversary = TargetedDelayAdversary(
-            {2}, 400 * MILLISECONDS, gst_us=2 * SECONDS
-        )
         client = ClosedLoopClient(
             cluster.topology.place(cluster.topology.region_of(2)),
             cluster.sim,

@@ -11,6 +11,7 @@ from repro.net.faults import (
     FaultPlan,
     FaultStats,
     LinkFault,
+    partition_faults,
 )
 from repro.net.message import Message
 from repro.sim.rng import RngRegistry
@@ -22,6 +23,22 @@ class TestLinkFault:
             LinkFault(drop_rate=1.5)
         with pytest.raises(ValueError):
             LinkFault(corrupt_rate=-0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(start_us=5, end_us=5), "end_us must be after"),
+            (dict(start_us=9, end_us=5), "end_us must be after"),
+            (dict(start_us=-1), "start_us must be non-negative"),
+            (dict(reorder_delay_us=-1), "reorder_delay_us must be non-negative"),
+            (dict(delay_us=-1, end_us=5), "delay_us must be non-negative"),
+            (dict(hold=True), "hold rule needs end_us"),
+            (dict(hold=True, delay_us=3, end_us=5), "holds or delays"),
+        ],
+    )
+    def test_rules_that_never_fire_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            LinkFault(**kwargs)
 
     def test_matches_window_and_endpoints(self):
         lf = LinkFault(drop_rate=0.5, src=(0,), dst=(1, 2), start_us=100, end_us=200)
@@ -61,9 +78,31 @@ class TestFaultPlan:
         assert [e.pid for e in plan.crashes] == [0, 1]
 
     def test_validate_unknown_pid(self):
-        plan = FaultPlan(crashes=(CrashEvent(pid=9, crash_at_us=1),))
-        with pytest.raises(ValueError, match="unknown pid"):
-            plan.validate_for(n_nodes=4, f=1)
+        for plan in (
+            FaultPlan(crashes=(CrashEvent(pid=9, crash_at_us=1),)),
+            FaultPlan(links=(LinkFault(drop_rate=0.1, src=(99,)),)),
+            FaultPlan(links=(LinkFault(drop_rate=0.1, dst=(0, 4)),)),
+            FaultPlan(links=(LinkFault(drop_rate=0.1, src=(-1,)),)),
+        ):
+            with pytest.raises(ValueError, match="unknown pid"):
+                plan.validate_for(n_nodes=4, f=1)
+
+    @pytest.mark.parametrize(
+        "rule, gst_us",
+        [
+            (LinkFault(delay_us=10), 100),  # no end_us
+            (LinkFault(delay_us=10, end_us=101), 100),
+            (LinkFault(hold=True, end_us=101), 100),
+            (LinkFault(hold=True, end_us=1), 0),
+        ],
+    )
+    def test_delays_and_holds_end_by_gst(self, rule, gst_us):
+        with pytest.raises(ValueError, match="must end by gst_us"):
+            FaultPlan(links=(rule,), gst_us=gst_us)
+
+    def test_negative_gst_rejected(self):
+        with pytest.raises(ValueError, match="gst_us must be non-negative"):
+            FaultPlan(gst_us=-1)
 
     def test_validate_too_many_simultaneous_crashes(self):
         plan = FaultPlan(
@@ -89,8 +128,11 @@ class TestFaultPlan:
             links=(
                 LinkFault(drop_rate=0.1, duplicate_rate=0.05, src=(0, 2)),
                 LinkFault(corrupt_rate=0.01, start_us=500, end_us=900),
+                LinkFault(delay_us=70, dst=(1,), end_us=800),
+                *partition_faults([{0}], 4, start_us=100, heal_at_us=900),
             ),
             crashes=(CrashEvent(pid=2, crash_at_us=100, recover_at_us=300),),
+            gst_us=900,
         )
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
@@ -101,6 +143,7 @@ class TestFaultPlan:
     def test_empty(self):
         assert FaultPlan().empty
         assert not FaultPlan(links=(LinkFault(drop_rate=0.1),)).empty
+        assert not FaultPlan(gst_us=1).empty
 
 
 class TestFaultInjector:
@@ -180,7 +223,8 @@ class TestFaultInjector:
 class _ReferenceInjector:
     """The pre-lane ``FaultInjector``: ``decide`` is kept verbatim (one
     registry lookup, one rule scan and up to four scalar draws per rule per
-    call) as the naive reference the fault lanes are diffed against."""
+    call) as the naive reference the fault lanes are diffed against, plus
+    the fixed delay and hold: the largest over the active rules."""
 
     @dataclasses.dataclass
     class Decision:
@@ -188,6 +232,7 @@ class _ReferenceInjector:
         duplicate: bool = False
         corrupt: bool = False
         extra_delay_us: int = 0
+        delay_us: int = 0
 
     def __init__(self, plan, rng):
         self.plan = plan
@@ -216,11 +261,13 @@ class _ReferenceInjector:
                 decision.extra_delay_us += int(
                     stream.integers(1, max(2, lf.reorder_delay_us + 1))
                 )
+            wait = lf.end_us - now if lf.hold else lf.delay_us
+            decision.delay_us = max(decision.delay_us, wait)
         if decision.drop:
             self.stats.dropped += 1
             # A dropped message neither duplicates nor reorders.
             decision.duplicate = decision.corrupt = False
-            decision.extra_delay_us = 0
+            decision.extra_delay_us = decision.delay_us = 0
             return decision
         if decision.duplicate:
             self.stats.duplicate_wire_events += 1
@@ -234,6 +281,8 @@ class _ReferenceInjector:
                 self.stats.corrupted += 1
         if decision.extra_delay_us:
             self.stats.reordered += 1
+        if decision.delay_us:
+            self.stats.delayed += 1
         return decision
 
 
@@ -250,6 +299,7 @@ class TestFaultLanesMatchReference:
     @classmethod
     def _random_plan(cls, rnd, reorder):
         horizon = cls.STEPS * cls.STEP_US
+        gst = horizon // 2
 
         def rate():
             return rnd.choice((0.0, 0.0, 0.05, 0.3, 1.0))
@@ -288,7 +338,19 @@ class TestFaultLanesMatchReference:
                     end_us=max(end, start + cls.STEP_US) if rnd.random() < 0.6 else None,
                 )
             )
-        return FaultPlan(links=tuple(rules))
+        for _ in range(rnd.randint(0, 2)):
+            # The adversary's rules, ending by GST.
+            start = rnd.randrange(0, gst, cls.STEP_US)
+            end = rnd.randrange(start + cls.STEP_US, gst + 1, cls.STEP_US)
+            if rnd.random() < 0.5:
+                shape = dict(hold=True)
+            else:
+                shape = dict(delay_us=rnd.choice((1, 300, 40_000)))
+            rules.insert(
+                rnd.randint(0, len(rules)),
+                LinkFault(src=selector(), dst=selector(), start_us=start, end_us=end, **shape),
+            )
+        return FaultPlan(links=tuple(rules), gst_us=gst)
 
     @pytest.mark.parametrize("reorder", [False, True])
     @pytest.mark.parametrize("seed", range(12))

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.smr import check_lower_bounded, check_output_sorted
 from repro.harness import ExperimentConfig, build_cluster
+from repro.net.faults import FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config
@@ -98,9 +99,11 @@ class TestConfigurations:
 
     def test_partial_synchrony_liveness_after_gst(self):
         """Messages adversarially delayed before GST; commits after."""
+        random_delays = LinkFault(
+            reorder_rate=1.0, reorder_delay_us=300 * MILLISECONDS, end_us=1 * SECONDS
+        )
         cfg = quick_lyra_config(
-            gst_us=1 * SECONDS,
-            adversary_max_delay_us=300 * MILLISECONDS,
+            fault_plan=FaultPlan(links=(random_delays,), gst_us=1 * SECONDS),
             duration_us=7 * SECONDS,
         )
         result = build_cluster(cfg).run()

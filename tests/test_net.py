@@ -1,17 +1,11 @@
 """Unit tests for the network substrate: messages, latency, bandwidth,
-adversaries, delivery."""
+the partial-synchrony adversary's fault rules, delivery."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.net.adversary import (
-    NetworkAdversary,
-    NullAdversary,
-    PartialSynchronyAdversary,
-    TargetedDelayAdversary,
-)
 from repro.net.bandwidth import BandwidthModel, NicQueue
 from repro.net.faults import FaultInjector, FaultPlan, LinkFault
 from repro.net.latency import (
@@ -230,35 +224,52 @@ class TestBandwidth:
             NicQueue(Simulator(), 0)
 
 
+def _decide(links, src, dst, now, gst_us=SECONDS, seed=0):
+    injector = FaultInjector(FaultPlan(links=links, gst_us=gst_us), RngRegistry(seed))
+    return injector.decide(src, dst, Message("x"), now)
+
+
 class TestAdversaries:
+    """The partial-synchrony adversary as fault rules: delays that end by
+    the plan's GST."""
+
     def test_null_never_delays(self):
-        adv = NullAdversary()
-        assert adv.extra_delay_us(0, 1, 10, 0) == 0
-        assert adv.gst() == 0
+        d = _decide((), 0, 1, 0, gst_us=0)
+        assert d.delay_us == 0 and d.extra_delay_us == 0
+        assert FaultPlan().gst_us == 0
 
     def test_partial_synchrony_delays_before_gst_only(self):
-        adv = PartialSynchronyAdversary(
-            1 * SECONDS, max_delay_us=1000, rng=RngRegistry(3)
-        )
-        pre = [adv.extra_delay_us(0, 1, 10, 0) for _ in range(100)]
+        rule = LinkFault(reorder_rate=1.0, reorder_delay_us=1000, end_us=1 * SECONDS)
+        injector = FaultInjector(FaultPlan(links=(rule,), gst_us=SECONDS), RngRegistry(3))
+        pre = [injector.decide(0, 1, Message("x"), 0).extra_delay_us for _ in range(100)]
         assert any(d > 0 for d in pre)
         assert all(0 <= d <= 1000 for d in pre)
-        assert adv.extra_delay_us(0, 1, 10, 1 * SECONDS) == 0
+        assert injector.decide(0, 1, Message("x"), 1 * SECONDS).extra_delay_us == 0
 
     def test_targeted_directions(self):
-        adv = TargetedDelayAdversary({5}, 777, direction="src")
-        assert adv.extra_delay_us(5, 1, 10, 0) == 777
-        assert adv.extra_delay_us(1, 5, 10, 0) == 0
-        adv2 = TargetedDelayAdversary({5}, 777, direction="dst")
-        assert adv2.extra_delay_us(1, 5, 10, 0) == 777
+        src_rule = (LinkFault(src=(5,), delay_us=777, end_us=SECONDS),)
+        assert _decide(src_rule, 5, 1, 0).delay_us == 777
+        assert _decide(src_rule, 1, 5, 0).delay_us == 0
+        dst_rule = (LinkFault(dst=(5,), delay_us=777, end_us=SECONDS),)
+        assert _decide(dst_rule, 1, 5, 0).delay_us == 777
 
     def test_targeted_gst(self):
-        adv = TargetedDelayAdversary({5}, 777, gst_us=100)
-        assert adv.extra_delay_us(5, 1, 10, 200) == 0
+        rule = (LinkFault(src=(5,), delay_us=777, end_us=100),)
+        assert _decide(rule, 5, 1, 200, gst_us=100).delay_us == 0
 
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            TargetedDelayAdversary({1}, 5, direction="sideways")
+    def test_targeted_both_directions_do_not_stack(self):
+        # "Both directions" is two rules; a frame matching both, like a
+        # 5 -> 5 self-send, waits the larger delay, not the sum.
+        both = (
+            LinkFault(src=(5,), delay_us=777, end_us=SECONDS),
+            LinkFault(dst=(5,), delay_us=700, end_us=SECONDS),
+        )
+        assert _decide(both, 5, 5, 0).delay_us == 777
+        assert _decide(both, 1, 5, 0).delay_us == 700
+        # A random reorder delay still adds on top.
+        noisy = both + (LinkFault(reorder_rate=1.0, reorder_delay_us=50),)
+        d = _decide(noisy, 5, 5, 0)
+        assert d.delay_us == 777 and 1 <= d.extra_delay_us <= 50
 
 
 class TestNetwork:
@@ -334,24 +345,48 @@ class TestNetwork:
         sim.run()
         assert seen == [(1000, 0, 1, "traced")]
 
-    def test_adversary_delay_applied_and_clamped(self):
+    def test_plan_delay_applied_until_gst(self):
         sim = Simulator()
-        adv = TargetedDelayAdversary({0}, 50 * SECONDS, gst_us=0, direction="src")
+        rule = LinkFault(src=(0,), delay_us=50 * MILLISECONDS, end_us=SECONDS)
         net = Network(
             sim,
             UniformLatencyModel(1000),
-            adv,
-            NetworkConfig(
-                delta_us=5000, bandwidth_enabled=False, clamp_after_gst=True
-            ),
+            NetworkConfig(bandwidth_enabled=False),
+            faults=FaultInjector(FaultPlan(links=(rule,), gst_us=SECONDS), RngRegistry(0)),
+        )
+        a, b = Collector(0, sim), Collector(1, sim)
+        net.register(a)
+        net.register(b)
+        a.send(1, Message("x"))
+        sim.schedule(SECONDS, a.send, (1, Message("y")))
+        sim.run()
+        # Delayed before GST, on time from GST on.
+        assert [t for t, _, _ in b.got] == [1000 + 50 * MILLISECONDS, SECONDS + 1000]
+        assert net.faults.stats.delayed == 1
+
+    def test_duplicate_cannot_cross_a_partition(self):
+        sim = Simulator()
+        links = (
+            LinkFault(src=(0,), dst=(1,), end_us=SECONDS, hold=True),
+            LinkFault(duplicate_rate=1.0, reorder_rate=1.0, reorder_delay_us=500),
+        )
+        net = Network(
+            sim,
+            UniformLatencyModel(1000),
+            NetworkConfig(bandwidth_enabled=False),
+            faults=FaultInjector(FaultPlan(links=links, gst_us=SECONDS), RngRegistry(0)),
         )
         a, b = Collector(0, sim), Collector(1, sim)
         net.register(a)
         net.register(b)
         a.send(1, Message("x"))
         sim.run()
-        # gst=0 so we are post-GST: delay clamped to delta.
-        assert b.got[0][0] <= 5000
+        # Both copies wait for the heal; only the original is reordered.
+        times = sorted(t for t, _, _ in b.got)
+        assert times[0] == SECONDS + 1000
+        assert SECONDS + 1000 < times[1] <= SECONDS + 1500
+        stats = net.faults.stats
+        assert (stats.delayed, stats.reordered, stats.duplicated) == (1, 1, 1)
 
     def test_bandwidth_delays_back_to_back_sends(self):
         sim = Simulator()
@@ -389,8 +424,8 @@ class TestFastBroadcast:
 
     N = 5
 
-    def _net(self, sim, latency, **cfg):
-        net = Network(sim, latency, config=NetworkConfig(**cfg))
+    def _net(self, sim, latency, faults=None, **cfg):
+        net = Network(sim, latency, config=NetworkConfig(**cfg), faults=faults)
         procs = [Collector(pid, sim) for pid in range(self.N)]
         for p in procs:
             net.register(p)
@@ -438,11 +473,11 @@ class TestFastBroadcast:
         arrivals = []
         for fast in (True, False):
             sim = Simulator()
+            # An injector, even of an empty plan, takes the general loop.
+            faults = None if fast else FaultInjector(FaultPlan(), RngRegistry(0))
             net, procs = self._net(
-                sim, self._geo(), bandwidth_enabled=bool(bandwidth), rate_bps=rate
+                sim, self._geo(), faults, bandwidth_enabled=bool(bandwidth), rate_bps=rate
             )
-            if not fast:
-                net.adversary = _ZeroAdversary()  # take the general loop
             for k in range(3):
                 sim.schedule(
                     k * 40, net.broadcast, (k, Message("m", {"k": k}, 700))
@@ -520,14 +555,6 @@ class TestOneWirePath:
         # Nothing was drawn or queued for the dropped link.
         assert _draws(latency, 0) == (1 if route == "broadcast" else 0)
         assert net.messages_delivered == (1 if route == "broadcast" else 0)
-
-
-class _ZeroAdversary(NetworkAdversary):
-    """Never delays, but is not the null adversary: broadcasts take the
-    general per-destination loop."""
-
-    def extra_delay_us(self, src, dst, size, now):
-        return 0
 
 
 def _draws(latency, src):
@@ -659,8 +686,8 @@ class _ReferenceNetwork(Network):
     reference models.  A broadcast fans out one ``_put_on_wire`` per
     destination, which the old fast path matched bit for bit."""
 
-    def __init__(self, sim, latency, adversary, config, faults):
-        super().__init__(sim, latency, adversary, config, faults)
+    def __init__(self, sim, latency, config, faults):
+        super().__init__(sim, latency, config, faults)
         self.bandwidth = _ReferenceBandwidth(
             sim, rate_bps=config.rate_bps, enabled=config.bandwidth_enabled
         )
@@ -683,9 +710,12 @@ class _ReferenceNetwork(Network):
         if decision.drop:
             return
         wire = FaultInjector.corrupted_copy(frame) if decision.corrupt else frame
-        self._schedule_delivery(src, dst, wire, decision.extra_delay_us)
+        # The fixed delay rides every copy; the reorder delay the original.
+        self._schedule_delivery(
+            src, dst, wire, decision.delay_us + decision.extra_delay_us
+        )
         if decision.duplicate:
-            self._schedule_delivery(src, dst, frame.clone(), 0)
+            self._schedule_delivery(src, dst, frame.clone(), decision.delay_us)
 
     def _schedule_delivery(self, src, dst, message, extra_delay_us):
         sim = self.sim
@@ -693,17 +723,8 @@ class _ReferenceNetwork(Network):
         size = message.size
         departure = self.bandwidth.departure_time(src, size)
         propagation = self.latency.one_way_us(src, dst)
-        extra = 0
-        adversary = self.adversary
-        if type(adversary) is not NullAdversary:
-            extra = adversary.extra_delay_us(src, dst, size, now)
-            # With zero adversarial delay the clamp is a no-op, so the GST
-            # lookup only runs when there is something to clamp.
-            if extra and self.config.clamp_after_gst and now >= adversary.gst():
-                # After GST the adversary cannot stretch delays past Δ.
-                extra = min(extra, max(0, self.config.delta_us - propagation))
         ingress = self.bandwidth.ingress_delay_us(dst, size)
-        arrival = departure + propagation + extra + ingress + extra_delay_us
+        arrival = departure + propagation + ingress + extra_delay_us
         # ``arrival >= now`` by construction (departure is never in the
         # past and the remaining terms are non-negative), so this can skip
         # schedule_at's bounds check.  Priority src+1 gives same-instant
@@ -718,21 +739,6 @@ class _ReferenceNetwork(Network):
     def _deliver(self, src, dst, message):
         # The old callback shape, onto today's delivery.
         Network._deliver(self, self._link(src, dst), message)
-
-
-class _StubbornAdversary(NetworkAdversary):
-    """Delays every frame by a seeded random amount before its GST and
-    after it, so the network's post-GST clamp to Δ decides the late ones."""
-
-    def __init__(self, gst_us, rng):
-        self._gst = gst_us
-        self._integers = rng.get("adversary", "stubborn").integers
-
-    def gst(self):
-        return self._gst
-
-    def extra_delay_us(self, src, dst, size, now):
-        return int(self._integers(0, 80 * MILLISECONDS))
 
 
 def _queued(record):
@@ -765,7 +771,7 @@ class TestLinkRecordsMatchReference:
     """Differential: over seeded random frame sequences, the link records
     queue every delivery at the same time, priority and queue position as
     the per-frame lookups did, deliver the same messages, and leave every
-    jitter, fault and adversary stream at the same position."""
+    jitter and fault stream at the same position."""
 
     N = 4
     HORIZON = 2 * SECONDS
@@ -820,6 +826,19 @@ class TestLinkRecordsMatchReference:
                 topo.placement, jitter=case.get("jitter", 0.05), rng=rng
             )
         faults = None
+        if case.get("adversary"):
+            # Fixed delays and a hold until GST, both on every copy of a
+            # duplicated frame, over random reorder delays.
+            gst = self.HORIZON // 2
+            plan = FaultPlan(
+                links=(
+                    LinkFault(src=(0, 1), delay_us=30 * MILLISECONDS, end_us=gst),
+                    LinkFault(src=(2,), dst=(0, 3), start_us=gst // 4, end_us=gst, hold=True),
+                    LinkFault(duplicate_rate=0.2, reorder_rate=0.1),
+                ),
+                gst_us=gst,
+            )
+            faults = FaultInjector(plan, rng)
         if case.get("faults"):
             plan = FaultPlan(
                 links=(
@@ -828,16 +847,13 @@ class TestLinkRecordsMatchReference:
                 )
             )
             faults = FaultInjector(plan, rng)
-        adversary = (
-            _StubbornAdversary(self.HORIZON // 2, rng) if case.get("adversary") else None
-        )
         config = NetworkConfig(
             delta_us=60 * MILLISECONDS,
             bandwidth_enabled=case.get("bandwidth", True),
             rate_bps=case.get("rates", 80_000_000),
         )
         net = (_ReferenceNetwork if reference else Network)(
-            sim, latency, adversary, config, faults
+            sim, latency, config, faults
         )
         if case.get("reliable"):
             net.enable_reliable()

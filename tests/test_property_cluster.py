@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from repro.core.smr import check_lower_bounded, check_output_sorted
 from repro.harness import ExperimentConfig, build_cluster
+from repro.net.faults import FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
+
+
+def pre_gst_delays(gst_us: int) -> FaultPlan:
+    """Every message delayed by up to 400 ms until GST."""
+    random_delays = LinkFault(
+        reorder_rate=1.0, reorder_delay_us=400 * MILLISECONDS, end_us=gst_us
+    )
+    return FaultPlan(links=(random_delays,), gst_us=gst_us)
 
 
 def run_cluster(seed: int, n_nodes: int = 4, gst_ms: int = 0):
@@ -21,8 +30,8 @@ def run_cluster(seed: int, n_nodes: int = 4, gst_ms: int = 0):
         duration_us=4 * SECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
-        gst_us=gst_ms * MILLISECONDS,
         jitter=0.03,
+        fault_plan=pre_gst_delays(gst_ms * MILLISECONDS) if gst_ms else None,
     )
     cluster = build_cluster(cfg)
     result = cluster.run()

@@ -26,6 +26,7 @@ from repro.harness.sweep import (
     load_cached_record,
     run_sweep,
 )
+from repro.net.faults import FaultPlan, partition_faults
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -161,7 +162,10 @@ class TestResultRoundTrip:
             ExperimentResult.from_dict({"n_nodes": 4, "duration_us": 1, "bogus": 2})
 
     def test_config_round_trips(self):
-        cfg = tiny_config(gst_us=123, obfuscation="hash")
+        plan = FaultPlan(
+            links=partition_faults([{0}], 4, heal_at_us=123), gst_us=123
+        )
+        cfg = tiny_config(fault_plan=plan, obfuscation="hash")
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_config_fields_rejected(self):
