@@ -518,8 +518,6 @@ def cmd_fuzz(args) -> None:
             parts.append(f"{len(plan.links)} links")
         if plan.crashes:
             parts.append(f"{len(plan.crashes)} crashes")
-        if schedule.delta_piggyback:
-            parts.append("pbd")
         return ", ".join(parts)
 
     def report(label: str, outcome) -> None:

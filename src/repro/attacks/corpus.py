@@ -11,16 +11,14 @@ security argument:
   nothing, and the f withholdable shares are never needed.
 - **validation-ordering forgery** — a participant lies in the Algorithm-4
   piggyback reports that drive locked/stable/committed prefix derivation:
-  stale or equivocating locked/min-pending/accepted reports, forged
-  delta-encoded "no change since seq k" markers, and ignored
-  ``lyra.pb_pull`` recovery requests.  The min-of-top-2f+1 selection rule
-  is the defence: with at most f liars, the derived bound never passes
-  every honest report.
+  stale, inflated or equivocating locked/min-pending/accepted reports.
+  The min-of-top-2f+1 selection rule is the defence: with at most f
+  liars, the derived bound never passes every honest report.
 
 Each node class below layers exactly one such behaviour on
-:class:`~repro.core.node.LyraNode` via the three protocol hooks
-(``_attach_piggyback``, ``_broadcast_decryption_shares``, ``_on_pb_pull``)
-so the commit protocol itself is never forked.  :data:`CORPUS` packages
+:class:`~repro.core.node.LyraNode` via the protocol hooks
+(``_attach_piggyback``, ``_broadcast_decryption_shares``) so the commit
+protocol itself is never forked.  :data:`CORPUS` packages
 them into named cases — each mapped to the audit finding / lemma it
 stresses, with the expected oracle verdict — runnable via
 ``python -m repro fuzz --corpus`` or :func:`repro.attacks.fuzz.run_corpus`.
@@ -140,7 +138,7 @@ class SelectiveRevealNode(LyraNode):
 class PiggybackForgeryNode(LyraNode):
     """Forges the Algorithm-4 piggyback reports on every broadcast.
 
-    Modes (full-report encoding, ``delta_piggyback=False``):
+    Modes:
 
     - ``stale`` — freeze the first report ever sent and replay it forever;
     - ``inflate`` — report a far-future ``locked`` and ``minp=NO_PENDING``
@@ -149,44 +147,19 @@ class PiggybackForgeryNode(LyraNode):
     - ``equivocate`` — per-destination reports: even pids see inflated
       bounds, odd pids see stalling ones (broadcast fan-out is zero-copy,
       so this needs per-destination sends).
-
-    Modes (delta encoding, ``delta_piggyback=True``):
-
-    - ``stale-marker`` — send one genuine full report, then forever claim
-      "no change since seq k" markers against it even as state changes;
-    - ``bogus-marker`` — markers referencing a full-report sequence number
-      that was never sent, forcing every peer down the ``lyra.pb_pull``
-      recovery path;
-    - ``inflate`` — forged full reports (far-future locked, no pending)
-      with a fresh sequence number each time.
-
-    ``answer_pulls=False`` additionally turns the node into a lying
-    ``lyra.pb_pull`` responder: it counts and drops every pull request.
     """
 
-    FULL_MODES = ("stale", "inflate", "equivocate")
-    DELTA_MODES = ("stale-marker", "bogus-marker", "inflate")
+    MODES = ("stale", "inflate", "equivocate")
 
-    def __init__(
-        self,
-        *args,
-        mode: str = "inflate",
-        answer_pulls: bool = True,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *args, mode: str = "inflate", **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if mode not in set(self.FULL_MODES) | set(self.DELTA_MODES):
+        if mode not in self.MODES:
             raise ValueError(f"unknown piggyback-forgery mode {mode!r}")
         self.mode = mode
-        self.answer_pulls = answer_pulls
-        self.pulls_ignored = 0
         self.forged_reports = 0
         self._stale_pb: Optional[StatusReport] = None
-        self._stale_marker_seq: Optional[int] = None
-        self._forge_seq = 0
 
-    # -- forged full reports ------------------------------------------
-    def _forged_full(self, commit) -> StatusReport:
+    def _forged_report(self, commit) -> StatusReport:
         report = commit.piggyback()
         if self.mode == "stale":
             if self._stale_pb is None:
@@ -196,37 +169,10 @@ class PiggybackForgeryNode(LyraNode):
             return report._replace(locked=report.locked + (1 << 40), minp=NO_PENDING)
         return report
 
-    # -- forged delta reports -----------------------------------------
-    def _forged_delta(self, commit) -> dict:
-        locked = commit.clock.read() - commit.L
-        if self.mode == "bogus-marker":
-            # "No change since seq k" against a full report never sent.
-            return {"l": locked, "k": 1 << 30}
-        if self.mode == "stale-marker":
-            if self._stale_marker_seq is None:
-                commit.force_full_piggyback()
-                pbd = commit.piggyback_delta()
-                self._stale_marker_seq = pbd["s"]
-                return pbd
-            return {"l": locked, "k": self._stale_marker_seq}
-        # inflate: a forged full report with a fresh sequence number.
-        self._forge_seq += 1
-        return {
-            "l": locked + (1 << 40),
-            "m": NO_PENDING,
-            "a": tuple(commit.accepted.values()),
-            "s": self._forge_seq,
-        }
-
     def _attach_piggyback(self, message: Message, commit) -> None:
         self.forged_reports += 1
-        if commit.config.delta_piggyback:
-            pbd = self._forged_delta(commit)
-            message.payload["pbd"] = pbd
-            message.size += commit.piggyback_delta_size(pbd)
-        else:
-            message.payload["pb"] = self._forged_full(commit)
-            message.size += commit.piggyback_size()
+        message.payload["pb"] = self._forged_report(commit)
+        message.size += commit.piggyback_size()
 
     def _proto_broadcast(self, message: Message) -> None:
         if self.mode != "equivocate" or self.commit is None:
@@ -249,12 +195,6 @@ class PiggybackForgeryNode(LyraNode):
             copy = Message(message.kind, dict(message.payload), message.size + size)
             copy.payload["pb"] = forged
             self.send(dst, copy)
-
-    def _on_pb_pull(self, sender: int) -> None:
-        if not self.answer_pulls:
-            self.pulls_ignored += 1
-            return
-        super()._on_pb_pull(sender)
 
 
 # ----------------------------------------------------------------------
@@ -368,38 +308,6 @@ def _build_corpus() -> Dict[str, CorpusCase]:
             attack_nodes={
                 1: {"name": "piggyback-forgery", "kwargs": {"mode": "equivocate"}}
             },
-        ),
-        CorpusCase(
-            name="pbd-forge-marker",
-            target="Delta-piggyback staleness (§V-C); pb_pull recovery path",
-            expect_violation=False,
-            description=(
-                "Replica 1 sends one genuine full report then lies 'no "
-                "change since seq k' forever; peers keep a stale "
-                "min-pending for it, which degrades freshness but never "
-                "safety."
-            ),
-            attack_nodes={
-                1: {"name": "piggyback-forgery", "kwargs": {"mode": "stale-marker"}}
-            },
-            knobs={"delta_piggyback": True},
-        ),
-        CorpusCase(
-            name="pbd-forge-bogus",
-            target="Forged pbd markers + lying pb_pull responder (§V-C)",
-            expect_violation=False,
-            description=(
-                "Replica 1 sends markers referencing a full report that "
-                "never existed and drops every pb_pull request; peers "
-                "fall back to locked-only updates for it and stay safe."
-            ),
-            attack_nodes={
-                1: {
-                    "name": "piggyback-forgery",
-                    "kwargs": {"mode": "bogus-marker", "answer_pulls": False},
-                }
-            },
-            knobs={"delta_piggyback": True},
         ),
         CorpusCase(
             name="pb-forge-inflate-weakened",

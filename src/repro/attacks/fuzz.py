@@ -4,7 +4,7 @@ A fuzz schedule is a plain :class:`~repro.harness.config.ExperimentConfig`
 built by :func:`fuzz_config`: which replicas run which attack behaviour
 (``attack_nodes``, names from :mod:`repro.attacks.registry`), the
 link-fault and crash schedule (``fault_plan``), and the protocol knobs that
-shape the attack surface (``delta_piggyback``, the weakened
+shape the attack surface (``reliable_channels``, the weakened
 ``report_quorum``).  It serialises through ``to_dict``/``from_dict`` like
 every other run and replays bit-identically — :func:`run_schedule` digests
 the per-replica committed logs so a replay can assert exact equality.
@@ -55,7 +55,7 @@ def fuzz_config(
     """The rig every fuzz schedule and corpus case runs on: batches of 8,
     one closed-loop client per replica with window 4, two warm-up rounds.
     ``knobs`` sets the attack surface (``attack_nodes``, ``fault_plan``,
-    ``delta_piggyback``, ``reliable_channels``, ``report_quorum``)."""
+    ``reliable_channels``, ``report_quorum``)."""
     return ExperimentConfig(
         n_nodes=n_nodes,
         seed=seed,
@@ -75,11 +75,11 @@ def fuzz_config(
 # ----------------------------------------------------------------------
 
 #: The attack menu the generator draws from: (name, kwargs builder).
-#: Marker forgeries only make sense with delta piggybacking on, so they
-#: are picked from the delta-only menu.
-def _attack_menu(rng, n_nodes: int, delta: bool):
+def _attack_menu(
+    rng, n_nodes: int
+) -> List[Tuple[str, Callable[[], Dict[str, Any]]]]:
     victims = lambda: [int(rng.integers(0, n_nodes))]
-    menu: List[Tuple[str, Callable[[], Dict[str, Any]]]] = [
+    return [
         ("selective-reveal", lambda: {"mode": "withhold"}),
         ("selective-reveal", lambda: {"mode": "delay",
                                       "delay_us": int(rng.integers(50, 600)) * 1000}),
@@ -88,18 +88,8 @@ def _attack_menu(rng, n_nodes: int, delta: bool):
         ("piggyback-forgery", lambda: {"mode": "inflate"}),
         ("prefix-staller", lambda: {}),
         ("cipher-replay", lambda: {}),
+        ("piggyback-forgery", lambda: {"mode": "equivocate"}),
     ]
-    if delta:
-        menu.extend(
-            [
-                ("piggyback-forgery", lambda: {"mode": "stale-marker"}),
-                ("piggyback-forgery", lambda: {"mode": "bogus-marker",
-                                               "answer_pulls": False}),
-            ]
-        )
-    else:
-        menu.append(("piggyback-forgery", lambda: {"mode": "equivocate"}))
-    return menu
 
 
 def generate_schedule(
@@ -115,14 +105,16 @@ def generate_schedule(
     """
     rng = RngRegistry(seed).get("fuzz", "schedule")
     f = max(0, (n_nodes - 1) // 3)
-    delta = bool(rng.integers(0, 2))
+    # The retired delta-piggyback coin: still drawn so every later draw
+    # keeps its value and the schedules that never drew delta stay pinned.
+    rng.integers(0, 2)
 
     # Attackers: 0..f replicas, distinct pids, behaviours off the menu.
     n_attackers = int(rng.integers(0, f + 1))
     attacker_pids = sorted(
         int(p) for p in rng.choice(n_nodes, size=n_attackers, replace=False)
     )
-    menu = _attack_menu(rng, n_nodes, delta)
+    menu = _attack_menu(rng, n_nodes)
     attacks = {}
     for pid in attacker_pids:
         name, kw = menu[int(rng.integers(0, len(menu)))]
@@ -172,7 +164,6 @@ def generate_schedule(
         duration_us=duration_us,
         attack_nodes=attacks or None,
         fault_plan=None if plan.empty else plan,
-        delta_piggyback=delta,
         reliable_channels=bool(links),
     )
 
@@ -307,7 +298,7 @@ def shrink_schedule(
     over the schedule's components — ``attack_nodes`` entries, and the
     ``fault_plan``'s link faults and crash events — halving chunks first,
     then single components.  Every other field (``report_quorum``,
-    ``delta_piggyback``, ...) is preserved: knobs are part of the repro,
+    ``reliable_channels``, ...) is preserved: knobs are part of the repro,
     not removable noise.
     """
     if failing is None:

@@ -135,7 +135,7 @@ def _goodcase_config(n: int, duration_ms: int, **overrides):
     return closed_loop_config(n, 1, duration_ms * MILLISECONDS, **overrides)
 
 
-def _chaos_config(**overrides):
+def _chaos_config():
     """The chaos smoke cell: lossy links plus a crash/recover, over
     reliable channels — the configuration CI's chaos job exercises."""
     from repro.harness.config import ExperimentConfig
@@ -163,25 +163,16 @@ def _chaos_config(**overrides):
         warmup_spacing_us=150 * MILLISECONDS,
         fault_plan=plan,
         reliable_channels=True,
-        **overrides,
     )
 
 
 #: name -> (config builder, full suite only?, base row whose digest this
 #: row must reproduce, or None).  Rows run in this order, in one process:
-#: the twins come after the ``*_delta`` rows, so a twin that reproduces its
-#: base also shows the delta runs left no process-wide state behind.
+#: the twins come after ``chaos_smoke``, so a twin that reproduces its base
+#: also shows the lossy chaos run left no process-wide state behind.
 CELLS: Dict[str, Tuple[Callable[[], Any], bool, Optional[str]]] = {
     "goodcase_n4": (lambda: _goodcase_config(4, 1500), False, None),
     "chaos_smoke": (_chaos_config, False, None),
-    # Delta-encoded Algorithm-4 reports (``"pbd"`` markers, ``lyra.pb_pull``
-    # recovery): a different schedule, so these rows carry their own pins.
-    "goodcase_n4_delta": (
-        lambda: _goodcase_config(4, 1500, delta_piggyback=True), False, None,
-    ),
-    "chaos_smoke_delta": (
-        lambda: _chaos_config(delta_piggyback=True), False, None,
-    ),
     # Observability is read-only: spans and counters draw no randomness
     # and schedule no events.
     "goodcase_n4_observed": (

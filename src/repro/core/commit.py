@@ -51,9 +51,6 @@ NO_PENDING = 1 << 62
 
 STATUS_KIND = "lyra.status"
 DSHARE_KIND = "lyra.dshare"
-#: Pull signal: "your last delta marker referenced a full report I never
-#: saw — force a full one on your next broadcast".
-PB_PULL_KIND = "lyra.pb_pull"
 
 
 class StatusReport(NamedTuple):
@@ -84,12 +81,6 @@ class CommitConfig:
     #: between processes"): refuse to validate more than this many
     #: instances per proposer per second.  ``None`` = off.
     max_proposer_rate_per_s: Optional[float] = None
-    #: Delta-encode the piggybacked reports (§V-C): full
-    #: min-pending/accepted reports travel only when that state changed
-    #: since the last full report; otherwise broadcasts carry a cheap
-    #: "no change since seq k" marker.  ``locked`` always travels — it
-    #: advances with the local clock on every broadcast.
-    delta_piggyback: bool = False
     #: Report quorum k for the min-of-top-k locked/min-pending selection
     #: (Algorithm 4 lines 83-85).  ``None`` = the safe 2f+1, for which
     #: Lemmas 4-6 hold: at least f+1 of the top 2f+1 reports are honest,
@@ -164,25 +155,15 @@ class CommitState:
         self._accepted_dirty = False
         self._commit_dirty = False
 
-        # Delta piggybacking: ``_acc_version`` counts mutations of the
-        # live accepted set; a full report snapshots (min_pending,
-        # _acc_version) so later broadcasts can tell "nothing changed"
-        # without comparing the sets themselves.
-        self._acc_version = 0
-        self._pb_seq = 0
-        self._pb_sent_state: Optional[Tuple[int, int]] = None
-        self._pb_force_full = False
-        self._peer_full: Dict[int, Tuple[int, int]] = {}  # sender -> (seq, minp)
-        self._pull_pending: Set[int] = set()
         # Sender-side memo of the ``acc`` tuple and its summed wire size:
         # the accepted set mutates far less often than the node
         # broadcasts, so consecutive piggybacks share one tuple object.
-        # Keyed on ``_acc_version``; restore()/adopt_entry() mutate
-        # ``accepted`` without bumping the version (bumping would change
-        # the delta-report cadence), so they reset the key instead.
-        self._pb_acc_cache: Tuple[AcceptedEntry, ...] = ()
-        self._pb_acc_size = 0
-        self._pb_acc_key: Optional[int] = None
+        # ``_acc_version`` counts mutations of the live accepted set and
+        # keys the memo.
+        self._acc_version = 0
+        self._acc_cache: Tuple[AcceptedEntry, ...] = ()
+        self._acc_size = 0
+        self._acc_key: Optional[int] = None
         # Receiver-side twin: the exact accepted tuple last scanned per
         # sender.  Re-scanning the same object is a guaranteed no-op
         # (``_accepted_ever``/``committed_ids`` only grow between
@@ -327,11 +308,11 @@ class CommitState:
     # ------------------------------------------------------------------
     def _acc_tuple(self) -> Tuple[AcceptedEntry, ...]:
         """``tuple(self.accepted.values())``, memoised until the set mutates."""
-        if self._pb_acc_key != self._acc_version:
-            self._pb_acc_cache = tuple(self.accepted.values())
-            self._pb_acc_size = sum(e.wire_size() for e in self._pb_acc_cache)
-            self._pb_acc_key = self._acc_version
-        return self._pb_acc_cache
+        if self._acc_key != self._acc_version:
+            self._acc_cache = tuple(self.accepted.values())
+            self._acc_size = sum(e.wire_size() for e in self._acc_cache)
+            self._acc_key = self._acc_version
+        return self._acc_cache
 
     def piggyback(self) -> StatusReport:
         """The report attached to every broadcast."""
@@ -343,41 +324,7 @@ class CommitState:
         # locked + minp + Merkle root standing in for older prefixes +
         # the incremental accepted entries.
         self._acc_tuple()
-        return 8 + 8 + 32 + self._pb_acc_size
-
-    def piggyback_delta(self) -> dict:
-        """Delta-encoded piggyback (§V-C): ``l`` (locked) always travels;
-        ``m``/``a`` (min-pending, accepted) only when they changed since
-        the last full report, which carries a fresh sequence number ``s``.
-        Unchanged state compresses to a marker ``{"l", "k"}`` referencing
-        the last full report."""
-        locked = self.clock.read() - self.L
-        state = (self.min_pending, self._acc_version)
-        if state == self._pb_sent_state and not self._pb_force_full:
-            return {"l": locked, "k": self._pb_seq}
-        self._pb_seq += 1
-        self._pb_sent_state = state
-        self._pb_force_full = False
-        return {
-            "l": locked,
-            "m": self.min_pending,
-            "a": self._acc_tuple(),
-            "s": self._pb_seq,
-        }
-
-    @staticmethod
-    def piggyback_delta_size(pbd: dict) -> int:
-        """Wire cost of a delta piggyback produced by :meth:`piggyback_delta`."""
-        acc = pbd.get("a")
-        if acc is None:
-            return 16  # marker: locked + referenced seq
-        # Full report: classic layout plus the sequence number.
-        return 8 + 8 + 8 + 32 + sum(e.wire_size() for e in acc)
-
-    def force_full_piggyback(self) -> None:
-        """Pull signal: a peer missed our last full report — the next
-        broadcast must carry one regardless of whether state changed."""
-        self._pb_force_full = True
+        return 8 + 8 + 32 + self._acc_size
 
     # ------------------------------------------------------------------
     # Receiving piggybacked state (lines 79-88)
@@ -447,58 +394,6 @@ class CommitState:
             self._update_prefixes()
         elif self._commit_dirty:
             self._try_commit()
-
-    def on_status_delta(self, sender: int, pbd: dict) -> bool:
-        """Consume a delta-encoded piggyback.
-
-        Returns True when ``pbd`` is a marker referencing a full report
-        this process never saw (loss, reordering, or a restart on either
-        side) — the caller should signal ``sender`` to force a full
-        report.  Until that arrives the sender's locked report still
-        updates (it rides every piggyback), so only the freshness of its
-        min-pending report degrades — a liveness matter, never safety."""
-        locked = pbd.get("l", 0)
-        seq = pbd.get("s")
-        if seq is not None:  # full report
-            minp = pbd.get("m", NO_PENDING)
-            self._peer_full[sender] = (seq, minp)
-            self._pull_pending.discard(sender)
-            self.on_status(sender, locked, minp, pbd.get("a", ()))
-            return False
-        cached = self._peer_full.get(sender)
-        if cached is not None and cached[0] == pbd.get("k"):
-            # Marker: re-assert the cached min-pending under the new
-            # locked bound.  Accepted entries were adopted with the full
-            # report (adoption is cumulative), so none travel here.
-            self.on_status(sender, locked, cached[1], ())
-            return False
-        self._status_locked_only(sender, locked)
-        if sender in self._pull_pending:
-            return False
-        self._pull_pending.add(sender)
-        return True
-
-    def _status_locked_only(self, sender: int, locked_j: int) -> None:
-        """Update only the locked report of ``sender`` (marker whose full
-        report is missing: its min-pending value is unknown)."""
-        if type(locked_j) is not int:
-            self.malformed_reports += 1
-            return
-        reports = self.locked_reports
-        old = reports.get(sender)
-        if old == locked_j:
-            return
-        ls = self._locked_sorted
-        if old is not None:
-            del ls[bisect_left(ls, old)]
-        insort(ls, locked_j)
-        reports[sender] = locked_j
-        k = self._quorum_k
-        if len(ls) >= k:
-            locked = ls[-k]
-            if locked > self.locked:
-                self.locked = locked
-                self._update_prefixes()
 
     @staticmethod
     def _min_of_top(values: List[int], k: int) -> Optional[int]:
@@ -688,9 +583,9 @@ class CommitState:
         self._plaintexts = dict(snap.plaintexts)
         self.committed_ids = {e.instance for e in self.output_log}
         self._accepted_ever = set(self.committed_ids)
-        # ``accepted`` changed without an _acc_version bump, and
-        # ``_accepted_ever`` shrank: drop both piggyback memos.
-        self._pb_acc_key = None
+        # ``accepted`` changed and ``_accepted_ever`` shrank: drop both
+        # piggyback memos.
+        self._acc_version += 1
         self._seen_acc.clear()
 
     def begin_catchup(self) -> None:
@@ -718,8 +613,7 @@ class CommitState:
         self.committed_ids.add(entry.instance)
         self._accepted_ever.add(entry.instance)
         if self.accepted.pop(entry.instance, None) is not None:
-            # Mutation without an _acc_version bump — drop the acc memo.
-            self._pb_acc_key = None
+            self._acc_version += 1
         if self.pending.pop(entry.instance, None) is not None:
             self._recompute_min_pending()
         self._commit_dirty = True
@@ -809,5 +703,4 @@ __all__ = [
     "NO_PENDING",
     "STATUS_KIND",
     "DSHARE_KIND",
-    "PB_PULL_KIND",
 ]

@@ -35,7 +35,6 @@ from repro.core.commit import (
     CommitSnapshot,
     CommitState,
     DSHARE_KIND,
-    PB_PULL_KIND,
     STATUS_KIND,
     StatusReport,
 )
@@ -160,14 +159,10 @@ class NodeStats:
     replayed_txs_dropped: int = 0
     own_batch_latencies_us: List[int] = field(default_factory=list)
     instances_joined: int = 0
-    #: Delta-piggyback recovery: pull signals we sent (a peer's marker
-    #: referenced a full report we never saw) and pulls we answered.
-    pb_pulls_sent: int = 0
-    pb_pulls_served: int = 0
     #: DSHARE items dropped at the door: not a well-formed reveal share.
     malformed_dshares: int = 0
-    #: Catch-up responses and gossip-distance exchanges dropped at the
-    #: door: a field of the wrong type.
+    #: Catch-up responses, gossip-distance exchanges and VVB INITs/VOTE1s
+    #: dropped at the door: a field of the wrong type.
     malformed_messages: int = 0
     #: BOC decisions seen here, by value (1 = accepted, 0 = rejected).
     decided_accept: int = 0
@@ -323,8 +318,6 @@ class LyraNode(SimProcess):
             "txs_executed": stats.txs_executed,
             "replayed_txs_dropped": stats.replayed_txs_dropped,
             "instances_joined": stats.instances_joined,
-            "pb_pulls_sent": stats.pb_pulls_sent,
-            "pb_pulls_served": stats.pb_pulls_served,
             "malformed_dshares": stats.malformed_dshares,
             "malformed_messages": stats.malformed_messages,
             "messages_received": self.messages_received,
@@ -355,6 +348,7 @@ class LyraNode(SimProcess):
             costs=self.costs,
             send_fn=self._proto_send,
             broadcast_fn=self._proto_broadcast,
+            on_malformed=self._count_malformed,
             timers=self.timers,
         )
         self.commit = CommitState(
@@ -422,16 +416,11 @@ class LyraNode(SimProcess):
         """Attach this broadcast's commit-state report.
 
         Attack hook: forgery subclasses (``repro.attacks.corpus``) override
-        this one method to ship stale/inflated/forged-marker reports
-        without forking the broadcast path itself.
+        this one method to ship stale or inflated reports without forking
+        the broadcast path itself.
         """
-        if commit.config.delta_piggyback:
-            pbd = commit.piggyback_delta()
-            message.payload["pbd"] = pbd
-            message.size += commit.piggyback_delta_size(pbd)
-        else:
-            message.payload["pb"] = commit.piggyback()
-            message.size += commit.piggyback_size()
+        message.payload["pb"] = commit.piggyback()
+        message.size += commit.piggyback_size()
 
     def _charge_send_cost(self, message: Message) -> None:
         kind = message.kind
@@ -461,7 +450,6 @@ class LyraNode(SimProcess):
         GDIST_KIND: 2,
         GDIST_ACK_KIND: 2,
         CLIENT_TX_KIND: 2,
-        PB_PULL_KIND: 1,
         CATCHUP_REQ_KIND: 2,
     }
 
@@ -508,10 +496,6 @@ class LyraNode(SimProcess):
                 commit.on_status(sender, locked_j, min_j, accepted_j)
             else:
                 commit.malformed_reports += 1
-        elif "pbd" in payload and commit is not None:
-            if commit.on_status_delta(sender, payload["pbd"]):
-                self.stats.pb_pulls_sent += 1
-                self.send(sender, Message(PB_PULL_KIND, {}, 48))
         kind = message.kind
         handler = self._INSTANCE_HANDLERS.get(kind)
         if handler is not None:
@@ -548,19 +532,10 @@ class LyraNode(SimProcess):
             self._on_catchup_req(payload, sender)
         elif kind == CATCHUP_RSP_KIND:
             self._on_catchup_rsp(payload, sender)
-        elif kind == PB_PULL_KIND:
-            self._on_pb_pull(sender)
 
-    def _on_pb_pull(self, sender: int) -> None:
-        """A peer missed our last full piggyback report and asks for one.
-
-        Attack hook: a lying responder (``repro.attacks.corpus``) ignores
-        the pull; the protocol tolerates that because the peer's cached
-        report only degrades in freshness, never in safety.
-        """
-        if self.commit is not None:
-            self.stats.pb_pulls_served += 1
-            self.commit.force_full_piggyback()
+    def _count_malformed(self) -> None:
+        """A protocol instance dropped a message for its shape."""
+        self.stats.malformed_messages += 1
 
     # ------------------------------------------------------------------
     # Warm-up distance probing (§IV-B1)

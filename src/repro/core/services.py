@@ -70,14 +70,15 @@ class ProtocolServices:
     send_fn: Optional[Callable[[int, Message], None]] = None
     #: Broadcast to all replicas: (Message) -> None.  In a full cluster
     #: this is the host node's ``_proto_broadcast``, which is also where
-    #: Algorithm-4 commit state piggybacks onto every outgoing broadcast:
-    #: a full ``"pb"`` report, or — with ``CommitConfig.delta_piggyback``
-    #: — a ``"pbd"`` delta that collapses to a 16-byte "no change since
-    #: seq k" marker whenever locked/min-pending/accepted state is
-    #: unchanged.  Protocol instances stay oblivious: they call
+    #: Algorithm-4 commit state piggybacks onto every outgoing broadcast
+    #: as a ``"pb"`` report.  Protocol instances stay oblivious: they call
     #: :meth:`broadcast` with their own payload and the transport layer
     #: decorates it.
     broadcast_fn: Optional[Callable[[Message], None]] = None
+    #: Called once for each message a protocol instance drops for its
+    #: shape (junk from a Byzantine peer).  The host node counts these in
+    #: ``NodeStats.malformed_messages``.
+    on_malformed: Callable[[], None] = lambda: None
     timers: Optional[TimerWheel] = None
     threshold_signer: Optional[ThresholdSigner] = None
     null_transport: Optional[NullTransport] = None

@@ -157,11 +157,19 @@ class VvbInstance:
     # ------------------------------------------------------------------
     def on_init(self, payload: dict, sender: int) -> None:
         cipher = payload.get("cipher")
-        preds = payload.get("preds")
         sigma = payload.get("sigma")
-        if cipher is None or preds is None or not isinstance(sigma, Signature):
+        cipher_id = getattr(cipher, "cipher_id", None)
+        digest = None
+        if type(cipher_id) is bytes and isinstance(sigma, Signature):
+            try:
+                preds = tuple(payload.get("preds"))
+                digest = message_digest(self.iid, cipher_id, preds)
+            except TypeError:  # not iterable, or an entry that cannot hash
+                pass
+        if digest is None:
+            # Junk from any peer: dropped before the signature check.
+            self.services.on_malformed()
             return
-        digest = message_digest(self.iid, cipher.cipher_id, tuple(preds))
         # Authentication: the INIT must be signed by the instance's
         # broadcaster (forwarded copies keep the original signature).
         if not self.services.registry.verify(digest, sigma, self.iid.proposer):
@@ -171,13 +179,13 @@ class VvbInstance:
                 # A second, different correctly-signed INIT: equivocation.
                 self.equivocation_detected = True
             return
-        self.message = (cipher, tuple(preds))
+        self.message = (cipher, preds)
         self.message_digest = digest
         self._init_raw = payload
         if self._perceive is not None:
             self._perceive(cipher)
         self._start_expiration_timer()
-        if not self._validated and self._validate(cipher, tuple(preds)):
+        if not self._validated and self._validate(cipher, preds):
             self._validated = True
             self._broadcast_vote1(digest)
         else:
@@ -222,15 +230,22 @@ class VvbInstance:
     def on_vote1(self, payload: dict, sender: int) -> None:
         digest = payload.get("digest")
         share = payload.get("share")
-        seq = payload.get("seq", 0)
-        if not isinstance(digest, bytes) or not isinstance(share, SignatureShare):
+        seq = payload.get("seq")
+        # ``seq`` becomes a distance sample, so it must be an int; it may be
+        # <= 0 (an honest clock under negative skew), unlike ``on_vote0``'s.
+        if (
+            not isinstance(digest, bytes)
+            or not isinstance(share, SignatureShare)
+            or type(seq) is not int
+        ):
+            self.services.on_malformed()
             return
         if share.signer != sender:
             return  # relayed shares must carry their true signer
         if not self.services.threshold.share_verify(digest, share, sender):
             return
         if self._on_vote_seq is not None:
-            self._on_vote_seq(sender, int(seq))
+            self._on_vote_seq(sender, seq)
         bucket = self._shares.setdefault(digest, {})
         if sender in bucket:
             return

@@ -211,7 +211,6 @@ class LyraAdapter:
                     # The hash scheme has no dealing to check.
                     check_dealing=config.obfuscation == "vss",
                     max_proposer_rate_per_s=config.max_proposer_rate_per_s,
-                    delta_piggyback=config.delta_piggyback,
                     report_quorum=config.report_quorum,
                 ),
                 status_interval_us=config.status_interval_us,
@@ -266,10 +265,6 @@ class PompeAdapter:
         checks = (
             (config.tracing, "tracing=True (install_lyra_tracing is Lyra's)"),
             (config.attack_nodes, "attack_nodes (the registry holds Lyra nodes)"),
-            (
-                config.delta_piggyback,
-                "delta_piggyback=True (it encodes Lyra's Algorithm-4 reports)",
-            ),
             (
                 config.report_quorum is not None,
                 f"report_quorum={config.report_quorum} (it sets Lyra's "

@@ -115,11 +115,6 @@ class ExperimentConfig:
     # Cost model scaling (1.0 = DESIGN.md §5 calibration, 0 = free crypto).
     cpu_cost_scale: float = 1.0
 
-    #: Delta-encode Algorithm-4 piggyback reports (Lyra only): full
-    #: reports only when the min-pending/accepted state changed, cheap "no
-    #: change since seq k" markers otherwise.
-    delta_piggyback: bool = False
-
     # Observability, one switch (Lyra only): span tracing (proposed →
     # decided → committed → executed per instance, read via
     # ``cluster.trace``), per-link wire stats, and the counter snapshot

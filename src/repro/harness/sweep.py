@@ -71,11 +71,13 @@ from repro.harness.config import ExperimentConfig
 #: Schema 5: ``ExperimentConfig`` dropped ``rate_bps``,
 #: ``gossip_spacing_us`` and ``check_dealing``.
 #: Schema 6: ``ExperimentConfig`` dropped the two link-level frame
-#: bundling fields, and ``delta_piggyback`` is a plain ``bool``.
+#: bundling fields, and the delta-report switch became a plain ``bool``.
 #: Schema 7: ``ExperimentConfig`` dropped ``metrics`` (``tracing`` is the
 #: one observability switch).
 #: Schema 8: ``ExperimentConfig`` dropped ``gst_us``/``adversary_max_delay_us``; ``FaultPlan``/``LinkFault`` gained fields.
-CACHE_SCHEMA = 8
+#: Schema 9: ``ExperimentConfig`` dropped the delta-report switch (Lyra
+#: sends one full Algorithm-4 report format).
+CACHE_SCHEMA = 9
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Attack-corpus acceptance tests: selective reveal and piggyback forgery
-must fail against hardened Lyra, the deliberately weakened validation knob
-must demonstrably corrupt ordering (proving the oracle catches the bug
-class), and the pb_pull recovery path must survive message loss and a
-crashed responder."""
+must fail against hardened Lyra, and the deliberately weakened validation
+knob must demonstrably corrupt ordering (proving the oracle catches the
+bug class)."""
 
 import dataclasses
 
@@ -12,7 +11,7 @@ from repro.attacks.corpus import CORPUS, PiggybackForgeryNode, SelectiveRevealNo
 from repro.attacks.fuzz import run_schedule
 from repro.attacks.registry import ATTACK_NODE_CLASSES, resolve_attack_nodes
 from repro.harness import ExperimentConfig, build_cluster
-from repro.net.faults import CrashEvent, FaultPlan, LinkFault
+from repro.net.faults import CrashEvent, FaultPlan
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 
@@ -62,11 +61,6 @@ class TestPiggybackForgery:
         outcome = run_schedule(CORPUS[case].schedule(1))
         assert outcome.ok, outcome.violations
 
-    @pytest.mark.parametrize("case", ["pbd-forge-marker", "pbd-forge-bogus"])
-    def test_delta_marker_forgeries_fail(self, case):
-        outcome = run_schedule(CORPUS[case].schedule(1))
-        assert outcome.ok, outcome.violations
-
     def test_weakened_quorum_corrupts_ordering_and_oracle_catches_it(self):
         """Oracle calibration: with report_quorum deliberately weakened to
         1 the same inflate forgery rushes premature commits in divergent
@@ -88,7 +82,7 @@ class TestPiggybackForgery:
         the weakened-knob case may expect a violation."""
         weak = [c.name for c in CORPUS.values() if c.expect_violation]
         assert weak == ["pb-forge-inflate-weakened"]
-        assert len(CORPUS) >= 9
+        assert len(CORPUS) >= 7
 
 
 class TestRegistry:
@@ -183,53 +177,3 @@ class TestJointResilienceBudget:
         )
         with pytest.raises(ValueError, match="jointly exceed"):
             build_cluster(cfg, protocol="lyra")
-
-
-class TestPbPullRecovery:
-    def _run(self, plan):
-        cfg = _small_config(
-            fault_plan=plan,
-            reliable_channels=True,
-            delta_piggyback=True,
-        )
-        cluster = build_cluster(cfg, protocol="lyra")
-        result = cluster.run()
-        sent = sum(n.stats.pb_pulls_sent for n in cluster.nodes)
-        served = sum(n.stats.pb_pulls_served for n in cluster.nodes)
-        return cluster, result, sent, served
-
-    def test_pull_recovery_under_message_loss(self):
-        """Dropped full reports leave peers holding markers that reference
-        unseen state; the pb_pull path must fire, be answered, and leave
-        every invariant intact."""
-        plan = FaultPlan(
-            links=(LinkFault(drop_rate=0.25, reorder_rate=0.2),)
-        )
-        cluster, result, sent, served = self._run(plan)
-        assert sent > 0
-        assert served > 0
-        assert result.safety_violation is None
-        assert result.invariant_violations == []
-        assert all(len(n.output_sequence()) > 0 for n in cluster.nodes)
-
-    def test_pull_recovery_with_crashed_responder(self):
-        """Pulls aimed at a crashed replica go unanswered; the cluster
-        must neither stall nor diverge, and the responder must serve
-        again after recovery."""
-        plan = FaultPlan(
-            links=(LinkFault(drop_rate=0.25, reorder_rate=0.2),),
-            crashes=(
-                CrashEvent(
-                    pid=2,
-                    crash_at_us=1500 * MILLISECONDS,
-                    recover_at_us=2500 * MILLISECONDS,
-                ),
-            ),
-        )
-        cluster, result, sent, served = self._run(plan)
-        assert sent > 0
-        assert served > 0
-        assert result.safety_violation is None
-        assert result.invariant_violations == []
-        # Progress happened despite the crash window.
-        assert all(len(n.output_sequence()) > 0 for n in cluster.nodes)

@@ -251,7 +251,6 @@ class TestSharedCluster:
             ({"tracing": True}, "tracing"),
             ({"attack_nodes": {1: "equivocate"}}, "attack_nodes"),
             ({"distance_mode": "gossip"}, "distance_mode"),
-            ({"delta_piggyback": True}, "delta_piggyback"),
             ({"report_quorum": 3}, "report_quorum"),
             (
                 {
@@ -272,7 +271,6 @@ class TestSharedCluster:
             "tracing",
             "attack_nodes",
             "distance_mode",
-            "delta_piggyback",
             "report_quorum",
             "recover",
         ],

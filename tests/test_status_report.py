@@ -7,7 +7,9 @@
   traffic (the shape of ``test_dbft_differential``'s generator) aimed at
   ``_on_dshare`` and at the ``"pb"`` slot.  Catch-up responses and
   gossip-distance exchanges with a field of the wrong type are dropped
-  whole and counted in ``NodeStats.malformed_messages``.
+  whole and counted in ``NodeStats.malformed_messages``, and so are VVB
+  INITs whose cipher or predictions cannot be read and VOTE1s whose
+  ``seq`` is not an int.
 - Instance dispatch probes ``_instances`` first and ``_finished`` only on a
   miss, which is sound because the two stay disjoint.
 - Two ledger smoke shapes are pinned to the commit before this change
@@ -28,6 +30,7 @@ from repro.core.dbft import AUX_KIND
 from repro.core.node import CATCHUP_RSP_KIND, GDIST_ACK_KIND, GDIST_KIND
 from repro.core.obfuscation import HashRevealShare, is_reveal_share
 from repro.core.types import AcceptedEntry, InstanceId, Transaction
+from repro.core.vvb import INIT_KIND, VOTE1_KIND, message_digest
 from repro.crypto.cost import FREE_COSTS
 from repro.crypto.shamir import ShamirShare
 from repro.crypto.vss_encryption import DecryptionShare
@@ -405,16 +408,6 @@ class TestMalformedReports:
         assert noisy.commit.output_sequence() == clean.commit.output_sequence()
         assert clean.commit.output_log  # the walk actually commits
 
-    def test_a_delta_report_with_junk_bounds_is_counted(self):
-        sim, nodes, net = build_pair(costs=FREE_COSTS)
-        commit = nodes[0].commit
-        before = commit_view(commit)
-        commit.on_status_delta(1, {"l": "junk", "m": 5, "a": (), "s": 1})
-        commit.on_status_delta(1, {"l": 5, "m": 1.5, "a": (), "s": 2})
-        commit.on_status_delta(2, {"l": None, "k": 9})  # marker, unknown seq
-        assert commit.malformed_reports == 3
-        assert commit_view(commit) == before
-
     def test_validate_refuses_predictions_that_are_not_ints(self):
         """``min_pending`` is reported to peers as an int bound, so a
         proposer's float prediction must not get into ``pending``."""
@@ -519,6 +512,130 @@ class TestMalformedCatchupAndGossip:
                 wire(GDIST_ACK_KIND, dict(honest, vec=vec + junk_entries)), sender
             )
             assert estimator_view(noisy.estimator) == estimator_view(clean.estimator), step
+        assert noisy.stats.malformed_messages == junk_seen > 0
+        assert clean.stats.malformed_messages == 0
+        assert clean.estimator.peers_measured() > 0  # the walk actually learns
+
+
+def junk_inits(node, iid):
+    """INITs that carry a real signature but a cipher or predictions the
+    receiver cannot read."""
+    cipher = node.obf.encrypt(b"x" * 32, node.rng, iid.proposer)
+    sigma = node.registry.signer(iid.proposer).sign(b"junk")
+    preds = (1, 2, 3, 4)
+    return (
+        {"iid": iid, "cipher": "junk", "preds": preds, "sigma": sigma},
+        {"iid": iid, "cipher": 5, "preds": preds, "sigma": sigma},
+        {"iid": iid, "cipher": cipher, "preds": 5, "sigma": sigma},
+        {"iid": iid, "cipher": cipher, "preds": None, "sigma": sigma},
+        {"iid": iid, "cipher": cipher, "preds": (1, [2], 3, 4), "sigma": sigma},
+    )
+
+
+#: VOTE1 ``seq`` values that are not an int; ``MISSING`` leaves it out.
+MISSING = object()
+JUNK_SEQS = ("x", None, float("nan"), 1.5, "5", True, MISSING)
+JUNK_SEQ_IDS = ("str", "none", "nan", "float", "numeric-str", "bool", "missing")
+
+VOTE_DIGEST = b"d" * 32
+S_REF = 1_000
+
+
+def signed_vote1(nodes, iid, sender, seq=MISSING):
+    """A VOTE1 from ``sender`` whose threshold share verifies."""
+    share = nodes[sender].services.threshold_signer.share_sign(VOTE_DIGEST)
+    payload = {"iid": iid, "digest": VOTE_DIGEST, "share": share}
+    if seq is not MISSING:
+        payload["seq"] = seq
+    return payload
+
+
+def own_instance(node):
+    """An instance ``node`` proposed, so its votes carry distance samples."""
+    iid = InstanceId(node.pid, 0)
+    node._s_ref[iid] = S_REF
+    return iid
+
+
+def samples_view(est):
+    return {peer: list(history) for peer, history in est._history.items()}
+
+
+class TestMalformedVvbMessages:
+    def test_each_junk_init_is_counted_before_any_state_moves(self):
+        sim, nodes, net = build_pair(costs=FREE_COSTS)
+        node = nodes[0]
+        iid = InstanceId(1, 0)
+        inits = junk_inits(node, iid)
+        for i, junk in enumerate(inits):
+            node._process(wire(INIT_KIND, junk), 1)
+            assert node.stats.malformed_messages == i + 1, junk
+        vvb = node._instances[iid].vvb
+        assert vvb.message is None and not vvb._timer_started
+        assert node.commit.pending == {} and node.commit.validations == 0
+        assert node._metrics_source()["malformed_messages"] == len(inits)
+        # The junk locked nothing: the broadcaster's real INIT still lands.
+        cipher = node.obf.encrypt(b"y" * 32, node.rng, 1)
+        preds = (node.clock.read(),) * 4
+        sigma = node.registry.signer(1).sign(message_digest(iid, cipher.cipher_id, preds))
+        real = {"iid": iid, "cipher": cipher, "preds": preds, "sigma": sigma}
+        node._process(wire(INIT_KIND, real), 1)
+        assert vvb.message == (cipher, preds)
+        assert node.stats.malformed_messages == len(inits)
+
+    @pytest.mark.parametrize("seq", JUNK_SEQS, ids=JUNK_SEQ_IDS)
+    def test_a_signed_vote1_with_a_junk_seq_is_dropped_and_counted(self, seq):
+        sim, nodes, net = build_pair(costs=FREE_COSTS)
+        node = nodes[0]
+        iid = own_instance(node)
+        before = samples_view(node.estimator)
+        node._process(wire(VOTE1_KIND, signed_vote1(nodes, iid, 1, seq)), 1)
+        assert node.stats.malformed_messages == 1
+        assert samples_view(node.estimator) == before  # no distance sample
+        assert node._instances[iid].vvb._shares == {}  # and no vote
+
+    @pytest.mark.parametrize("seq", [S_REF + 7_000, 0, -250])
+    def test_an_int_seq_is_a_sample_even_when_not_positive(self, seq):
+        """Under negative clock skew an honest seq can be <= 0."""
+        sim, nodes, net = build_pair(costs=FREE_COSTS)
+        node = nodes[0]
+        iid = own_instance(node)
+        node._process(wire(VOTE1_KIND, signed_vote1(nodes, iid, 1, seq)), 1)
+        assert node.stats.malformed_messages == 0
+        assert samples_view(node.estimator)[1] == [float(seq - S_REF)]
+        assert list(node._instances[iid].vvb._shares[VOTE_DIGEST]) == [1]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_mix_of_real_and_junk_vvb_traffic(self, seed):
+        """Two pid-0 nodes fed the same signed VOTE1s for their own
+        instances; one also gets junk INITs and junk-seq VOTE1s in between.
+        Their distance samples and vote buckets stay equal throughout."""
+        clean_nodes, noisy_nodes = (build_pair(costs=FREE_COSTS)[1] for _ in range(2))
+        clean, noisy = clean_nodes[0], noisy_nodes[0]
+        iids = [InstanceId(0, k) for k in range(3)]
+        for node in (clean, noisy):
+            for iid in iids:
+                node._s_ref[iid] = S_REF
+        rnd = random.Random(seed)
+        junk_seen = 0
+        for step in range(120):
+            iid, sender = rnd.choice(iids), rnd.choice((1, 2, 3))
+            if rnd.random() < 0.4:
+                if rnd.random() < 0.5:
+                    junk = rnd.choice(junk_inits(noisy, InstanceId(sender, step)))
+                    noisy._process(wire(INIT_KIND, junk), sender)
+                else:
+                    seq = rnd.choice(JUNK_SEQS)
+                    junk = signed_vote1(noisy_nodes, iid, sender, seq)
+                    noisy._process(wire(VOTE1_KIND, junk), sender)
+                junk_seen += 1
+                continue
+            honest = signed_vote1(clean_nodes, iid, sender, rnd.randrange(-500, 9_000))
+            for node in (clean, noisy):
+                node._process(wire(VOTE1_KIND, honest), sender)
+            assert samples_view(noisy.estimator) == samples_view(clean.estimator), step
+        for iid in iids:
+            assert noisy._instances[iid].vvb._shares == clean._instances[iid].vvb._shares
         assert noisy.stats.malformed_messages == junk_seen > 0
         assert clean.stats.malformed_messages == 0
         assert clean.estimator.peers_measured() > 0  # the walk actually learns
