@@ -5,7 +5,6 @@ Usage::
 
     python -m repro experiment              # every paper table (quick mode)
     python -m repro experiment fig2 lambda  # the named tables only
-    python -m repro experiment distance --out ABLATION_distance_error.json
 
     python -m repro run --protocol lyra,pompe --n 7       # one deployment each
     python -m repro run --loss 0.15 --crash 2:2000:3000   # under a fault plan
@@ -187,9 +186,6 @@ def config_from_args(args, n: int | None, seed: int):
         warmup_spacing_us=150 * MILLISECONDS,
         dissemination=args.dissemination,
         fanout=args.fanout,
-        distance_mode=args.distance_mode,
-        gossip_fanout=args.gossip_fanout,
-        gossip_rounds=args.gossip_rounds,
         tracing=bool(given.get("trace")),
     )
     if arrival is None:
@@ -259,25 +255,6 @@ def _add_config_flags(parser) -> None:
         type=int,
         default=8,
         help="relay fan-out for tree dissemination (default 8)",
-    )
-    parser.add_argument(
-        "--distance-mode",
-        choices=["probe", "gossip"],
-        default="probe",
-        help="warm-up distance estimation: all-to-all probes (default) or "
-        "epidemic gossip averaging (O(n·fanout) messages per round)",
-    )
-    parser.add_argument(
-        "--gossip-fanout",
-        type=int,
-        default=3,
-        help="peers contacted per gossip distance round (default 3)",
-    )
-    parser.add_argument(
-        "--gossip-rounds",
-        type=int,
-        default=6,
-        help="gossip distance rounds during warm-up (default 6)",
     )
 
 

@@ -15,6 +15,15 @@ payload-id dedup at the execution layer) — a simplification of HotStuff's
 lockedQC machinery that preserves the behaviours our experiments exercise:
 leader bottleneck, leader crash recovery, and leader censorship.
 
+Pipelined decides can arrive out of height order (jitter, retransmission),
+so decided blocks are handed to ``on_decide`` strictly by height: a block
+waits until every lower height has been handed over.  A view change
+abandons the undecided heights below the highest decided one: the blocks
+waiting above them are handed over in height order on entering the new
+view.  A block that later decides at an abandoned height (a new leader
+that had not seen the higher decides re-uses it) is lower than everything
+still waiting, so it is handed over at once.
+
 The participant is payload-agnostic: Pompē feeds it ordering certificates,
 and tests feed it opaque blobs.
 """
@@ -158,7 +167,11 @@ class HotStuffParticipant:
         # lets a new leader re-propose orphaned payloads after a view
         # change.
         self._tracked_requests: Dict[bytes, Any] = {}
-        # Decided heights, in decide order, as payload-free records.
+        # Decided blocks not yet handed to ``on_decide`` (each with its
+        # payload-free record), by height, and the next height to hand over.
+        self._undelivered: Dict[int, Tuple[Block, Block]] = {}
+        self._next_delivery = 0
+        # Handed-over heights, in hand-over order, as payload-free records.
         self.decided_blocks: List[Block] = []
         self._started = False
 
@@ -200,6 +213,9 @@ class HotStuffParticipant:
     def on_request(self, payload: dict, sender: int) -> None:
         item = payload.get("payload")
         pid_ = getattr(item, "payload_id", None)
+        if pid_ is not None and type(pid_) is not bytes:
+            self.services.on_malformed()
+            return
         if pid_ is not None and pid_ in self._decided_payloads:
             return
         if self.is_leader:
@@ -254,17 +270,17 @@ class HotStuffParticipant:
 
     def _pending_min_ts(self, exclude_height: Optional[int] = None) -> Optional[int]:
         """Lowest assigned timestamp among payloads the leader still owes
-        (queued or in flight), excluding the block currently being decided
-        — its own payloads are released by the watermark it carries."""
+        (queued, in flight, or decided but waiting for a lower height to be
+        handed over), excluding the block currently being decided — its own
+        payloads are released by the watermark it carries."""
         lows = []
         for p in self._queue:
             ts = getattr(p, "assigned_ts", None)
             if ts is not None:
                 lows.append(ts)
-        for h in self._inflight:
-            if h == exclude_height:
-                continue
-            block = self._leader_blocks.get(h)
+        blocks = [self._leader_blocks.get(h) for h in self._inflight if h != exclude_height]
+        blocks.extend(block for block, _ in self._undelivered.values())
+        for block in blocks:
             if block is None:
                 continue
             for p in block.payloads:
@@ -305,10 +321,17 @@ class HotStuffParticipant:
             )
 
     def on_propose(self, payload: dict, sender: int) -> None:
-        self._progress_marker += 1
         block = payload.get("block")
-        if not isinstance(block, Block):
+        if not (
+            isinstance(block, Block)
+            and type(block.view) is int
+            and type(block.height) is int
+            and type(block.watermark) is int
+            and type(block.payloads) is tuple
+        ):
+            self.services.on_malformed()
             return
+        self._progress_marker += 1
         if sender != block.view % self.services.n or block.view != self.view:
             return  # not from the current leader
         if block.height in self.decided_heights:
@@ -338,8 +361,8 @@ class HotStuffParticipant:
         )
 
     def on_vote(self, payload: dict, sender: int) -> None:
-        self._progress_marker += 1
         if not self.is_leader:
+            self._progress_marker += 1
             return
         height = payload.get("height")
         phase = payload.get("phase")
@@ -351,7 +374,9 @@ class HotStuffParticipant:
             or phase not in PHASES
             or not isinstance(share, SignatureShare)
         ):
+            self.services.on_malformed()
             return
+        self._progress_marker += 1
         if isinstance(clock, int):
             prev = self._clock_reports.get(sender, 0)
             self._clock_reports[sender] = max(prev, clock)
@@ -401,16 +426,20 @@ class HotStuffParticipant:
         self.services.broadcast(PHASE_KIND, msg, qc.wire_size() + 16)
 
     def on_phase(self, payload: dict, sender: int) -> None:
-        self._progress_marker += 1
+        if sender != self.leader:
+            self._progress_marker += 1
+            return
         height = payload.get("height")
         step = payload.get("step")
         qc = payload.get("qc")
         if (
-            sender != self.leader
-            or type(height) is not int
+            type(height) is not int
+            or type(step) is not str
             or not isinstance(qc, QuorumCert)
         ):
+            self.services.on_malformed()
             return
+        self._progress_marker += 1
         block = self.blocks.get(height) or self._leader_blocks.get(height)
         if block is None or qc.block_digest != block.digest:
             return
@@ -446,13 +475,29 @@ class HotStuffParticipant:
         # Late phase traffic for this height reads only its view, height
         # and digest, so the payloads (Pompē's certificates) are dropped.
         record = Block(block.view, block.height, (), block.watermark, block.digest)
-        self.decided_blocks.append(record)
         for table in (self.blocks, self._leader_blocks):
             if block.height in table:
                 table[block.height] = record
-        self.on_decide(block)
+        if block.height < self._next_delivery:
+            # An abandoned height re-used after a view change.
+            self._hand_over(block, record)
+        else:
+            self._undelivered[block.height] = (block, record)
+            self._hand_over_ready()
         if self.is_leader:
             self._maybe_propose()
+
+    def _hand_over(self, block: Block, record: Block) -> None:
+        self.decided_blocks.append(record)
+        self.on_decide(block)
+
+    def _hand_over_ready(self) -> None:
+        """Hand over the waiting blocks that no lower height holds back."""
+        waiting = self._undelivered
+        while self._next_delivery in waiting:
+            entry = waiting.pop(self._next_delivery)
+            self._next_delivery += 1
+            self._hand_over(*entry)
 
     # ------------------------------------------------------------------
     # View changes
@@ -483,15 +528,16 @@ class HotStuffParticipant:
         )
 
     def payloads_pending(self) -> bool:
-        """An undecided block carries payloads.  Unlike
-        :meth:`blocks_pending` this ignores the empty heartbeat blocks an
-        idle leader keeps in flight, so an idle chain is not work."""
+        """An undecided block, or a decided one still waiting for a lower
+        height, carries payloads.  Unlike :meth:`blocks_pending` this
+        ignores the empty heartbeat blocks an idle leader keeps in flight,
+        so an idle chain is not work."""
         decided = self.decided_heights
         return any(
             block.payloads
             for h, block in self.blocks.items()
             if h not in decided
-        )
+        ) or any(block.payloads for block, _ in self._undelivered.values())
 
     def _send_viewchange(self, new_view: int) -> None:
         if new_view in self._sent_viewchange or new_view <= self.view:
@@ -512,6 +558,12 @@ class HotStuffParticipant:
 
     def _enter_view(self, new_view: int) -> None:
         self.view = new_view
+        # The undecided heights below the highest decided one are
+        # abandoned with the old view: hand over what waits above them.
+        waiting = self._undelivered
+        for height in sorted(waiting):
+            self._hand_over(*waiting.pop(height))
+            self._next_delivery = height + 1
         # Abandon undecided heights; payload originators re-submit.
         self._inflight.clear()
         self._inflight_payloads.clear()

@@ -41,11 +41,6 @@ from repro.core.commit import (
 from repro.core.dbft import AUX_KIND, BinaryConsensus, COORD_KIND
 from repro.core.bv_broadcast import BV_KIND
 from repro.core.distance import DistanceEstimator
-from repro.core.gossip_distance import (
-    DEFAULT_GOSSIP_FANOUT,
-    DEFAULT_GOSSIP_ROUNDS,
-    GossipDistanceEstimator,
-)
 from repro.core.obfuscation import is_reveal_share, make_obfuscation
 from repro.core.services import ProtocolServices
 from repro.core.types import AcceptedEntry, Batch, InstanceId, Transaction
@@ -66,8 +61,6 @@ from repro.sim.rng import RngRegistry
 
 PROBE_KIND = "lyra.probe"
 PROBE_ACK_KIND = "lyra.probe_ack"
-GDIST_KIND = "lyra.gdist"
-GDIST_ACK_KIND = "lyra.gdist_ack"
 CLIENT_TX_KIND = "client.tx"
 CLIENT_REPLY_KIND = "client.reply"
 CATCHUP_REQ_KIND = "lyra.catchup_req"
@@ -75,10 +68,6 @@ CATCHUP_RSP_KIND = "lyra.catchup_rsp"
 
 #: Cap on committed-log entries shipped per catch-up response.
 CATCHUP_CHUNK = 512
-
-#: Valid values of the ``distance_mode`` knob (``LyraConfig`` and
-#: ``ExperimentConfig`` share it; the harness resolves it per node).
-DISTANCE_MODES = ("probe", "gossip")
 
 #: The warm-up defaults, defined ONCE.  ``ExperimentConfig`` imports these
 #: so direct ``LyraConfig`` users and harness users agree on when the
@@ -88,17 +77,11 @@ DISTANCE_MODES = ("probe", "gossip")
 DEFAULT_WARMUP_ROUNDS = 4
 DEFAULT_WARMUP_SPACING_US = 200 * MILLISECONDS
 
-#: Per-message wire overhead of a gossip distance exchange: reference
-#: value, round number, incarnation, vector length.
-GDIST_HEADER_BYTES = 16
-#: Bytes per (peer, estimate, weight) vector entry.
-GDIST_ENTRY_BYTES = 12
-
 
 def warmup_duration_us(rounds: int, spacing_us: int) -> int:
     """When the distance warm-up is considered done (§IV-B1).
 
-    The single source of truth for the formula: ``rounds`` probe/gossip
+    The single source of truth for the formula: ``rounds`` probe
     rounds plus two spacings of slack for the last replies to land.  Both
     ``LyraConfig.warmup_duration_us`` and the harness's client start gate
     delegate here.
@@ -122,21 +105,6 @@ class LyraConfig:
     #: Background distance re-probing period (0 disables); keeps the
     #: ``d_ij`` estimates fresh after GST even if warm-up was adversarial.
     probe_refresh_us: int = 1_000 * MILLISECONDS
-    #: Distance learning: ``"probe"`` (§IV-B1 all-to-all warm-up, the
-    #: default) or ``"gossip"`` (epidemic constant-fan-out estimation,
-    #: ``repro.core.gossip_distance``).
-    distance_mode: str = "probe"
-    #: Peers contacted per gossip round (gossip mode only).
-    gossip_fanout: int = DEFAULT_GOSSIP_FANOUT
-    #: Scheduled warm-up gossip rounds (gossip mode only).
-    gossip_rounds: int = DEFAULT_GOSSIP_ROUNDS
-    #: Spacing between gossip rounds.  Shorter than the probe spacing:
-    #: each round is fanout point-to-point exchanges, not a broadcast, so
-    #: several rounds must fit inside the same warm-up window.
-    gossip_spacing_us: int = 50 * MILLISECONDS
-    #: Seed of the deterministic gossip peer selection (the harness passes
-    #: the experiment seed so all nodes agree and runs stay reproducible).
-    gossip_seed: int = 0
     #: ``"vss"`` (§II-B) or ``"hash"`` (the prototype's scheme, §VI-A).
     obfuscation: str = "vss"
     #: Crypto cost model.
@@ -161,8 +129,8 @@ class NodeStats:
     instances_joined: int = 0
     #: DSHARE items dropped at the door: not a well-formed reveal share.
     malformed_dshares: int = 0
-    #: Catch-up responses, gossip-distance exchanges and VVB INITs/VOTE1s
-    #: dropped at the door: a field of the wrong type.
+    #: Catch-up responses and VVB INITs/VOTE1s dropped at the door: a
+    #: field of the wrong type.
     malformed_messages: int = 0
     #: BOC decisions seen here, by value (1 = accepted, 0 = rejected).
     decided_accept: int = 0
@@ -214,23 +182,7 @@ class LyraNode(SimProcess):
             drift=self.config.clock_drift,
         )
         self.perceived = PerceivedSequence(self.clock)
-        if self.config.distance_mode not in DISTANCE_MODES:
-            raise ValueError(
-                f"unknown distance_mode {self.config.distance_mode!r}; "
-                f"expected one of {DISTANCE_MODES}"
-            )
-        if self.config.distance_mode == "gossip":
-            self.estimator: DistanceEstimator = GossipDistanceEstimator(
-                n,
-                pid,
-                fanout=self.config.gossip_fanout,
-                seed=self.config.gossip_seed,
-            )
-        else:
-            self.estimator = DistanceEstimator(n, pid)
-        #: Monotonic gossip round counter (never reused, so the seeded
-        #: peer selection never repeats a round's peer set).
-        self._gossip_round = 0
+        self.estimator = DistanceEstimator(n, pid)
         self.mempool = Mempool(self.config.batch_size)
         self.stats = NodeStats()
 
@@ -295,16 +247,14 @@ class LyraNode(SimProcess):
         registry.add_source("distance", self._distance_metrics_source, pid)
 
     def _distance_metrics_source(self) -> Dict[str, float]:
-        """Distance-estimation health: coverage, gossip convergence, and
-        the λ-validation failure count (Equation-1 rejections are exactly
-        the failures estimator error causes downstream)."""
+        """Distance-estimation health: coverage and the λ-validation
+        failure count (Equation-1 rejections are exactly the failures
+        estimator error causes downstream)."""
         est = self.estimator
         out: Dict[str, float] = {
             "coverage": est.coverage(),
             "peers_measured": float(est.peers_measured()),
         }
-        if isinstance(est, GossipDistanceEstimator):
-            out.update(est.gossip_stats())
         if self.commit is not None:
             out["lambda_rejects"] = float(self.commit.lambda_rejects)
         return out
@@ -366,15 +316,12 @@ class LyraNode(SimProcess):
         if self._started:
             return
         self._started = True
-        if self.config.distance_mode == "gossip":
-            self._schedule_gossip_rounds(self.config.gossip_rounds)
-        else:
-            for round_no in range(self.config.warmup_rounds):
-                self.sim.schedule(
-                    round_no * self.config.warmup_spacing_us
-                    + int(self.rng.integers(0, 5_000)),
-                    self._send_probe,
-                )
+        for round_no in range(self.config.warmup_rounds):
+            self.sim.schedule(
+                round_no * self.config.warmup_spacing_us
+                + int(self.rng.integers(0, 5_000)),
+                self._send_probe,
+            )
         self.timers.set(
             "status", self.config.status_interval_us, self._status_tick
         )
@@ -388,12 +335,8 @@ class LyraNode(SimProcess):
 
     def _probe_refresh(self) -> None:
         # Distances drift (and pre-GST measurements may be adversarially
-        # biased): keep refreshing them in the background.  In gossip mode
-        # the refresh is one extra gossip round — still O(fanout) egress.
-        if self.config.distance_mode == "gossip":
-            self._gossip_tick()
-        else:
-            self._send_probe()
+        # biased): keep refreshing them in the background.
+        self._send_probe()
         self.timers.set(
             "probe-refresh", self.config.probe_refresh_us, self._probe_refresh
         )
@@ -447,8 +390,6 @@ class LyraNode(SimProcess):
         FETCH_KIND: 1,
         PROBE_KIND: 1,
         PROBE_ACK_KIND: 1,
-        GDIST_KIND: 2,
-        GDIST_ACK_KIND: 2,
         CLIENT_TX_KIND: 2,
         CATCHUP_REQ_KIND: 2,
     }
@@ -520,10 +461,6 @@ class LyraNode(SimProcess):
             self._on_probe(payload, sender)
         elif kind == PROBE_ACK_KIND:
             self._on_probe_ack(payload, sender)
-        elif kind == GDIST_KIND:
-            self._on_gdist(payload, sender)
-        elif kind == GDIST_ACK_KIND:
-            self._on_gdist_ack(payload, sender)
         elif kind == CLIENT_TX_KIND:
             self._on_client_tx(payload, sender)
         elif kind == DSHARE_KIND:
@@ -556,94 +493,6 @@ class LyraNode(SimProcess):
         ref, seq = payload.get("ref"), payload.get("seq")
         if isinstance(ref, int) and isinstance(seq, int):
             self.estimator.record(sender, ref, seq)
-
-    # ------------------------------------------------------------------
-    # Epidemic distance estimation (``distance_mode="gossip"``)
-    # ------------------------------------------------------------------
-    def _schedule_gossip_rounds(self, rounds: int) -> None:
-        """Schedule a burst of gossip rounds (warm-up, or post-recovery
-        re-estimation).  Each tick reads and advances the monotonic round
-        counter at fire time, so bursts never reuse a round number."""
-        spacing = self.config.gossip_spacing_us
-        for i in range(rounds):
-            self.sim.schedule(
-                i * spacing + int(self.rng.integers(0, 5_000)),
-                self._gossip_tick,
-            )
-
-    def _gossip_vector_message(self, kind: str, extra: dict) -> Message:
-        # A probe-mode node can still be asked (mixed fleets in tests):
-        # it answers with the clock sample and an empty vector.
-        vec = (
-            self.estimator.summary()
-            if isinstance(self.estimator, GossipDistanceEstimator)
-            else ()
-        )
-        payload = {
-            "round": self._gossip_round,
-            "inc": self.incarnation,
-            "vec": vec,
-        }
-        payload.update(extra)
-        return Message(
-            kind, payload, GDIST_HEADER_BYTES + GDIST_ENTRY_BYTES * len(vec)
-        )
-
-    def _gossip_tick(self) -> None:
-        """One epidemic round: exchange summaries with ``fanout`` peers.
-
-        Unlike ``_send_probe`` this is NOT a broadcast — egress is capped
-        at ``gossip_fanout`` point-to-point requests, the O(n·fanout)
-        per-round bound the wire-stats assertion pins.
-        """
-        if self.crashed or not isinstance(self.estimator, GossipDistanceEstimator):
-            return
-        round_no = self._gossip_round
-        self._gossip_round += 1
-        peers = self.estimator.begin_round(round_no, self.incarnation)
-        if not peers:
-            return
-        message = self._gossip_vector_message(
-            GDIST_KIND, {"ref": self.clock.now()}
-        )
-        for peer in peers:
-            self.send(peer, message)
-
-    def _on_gdist(self, payload: dict, sender: int) -> None:
-        """A peer's gossip request: fold its vector in, answer with our
-        clock reading (the direct ``d_ij`` sample for the requester) and
-        our own vector (the pull half of push-pull averaging)."""
-        ref = payload.get("ref")
-        inc, vec = payload.get("inc", 0), payload.get("vec", ())
-        if not (isinstance(ref, int) and self._gossip_fields_ok(inc, vec)):
-            self.stats.malformed_messages += 1
-            return
-        if isinstance(self.estimator, GossipDistanceEstimator):
-            self.estimator.merge(sender, vec, inc)
-        self.send(
-            sender,
-            self._gossip_vector_message(
-                GDIST_ACK_KIND, {"ref": ref, "seq": self.clock.now()}
-            ),
-        )
-
-    def _on_gdist_ack(self, payload: dict, sender: int) -> None:
-        ref, seq = payload.get("ref"), payload.get("seq")
-        inc, vec = payload.get("inc", 0), payload.get("vec", ())
-        if not self._gossip_fields_ok(inc, vec):
-            self.stats.malformed_messages += 1
-            return
-        if isinstance(ref, int) and isinstance(seq, int):
-            # Same direct sample a probe ack would have produced.
-            self.estimator.record(sender, ref, seq)
-        if isinstance(self.estimator, GossipDistanceEstimator):
-            self.estimator.merge(sender, vec, inc)
-
-    @staticmethod
-    def _gossip_fields_ok(inc, vec) -> bool:
-        """The incarnation is an int and the vector a sequence; ``merge``
-        itself skips entries that are not (peer, estimate, weight)."""
-        return isinstance(inc, int) and isinstance(vec, (tuple, list))
 
     # ------------------------------------------------------------------
     # Client path and batching
@@ -922,13 +771,8 @@ class LyraNode(SimProcess):
             self.timers.set(
                 "probe-refresh", self.config.probe_refresh_us, self._probe_refresh
             )
-        # Distance estimates are stale: probe mode re-broadcasts once;
-        # gossip mode schedules a full re-estimation burst (peers that see
-        # our bumped incarnation drop their stale entries for us too).
-        if self.config.distance_mode == "gossip":
-            self._schedule_gossip_rounds(self.config.gossip_rounds)
-        else:
-            self._send_probe()
+        # Distance estimates are stale: re-probe once.
+        self._send_probe()
         # State transfer: suspend the commit rule and pull the committed
         # prefix from peers until a quorum confirms we have caught up.
         self._catchup_votes.clear()
@@ -1070,14 +914,11 @@ __all__ = [
     "LyraNode",
     "LyraConfig",
     "NodeStats",
-    "DISTANCE_MODES",
     "DEFAULT_WARMUP_ROUNDS",
     "DEFAULT_WARMUP_SPACING_US",
     "warmup_duration_us",
     "PROBE_KIND",
     "PROBE_ACK_KIND",
-    "GDIST_KIND",
-    "GDIST_ACK_KIND",
     "CLIENT_TX_KIND",
     "CLIENT_REPLY_KIND",
     "CATCHUP_REQ_KIND",

@@ -25,7 +25,6 @@ from repro.baselines.fino import FinoConfig, FinoNode
 from repro.baselines.pompe import PompeConfig, PompeNode
 from repro.core.clocks import true_distance_us
 from repro.core.commit import CommitConfig
-from repro.core.gossip_distance import GossipDistanceEstimator
 from repro.core.node import LyraConfig, LyraNode
 from repro.core.obfuscation import HashCommitObfuscation, make_obfuscation
 from repro.core.smr import check_output_sorted, check_prefix_consistency
@@ -73,8 +72,7 @@ class ExperimentResult:
     invariant_checks: int = 0
     invariant_violations: List[str] = field(default_factory=list)
     fault_stats: Dict[str, int] = field(default_factory=dict)
-    # Dissemination and gossip-distance blocks; empty dict on an all2all,
-    # probe-distance run.
+    # The relay tree's counters; empty dict on an all2all run.
     wire_stats: Dict[str, Any] = field(default_factory=dict)
     # Observability: the metrics-registry snapshot of the run (empty dict
     # unless ``ExperimentConfig.tracing`` was on).  Plain JSON, so it
@@ -216,10 +214,6 @@ class LyraAdapter:
                 status_interval_us=config.status_interval_us,
                 warmup_rounds=config.warmup_rounds,
                 warmup_spacing_us=config.warmup_spacing_us,
-                distance_mode=config.distance_mode,
-                gossip_fanout=config.gossip_fanout,
-                gossip_rounds=config.gossip_rounds,
-                gossip_seed=config.seed,
                 obfuscation=config.obfuscation,
                 costs=cluster.costs,
                 clock_skew_us=skew_us,
@@ -269,10 +263,6 @@ class PompeAdapter:
                 config.report_quorum is not None,
                 f"report_quorum={config.report_quorum} (it sets Lyra's "
                 "Algorithm-4 report quorum)",
-            ),
-            (
-                config.distance_mode != "probe",
-                f"distance_mode={config.distance_mode!r} ({name} learns no distances)",
             ),
             (
                 plan is not None
@@ -663,41 +653,6 @@ class Cluster:
             out["abs_error_us_max"] = float(ordered[-1])
         return out
 
-    def gossip_distance_stats(self) -> Dict[str, float]:
-        """Aggregated epidemic-estimator wire accounting.
-
-        ``max_requests_per_round`` over all nodes is the O(n·fanout)
-        witness: no node ever contacts more than ``gossip_fanout`` peers
-        in one round, so a round costs at most n·fanout messages.
-        """
-        per_node = [
-            node.estimator.gossip_stats()
-            for node in self.nodes
-            if isinstance(node.estimator, GossipDistanceEstimator)
-        ]
-        if not per_node:
-            return {}
-        converged = [
-            s["converged_round"] for s in per_node if s["converged_round"] >= 0
-        ]
-        return {
-            "fanout": self.config.gossip_fanout,
-            "nodes": len(per_node),
-            "rounds_started": sum(s["rounds_started"] for s in per_node),
-            "requests_sent": sum(s["requests_sent"] for s in per_node),
-            "max_requests_per_round": max(
-                s["max_requests_per_round"] for s in per_node
-            ),
-            "vectors_merged": sum(s["vectors_merged"] for s in per_node),
-            "entries_merged": sum(s["entries_merged"] for s in per_node),
-            "stale_entries_dropped": sum(
-                s["stale_entries_dropped"] for s in per_node
-            ),
-            "converged_nodes": len(converged),
-            "max_converged_round": max(converged) if converged else -1,
-            "min_coverage": min(s["coverage"] for s in per_node),
-        }
-
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Start every replica and the watchdog; ``run()`` calls this, and
@@ -756,9 +711,6 @@ class Cluster:
             result.fairness = block
         if self.network.tree is not None:
             result.wire_stats["dissemination"] = self.network.tree.stats_dict()
-        if cfg.distance_mode == "gossip":
-            result.wire_stats["gossip_distance"] = self.gossip_distance_stats()
-            result.wire_stats["distance_error"] = self.distance_error_stats()
         if self.metrics is not None:
             snap = self.metrics.snapshot()
             link = self.network.link_stats()

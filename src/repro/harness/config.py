@@ -5,14 +5,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.gossip_distance import (
-    DEFAULT_GOSSIP_FANOUT,
-    DEFAULT_GOSSIP_ROUNDS,
-)
 from repro.core.node import (
     DEFAULT_WARMUP_ROUNDS,
     DEFAULT_WARMUP_SPACING_US,
-    DISTANCE_MODES,
     warmup_duration_us,
 )
 from repro.net.dissemination import DISSEMINATION_STRATEGIES
@@ -68,17 +63,6 @@ class ExperimentConfig:
     #: 150 ms vs 200 ms).
     warmup_rounds: int = DEFAULT_WARMUP_ROUNDS
     warmup_spacing_us: int = DEFAULT_WARMUP_SPACING_US
-    #: Distance learning: ``"probe"`` (§IV-B1 all-to-all warm-up, the
-    #: default — bit-identical to the checked-in digest oracles) or
-    #: ``"gossip"`` (epidemic constant-fan-out estimation, O(n·fanout)
-    #: messages per round; see :mod:`repro.core.gossip_distance`).
-    #: Resolved per node at ``build_cluster`` time.
-    distance_mode: str = "probe"
-    #: Peers each node contacts per gossip round (gossip mode only).
-    gossip_fanout: int = DEFAULT_GOSSIP_FANOUT
-    #: Warm-up gossip rounds — the convergence/accuracy budget the
-    #: distance-error ablation sweeps.
-    gossip_rounds: int = DEFAULT_GOSSIP_ROUNDS
     clock_skew_max_us: int = 20 * MILLISECONDS
 
     # Workload.
@@ -131,19 +115,6 @@ class ExperimentConfig:
             )
         if self.fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {self.fanout}")
-        if self.distance_mode not in DISTANCE_MODES:
-            raise ValueError(
-                f"unknown distance_mode {self.distance_mode!r}: "
-                f"expected one of {DISTANCE_MODES}"
-            )
-        if self.gossip_fanout < 1:
-            raise ValueError(
-                f"gossip_fanout must be >= 1, got {self.gossip_fanout}"
-            )
-        if self.gossip_rounds < 1:
-            raise ValueError(
-                f"gossip_rounds must be >= 1, got {self.gossip_rounds}"
-            )
         if self.attack_nodes:
             self.attack_nodes = self._checked_attack_nodes()
 

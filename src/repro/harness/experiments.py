@@ -547,66 +547,6 @@ def jitter_sensitivity(
     return rows
 
 
-def ablation_distance_error(
-    round_budgets: Sequence[int] = (1, 2, 4, 6),
-    *,
-    n: int = 16,
-    seed: int = 23,
-) -> List[Dict]:
-    """Distance-estimator accuracy vs its downstream protocol cost.
-
-    Sweeps the gossip warm-up round budget (the convergence/accuracy
-    knob of ``distance_mode="gossip"``) against the all-to-all probe
-    baseline.  Each row maps estimator error magnitude — per-pair
-    absolute error vs the latency model's jitter-free ground truth
-    (:func:`repro.core.clocks.true_distance_us`) — to the λ-validation
-    failure rate it induces (Equation-1 rejections are exactly how
-    estimator error surfaces in the protocol: the broadcaster's
-    prediction for a validator's clock misses by more than λ).
-
-    Needs the live cluster object (estimator internals, per-node commit
-    counters), so cells run in-process rather than through the sweep
-    runner — same pattern as :func:`latency_breakdown`.
-    """
-
-    def _cfg(mode: str, rounds: int) -> ExperimentConfig:
-        return closed_loop_config(
-            n, seed, 4 * SECONDS, distance_mode=mode, gossip_rounds=rounds
-        )
-
-    cells = [("probe", 0, _cfg("probe", 1))]
-    cells.extend(("gossip", r, _cfg("gossip", r)) for r in round_budgets)
-    rows: List[Dict] = []
-    for mode, rounds, cfg in cells:
-        cluster = build_cluster(cfg, protocol="lyra")
-        result = cluster.run()
-        err = cluster.distance_error_stats()
-        commits = [node.commit for node in cluster.nodes if node.commit]
-        rejects = sum(c.lambda_rejects for c in commits)
-        validations = sum(c.validations for c in commits)
-        row: Dict = {
-            "mode": mode,
-            "rounds": rounds if mode == "gossip" else "-",
-            "pairs_estimated": int(err.get("pairs_estimated", 0)),
-            "pairs_total": int(err.get("pairs_total", 0)),
-            "err_mean_us": round(err.get("abs_error_us_mean", 0.0), 1),
-            "err_p99_us": round(err.get("abs_error_us_p99", 0.0), 1),
-            "lambda_rejects": rejects,
-            "validations": validations,
-            "lambda_failure_rate": (
-                round(rejects / validations, 4) if validations else None
-            ),
-            "committed": result.committed_count,
-        }
-        gossip = cluster.gossip_distance_stats()
-        if gossip:
-            row["converged_nodes"] = gossip["converged_nodes"]
-            row["max_converged_round"] = gossip["max_converged_round"]
-            row["max_requests_per_round"] = gossip["max_requests_per_round"]
-        rows.append(row)
-    return rows
-
-
 def byzantine_behaviours(*, seed: int = 13) -> List[Dict]:
     """§VI-D: one Byzantine replica per run, measuring that the cluster
     stays safe and live (and what the attack costs)."""
@@ -661,14 +601,6 @@ class Section(NamedTuple):
     chart: Optional[Callable[[List[Dict]], str]] = None
 
 
-def _distance_rows() -> List[Dict]:
-    """Full mode: the n=16 shape of the checked-in artefact.  Quick: CI's
-    n=8 shape."""
-    if full_mode():
-        return ablation_distance_error()
-    return ablation_distance_error((1, 4), n=8)
-
-
 #: Every paper artefact by name, each an ordered tuple of sections.
 #: ``python -m repro experiment`` with no name runs them in this order.
 EXPERIMENTS: Dict[str, Tuple[Section, ...]] = {
@@ -698,9 +630,6 @@ EXPERIMENTS: Dict[str, Tuple[Section, ...]] = {
         Section("DECOMP — latency phases", latency_breakdown),
         Section("DECOMP — delta sensitivity", delta_ablation),
     ),
-    "distance": (
-        Section("DIST — estimator error vs λ-validation failures", _distance_rows),
-    ),
 }
 
 
@@ -717,7 +646,6 @@ __all__ = [
     "measure_lyra_rounds",
     "measure_pompe_rounds",
     "lambda_ablation",
-    "ablation_distance_error",
     "obfuscation_ablation",
     "latency_breakdown",
     "delta_ablation",

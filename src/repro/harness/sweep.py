@@ -77,7 +77,11 @@ from repro.harness.config import ExperimentConfig
 #: Schema 8: ``ExperimentConfig`` dropped ``gst_us``/``adversary_max_delay_us``; ``FaultPlan``/``LinkFault`` gained fields.
 #: Schema 9: ``ExperimentConfig`` dropped the delta-report switch (Lyra
 #: sends one full Algorithm-4 report format).
-CACHE_SCHEMA = 9
+#: Schema 10: ``ExperimentConfig`` dropped ``distance_mode``,
+#: ``gossip_fanout`` and ``gossip_rounds`` (Lyra learns distances from the
+#: warm-up probes only), and HotStuff hands decided blocks over by height,
+#: which changes Pompē and Fino runs whose decides arrive out of order.
+CACHE_SCHEMA = 10
 
 
 # ----------------------------------------------------------------------

@@ -178,11 +178,28 @@ def quick_lyra_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def record_decide_arrivals(cluster):
+    """Per pid, the heights whose DECIDE steps reached HotStuff, in
+    arrival order (before any reordering by height)."""
+    arrivals = {node.pid: [] for node in cluster.nodes}
+    for node in cluster.nodes:
+        hs = node.hotstuff
+        decide = hs._decide
+
+        def spy(block, log=arrivals[node.pid], decide=decide):
+            log.append(block.height)
+            decide(block)
+
+        hs._decide = spy
+    return arrivals
+
+
 __all__ = [
     "FakeCipher",
     "fake_cipher",
     "ConsensusTestNode",
     "build_consensus_cluster",
     "quick_lyra_config",
+    "record_decide_arrivals",
     "TEST_IID",
 ]

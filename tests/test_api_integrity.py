@@ -38,7 +38,6 @@ MODULES = [
     "repro.core.commit",
     "repro.core.dbft",
     "repro.core.distance",
-    "repro.core.gossip_distance",
     "repro.core.node",
     "repro.core.obfuscation",
     "repro.core.services",

@@ -6,6 +6,8 @@ import pytest
 from repro.baselines.hotstuff import (
     PHASE_KIND,
     PHASES,
+    PROPOSE_KIND,
+    VIEWCHANGE_KIND,
     VOTE_KIND,
     Block,
     HotStuffParticipant,
@@ -21,6 +23,7 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import MILLISECONDS, Simulator
 from repro.sim.process import SimProcess
+from repro.sim.timers import TimerWheel
 
 DELAY = 5 * MILLISECONDS
 
@@ -218,14 +221,17 @@ class TestWatermark:
         assert b1.digest != b2.digest
 
 
-def _participant(pid, outbox, registry, threshold, n=4):
+def _participant(
+    pid, outbox, registry, threshold, n=4, *, on_decide=None, on_malformed=None
+):
     """A participant whose sends and broadcasts land in ``outbox`` as
     ``(dst, message)`` (``dst`` None for a broadcast)."""
+    sim = Simulator()
     services = ProtocolServices(
         pid=pid,
         n=n,
         f=(n - 1) // 3,
-        sim=Simulator(),
+        sim=sim,
         delta_us=DELAY,
         signer=registry.signer(pid),
         registry=registry,
@@ -233,8 +239,10 @@ def _participant(pid, outbox, registry, threshold, n=4):
         costs=FREE_COSTS,
         send_fn=lambda dst, msg: outbox.append((dst, msg)),
         broadcast_fn=lambda msg: outbox.append((None, msg)),
+        on_malformed=on_malformed or (lambda: None),
+        timers=TimerWheel(sim),
     )
-    return HotStuffParticipant(services, on_decide=lambda block: None)
+    return HotStuffParticipant(services, on_decide=on_decide or (lambda block: None))
 
 
 def _qc(threshold, block, phase):
@@ -361,3 +369,121 @@ class TestUnhashableHeight:
         for node in nodes:
             node.hs.handle(PHASE_KIND, phase, 0)
         assert [self._state(node.hs) for node in nodes] == before
+
+
+def _decide(replica, threshold, block, leader=0):
+    """Drive ``replica`` through ``block``'s proposal and DECIDE step."""
+    replica.on_propose({"block": block}, sender=leader)
+    replica.on_phase(
+        {"height": block.height, "step": "decide", "qc": _qc(threshold, block, "commit")},
+        sender=leader,
+    )
+
+
+class TestDecideOrder:
+    """Decided blocks reach ``on_decide`` strictly by height, and a view
+    change that abandons a height does not stall the ones above it."""
+
+    def _replica(self):
+        registry, threshold = KeyRegistry(21), ThresholdScheme(3, 4, seed=21)
+        handed = []
+        replica = _participant(
+            2, [], registry, threshold, on_decide=lambda b: handed.append(b.height)
+        )
+        return replica, threshold, handed
+
+    def test_a_decide_that_overtakes_waits_for_the_lower_height(self):
+        replica, threshold, handed = self._replica()
+        b0, b1 = (Block.build(0, h, (Payload(f"p{h}"),), 0) for h in range(2))
+        replica.on_propose({"block": b0}, sender=0)
+        _decide(replica, threshold, b1)
+        assert replica.decided_heights == {1} and handed == []
+        assert replica.payloads_pending()
+        _decide(replica, threshold, b0)
+        assert handed == [0, 1]
+        assert [b.height for b in replica.decided_blocks] == [0, 1]
+
+    def test_a_view_change_releases_blocks_above_an_abandoned_height(self):
+        replica, threshold, handed = self._replica()
+        b0, b1, b2 = (Block.build(0, h, (Payload(f"p{h}"),), 0) for h in range(3))
+        _decide(replica, threshold, b0)
+        replica.on_propose({"block": b1}, sender=0)  # its DECIDE never comes
+        _decide(replica, threshold, b2)
+        assert handed == [0]
+        for voter in (0, 1, 3):
+            replica.handle(VIEWCHANGE_KIND, {"new_view": 1}, voter)
+        assert replica.view == 1
+        assert handed == [0, 2]
+        # The view-1 leader (pid 1) carries on above the abandoned height.
+        _decide(replica, threshold, Block.build(1, 3, (Payload("p3"),), 0), leader=1)
+        assert handed == [0, 2, 3]
+        # A lagging new leader re-using the abandoned height: nothing that
+        # waits is lower, so it is handed over at once.
+        _decide(replica, threshold, Block.build(1, 1, (Payload("p1'"),), 0), leader=1)
+        assert handed == [0, 2, 3, 1]
+        assert not replica.payloads_pending()
+
+
+class _BadId:
+    payload_id = [1]
+
+
+def _junk_request(replica, threshold):
+    replica.handle("hs.request", {"payload": _BadId()}, 3)
+
+
+def _junk_view(replica, threshold):
+    bad = Block(view="x", height=0, payloads=(), watermark=0, digest=b"d")
+    replica.handle(PROPOSE_KIND, {"block": bad}, 0)
+
+
+def _junk_height(replica, threshold):
+    bad = Block(view=0, height=[1], payloads=(), watermark=0, digest=b"d")
+    replica.handle(PROPOSE_KIND, {"block": bad}, 0)
+
+
+def _junk_watermark(replica, threshold):
+    # Stored, this block would raise when its DECIDE compares watermarks.
+    bad = Block(view=0, height=0, payloads=(), watermark="x", digest=b"d")
+    replica.handle(PROPOSE_KIND, {"block": bad}, 0)
+
+
+def _junk_step(replica, threshold):
+    block = replica.blocks[0]
+    phase = {"height": 0, "step": ["decide"], "qc": _qc(threshold, block, "commit")}
+    replica.handle(PHASE_KIND, phase, 0)
+
+
+class TestJunkFields:
+    """A message with a field of the wrong type, from any sender, is
+    dropped and counted before any state changes."""
+
+    @pytest.mark.parametrize("pid", [0, 1], ids=["leader", "replica"])
+    @pytest.mark.parametrize(
+        "junk",
+        [_junk_request, _junk_view, _junk_height, _junk_watermark, _junk_step],
+        ids=["request-id", "propose-view", "propose-height", "propose-watermark", "phase-step"],
+    )
+    def test_junk_is_dropped_and_counted(self, pid, junk):
+        registry, threshold = KeyRegistry(21), ThresholdScheme(3, 4, seed=21)
+        outbox, malformed = [], []
+        replica = _participant(
+            pid, outbox, registry, threshold, on_malformed=lambda: malformed.append(1)
+        )
+        replica.on_propose({"block": Block.build(0, 0, (Payload("a"),), 0)}, sender=0)
+        before = (
+            TestUnhashableHeight._state(replica),
+            replica._progress_marker,
+            list(replica._queue),
+            dict(replica._tracked_requests),
+            len(outbox),
+        )
+        junk(replica, threshold)
+        assert malformed
+        assert (
+            TestUnhashableHeight._state(replica),
+            replica._progress_marker,
+            list(replica._queue),
+            dict(replica._tracked_requests),
+            len(outbox),
+        ) == before

@@ -1,17 +1,21 @@
 """Focused unit tests for LyraNode internals: CPU cost accounting, message
-dispatch, batching triggers, piggyback attachment, probe flow, and the
-services wiring."""
+dispatch, batching triggers, piggyback attachment, probe flow, the
+warm-up defaults shared with the harness, and the services wiring."""
 
 import pytest
 
 from repro.core.node import (
     CLIENT_TX_KIND,
+    DEFAULT_WARMUP_ROUNDS,
+    DEFAULT_WARMUP_SPACING_US,
     LyraConfig,
     LyraNode,
     PROBE_ACK_KIND,
     PROBE_KIND,
+    warmup_duration_us,
 )
 from repro.core.commit import DSHARE_KIND, STATUS_KIND, StatusReport
+from repro.core.distance import DistanceEstimator
 from repro.core.services import ProtocolServices
 from repro.core.types import Transaction
 from repro.core.vvb import DELIVER_KIND, INIT_KIND, VOTE1_KIND
@@ -19,6 +23,7 @@ from repro.core.obfuscation import make_obfuscation
 from repro.crypto.cost import DEFAULT_COSTS, FREE_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
+from repro.harness import ExperimentConfig, build_cluster
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
@@ -189,6 +194,31 @@ class TestProbing:
         # Uniform 1 ms latency, zero skew: every distance ≈ 1000 µs.
         d = nodes[0].estimator.distance(2)
         assert d is not None and 500 <= d <= 2000
+
+
+class TestWarmupConfigUnification:
+    def test_single_source_of_truth_for_spacing(self):
+        # Regression: LyraConfig defaulted to 150 ms while
+        # ExperimentConfig used 200 ms — a cluster built from defaults
+        # had its client start gate disagree with the node warm-up.
+        assert LyraConfig().warmup_spacing_us == DEFAULT_WARMUP_SPACING_US
+        assert (
+            ExperimentConfig().warmup_spacing_us == DEFAULT_WARMUP_SPACING_US
+        )
+        assert LyraConfig().warmup_rounds == DEFAULT_WARMUP_ROUNDS
+        assert ExperimentConfig().warmup_rounds == DEFAULT_WARMUP_ROUNDS
+
+    def test_duration_formulas_agree(self):
+        exp_cfg = ExperimentConfig(warmup_rounds=3, warmup_spacing_us=90_000)
+        lyra_cfg = LyraConfig(warmup_rounds=3, warmup_spacing_us=90_000)
+        expected = warmup_duration_us(3, 90_000)
+        assert exp_cfg.client_start_us() == expected
+        assert lyra_cfg.warmup_duration_us() == expected
+
+    def test_cluster_nodes_learn_distances_from_probes(self):
+        cluster = build_cluster(ExperimentConfig(n_nodes=4, seed=3))
+        for node in cluster.nodes:
+            assert type(node.estimator) is DistanceEstimator
 
 
 class TestServices:

@@ -11,7 +11,7 @@ from repro.harness.factory import build_cluster
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 
-from tests.helpers import quick_lyra_config
+from tests.helpers import quick_lyra_config, record_decide_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +131,7 @@ LOSSY = FaultPlan(links=(LinkFault(drop_rate=0.1, duplicate_rate=0.05),))
 
 class ReverseDrainNode(PompeNode):
     """Executes each drained set of certificates in descending timestamp
-    order: the shape of the known decide-overtake bug, on demand."""
+    order: the shape of an out-of-order execution, on demand."""
 
     def _drain_executions(self) -> None:
         ready = sorted(
@@ -159,9 +159,7 @@ class TestSharedCluster:
 
     def test_watchdog_flags_out_of_order_execution(self):
         # Two-transaction batches: several certificates become executable
-        # at once, so a reversed drain shows.  jitter=0 keeps links FIFO:
-        # with jitter this very shape already trips the honest baseline
-        # (a pipelined decide overtakes its predecessor).
+        # at once, so a reversed drain shows.
         cfg = quick_lyra_config(duration_us=3 * SECONDS, batch_size=2, jitter=0.0)
         honest = build_cluster(cfg, protocol="pompe").run()
         assert honest.invariant_violations == []
@@ -182,8 +180,7 @@ class TestSharedCluster:
     )
     def test_lossy_links_with_reliable_channels(self, extra):
         """The fault plan and the network options are honoured, the run
-        still commits, and the watchdog agrees with the end-of-run check.
-        (Safety itself is not asserted: see the decide-overtake test.)"""
+        still commits, and the watchdog agrees with the end-of-run check."""
         cfg = quick_lyra_config(
             duration_us=3 * SECONDS, fault_plan=LOSSY, reliable_channels=True, **extra
         )
@@ -196,12 +193,10 @@ class TestSharedCluster:
         if "dissemination" in extra:
             assert result.wire_stats["dissemination"]["strategy"] == "tree"
 
-    def test_lossy_links_expose_the_decide_overtake(self):
-        """Known baseline bug, reproduced at n=4: a retransmitted HotStuff
-        ``decide`` for height h lands after h+1's, and Pompē executes
-        decided certificates in arrival order, so replicas diverge.  The
-        watchdog flags it; a fix that decides strictly by height turns
-        this test around."""
+    def test_lossy_links_decide_strictly_by_height(self):
+        """A retransmitted HotStuff ``decide`` for height h lands after
+        h+1's, yet every replica hands blocks to Pompē by height, so the
+        replicas agree and execute in timestamp order."""
         cfg = quick_lyra_config(
             duration_us=3 * SECONDS,
             fault_plan=LOSSY,
@@ -209,16 +204,14 @@ class TestSharedCluster:
             jitter=0.0,
         )
         cluster = build_cluster(cfg, protocol="pompe")
+        arrivals = record_decide_arrivals(cluster)
         result = cluster.run()
-        assert any("prefix-agreement" in v for v in result.invariant_violations)
-        assert result.safety_violation is not None
-        overtaken = [
-            node.pid
-            for node in cluster.nodes
-            if [b.height for b in node.hotstuff.decided_blocks]
-            != sorted(b.height for b in node.hotstuff.decided_blocks)
-        ]
-        assert overtaken
+        assert result.invariant_violations == []
+        assert result.safety_violation is None
+        assert any(heights != sorted(heights) for heights in arrivals.values())
+        for node in cluster.nodes:
+            handed = [b.height for b in node.hotstuff.decided_blocks]
+            assert handed == sorted(handed)
 
     def test_colluding_orderer_counts_against_the_crash_budget(self):
         from repro.workload.spec import ClientGroup, WorkloadSpec
@@ -250,7 +243,6 @@ class TestSharedCluster:
         [
             ({"tracing": True}, "tracing"),
             ({"attack_nodes": {1: "equivocate"}}, "attack_nodes"),
-            ({"distance_mode": "gossip"}, "distance_mode"),
             ({"report_quorum": 3}, "report_quorum"),
             (
                 {
@@ -270,7 +262,6 @@ class TestSharedCluster:
         ids=[
             "tracing",
             "attack_nodes",
-            "distance_mode",
             "report_quorum",
             "recover",
         ],

@@ -5,9 +5,9 @@
 - Malformed reveal shares and malformed reports are counted rejections that
   leave the commit state untouched — a seeded mix of well-formed and junk
   traffic (the shape of ``test_dbft_differential``'s generator) aimed at
-  ``_on_dshare`` and at the ``"pb"`` slot.  Catch-up responses and
-  gossip-distance exchanges with a field of the wrong type are dropped
-  whole and counted in ``NodeStats.malformed_messages``, and so are VVB
+  ``_on_dshare`` and at the ``"pb"`` slot.  Catch-up responses with a
+  field of the wrong type are dropped whole and counted in
+  ``NodeStats.malformed_messages``, and so are VVB
   INITs whose cipher or predictions cannot be read and VOTE1s whose
   ``seq`` is not an int.
 - Instance dispatch probes ``_instances`` first and ``_finished`` only on a
@@ -27,7 +27,7 @@ import pytest
 from repro.bench.suite import _cache_snapshot, prefix_digest
 from repro.core.commit import DSHARE_KIND, NO_PENDING, STATUS_KIND, StatusReport
 from repro.core.dbft import AUX_KIND
-from repro.core.node import CATCHUP_RSP_KIND, GDIST_ACK_KIND, GDIST_KIND
+from repro.core.node import CATCHUP_RSP_KIND
 from repro.core.obfuscation import HashRevealShare, is_reveal_share
 from repro.core.types import AcceptedEntry, InstanceId, Transaction
 from repro.core.vvb import INIT_KIND, VOTE1_KIND, message_digest
@@ -431,22 +431,7 @@ JUNK_CATCHUP = (
     {"total": 3, "have": None, "items": ()},
 )
 
-#: Gossip-distance requests and acks with a field of the wrong type.
-JUNK_GDIST = (
-    (GDIST_KIND, {"ref": 1, "inc": "z", "vec": ()}),
-    (GDIST_KIND, {"ref": 1, "inc": 0, "vec": 5}),
-    (GDIST_KIND, {"ref": "r", "inc": 0, "vec": ()}),
-    (GDIST_ACK_KIND, {"ref": 1, "seq": 2, "inc": "z", "vec": ()}),
-    (GDIST_ACK_KIND, {"ref": 1, "seq": 2, "inc": 0, "vec": None}),
-    (GDIST_ACK_KIND, {"ref": 1, "seq": 2, "inc": [1], "vec": ((2, 1.0, 1.0),)}),
-)
-
-
-def estimator_view(est):
-    return (dict(est._history), dict(est._gossip), dict(est._incarnations))
-
-
-class TestMalformedCatchupAndGossip:
+class TestMalformedCatchup:
     def test_each_junk_catchup_response_is_counted_before_any_state_moves(self):
         sim, nodes, net = build_pair(costs=FREE_COSTS)
         node = nodes[0]
@@ -469,52 +454,6 @@ class TestMalformedCatchupAndGossip:
         assert node._catchup_votes == {} and node._catchup_pt_votes == {}
         assert node._catchup_totals == {1: 1}
         assert node.stats.malformed_messages == 0  # the message itself was well formed
-
-    def test_each_junk_gossip_exchange_is_counted_before_any_state_moves(self):
-        sim, nodes, net = build_pair(costs=FREE_COSTS, distance_mode="gossip")
-        node = nodes[0]
-        node.estimator.record(1, 0, 100)
-        before = estimator_view(node.estimator)
-        for i, (kind, junk) in enumerate(JUNK_GDIST):
-            node._process(wire(kind, junk), 1 + i % 3)
-            assert node.stats.malformed_messages == i + 1, junk
-        assert estimator_view(node.estimator) == before
-        assert node._metrics_source()["malformed_messages"] == len(JUNK_GDIST)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_seeded_mix_of_real_and_junk_gossip(self, seed):
-        """Two gossip-mode pid-0 nodes fed the same honest acks; one also gets
-        junk (whole messages and junk vector entries) in between.  Their
-        estimators stay equal throughout."""
-        clean, noisy = (
-            build_pair(costs=FREE_COSTS, distance_mode="gossip")[1][0]
-            for _ in range(2)
-        )
-        rnd = random.Random(seed)
-        junk_entries = ((2, "x", 1.0), (3, 5.0, "w"), (2, None, None), "e", (3,))
-        junk_seen = 0
-        for step in range(200):
-            sender = rnd.choice((2, 3))
-            if rnd.random() < 0.4:
-                kind, junk = rnd.choice(JUNK_GDIST)
-                noisy._process(wire(kind, junk), sender)
-                junk_seen += 1
-                continue
-            ref = 1_000 * step
-            vec = tuple(
-                (peer, float(rnd.randrange(1_000, 90_000)), 1.0)
-                for peer in range(4)
-                if peer != sender and rnd.random() < 0.7
-            )
-            honest = {"ref": ref, "seq": ref + rnd.randrange(40_000), "inc": 0, "vec": vec}
-            clean._process(wire(GDIST_ACK_KIND, honest), sender)
-            noisy._process(
-                wire(GDIST_ACK_KIND, dict(honest, vec=vec + junk_entries)), sender
-            )
-            assert estimator_view(noisy.estimator) == estimator_view(clean.estimator), step
-        assert noisy.stats.malformed_messages == junk_seen > 0
-        assert clean.stats.malformed_messages == 0
-        assert clean.estimator.peers_measured() > 0  # the walk actually learns
 
 
 def junk_inits(node, iid):
