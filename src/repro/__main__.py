@@ -33,7 +33,6 @@ import argparse
 import sys
 
 from repro.harness import experiments as exp
-from repro.net.dissemination import DISSEMINATION_STRATEGIES
 
 #: The open-loop workload's flags, which need ``--arrival``, and the
 #: closed-loop rig's, which conflict with it; each with its default.  The
@@ -184,8 +183,6 @@ def config_from_args(args, n: int | None, seed: int):
         duration_us=args.duration_ms * MILLISECONDS,
         warmup_rounds=args.warmup_rounds,
         warmup_spacing_us=150 * MILLISECONDS,
-        dissemination=args.dissemination,
-        fanout=args.fanout,
         tracing=bool(given.get("trace")),
     )
     if arrival is None:
@@ -243,19 +240,6 @@ def _add_config_flags(parser) -> None:
         "--duration-ms", type=int, default=4000, help="virtual duration in ms"
     )
     parser.add_argument("--warmup-rounds", type=int, default=2)
-    parser.add_argument(
-        "--dissemination",
-        choices=DISSEMINATION_STRATEGIES,
-        default="all2all",
-        help="broadcast dissemination: all2all (direct fan-out) or tree "
-        "(k-ary relay tree per sender; default all2all)",
-    )
-    parser.add_argument(
-        "--fanout",
-        type=int,
-        default=8,
-        help="relay fan-out for tree dissemination (default 8)",
-    )
 
 
 def _add_run_flags(parser) -> None:

@@ -22,7 +22,7 @@ way, so experiments can attribute effects:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.node import LyraNode
 from repro.core.types import InstanceId, Transaction

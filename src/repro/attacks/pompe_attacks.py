@@ -18,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Set
 
-from repro.baselines.pompe import (
-    ORDER_TS_KIND,
-    OrderingCert,
-    PompeNode,
-)
+from repro.baselines.pompe import OrderingCert, PompeNode
 from repro.core.types import Batch, Transaction
 from repro.crypto.signatures import Signature
 

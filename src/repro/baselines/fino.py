@@ -70,8 +70,6 @@ class CipherRef:
 class FinoConfig:
     batch_size: int = 800
     batch_timeout_us: int = 50 * MILLISECONDS
-    batch_certs: int = 4
-    view_timeout_us: Optional[int] = None
     costs: CryptoCosts = field(default_factory=lambda: DEFAULT_COSTS)
 
 
@@ -79,6 +77,8 @@ class FinoConfig:
 class FinoStats:
     batches_proposed: int = 0
     txs_executed: int = 0
+    #: HotStuff messages dropped at the door: a field of the wrong type.
+    malformed_messages: int = 0
 
 
 class FinoNode(SimProcess):
@@ -142,13 +142,12 @@ class FinoNode(SimProcess):
             send_fn=lambda dst, msg: self.send(dst, msg),
             broadcast_fn=lambda msg: self.broadcast(msg),
             timers=self.timers,
+            on_malformed=self._count_malformed,
         )
-        self.hotstuff = HotStuffParticipant(
-            self.services,
-            on_decide=self._on_decide,
-            batch_certs=self.config.batch_certs,
-            view_timeout_us=self.config.view_timeout_us,
-        )
+        self.hotstuff = HotStuffParticipant(self.services, on_decide=self._on_decide)
+
+    def _count_malformed(self) -> None:
+        self.stats.malformed_messages += 1
 
     def start(self) -> None:
         if self._started:

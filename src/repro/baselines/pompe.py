@@ -24,14 +24,13 @@ or delay certificates.  Attack experiments hook ``observe_batch``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.baselines.hotstuff import (
     Block,
     HotStuffParticipant,
     PHASE_KIND,
     PROPOSE_KIND,
-    VIEWCHANGE_KIND,
     VOTE_KIND,
 )
 from repro.core.clocks import OrderingClock
@@ -80,13 +79,9 @@ class PompeConfig:
 
     batch_size: int = 800
     batch_timeout_us: int = 50 * MILLISECONDS
-    #: Certificates per HotStuff block.
-    batch_certs: int = 4
-    max_inflight: int = 8
     view_timeout_us: Optional[int] = None
     costs: CryptoCosts = field(default_factory=lambda: DEFAULT_COSTS)
     clock_skew_us: int = 0
-    clock_drift: float = 1.0
 
 
 @dataclass
@@ -95,6 +90,8 @@ class PompeStats:
     batches_executed_own: int = 0
     txs_executed: int = 0
     own_batch_latencies_us: List[int] = field(default_factory=list)
+    #: HotStuff messages dropped at the door: a field of the wrong type.
+    malformed_messages: int = 0
 
 
 class PompeNode(SimProcess):
@@ -111,9 +108,8 @@ class PompeNode(SimProcess):
         threshold: ThresholdScheme,
         config: Optional[PompeConfig] = None,
         rng: Optional[RngRegistry] = None,
-        cpu_speed: float = 1.0,
     ) -> None:
-        super().__init__(pid, sim, cpu_speed=cpu_speed)
+        super().__init__(pid, sim)
         self.n = n
         self.f = f
         self.registry = registry
@@ -127,9 +123,7 @@ class PompeNode(SimProcess):
             PHASE_KIND: self.costs.threshold_verify_us,
         }
         self.rng = (rng or RngRegistry(0)).get("pompe", str(pid))
-        self.clock = OrderingClock(
-            sim, skew_us=self.config.clock_skew_us, drift=self.config.clock_drift
-        )
+        self.clock = OrderingClock(sim, skew_us=self.config.clock_skew_us)
         self.mempool = Mempool(self.config.batch_size)
         self.stats = PompeStats()
 
@@ -170,16 +164,18 @@ class PompeNode(SimProcess):
             send_fn=lambda dst, msg: self.send(dst, msg),
             broadcast_fn=lambda msg: self.broadcast(msg),
             timers=self.timers,
+            on_malformed=self._count_malformed,
         )
         self.hotstuff = HotStuffParticipant(
             self.services,
             on_decide=self._on_decide,
             report_clock=self.clock.read,
-            max_inflight=self.config.max_inflight,
             view_timeout_us=self.config.view_timeout_us,
-            batch_certs=self.config.batch_certs,
             on_stale=self._on_stale_cert,
         )
+
+    def _count_malformed(self) -> None:
+        self.stats.malformed_messages += 1
 
     def start(self) -> None:
         if self._started:
@@ -244,7 +240,12 @@ class PompeNode(SimProcess):
         if kind == PROPOSE_KIND:
             payload = message.payload if isinstance(message.payload, dict) else {}
             block = payload.get("block")
-            certs = len(block.payloads) if isinstance(block, Block) else 1
+            # Junk is charged as one certificate; HotStuff drops it.
+            certs = (
+                len(block.payloads)
+                if isinstance(block, Block) and type(block.payloads) is tuple
+                else 1
+            )
             # The quadratic term: every replica verifies every certificate's
             # 2f+1 timestamp signatures.
             return certs * (2 * self.f + 1) * self.costs.verify_us

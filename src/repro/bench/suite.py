@@ -180,20 +180,6 @@ CELLS: Dict[str, Tuple[Callable[[], Any], bool, Optional[str]]] = {
         False,
         "goodcase_n4",
     ),
-    # fanout >= n-1 makes every tree relay a direct send: the exact
-    # all2all path.
-    "goodcase_n4_tree": (
-        lambda: _goodcase_config(4, 1500, dissemination="tree", fanout=8),
-        False,
-        "goodcase_n4",
-    ),
-    # fanout 2 < n-1: pid 0's tree relays through pid 1, so this row pins
-    # the relay path itself, not the hand-off to all2all.
-    "goodcase_n4_tree_relay": (
-        lambda: _goodcase_config(4, 1500, dissemination="tree", fanout=2),
-        False,
-        None,
-    ),
     # The n=32 headline shape (the ledger's lyra_n32_closed) and the n=100
     # scaling shape: too slow for CI's quick run, so full runs only.
     "goodcase_n32": (lambda: _goodcase_config(32, 3000), True, None),

@@ -8,7 +8,7 @@ load does not translate into unbounded latency.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.types import Transaction
 

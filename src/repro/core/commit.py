@@ -27,7 +27,7 @@ window — also lives here because it owns the pending set ``P``.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -70,8 +70,6 @@ class CommitConfig:
 
     #: Security parameter λ of Equation 1, in µs (§VI-B: 5 ms on AWS).
     lambda_us: int = 5_000
-    #: Maximum BOC latency L (acceptance window).  ``None`` → 3Δ (line 52).
-    max_latency_us: Optional[int] = None
     #: Reject sequence numbers more than this far in the future — the
     #: §VI-D mitigation against memory-saturation attacks.  ``None`` = off.
     future_bound_us: Optional[int] = 30_000_000
@@ -90,9 +88,6 @@ class CommitConfig:
     #: oracle catches the resulting ordering corruption — never set it in
     #: a real experiment.
     report_quorum: Optional[int] = None
-
-    def resolved_L(self, delta_us: int) -> int:
-        return self.max_latency_us if self.max_latency_us is not None else 3 * delta_us
 
 
 class CommitState:
@@ -122,7 +117,8 @@ class CommitState:
         self.perceived = perceived
         self.vss = vss
         self.config = config or CommitConfig()
-        self.L = self.config.resolved_L(services.delta_us)
+        #: Maximum BOC latency L, the acceptance window: 3Δ (line 52).
+        self.L = 3 * services.delta_us
         self._quorum_k = (
             self.config.report_quorum
             if self.config.report_quorum is not None

@@ -22,7 +22,7 @@ poison its *own* entry of ``S_t``, which Lemma 2 tolerates.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Sequence, Tuple
 
 DEFAULT_WINDOW = 5
 

@@ -41,7 +41,7 @@ from repro.core.commit import (
 from repro.core.dbft import AUX_KIND, BinaryConsensus, COORD_KIND
 from repro.core.bv_broadcast import BV_KIND
 from repro.core.distance import DistanceEstimator
-from repro.core.obfuscation import is_reveal_share, make_obfuscation
+from repro.core.obfuscation import is_cipher, is_reveal_share
 from repro.core.services import ProtocolServices
 from repro.core.types import AcceptedEntry, Batch, InstanceId, Transaction
 from repro.core.vvb import (
@@ -68,6 +68,10 @@ CATCHUP_RSP_KIND = "lyra.catchup_rsp"
 
 #: Cap on committed-log entries shipped per catch-up response.
 CATCHUP_CHUNK = 512
+
+#: Background distance re-probing period: keeps the ``d_ij`` estimates
+#: fresh after GST even if warm-up was adversarial.
+PROBE_REFRESH_US = 1_000 * MILLISECONDS
 
 #: The warm-up defaults, defined ONCE.  ``ExperimentConfig`` imports these
 #: so direct ``LyraConfig`` users and harness users agree on when the
@@ -102,16 +106,10 @@ class LyraConfig:
     #: Warm-up probing: rounds and spacing (§IV-B1).
     warmup_rounds: int = DEFAULT_WARMUP_ROUNDS
     warmup_spacing_us: int = DEFAULT_WARMUP_SPACING_US
-    #: Background distance re-probing period (0 disables); keeps the
-    #: ``d_ij`` estimates fresh after GST even if warm-up was adversarial.
-    probe_refresh_us: int = 1_000 * MILLISECONDS
-    #: ``"vss"`` (§II-B) or ``"hash"`` (the prototype's scheme, §VI-A).
-    obfuscation: str = "vss"
     #: Crypto cost model.
     costs: CryptoCosts = field(default_factory=lambda: DEFAULT_COSTS)
     #: Clock skew of this node in µs (assigned by the harness).
     clock_skew_us: int = 0
-    clock_drift: float = 1.0
 
     def warmup_duration_us(self) -> int:
         return warmup_duration_us(self.warmup_rounds, self.warmup_spacing_us)
@@ -129,8 +127,8 @@ class NodeStats:
     instances_joined: int = 0
     #: DSHARE items dropped at the door: not a well-formed reveal share.
     malformed_dshares: int = 0
-    #: Catch-up responses and VVB INITs/VOTE1s dropped at the door: a
-    #: field of the wrong type.
+    #: Probes, catch-up responses and VVB INITs/VOTE1s dropped at the
+    #: door: a field of the wrong type.
     malformed_messages: int = 0
     #: BOC decisions seen here, by value (1 = accepted, 0 = rejected).
     decided_accept: int = 0
@@ -156,9 +154,8 @@ class LyraNode(SimProcess):
         obfuscation: Any,
         config: Optional[LyraConfig] = None,
         rng: Optional[RngRegistry] = None,
-        cpu_speed: float = 1.0,
     ) -> None:
-        super().__init__(pid, sim, cpu_speed=cpu_speed)
+        super().__init__(pid, sim)
         self.n = n
         self.f = f
         self.registry = registry
@@ -176,11 +173,7 @@ class LyraNode(SimProcess):
             DELIVER_KIND: self.costs.threshold_verify_us,
         }
 
-        self.clock = OrderingClock(
-            sim,
-            skew_us=self.config.clock_skew_us,
-            drift=self.config.clock_drift,
-        )
+        self.clock = OrderingClock(sim, skew_us=self.config.clock_skew_us)
         self.perceived = PerceivedSequence(self.clock)
         self.estimator = DistanceEstimator(n, pid)
         self.mempool = Mempool(self.config.batch_size)
@@ -328,18 +321,13 @@ class LyraNode(SimProcess):
         self.timers.set(
             "batch-flush", self.config.batch_timeout_us, self._batch_flush_tick
         )
-        if self.config.probe_refresh_us > 0:
-            self.timers.set(
-                "probe-refresh", self.config.probe_refresh_us, self._probe_refresh
-            )
+        self.timers.set("probe-refresh", PROBE_REFRESH_US, self._probe_refresh)
 
     def _probe_refresh(self) -> None:
         # Distances drift (and pre-GST measurements may be adversarially
         # biased): keep refreshing them in the background.
         self._send_probe()
-        self.timers.set(
-            "probe-refresh", self.config.probe_refresh_us, self._probe_refresh
-        )
+        self.timers.set("probe-refresh", PROBE_REFRESH_US, self._probe_refresh)
 
     # ------------------------------------------------------------------
     # Outgoing message wrappers
@@ -440,6 +428,13 @@ class LyraNode(SimProcess):
         kind = message.kind
         handler = self._INSTANCE_HANDLERS.get(kind)
         if handler is not None:
+            if kind == INIT_KIND and not is_cipher(
+                payload.get("cipher"), self.obf.name
+            ):
+                # Junk at the door, before the instance is joined or the
+                # cipher stamped, locked or dealing-checked.
+                self.stats.malformed_messages += 1
+                return
             if self._dispatch_is_default:
                 iid = payload.get("iid")
                 if type(iid) is InstanceId:
@@ -483,16 +478,20 @@ class LyraNode(SimProcess):
 
     def _on_probe(self, payload: dict, sender: int) -> None:
         ref = payload.get("ref")
-        if isinstance(ref, int):
-            self.send(
-                sender,
-                Message(PROBE_ACK_KIND, {"ref": ref, "seq": self.clock.now()}, 56),
-            )
+        if not isinstance(ref, int):
+            self.stats.malformed_messages += 1
+            return
+        self.send(
+            sender,
+            Message(PROBE_ACK_KIND, {"ref": ref, "seq": self.clock.now()}, 56),
+        )
 
     def _on_probe_ack(self, payload: dict, sender: int) -> None:
         ref, seq = payload.get("ref"), payload.get("seq")
-        if isinstance(ref, int) and isinstance(seq, int):
-            self.estimator.record(sender, ref, seq)
+        if not (isinstance(ref, int) and isinstance(seq, int)):
+            self.stats.malformed_messages += 1
+            return
+        self.estimator.record(sender, ref, seq)
 
     # ------------------------------------------------------------------
     # Client path and batching
@@ -677,7 +676,7 @@ class LyraNode(SimProcess):
                 continue
             if not isinstance(iid, InstanceId):
                 continue
-            if is_reveal_share(share):
+            if is_reveal_share(share, self.obf.name):
                 self.commit.on_decryption_share(iid, share, sender)
             else:
                 self.stats.malformed_dshares += 1
@@ -767,10 +766,7 @@ class LyraNode(SimProcess):
         self.timers.set(
             "batch-flush", self.config.batch_timeout_us, self._batch_flush_tick
         )
-        if self.config.probe_refresh_us > 0:
-            self.timers.set(
-                "probe-refresh", self.config.probe_refresh_us, self._probe_refresh
-            )
+        self.timers.set("probe-refresh", PROBE_REFRESH_US, self._probe_refresh)
         # Distance estimates are stale: re-probe once.
         self._send_probe()
         # State transfer: suspend the commit rule and pull the committed

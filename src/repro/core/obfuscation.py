@@ -19,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable
 
+from repro.crypto.feldman import FeldmanCommitment
 from repro.crypto.hashing import digest_of, sha256_bytes
 from repro.crypto.vss_encryption import (
     DecryptionShare,
@@ -165,17 +166,18 @@ class HashCommitObfuscation:
         raise VssError("no valid reveal share for hash-commit cipher")
 
 
-def is_reveal_share(share: Any) -> bool:
-    """Is ``share`` a well-formed reveal share of either scheme?
+def is_reveal_share(share: Any, scheme: str) -> bool:
+    """Is ``share`` a well-formed reveal share of ``scheme`` (``"vss"`` or
+    ``"hash"``, an obfuscation's ``name``)?
 
-    A structural check for shares arriving off the wire: the exact share
-    type with fields of the exact field types, so the reveal path never
-    does arithmetic, hashing or dict keying on a Byzantine sender's junk.
-    Whether the share is *valid* is still ``verify_decryption_share``'s
-    business.
+    A structural check for shares arriving off the wire: the scheme's
+    exact share type with fields of the exact field types, so the reveal
+    path never does arithmetic, hashing or dict keying on a Byzantine
+    sender's junk.  Whether the share is *valid* is still
+    ``verify_decryption_share``'s business.
     """
     kind = type(share)
-    if kind is DecryptionShare:
+    if kind is DecryptionShare and scheme == "vss":
         inner = share.share
         return (
             type(share.cipher_id) is bytes
@@ -183,11 +185,43 @@ def is_reveal_share(share: Any) -> bool:
             and type(inner.index) is int
             and type(inner.value) is int
         )
-    if kind is HashRevealShare:
+    if kind is HashRevealShare and scheme == "hash":
         return (
             type(share.cipher_id) is bytes
             and type(share.key) is bytes
             and type(share.nonce) is bytes
+        )
+    return False
+
+
+def is_cipher(cipher: Any, scheme: str) -> bool:
+    """Is ``cipher`` a well-formed cipher of ``scheme`` (``"vss"`` or
+    ``"hash"``, an obfuscation's ``name``)?
+
+    The structural check for ciphers arriving in an INIT, the twin of
+    :func:`is_reveal_share`: the scheme's exact cipher type with fields of
+    the exact field types, so that dealing checks, decryption and hashing
+    never run on a Byzantine proposer's junk.  Whether the dealing is
+    *valid* is still ``check_dealing``'s business.
+    """
+    kind = type(cipher)
+    if kind is VssCipher and scheme == "vss":
+        commitment = cipher.commitment
+        return (
+            type(cipher.cipher_id) is bytes
+            and type(cipher.body) is bytes
+            and type(commitment) is FeldmanCommitment
+            and type(commitment.values) is tuple
+            and all(type(value) is int for value in commitment.values)
+            and type(cipher.sealed_shares) is tuple
+            and all(type(sealed) is int for sealed in cipher.sealed_shares)
+        )
+    if kind is HashCommitCipher and scheme == "hash":
+        return (
+            type(cipher.cipher_id) is bytes
+            and type(cipher.body) is bytes
+            and type(cipher.commitment) is bytes
+            and type(cipher.proposer) is int
         )
     return False
 
@@ -208,6 +242,7 @@ __all__ = [
     "HashCommitObfuscation",
     "HashCommitCipher",
     "HashRevealShare",
+    "is_cipher",
     "is_reveal_share",
     "make_obfuscation",
 ]

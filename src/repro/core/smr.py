@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import eq, gt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def is_prefix(shorter: Sequence, longer: Sequence) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable
 
 from repro.crypto.hashing import KeyedHash, digest_of
 from repro.crypto.memo import MemoCache

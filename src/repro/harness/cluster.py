@@ -36,7 +36,6 @@ from repro.metrics.fairness import fairness_block
 from repro.metrics.invariants import InvariantWatchdog
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracelog import TraceLog, install_lyra_tracing
-from repro.net.dissemination import TreeDissemination
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.latency import make_latency_model
 from repro.net.network import Network, NetworkConfig
@@ -72,8 +71,6 @@ class ExperimentResult:
     invariant_checks: int = 0
     invariant_violations: List[str] = field(default_factory=list)
     fault_stats: Dict[str, int] = field(default_factory=dict)
-    # The relay tree's counters; empty dict on an all2all run.
-    wire_stats: Dict[str, Any] = field(default_factory=dict)
     # Observability: the metrics-registry snapshot of the run (empty dict
     # unless ``ExperimentConfig.tracing`` was on).  Plain JSON, so it
     # crosses sweep worker boundaries and the on-disk result cache.
@@ -214,7 +211,6 @@ class LyraAdapter:
                 status_interval_us=config.status_interval_us,
                 warmup_rounds=config.warmup_rounds,
                 warmup_spacing_us=config.warmup_spacing_us,
-                obfuscation=config.obfuscation,
                 costs=cluster.costs,
                 clock_skew_us=skew_us,
             )
@@ -475,8 +471,6 @@ class Cluster:
             ),
             faults=self.fault_injector,
         )
-        if config.dissemination == "tree":
-            self.network.tree = TreeDissemination(config.fanout)
         if config.reliable_channels:
             self.network.enable_reliable()
         for node in self.nodes:
@@ -709,8 +703,6 @@ class Cluster:
             )
             block["counts"] = self.workload.counts()
             result.fairness = block
-        if self.network.tree is not None:
-            result.wire_stats["dissemination"] = self.network.tree.stats_dict()
         if self.metrics is not None:
             snap = self.metrics.snapshot()
             link = self.network.link_stats()

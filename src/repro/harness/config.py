@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core.node import (
     DEFAULT_WARMUP_ROUNDS,
     DEFAULT_WARMUP_SPACING_US,
     warmup_duration_us,
 )
-from repro.net.dissemination import DISSEMINATION_STRATEGIES
 from repro.net.faults import FaultPlan
 from repro.net.topology import EVAL_REGIONS
 from repro.sim.engine import MILLISECONDS, SECONDS
@@ -39,13 +38,6 @@ class ExperimentConfig:
     jitter: float = 0.015
     #: 1 Gbps NICs (``BandwidthModel.DEFAULT_RATE``) when enabled.
     bandwidth_enabled: bool = True
-    #: Broadcast dissemination strategy: ``"all2all"`` (direct fan-out,
-    #: today's behaviour) or ``"tree"`` (deterministic k-ary relay tree per
-    #: sender).  See :mod:`repro.net.dissemination` and EXPERIMENTS.md
-    #: "Dissemination strategies".
-    dissemination: str = "all2all"
-    #: Relay fan-out for ``tree`` (ignored by ``all2all``).
-    fanout: int = 8
 
     # Protocol.
     batch_size: int = 800
@@ -73,8 +65,6 @@ class ExperimentConfig:
     clients_per_node: int = 1
     client_window: int = 50
     duration_us: int = 5 * SECONDS
-    #: Measurement starts after clients have ramped up.
-    measure_after_us: Optional[int] = None
 
     # Chaos engineering: an optional fault schedule (lossy links plus
     # crash/recover events) and the reliable channel layer that lets the
@@ -108,13 +98,6 @@ class ExperimentConfig:
     tracing: bool = False
 
     def __post_init__(self) -> None:
-        if self.dissemination not in DISSEMINATION_STRATEGIES:
-            raise ValueError(
-                f"unknown dissemination {self.dissemination!r}: "
-                f"expected one of {DISSEMINATION_STRATEGIES}"
-            )
-        if self.fanout < 1:
-            raise ValueError(f"fanout must be >= 1, got {self.fanout}")
         if self.attack_nodes:
             self.attack_nodes = self._checked_attack_nodes()
 
@@ -167,9 +150,8 @@ class ExperimentConfig:
         return warmup_duration_us(self.warmup_rounds, self.warmup_spacing_us)
 
     def measurement_start_us(self) -> int:
-        if self.measure_after_us is not None:
-            return self.measure_after_us
-        # Skip the first second of client traffic (pipeline fill).
+        """Measurement starts after clients have ramped up: the first
+        second of client traffic (pipeline fill) is skipped."""
         return self.client_start_us() + 1 * SECONDS
 
     def resolved_workload(self) -> WorkloadSpec:

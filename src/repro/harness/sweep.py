@@ -81,7 +81,9 @@ from repro.harness.config import ExperimentConfig
 #: ``gossip_fanout`` and ``gossip_rounds`` (Lyra learns distances from the
 #: warm-up probes only), and HotStuff hands decided blocks over by height,
 #: which changes Pompē and Fino runs whose decides arrive out of order.
-CACHE_SCHEMA = 10
+#: Schema 11: ``ExperimentConfig`` dropped ``dissemination``, ``fanout``
+#: and ``measure_after_us``, and ``ExperimentResult`` dropped ``wire_stats``.
+CACHE_SCHEMA = 11
 
 
 # ----------------------------------------------------------------------

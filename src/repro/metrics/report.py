@@ -198,7 +198,6 @@ def render_run_report(
         )
         lines.append("")
     if result is not None:
-        lines.extend(_render_counter_dict("Wire stats", result.wire_stats))
         lines.extend(_render_counter_dict("Fault/channel stats", result.fault_stats))
         if cluster is not None:
             if cluster.config.fault_plan is not None:

@@ -23,7 +23,7 @@ become tuples, bytes become hex strings) both at record time and on
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.core.types import InstanceId
 

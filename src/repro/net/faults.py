@@ -27,7 +27,7 @@ rule ending at GST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import AbstractSet, Any, Dict, Optional, Sequence, Tuple
 
 from repro.net.message import Message

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.net.bandwidth import BandwidthModel
-from repro.net.dissemination import TREE_KIND, TreeDissemination
 from repro.net.faults import FaultInjector
 from repro.net.latency import LatencyModel, UniformLatencyModel
 from repro.net.message import Message
@@ -88,8 +87,6 @@ class Network:
         )
         self.faults = faults
         self.reliable: Optional[ReliableLayer] = None
-        #: Relay tree for broadcasts (``None`` = native all2all).
-        self.tree: Optional[TreeDissemination] = None
         self._processes: Dict[int, SimProcess] = {}
         self._replicas: List[int] = []
         self._trace_hooks: List[TraceHook] = []
@@ -223,19 +220,6 @@ class Network:
             self.unroutable_dropped += 1
 
     def broadcast(
-        self, src: int, message: Message, *, include_self: bool = True
-    ) -> int:
-        """Fan one logical message out to the replica group.
-
-        With a relay tree installed the tree decides the fan-out shape;
-        otherwise this is the native all2all path.
-        """
-        tree = self.tree
-        if tree is not None:
-            return tree.broadcast(self, src, message, include_self)
-        return self.broadcast_all2all(src, message, include_self=include_self)
-
-    def broadcast_all2all(
         self, src: int, message: Message, *, include_self: bool = True
     ) -> int:
         """Fan one logical message out to every replica directly, zero-copy.
@@ -431,14 +415,8 @@ class Network:
             if self.faults is not None:
                 self.faults.stats.corrupt_detected += 1
             return
-        kind = message.kind
-        if self.reliable is not None and kind in (FRAME_KIND, ACK_KIND):
+        if self.reliable is not None and message.kind in (FRAME_KIND, ACK_KIND):
             self.reliable.on_receive(link, message)
-        elif kind == TREE_KIND and self.tree is not None:
-            # Relay envelope: the tree forwards it down the subtree, then
-            # delivers the inner message itself (it also counts envelopes
-            # that die at a crashed relay).
-            self.tree.on_envelope(self, link.src, link.dst, message)
         else:
             self._deliver_clean(link, message)
 
@@ -469,11 +447,6 @@ class Network:
     ) -> None:
         """Hand an application-level message to its destination process,
         updating delivery counters and firing trace hooks."""
-        if message.kind == TREE_KIND and self.tree is not None:
-            # Reliable-layer frames reach here bypassing ``_deliver``; an
-            # envelope payload must still be routed through the tree.
-            self.tree.on_envelope(self, src, dst, message)
-            return
         self.messages_delivered += 1
         self.bytes_delivered += message.size
         if self._link_stats is not None:

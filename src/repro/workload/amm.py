@@ -13,7 +13,7 @@ Transactions encode swaps in the 16-byte body:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.types import Transaction

@@ -26,8 +26,8 @@ client registries).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Sequence, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Tuple, Type
 
 import numpy as np
 

@@ -9,7 +9,7 @@ the market orders the attack scenarios use).
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.types import Transaction
 

@@ -24,7 +24,7 @@ fairness headline the workload engine exists to measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.core.types import Batch, Transaction
 from repro.sim.engine import Simulator

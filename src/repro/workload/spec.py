@@ -28,13 +28,12 @@ Design invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.workload.arrivals import SECOND_US, arrivals_from_dict
 from repro.workload.clients import (
     BuildContext,
-    ClientStats,
     TxKey,
     _BaseClient,
     client_class,

@@ -1,9 +1,14 @@
 """API integrity: every package imports cleanly and every name exported in
-``__all__`` actually exists — the contract a downstream user relies on."""
+``__all__`` actually exists — the contract a downstream user relies on —
+and no module imports a name it never uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 MODULES = [
     "repro",
@@ -84,3 +89,60 @@ def test_module_imports_and_all_resolves(module_name):
 
 def test_cli_module_importable():
     import repro.__main__  # noqa: F401
+
+
+def _top_level_imports(tree):
+    """``(name bound, line)`` for each import at module level, including
+    those under a top-level ``if``/``try`` (``TYPE_CHECKING`` guards)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree):
+    """Every name the module reads, including inside string annotations,
+    plus the names its ``__all__`` lists."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a quoted annotation such as ``"Network"``
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                elt.value
+                for elt in getattr(node.value, "elts", ())
+                if isinstance(elt, ast.Constant)
+            )
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """``__init__.py`` files are exempt: their imports are re-exports."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        unused += [
+            f"{path.relative_to(SRC.parent)}:{line}: {name}"
+            for name, line in _top_level_imports(tree)
+            if name not in used
+        ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

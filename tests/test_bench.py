@@ -191,8 +191,7 @@ class TestCheckAgainstBaseline:
 class TestCellsTable:
     def test_twins_differ_from_base_only_in_digest_neutral_fields(self):
         # A twin may only be declared on a change that must not move the
-        # digest: observability on, or a tree degenerate enough
-        # (fanout >= n-1) to be the all2all path.
+        # digest: observability on.
         twins = 0
         for name, (build, _full_only, base) in CELLS.items():
             if base is None:
@@ -205,15 +204,11 @@ class TestCellsTable:
                 for f in dataclasses.fields(ExperimentConfig)
                 if getattr(twin_cfg, f.name) != getattr(base_cfg, f.name)
             }
-            degenerate_tree = (
-                twin_cfg.dissemination == "tree"
-                and twin_cfg.fanout >= twin_cfg.n_nodes - 1
-            )
             assert changed, f"{name}: identical to {base}"
-            assert changed <= {"tracing", "metrics"} or (
-                changed <= {"dissemination", "fanout"} and degenerate_tree
-            ), f"{name}: differs from {base} in {sorted(changed)}"
-        assert twins >= 2
+            assert changed <= {"tracing"}, (
+                f"{name}: differs from {base} in {sorted(changed)}"
+            )
+        assert twins >= 1
 
     def test_every_row_pinned_in_checked_in_baseline(self):
         pins = json.loads(BASELINE.read_text())["macro"]

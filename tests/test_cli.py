@@ -260,11 +260,17 @@ class TestRun:
         assert "SAFETY VIOLATION" not in out
         assert out.rstrip().endswith("RESULT: PASS")
 
-    # The epidemic distance estimator's flags; split so that a search
-    # for the retired names finds no live use.
+    # The epidemic distance estimator's flags and the relay tree's; split
+    # so that a search for the retired names finds no live use.
     @pytest.mark.parametrize(
         "flag, old_default",
-        [("--distance-mode", "probe"), ("--goss" "ip-fanout", "3"), ("--goss" "ip-rounds", "6")],
+        [
+            ("--distance-mode", "probe"),
+            ("--goss" "ip-fanout", "3"),
+            ("--goss" "ip-rounds", "6"),
+            ("--dissem" "ination", "tree"),
+            ("--fan" "out", "3"),
+        ],
     )
     def test_retired_flag_is_a_usage_error(self, flag, old_default, capsys):
         assert _exit_code(["run", flag, old_default]) == 2

@@ -118,8 +118,6 @@ class TestConfig:
     def test_measurement_window_after_ramp(self):
         cfg = ExperimentConfig()
         assert cfg.measurement_start_us() > cfg.client_start_us()
-        cfg2 = ExperimentConfig(measure_after_us=123)
-        assert cfg2.measurement_start_us() == 123
 
 
 class TestTargetedAdversary:

@@ -5,15 +5,8 @@ cluster gives it (watchdog, MEV tap) or refuses."""
 
 import pytest
 
-from repro.baselines.fino import (
-    BlindCensoringLeaderFino,
-    FinoConfig,
-    FinoNode,
-    REVEAL_KIND,
-)
-from repro.core.node import CLIENT_TX_KIND
+from repro.baselines.fino import BlindCensoringLeaderFino, FinoConfig, FinoNode
 from repro.core.obfuscation import HashCommitObfuscation
-from repro.core.smr import check_prefix_consistency
 from repro.core.types import Transaction
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
@@ -233,9 +226,3 @@ class TestSharedCluster:
         cfg = quick_lyra_config(**overrides)
         with pytest.raises(ValueError, match=f"fino cannot honour.*{field}"):
             build_cluster(cfg, protocol="fino")
-
-    def test_gossip_dissemination_is_rejected_before_the_adapter(self):
-        # The config itself refuses the deleted strategy, so a fino run
-        # can never be handed one and the adapter needs no check of its own.
-        with pytest.raises(ValueError, match="dissemination.*all2all.*tree"):
-            quick_lyra_config(dissemination="gossip")

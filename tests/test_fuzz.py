@@ -264,12 +264,16 @@ class TestWatchdogExtraChecks:
 #: finds no live use.
 RETIRED_FIELD = "delta_" "piggyback"
 
-#: The epidemic distance estimator's knobs, retired the same way, each
-#: with the default it had.
-RETIRED_DISTANCE_FIELDS = {
+#: Fields retired the same way, each with the default it had: the
+#: epidemic distance estimator's knobs, the relay tree's and the
+#: measurement-window override.
+RETIRED_FIELDS = {
     "distance_" "mode": "probe",
     "goss" "ip_fanout": 3,
     "goss" "ip_rounds": 6,
+    "dissem" "ination": "all2all",
+    "fan" "out": 8,
+    "measure_" "after_us": None,
 }
 
 
@@ -327,7 +331,7 @@ class TestFuzzCli:
             ({"attack_nodes": {"1": "no-such-attack"}}, "no-such-attack"),
             ({"attack_nodes": {"9": "cipher-replay"}}, "unknown pid 9"),
             ({RETIRED_FIELD: True}, RETIRED_FIELD),
-            *(({name: old}, name) for name, old in RETIRED_DISTANCE_FIELDS.items()),
+            *(({name: old}, name) for name, old in RETIRED_FIELDS.items()),
         ],
         ids=[
             "not-json",
@@ -335,7 +339,7 @@ class TestFuzzCli:
             "unknown-attack",
             "pid-out-of-range",
             "retired-field",
-            *(f"retired-{name}" for name in RETIRED_DISTANCE_FIELDS),
+            *(f"retired-{name}" for name in RETIRED_FIELDS),
         ],
     )
     def test_malformed_replay_artifact_is_a_usage_error(

@@ -19,11 +19,15 @@ from repro.crypto.cost import FREE_COSTS
 from repro.crypto.hashing import digest_of
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
+from repro.harness.factory import build_cluster
 from repro.net.latency import UniformLatencyModel
+from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import MILLISECONDS, Simulator
 from repro.sim.process import SimProcess
 from repro.sim.timers import TimerWheel
+
+from tests.helpers import quick_lyra_config
 
 DELAY = 5 * MILLISECONDS
 
@@ -487,3 +491,16 @@ class TestJunkFields:
             dict(replica._tracked_requests),
             len(outbox),
         ) == before
+
+    @pytest.mark.parametrize("protocol", ["pompe", "fino"])
+    def test_a_baseline_replica_counts_what_its_hotstuff_drops(self, protocol):
+        """Through the whole receive path, receive cost included."""
+        cluster = build_cluster(quick_lyra_config(), protocol=protocol)
+        leader = cluster.nodes[0]
+        for payloads in ((), 5):
+            bad = Block(view="x", height=0, payloads=payloads, watermark=0, digest=b"d")
+            leader.deliver(Message(PROPOSE_KIND, {"block": bad}, 64), 1)
+        vote = {"height": [0], "phase": PHASES[0], "share": None}
+        leader.deliver(Message(VOTE_KIND, vote, 64), 1)
+        cluster.sim.run(until=1_000)
+        assert leader.stats.malformed_messages == 3

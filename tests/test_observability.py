@@ -121,7 +121,7 @@ class TestReportRendering:
             committed_count=10,
             executed_total=40,
             throughput_tps=10.0,
-            wire_stats={"dissemination": {"strategy": "tree"}},
+            fault_stats={"dropped": 3},
             metrics={
                 "counters": {
                     "cache.feldman_verify.hits": {"total": 5},
@@ -136,7 +136,7 @@ class TestReportRendering:
         assert "# T" in text
         assert "Phase latency decomposition" in text
         assert "trace events:" in text
-        assert "Wire stats" in text
+        assert "Fault/channel stats" in text
         assert "Per-link deliveries" in text
         assert "0->1" in text
         assert "Registry counters" in text

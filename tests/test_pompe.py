@@ -6,7 +6,6 @@ channels) or refuses."""
 import pytest
 
 from repro.baselines.pompe import PompeNode
-from repro.harness.config import ExperimentConfig
 from repro.harness.factory import build_cluster
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
@@ -173,16 +172,11 @@ class TestSharedCluster:
         # The end-of-run check now includes ordered output too.
         assert "out of order" in (result.safety_violation or "")
 
-    @pytest.mark.parametrize(
-        "extra",
-        [{}, {"dissemination": "tree", "fanout": 2}],
-        ids=["plain", "tree"],
-    )
-    def test_lossy_links_with_reliable_channels(self, extra):
-        """The fault plan and the network options are honoured, the run
+    def test_lossy_links_with_reliable_channels(self):
+        """The fault plan and the reliable channels are honoured, the run
         still commits, and the watchdog agrees with the end-of-run check."""
         cfg = quick_lyra_config(
-            duration_us=3 * SECONDS, fault_plan=LOSSY, reliable_channels=True, **extra
+            duration_us=3 * SECONDS, fault_plan=LOSSY, reliable_channels=True
         )
         result = build_cluster(cfg, protocol="pompe").run()
         assert result.committed_count > 0
@@ -190,8 +184,6 @@ class TestSharedCluster:
         assert stats["dropped"] > 0 and stats["duplicated"] > 0
         assert stats["retransmits"] > 0 and stats["dup_frames"] > 0
         assert (result.safety_violation is None) == (not result.invariant_violations)
-        if "dissemination" in extra:
-            assert result.wire_stats["dissemination"]["strategy"] == "tree"
 
     def test_lossy_links_decide_strictly_by_height(self):
         """A retransmitted HotStuff ``decide`` for height h lands after
@@ -271,9 +263,3 @@ class TestSharedCluster:
         with pytest.raises(ValueError, match=field):
             build_cluster(cfg, protocol="pompe")
         build_cluster(cfg, protocol="lyra")  # Lyra honours every one
-
-    def test_gossip_dissemination_is_rejected_before_the_adapter(self):
-        # The config itself refuses the deleted strategy, so a pompe run
-        # can never be handed one and the adapter needs no check of its own.
-        with pytest.raises(ValueError, match="dissemination.*all2all.*tree"):
-            quick_lyra_config(dissemination="gossip")

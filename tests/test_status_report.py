@@ -8,8 +8,8 @@
   ``_on_dshare`` and at the ``"pb"`` slot.  Catch-up responses with a
   field of the wrong type are dropped whole and counted in
   ``NodeStats.malformed_messages``, and so are VVB
-  INITs whose cipher or predictions cannot be read and VOTE1s whose
-  ``seq`` is not an int.
+  INITs whose cipher or predictions cannot be read, VOTE1s whose
+  ``seq`` is not an int and probes whose ``ref`` or ``seq`` is not one.
 - Instance dispatch probes ``_instances`` first and ``_finished`` only on a
   miss, which is sound because the two stay disjoint.
 - Two ledger smoke shapes are pinned to the commit before this change
@@ -21,19 +21,25 @@ import importlib.util
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.suite import _cache_snapshot, prefix_digest
 from repro.core.commit import DSHARE_KIND, NO_PENDING, STATUS_KIND, StatusReport
 from repro.core.dbft import AUX_KIND
-from repro.core.node import CATCHUP_RSP_KIND
-from repro.core.obfuscation import HashRevealShare, is_reveal_share
+from repro.core.node import CATCHUP_RSP_KIND, PROBE_ACK_KIND, PROBE_KIND
+from repro.core.obfuscation import (
+    HashCommitObfuscation,
+    HashRevealShare,
+    is_cipher,
+    is_reveal_share,
+)
 from repro.core.types import AcceptedEntry, InstanceId, Transaction
 from repro.core.vvb import INIT_KIND, VOTE1_KIND, message_digest
 from repro.crypto.cost import FREE_COSTS
 from repro.crypto.shamir import ShamirShare
-from repro.crypto.vss_encryption import DecryptionShare
+from repro.crypto.vss_encryption import DecryptionShare, VssCipher
 from repro.harness import ExperimentConfig, build_cluster
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS, SECONDS
@@ -197,6 +203,9 @@ def junk_reveal_items(iid, cipher_id):
         (iid, HashRevealShare(cipher_id, "key", b"nonce")),
         (iid, HashRevealShare(cipher_id, b"key", 7)),
         (iid, HashRevealShare(7, b"key", b"nonce")),
+        # Well formed, but of the other scheme: a VSS replica would look
+        # for its Shamir share.
+        (iid, HashRevealShare(cipher_id, b"k" * 32, b"n" * 32)),
         (iid, ShamirShare(1, 5)),  # a bare share is not a reveal share
         (iid, "junk"),
         (iid, None),
@@ -248,10 +257,11 @@ def committed_reveal(costs=FREE_COSTS):
 class TestMalformedShares:
     def test_is_reveal_share(self):
         good = DecryptionShare(b"c" * 32, ShamirShare(1, 5))
-        assert is_reveal_share(good)
-        assert is_reveal_share(HashRevealShare(b"c" * 32, b"k" * 32, b"n" * 32))
+        hashed = HashRevealShare(b"c" * 32, b"k" * 32, b"n" * 32)
+        assert is_reveal_share(good, "vss") and is_reveal_share(hashed, "hash")
+        assert not is_reveal_share(good, "hash")
         for _, junk in junk_reveal_items(InstanceId(1, 0), b"c" * 32):
-            assert not is_reveal_share(junk), junk
+            assert not is_reveal_share(junk, "vss"), junk
 
     def test_each_junk_item_is_dropped_and_counted(self):
         sim, nodes, node, iid, cipher = committed_reveal()
@@ -458,17 +468,45 @@ class TestMalformedCatchup:
 
 def junk_inits(node, iid):
     """INITs that carry a real signature but a cipher or predictions the
-    receiver cannot read."""
+    receiver cannot read.  The last four are signed over their own
+    cipher id, so only the cipher's shape (or scheme) gives them away."""
     cipher = node.obf.encrypt(b"x" * 32, node.rng, iid.proposer)
-    sigma = node.registry.signer(iid.proposer).sign(b"junk")
+    signer = node.registry.signer(iid.proposer)
+    sigma = signer.sign(b"junk")
     preds = (1, 2, 3, 4)
+    misshapen = (
+        SimpleNamespace(cipher_id=b"c" * 32),
+        HashCommitObfuscation(3, 4, seed=1).encrypt(b"x" * 32, node.rng, iid.proposer),
+        VssCipher(cipher.cipher_id, cipher.body, cipher.commitment, ("x",) * 4),
+        VssCipher(cipher.cipher_id, cipher.body, "junk", cipher.sealed_shares),
+    )
     return (
         {"iid": iid, "cipher": "junk", "preds": preds, "sigma": sigma},
         {"iid": iid, "cipher": 5, "preds": preds, "sigma": sigma},
         {"iid": iid, "cipher": cipher, "preds": 5, "sigma": sigma},
         {"iid": iid, "cipher": cipher, "preds": None, "sigma": sigma},
         {"iid": iid, "cipher": cipher, "preds": (1, [2], 3, 4), "sigma": sigma},
+        *(
+            {
+                "iid": iid,
+                "cipher": bad,
+                "preds": preds,
+                "sigma": signer.sign(message_digest(iid, bad.cipher_id, preds)),
+            }
+            for bad in misshapen
+        ),
     )
+
+
+#: Probes and probe acks with a field that is not an int.
+JUNK_PROBES = (
+    (PROBE_KIND, {"ref": "x"}),
+    (PROBE_KIND, {}),
+    (PROBE_KIND, "junk"),
+    (PROBE_ACK_KIND, {"ref": 1.5, "seq": 7}),
+    (PROBE_ACK_KIND, {"ref": 1, "seq": None}),
+    (PROBE_ACK_KIND, {"ref": 1}),
+)
 
 
 #: VOTE1 ``seq`` values that are not an int; ``MISSING`` leaves it out.
@@ -501,6 +539,27 @@ def samples_view(est):
 
 
 class TestMalformedVvbMessages:
+    def test_is_cipher(self):
+        sim, nodes, net = build_pair(costs=FREE_COSTS)
+        node = nodes[0]
+        cipher = node.obf.encrypt(b"x" * 32, node.rng, 0)
+        hashed = HashCommitObfuscation(3, 4, seed=1).encrypt(b"x" * 32, node.rng, 0)
+        # A bad dealer's cipher is well shaped: its 0 vote is
+        # check_dealing's business, not the door's.
+        bad_dealer = VssCipher(
+            cipher.cipher_id,
+            cipher.body,
+            cipher.commitment,
+            (cipher.sealed_shares[0] ^ 1,) + cipher.sealed_shares[1:],
+        )
+        assert is_cipher(cipher, "vss") and is_cipher(bad_dealer, "vss")
+        assert is_cipher(hashed, "hash")
+        assert not is_cipher(cipher, "hash") and not is_cipher(hashed, "vss")
+        # Each junk INIT is junk in exactly one of its cipher and its
+        # predictions.
+        for junk in junk_inits(node, InstanceId(1, 0)):
+            assert is_cipher(junk["cipher"], "vss") != (junk["preds"] == (1, 2, 3, 4))
+
     def test_each_junk_init_is_counted_before_any_state_moves(self):
         sim, nodes, net = build_pair(costs=FREE_COSTS)
         node = nodes[0]
@@ -547,8 +606,9 @@ class TestMalformedVvbMessages:
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_mix_of_real_and_junk_vvb_traffic(self, seed):
         """Two pid-0 nodes fed the same signed VOTE1s for their own
-        instances; one also gets junk INITs and junk-seq VOTE1s in between.
-        Their distance samples and vote buckets stay equal throughout."""
+        instances; one also gets junk INITs, junk-seq VOTE1s and junk
+        probes in between.  Their distance samples and vote buckets stay
+        equal throughout."""
         clean_nodes, noisy_nodes = (build_pair(costs=FREE_COSTS)[1] for _ in range(2))
         clean, noisy = clean_nodes[0], noisy_nodes[0]
         iids = [InstanceId(0, k) for k in range(3)]
@@ -560,9 +620,12 @@ class TestMalformedVvbMessages:
         for step in range(120):
             iid, sender = rnd.choice(iids), rnd.choice((1, 2, 3))
             if rnd.random() < 0.4:
-                if rnd.random() < 0.5:
+                draw = rnd.random()
+                if draw < 1 / 3:
                     junk = rnd.choice(junk_inits(noisy, InstanceId(sender, step)))
                     noisy._process(wire(INIT_KIND, junk), sender)
+                elif draw < 2 / 3:
+                    noisy._process(wire(*rnd.choice(JUNK_PROBES)), sender)
                 else:
                     seq = rnd.choice(JUNK_SEQS)
                     junk = signed_vote1(noisy_nodes, iid, sender, seq)
