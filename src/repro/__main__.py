@@ -20,7 +20,9 @@ through :func:`config_from_args`; ``--protocol`` names adapters of the
 with :func:`repro.metrics.report.render_run_report` and ends with one
 ``RESULT: PASS|FAIL`` line.  It exits 0 when clean, 1 on any safety or
 invariant violation or a missing fairness block, and 2 on a usage error or
-a config the protocol adapter rejects.  The experiment names are the keys
+a config the protocol adapter rejects.  ``sweep`` checks every grid cell
+the same way before any runs (exit 2), and exits 1 when a cell fails
+while running.  The experiment names are the keys
 of :data:`repro.harness.experiments.EXPERIMENTS`.  Set ``REPRO_FULL=1`` for
 the paper's full node counts; ``REPRO_WORKERS`` / ``REPRO_CACHE``
 parallelise and cache the figure entry points the same way ``sweep`` does
@@ -98,7 +100,7 @@ def _crash_event(spec: str):
 def _workload_spec(opts, arrival: str, n: int, duration_us: int):
     """The open-loop ``WorkloadSpec`` of the ``--arrival`` flags in ``opts``."""
     from repro.sim.engine import SECONDS
-    from repro.workload.spec import ClientGroup, WorkloadSpec
+    from repro.workload.spec import ClientGroup, WorkloadSpec, mev_groups
 
     per_client = max(opts["offered_tps"] / n, 1e-3)
     process = {"kind": arrival, "rate_tps": per_client}
@@ -130,19 +132,8 @@ def _workload_spec(opts, arrival: str, n: int, duration_us: int):
         # The Fig. 1 cell: AMM victims homed far from the replica
         # majority, one MEV bot colocated with a (Pompē-colluding)
         # replica close to it.
-        groups.append(
-            ClientGroup(
-                name="victims",
-                client="arrival",
-                count=1,
-                home=0,
-                arrival={"kind": "poisson", "rate_tps": opts["victim_tps"]},
-                body="amm",
-                body_params={"amount_min": 1_000, "amount_max": 5_000},
-            )
-        )
-        groups.append(
-            ClientGroup(name="mev", client="mev", count=1, home=1, collude=True)
+        groups.extend(
+            mev_groups({"kind": "poisson", "rate_tps": opts["victim_tps"]})
         )
     return WorkloadSpec(groups=tuple(groups), fairness=True, users=opts["users"])
 
@@ -175,7 +166,7 @@ def config_from_args(args, n: int | None, seed: int):
     opts = {dest: given.get(dest, default) for dest, default in wanted.items()}
     mev = opts.get("mev", False)
     n = n if n is not None else (7 if mev else 4)
-    config = ExperimentConfig(
+    fields = dict(
         n_nodes=n,
         seed=seed,
         batch_size=given.get("batch", 1 if mev else 10),
@@ -186,27 +177,26 @@ def config_from_args(args, n: int | None, seed: int):
         tracing=bool(given.get("trace")),
     )
     if arrival is None:
-        config.clients_per_node = opts["clients"]
-        config.client_window = opts["window"]
+        fields.update(clients_per_node=opts["clients"], client_window=opts["window"])
     else:
         if mev:
             # The Fig. 1 geometry: the replica majority far from the
             # victim's home and the bot's colluding replica between them.
             if n < 3:
                 raise ValueError("--mev needs --n >= 3")
-            config.regions = ["tokyo", "singapore"] + ["saopaulo"] * (n - 2)
-        config.workload = _workload_spec(opts, arrival, n, config.duration_us)
+            fields["regions"] = ["tokyo", "singapore"] + ["saopaulo"] * (n - 2)
+        fields["workload"] = _workload_spec(opts, arrival, n, fields["duration_us"])
     rates = {rate: given.get(flag, 0.0) for flag, rate in _RATE_FLAGS.items()}
     crashes = tuple(given.get("crash") or ())
     if any(rates.values()) or crashes:
-        config.fault_plan = FaultPlan(links=(LinkFault(**rates),), crashes=crashes)
-        config.reliable_channels = any(rate > 0 for rate in rates.values())
+        fields["fault_plan"] = FaultPlan(links=(LinkFault(**rates),), crashes=crashes)
+        fields["reliable_channels"] = any(rate > 0 for rate in rates.values())
     if given.get("delay_ms") is not None:
         # The §III rig: uniform jitter-free links with Δ = one delay, so
         # BOC's 3-message-delay decision bound is directly visible in the
         # proposed->decided row.
-        config.uniform_delay_us = config.delta_us = args.delay_ms * MILLISECONDS
-    return config
+        fields["uniform_delay_us"] = fields["delta_us"] = args.delay_ms * MILLISECONDS
+    return ExperimentConfig(**fields)
 
 
 def _add_config_flags(parser) -> None:
@@ -624,11 +614,11 @@ def cmd_sweep(args) -> None:
 
     try:
         base = config_from_args(args, args.n[0], args.seeds[0])
+        cells = grid_cells(
+            base, protocols=args.protocol, seeds=args.seeds, n_nodes=args.n
+        )
     except ValueError as err:
         args.error(str(err))
-    cells = grid_cells(
-        base, protocols=args.protocol, seeds=args.seeds, n_nodes=args.n
-    )
 
     def _progress(record, done, total) -> None:
         state = (

@@ -1,11 +1,9 @@
 """Reordering attacks and Byzantine behaviours (§I Fig. 1, §V-E, §VI-D).
 
-- :mod:`repro.attacks.frontrun` — the Fig. 1 triangle-inequality
-  front-running scenario, runnable against Pompē-style clear-text ordering
-  (succeeds) and against Lyra commit-reveal (structurally fails).
 - :mod:`repro.attacks.byzantine` — Byzantine Lyra replicas: equivocating
   broadcasters, prefix stallers, flooders, future-sequence spammers,
-  silent/partial proposers.
+  silent/partial proposers, cipher replayers and Fig. 1's backdating
+  front-runner.
 - :mod:`repro.attacks.pompe_attacks` — Byzantine Pompē participants:
   the censoring HotStuff leader and the timestamp cherry-picking orderer.
 - :mod:`repro.attacks.corpus` — the commit-reveal / piggyback attack
@@ -18,13 +16,8 @@
   (generate / run / shrink / replay).
 """
 
-from repro.attacks.frontrun import (
-    Fig1Scenario,
-    Fig1Outcome,
-    run_fig1_pompe,
-    run_fig1_lyra,
-)
 from repro.attacks.byzantine import (
+    BackdatingNode,
     CipherReplayNode,
     EquivocatingNode,
     FloodingNode,
@@ -45,10 +38,7 @@ from repro.attacks.corpus import (
 from repro.attacks.registry import ATTACK_NODE_CLASSES, resolve_attack_nodes
 
 __all__ = [
-    "Fig1Scenario",
-    "Fig1Outcome",
-    "run_fig1_pompe",
-    "run_fig1_lyra",
+    "BackdatingNode",
     "CipherReplayNode",
     "EquivocatingNode",
     "FloodingNode",

@@ -18,14 +18,18 @@ way, so experiments can attribute effects:
 - :class:`PrefixStallerNode` — piggybacks artificially low locked /
   min-pending values to stall commit progress; the top-2f+1 selection rule
   (Algorithm 4 lines 83-85) makes it harmless for f < n/3.
+- :class:`BackdatingNode` — Fig. 1's Mallory against Lyra: once it can
+  read another proposer's payload (at execution), it proposes an instance
+  whose predictions claim a sequence number just before that payload's.
+  The acceptance window (Equation 1) rejects it at every correct replica.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.node import LyraNode
-from repro.core.types import InstanceId, Transaction
+from repro.core.types import Batch, InstanceId, Transaction
 from repro.core.vvb import INIT_KIND, message_digest
 from repro.net.message import Message
 
@@ -38,8 +42,6 @@ class EquivocatingNode(LyraNode):
             return
         iid = InstanceId(self.pid, self._batch_counter)
         self._batch_counter += 1
-        from repro.core.types import Batch
-
         # Two conflicting versions of "the same" instance.
         batch_a = Batch(self.pid, iid.batch_no, tuple(txs))
         batch_b = Batch(self.pid, iid.batch_no, tuple(reversed(txs)))
@@ -116,8 +118,6 @@ class FutureSequenceNode(LyraNode):
             return
         iid = InstanceId(self.pid, self._batch_counter)
         self._batch_counter += 1
-        from repro.core.types import Batch
-
         batch = Batch(self.pid, iid.batch_no, tuple(txs))
         cipher = self.obf.encrypt(batch.serialize(), self.rng, self.pid)
         s_ref = self.clock.now()
@@ -186,7 +186,37 @@ class CipherReplayNode(LyraNode):
         super()._dispatch_instance(kind, payload, sender)
 
 
+class BackdatingNode(LyraNode):
+    """Front-runs the first payload it can read, with a backdated request.
+
+    Lyra payloads stay encrypted until their prefix commits, so the first
+    moment this replica can react to another proposer's content is that
+    batch's execution.  It then proposes one instance whose predictions
+    claim ``seq - 1 000 µs`` at every replica — a lie by then, so every
+    correct replica decides 0.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.backdated: Optional[InstanceId] = None
+
+    def _on_execute(self, entry, plaintext: bytes) -> None:
+        super()._on_execute(entry, plaintext)
+        if self.backdated is None and entry.instance.proposer != self.pid:
+            self._propose_backdated(entry.seq - 1_000)
+
+    def _propose_backdated(self, seq: int) -> None:
+        iid = InstanceId(self.pid, self._batch_counter)
+        self._batch_counter += 1
+        self.backdated = iid
+        batch = Batch(self.pid, iid.batch_no, (Transaction(self.pid, 0),))
+        cipher = self.obf.encrypt(batch.serialize(), self.rng, self.pid)
+        self._s_ref[iid] = seq
+        self._instance(iid).propose(cipher, (seq,) * self.n)
+
+
 __all__ = [
+    "BackdatingNode",
     "EquivocatingNode",
     "SilentProposerNode",
     "FloodingNode",

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.attacks.byzantine import (
+    BackdatingNode,
     CipherReplayNode,
     EquivocatingNode,
     FloodingNode,
@@ -36,6 +37,7 @@ ATTACK_NODE_CLASSES: Dict[str, type] = {
     "cipher-replay": CipherReplayNode,
     "selective-reveal": SelectiveRevealNode,
     "piggyback-forgery": PiggybackForgeryNode,
+    "backdate": BackdatingNode,
 }
 
 

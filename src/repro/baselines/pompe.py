@@ -18,7 +18,7 @@ Pompē separates *ordering* from *consensus*:
 The crucial weakness Lyra addresses: batches travel in clear text during
 the ordering phase, so an observer can front-run by racing its own batch
 through faster network paths (Fig. 1), and the HotStuff leader can censor
-or delay certificates.  Attack experiments hook ``observe_batch``.
+or delay certificates.  The MEV bot's tap hooks ``observe_batch``.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ class PompeStats:
     batches_executed_own: int = 0
     txs_executed: int = 0
     own_batch_latencies_us: List[int] = field(default_factory=list)
-    #: HotStuff messages dropped at the door: a field of the wrong type.
+    #: Messages dropped at the door (client, ordering-phase, stale and
+    #: HotStuff kinds): a field of the wrong type.
     malformed_messages: int = 0
 
 
@@ -144,7 +145,7 @@ class PompeNode(SimProcess):
         self.executed_log: List[Tuple[int, bytes]] = []  # (assigned_ts, digest)
         self._started = False
         self.on_executed: Optional[Callable[[OrderingCert], None]] = None
-        #: Attack hook: called with every clear-text batch this replica
+        #: MEV tap: called with every clear-text batch this replica
         #: observes during the ordering phase.
         self.observe_batch: Optional[Callable[[Batch, int], None]] = None
 
@@ -262,6 +263,8 @@ class PompeNode(SimProcess):
             tx = payload.get("tx")
             if isinstance(tx, Transaction):
                 self.submit(tx, client_pid=sender)
+            else:
+                self._count_malformed()
         elif kind == ORDER_REQ_KIND:
             self._on_order_req(payload, sender)
         elif kind == ORDER_TS_KIND:
@@ -270,6 +273,8 @@ class PompeNode(SimProcess):
             digest = payload.get("digest")
             if isinstance(digest, bytes):
                 self._reorder_stale(digest)
+            else:
+                self._count_malformed()
         elif self.hotstuff is not None:
             self.hotstuff.handle(kind, payload, sender)
 
@@ -312,6 +317,7 @@ class PompeNode(SimProcess):
         batch = payload.get("batch")
         digest = payload.get("digest")
         if not isinstance(batch, Batch) or not isinstance(digest, bytes):
+            self._count_malformed()
             return
         # Clear-text exposure: the batch is readable here, before any
         # ordering decision — the attack surface Lyra closes.
@@ -327,26 +333,35 @@ class PompeNode(SimProcess):
         digest = payload.get("digest")
         ts = payload.get("ts")
         sig = payload.get("sig")
-        state = self._pending_order.get(digest)
-        if state is None or not isinstance(ts, int) or not isinstance(sig, Signature):
+        if (
+            not isinstance(digest, bytes)
+            or type(ts) is not int
+            or not isinstance(sig, Signature)
+        ):
+            self._count_malformed()
             return
-        if sender in state["replies"]:
+        state = self._pending_order.get(digest)
+        if state is None or sender in state["replies"]:
             return
         if not self.registry.verify((digest, ts), sig, sender):
             return
         state["replies"][sender] = (ts, sig)
-        quorum = 2 * self.f + 1
-        if len(state["replies"]) == quorum:
-            endorsements = tuple(
-                (pid, t, s) for pid, (t, s) in sorted(state["replies"].items())
-            )
-            times = sorted(t for _, t, _ in endorsements)
-            median = times[self.f]  # median of 2f+1 values
-            cert = OrderingCert(state["batch"], digest, median, endorsements)
-            del self._pending_order[digest]
-            self.stats.batches_ordered += 1
-            self._unacked[digest] = cert
-            self.hotstuff.submit(cert)
+        self._on_timestamp_reply(digest, state)
+
+    def _on_timestamp_reply(self, digest: bytes, state: dict) -> None:
+        """The quorum step: the first 2f+1 signed timestamps make the
+        certificate, at their median."""
+        if len(state["replies"]) != 2 * self.f + 1:
+            return
+        endorsements = tuple(
+            (pid, t, s) for pid, (t, s) in sorted(state["replies"].items())
+        )
+        median = sorted(t for _, t, _ in endorsements)[self.f]
+        cert = OrderingCert(state["batch"], digest, median, endorsements)
+        del self._pending_order[digest]
+        self.stats.batches_ordered += 1
+        self._unacked[digest] = cert
+        self.hotstuff.submit(cert)
 
     # ------------------------------------------------------------------
     # Consensus decisions and timestamp-ordered execution

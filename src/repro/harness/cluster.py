@@ -306,13 +306,8 @@ class PompeAdapter:
     def tap_ordering(self, node: PompeNode, bots: Tuple) -> None:
         # Batches travel in clear text during the ordering phase, so the bot
         # sees every victim payload before a timestamp is assigned — the
-        # attack surface Lyra closes.  Chained after any existing hook (a
-        # colluding CherryPickingOrdererNode installs its own).
-        prev = node.observe_batch
-
+        # attack surface Lyra closes.
         def tap(batch, sender):
-            if prev is not None:
-                prev(batch, sender)
             for bot in bots:
                 bot.on_observed_batch(batch)
 
@@ -377,6 +372,36 @@ PROTOCOLS: Dict[str, Any] = {
 }
 
 
+def check_cell(
+    config: ExperimentConfig,
+    protocol: str,
+    node_classes: Optional[Dict[int, type]] = None,
+) -> Tuple[Any, Dict[int, type], Dict[int, dict]]:
+    """Refuse, with a ``ValueError``, a cell no cluster can run: an
+    unknown protocol, a config feature its adapter cannot honour, an ``f``
+    the cluster size does not tolerate, or a fault plan that together with
+    the Byzantine replicas exceeds ``f``.  Returns the adapter and the
+    replica classes and kwargs by pid that the config implies
+    (``node_classes`` overriding them per pid)."""
+    adapter = PROTOCOLS.get(protocol.lower())
+    if adapter is None:
+        known = ", ".join(sorted(PROTOCOLS))
+        raise ValueError(f"unknown protocol {protocol!r}; available: {known}")
+    problems = adapter.unsupported(config)
+    if problems:
+        raise ValueError(f"{protocol} cannot honour: " + "; ".join(problems))
+    f = config.resolved_f()
+    classes, kwargs = adapter.byzantine_classes(config)
+    classes.update(node_classes or {})
+    plan = config.fault_plan
+    if plan is not None and not plan.empty:
+        # Crashes and Byzantine/attack replicas share the resilience
+        # budget: the plan is rejected if they jointly exceed f.
+        byz = sorted(p for p, c in classes.items() if c is not adapter.node_class)
+        plan.validate_for(config.n_nodes, f, byzantine=tuple(byz))
+    return adapter, classes, kwargs
+
+
 class Cluster:
     """A fully wired deployment of one protocol inside one simulator.
 
@@ -395,24 +420,13 @@ class Cluster:
         node_classes: Optional[Dict[int, type]] = None,
         node_kwargs: Optional[Dict[int, dict]] = None,
     ) -> None:
-        adapter = PROTOCOLS.get(protocol.lower())
-        if adapter is None:
-            known = ", ".join(sorted(PROTOCOLS))
-            raise ValueError(f"unknown protocol {protocol!r}; available: {known}")
-        problems = adapter.unsupported(config)
-        if problems:
-            raise ValueError(f"{protocol} cannot honour: " + "; ".join(problems))
+        adapter, classes, kwargs = check_cell(config, protocol, node_classes)
         self.protocol = adapter
         self.config = config
         self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
         self.f = f = config.resolved_f()
         self.n = n = config.n_nodes
-
-        # Replica classes the config implies; explicit builder arguments
-        # override them per pid.
-        classes, kwargs = adapter.byzantine_classes(config)
-        classes.update(node_classes or {})
         for pid, extra in (node_kwargs or {}).items():
             kwargs[pid] = {**kwargs.get(pid, {}), **extra}
 
@@ -457,10 +471,6 @@ class Cluster:
         self.fault_injector: Optional[FaultInjector] = None
         plan = config.fault_plan or FaultPlan()
         if not plan.empty:
-            # Crashes and Byzantine/attack replicas share the resilience
-            # budget: the plan is rejected if they jointly exceed f.
-            byz = sorted(p for p, c in classes.items() if c is not adapter.node_class)
-            plan.validate_for(n, f, byzantine=tuple(byz))
             self.fault_injector = FaultInjector(plan, self.rng)
         self.network = Network(
             self.sim,
@@ -718,6 +728,7 @@ class Cluster:
 
 __all__ = [
     "Cluster",
+    "check_cell",
     "ExperimentResult",
     "PROTOCOLS",
     "check_safety",

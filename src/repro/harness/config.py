@@ -98,6 +98,15 @@ class ExperimentConfig:
     tracing: bool = False
 
     def __post_init__(self) -> None:
+        for name, value, floor in (
+            ("batch_size", self.batch_size, 1),
+            ("lambda_us", self.lambda_us, 0),
+            ("duration_us", self.duration_us, 1),
+            ("client_window", self.client_window, 1),
+            ("warmup_rounds", self.warmup_rounds, 0),
+        ):
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         if self.attack_nodes:
             self.attack_nodes = self._checked_attack_nodes()
 

@@ -37,7 +37,7 @@ from repro.metrics.ascii_chart import chart_fig2, chart_fig3
 from repro.metrics.capacity import CapacityInputs, lyra_capacity, pompe_capacity
 from repro.metrics.spans import decompose_phases
 from repro.sim.engine import MILLISECONDS, SECONDS
-from repro.workload.spec import ClientGroup, WorkloadSpec
+from repro.workload.spec import ClientGroup, WorkloadSpec, mev_groups
 
 #: §VI-C node counts.
 PAPER_NODE_COUNTS = [5, 10, 16, 31, 61, 100]
@@ -213,32 +213,69 @@ def fig3_sim_validation(n: int = 4, *, seed: int = 5) -> Dict:
     }
 
 
-def fig1_frontrunning(*, seed: int = 7) -> List[Dict]:
-    """Fig. 1 scenario: the attack lands on Pompē, fails on Lyra."""
-    from repro.attacks.frontrun import Fig1Scenario, run_fig1_lyra, run_fig1_pompe
+def fig1_config(
+    *,
+    seed: int = 7,
+    far_region: str = "saopaulo",
+    attack_nodes: Optional[Dict[int, str]] = None,
+) -> ExperimentConfig:
+    """The Fig. 1 cell: Alice's home replica in Tokyo (pid 0), Mallory's in
+    Singapore (pid 1) and the five other validators in ``far_region``, on
+    jitter-free links and skew-free clocks.  Alice sends one AMM swap
+    0.4 s after warm-up; Mallory's MEV bot chases it from pid 1."""
+    return ExperimentConfig(
+        n_nodes=7,
+        regions=["tokyo", "singapore"] + [far_region] * 5,
+        seed=seed,
+        jitter=0.0,
+        clock_skew_max_us=0,
+        delta_us=200 * MILLISECONDS,
+        batch_size=1,
+        batch_timeout_us=20 * MILLISECONDS,
+        warmup_rounds=3,
+        warmup_spacing_us=200 * MILLISECONDS,
+        workload=WorkloadSpec(
+            groups=mev_groups({"kind": "trace", "offsets_us": [400_000]})
+        ),
+        duration_us=4 * SECONDS,
+        attack_nodes=attack_nodes,
+    )
 
-    scenario = Fig1Scenario()
-    victim_ts, attacker_ts = scenario.median_timestamps_ms()
-    pompe = run_fig1_pompe(scenario, seed=seed)
-    lyra = run_fig1_lyra(scenario, seed=seed)
-    return [
-        {
-            "system": "arrival-analysis",
-            "attack_succeeded": scenario.analytic_attack_wins(),
-            "detail": f"victim median {victim_ts}ms vs attacker {attacker_ts}ms",
-        },
-        {
-            "system": "pompe",
-            "attack_succeeded": pompe.attack_succeeded,
-            "detail": pompe.detail,
-        },
-        {
-            "system": "lyra",
-            "attack_succeeded": lyra.attack_succeeded,
-            "attacker_rejected": lyra.attacker_rejected,
-            "detail": lyra.detail,
-        },
+
+#: Fig. 1's rows: (protocol, region of the five far validators, attack
+#: replicas).  Moving them to Tokyo removes the triangle violation.
+FIG1_CASES = (
+    ("pompe", "saopaulo", None),
+    ("pompe", "tokyo", None),
+    ("lyra", "saopaulo", {1: "backdate"}),
+)
+
+
+def fig1_frontrunning(*, seed: int = 7) -> List[Dict]:
+    """Fig. 1: Mallory's sandwich around Alice's swap lands on Pompē's
+    clear-text ordering through the triangle violation, and fails without
+    it.  Under Lyra the bot reads the swap only at execution, and the
+    backdated instance Mallory's replica proposes then is rejected by
+    every replica."""
+    cells = [
+        SweepCell(protocol, fig1_config(seed=seed, far_region=far, attack_nodes=atk))
+        for protocol, far, atk in FIG1_CASES
     ]
+    rows: List[Dict] = []
+    for (protocol, far, _), res in zip(FIG1_CASES, _sweep(cells)):
+        sandwich = res.fairness["sandwich"]
+        rows.append(
+            {
+                "system": protocol,
+                "far_validators": far,
+                "attempts": sandwich["attempts"],
+                "sandwiches": sandwich["successes"],
+                "rejected": res.rejected_instances,
+                "violations": len(res.invariant_violations),
+                "safety": res.safety_violation,
+            }
+        )
+    return rows
 
 
 def _delays_to_first_call(
@@ -638,6 +675,7 @@ __all__ = [
     "QUICK_NODE_COUNTS",
     "node_counts",
     "full_mode",
+    "fig1_config",
     "fig1_frontrunning",
     "fig2_commit_latency",
     "fig3_throughput",

@@ -54,7 +54,7 @@ from typing import (
 )
 
 from repro.crypto.hashing import digest_of
-from repro.harness.cluster import ExperimentResult
+from repro.harness.cluster import ExperimentResult, check_cell
 from repro.harness.config import ExperimentConfig
 
 #: Bump when the cache record layout (or anything that changes simulated
@@ -125,7 +125,9 @@ def grid_cells(
     grid.  Cell order (and therefore progress reporting) is deterministic:
     protocols × seeds × axes in the given order.  Per-cell seeding is by
     construction deterministic — the seed is part of the cell's config,
-    never derived from execution order.
+    never derived from execution order.  Every cell passes
+    :func:`~repro.harness.cluster.check_cell` here, so a grid with a cell
+    no cluster can run raises ``ValueError`` before any cell runs.
     """
     base = base if base is not None else ExperimentConfig()
     known = {f.name for f in fields(ExperimentConfig)}
@@ -140,7 +142,9 @@ def grid_cells(
             for combo in itertools.product(*(axes[name] for name in names)):
                 overrides = dict(zip(names, combo))
                 overrides["seed"] = seed
-                cells.append(SweepCell(protocol, replace(base, **overrides)))
+                config = replace(base, **overrides)
+                check_cell(config, protocol)
+                cells.append(SweepCell(protocol, config))
     return cells
 
 

@@ -24,7 +24,6 @@ from repro.workload.clients import (
     ArrivalClient,
     ClientStats,
     ClosedLoopClient,
-    OpenLoopClient,
     available_clients,
     client_class,
     register_client,
@@ -36,6 +35,7 @@ from repro.workload.spec import (
     Workload,
     WorkloadSpec,
     build_workload,
+    mev_groups,
 )
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "ClosedLoopClient",
     "DiurnalArrivals",
     "MevBotClient",
-    "OpenLoopClient",
     "PoissonArrivals",
     "SandwichAttempt",
     "TraceArrivals",
@@ -61,5 +60,6 @@ __all__ = [
     "client_class",
     "make_arrivals",
     "make_body_sampler",
+    "mev_groups",
     "register_client",
 ]

@@ -9,7 +9,6 @@ of Figures 2 and 3.
 On top of that, the open-loop traffic engine adds clients whose submission
 *times* are controlled precisely rather than by protocol back-pressure:
 
-- :class:`OpenLoopClient` — fixed submission interval (saturation probes).
 - :class:`ArrivalClient` — submissions drawn from an
   :class:`~repro.workload.arrivals.ArrivalProcess` (Poisson / bursty /
   diurnal / trace-replay) with a pluggable body sampler — the workhorse of
@@ -181,60 +180,6 @@ class ClosedLoopClient(_BaseClient):
         )
 
 
-class OpenLoopClient(_BaseClient):
-    """Submits at a fixed rate regardless of completions.
-
-    ``stop_at_us`` bounds the submission schedule: no tick is placed at or
-    past the horizon, so a run's event queue drains instead of carrying an
-    infinite timer chain past ``duration_us``.
-    """
-
-    def __init__(
-        self,
-        pid: int,
-        sim: Simulator,
-        home: int,
-        *,
-        interval_us: int,
-        start_at_us: int = 0,
-        count: Optional[int] = None,
-        stop_at_us: Optional[int] = None,
-        body: bytes = b"",
-    ) -> None:
-        super().__init__(pid, sim, home, body=body)
-        self.interval_us = max(1, int(interval_us))
-        self.remaining = count
-        self.stop_at_us = stop_at_us
-        if stop_at_us is None or start_at_us < stop_at_us:
-            sim.schedule(start_at_us, self._tick)
-
-    def _tick(self) -> None:
-        if self.crashed:
-            return
-        if self.stop_at_us is not None and self.sim.now >= self.stop_at_us:
-            return
-        if self.remaining is not None:
-            if self.remaining <= 0:
-                return
-            self.remaining -= 1
-        self._submit_one()
-        next_at = self.sim.now + self.interval_us
-        if self.stop_at_us is None or next_at < self.stop_at_us:
-            self.sim.schedule(self.interval_us, self._tick)
-
-    @classmethod
-    def from_group(cls, pid, sim, home, group, ctx: BuildContext):
-        return cls(
-            pid,
-            sim,
-            home,
-            interval_us=group.interval_us,
-            start_at_us=ctx.start_at_us,
-            count=group.tx_count,
-            stop_at_us=ctx.stop_at_us,
-        )
-
-
 class ArrivalClient(_BaseClient):
     """Open-loop client driven by an arrival process and a body sampler.
 
@@ -338,14 +283,12 @@ def client_class(name: str) -> Type[_BaseClient]:
 
 
 register_client("closed", ClosedLoopClient)
-register_client("open", OpenLoopClient)
 register_client("arrival", ArrivalClient)
 
 
 __all__ = [
     "BuildContext",
     "ClosedLoopClient",
-    "OpenLoopClient",
     "ArrivalClient",
     "ClientStats",
     "register_client",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.workload.arrivals import SECOND_US, arrivals_from_dict
+from repro.workload.arrivals import arrivals_from_dict
 from repro.workload.clients import (
     BuildContext,
     TxKey,
@@ -49,11 +49,17 @@ class ClientGroup:
     plus ``count`` extra clients — one per replica (``one_per_node``),
     all at ``home``, or round-robin over replicas.  Which constructor
     fields apply depends on ``client`` (see ``from_group`` of each
-    registered client class); unused fields are ignored.
+    registered client class); unused fields are ignored.  A ``closed``
+    group keeps ``window`` transactions outstanding per client; an
+    ``arrival`` group submits on its ``arrival`` process — a fixed
+    schedule is a ``trace`` process, e.g. ``{"kind": "trace",
+    "offsets_us": [400_000]}`` for one transaction 0.4 s after the
+    clients start; a ``mev`` group chases the swaps its home replica
+    lets it read.
     """
 
     name: str = "clients"
-    #: Registered client type: ``closed``, ``open``, ``arrival``, ``mev``.
+    #: Registered client type: ``closed``, ``arrival``, ``mev``.
     client: str = "closed"
     count: int = 0
     count_per_node: int = 0
@@ -61,10 +67,8 @@ class ClientGroup:
     home: Optional[int] = None
     # Closed-loop.
     window: int = 50
-    # Open-loop (fixed interval).
-    interval_us: int = 10_000
-    tx_count: Optional[int] = None
-    #: Arrival-process spec (``ArrivalProcess.to_dict()`` form).
+    #: Arrival-process spec (``ArrivalProcess.to_dict()`` form); a
+    #: ``trace`` process replays a fixed schedule.
     arrival: Optional[Dict[str, Any]] = None
     #: Body mix: ``raw``, ``kv_zipf``, ``amm`` (see ``make_body_sampler``).
     body: str = "raw"
@@ -111,8 +115,6 @@ class ClientGroup:
             )
             rate = proc.mean_rate_tps() if proc is not None else 100.0
             return rate * count
-        if self.client == "open":
-            return count * SECOND_US / max(1, self.interval_us)
         return 0.0
 
     # ------------------------------------------------------------------
@@ -289,6 +291,24 @@ class Workload:
         return out
 
 
+def mev_groups(victim_arrival: Dict[str, Any]) -> Tuple[ClientGroup, ...]:
+    """Fig. 1's adversarial pair: AMM victim swaps from one client homed
+    at pid 0 on ``victim_arrival``, and one MEV bot at pid 1 whose replica
+    colludes under Pompē."""
+    return (
+        ClientGroup(
+            name="victims",
+            client="arrival",
+            count=1,
+            home=0,
+            arrival=victim_arrival,
+            body="amm",
+            body_params={"amount_min": 1_000, "amount_max": 5_000},
+        ),
+        ClientGroup(name="mev", client="mev", count=1, home=1, collude=True),
+    )
+
+
 def build_workload(
     spec: WorkloadSpec,
     *,
@@ -334,4 +354,5 @@ __all__ = [
     "WorkloadSpec",
     "Workload",
     "build_workload",
+    "mev_groups",
 ]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+TESTS = Path(__file__).resolve().parent
 
 MODULES = [
     "repro",
@@ -55,7 +56,6 @@ MODULES = [
     "repro.baselines.pompe",
     "repro.attacks",
     "repro.attacks.byzantine",
-    "repro.attacks.frontrun",
     "repro.attacks.pompe_attacks",
     "repro.workload",
     "repro.workload.amm",
@@ -133,15 +133,20 @@ def _used_names(tree):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    """``__init__.py`` files are exempt: their imports are re-exports."""
+    """Over ``src/repro`` and ``tests/``.  ``__init__.py`` files are exempt:
+    their imports are re-exports.  In ``tests/`` a name some function
+    takes as a parameter counts as used: pytest injects an imported
+    fixture by that name."""
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted([*SRC.rglob("*.py"), *TESTS.rglob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)
+        if TESTS in path.parents:
+            used |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
         unused += [
-            f"{path.relative_to(SRC.parent)}:{line}: {name}"
+            f"{path.relative_to(SRC.parents[1])}:{line}: {name}"
             for name, line in _top_level_imports(tree)
             if name not in used
         ]

@@ -8,74 +8,92 @@ under Lyra's commit-reveal (§V-E, Theorem 4).
 
 import pytest
 
-from repro.attacks.frontrun import Fig1Scenario, run_fig1_lyra, run_fig1_pompe
 from repro.harness.byzantine_runner import (
     byzantine_cases,
     run_byzantine_case,
     run_censorship_case,
 )
-from repro.harness.experiments import fig1_frontrunning
+from repro.harness.experiments import fig1_config, fig1_frontrunning
+from repro.harness.factory import build_cluster
+from repro.net.latency import triangle_violations
+
+
+def run_fig1(protocol, **cell):
+    """One run of the Fig. 1 cell; fails unless the watchdog and the
+    end-of-run safety check stay clean."""
+    cluster = build_cluster(fig1_config(**cell), protocol=protocol)
+    result = cluster.run()
+    assert result.invariant_violations == []
+    assert result.safety_violation is None
+    assert result.fairness["counts"]["incomplete"] == 0
+    return cluster, result.fairness["sandwich"], result
 
 
 class TestFig1Analytic:
+    """The Fig. 1 cell's geometry, without a simulation."""
+
     def test_triangle_violation_makes_attack_feasible(self):
-        scenario = Fig1Scenario()
-        victim_ts, attacker_ts = scenario.median_timestamps_ms()
-        assert attacker_ts < victim_ts
-        assert scenario.analytic_attack_wins()
+        violations = triangle_violations(fig1_config().regions)
+        assert ("tokyo", "singapore", "saopaulo", 10.0) in violations
 
     def test_no_far_validators_no_attack(self):
-        # With validators co-located with the victim, arrival order favours
-        # the victim and the attack fails at the median level.
-        scenario = Fig1Scenario(far_region="tokyo", n_far=5)
-        assert not scenario.analytic_attack_wins()
+        # With the five far validators in Tokyo, beside Alice, no path
+        # through Mallory's Singapore beats a direct one.
+        assert triangle_violations(fig1_config(far_region="tokyo").regions) == []
 
     def test_scenario_shape(self):
-        scenario = Fig1Scenario(n_far=5)
-        assert scenario.n == 7
-        assert scenario.f == 2
-        assert len(scenario.regions()) == 7
+        config = fig1_config()
+        assert (config.n_nodes, config.resolved_f()) == (7, 2)
+        assert config.regions == ["tokyo", "singapore"] + ["saopaulo"] * 5
 
 
-@pytest.mark.slow
 class TestFig1EndToEnd:
+    """Alice's one AMM swap from Tokyo, Mallory's MEV bot at the Singapore
+    replica (pid 1), five validators on Carole's side of the world."""
+
     def test_attack_succeeds_against_pompe(self):
-        outcome = run_fig1_pompe(Fig1Scenario())
-        assert outcome.attacker_observed_plaintext
-        assert outcome.attack_succeeded is True
-        assert outcome.attacker_position < outcome.victim_position
-        assert outcome.invariant_violations == []
+        _, sandwich, _ = run_fig1("pompe")
+        assert sandwich["attempts"] == 1
+        assert sandwich["successes"] >= 1
+
+    def test_no_triangle_violation_no_sandwich(self):
+        # With the five far validators in Tokyo no path through Singapore
+        # beats Alice's, so the bot still chases the swap but loses.
+        _, sandwich, _ = run_fig1("pompe", far_region="tokyo")
+        assert sandwich["attempts"] == 1
+        assert sandwich["successes"] == 0
 
     def test_attack_fails_against_lyra(self):
-        outcome = run_fig1_lyra(Fig1Scenario())
-        # The victim commits; the attacker could read the payload only
-        # after commit, and its backdated injection was rejected.
-        assert outcome.victim_position is not None
-        assert outcome.attack_succeeded is False
-        assert outcome.attacker_rejected is True
-        assert outcome.attacker_observed_plaintext  # but only post-commit
-        assert outcome.invariant_violations == []
+        cluster, sandwich, result = run_fig1("lyra", attack_nodes={1: "backdate"})
+        assert sandwich["attempts"] == 1
+        assert sandwich["successes"] == 0
+        # Mallory read Alice's swap only at execution and then proposed a
+        # backdated instance: every correct replica decided it 0, and it
+        # is the only instance any replica rejected.
+        backdated = cluster.nodes[1].backdated
+        assert backdated is not None
+        for node in cluster.nodes:
+            if node.pid != 1:
+                assert node.stats.decided_reject == 1
+                assert backdated not in node.commit._accepted_ever
+        assert result.rejected_instances == cluster.n
 
     def test_rows_pinned(self):
-        """The exact Fig. 1 rows of the hand-wired deployments that the
-        shared cluster replaced."""
         rows = fig1_frontrunning()
-        assert [(r["system"], r["attack_succeeded"], r["detail"]) for r in rows] == [
-            ("arrival-analysis", True, "victim median 150.0ms vs attacker 140.0ms"),
-            (
-                "pompe",
-                True,
-                "observed at 1035461us, attacked at 1035461us, "
-                "executed order: victim@1 attacker@0",
-            ),
-            (
-                "lyra",
-                False,
-                "plaintext visible at 2380427us (post-commit), backdated "
-                "attack decision=0, victim@0 attacker@None",
-            ),
+        assert [tuple(row.values()) for row in rows] == [
+            ("pompe", "saopaulo", 1, 1, 0, 0, None),
+            ("pompe", "tokyo", 1, 0, 0, 0, None),
+            ("lyra", "saopaulo", 1, 0, 7, 0, None),
         ]
-        assert rows[2]["attacker_rejected"] is True
+        assert list(rows[0]) == [
+            "system",
+            "far_validators",
+            "attempts",
+            "sandwiches",
+            "rejected",
+            "violations",
+            "safety",
+        ]
 
 
 @pytest.mark.slow

@@ -308,6 +308,22 @@ class TestRun:
         assert named in captured.err
         assert "RESULT" not in captured.out
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--batch", "0", "batch_size"),
+            ("--lambda-ms", "-1", "lambda_us"),
+            ("--duration-ms", "0", "duration_us"),
+            ("--window", "0", "client_window"),
+            ("--warmup-rounds", "-1", "warmup_rounds"),
+        ],
+    )
+    def test_impossible_config_is_a_usage_error(self, flag, value, field, capsys):
+        assert _exit_code(["run", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be >= " in captured.err
+        assert "RESULT" not in captured.out
+
     def test_lossy_pompe_is_a_verdict_not_a_rejection(self, capsys):
         """Pompē honours a fault plan: under loss a retransmitted decide
         lands after its successor's, HotStuff still hands blocks over by

@@ -4,10 +4,8 @@ Constant skew cancels out of ``d_ij = seq_j - s_ref`` (§IV-B1); rate drift
 does not and slowly erodes prediction accuracy — the continuous probe
 refresh and vote piggybacks keep the EWMA tracking it."""
 
-import pytest
-
 from repro.core.smr import check_prefix_consistency
-from repro.harness import ExperimentConfig, build_cluster
+from repro.harness import build_cluster
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config

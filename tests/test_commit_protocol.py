@@ -2,8 +2,6 @@
 function, prefix computation (locked/stable/committed), wait-pending,
 commit waves, and the reveal path."""
 
-import pytest
-
 from repro.core.clocks import OrderingClock, PerceivedSequence
 from repro.core.commit import NO_PENDING, CommitConfig, CommitState
 from repro.core.services import ProtocolServices

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.vvb import INIT_KIND, VOTE1_KIND
+from repro.core.vvb import INIT_KIND
 from repro.harness.config import ExperimentConfig
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS, SECONDS, Simulator

@@ -8,7 +8,7 @@ determinism across replicas.
 import pytest
 
 from repro.core.smr import check_lower_bounded, check_output_sorted
-from repro.harness import ExperimentConfig, build_cluster
+from repro.harness import build_cluster
 from repro.net.faults import FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 

@@ -1,8 +1,6 @@
 """Tests for metrics: latency stats and the Fig. 3 capacity model's
 paper-shape properties."""
 
-import pytest
-
 from repro.metrics.capacity import (
     CapacityInputs,
     lyra_capacity,
@@ -10,7 +8,7 @@ from repro.metrics.capacity import (
     pompe_capacity,
     pompe_cert_profile,
 )
-from repro.metrics.stats import LatencySummary, percentile, summarize_latencies
+from repro.metrics.stats import percentile, summarize_latencies
 
 PAPER_NS = [5, 10, 16, 31, 61, 100]
 

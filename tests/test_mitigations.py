@@ -2,12 +2,8 @@
 network allocation against flooding) and committed-prefix Merkle audits
 (the §V-C hash-tree summaries)."""
 
-import pytest
-
-from repro.core.commit import CommitConfig
 from repro.core.types import InstanceId
 from repro.crypto.merkle import MerkleTree
-from repro.sim.engine import MILLISECONDS, SECONDS, Simulator
 
 from tests.test_commit_protocol import advance, encrypt, make_state
 

@@ -4,7 +4,6 @@ interface: full VSS (§II-B) and the prototype's hash commitments (§VI-A)."""
 import pytest
 
 from repro.core.obfuscation import (
-    HashCommitCipher,
     HashCommitObfuscation,
     HashRevealShare,
     VssObfuscation,

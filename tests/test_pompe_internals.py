@@ -3,15 +3,27 @@ stale-certificate bounce, and certificate resubmission after view changes.
 These guard the subtle machinery that keeps timestamp-ordered execution
 safe (no cert executes out of order) and live (no cert is lost)."""
 
+import random
+
 import pytest
 
-from repro.baselines.pompe import OrderingCert, PompeConfig, PompeNode
+from repro.attacks.pompe_attacks import CherryPickingOrdererNode
+from repro.baselines.pompe import (
+    ORDER_REQ_KIND,
+    ORDER_TS_KIND,
+    STALE_KIND,
+    OrderingCert,
+    PompeConfig,
+    PompeNode,
+)
+from repro.core.node import CLIENT_TX_KIND
 from repro.core.types import Batch, Transaction
 from repro.crypto.cost import FREE_COSTS
 from repro.crypto.hashing import digest_of
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
 from repro.net.latency import UniformLatencyModel
+from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import MILLISECONDS, SECONDS, Simulator
 from repro.sim.rng import RngRegistry
@@ -19,7 +31,7 @@ from repro.sim.rng import RngRegistry
 DELAY = 10 * MILLISECONDS
 
 
-def build_pompe(n=4, seed=67, **cfg_kwargs):
+def build_pompe(n=4, seed=67, node_classes=None, **cfg_kwargs):
     f = (n - 1) // 3
     sim = Simulator()
     registry = KeyRegistry(seed)
@@ -31,7 +43,7 @@ def build_pompe(n=4, seed=67, **cfg_kwargs):
     )
     nodes = []
     for pid in range(n):
-        node = PompeNode(
+        node = (node_classes or {}).get(pid, PompeNode)(
             pid,
             sim,
             n=n,
@@ -137,3 +149,66 @@ class TestResubmission:
         assert all(n.stats.txs_executed >= 1 for n in live)
         views = {n.hotstuff.view for n in live}
         assert all(v >= 1 for v in views)
+
+
+#: One value of each type.  A field's junk is every value of another type
+#: (``True`` is junk for an int field: its type is ``bool``).
+JUNK_VALUES = (None, 7, True, 1.5, "s", b"d", [b"d"], (1,), {"a": 1})
+
+
+def junk_message(rnd, signature):
+    """A message of one of Pompē's own kinds that its door must drop: a
+    payload that is not a dict, or one field of the wrong type."""
+    batch = Batch(2, 0, (Transaction(2, 0),))
+    fields = {
+        CLIENT_TX_KIND: {"tx": Transaction(9, 0)},
+        ORDER_REQ_KIND: {"batch": batch, "digest": b"\0" * 32},
+        ORDER_TS_KIND: {"digest": b"\0" * 32, "ts": 5, "sig": signature},
+        STALE_KIND: {"digest": b"\0" * 32},
+    }
+    kind = rnd.choice(sorted(fields))
+    if rnd.random() < 0.2:
+        return Message(kind, rnd.choice([None, 7, "s", [b"d"]]), 64)
+    payload = dict(fields[kind])
+    name = rnd.choice(sorted(payload))
+    right = type(payload[name])
+    payload[name] = rnd.choice([v for v in JUNK_VALUES if type(v) is not right])
+    return Message(kind, payload, 64)
+
+
+class TestJunkAtTheDoor:
+    @pytest.mark.parametrize(
+        "cls", [PompeNode, CherryPickingOrdererNode], ids=["honest", "cherry-picker"]
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_junk_walk(self, seed, cls):
+        """Two identical clusters get the same client transactions; replica
+        1 of one of them also gets junk of the client, ordering-phase and
+        stale kinds in between.  It counts and drops every junk message,
+        and every replica executes the same log as in the clean run."""
+        signature = KeyRegistry(seed).signer(3).sign((b"\0" * 32, 5))
+        runs = []
+        for noisy in (False, True):
+            sim, nodes = build_pompe(seed=seed, node_classes={1: cls})
+            rnd = random.Random(seed)
+            sent = 0
+            for step in range(60):
+                at = 100 * MILLISECONDS + step * 20 * MILLISECONDS
+                if rnd.random() < 0.5:
+                    message, sender = junk_message(rnd, signature), rnd.randrange(4)
+                    if noisy:
+                        sim.schedule_at(
+                            at, lambda m=message, s=sender: nodes[1]._process(m, s)
+                        )
+                        sent += 1
+                else:
+                    node = nodes[rnd.randrange(4)]
+                    tx = Transaction(100 + node.pid, step)
+                    sim.schedule_at(at, lambda node=node, tx=tx: node.submit(tx))
+            sim.run(until=5 * SECONDS)
+            runs.append(([n.executed_log for n in nodes], nodes[1].stats, sent))
+        (clean_logs, clean_stats, _), (noisy_logs, noisy_stats, sent) = runs
+        assert noisy_logs == clean_logs
+        assert clean_stats.malformed_messages == 0
+        assert noisy_stats.malformed_messages == sent > 0
+        assert clean_stats.txs_executed > 0  # the walk executes

@@ -5,7 +5,7 @@ transport, and verification memoization."""
 from __future__ import annotations
 
 import json
-import os
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +26,7 @@ from repro.harness.sweep import (
     load_cached_record,
     run_sweep,
 )
-from repro.net.faults import FaultPlan, partition_faults
+from repro.net.faults import CrashEvent, FaultPlan, partition_faults
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -65,6 +65,23 @@ class TestCellKeys:
     def test_grid_cells_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="unknown ExperimentConfig axes"):
             grid_cells(tiny_config(), nodes=[4])
+
+    @pytest.mark.parametrize(
+        "base, axes, named",
+        [
+            (dict(report_quorum=3), {}, "pompe cannot honour: report_quorum=3"),
+            (dict(f=1), {"n_nodes": [4, 3]}, "n=3 does not tolerate f=1"),
+            (
+                dict(fault_plan=FaultPlan(crashes=(CrashEvent(1, 0), CrashEvent(2, 0)))),
+                {},
+                "exceeds f=1",
+            ),
+        ],
+        ids=["adapter", "resilience", "fault-plan"],
+    )
+    def test_grid_cells_refuses_a_cell_no_cluster_can_run(self, base, axes, named):
+        with pytest.raises(ValueError, match=named):
+            grid_cells(tiny_config(**base), protocols=("lyra", "pompe"), **axes)
 
 
 class TestSweepCache:
@@ -167,6 +184,20 @@ class TestResultRoundTrip:
         )
         cfg = tiny_config(fault_plan=plan, obfuscation="hash")
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 0),
+            ("lambda_us", -1),
+            ("duration_us", 0),
+            ("client_window", 0),
+            ("warmup_rounds", -1),
+        ],
+    )
+    def test_impossible_config_values_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            tiny_config(**{field: value})
 
     def test_unknown_config_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown ExperimentConfig"):
@@ -286,6 +317,41 @@ class TestSweepCli:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "0 run, 1 cached" in out
+
+    def test_a_cell_no_cluster_can_run_stops_the_sweep_before_any_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.__main__ as cli
+
+        build = cli.config_from_args
+        monkeypatch.setattr(
+            cli,
+            "config_from_args",
+            lambda *a: replace(build(*a), report_quorum=3),
+        )
+        cache = tmp_path / "cache"
+        argv = ["sweep", "--protocol", "lyra,pompe", "--cache-dir", str(cache)]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "pompe cannot honour: report_quorum=3" in captured.err
+        assert captured.out == ""
+        assert not cache.exists()
+
+    def test_a_cell_that_fails_while_running_exits_1(self, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        def crash(self, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(Cluster, "run", crash)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--n", "4", "7", "--duration-ms", "500"])
+        assert excinfo.value.code == 1
+        out = capsys.readouterr().out
+        assert out.count("FAILED: RuntimeError: boom") == 2
+        assert "(0 run, 0 cached, 2 failed)" in out
 
     def test_run_cli_with_protocol_flag(self, capsys):
         from repro.__main__ import main

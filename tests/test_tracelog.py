@@ -1,13 +1,10 @@
 """Tests for the protocol trace log and the latency-decomposition and
 Δ-sensitivity experiments built on it."""
 
-import pytest
-
 from repro.core.types import InstanceId
 from repro.harness import build_cluster
 from repro.harness.experiments import delta_ablation, latency_breakdown
-from repro.metrics.tracelog import PHASES, TraceEvent, TraceLog, install_lyra_tracing
-from repro.sim.engine import SECONDS
+from repro.metrics.tracelog import PHASES, TraceLog, install_lyra_tracing
 
 from tests.helpers import quick_lyra_config
 

@@ -1,15 +1,11 @@
 """Protocol tests for VVB (Algorithm 1) and modified DBFT (Algorithm 3),
 run over a real simulated network with the ConsensusTestNode harness."""
 
-import pytest
-
 from repro.core.vvb import INIT_KIND, message_digest
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS
 
 from tests.helpers import (
-    ConsensusTestNode,
-    FakeCipher,
     TEST_IID,
     build_consensus_cluster,
     fake_cipher,

@@ -5,12 +5,10 @@ property of the Validating Value Broadcast definition directly, so a
 regression in any one property points at its name.
 """
 
-import pytest
-
 from repro.core.vvb import INIT_KIND
 from repro.net.message import Message
 
-from tests.helpers import TEST_IID, build_consensus_cluster, fake_cipher
+from tests.helpers import build_consensus_cluster, fake_cipher
 from tests.test_vvb_dbft import make_init_payload
 
 

@@ -1,7 +1,5 @@
 """Tests for workload components: generators and clients."""
 
-import pytest
-
 from repro.core.node import CLIENT_REPLY_KIND, CLIENT_TX_KIND
 from repro.core.types import Transaction
 from repro.net.latency import UniformLatencyModel
@@ -9,7 +7,7 @@ from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import Simulator
 from repro.sim.process import SimProcess
-from repro.workload.clients import ClosedLoopClient, OpenLoopClient
+from repro.workload.clients import ClosedLoopClient
 from repro.workload.generator import TxGenerator, decode_kv_write
 
 
@@ -99,19 +97,3 @@ class TestClosedLoopClient:
         net.register(client, replica=False)
         sim.run(until=5_000)
         assert replica.received[0].body.startswith(b"MARK")
-
-
-class TestOpenLoopClient:
-    def test_fixed_rate(self):
-        sim, net, replica = build_echo_world()
-        client = OpenLoopClient(10, sim, 0, interval_us=1000, count=7)
-        net.register(client, replica=False)
-        sim.run(until=100_000)
-        assert client.stats.submitted == 7
-
-    def test_unbounded_until_horizon(self):
-        sim, net, replica = build_echo_world()
-        client = OpenLoopClient(10, sim, 0, interval_us=1000)
-        net.register(client, replica=False)
-        sim.run(until=10_500)
-        assert client.stats.submitted == 11

@@ -16,7 +16,6 @@ from repro.sim.rng import RngRegistry
 from repro.workload.clients import (
     ArrivalClient,
     ClosedLoopClient,
-    OpenLoopClient,
     available_clients,
     client_class,
 )
@@ -57,7 +56,8 @@ class TestClientGroup:
         arrival = {"kind": "poisson", "rate_tps": 50.0}
         g = ClientGroup(client="arrival", count_per_node=1, arrival=arrival)
         assert g.offered_tps(4) == pytest.approx(200.0)
-        g = ClientGroup(client="open", count=2, interval_us=10_000)
+        trace = {"kind": "trace", "offsets_us": [0, 10_000, 20_000]}
+        g = ClientGroup(client="arrival", count=2, arrival=trace)
         assert g.offered_tps(4) == pytest.approx(200.0)
         assert ClientGroup(client="closed", count=3).offered_tps(4) == 0.0
 
@@ -71,7 +71,7 @@ class TestWorkloadSpec:
         spec = WorkloadSpec(
             groups=(
                 ClientGroup(name="a", client="arrival", count=1),
-                ClientGroup(name="b", client="open", count_per_node=1),
+                ClientGroup(name="b", client="mev", count_per_node=1),
             ),
             users=1_000_000,
         )
@@ -98,12 +98,10 @@ class TestWorkloadSpec:
 class TestClientRegistry:
     def test_registered_names(self):
         names = available_clients()
-        for name in ("closed", "open", "arrival", "mev"):
-            assert name in names
+        assert names == ("arrival", "closed", "mev")
 
     def test_resolution(self):
         assert client_class("closed") is ClosedLoopClient
-        assert client_class("open") is OpenLoopClient
         assert client_class("arrival") is ArrivalClient
         assert client_class("mev") is MevBotClient
 
@@ -207,8 +205,9 @@ class TestDeterminismAndAccounting:
         )
 
     def test_open_loop_stops_at_horizon(self):
+        schedule = {"kind": "trace", "offsets_us": list(range(0, 100_000, 1_000))}
         spec = WorkloadSpec(
-            groups=(ClientGroup(client="open", count=1, interval_us=1_000),),
+            groups=(ClientGroup(client="arrival", count=1, arrival=schedule),),
         )
         workload, _ = build_echo_workload(spec, seed=1, until_us=50_000)
         # ~50 arrivals fit the horizon; none may be scheduled past it.
