@@ -11,7 +11,8 @@
   :data:`~repro.attacks.corpus.CORPUS` cases mapped to the audit findings
   they stress.
 - :mod:`repro.attacks.registry` — the name→class registry resolving
-  ``ExperimentConfig.attack_nodes`` into cluster builder maps.
+  ``ExperimentConfig.attack_nodes`` into replica classes, for every
+  protocol.
 - :mod:`repro.attacks.fuzz` — the seeded adversarial-schedule fuzzer
   (generate / run / shrink / replay).
 """

@@ -1,13 +1,18 @@
 """Name → class registry for attack replicas.
 
 A serialisable description (``ExperimentConfig.attack_nodes``) resolves
-here into the ``node_classes`` / ``node_kwargs`` maps the cluster takes, so
-attack experiments — and fuzzer schedules — can ride the sweep cache and
-cross process boundaries like any other config knob.
+here into the replica classes and constructor kwargs the cluster builds,
+so attack experiments — and fuzzer schedules — can ride the sweep cache
+and cross process boundaries like any other config knob.
+
+One flat table serves every protocol: Lyra, Pompē and Fino replicas share
+no base class besides ``SimProcess``, so an attack class names its own
+protocol, and :func:`repro.harness.cluster.check_cell` refuses one that
+does not subclass the adapter's replica class.
 
 This module only imports the attack node classes (which depend on
-``repro.core``, never on the harness), so cluster builders can import it
-without a cycle.
+``repro.core`` and ``repro.baselines``, never on the harness), so cluster
+builders can import it without a cycle.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from repro.attacks.byzantine import (
     SilentProposerNode,
 )
 from repro.attacks.corpus import PiggybackForgeryNode, SelectiveRevealNode
+from repro.attacks.pompe_attacks import CensoringLeaderNode, CherryPickingOrdererNode
+from repro.baselines.fino import BlindCensoringLeaderFino
 
 #: Every attack replica class, by stable name.  Names are wire format:
 #: they appear in serialized ``ExperimentConfig.attack_nodes`` entries and
@@ -38,6 +45,11 @@ ATTACK_NODE_CLASSES: Dict[str, type] = {
     "selective-reveal": SelectiveRevealNode,
     "piggyback-forgery": PiggybackForgeryNode,
     "backdate": BackdatingNode,
+    # Pompē.
+    "censor-leader": CensoringLeaderNode,
+    "cherry-pick": CherryPickingOrdererNode,
+    # Fino.
+    "blind-censor-leader": BlindCensoringLeaderFino,
 }
 
 
@@ -45,8 +57,8 @@ def resolve_attack_nodes(
     attack_nodes: Mapping[int, Mapping[str, Any]],
 ) -> Tuple[Dict[int, type], Dict[int, dict]]:
     """Map ``ExperimentConfig.attack_nodes`` (checked and made canonical
-    when the config was built) to the ``(node_classes, node_kwargs)``
-    builder maps, keyed by pid."""
+    when the config was built) to the replica classes and constructor
+    kwargs, keyed by pid."""
     classes: Dict[int, type] = {}
     kwargs: Dict[int, dict] = {}
     for pid, spec in attack_nodes.items():

@@ -77,7 +77,8 @@ class FinoConfig:
 class FinoStats:
     batches_proposed: int = 0
     txs_executed: int = 0
-    #: HotStuff messages dropped at the door: a field of the wrong type.
+    #: Client transactions, reveals and HotStuff messages dropped at the
+    #: door: a field of the wrong type.
     malformed_messages: int = 0
 
 
@@ -173,6 +174,8 @@ class FinoNode(SimProcess):
             tx = payload.get("tx")
             if isinstance(tx, Transaction):
                 self.submit(tx, client_pid=sender)
+            else:
+                self.stats.malformed_messages += 1
         elif kind == REVEAL_KIND:
             self._on_reveal(payload, sender)
         elif self.hotstuff is not None:
@@ -232,6 +235,7 @@ class FinoNode(SimProcess):
         cid = payload.get("cid")
         share = payload.get("share")
         if not isinstance(cid, bytes) or share is None:
+            self.stats.malformed_messages += 1
             return
         for ref in self._pending_reveal:
             if ref.cipher.cipher_id == cid:

@@ -127,8 +127,9 @@ class NodeStats:
     instances_joined: int = 0
     #: DSHARE items dropped at the door: not a well-formed reveal share.
     malformed_dshares: int = 0
-    #: Probes, catch-up responses and VVB INITs/VOTE1s dropped at the
-    #: door: a field of the wrong type.
+    #: Probes, DSHAREs, catch-up responses and VVB INITs/VOTE1s dropped at
+    #: the door, and DSHARE or catch-up items dropped one by one: a field
+    #: of the wrong type.
     malformed_messages: int = 0
     #: BOC decisions seen here, by value (1 = accepted, 0 = rejected).
     decided_accept: int = 0
@@ -405,10 +406,12 @@ class LyraNode(SimProcess):
             if self.config.commit.check_dealing:
                 cost += self.costs.vss_check_dealing_us
             return cost
-        if kind == DSHARE_KIND:
-            return 2 * max(1, len(message.payload.get("items", ())))
-        if kind == CATCHUP_RSP_KIND:
-            return 2 * max(1, len(message.payload.get("items", ())))
+        if kind == DSHARE_KIND or kind == CATCHUP_RSP_KIND:
+            # Junk is charged as one item; the handler drops it.
+            payload = message.payload
+            items = payload.get("items") if isinstance(payload, dict) else None
+            if isinstance(items, (tuple, list)):
+                return 2 * max(1, len(items))
         return 2
 
     def _process(self, message: Message, sender: int) -> None:
@@ -669,12 +672,18 @@ class LyraNode(SimProcess):
         )
 
     def _on_dshare(self, payload: dict, sender: int) -> None:
-        for item in payload.get("items", ()):
+        items = payload.get("items")
+        if not isinstance(items, (tuple, list)):
+            self.stats.malformed_messages += 1
+            return
+        for item in items:
             try:
                 iid, share = item
             except (TypeError, ValueError):
+                self.stats.malformed_messages += 1
                 continue
             if not isinstance(iid, InstanceId):
+                self.stats.malformed_messages += 1
                 continue
             if is_reveal_share(share, self.obf.name):
                 self.commit.on_decryption_share(iid, share, sender)
@@ -820,10 +829,12 @@ class LyraNode(SimProcess):
             try:
                 entry, cipher, plaintext = item
             except (TypeError, ValueError):
+                self.stats.malformed_messages += 1
                 continue
             if not isinstance(entry, AcceptedEntry) or not (
                 plaintext is None or isinstance(plaintext, bytes)
             ):
+                self.stats.malformed_messages += 1
                 continue
             pos = base + offset
             if pos < len(self.commit.output_log):

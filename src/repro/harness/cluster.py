@@ -9,7 +9,10 @@ safety-check results.  Everything that differs between protocols sits in a
 small adapter, one per protocol (:data:`PROTOCOLS`: Lyra, Pompē, Fino): it
 builds the replicas, maps their execution callback onto the cluster's
 execution tap, installs the MEV ordering-phase tap, and names the config
-features the protocol cannot honour.  Construct a cluster through
+features the protocol cannot honour.  Attack replicas come from the config
+alone (``attack_nodes``, resolved through
+:mod:`repro.attacks.registry`), so the cluster knows which replicas are
+correct, and its oracles cover those.  Construct a cluster through
 :func:`repro.harness.factory.build_cluster`; it is the only way a
 deployment is built.
 """
@@ -65,7 +68,6 @@ class ExperimentResult:
     events_processed: int = 0
     messages_delivered: int = 0
     bytes_delivered: int = 0
-    per_instance_profile: Dict[str, float] = field(default_factory=dict)
     # Chaos instrumentation: the always-on watchdog's findings and the
     # fault/transport counters of the run.
     invariant_checks: int = 0
@@ -183,13 +185,9 @@ class LyraAdapter:
     def unsupported(self, config: ExperimentConfig) -> List[str]:
         return []
 
-    def byzantine_classes(self, config: ExperimentConfig):
-        """Config-declared attack replicas, through the attack registry."""
-        if not config.attack_nodes:
-            return {}, {}
-        from repro.attacks.registry import resolve_attack_nodes
-
-        return resolve_attack_nodes(config.attack_nodes)
+    def attack_specs(self, config: ExperimentConfig) -> Dict[int, Dict[str, Any]]:
+        """The attack replicas the config declares, by pid."""
+        return dict(config.attack_nodes or {})
 
     def build_nodes(self, cluster: "Cluster", classes, kwargs) -> List[LyraNode]:
         config = cluster.config
@@ -254,7 +252,6 @@ class PompeAdapter:
         plan = config.fault_plan
         checks = (
             (config.tracing, "tracing=True (install_lyra_tracing is Lyra's)"),
-            (config.attack_nodes, "attack_nodes (the registry holds Lyra nodes)"),
             (
                 config.report_quorum is not None,
                 f"report_quorum={config.report_quorum} (it sets Lyra's "
@@ -269,19 +266,17 @@ class PompeAdapter:
         )
         return [why for failed, why in checks if failed]
 
-    def byzantine_classes(self, config: ExperimentConfig):
-        """A colluding MEV bot's home replica cherry-picks timestamps: it
-        biases the assigned timestamps of the batches it orders (the bot's
-        front-runs) downward — protocol-legal for a Byzantine node."""
-        classes = {}
+    def attack_specs(self, config: ExperimentConfig) -> Dict[int, Dict[str, Any]]:
+        """``attack_nodes``, plus ``cherry-pick`` at each colluding MEV
+        bot's home replica: it biases the assigned timestamps of the
+        batches it orders (the bot's front-runs) downward — protocol-legal
+        for a Byzantine node.  An explicit ``attack_nodes`` entry wins."""
+        specs = dict(config.attack_nodes or {})
         for group in config.resolved_workload().groups:
             if group.client == "mev" and group.collude:
-                # Imported only when needed: the attacks package is ~10 ms.
-                from repro.attacks.pompe_attacks import CherryPickingOrdererNode
-
-                for home in set(group.homes(config.n_nodes)):
-                    classes[home] = CherryPickingOrdererNode
-        return classes, {}
+                for home in group.homes(config.n_nodes):
+                    specs.setdefault(home, {"name": "cherry-pick", "kwargs": {}})
+        return specs
 
     def build_nodes(self, cluster: "Cluster", classes, kwargs) -> List[PompeNode]:
         config = cluster.config
@@ -323,9 +318,8 @@ class FinoAdapter(PompeAdapter):
     what Pompē refuses (the same HotStuff substrate)."""
 
     node_class = FinoNode
-
-    def byzantine_classes(self, config: ExperimentConfig):
-        return {}, {}
+    # Blind ordering: there is no clear-text timestamp to cherry-pick.
+    attack_specs = LyraAdapter.attack_specs
 
     def build_nodes(self, cluster: "Cluster", classes, kwargs) -> List[FinoNode]:
         config = cluster.config
@@ -373,16 +367,14 @@ PROTOCOLS: Dict[str, Any] = {
 
 
 def check_cell(
-    config: ExperimentConfig,
-    protocol: str,
-    node_classes: Optional[Dict[int, type]] = None,
+    config: ExperimentConfig, protocol: str
 ) -> Tuple[Any, Dict[int, type], Dict[int, dict]]:
     """Refuse, with a ``ValueError``, a cell no cluster can run: an
-    unknown protocol, a config feature its adapter cannot honour, an ``f``
-    the cluster size does not tolerate, or a fault plan that together with
-    the Byzantine replicas exceeds ``f``.  Returns the adapter and the
-    replica classes and kwargs by pid that the config implies
-    (``node_classes`` overriding them per pid)."""
+    unknown protocol, a config feature its adapter cannot honour, an
+    attack replica of another protocol, an ``f`` the cluster size does not
+    tolerate, or a fault plan that together with the attack replicas
+    exceeds ``f``.  Returns the adapter and the attack replicas' classes
+    and constructor kwargs by pid."""
     adapter = PROTOCOLS.get(protocol.lower())
     if adapter is None:
         known = ", ".join(sorted(PROTOCOLS))
@@ -391,44 +383,50 @@ def check_cell(
     if problems:
         raise ValueError(f"{protocol} cannot honour: " + "; ".join(problems))
     f = config.resolved_f()
-    classes, kwargs = adapter.byzantine_classes(config)
-    classes.update(node_classes or {})
+    specs = adapter.attack_specs(config)
+    classes: Dict[int, type] = {}
+    kwargs: Dict[int, dict] = {}
+    if specs:
+        # Imported only when needed: the attacks package is ~10 ms.
+        from repro.attacks.registry import resolve_attack_nodes
+
+        classes, kwargs = resolve_attack_nodes(specs)
+        base = adapter.node_class
+        foreign = [
+            f"attack_nodes[{pid}]={specs[pid]['name']!r} "
+            f"({cls.__name__} is not a {base.__name__})"
+            for pid, cls in sorted(classes.items())
+            if not issubclass(cls, base)
+        ]
+        if foreign:
+            raise ValueError(f"{protocol} cannot honour: " + "; ".join(foreign))
     plan = config.fault_plan
     if plan is not None and not plan.empty:
-        # Crashes and Byzantine/attack replicas share the resilience
-        # budget: the plan is rejected if they jointly exceed f.
-        byz = sorted(p for p, c in classes.items() if c is not adapter.node_class)
-        plan.validate_for(config.n_nodes, f, byzantine=tuple(byz))
+        # Crashes and attack replicas share the resilience budget: the
+        # plan is rejected if they jointly exceed f.
+        plan.validate_for(config.n_nodes, f, byzantine=tuple(sorted(classes)))
     return adapter, classes, kwargs
 
 
 class Cluster:
     """A fully wired deployment of one protocol inside one simulator.
 
-    ``node_classes`` maps pid -> a replica subclass (Byzantine behaviours
-    for attack experiments); ``node_kwargs`` maps pid -> extra constructor
-    kwargs for that subclass.  Both override, per pid, the replicas the
-    config itself implies (``attack_nodes`` under Lyra, colluding MEV bots'
-    home replicas under Pompē).
+    The config alone decides which replicas run an attack class
+    (``attack_nodes``, and under Pompē each colluding MEV bot's home
+    replica); :attr:`attackers` holds their pids.  The watchdog and the
+    end-of-run safety check cover the other, correct replicas, and count
+    the attackers against ``f``.
     """
 
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        *,
-        protocol: str = "lyra",
-        node_classes: Optional[Dict[int, type]] = None,
-        node_kwargs: Optional[Dict[int, dict]] = None,
-    ) -> None:
-        adapter, classes, kwargs = check_cell(config, protocol, node_classes)
+    def __init__(self, config: ExperimentConfig, *, protocol: str = "lyra") -> None:
+        adapter, classes, kwargs = check_cell(config, protocol)
         self.protocol = adapter
         self.config = config
         self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
         self.f = f = config.resolved_f()
         self.n = n = config.n_nodes
-        for pid, extra in (node_kwargs or {}).items():
-            kwargs[pid] = {**kwargs.get(pid, {}), **extra}
+        self.attackers = frozenset(classes)
 
         self.topology = Topology(n, config.regions)
         self.registry = KeyRegistry(config.seed)
@@ -517,11 +515,16 @@ class Cluster:
             self.metrics.add_source("workload", self.workload.metrics_source)
             adapter.instrument(self, self.metrics)
 
-        # Always-on invariant watchdog: prefix agreement, commit
-        # regression, ordered output, and post-GST liveness.
+        # Always-on invariant watchdog over the correct replicas: prefix
+        # agreement, commit regression, ordered output, and post-GST
+        # liveness.
         liveness_from = max(plan.gst_us, config.measurement_start_us())
         self.watchdog = InvariantWatchdog(
-            self.sim, self.nodes, f=f, gst_us=liveness_from
+            self.sim,
+            self.correct_nodes(),
+            f=f,
+            attackers=len(self.attackers),
+            gst_us=liveness_from,
         )
 
         # Execution taps: a per-replica execution event log (time, tx
@@ -540,6 +543,10 @@ class Cluster:
     # ------------------------------------------------------------------
     # Construction helpers for the adapters
     # ------------------------------------------------------------------
+    def correct_nodes(self) -> List:
+        """The replicas that run no attack class, in pid order."""
+        return [node for node in self.nodes if node.pid not in self.attackers]
+
     def clock_skews(self) -> List[int]:
         """One constant clock skew per replica, in pid order."""
         rng = self.rng.get("clock-skew")
@@ -665,7 +672,7 @@ class Cluster:
             node.start()
         self.watchdog.start()
 
-    def run(self, *, skip_safety_check: bool = False) -> ExperimentResult:
+    def run(self) -> ExperimentResult:
         """Run the configured duration and consolidate measurements."""
         cfg = self.config
         self.start()
@@ -719,10 +726,9 @@ class Cluster:
             if link:
                 snap["links"] = link
             result.metrics = snap
-        if not skip_safety_check:
-            result.safety_violation = check_safety(
-                {node.pid: node.output_sequence() for node in self.nodes}
-            )
+        result.safety_violation = check_safety(
+            {node.pid: node.output_sequence() for node in self.correct_nodes()}
+        )
         return result
 
 

@@ -78,8 +78,8 @@ class ExperimentConfig:
     # ``repro.attacks.registry.ATTACK_NODE_CLASSES`` at construction and
     # stored as {"name", "kwargs"}.  Serialisable, so attack experiments
     # and fuzzer schedules (which are configs) ride the sweep cache like
-    # any other knob.  Explicit ``node_classes`` builder arguments
-    # override entries here per pid.
+    # any other knob.  This is the only way to put an attack replica in a
+    # cluster; ``check_cell`` refuses a class of another protocol.
     attack_nodes: Optional[Dict[int, Any]] = None
     #: Commit-protocol report quorum override (``None`` = the safe 2f+1).
     #: A deliberately weakenable validation knob for the attack corpus —

@@ -16,13 +16,8 @@ grid across CPU cores and ``REPRO_CACHE=<dir>`` makes repeat invocations
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.harness.byzantine_runner import (
-    run_byzantine_case,
-    run_censorship_case,
-    run_warmup_bias_case,
-)
 from repro.harness.config import ExperimentConfig, closed_loop_config
 from repro.harness.cluster import ExperimentResult
 from repro.harness.factory import build_cluster
@@ -36,6 +31,7 @@ from repro.core.types import Transaction
 from repro.metrics.ascii_chart import chart_fig2, chart_fig3
 from repro.metrics.capacity import CapacityInputs, lyra_capacity, pompe_capacity
 from repro.metrics.spans import decompose_phases
+from repro.net.faults import FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.workload.spec import ClientGroup, WorkloadSpec, mev_groups
 
@@ -584,26 +580,170 @@ def jitter_sensitivity(
     return rows
 
 
+_FLOOD = {"name": "flood", "kwargs": {"flood_interval_us": 200 * MILLISECONDS}}
+
+#: §VI-D's cases: case -> the Byzantine replica's ``attack_nodes`` spec
+#: (``None``: all honest).
+BYZ_CASES: Dict[str, Optional[dict]] = {
+    "baseline": None,
+    "equivocator": {"name": "equivocate"},
+    # INIT reaches only f+1 replicas.
+    "silent-proposer": {"name": "silent-proposer", "kwargs": {"reach": 2}},
+    "flooder": _FLOOD,
+    "flooder-limited": _FLOOD,  # with the fair-allocation rate cap on
+    "future-sequence": {
+        "name": "future-sequence",
+        "kwargs": {"offset_us": 3_600_000_000},
+    },
+    "prefix-staller": {"name": "prefix-staller"},
+}
+
+#: Byzantine proposer cases: the attacker needs transactions to misbehave
+#: with, so a client is homed at it too.
+_FUELLED = ("equivocator", "silent-proposer", "future-sequence")
+
+
+def _completed(result: ExperimentResult, group: str) -> int:
+    """Transactions one client group completed (the fairness block lists
+    only groups with at least one completion)."""
+    return result.fairness["latency"].get(group, {}).get("count", 0)
+
+
+def _attack_rig(
+    groups, *, seed: int, batch_size: int, duration_us: int, **overrides: Any
+) -> ExperimentConfig:
+    """The rig the BYZ tables share: four replicas, the given client
+    groups, two warm-up rounds 150 ms apart."""
+    return ExperimentConfig(
+        n_nodes=4,
+        seed=seed,
+        batch_size=batch_size,
+        workload=WorkloadSpec(groups=tuple(groups)),
+        duration_us=duration_us,
+        warmup_rounds=2,
+        warmup_spacing_us=150 * MILLISECONDS,
+        **overrides,
+    )
+
+
+def byzantine_config(case: str, *, seed: int = 13) -> ExperimentConfig:
+    """One BYZ cell: the Byzantine replica is pid 3, and the ``correct``
+    clients sit round-robin on the others."""
+    attack = BYZ_CASES[case]
+    groups = [ClientGroup(name="correct", count=3, window=5)]
+    if case in _FUELLED:
+        groups.append(ClientGroup(name="byzantine", count=1, home=3, window=3))
+    return _attack_rig(
+        groups,
+        seed=seed,
+        batch_size=10,
+        duration_us=8 * SECONDS,
+        # The fair-allocation cap (§VI-D) throttles flooders while leaving
+        # honest proposal rates (well under 3/s here) untouched.
+        max_proposer_rate_per_s=3.0 if case == "flooder-limited" else None,
+        attack_nodes={3: attack} if attack else None,
+    )
+
+
 def byzantine_behaviours(*, seed: int = 13) -> List[Dict]:
-    """§VI-D: one Byzantine replica per run, measuring that the cluster
-    stays safe and live (and what the attack costs)."""
+    """§VI-D: one Byzantine Lyra replica per run; the correct replicas stay
+    safe and live, and the row shows what the deviation cost."""
+    cells = [SweepCell("lyra", byzantine_config(case, seed=seed)) for case in BYZ_CASES]
     rows = []
-    for case in (
-        "baseline",
-        "equivocator",
-        "silent-proposer",
-        "flooder",
-        "future-sequence",
-        "prefix-staller",
-    ):
-        rows.append(run_byzantine_case(case, seed=seed))
+    for case, res in zip(BYZ_CASES, _sweep(cells)):
+        completed = _completed(res, "correct")
+        rows.append(
+            {
+                "case": case,
+                "correct_clients_completed": completed,
+                "accepted": res.accepted_instances,
+                "rejected": res.rejected_instances,
+                "latency_ms": round(res.avg_latency_ms, 1),
+                "safety_violation": res.safety_violation,
+                "live": completed > 0,
+            }
+        )
     return rows
 
 
+#: §V-E's rows: (system, protocol, the attack pid 0 runs, or None).
+CENSOR_CASES = (
+    ("pompe+censoring-leader", "pompe", "censor-leader"),
+    ("fino+blind-censoring-leader", "fino", "blind-censor-leader"),
+    ("lyra", "lyra", None),
+)
+
+
+def censorship_config(*, seed: int = 17, leader: Optional[str] = None) -> ExperimentConfig:
+    """One CENSOR cell, one closed-loop client per replica; the victim's
+    (at pid 2) is its own group.  ``leader`` names the attack that pid 0,
+    HotStuff's first leader, runs against pid 2."""
+    groups = (
+        ClientGroup(name="main", count=2, one_per_node=True, window=3),
+        ClientGroup(name="victim", count=1, home=2, window=3),
+        ClientGroup(name="rest", count=1, home=3, window=3),
+    )
+    attack = {0: {"name": leader, "kwargs": {"censored": [2]}}} if leader else None
+    return _attack_rig(
+        groups, seed=seed, batch_size=5, duration_us=10 * SECONDS, attack_nodes=attack
+    )
+
+
 def censorship_comparison(*, seed: int = 17) -> List[Dict]:
-    """§V-E: a censoring HotStuff leader starves a victim's batches in
-    Pompē; leaderless Lyra has no role capable of this."""
-    return run_censorship_case(seed=seed)
+    """§V-E: a leader that drops pid 2's batches.  Pompē's HotStuff leader
+    reads the proposer off each certificate; Fino's is blind to content,
+    yet still starves the victim by proposer identity (the paper's §I
+    critique of leader-based blind order-fairness); leaderless Lyra has no
+    such role.  The censoring leader keeps making progress on everything
+    else, so no view change fires."""
+    cells = [
+        SweepCell(protocol, censorship_config(seed=seed, leader=leader))
+        for _, protocol, leader in CENSOR_CASES
+    ]
+    rows = []
+    for (system, _, _), res in zip(CENSOR_CASES, _sweep(cells)):
+        victim = _completed(res, "victim")
+        rows.append(
+            {
+                "system": system,
+                "victim_completed": victim,
+                "others_completed": res.committed_count - victim,
+            }
+        )
+    return rows
+
+
+def warmup_bias_config(*, seed: int = 59) -> ExperimentConfig:
+    """§VI-D's network adversary: all traffic to and from the victim
+    (pid 2, the one client's home) is delayed 400 ms before GST (2 s),
+    biasing its warm-up distance measurements."""
+    gst = 2 * SECONDS
+    victim_links = (
+        LinkFault(src=(2,), delay_us=400 * MILLISECONDS, end_us=gst),
+        LinkFault(dst=(2,), delay_us=400 * MILLISECONDS, end_us=gst),
+    )
+    return _attack_rig(
+        [ClientGroup(name="victim", count=1, home=2, window=3)],
+        seed=seed,
+        batch_size=5,
+        duration_us=12 * SECONDS,
+        fault_plan=FaultPlan(links=victim_links, gst_us=gst),
+    )
+
+
+def warmup_bias(*, seed: int = 59) -> Dict:
+    """The poisoned distance estimates reject the victim's early
+    proposals, but continuous re-probing and vote piggybacks re-converge
+    them after GST and its transactions commit (the "unexpected change
+    ... triggers the rejection" then recovery story)."""
+    (res,) = _sweep([SweepCell("lyra", warmup_bias_config(seed=seed))])
+    return {
+        "case": "network-warmup-bias",
+        "victim_completed": res.committed_count,
+        "rejected_then_retried": res.rejected_instances,
+        "safety_violation": res.safety_violation,
+        "live_after_gst": res.committed_count > 0,
+    }
 
 
 def format_rows(rows: List[Dict]) -> str:
@@ -658,7 +798,7 @@ EXPERIMENTS: Dict[str, Tuple[Section, ...]] = {
     "byzantine": (
         Section("BYZ — Byzantine behaviours", byzantine_behaviours),
         Section("BYZ — censorship comparison", censorship_comparison),
-        Section("BYZ — warm-up bias (recovery after GST)", run_warmup_bias_case),
+        Section("BYZ — warm-up bias (recovery after GST)", warmup_bias),
     ),
     "obfuscation": (
         Section("OBF — VSS vs hash commit-reveal", obfuscation_ablation),
@@ -689,8 +829,14 @@ __all__ = [
     "delta_ablation",
     "jitter_sensitivity",
     "batch_ablation",
+    "BYZ_CASES",
+    "byzantine_config",
     "byzantine_behaviours",
+    "CENSOR_CASES",
+    "censorship_config",
     "censorship_comparison",
+    "warmup_bias_config",
+    "warmup_bias",
     "format_rows",
     "Section",
     "EXPERIMENTS",

@@ -9,7 +9,7 @@ that :data:`~repro.harness.cluster.PROTOCOLS` maps its name to.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from repro.harness.cluster import PROTOCOLS, Cluster
 from repro.harness.config import ExperimentConfig
@@ -20,22 +20,14 @@ def available_protocols() -> Tuple[str, ...]:
     return tuple(sorted(PROTOCOLS))
 
 
-def build_cluster(
-    config: ExperimentConfig,
-    *,
-    protocol: str = "lyra",
-    node_classes: Optional[Dict[int, type]] = None,
-    node_kwargs: Optional[Dict[int, dict]] = None,
-) -> Cluster:
+def build_cluster(config: ExperimentConfig, *, protocol: str = "lyra") -> Cluster:
     """Construct (but do not run) a cluster for ``protocol``.
 
-    ``node_classes`` / ``node_kwargs`` inject Byzantine node subclasses per
-    pid.  Raises ``ValueError`` for an unknown protocol and for config
-    features the protocol cannot honour.
+    Attack replicas come from ``config.attack_nodes``.  Raises
+    ``ValueError`` for an unknown protocol, for config features the
+    protocol cannot honour and for an attack replica of another protocol.
     """
-    return Cluster(
-        config, protocol=protocol, node_classes=node_classes, node_kwargs=node_kwargs
-    )
+    return Cluster(config, protocol=protocol)
 
 
 __all__ = ["build_cluster", "available_protocols"]

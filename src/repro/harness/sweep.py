@@ -83,7 +83,10 @@ from repro.harness.config import ExperimentConfig
 #: which changes Pompē and Fino runs whose decides arrive out of order.
 #: Schema 11: ``ExperimentConfig`` dropped ``dissemination``, ``fanout``
 #: and ``measure_after_us``, and ``ExperimentResult`` dropped ``wire_stats``.
-CACHE_SCHEMA = 11
+#: Schema 12: ``ExperimentResult`` dropped ``per_instance_profile``, and
+#: the watchdog and the end-of-run safety check cover correct replicas
+#: only (attack replicas are left out and counted against ``f``).
+CACHE_SCHEMA = 12
 
 
 # ----------------------------------------------------------------------
@@ -256,10 +259,10 @@ def store_record(cache_dir: Path, record: CellRecord) -> None:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def _execute_cell(payload: Tuple[int, str, Dict[str, Any], bool]):
+def _execute_cell(payload: Tuple[int, str, Dict[str, Any]]):
     """Worker entry point: run one cell from plain data (must stay at
     module top level so the multiprocessing pool can pickle it)."""
-    index, protocol, config_dict, skip_safety_check = payload
+    index, protocol, config_dict = payload
     started = time.perf_counter()
     try:
         # Imported here (not at module import) so worker start-up cost is
@@ -268,7 +271,7 @@ def _execute_cell(payload: Tuple[int, str, Dict[str, Any], bool]):
 
         config = ExperimentConfig.from_dict(config_dict)
         cluster = build_cluster(config, protocol=protocol)
-        result = cluster.run(skip_safety_check=skip_safety_check)
+        result = cluster.run()
         return index, {
             "status": "ok",
             "result": result.to_dict(),
@@ -298,7 +301,6 @@ def run_sweep(
     workers: int = 1,
     cache_dir: Optional[str] = None,
     force: bool = False,
-    skip_safety_check: bool = False,
     progress: Optional[ProgressHook] = None,
 ) -> SweepReport:
     """Run a grid of cells, in parallel, against the cache.
@@ -359,7 +361,7 @@ def run_sweep(
         _finish(index, record)
 
     payloads = [
-        (index, cell.protocol, cell.config.to_dict(), skip_safety_check)
+        (index, cell.protocol, cell.config.to_dict())
         for index, cell, _ in pending
     ]
     by_index = {index: (cell, key) for index, cell, key in pending}

@@ -14,8 +14,13 @@ its timestamp:
   the current one (this is what crash recovery must preserve);
 - **ordered output** — each log is sorted by decided sequence number;
 - **post-GST liveness** — once the network is synchronous and at most
-  ``f`` replicas are down, the cluster must keep committing while work is
-  pending; a stall longer than ``stall_window_us`` is flagged.
+  ``f`` replicas are down or Byzantine, the cluster must keep committing
+  while work is pending; a stall longer than ``stall_window_us`` is
+  flagged.
+
+The checks cover the replicas the watchdog is given: a cluster gives it
+its correct replicas only, as the paper defines safety over them, and
+counts the attackers it leaves out against ``f``.
 
 Everything is deterministic: checks run on the simulator clock and the
 report renders to a stable string, so the same seed yields byte-identical
@@ -68,9 +73,12 @@ class InvariantReport:
 class InvariantWatchdog:
     """Periodically samples a cluster's replicas and checks invariants.
 
-    ``nodes`` is the list of replica objects; each must expose
-    ``output_sequence()``, ``work_pending()``, ``crashed`` and ``pid``
-    (every replica class does).
+    ``nodes`` is the list of replica objects the checks cover; each must
+    expose ``output_sequence()``, ``work_pending()``, ``crashed`` and
+    ``pid`` (every replica class does).  ``attackers`` counts Byzantine
+    replicas left out of ``nodes``: they share the resilience budget with
+    crashes, so liveness is promised only while crashed ``nodes`` plus
+    ``attackers`` stay within ``f``.
     """
 
     def __init__(
@@ -79,6 +87,7 @@ class InvariantWatchdog:
         nodes: Sequence,
         *,
         f: int,
+        attackers: int = 0,
         interval_us: int = 250 * MILLISECONDS,
         gst_us: int = 0,
         stall_window_us: int = 3_000 * MILLISECONDS,
@@ -86,6 +95,7 @@ class InvariantWatchdog:
         self.sim = sim
         self.nodes = list(nodes)
         self.f = f
+        self.attackers = attackers
         self.interval_us = interval_us
         self.gst_us = gst_us
         self.stall_window_us = stall_window_us
@@ -163,14 +173,14 @@ class InvariantWatchdog:
             if detail is not None:
                 self._record(name, detail)
 
-        # Post-GST liveness: with ≤ f replicas down and work outstanding,
-        # committed totals must keep moving.
+        # Post-GST liveness: with ≤ f replicas down or Byzantine and work
+        # outstanding, committed totals must keep moving.
         total = sum(len(log) for log in logs.values())
         if total > self._last_total_committed:
             self._last_total_committed = total
             self._last_progress_us = now
             return
-        down = len(self.nodes) - len(up)
+        down = len(self.nodes) - len(up) + self.attackers
         if now < self.gst_us or down > self.f:
             self._last_progress_us = now  # liveness not promised here
             return

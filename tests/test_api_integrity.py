@@ -71,7 +71,6 @@ MODULES = [
     "repro.metrics.stats",
     "repro.metrics.tracelog",
     "repro.harness",
-    "repro.harness.byzantine_runner",
     "repro.harness.cluster",
     "repro.harness.config",
     "repro.harness.experiments",

@@ -3,6 +3,8 @@ subsystem — lossy links, duplication, corruption, and crash–recovery with
 state transfer — must leave every safety invariant intact, and the whole
 run must be bit-deterministic."""
 
+import pytest
+
 from repro.core.smr import check_prefix_consistency, is_prefix
 from repro.harness import ExperimentConfig, build_cluster
 from repro.metrics.tracelog import install_lyra_tracing
@@ -200,6 +202,35 @@ class TestWatchdog:
         dog.check_now()
         assert any(
             v.check == "prefix-agreement" for v in dog.report.violations
+        )
+
+    @pytest.mark.parametrize("attackers, stalled", [(0, True), (1, False)])
+    def test_attackers_count_against_the_liveness_budget(self, attackers, stalled):
+        """One crashed replica of three with f = 1: the stall is a
+        violation, unless an attacker outside ``nodes`` already uses the
+        budget."""
+        from repro.metrics.invariants import InvariantWatchdog
+        from repro.sim.engine import Simulator
+
+        class FakeNode:
+            def __init__(self, pid):
+                self.pid = pid
+                self.crashed = pid == 2
+
+            def output_sequence(self):
+                return []
+
+            def work_pending(self):
+                return True
+
+        sim = Simulator()
+        dog = InvariantWatchdog(
+            sim, [FakeNode(pid) for pid in range(3)], f=1, attackers=attackers
+        )
+        dog.start()
+        sim.run(until=5 * SECONDS)
+        assert [v.check for v in dog.report.violations] == (
+            ["post-gst-liveness"] if stalled else []
         )
 
 

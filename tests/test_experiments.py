@@ -3,7 +3,6 @@ good-case round measurements."""
 
 import pytest
 
-from repro.harness.byzantine_runner import run_warmup_bias_case
 from repro.harness.experiments import (
     batch_ablation,
     fig2_commit_latency,
@@ -16,6 +15,7 @@ from repro.harness.experiments import (
     measure_lyra_rounds,
     measure_pompe_rounds,
     obfuscation_ablation,
+    warmup_bias,
 )
 
 
@@ -138,9 +138,18 @@ class TestWarmupBias:
         """§VI-D's network adversary: biased warm-up measurements get the
         victim's proposals rejected, then re-probing recovers them
         post-GST."""
-        row = run_warmup_bias_case()
+        row = warmup_bias()
         assert row["safety_violation"] is None
         assert row["live_after_gst"]
+
+    def test_row_pinned(self):
+        assert warmup_bias() == {
+            "case": "network-warmup-bias",
+            "victim_completed": 36,
+            "rejected_then_retried": 12,
+            "safety_violation": None,
+            "live_after_gst": True,
+        }
 
 
 class TestFormatting:

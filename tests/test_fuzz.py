@@ -255,7 +255,7 @@ class TestWatchdogExtraChecks:
                 else None
             ),
         )
-        result = cluster.run(skip_safety_check=True)
+        result = cluster.run()
         assert any("end-only" in v for v in result.invariant_violations)
 
 

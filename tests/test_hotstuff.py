@@ -14,6 +14,8 @@ from repro.baselines.hotstuff import (
     QuorumCert,
     _vote_digest,
 )
+from repro.baselines.fino import REVEAL_KIND
+from repro.core.node import CLIENT_TX_KIND
 from repro.core.services import ProtocolServices
 from repro.crypto.cost import FREE_COSTS
 from repro.crypto.hashing import digest_of
@@ -504,3 +506,18 @@ class TestJunkFields:
         leader.deliver(Message(VOTE_KIND, vote, 64), 1)
         cluster.sim.run(until=1_000)
         assert leader.stats.malformed_messages == 3
+
+    def test_a_fino_replica_counts_what_it_drops_itself(self):
+        """Fino's own kinds: a client transaction that is not one, and a
+        reveal without a cipher id or a share."""
+        cluster = build_cluster(quick_lyra_config(), protocol="fino")
+        node = cluster.nodes[1]
+        for kind, payload in (
+            (CLIENT_TX_KIND, {"tx": 5}),
+            (REVEAL_KIND, {"cid": 5, "share": b"s"}),
+            (REVEAL_KIND, {"cid": b"c" * 32, "share": None}),
+        ):
+            node.deliver(Message(kind, payload, 64), 2)
+        cluster.sim.run(until=1_000)
+        assert node.stats.malformed_messages == 3
+        assert len(node.mempool) == 0 and node._revealed == {}

@@ -127,13 +127,9 @@ class TestConfigurations:
             cfg.client_start_us() + 500 * MILLISECONDS,
             cluster.nodes[3].crash,
         )
-        result = cluster.run(skip_safety_check=True)
-        from repro.core.smr import check_prefix_consistency
-
-        outputs = {
-            node.pid: node.output_sequence() for node in cluster.nodes[:3]
-        }
-        assert check_prefix_consistency(outputs) is None
+        result = cluster.run()
+        # The crashed replica's log stops growing but stays a prefix.
+        assert result.safety_violation is None
         assert result.committed_count > 0
 
 

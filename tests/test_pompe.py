@@ -6,11 +6,15 @@ channels) or refuses."""
 import pytest
 
 from repro.baselines.pompe import PompeNode
+from repro.core.types import Transaction
+from repro.harness.cluster import check_safety
 from repro.harness.factory import build_cluster
+from repro.metrics.invariants import InvariantWatchdog
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config, record_decide_arrivals
+from tests.test_pompe_internals import build_pompe
 
 
 @pytest.fixture(scope="module")
@@ -157,20 +161,29 @@ class TestSharedCluster:
         assert result.invariant_violations == []
 
     def test_watchdog_flags_out_of_order_execution(self):
-        # Two-transaction batches: several certificates become executable
-        # at once, so a reversed drain shows.
-        cfg = quick_lyra_config(duration_us=3 * SECONDS, batch_size=2, jitter=0.0)
-        honest = build_cluster(cfg, protocol="pompe").run()
-        assert honest.invariant_violations == []
-        cluster = build_cluster(
-            cfg,
-            protocol="pompe",
-            node_classes={pid: ReverseDrainNode for pid in range(4)},
-        )
-        result = cluster.run()
-        assert any("ordered-output" in v for v in result.invariant_violations)
-        # The end-of-run check now includes ordered output too.
-        assert "out of order" in (result.safety_violation or "")
+        """Replicas built by hand, as in ``test_pompe_internals``: every
+        proposer submits at once, so several certificates become
+        executable in one drain and a reversed drain shows to the
+        watchdog and to the end-of-run check alike."""
+
+        def run(node_class):
+            sim, nodes = build_pompe(node_classes=dict.fromkeys(range(4), node_class))
+            dog = InvariantWatchdog(sim, nodes, f=1)
+            dog.start()
+            for i in range(8):
+                nodes[i % 4].submit(Transaction(i % 4, i))
+            sim.run(until=3 * SECONDS)
+            dog.check_now()
+            assert all(node.executed_log for node in nodes)
+            violations = [v.render() for v in dog.report.violations]
+            return violations, check_safety(
+                {node.pid: node.output_sequence() for node in nodes}
+            )
+
+        assert run(PompeNode) == ([], None)
+        violations, safety = run(ReverseDrainNode)
+        assert any("ordered-output" in v for v in violations)
+        assert "out of order" in (safety or "")
 
     def test_lossy_links_with_reliable_channels(self):
         """The fault plan and the reliable channels are honoured, the run

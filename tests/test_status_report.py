@@ -5,8 +5,10 @@
 - Malformed reveal shares and malformed reports are counted rejections that
   leave the commit state untouched — a seeded mix of well-formed and junk
   traffic (the shape of ``test_dbft_differential``'s generator) aimed at
-  ``_on_dshare`` and at the ``"pb"`` slot.  Catch-up responses with a
-  field of the wrong type are dropped whole and counted in
+  ``_on_dshare`` and at the ``"pb"`` slot.  DSHAREs and catch-up
+  responses with a field of the wrong type are dropped whole, and their
+  items that are not even the right shape one by one, through the whole
+  receive path (receive cost included); each drop is counted in
   ``NodeStats.malformed_messages``, and so are VVB
   INITs whose cipher or predictions cannot be read, VOTE1s whose
   ``seq`` is not an int and probes whose ``ref`` or ``seq`` is not one.
@@ -236,6 +238,11 @@ JUNK_REPORTS = [
 ]
 
 
+#: DSHARE messages that are junk as a whole: each is charged as one item
+#: and dropped by ``_on_dshare``.
+JUNK_DSHARES = ({"items": 5}, {"items": None}, {"items": "ab"}, {}, "junk", None)
+
+
 def committed_reveal(costs=FREE_COSTS):
     """A 4-node mesh in which node 0 has committed instance (1, 0) and is
     waiting for decryption shares — the state ``_on_dshare`` works in."""
@@ -277,29 +284,30 @@ class TestMalformedShares:
     @pytest.mark.parametrize("seed", range(20))
     def test_seeded_mix_of_real_and_junk_shares(self, seed):
         """Junk from the Byzantine replica (pid 3) in any interleaving with
-        the honest shares: nothing raises, the junk is counted, and the
-        reveal completes on the honest quorum exactly as without it."""
+        the honest shares, through the whole receive path: nothing raises,
+        the junk is counted, and the reveal completes on the honest quorum
+        exactly as without it."""
         sim, nodes, node, iid, cipher = committed_reveal()
         rnd = random.Random(seed)
         honest = [
-            (pid, (iid, node.obf.partial_decrypt(cipher, pid))) for pid in (0, 1, 2)
+            (pid, {"items": ((iid, node.obf.partial_decrypt(cipher, pid)),)})
+            for pid in (0, 1, 2)
         ]
-        junk = [(3, item) for item in junk_reveal_items(iid, cipher.cipher_id)]
-        # Shapes that are not even (iid, share) pairs ride along uncounted.
-        junk += [(3, "junk"), (3, (iid,)), (3, (iid, 1, 2)), (3, ("iid", None)), (3, 5)]
+        shares = junk_reveal_items(iid, cipher.cipher_id)
+        # Items that are not even (iid, share) pairs, and messages that
+        # carry no item sequence at all, are counted as malformed messages.
+        misshapen = ["junk", (iid,), (iid, 1, 2), ("iid", None), 5]
+        junk = [(3, {"items": (item,)}) for item in shares + misshapen]
+        junk += [(3, payload) for payload in JUNK_DSHARES]
         traffic = honest + rnd.sample(junk, k=len(junk))
         rnd.shuffle(traffic)
         executed = []
         node.on_executed = lambda entry, batch: executed.append((entry, batch))
-        counted = 0
-        for sender, item in traffic:
-            well_shaped = (
-                isinstance(item, tuple) and len(item) == 2 and type(item[0]) is InstanceId
-            )
-            counted += sender == 3 and well_shaped
-            node._process(wire(DSHARE_KIND, {"items": (item,)}), sender)
-            assert node.stats.malformed_dshares == counted
-        assert counted == len(junk_reveal_items(iid, cipher.cipher_id))
+        for sender, payload in traffic:
+            node.deliver(wire(DSHARE_KIND, payload), sender)
+            sim.run(until=sim.now + 1_000)
+        assert node.stats.malformed_dshares == len(shares)
+        assert node.stats.malformed_messages == len(misshapen) + len(JUNK_DSHARES)
         assert [entry.instance for entry, _ in executed] == [iid]
         assert [tx.key() for tx in executed[0][1].txs] == [(9, 0), (9, 1)]
         # Only honest shares were ever filed.
@@ -448,7 +456,9 @@ class TestMalformedCatchup:
         node.commit.begin_catchup()
         before = commit_view(node.commit)
         for i, junk in enumerate(JUNK_CATCHUP):
-            node._process(wire(CATCHUP_RSP_KIND, junk), 1 + i % 3)
+            # Through the receive cost, which reads ``items`` first.
+            node.deliver(wire(CATCHUP_RSP_KIND, junk), 1 + i % 3)
+            sim.run(until=sim.now + 1_000)
             assert node.stats.malformed_messages == i + 1, junk
         assert node._catchup_totals == {} and node._catchup_votes == {}
         assert commit_view(node.commit) == before
@@ -463,7 +473,8 @@ class TestMalformedCatchup:
         node._process(wire(CATCHUP_RSP_KIND, {"total": 1, "have": 0, "items": items}), 1)
         assert node._catchup_votes == {} and node._catchup_pt_votes == {}
         assert node._catchup_totals == {1: 1}
-        assert node.stats.malformed_messages == 0  # the message itself was well formed
+        # The message itself was well formed; each junk item is counted.
+        assert node.stats.malformed_messages == len(items)
 
 
 def junk_inits(node, iid):

@@ -306,9 +306,12 @@ class TestMevAsymmetry:
         assert [type(node) for node in pompe.nodes] == [
             PompeNode, CherryPickingOrdererNode, PompeNode, PompeNode
         ]
+        # The attack registry's ``cherry-pick``, so the oracles leave it out.
+        assert pompe.attackers == {1}
         # Lyra has no clear-text ordering phase to exploit.
         lyra = build_cluster(config, protocol="lyra")
         assert {type(node).__name__ for node in lyra.nodes} == {"LyraNode"}
+        assert lyra.attackers == set()
 
     def test_pompe_cleartext_sandwiches_succeed(self):
         s = run_mev_cell("pompe")
