@@ -4,8 +4,9 @@
 Instruments a Lyra cluster with the structured trace log, runs it, then
 prints the life of the first committed instance — proposed, decided
 (3-message-delay BOC), committed (prefix stability), executed (reveal) —
-at every replica, plus the cluster-wide phase decomposition.  Dumps the
-full trace to ``lyra_trace.jsonl`` for offline analysis.
+at every replica, plus the phase decomposition of the DECOMP sweep cell
+(``repro experiment decomp``).  Dumps the full trace to
+``lyra_trace.jsonl`` for offline analysis.
 
 Run:  python examples/trace_timeline.py
 """
@@ -47,7 +48,7 @@ def main() -> None:
         print(f"{phase:<12}" + "".join(cells))
     print("\n(times in ms relative to the proposal; '-' = event at another node)")
 
-    print("\nCluster-wide phase decomposition (proposer-side means):")
+    print("\nPhase decomposition of the DECOMP cell (n=4, seed 29, proposer-side):")
     print(format_rows(latency_breakdown(n=4)))
 
     count = log.dump_jsonl("lyra_trace.jsonl")

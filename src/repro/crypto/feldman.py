@@ -27,9 +27,9 @@ squarings and ~64 multiplications.
   in one C call, so a byte is the window that needs no shifting or
   masking in Python.  Narrower windows double the multiplications, wider
   ones blow the table up: 4 / 6 / 8 bits read 9.8 / 6.8 / 4.6 µs against
-  ``pow``'s 36.7, and 16 bits would be 26 MiB (EXPERIMENTS.md "One BOC per
-  transaction").  The 8-bit table is 16 x 256 residues, ~0.2 MiB, built
-  in ~1.2 ms.
+  ``pow``'s 36.7, and 16 bits would be 26 MiB (EXPERIMENTS.md
+  "Constants measured, not knobs").  The 8-bit table is 16 x 256
+  residues, ~0.2 MiB, built in ~1.2 ms.
 - *``e mod p`` first.*  ``g`` has order ``p``, so ``g^e`` depends only on
   ``e mod p``.  Reducing first bounds the exponent to the table's row
   count and makes negative and oversized exponents agree with

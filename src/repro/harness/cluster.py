@@ -38,6 +38,7 @@ from repro.harness.config import ExperimentConfig
 from repro.metrics.fairness import fairness_block
 from repro.metrics.invariants import InvariantWatchdog
 from repro.metrics.registry import MetricsRegistry
+from repro.metrics.spans import decompose_phases
 from repro.metrics.tracelog import TraceLog, install_lyra_tracing
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.latency import make_latency_model
@@ -73,9 +74,11 @@ class ExperimentResult:
     invariant_checks: int = 0
     invariant_violations: List[str] = field(default_factory=list)
     fault_stats: Dict[str, int] = field(default_factory=dict)
-    # Observability: the metrics-registry snapshot of the run (empty dict
-    # unless ``ExperimentConfig.tracing`` was on).  Plain JSON, so it
-    # crosses sweep worker boundaries and the on-disk result cache.
+    # Observability: the metrics-registry snapshot of the run, plus the
+    # proposer-side phase decomposition of the trace under ``"phases"``
+    # (empty dict unless ``ExperimentConfig.tracing`` was on).  Plain
+    # JSON, so it crosses sweep worker boundaries and the on-disk result
+    # cache.
     metrics: Dict[str, Any] = field(default_factory=dict)
     # Fairness report (reorder distance, sandwich outcomes, per-group
     # latency percentiles, end-of-run accounting) — populated when the
@@ -413,9 +416,10 @@ class Cluster:
 
     The config alone decides which replicas run an attack class
     (``attack_nodes``, and under Pompē each colluding MEV bot's home
-    replica); :attr:`attackers` holds their pids.  The watchdog and the
-    end-of-run safety check cover the other, correct replicas, and count
-    the attackers against ``f``.
+    replica); :attr:`attackers` holds their pids.  The watchdog, the
+    end-of-run safety check and the result's instance and execution
+    counts cover the other, correct replicas; the watchdog counts the
+    attackers against ``f``.
     """
 
     def __init__(self, config: ExperimentConfig, *, protocol: str = "lyra") -> None:
@@ -684,13 +688,14 @@ class Cluster:
         # as incomplete, never silently dropped.
         self.workload.finalize(self.sim.now)
 
-        accepted, rejected = instance_counts(self.nodes)
+        correct = self.correct_nodes()
+        accepted, rejected = instance_counts(correct)
         result = ExperimentResult(
             n_nodes=cfg.n_nodes,
             duration_us=cfg.duration_us,
             # Replica-side executions (clients only see their own).
             executed_total=max(
-                (node.stats.txs_executed for node in self.nodes), default=0
+                (node.stats.txs_executed for node in correct), default=0
             ),
             committed_count=sum(c.stats.completed for c in self.clients),
             events_processed=self.sim.events_processed,
@@ -709,7 +714,9 @@ class Cluster:
             result, [lat for c in self.clients for lat in c.stats.latencies_us]
         )
         result.throughput_tps = windowed_throughput(
-            self.exec_events.values(), cfg.measurement_start_us(), cfg.duration_us
+            (self.exec_events[node.pid] for node in correct),
+            cfg.measurement_start_us(),
+            cfg.duration_us,
         )
         if self.workload_spec.fairness:
             block = fairness_block(
@@ -725,9 +732,18 @@ class Cluster:
             link = self.network.link_stats()
             if link:
                 snap["links"] = link
+            # Metrics and trace are on together (``tracing``).
+            snap["phases"] = {
+                phase: {
+                    "count": summary.count,
+                    "mean_us": summary.mean,
+                    "max_us": summary.maximum,
+                }
+                for phase, summary in decompose_phases(self.trace).items()
+            }
             result.metrics = snap
         result.safety_violation = check_safety(
-            {node.pid: node.output_sequence() for node in self.correct_nodes()}
+            {node.pid: node.output_sequence() for node in correct}
         )
         return result
 

@@ -20,17 +20,15 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from repro.harness.config import ExperimentConfig, closed_loop_config
 from repro.harness.cluster import ExperimentResult
-from repro.harness.factory import build_cluster
 from repro.harness.sweep import (
     SweepCell,
     run_sweep,
     sweep_cache_dir,
     sweep_workers,
 )
-from repro.core.types import Transaction
 from repro.metrics.ascii_chart import chart_fig2, chart_fig3
 from repro.metrics.capacity import CapacityInputs, lyra_capacity, pompe_capacity
-from repro.metrics.spans import decompose_phases
+from repro.metrics.spans import PHASE_PAIRS
 from repro.net.faults import FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
 from repro.workload.spec import ClientGroup, WorkloadSpec, mev_groups
@@ -274,105 +272,58 @@ def fig1_frontrunning(*, seed: int = 7) -> List[Dict]:
     return rows
 
 
-def _delays_to_first_call(
-    protocol: str,
-    n: int,
-    delay_us: int,
-    seed: int,
-    *,
-    pid: int,
-    hook: str,
-    request,
-    warmup_delays: int,
-    horizon_delays: int,
-    **knobs,
-) -> float:
-    """Message delays from ``request(node)`` at replica ``pid`` to the first
-    call of that node's ``hook`` method (``inf`` if none within
-    ``horizon_delays``).  The cluster makes every hop cost exactly one
-    delay D with Δ = D: uniform jitter-free links, no skew, no bandwidth
-    queueing, free crypto, one-transaction batches and no clients.  The
-    request goes in after ``warmup_delays``."""
-    cluster = build_cluster(
-        ExperimentConfig(
-            n_nodes=n,
-            seed=seed,
-            uniform_delay_us=delay_us,
-            delta_us=delay_us,
-            bandwidth_enabled=False,
-            cpu_cost_scale=0.0,
-            clock_skew_max_us=0,
-            batch_size=1,
-            workload=WorkloadSpec(fairness=False),
-            **knobs,
-        ),
-        protocol=protocol,
-    )
-    sim, node = cluster.sim, cluster.nodes[pid]
-    cluster.start()
-    sim.run(until=warmup_delays * delay_us)
-
-    called_at: List[int] = []
-    inner = getattr(node, hook)
-
-    def traced(*args):
-        called_at.append(sim.now)
-        inner(*args)
-
-    setattr(node, hook, traced)
-    start = sim.now
-    request(node)
-    sim.run(until=start + horizon_delays * delay_us)
-    return (called_at[0] - start) / delay_us if called_at else float("inf")
-
-
-def measure_lyra_rounds(n: int = 4, delay_ms: int = 40, seed: int = 1) -> float:
-    """Delays from ordered-propose to the proposer's BOC decision, once the
-    distance warm-up has converged."""
+def lat3_config(protocol: str, n: int = 4, delay_ms: int = 40) -> ExperimentConfig:
+    """The LAT3 cell: every hop costs exactly one delay D with Δ = D
+    (uniform jitter-free links, no skew, no bandwidth queueing, free
+    crypto) and one client submits one transaction, batched alone, once
+    warm-up is over.  The client is homed at pid 0 under Lyra and at pid
+    1 under Pompē, a non-leader, so the certificate relay hop is included
+    (the leader of view 0 is pid 0).  Lyra runs traced."""
     delay_us = delay_ms * MILLISECONDS
-    return _delays_to_first_call(
-        "lyra",
-        n,
-        delay_us,
-        seed,
-        pid=0,
-        hook="_on_decide",
-        request=lambda node: node._propose_batch([Transaction(999, 0)]),
-        warmup_delays=12,
-        horizon_delays=20,
+    probe = ClientGroup(
+        name="probe",
+        client="arrival",
+        count=1,
+        home=0 if protocol == "lyra" else 1,
+        arrival={"kind": "trace", "offsets_us": [0]},
+    )
+    return ExperimentConfig(
+        n_nodes=n,
+        seed=1,
+        uniform_delay_us=delay_us,
+        delta_us=delay_us,
+        bandwidth_enabled=False,
+        cpu_cost_scale=0.0,
+        clock_skew_max_us=0,
+        batch_size=1,
         warmup_rounds=2,
         warmup_spacing_us=4 * delay_us,
         status_interval_us=2 * delay_us,
-    )
-
-
-def measure_pompe_rounds(n: int = 4, delay_ms: int = 40, seed: int = 1) -> float:
-    """Delays from the ordering broadcast to execution at the proposer, a
-    non-leader so the certificate relay hop is included (the leader of
-    view 0 is pid 0)."""
-    return _delays_to_first_call(
-        "pompe",
-        n,
-        delay_ms * MILLISECONDS,
-        seed,
-        pid=1,
-        hook="on_executed",
-        request=lambda node: node.submit(Transaction(999, 0)),
-        warmup_delays=4,
-        horizon_delays=40,
+        workload=WorkloadSpec(groups=(probe,), fairness=False),
+        duration_us=40 * delay_us,
+        tracing=protocol == "lyra",
     )
 
 
 def goodcase_latency_rounds(n: int = 4, *, delay_ms: int = 40) -> Dict:
     """§IV claim: Lyra's BOC decides in 3 message delays in the good case
-    (vs Pompē's 11 rounds).  Runs a single instance on a uniform-latency
-    network with Δ equal to one delay and counts elapsed delays."""
-    lyra_rounds = measure_lyra_rounds(n=n, delay_ms=delay_ms)
-    pompe_rounds = measure_pompe_rounds(n=n, delay_ms=delay_ms)
+    (vs Pompē's 11 rounds), counted on :func:`lat3_config`'s cells.
+
+    Lyra's count is its one instance's traced ``proposed->decided`` phase
+    at the proposer.  Pompē's is the client's submit → reply latency in
+    delays minus 2: on uniform links the client's request and the reply
+    each take exactly one delay, so what remains runs from the proposer's
+    ordering broadcast to its execution.
+    """
+    delay_us = delay_ms * MILLISECONDS
+    lyra, pompe = _sweep(
+        [SweepCell(p, lat3_config(p, n, delay_ms)) for p in ("lyra", "pompe")]
+    )
     return {
         "delay_ms": delay_ms,
-        "lyra_decide_rounds": lyra_rounds,
-        "pompe_commit_rounds": pompe_rounds,
+        "lyra_decide_rounds": lyra.metrics["phases"]["proposed->decided"]["mean_us"]
+        / delay_us,
+        "pompe_commit_rounds": (pompe.avg_latency_us - 2 * delay_us) / delay_us,
         "paper_lyra": 3,
         "paper_pompe": 11,
     }
@@ -455,7 +406,7 @@ def batch_ablation(
 
 def latency_breakdown(*, n: int = 4, seed: int = 29) -> List[Dict]:
     """Decompose Lyra's commit latency into the paper's phases, measured
-    at the proposer from protocol traces:
+    at the proposer from the traced run's ``phases`` block:
 
     - ``proposed->decided`` — the BOC instance (3 message delays, §IV);
     - ``decided->committed`` — Commit-protocol lag (waiting for the
@@ -464,22 +415,21 @@ def latency_breakdown(*, n: int = 4, seed: int = 29) -> List[Dict]:
     - ``committed->executed`` — the commit-reveal round (decryption-share
       quorum, Lemma 7).
     """
-    # Reads the live cluster's trace, so this one runs in-process rather
-    # than through the sweep runner.
-    cluster = build_cluster(
-        closed_loop_config(n, seed, 6 * SECONDS, tracing=True), protocol="lyra"
+    (res,) = _sweep(
+        [SweepCell("lyra", closed_loop_config(n, seed, 6 * SECONDS, tracing=True))]
     )
-    cluster.run()
+    phases = res.metrics["phases"]
     return [
         {
             "phase": phase,
-            "mean_ms": round(summary.mean / 1000.0, 1),
-            "max_ms": round(summary.maximum / 1000.0, 1),
-            "samples": summary.count,
+            "mean_ms": round(phases[phase]["mean_us"] / 1000.0, 1),
+            "max_ms": round(phases[phase]["max_us"] / 1000.0, 1),
+            "samples": phases[phase]["count"],
         }
-        for phase, summary in decompose_phases(
-            cluster.trace, proposer_only=True
-        ).items()
+        # The cache stores the block with sorted keys: print in pipeline
+        # order.
+        for phase in PHASE_PAIRS
+        if phase in phases
     ]
 
 
@@ -820,9 +770,8 @@ __all__ = [
     "fig2_commit_latency",
     "fig3_throughput",
     "fig3_sim_validation",
+    "lat3_config",
     "goodcase_latency_rounds",
-    "measure_lyra_rounds",
-    "measure_pompe_rounds",
     "lambda_ablation",
     "obfuscation_ablation",
     "latency_breakdown",

@@ -86,7 +86,10 @@ from repro.harness.config import ExperimentConfig
 #: Schema 12: ``ExperimentResult`` dropped ``per_instance_profile``, and
 #: the watchdog and the end-of-run safety check cover correct replicas
 #: only (attack replicas are left out and counted against ``f``).
-CACHE_SCHEMA = 12
+#: Schema 13: a traced result's ``metrics`` carries the proposer-side
+#: phase decomposition under ``"phases"``, and the instance and execution
+#: counts cover correct replicas only.
+CACHE_SCHEMA = 13
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,11 @@ the wire, fault injector, reliable channel, cache layers, workload)
 registers a scrape source with :meth:`MetricsRegistry.add_source`: a
 callable returning ``{name: number}`` from counters the layer keeps
 anyway, polled only at :meth:`snapshot` time, so no hot path pays for
-it.  Per-phase latencies are not here: the trace
-(:mod:`repro.metrics.tracelog`) holds one event per phase per node, and
-:func:`repro.metrics.spans.decompose_phases` derives them.
+it.  Per-phase latencies are not counters: the trace
+(:mod:`repro.metrics.tracelog`) holds one event per phase per node,
+:func:`repro.metrics.spans.decompose_phases` derives them, and the
+cluster stores that proposer-side decomposition beside the snapshot in
+``ExperimentResult.metrics["phases"]``.
 
 Snapshots are plain JSON-serialisable dicts, so they ride inside
 :class:`~repro.harness.cluster.ExperimentResult` across sweep worker

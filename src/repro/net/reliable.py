@@ -52,8 +52,8 @@ class ReliableConfig:
     #: Initial retransmission timeout.  It does *not* dominate one RTT on
     #: the geo matrix (one-way latencies reach 131 ms between evaluation
     #: regions), so under loss most retransmissions are spurious
-    #: (EXPERIMENTS.md "Lossy wire", defect (a)).  Changing it moves every
-    #: lossy-wire digest.
+    #: (EXPERIMENTS.md "Constants measured, not knobs").  Changing it
+    #: moves every lossy-wire digest.
     rto_us: int = 60 * MILLISECONDS
     #: Multiplicative backoff applied after every timeout.
     backoff: float = 2.0

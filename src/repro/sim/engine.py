@@ -44,7 +44,7 @@ SECONDS = 1_000_000
 #: log2 of the slot width in microseconds (128 µs).  A constant, not a knob:
 #: on the two Lyra ledger workloads that differ most in queue depth, shifts
 #: 6, 7 and 8 read the same and 4 and 12 are 1–7 % slower (EXPERIMENTS.md
-#: "Event queue", slot-width sweep) — narrower slots push more indices
+#: "Constants measured, not knobs") — narrower slots push more indices
 #: through the heap, wider ones sort longer lists and insort deeper into
 #: the open one.
 _SLOT_SHIFT = 7
@@ -200,7 +200,7 @@ class Simulator:
         non-integer one raises :class:`SimulationError`.  Worth its
         duplication only because it is measured: −5.8 % wall on
         ``lyra_n32_closed`` with the receive path on it (EXPERIMENTS.md
-        "Event queue")."""
+        "Constants measured, not knobs")."""
         seq = self._seq
         self._insert([self._now + delay, priority, seq, fn, args])
         self._seq = seq + 1

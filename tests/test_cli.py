@@ -176,6 +176,24 @@ class TestCli:
         assert section["title"] == "LAT3 — good-case message delays"
         assert exp.format_rows(section["rows"]) in out
 
+    def test_rounds_and_decomp_replay_from_the_cache(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """LAT3 and DECOMP are sweep cells: with ``REPRO_CACHE`` set, a
+        second run prints the same rows without building a cluster."""
+        from repro.harness.cluster import Cluster
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        assert main(["experiment", "rounds", "decomp"]) == 0
+        first = capsys.readouterr().out
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a cached cell built a cluster")
+
+        monkeypatch.setattr(Cluster, "__init__", refuse)
+        assert main(["experiment", "rounds", "decomp"]) == 0
+        assert capsys.readouterr().out == first
+
     def test_no_name_runs_every_section_in_table_order(self, capsys, monkeypatch):
         stub = {
             name: tuple(

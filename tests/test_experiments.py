@@ -12,8 +12,6 @@ from repro.harness.experiments import (
     goodcase_latency_rounds,
     jitter_sensitivity,
     lambda_ablation,
-    measure_lyra_rounds,
-    measure_pompe_rounds,
     obfuscation_ablation,
     warmup_bias,
 )
@@ -24,15 +22,15 @@ class TestGoodCaseRounds:
     optimality claim (Theorem 3) versus Pompē's ~11 rounds."""
 
     def test_lyra_three_rounds(self):
-        rounds = measure_lyra_rounds(n=4, delay_ms=40)
+        rounds = goodcase_latency_rounds(n=4, delay_ms=40)["lyra_decide_rounds"]
         assert 2.9 <= rounds <= 3.2, rounds
 
     def test_lyra_three_rounds_larger_cluster(self):
-        rounds = measure_lyra_rounds(n=7, delay_ms=40)
+        rounds = goodcase_latency_rounds(n=7, delay_ms=40)["lyra_decide_rounds"]
         assert 2.9 <= rounds <= 3.2, rounds
 
     def test_pompe_about_eleven_rounds(self):
-        rounds = measure_pompe_rounds(n=4, delay_ms=40)
+        rounds = goodcase_latency_rounds(n=4, delay_ms=40)["pompe_commit_rounds"]
         assert 9.0 <= rounds <= 13.0, rounds
 
     def test_summary_row(self):
@@ -41,11 +39,11 @@ class TestGoodCaseRounds:
         assert row["paper_lyra"] == 3 and row["paper_pompe"] == 11
 
     def test_pinned_default_rounds(self):
-        """The exact LAT3 numbers the hand-wired deployments produced
-        before the measurement moved onto the shared cluster."""
+        """The exact LAT3 numbers of the two sweep cells: whole delays
+        plus a few µs of 10 µs self-delivery interleavings."""
         row = goodcase_latency_rounds()
-        assert row["lyra_decide_rounds"] == 3.000375
-        assert row["pompe_commit_rounds"] == 10.0
+        assert row["lyra_decide_rounds"] == 3.0002
+        assert row["pompe_commit_rounds"] == 10.00005
 
 
 @pytest.mark.slow

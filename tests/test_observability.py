@@ -175,7 +175,7 @@ class TestClusterObservability:
         executed = snap["counters"]["node.txs_executed"]["per_node"]
         assert max(executed.values()) == result.executed_total
         assert snap["counters"]["boc.decided_accept"]["total"] > 0
-        assert set(snap) == {"counters", "links"}
+        assert set(snap) == {"counters", "links", "phases"}
         # Link stats ride along under "links".
         assert snap["links"]
         assert all(
@@ -223,6 +223,22 @@ class TestClusterObservability:
         assert len(cluster.trace) > 0
         decomp = decompose_phases(cluster.trace)
         assert decomp["total"].count > 0
+
+    def test_phases_block_is_the_trace_decomposition(self):
+        """A traced result carries the proposer-side decomposition of its
+        own trace, and the block survives the sweep/cache JSON path."""
+        cluster = build_cluster(quick_lyra_config(tracing=True), protocol="lyra")
+        result = cluster.run()
+        expected = {
+            phase: {"count": s.count, "mean_us": s.mean, "max_us": s.maximum}
+            for phase, s in decompose_phases(cluster.trace).items()
+        }
+        assert expected["total"]["count"] > 0
+        assert result.metrics["phases"] == expected
+        round_tripped = ExperimentResult.from_dict(
+            json.loads(json.dumps(result.to_dict()))
+        )
+        assert round_tripped.metrics["phases"] == expected
 
     def test_snapshot_sane_across_crash_recovery(self):
         """Registry sources are bound to the live node object, so a

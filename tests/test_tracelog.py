@@ -3,8 +3,10 @@
 
 from repro.core.types import InstanceId
 from repro.harness import build_cluster
+from repro.harness.config import closed_loop_config
 from repro.harness.experiments import delta_ablation, latency_breakdown
 from repro.metrics.tracelog import PHASES, TraceLog, install_lyra_tracing
+from repro.sim.engine import SECONDS
 
 from tests.helpers import quick_lyra_config
 
@@ -173,23 +175,19 @@ class TestLatencyBreakdown:
         # ...and the total stays sub-second.
         assert by_phase["total"]["mean_ms"] < 1000.0
 
-    def test_every_proposed_instance_is_sampled(self, monkeypatch):
+    def test_every_proposed_instance_is_sampled(self):
         """The rows cover every instance its proposer proposed, not only
         those still live at the horizon: a node forgets an instance 10·Δ
-        after it finishes."""
-        from repro.harness import experiments
-
-        clusters = []
-
-        def build_and_keep(*args, **kwargs):
-            clusters.append(build_cluster(*args, **kwargs))
-            return clusters[-1]
-
-        monkeypatch.setattr(experiments, "build_cluster", build_and_keep)
+        after it finishes.  A cluster built from the DECOMP cell's config
+        gives the proposals to count."""
         by_phase = {r["phase"]: r for r in latency_breakdown()}
+        cluster = build_cluster(
+            closed_loop_config(4, 29, 6 * SECONDS, tracing=True), protocol="lyra"
+        )
+        cluster.run()
         proposed = sum(
             1
-            for e in clusters[0].trace.events
+            for e in cluster.trace.events
             if e.kind == "proposed" and e.node == e.instance[0]
         )
         assert by_phase["proposed->decided"]["samples"] == proposed

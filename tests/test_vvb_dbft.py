@@ -53,8 +53,8 @@ class TestGoodCase:
         assert decided_at == 1  # decided in round 1
         # Elapsed: INIT + max(votes, Δ timer) + AUX  ≈ 3 delays (Δ = delay).
         # Allow generous slack for self-delivery offsets.
-        # (The precise 3.0-delay measurement is
-        # repro.harness.experiments.measure_lyra_rounds.)
+        # (The precise 3.0-delay measurement is LAT3:
+        # repro.harness.experiments.goodcase_latency_rounds.)
 
     def test_larger_cluster(self):
         sim, nodes, net = build_consensus_cluster(7)
