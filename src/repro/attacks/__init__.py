@@ -4,8 +4,9 @@
   broadcasters, prefix stallers, flooders, future-sequence spammers,
   silent/partial proposers, cipher replayers and Fig. 1's backdating
   front-runner.
-- :mod:`repro.attacks.pompe_attacks` — Byzantine Pompē participants:
-  the censoring HotStuff leader and the timestamp cherry-picking orderer.
+- :mod:`repro.attacks.pompe_attacks` — Byzantine HotStuff-baseline
+  participants: the censoring leader (Pompē and Fino) and Pompē's
+  timestamp cherry-picking orderer.
 - :mod:`repro.attacks.corpus` — the commit-reveal / piggyback attack
   corpus: selective-reveal and piggyback-forgery replicas plus the named
   :data:`~repro.attacks.corpus.CORPUS` cases mapped to the audit findings
@@ -27,6 +28,7 @@ from repro.attacks.byzantine import (
     SilentProposerNode,
 )
 from repro.attacks.pompe_attacks import (
+    BlindCensoringLeaderFino,
     CensoringLeaderNode,
     CherryPickingOrdererNode,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "PrefixStallerNode",
     "SilentProposerNode",
     "CensoringLeaderNode",
+    "BlindCensoringLeaderFino",
     "CherryPickingOrdererNode",
     "SelectiveRevealNode",
     "PiggybackForgeryNode",

@@ -37,7 +37,7 @@ from repro.net.message import Message
 class EquivocatingNode(LyraNode):
     """Broadcasts version A of its batch to even pids, version B to odd."""
 
-    def _propose_batch(self, txs: List[Transaction]) -> None:
+    def _propose(self, txs: List[Transaction]) -> None:
         if len(txs) < 1:
             return
         iid = InstanceId(self.pid, self._batch_counter)
@@ -101,7 +101,7 @@ class FloodingNode(LyraNode):
                 Transaction(self.pid, self._flood_nonce, b"JUNK")
             )
             self._flood_nonce += 1
-        self._propose_batch(txs)
+        self._propose(txs)
         self.timers.set("flood", self.flood_interval_us, self._flood_tick)
 
 
@@ -113,7 +113,7 @@ class FutureSequenceNode(LyraNode):
         super().__init__(*args, **kwargs)
         self.offset_us = offset_us
 
-    def _propose_batch(self, txs: List[Transaction]) -> None:
+    def _propose(self, txs: List[Transaction]) -> None:
         if not txs:
             return
         iid = InstanceId(self.pid, self._batch_counter)

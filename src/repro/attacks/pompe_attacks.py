@@ -1,4 +1,4 @@
-"""Byzantine behaviours against Pompē.
+"""Byzantine behaviours against the HotStuff baselines, Pompē and Fino.
 
 - :class:`CherryPickingOrdererNode` — Fig. 1's colluding orderer: it biases
   the assigned timestamp of every batch it orders downward by waiting for
@@ -6,16 +6,19 @@
   orderer takes the first quorum).  Protocol-legal for a Byzantine node:
   the certificate still carries 2f+1 valid signatures.  The colocated MEV
   bot does the reacting; this replica only orders the bot's front-runs.
-- :class:`CensoringLeaderNode` — a HotStuff leader that silently omits
-  certificates from victim proposers, demonstrating the leader-based
-  censorship §I attributes to Fino-style protocols (and which leaderless
-  Lyra removes by construction).
+- :class:`CensoringLeaderNode` and :class:`BlindCensoringLeaderFino` — a
+  HotStuff leader that silently omits the payloads of victim proposers,
+  the leader-based censorship §I attributes to Fino-style protocols (and
+  which leaderless Lyra removes by construction).  Fino's leader cannot
+  read a cipher, yet it still sees who proposed it, so both share one drop.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Set
 
+from repro.baselines.fino import CipherRef, FinoNode
+from repro.baselines.hotstuff import REQUEST_KIND
 from repro.baselines.pompe import OrderingCert, PompeNode
 
 
@@ -52,8 +55,10 @@ class CherryPickingOrdererNode(PompeNode):
         self.hotstuff.submit(cert)
 
 
-class CensoringLeaderNode(PompeNode):
-    """A HotStuff leader that drops certificates from censored proposers."""
+class _CensoringLeader:
+    """The drop both censoring leaders share: a request whose payload
+    (a certificate or a cipher) names a censored proposer never reaches
+    the leader's queue.  Mixed in ahead of the protocol's replica class."""
 
     def __init__(self, *args, censored: Iterable[int] = (), **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -61,16 +66,31 @@ class CensoringLeaderNode(PompeNode):
         self.censored_count = 0
 
     def _process(self, message, sender: int) -> None:
-        if message.kind == "hs.request":
+        if message.kind == REQUEST_KIND:
             payload = message.payload if isinstance(message.payload, dict) else {}
-            cert = payload.get("payload")
+            item = payload.get("payload")
             if (
-                isinstance(cert, OrderingCert)
-                and cert.batch.proposer in self.censored
+                isinstance(item, (OrderingCert, CipherRef))
+                and item.proposer in self.censored
             ):
                 self.censored_count += 1
                 return  # silently dropped
         super()._process(message, sender)
 
 
-__all__ = ["CherryPickingOrdererNode", "CensoringLeaderNode"]
+class CensoringLeaderNode(_CensoringLeader, PompeNode):
+    """A Pompē HotStuff leader that drops certificates from censored
+    proposers."""
+
+
+class BlindCensoringLeaderFino(_CensoringLeader, FinoNode):
+    """A Byzantine Fino leader: it cannot *read* any cipher, yet it can
+    still discriminate by proposer and silently drop a victim's ciphers —
+    the reordering power commit-reveal alone does not remove (§I)."""
+
+
+__all__ = [
+    "CherryPickingOrdererNode",
+    "CensoringLeaderNode",
+    "BlindCensoringLeaderFino",
+]

@@ -5,10 +5,11 @@ here into the replica classes and constructor kwargs the cluster builds,
 so attack experiments — and fuzzer schedules — can ride the sweep cache
 and cross process boundaries like any other config knob.
 
-One flat table serves every protocol: Lyra, Pompē and Fino replicas share
-no base class besides ``SimProcess``, so an attack class names its own
-protocol, and :func:`repro.harness.cluster.check_cell` refuses one that
-does not subclass the adapter's replica class.
+One flat table serves every protocol.  Lyra, Pompē and Fino replicas share
+only the host shell (:class:`~repro.core.replica.Replica`), so an attack
+class subclasses its own protocol's replica, and
+:func:`repro.harness.cluster.check_cell` refuses one that does not
+subclass the adapter's replica class.
 
 This module only imports the attack node classes (which depend on
 ``repro.core`` and ``repro.baselines``, never on the harness), so cluster
@@ -29,8 +30,11 @@ from repro.attacks.byzantine import (
     SilentProposerNode,
 )
 from repro.attacks.corpus import PiggybackForgeryNode, SelectiveRevealNode
-from repro.attacks.pompe_attacks import CensoringLeaderNode, CherryPickingOrdererNode
-from repro.baselines.fino import BlindCensoringLeaderFino
+from repro.attacks.pompe_attacks import (
+    BlindCensoringLeaderFino,
+    CensoringLeaderNode,
+    CherryPickingOrdererNode,
+)
 
 #: Every attack replica class, by stable name.  Names are wire format:
 #: they appear in serialized ``ExperimentConfig.attack_nodes`` entries and

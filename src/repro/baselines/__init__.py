@@ -13,7 +13,7 @@
 
 from repro.baselines.hotstuff import Block, HotStuffParticipant, QuorumCert
 from repro.baselines.pompe import OrderingCert, PompeConfig, PompeNode
-from repro.baselines.fino import BlindCensoringLeaderFino, FinoConfig, FinoNode
+from repro.baselines.fino import FinoConfig, FinoNode
 
 __all__ = [
     "Block",
@@ -24,5 +24,4 @@ __all__ = [
     "PompeNode",
     "FinoNode",
     "FinoConfig",
-    "BlindCensoringLeaderFino",
 ]

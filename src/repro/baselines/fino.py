@@ -21,28 +21,23 @@ leader's power over ordering — the property under study — is the same):
 
 So: content-based front-running is impossible (like Lyra), but a
 Byzantine leader can still discriminate by *proposer* — see
-:class:`BlindCensoringLeaderFino` and the censorship experiment rows.
+:class:`~repro.attacks.pompe_attacks.BlindCensoringLeaderFino` and the
+censorship experiment rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.baselines.hotstuff import Block, HotStuffParticipant, PHASE_KIND, PROPOSE_KIND, VOTE_KIND
-from repro.core.batching import Mempool
-from repro.core.node import CLIENT_REPLY_KIND, CLIENT_TX_KIND
 from repro.core.obfuscation import HashCommitObfuscation
-from repro.core.services import ProtocolServices
+from repro.core.replica import CLIENT_TX_KIND, Replica
 from repro.core.types import Batch, Transaction
 from repro.crypto.cost import CryptoCosts, DEFAULT_COSTS
-from repro.crypto.signatures import KeyRegistry
-from repro.crypto.threshold import ThresholdScheme
 from repro.crypto.vss_encryption import VssError
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS, Simulator
-from repro.sim.process import SimProcess
-from repro.sim.rng import RngRegistry
 
 REVEAL_KIND = "fino.reveal"
 
@@ -82,82 +77,44 @@ class FinoStats:
     malformed_messages: int = 0
 
 
-class FinoNode(SimProcess):
+class FinoNode(Replica):
     """One Fino-style replica: commit-reveal proposals, leader-sequenced."""
+
+    _RNG_STREAM = "fino"
 
     def __init__(
         self,
         pid: int,
         sim: Simulator,
         *,
-        n: int,
-        f: int,
-        registry: KeyRegistry,
-        threshold: ThresholdScheme,
         obfuscation: HashCommitObfuscation,
         config: Optional[FinoConfig] = None,
-        rng: Optional[RngRegistry] = None,
+        **identity,
     ) -> None:
-        super().__init__(pid, sim)
-        self.n, self.f = n, f
-        self.registry = registry
-        self.threshold_scheme = threshold
+        super().__init__(pid, sim, config=config or FinoConfig(), **identity)
         self.obf = obfuscation
-        self.config = config or FinoConfig()
-        self.costs = self.config.costs
         # Constant receive costs; ``_receive_cost`` covers the rest.
         self._RECEIVE_COSTS = {
             VOTE_KIND: self.costs.share_verify_us,
             PHASE_KIND: self.costs.threshold_verify_us,
             REVEAL_KIND: self.costs.open_commit_us,
         }
-        self.rng = (rng or RngRegistry(0)).get("fino", str(pid))
-        self.mempool = Mempool(self.config.batch_size)
         self.stats = FinoStats()
-
-        self.services: Optional[ProtocolServices] = None
         self.hotstuff: Optional[HotStuffParticipant] = None
-        self._batch_counter = 0
-        self._tx_origin: Dict[Tuple[int, int], int] = {}
         # Decided-but-unrevealed ciphers, in decided order.
         self._pending_reveal: List[CipherRef] = []
         self._revealed: Dict[bytes, bytes] = {}  # cipher_id -> plaintext
-        self._executed: Set[bytes] = set()
+        self._executed_ids: Set[bytes] = set()
         self.executed_log: List[Tuple[int, bytes]] = []  # (height, cipher_id)
-        self.on_executed: Optional[Callable[[Batch], None]] = None
-        self._started = False
 
     # ------------------------------------------------------------------
     def attach(self, network) -> None:
         super().attach(network)
-        self.services = ProtocolServices(
-            pid=self.pid,
-            n=self.n,
-            f=self.f,
-            sim=self.sim,
-            delta_us=network.delta_us,
-            signer=self.registry.signer(self.pid),
-            registry=self.registry,
-            threshold=self.threshold_scheme,
-            costs=self.costs,
-            send_fn=lambda dst, msg: self.send(dst, msg),
-            broadcast_fn=lambda msg: self.broadcast(msg),
-            timers=self.timers,
-            on_malformed=self._count_malformed,
-        )
         self.hotstuff = HotStuffParticipant(self.services, on_decide=self._on_decide)
 
-    def _count_malformed(self) -> None:
-        self.stats.malformed_messages += 1
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
+    def _arm_timers(self) -> None:
         self.hotstuff.start()
-        self.timers.set(
-            "batch-flush", self.config.batch_timeout_us, self._flush_tick
-        )
+        self._arm_batch_flush()
 
     # ------------------------------------------------------------------
     def _receive_cost(self, message: Message) -> int:
@@ -166,16 +123,10 @@ class FinoNode(SimProcess):
         return 2
 
     def _process(self, message: Message, sender: int) -> None:
-        if self.crashed:
-            return
         payload = message.payload if isinstance(message.payload, dict) else {}
         kind = message.kind
         if kind == CLIENT_TX_KIND:
-            tx = payload.get("tx")
-            if isinstance(tx, Transaction):
-                self.submit(tx, client_pid=sender)
-            else:
-                self.stats.malformed_messages += 1
+            self._on_client_tx(payload, sender)
         elif kind == REVEAL_KIND:
             self._on_reveal(payload, sender)
         elif self.hotstuff is not None:
@@ -184,20 +135,6 @@ class FinoNode(SimProcess):
     # ------------------------------------------------------------------
     # Propose path: encrypt, hand the cipher to the leader
     # ------------------------------------------------------------------
-    def submit(self, tx: Transaction, client_pid: Optional[int] = None) -> None:
-        if client_pid is not None:
-            self._tx_origin[tx.key()] = client_pid
-        if self.mempool.add(tx):
-            while self.mempool.full:
-                self._propose(self.mempool.take_batch())
-
-    def _flush_tick(self) -> None:
-        if len(self.mempool) > 0:
-            self._propose(self.mempool.take_batch())
-        self.timers.set(
-            "batch-flush", self.config.batch_timeout_us, self._flush_tick
-        )
-
     def _propose(self, txs: List[Transaction]) -> None:
         if not txs:
             return
@@ -215,7 +152,7 @@ class FinoNode(SimProcess):
         for ref in block.payloads:
             if not isinstance(ref, CipherRef):
                 continue
-            if ref.cipher.cipher_id in self._executed:
+            if ref.cipher.cipher_id in self._executed_ids:
                 continue
             self._pending_reveal.append(ref)
             if ref.proposer == self.pid:
@@ -255,23 +192,15 @@ class FinoNode(SimProcess):
             if plaintext is None:
                 return  # head-of-line blocked on its proposer's reveal
             self._pending_reveal.pop(0)
-            self._executed.add(ref.cipher.cipher_id)
+            self._executed_ids.add(ref.cipher.cipher_id)
             self.executed_log.append((len(self.executed_log), ref.cipher.cipher_id))
             try:
                 batch = Batch.deserialize(ref.proposer, ref.batch_no, plaintext)
             except ValueError:
                 continue
-            self.stats.txs_executed += len(batch)
-            for tx in batch.txs:
-                client = self._tx_origin.pop(tx.key(), None)
-                if client is not None:
-                    self.send(
-                        client,
-                        Message(CLIENT_REPLY_KIND, {"key": tx.key(), "seq": 0}, 24),
-                    )
-            self.mempool.drop_committed(batch.txs)
-            if self.on_executed is not None:
-                self.on_executed(batch)
+            self._executed(batch, 0)
+            # The leader sequenced ciphers: execution is the first look.
+            self._readable(batch)
 
     def output_sequence(self) -> List[Tuple[int, bytes]]:
         return list(self.executed_log)
@@ -287,31 +216,10 @@ class FinoNode(SimProcess):
         )
 
 
-class BlindCensoringLeaderFino(FinoNode):
-    """A Byzantine Fino leader: it cannot *read* any cipher, yet it can
-    still discriminate by proposer and silently drop a victim's ciphers —
-    the reordering power commit-reveal alone does not remove (§I)."""
-
-    def __init__(self, *args, censored=(), **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.censored: Set[int] = set(censored)
-        self.censored_count = 0
-
-    def _process(self, message: Message, sender: int) -> None:
-        if message.kind == "hs.request":
-            payload = message.payload if isinstance(message.payload, dict) else {}
-            ref = payload.get("payload")
-            if isinstance(ref, CipherRef) and ref.proposer in self.censored:
-                self.censored_count += 1
-                return
-        super()._process(message, sender)
-
-
 __all__ = [
     "FinoNode",
     "FinoConfig",
     "FinoStats",
     "CipherRef",
-    "BlindCensoringLeaderFino",
     "REVEAL_KIND",
 ]

@@ -41,6 +41,7 @@ PROPOSE_KIND = "hs.propose"
 VOTE_KIND = "hs.vote"  # payload carries the phase
 PHASE_KIND = "hs.phase"  # PRECOMMIT / COMMIT / DECIDE broadcasts with a QC
 VIEWCHANGE_KIND = "hs.viewchange"
+REQUEST_KIND = "hs.request"  # a payload broadcast for the leader to sequence
 
 PHASES = ("prepare", "precommit", "commit")
 
@@ -208,7 +209,7 @@ class HotStuffParticipant:
             # Broadcast so every replica tracks the request (PBFT-style):
             # a stalling leader is then detected by a quorum, not just by
             # the originator.
-            self.services.broadcast("hs.request", {"payload": payload}, size)
+            self.services.broadcast(REQUEST_KIND, {"payload": payload}, size)
 
     def on_request(self, payload: dict, sender: int) -> None:
         item = payload.get("payload")
@@ -596,7 +597,7 @@ class HotStuffParticipant:
             self.on_phase(payload, sender)
         elif kind == VIEWCHANGE_KIND:
             self.on_viewchange(payload, sender)
-        elif kind == "hs.request":
+        elif kind == REQUEST_KIND:
             self.on_request(payload, sender)
         else:
             return False
@@ -611,5 +612,6 @@ __all__ = [
     "VOTE_KIND",
     "PHASE_KIND",
     "VIEWCHANGE_KIND",
+    "REQUEST_KIND",
     "PHASES",
 ]

@@ -18,34 +18,32 @@ Pompē separates *ordering* from *consensus*:
 The crucial weakness Lyra addresses: batches travel in clear text during
 the ordering phase, so an observer can front-run by racing its own batch
 through faster network paths (Fig. 1), and the HotStuff leader can censor
-or delay certificates.  The MEV bot's tap hooks ``observe_batch``.
+or delay certificates.  A batch is first readable at a replica when its
+ordering request arrives, so that is where ``on_readable`` fires (a
+colocated MEV bot's view).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.hotstuff import (
     Block,
     HotStuffParticipant,
     PHASE_KIND,
     PROPOSE_KIND,
+    REQUEST_KIND,
     VOTE_KIND,
 )
 from repro.core.clocks import OrderingClock
-from repro.core.batching import Mempool
-from repro.core.node import CLIENT_REPLY_KIND, CLIENT_TX_KIND
-from repro.core.services import ProtocolServices
+from repro.core.replica import CLIENT_TX_KIND, Replica
 from repro.core.types import Batch, Transaction
 from repro.crypto.cost import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.hashing import digest_of
-from repro.crypto.signatures import KeyRegistry, Signature
-from repro.crypto.threshold import ThresholdScheme
+from repro.crypto.signatures import Signature
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS, Simulator
-from repro.sim.process import SimProcess
-from repro.sim.rng import RngRegistry
 
 ORDER_REQ_KIND = "pp.order_req"
 ORDER_TS_KIND = "pp.order_ts"
@@ -65,6 +63,10 @@ class OrderingCert:
     @property
     def payload_id(self) -> bytes:
         return self.batch_digest
+
+    @property
+    def proposer(self) -> int:
+        return self.batch.proposer
 
     def wire_size(self) -> int:
         return self.batch.wire_size() + 8 + len(self.endorsements) * (8 + 8 + 64)
@@ -95,78 +97,44 @@ class PompeStats:
     malformed_messages: int = 0
 
 
-class PompeNode(SimProcess):
+class PompeNode(Replica):
     """One Pompē replica (orderer + HotStuff participant + executor)."""
+
+    _RNG_STREAM = "pompe"
 
     def __init__(
         self,
         pid: int,
         sim: Simulator,
         *,
-        n: int,
-        f: int,
-        registry: KeyRegistry,
-        threshold: ThresholdScheme,
         config: Optional[PompeConfig] = None,
-        rng: Optional[RngRegistry] = None,
+        **identity,
     ) -> None:
-        super().__init__(pid, sim)
-        self.n = n
-        self.f = f
-        self.registry = registry
-        self.threshold_scheme = threshold
-        self.config = config or PompeConfig()
-        self.costs = self.config.costs
+        super().__init__(pid, sim, config=config or PompeConfig(), **identity)
         # Constant receive costs; ``_receive_cost`` covers the rest.
         self._RECEIVE_COSTS = {
             ORDER_TS_KIND: self.costs.verify_us,
             VOTE_KIND: self.costs.share_verify_us,
             PHASE_KIND: self.costs.threshold_verify_us,
         }
-        self.rng = (rng or RngRegistry(0)).get("pompe", str(pid))
         self.clock = OrderingClock(sim, skew_us=self.config.clock_skew_us)
-        self.mempool = Mempool(self.config.batch_size)
         self.stats = PompeStats()
-
-        self.services: Optional[ProtocolServices] = None
         self.hotstuff: Optional[HotStuffParticipant] = None
 
-        self._batch_counter = 0
         self._pending_order: Dict[bytes, dict] = {}  # digest -> collection state
         self._proposed_at: Dict[bytes, int] = {}
-        self._tx_origin: Dict[Tuple[int, int], int] = {}
         # Certificates submitted to consensus but not yet decided: these
         # are re-submitted periodically so view changes cannot lose them.
         self._unacked: Dict[bytes, OrderingCert] = {}
         # Execution state: decided, not-yet-executed certs ordered by ts.
         self._decided: Dict[bytes, OrderingCert] = {}
-        self._executed: Set[bytes] = set()
+        self._executed_ids: Set[bytes] = set()
         self._watermark = 0
         self.executed_log: List[Tuple[int, bytes]] = []  # (assigned_ts, digest)
-        self._started = False
-        self.on_executed: Optional[Callable[[OrderingCert], None]] = None
-        #: MEV tap: called with every clear-text batch this replica
-        #: observes during the ordering phase.
-        self.observe_batch: Optional[Callable[[Batch, int], None]] = None
 
     # ------------------------------------------------------------------
     def attach(self, network) -> None:
         super().attach(network)
-        self.services = ProtocolServices(
-            pid=self.pid,
-            n=self.n,
-            f=self.f,
-            sim=self.sim,
-            delta_us=network.delta_us,
-            signer=self.registry.signer(self.pid),
-            registry=self.registry,
-            threshold=self.threshold_scheme,
-            costs=self.costs,
-            send_fn=lambda dst, msg: self.send(dst, msg),
-            broadcast_fn=lambda msg: self.broadcast(msg),
-            timers=self.timers,
-            on_malformed=self._count_malformed,
-        )
         self.hotstuff = HotStuffParticipant(
             self.services,
             on_decide=self._on_decide,
@@ -175,17 +143,9 @@ class PompeNode(SimProcess):
             on_stale=self._on_stale_cert,
         )
 
-    def _count_malformed(self) -> None:
-        self.stats.malformed_messages += 1
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
+    def _arm_timers(self) -> None:
         self.hotstuff.start()
-        self.timers.set(
-            "batch-flush", self.config.batch_timeout_us, self._batch_flush_tick
-        )
+        self._arm_batch_flush()
         self.timers.set("wm-tick", 2 * self.services.delta_us, self._watermark_tick)
         self.timers.set("resubmit", 6 * self.services.delta_us, self._resubmit_tick)
 
@@ -196,11 +156,11 @@ class PompeNode(SimProcess):
         (we cannot forge new timestamps on its behalf)."""
         if not isinstance(cert, OrderingCert):
             return
-        if cert.batch_digest in self._executed:
+        if cert.batch_digest in self._executed_ids:
             return
-        if cert.batch.proposer != self.pid:
+        if cert.proposer != self.pid:
             self.services.send(
-                cert.batch.proposer,
+                cert.proposer,
                 STALE_KIND,
                 {"digest": cert.batch_digest},
                 40,
@@ -210,12 +170,12 @@ class PompeNode(SimProcess):
 
     def _reorder_stale(self, digest: bytes) -> None:
         cert = self._unacked.pop(digest, None)
-        if cert is None or digest in self._executed:
+        if cert is None or digest in self._executed_ids:
             return
         # The stale certificate never executes, so nothing else pops its
         # proposal time; the re-ordered batch gets its own.
         self._proposed_at.pop(digest, None)
-        self._start_ordering(list(cert.batch.txs))
+        self._propose(list(cert.batch.txs))
 
     def _resubmit_tick(self) -> None:
         # Re-submit certificates abandoned by a view change to the current
@@ -250,21 +210,15 @@ class PompeNode(SimProcess):
             # The quadratic term: every replica verifies every certificate's
             # 2f+1 timestamp signatures.
             return certs * (2 * self.f + 1) * self.costs.verify_us
-        if kind == "hs.request":
+        if kind == REQUEST_KIND:
             return self.costs.hash_us(message.size)
         return 2
 
     def _process(self, message: Message, sender: int) -> None:
-        if self.crashed:
-            return
         payload = message.payload if isinstance(message.payload, dict) else {}
         kind = message.kind
         if kind == CLIENT_TX_KIND:
-            tx = payload.get("tx")
-            if isinstance(tx, Transaction):
-                self.submit(tx, client_pid=sender)
-            else:
-                self._count_malformed()
+            self._on_client_tx(payload, sender)
         elif kind == ORDER_REQ_KIND:
             self._on_order_req(payload, sender)
         elif kind == ORDER_TS_KIND:
@@ -279,26 +233,9 @@ class PompeNode(SimProcess):
             self.hotstuff.handle(kind, payload, sender)
 
     # ------------------------------------------------------------------
-    # Client path and batching
-    # ------------------------------------------------------------------
-    def submit(self, tx: Transaction, client_pid: Optional[int] = None) -> None:
-        if client_pid is not None:
-            self._tx_origin[tx.key()] = client_pid
-        if self.mempool.add(tx):
-            while self.mempool.full:
-                self._start_ordering(self.mempool.take_batch())
-
-    def _batch_flush_tick(self) -> None:
-        if len(self.mempool) > 0:
-            self._start_ordering(self.mempool.take_batch())
-        self.timers.set(
-            "batch-flush", self.config.batch_timeout_us, self._batch_flush_tick
-        )
-
-    # ------------------------------------------------------------------
     # Ordering phase
     # ------------------------------------------------------------------
-    def _start_ordering(self, txs: List[Transaction]) -> None:
+    def _propose(self, txs: List[Transaction]) -> None:
         if not txs:
             return
         batch = Batch(self.pid, self._batch_counter, tuple(txs))
@@ -321,8 +258,7 @@ class PompeNode(SimProcess):
             return
         # Clear-text exposure: the batch is readable here, before any
         # ordering decision — the attack surface Lyra closes.
-        if self.observe_batch is not None:
-            self.observe_batch(batch, sender)
+        self._readable(batch)
         ts = self.clock.now()
         sig = self.services.signer.sign((digest, ts))
         self.services.send(
@@ -373,7 +309,7 @@ class PompeNode(SimProcess):
             if not isinstance(cert, OrderingCert):
                 continue
             self._unacked.pop(cert.batch_digest, None)
-            if cert.batch_digest in self._executed:
+            if cert.batch_digest in self._executed_ids:
                 continue
             self._decided.setdefault(cert.batch_digest, cert)
         self._drain_executions()
@@ -385,31 +321,17 @@ class PompeNode(SimProcess):
         )
         for cert in ready:
             del self._decided[cert.batch_digest]
-            self._executed.add(cert.batch_digest)
+            self._executed_ids.add(cert.batch_digest)
             self.executed_log.append((cert.assigned_ts, cert.batch_digest))
             self._execute(cert)
 
     def _execute(self, cert: OrderingCert) -> None:
-        self.stats.txs_executed += len(cert.batch)
         if cert.batch.proposer == self.pid:
             self.stats.batches_executed_own += 1
             proposed = self._proposed_at.pop(cert.batch_digest, None)
             if proposed is not None:
                 self.stats.own_batch_latencies_us.append(self.sim.now - proposed)
-        for tx in cert.batch.txs:
-            client = self._tx_origin.pop(tx.key(), None)
-            if client is not None:
-                self.send(
-                    client,
-                    Message(
-                        CLIENT_REPLY_KIND,
-                        {"key": tx.key(), "seq": cert.assigned_ts},
-                        24,
-                    ),
-                )
-        self.mempool.drop_committed(cert.batch.txs)
-        if self.on_executed is not None:
-            self.on_executed(cert)
+        self._executed(cert.batch, cert.assigned_ts)
 
     # ------------------------------------------------------------------
     def output_sequence(self) -> List[Tuple[int, bytes]]:

@@ -4,8 +4,10 @@
 - :mod:`repro.core.dbft` — modified DBFT binary consensus (Algorithm 3).
 - :mod:`repro.core.distance` — sequence-number prediction (§IV-B).
 - :mod:`repro.core.commit` — the Commit protocol (Algorithm 4).
+- :mod:`repro.core.replica` — the replica shell Lyra, Pompē and Fino
+  share: services wiring, the client path, batching, execution hooks.
 - :mod:`repro.core.node` — the full Lyra replica (ordered-propose,
-  Algorithm 2, plus batching and the client path).
+  Algorithm 2) on that shell.
 - :mod:`repro.core.smr` — SMR-safety / lower-boundedness oracles.
 """
 
@@ -23,6 +25,7 @@ from repro.core.obfuscation import (
     VssObfuscation,
     make_obfuscation,
 )
+from repro.core.replica import Replica
 from repro.core.node import LyraConfig, LyraNode
 from repro.core.smr import (
     check_lower_bounded,
@@ -52,6 +55,7 @@ __all__ = [
     "HashCommitObfuscation",
     "VssObfuscation",
     "make_obfuscation",
+    "Replica",
     "LyraConfig",
     "LyraNode",
     "check_lower_bounded",

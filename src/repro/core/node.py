@@ -1,18 +1,19 @@
 """The Lyra replica: Algorithms 1-4 wired into one node (§V).
 
-A :class:`LyraNode` is a :class:`~repro.sim.process.SimProcess` that
+A :class:`LyraNode` is a :class:`~repro.core.replica.Replica` that
 
 - measures distances ``d_ij`` to its peers during a warm-up phase and keeps
   them fresh from the perceived-sequence piggybacks on VVB votes (§IV-B1);
-- batches client transactions (§VI-B) and opens one BOC instance per batch
+- opens one BOC instance per batch the shell hands it (§VI-B)
   (``ordered-propose``, Algorithm 2): VSS-encrypt, predict ``S_t``, request
   the ``(n-f)``-th predicted sequence number, run modified DBFT;
 - participates in every peer's instances (validation per Equation 1);
 - runs the Commit protocol (Algorithm 4) to derive locked/stable/committed
   prefixes from piggybacked state, outputs the committed log, broadcasts
   decryption shares, and executes transactions once revealed (Lemma 7);
-- replies to the submitting client when its transaction executes, which is
-  how closed-loop clients measure commit latency (§VI-A).
+- executes each revealed batch through the shell, which replies to the
+  submitting clients (how closed-loop clients measure commit latency,
+  §VI-A); a payload is first readable here at execution.
 
 Every received message is charged CPU time through the node's serialised
 core before processing (signature checks dominate), so compute contention
@@ -42,7 +43,7 @@ from repro.core.dbft import AUX_KIND, BinaryConsensus, COORD_KIND
 from repro.core.bv_broadcast import BV_KIND
 from repro.core.distance import DistanceEstimator
 from repro.core.obfuscation import is_cipher, is_reveal_share
-from repro.core.services import ProtocolServices
+from repro.core.replica import CLIENT_TX_KIND, Replica
 from repro.core.types import AcceptedEntry, Batch, InstanceId, Transaction
 from repro.core.vvb import (
     DELIVER_KIND,
@@ -52,17 +53,11 @@ from repro.core.vvb import (
     VOTE1_KIND,
 )
 from repro.crypto.cost import CryptoCosts, DEFAULT_COSTS
-from repro.crypto.signatures import KeyRegistry
-from repro.crypto.threshold import ThresholdScheme
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS, Simulator
-from repro.sim.process import SimProcess
-from repro.sim.rng import RngRegistry
 
 PROBE_KIND = "lyra.probe"
 PROBE_ACK_KIND = "lyra.probe_ack"
-CLIENT_TX_KIND = "client.tx"
-CLIENT_REPLY_KIND = "client.reply"
 CATCHUP_REQ_KIND = "lyra.catchup_req"
 CATCHUP_RSP_KIND = "lyra.catchup_rsp"
 
@@ -140,31 +135,22 @@ class NodeStats:
     dshare_batches: int = 0
 
 
-class LyraNode(SimProcess):
+class LyraNode(Replica):
     """One Lyra replica."""
+
+    _RNG_STREAM = "node"
 
     def __init__(
         self,
         pid: int,
         sim: Simulator,
         *,
-        n: int,
-        f: int,
-        registry: KeyRegistry,
-        threshold: ThresholdScheme,
         obfuscation: Any,
         config: Optional[LyraConfig] = None,
-        rng: Optional[RngRegistry] = None,
+        **identity,
     ) -> None:
-        super().__init__(pid, sim)
-        self.n = n
-        self.f = f
-        self.registry = registry
-        self.threshold_scheme = threshold
+        super().__init__(pid, sim, config=config or LyraConfig(), **identity)
         self.obf = obfuscation
-        self.config = config or LyraConfig()
-        self.rng = (rng or RngRegistry(0)).get("node", str(pid))
-        self.costs = self.config.costs
         # Every kind whose receive cost is a constant for this node: the
         # protocol's fixed ones plus the two that come from ``costs``.
         # ``_receive_cost`` covers the size- and payload-dependent rest.
@@ -176,22 +162,17 @@ class LyraNode(SimProcess):
 
         self.clock = OrderingClock(sim, skew_us=self.config.clock_skew_us)
         self.perceived = PerceivedSequence(self.clock)
-        self.estimator = DistanceEstimator(n, pid)
-        self.mempool = Mempool(self.config.batch_size)
+        self.estimator = DistanceEstimator(self.n, pid)
         self.stats = NodeStats()
-
-        # Built at attach() time (needs the network's Δ).
-        self.services: Optional[ProtocolServices] = None
+        # Built at attach() time, with the services.
         self.commit: Optional[CommitState] = None
 
         self._instances: Dict[InstanceId, BinaryConsensus] = {}
-        self._batch_counter = 0
         self._s_ref: Dict[InstanceId, int] = {}
         self._proposed_at: Dict[InstanceId, int] = {}
         self._own_batches: Dict[InstanceId, List[Transaction]] = {}
         self._awaiting_message: Set[InstanceId] = set()
         self._preds: Dict[InstanceId, Tuple[int, ...]] = {}
-        self._tx_origin: Dict[Tuple[int, int], int] = {}
         self._executed_tx_keys: Set[Tuple[int, int]] = set()
         # Instances fully resolved at this node (revealed or rejected):
         # their state can be garbage-collected after a linger, and late
@@ -202,7 +183,6 @@ class LyraNode(SimProcess):
         self._dispatch_is_default = (
             type(self)._dispatch_instance is LyraNode._dispatch_instance
         )
-        self._started = False
         # Crash recovery: the durable snapshot taken at crash time, and the
         # catch-up vote state ({log position -> {entry -> sender set}}).
         self._durable_snapshot: Optional[CommitSnapshot] = None
@@ -211,8 +191,6 @@ class LyraNode(SimProcess):
         self._catchup_pt_votes: Dict[Tuple[int, AcceptedEntry, bytes], Set[int]] = {}
         self._catchup_totals: Dict[int, int] = {}
         self.recoveries = 0
-        #: Optional hook: called as (entry, Batch) for every executed batch.
-        self.on_executed: Optional[Callable[[AcceptedEntry, Batch], None]] = None
         #: Optional protocol tracer: (kind, iid, **detail) -> None
         #: (see repro.metrics.tracelog.install_lyra_tracing).
         self.tracer: Optional[Callable] = None
@@ -280,21 +258,6 @@ class LyraNode(SimProcess):
     # ------------------------------------------------------------------
     def attach(self, network) -> None:
         super().attach(network)
-        self.services = ProtocolServices(
-            pid=self.pid,
-            n=self.n,
-            f=self.f,
-            sim=self.sim,
-            delta_us=network.delta_us,
-            signer=self.registry.signer(self.pid),
-            registry=self.registry,
-            threshold=self.threshold_scheme,
-            costs=self.costs,
-            send_fn=self._proto_send,
-            broadcast_fn=self._proto_broadcast,
-            on_malformed=self._count_malformed,
-            timers=self.timers,
-        )
         self.commit = CommitState(
             self.services,
             self.clock,
@@ -305,23 +268,23 @@ class LyraNode(SimProcess):
             on_execute=self._on_execute,
         )
 
-    def start(self) -> None:
+    def _arm_timers(self) -> None:
         """Begin warm-up probing, heartbeats and the batch-flush timer."""
-        if self._started:
-            return
-        self._started = True
         for round_no in range(self.config.warmup_rounds):
             self.sim.schedule(
                 round_no * self.config.warmup_spacing_us
                 + int(self.rng.integers(0, 5_000)),
                 self._send_probe,
             )
+        self._arm_periodic_timers()
+
+    def _arm_periodic_timers(self) -> None:
+        """Heartbeats, batch flushes and distance re-probing (re-armed on
+        recovery)."""
         self.timers.set(
             "status", self.config.status_interval_us, self._status_tick
         )
-        self.timers.set(
-            "batch-flush", self.config.batch_timeout_us, self._batch_flush_tick
-        )
+        self._arm_batch_flush()
         self.timers.set("probe-refresh", PROBE_REFRESH_US, self._probe_refresh)
 
     def _probe_refresh(self) -> None:
@@ -331,11 +294,8 @@ class LyraNode(SimProcess):
         self.timers.set("probe-refresh", PROBE_REFRESH_US, self._probe_refresh)
 
     # ------------------------------------------------------------------
-    # Outgoing message wrappers
+    # Outgoing broadcasts
     # ------------------------------------------------------------------
-    def _proto_send(self, dst: int, message: Message) -> None:
-        self.send(dst, message)
-
     def _proto_broadcast(self, message: Message) -> None:
         """Algorithm 4, lines 74-78: piggyback commit state on broadcasts."""
         commit = self.commit
@@ -468,10 +428,6 @@ class LyraNode(SimProcess):
         elif kind == CATCHUP_RSP_KIND:
             self._on_catchup_rsp(payload, sender)
 
-    def _count_malformed(self) -> None:
-        """A protocol instance dropped a message for its shape."""
-        self.stats.malformed_messages += 1
-
     # ------------------------------------------------------------------
     # Warm-up distance probing (§IV-B1)
     # ------------------------------------------------------------------
@@ -497,36 +453,9 @@ class LyraNode(SimProcess):
         self.estimator.record(sender, ref, seq)
 
     # ------------------------------------------------------------------
-    # Client path and batching
-    # ------------------------------------------------------------------
-    def submit(self, tx: Transaction, client_pid: Optional[int] = None) -> None:
-        """Accept a transaction for ordering (local API; clients use
-        ``client.tx`` messages)."""
-        if client_pid is not None:
-            self._tx_origin[tx.key()] = client_pid
-        if self.mempool.add(tx):
-            self._maybe_propose()
-
-    def _on_client_tx(self, payload: dict, sender: int) -> None:
-        tx = payload.get("tx")
-        if isinstance(tx, Transaction):
-            self.submit(tx, client_pid=sender)
-
-    def _batch_flush_tick(self) -> None:
-        if len(self.mempool) > 0:
-            self._propose_batch(self.mempool.take_batch())
-        self.timers.set(
-            "batch-flush", self.config.batch_timeout_us, self._batch_flush_tick
-        )
-
-    def _maybe_propose(self) -> None:
-        while self.mempool.full:
-            self._propose_batch(self.mempool.take_batch())
-
-    # ------------------------------------------------------------------
     # ordered-propose (Algorithm 2)
     # ------------------------------------------------------------------
-    def _propose_batch(self, txs: List[Transaction]) -> None:
+    def _propose(self, txs: List[Transaction]) -> None:
         if not txs:
             return
         iid = InstanceId(self.pid, self._batch_counter)
@@ -711,21 +640,10 @@ class LyraNode(SimProcess):
         batch = Batch(batch.proposer, batch.batch_no, fresh)
         self._trace("executed", entry.instance, txs=len(batch), seq=entry.seq)
         self._schedule_gc(entry.instance)
-        self.stats.txs_executed += len(batch)
-        for tx in batch.txs:
-            client = self._tx_origin.pop(tx.key(), None)
-            if client is not None:
-                self.send(
-                    client,
-                    Message(
-                        CLIENT_REPLY_KIND,
-                        {"key": tx.key(), "seq": entry.seq},
-                        24,
-                    ),
-                )
-        self.mempool.drop_committed(batch.txs)
-        if self.on_executed is not None:
-            self.on_executed(entry, batch)
+        self._executed(batch, entry.seq)
+        # Bodies are VSS-encrypted until commit: execution is the first
+        # look any replica gets (why sandwiches structurally fail).
+        self._readable(batch)
 
     # ------------------------------------------------------------------
     # Crash–recovery with state transfer
@@ -769,13 +687,7 @@ class LyraNode(SimProcess):
             self.commit.restore(self._durable_snapshot)
         self._trace("recovered", None, log_len=len(self.commit.output_log))
         # Re-arm the periodic machinery the crash cancelled.
-        self.timers.set(
-            "status", self.config.status_interval_us, self._status_tick
-        )
-        self.timers.set(
-            "batch-flush", self.config.batch_timeout_us, self._batch_flush_tick
-        )
-        self.timers.set("probe-refresh", PROBE_REFRESH_US, self._probe_refresh)
+        self._arm_periodic_timers()
         # Distance estimates are stale: re-probe once.
         self._send_probe()
         # State transfer: suspend the commit rule and pull the committed
@@ -926,8 +838,6 @@ __all__ = [
     "warmup_duration_us",
     "PROBE_KIND",
     "PROBE_ACK_KIND",
-    "CLIENT_TX_KIND",
-    "CLIENT_REPLY_KIND",
     "CATCHUP_REQ_KIND",
     "CATCHUP_RSP_KIND",
 ]

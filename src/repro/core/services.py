@@ -76,8 +76,8 @@ class ProtocolServices:
     #: decorates it.
     broadcast_fn: Optional[Callable[[Message], None]] = None
     #: Called once for each message a protocol instance drops for its
-    #: shape (junk from a Byzantine peer).  The host node counts these in
-    #: ``NodeStats.malformed_messages``.
+    #: shape (junk from a Byzantine peer).  The host replica counts these
+    #: in its ``stats.malformed_messages``.
     on_malformed: Callable[[], None] = lambda: None
     timers: Optional[TimerWheel] = None
     threshold_signer: Optional[ThresholdSigner] = None

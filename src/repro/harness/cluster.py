@@ -7,10 +7,11 @@ invariant watchdog, metrics registry — from an
 the configured virtual duration and returns consolidated measurements plus
 safety-check results.  Everything that differs between protocols sits in a
 small adapter, one per protocol (:data:`PROTOCOLS`: Lyra, Pompē, Fino): it
-builds the replicas, maps their execution callback onto the cluster's
-execution tap, installs the MEV ordering-phase tap, and names the config
-features the protocol cannot honour.  Attack replicas come from the config
-alone (``attack_nodes``, resolved through
+builds the replicas and names the config features the protocol cannot
+honour.  Every replica runs in the one shell
+(:class:`~repro.core.replica.Replica`), so the cluster sets each one's
+``on_executed`` and ``on_readable`` hooks itself.  Attack replicas come
+from the config alone (``attack_nodes``, resolved through
 :mod:`repro.attacks.registry`), so the cluster knows which replicas are
 correct, and its oracles cover those.  Construct a cluster through
 :func:`repro.harness.factory.build_cluster`; it is the only way a
@@ -220,21 +221,6 @@ class LyraAdapter:
             nodes.append(cluster.replica(cls, pid, node_cfg, **extra))
         return nodes
 
-    def tap_execution(self, cluster: "Cluster", node: LyraNode, tap) -> None:
-        node.on_executed = lambda entry, batch: tap(batch)
-
-    def tap_ordering(self, node: LyraNode, bots: Tuple) -> None:
-        # Bodies are VSS-encrypted until commit, so a bot's first look is
-        # its home replica's execution — why sandwiches structurally fail.
-        prev = node.on_executed
-
-        def hook(entry, batch):
-            prev(entry, batch)
-            for bot in bots:
-                bot.on_observed_batch(batch)
-
-        node.on_executed = hook
-
     def instrument(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
         for node in cluster.nodes:
             node.enable_metrics(registry)
@@ -298,19 +284,6 @@ class PompeAdapter:
             for pid, skew_us in enumerate(cluster.clock_skews())
         ]
 
-    def tap_execution(self, cluster: "Cluster", node: PompeNode, tap) -> None:
-        node.on_executed = lambda cert: tap(cert.batch)
-
-    def tap_ordering(self, node: PompeNode, bots: Tuple) -> None:
-        # Batches travel in clear text during the ordering phase, so the bot
-        # sees every victim payload before a timestamp is assigned — the
-        # attack surface Lyra closes.
-        def tap(batch, sender):
-            for bot in bots:
-                bot.on_observed_batch(batch)
-
-        node.observe_batch = tap
-
     def instrument(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
         pass
 
@@ -344,21 +317,6 @@ class FinoAdapter(PompeAdapter):
             )
             for pid in range(cluster.n)
         ]
-
-    def tap_execution(self, cluster: "Cluster", node: FinoNode, tap) -> None:
-        node.on_executed = tap
-
-    def tap_ordering(self, node: FinoNode, bots: Tuple) -> None:
-        # The leader sequences ciphers, so a bot's first look at a payload
-        # is its home replica's execution, as under Lyra.
-        prev = node.on_executed
-
-        def hook(batch):
-            prev(batch)
-            for bot in bots:
-                bot.on_observed_batch(batch)
-
-        node.on_executed = hook
 
 
 #: Protocol name -> adapter; ``build_cluster`` and the CLI read this table.
@@ -531,18 +489,19 @@ class Cluster:
             gst_us=liveness_from,
         )
 
-        # Execution taps: a per-replica execution event log (time, tx
+        # Replica hooks: a per-replica execution event log (time, tx
         # count) for throughput, replica 0's execution order for the
         # fairness layer (all correct replicas execute the same log), and
-        # the MEV bots' view of payloads at their home replica.
+        # the MEV bots' view of payloads where their home replica can
+        # first read them.
         self.committed_order: List[TxKey] = []
         self.exec_events: Dict[int, List[Tuple[int, int]]] = {}
         mev_by_home = self.workload.mev_bots_by_home()
         for node in self.nodes:
-            adapter.tap_execution(self, node, self._execution_tap(node.pid))
+            node.on_executed = self._execution_tap(node.pid)
             bots = mev_by_home.get(node.pid)
             if bots:
-                adapter.tap_ordering(node, tuple(bots))
+                node.on_readable = self._readable_tap(tuple(bots))
 
     # ------------------------------------------------------------------
     # Construction helpers for the adapters
@@ -581,6 +540,14 @@ class Cluster:
             events.append((sim.now, len(batch)))
             if fair:
                 order.extend(tx.key() for tx in batch.txs)
+
+        return tap
+
+    @staticmethod
+    def _readable_tap(bots: Tuple) -> Callable:
+        def tap(batch):
+            for bot in bots:
+                bot.on_observed_batch(batch)
 
         return tap
 

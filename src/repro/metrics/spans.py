@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.stats import LatencySummary, summarize_latencies
-from repro.metrics.tracelog import PHASES, TraceLog
+from repro.metrics.tracelog import PHASES, TraceLog, phase_durations
 
 #: Adjacent phase pairs, in pipeline order, plus the end-to-end span.
 PHASE_PAIRS = tuple(
@@ -47,15 +47,11 @@ def build_spans(log: TraceLog, node: Optional[int] = None) -> List[Span]:
     Instances missing a phase boundary simply contribute no span for
     that pair.
     """
-    nodes_of: Dict[Tuple[int, int], set] = {}
-    for e in log.events:
-        if e.instance is not None:
-            nodes_of.setdefault(e.instance, set()).add(e.node)
     spans: List[Span] = []
-    for iid, observers in nodes_of.items():
-        pids = [node] if node is not None else sorted(observers)
+    for iid, by_node in log.grouped_first_times().items():
+        pids = [node] if node is not None else sorted(by_node)
         for pid in pids:
-            times = log.first_times(iid, pid)
+            times = by_node.get(pid, {})
             for earlier, later in zip(PHASES, PHASES[1:]):
                 if earlier in times and later in times:
                     spans.append(
@@ -81,14 +77,10 @@ def decompose_phases(
     otherwise every observing node contributes a sample per phase.
     """
     samples: Dict[str, List[float]] = {p: [] for p in PHASE_PAIRS}
-    for iid in log.instances():
-        pids = (
-            [iid[0]]
-            if proposer_only
-            else sorted({e.node for e in log.for_instance(iid)})
-        )
+    for iid, by_node in log.grouped_first_times().items():
+        pids = [iid[0]] if proposer_only else sorted(by_node)
         for pid in pids:
-            for phase, dur in log.phase_durations_us(iid, pid).items():
+            for phase, dur in phase_durations(by_node.get(pid, {})).items():
                 samples[phase].append(float(dur))
     return {p: summarize_latencies(vals) for p, vals in samples.items() if vals}
 

@@ -23,7 +23,7 @@ become tuples, bytes become hex strings) both at record time and on
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.types import InstanceId
 
@@ -62,6 +62,18 @@ def _instance_key(instance: Optional[InstanceKey]) -> Optional[Tuple[int, int]]:
     return (instance[0], instance[1])
 
 
+def phase_durations(times: Dict[str, int]) -> Dict[str, int]:
+    """Adjacent-phase durations (and ``total``) from one instance's
+    first-seen times at one node, for the pairs that both occurred."""
+    out: Dict[str, int] = {}
+    for earlier, later in zip(PHASES, PHASES[1:]):
+        if earlier in times and later in times:
+            out[f"{earlier}->{later}"] = times[later] - times[earlier]
+    if PHASES[0] in times and PHASES[-1] in times:
+        out["total"] = times[PHASES[-1]] - times[PHASES[0]]
+    return out
+
+
 class TraceEvent(NamedTuple):
     # A NamedTuple rather than a frozen dataclass: construction happens
     # once per protocol phase per node on the traced hot path, and tuple
@@ -85,11 +97,19 @@ class TraceEvent(NamedTuple):
         )
 
 
+#: ``{instance: {node: {kind: first time}}}``, instances and nodes in
+#: first-appearance order.
+FirstTimes = Dict[Tuple[int, int], Dict[int, Dict[str, int]]]
+
+
 class TraceLog:
     """An append-only protocol event log with simple query helpers."""
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
+        # The grouping below and the event count it covers.
+        self._first_times: FirstTimes = {}
+        self._grouped = 0
 
     def record(
         self,
@@ -116,16 +136,26 @@ class TraceLog:
         key = _instance_key(instance)
         return [e for e in self.events if e.instance == key]
 
+    def grouped_first_times(self) -> FirstTimes:
+        """First occurrence time of each event kind, by instance and node.
+
+        One pass over the events appended since the last call (the log
+        only grows), so every per-instance query below is a dict lookup.
+        """
+        events = self.events
+        groups = self._first_times
+        for e in events[self._grouped:]:
+            if e.instance is not None:
+                groups.setdefault(e.instance, {}).setdefault(e.node, {}).setdefault(
+                    e.kind, e.time_us
+                )
+        self._grouped = len(events)
+        return groups
+
     def instances(self) -> List[Tuple[int, int]]:
         """Every (proposer, batch_no) pair that appears in the log, in
         first-appearance order."""
-        seen: Set[Tuple[int, int]] = set()
-        out: List[Tuple[int, int]] = []
-        for e in self.events:
-            if e.instance is not None and e.instance not in seen:
-                seen.add(e.instance)
-                out.append(e.instance)
-        return out
+        return list(self.grouped_first_times())
 
     def kinds(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -133,19 +163,12 @@ class TraceLog:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
 
-    def first_times(
-        self, instance: InstanceKey, node: Optional[int] = None
-    ) -> Dict[str, int]:
-        """First occurrence time of each event kind for one instance
-        (optionally restricted to one node).  Phases an instance never
-        reached at that node (e.g. on a crash-recovered replica) are
-        simply absent from the result."""
-        out: Dict[str, int] = {}
-        for e in self.for_instance(instance):
-            if node is not None and e.node != node:
-                continue
-            out.setdefault(e.kind, e.time_us)
-        return out
+    def first_times(self, instance: InstanceKey, node: int) -> Dict[str, int]:
+        """First occurrence time of each event kind for one instance at
+        one node.  Phases an instance never reached at that node (e.g. on
+        a crash-recovered replica) are simply absent from the result."""
+        by_node = self.grouped_first_times().get(_instance_key(instance), {})
+        return dict(by_node.get(node, {}))
 
     def phase_durations_us(self, instance: InstanceKey, node: int) -> Dict[str, int]:
         """Per-phase durations at ``node`` following :data:`PHASES` order.
@@ -153,14 +176,7 @@ class TraceLog:
         Only adjacent phase pairs that both occurred are reported, so an
         instance that skipped phases (crash, catch-up adoption, rejection)
         yields a partial — never erroneous — decomposition."""
-        times = self.first_times(instance, node)
-        out: Dict[str, int] = {}
-        for earlier, later in zip(PHASES, PHASES[1:]):
-            if earlier in times and later in times:
-                out[f"{earlier}->{later}"] = times[later] - times[earlier]
-        if PHASES[0] in times and PHASES[-1] in times:
-            out["total"] = times[PHASES[-1]] - times[PHASES[0]]
-        return out
+        return phase_durations(self.first_times(instance, node))
 
     # ------------------------------------------------------------------
     def dump_jsonl(self, path: str) -> int:
@@ -226,4 +242,11 @@ def install_lyra_tracing(cluster, log: Optional[TraceLog] = None) -> TraceLog:
     return log
 
 
-__all__ = ["TraceLog", "TraceEvent", "install_lyra_tracing", "PHASES", "InstanceKey"]
+__all__ = [
+    "TraceLog",
+    "TraceEvent",
+    "install_lyra_tracing",
+    "phase_durations",
+    "PHASES",
+    "InstanceKey",
+]

@@ -52,11 +52,8 @@ class CpuModel:
     runs for ``cost``.  With ``cost == 0`` the model is pass-through.
     """
 
-    def __init__(self, sim: Simulator, *, speed: float = 1.0) -> None:
-        if speed <= 0:
-            raise ValueError("CPU speed must be positive")
+    def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self._speed = speed
         self._free_at: int = 0
         self.busy_time: int = 0
         self._window_mark_us: int = 0
@@ -70,13 +67,9 @@ class CpuModel:
         """Reserve the core for ``cost_us`` of work; return completion time."""
         if cost_us < 0:
             raise ValueError("CPU cost must be non-negative")
-        if self._speed == 1.0:
-            scaled = cost_us  # overwhelmingly common; skip the float round
-        else:
-            scaled = int(round(cost_us / self._speed))
         start = max(self._sim.now, self._free_at)
-        self._free_at = start + scaled
-        self.busy_time += scaled
+        self._free_at = start + cost_us
+        self.busy_time += cost_us
         return self._free_at
 
     def mark_window(self) -> None:
@@ -108,10 +101,10 @@ class CpuModel:
 class SimProcess:
     """Base class for all simulated nodes (replicas, clients, attackers)."""
 
-    def __init__(self, pid: int, sim: Simulator, *, cpu_speed: float = 1.0) -> None:
+    def __init__(self, pid: int, sim: Simulator) -> None:
         self.pid = pid
         self.sim = sim
-        self.cpu = CpuModel(sim, speed=cpu_speed)
+        self.cpu = CpuModel(sim)
         self.timers = TimerWheel(sim)
         self.network: Optional["Network"] = None
         self.crashed = False
@@ -181,17 +174,13 @@ class SimProcess:
         if cost is None:
             cost = self._receive_cost(message)
         now = self.sim._now
+        # ``CpuModel.acquire`` unrolled: this runs once per delivered
+        # message.
         cpu = self.cpu
-        if cpu._speed == 1.0:
-            # ``CpuModel.acquire`` unrolled for the unit-speed common case
-            # — this runs once per delivered message.
-            free = cpu._free_at
-            start = now if now > free else free
-            done_at = start + cost
-            cpu._free_at = done_at
-            cpu.busy_time += cost
-        else:
-            done_at = cpu.acquire(cost)
+        free = cpu._free_at
+        done_at = (now if now > free else free) + cost
+        cpu._free_at = done_at
+        cpu.busy_time += cost
         if done_at <= now:
             self._process(message, sender)
         else:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
-from repro.core.node import CLIENT_REPLY_KIND, CLIENT_TX_KIND
+from repro.core.replica import CLIENT_REPLY_KIND, CLIENT_TX_KIND
 from repro.core.types import Transaction
 from repro.net.message import Message
 from repro.sim.engine import Simulator

@@ -5,13 +5,14 @@ next to ("colocated with") a replica and is *notified* whenever that
 replica can read a transaction's content:
 
 - Under **Pompē**, batches travel in clear text during the ordering phase
-  (``PompeNode.observe_batch``), so the bot sees every victim swap while
+  (the replica's ``on_readable`` hook fires on the ordering request), so
+  the bot sees every victim swap while
   its timestamp is still being negotiated — in time to submit a
   front-running swap and a closing back-run.
 - Under **Lyra**, payloads are VSS-encrypted until after commit; the
   first moment any replica can read a swap is at execution, when its
-  position is already locked.  The bot still reacts (the cluster taps the
-  execution hook), but the front transaction can only land *after* the
+  position is already locked.  The bot still reacts (``on_readable``
+  fires at execution), but the front transaction can only land *after* the
   victim — the sandwich structurally fails.
 
 Whether an attempt *succeeded* is judged post-hoc from the committed

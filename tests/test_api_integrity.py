@@ -46,6 +46,7 @@ MODULES = [
     "repro.core.distance",
     "repro.core.node",
     "repro.core.obfuscation",
+    "repro.core.replica",
     "repro.core.services",
     "repro.core.smr",
     "repro.core.types",
@@ -150,3 +151,28 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used
         ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_baseline_or_workload_module_imports_the_lyra_replica():
+    """Pompē, Fino and the clients share the replica shell
+    (``repro.core.replica``), not Lyra's node module."""
+    offenders = []
+    for package in ("baselines", "workload"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    # ``from repro.core import node`` counts too.
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(SRC.parents[1])}:{node.lineno}: {name}"
+                    for name in names
+                    if name == "repro.core.node"
+                ]
+    assert not offenders, "imports of repro.core.node:\n" + "\n".join(offenders)

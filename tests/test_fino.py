@@ -5,7 +5,8 @@ cluster gives it (watchdog, MEV tap) or refuses."""
 
 import pytest
 
-from repro.baselines.fino import BlindCensoringLeaderFino, FinoConfig, FinoNode
+from repro.attacks.pompe_attacks import BlindCensoringLeaderFino
+from repro.baselines.fino import FinoConfig, FinoNode
 from repro.core.obfuscation import HashCommitObfuscation
 from repro.core.types import Transaction
 from repro.crypto.signatures import KeyRegistry

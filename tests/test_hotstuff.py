@@ -15,7 +15,7 @@ from repro.baselines.hotstuff import (
     _vote_digest,
 )
 from repro.baselines.fino import REVEAL_KIND
-from repro.core.node import CLIENT_TX_KIND
+from repro.core.replica import CLIENT_TX_KIND
 from repro.core.services import ProtocolServices
 from repro.crypto.cost import FREE_COSTS
 from repro.crypto.hashing import digest_of
@@ -508,16 +508,26 @@ class TestJunkFields:
         assert leader.stats.malformed_messages == 3
 
     def test_a_fino_replica_counts_what_it_drops_itself(self):
-        """Fino's own kinds: a client transaction that is not one, and a
-        reveal without a cipher id or a share."""
+        """Fino's own kind: a reveal without a cipher id or a share."""
         cluster = build_cluster(quick_lyra_config(), protocol="fino")
         node = cluster.nodes[1]
-        for kind, payload in (
-            (CLIENT_TX_KIND, {"tx": 5}),
-            (REVEAL_KIND, {"cid": 5, "share": b"s"}),
-            (REVEAL_KIND, {"cid": b"c" * 32, "share": None}),
+        for payload in (
+            {"cid": 5, "share": b"s"},
+            {"cid": b"c" * 32, "share": None},
         ):
-            node.deliver(Message(kind, payload, 64), 2)
+            node.deliver(Message(REVEAL_KIND, payload, 64), 2)
+        cluster.sim.run(until=1_000)
+        assert node.stats.malformed_messages == 2
+        assert node._revealed == {}
+
+    @pytest.mark.parametrize("protocol", ["lyra", "pompe", "fino"])
+    def test_every_replica_counts_a_junk_client_tx(self, protocol):
+        """The one client door: a ``client.tx`` whose ``tx`` is not a
+        transaction is counted, never queued, on every protocol."""
+        cluster = build_cluster(quick_lyra_config(), protocol=protocol)
+        node = cluster.nodes[1]
+        for junk in (5, None, b"tx"):
+            node.deliver(Message(CLIENT_TX_KIND, {"tx": junk}, 64), 2)
         cluster.sim.run(until=1_000)
         assert node.stats.malformed_messages == 3
-        assert len(node.mempool) == 0 and node._revealed == {}
+        assert len(node.mempool) == 0 and node._tx_origin == {}

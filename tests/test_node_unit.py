@@ -5,7 +5,6 @@ warm-up defaults shared with the harness, and the services wiring."""
 import pytest
 
 from repro.core.node import (
-    CLIENT_TX_KIND,
     DEFAULT_WARMUP_ROUNDS,
     DEFAULT_WARMUP_SPACING_US,
     LyraConfig,
@@ -16,6 +15,7 @@ from repro.core.node import (
 )
 from repro.core.commit import DSHARE_KIND, STATUS_KIND, StatusReport
 from repro.core.distance import DistanceEstimator
+from repro.core.replica import CLIENT_TX_KIND
 from repro.core.services import ProtocolServices
 from repro.core.types import Transaction
 from repro.core.vvb import DELIVER_KIND, INIT_KIND, VOTE1_KIND

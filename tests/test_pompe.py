@@ -60,6 +60,20 @@ class TestEndToEnd:
         assert r1.events_processed == r2.events_processed
 
 
+def decided_certs(node):
+    """The ordering certificates HotStuff hands ``node``, in decide order
+    (``on_executed`` sees only the batch)."""
+    certs = []
+    decide = node.hotstuff.on_decide
+
+    def spy(block):
+        certs.extend(block.payloads)
+        decide(block)
+
+    node.hotstuff.on_decide = spy
+    return certs
+
+
 class TestOrderingPhase:
     def _cluster(self):
         cfg = quick_lyra_config(clients_per_node=0, duration_us=3 * SECONDS)
@@ -69,10 +83,7 @@ class TestOrderingPhase:
         """Ordering linearizability: the assigned median of 2f+1 signed
         timestamps lies within the range of the signers' clocks."""
         cluster = self._cluster()
-        certs = []
-        for node in cluster.nodes:
-            node.on_executed = lambda cert, certs=certs: certs.append(cert)
-        from repro.core.types import Transaction
+        certs = decided_certs(cluster.nodes[0])
 
         cluster.sim.schedule(
             500 * MILLISECONDS,
@@ -83,15 +94,14 @@ class TestOrderingPhase:
         cluster.sim.run(until=4 * SECONDS)
         assert certs
         cert = certs[0]
+        assert (cert.assigned_ts, cert.batch_digest) in cluster.nodes[0].executed_log
         times = [t for _, t, _ in cert.endorsements]
         assert min(times) <= cert.assigned_ts <= max(times)
         assert cert.assigned_ts == sorted(times)[len(times) // 2]
 
     def test_cert_carries_quorum_of_valid_signatures(self):
         cluster = self._cluster()
-        got = []
-        cluster.nodes[0].on_executed = got.append
-        from repro.core.types import Transaction
+        got = decided_certs(cluster.nodes[0])
 
         cluster.sim.schedule(
             500 * MILLISECONDS,
@@ -102,6 +112,7 @@ class TestOrderingPhase:
         cluster.sim.run(until=4 * SECONDS)
         assert got
         cert = got[0]
+        assert (cert.assigned_ts, cert.batch_digest) in cluster.nodes[0].executed_log
         f = (len(cluster.nodes) - 1) // 3
         assert len(cert.endorsements) == 2 * f + 1
         for pid, ts, sig in cert.endorsements:
@@ -111,10 +122,7 @@ class TestOrderingPhase:
         """The attack surface: batches are readable during ordering."""
         cluster = self._cluster()
         observed = []
-        cluster.nodes[2].observe_batch = lambda batch, sender: observed.append(
-            (batch, sender)
-        )
-        from repro.core.types import Transaction
+        cluster.nodes[2].on_readable = observed.append
 
         tx = Transaction(99, 0, b"SECRET-INTENT")
         cluster.sim.schedule(
@@ -124,8 +132,8 @@ class TestOrderingPhase:
             node.start()
         cluster.sim.run(until=2 * SECONDS)
         assert observed
-        batch, sender = observed[0]
-        assert sender == 0
+        batch = observed[0]
+        assert batch.proposer == 0
         assert any(t.body.startswith(b"SECRET-INTENT") for t in batch.txs)
 
 
@@ -144,7 +152,7 @@ class ReverseDrainNode(PompeNode):
         )
         for cert in ready:
             del self._decided[cert.batch_digest]
-            self._executed.add(cert.batch_digest)
+            self._executed_ids.add(cert.batch_digest)
             self.executed_log.append((cert.assigned_ts, cert.batch_digest))
             self._execute(cert)
 

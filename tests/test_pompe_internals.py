@@ -16,7 +16,7 @@ from repro.baselines.pompe import (
     PompeConfig,
     PompeNode,
 )
-from repro.core.node import CLIENT_TX_KIND
+from repro.core.replica import CLIENT_TX_KIND
 from repro.core.types import Batch, Transaction
 from repro.crypto.cost import FREE_COSTS
 from repro.crypto.hashing import digest_of

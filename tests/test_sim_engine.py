@@ -150,34 +150,6 @@ class TestIntegerTime:
             Sloppy(0, sim).deliver(M(), 1)
         assert sim.pending == 0
 
-    @pytest.mark.parametrize("speed", [0.3, 1.0, 3.0])
-    def test_scaled_cpu_keeps_the_receive_path_on_integer_time(self, speed):
-        class Costly(SimProcess):
-            _RECEIVE_COSTS = {"m": 7}
-
-            def __init__(self, sim):
-                super().__init__(0, sim, cpu_speed=speed)
-                self.at = []
-
-            def on_message(self, message, sender):
-                self.at.append(self.sim.now)
-
-        class M:
-            kind = "m"
-
-        sim = Simulator()
-        proc = Costly(sim)
-        sim.schedule(SLOT - 3, proc.deliver, (M(), 1))
-        sim.schedule(SLOT - 3, proc.deliver, (M(), 1))
-        done = []
-        sim.schedule(SLOT - 3, proc.charge, (5, lambda: done.append(sim.now)))
-        sim.run()
-        scaled = [int(round(c / speed)) for c in (7, 7, 5)]
-        start = SLOT - 3
-        assert proc.at == [start + scaled[0], start + scaled[0] + scaled[1]]
-        assert done == [start + sum(scaled)]
-        assert all(type(t) is int for t in proc.at + done + [sim.now])
-
 
 class TestCancellation:
     def test_cancelled_event_does_not_run(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.attacks.pompe_attacks import BlindCensoringLeaderFino
 from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.process import CpuModel, SimProcess
@@ -189,11 +190,6 @@ class TestCpuModel:
         sim.run()
         assert cpu.acquire(10) == 110
 
-    def test_speed_scales_cost(self):
-        sim = Simulator()
-        cpu = CpuModel(sim, speed=2.0)
-        assert cpu.acquire(100) == 50
-
     def test_zero_cost_passthrough(self):
         sim = Simulator()
         cpu = CpuModel(sim)
@@ -204,10 +200,6 @@ class TestCpuModel:
         cpu = CpuModel(sim)
         with pytest.raises(ValueError):
             cpu.acquire(-1)
-
-    def test_invalid_speed(self):
-        with pytest.raises(ValueError):
-            CpuModel(Simulator(), speed=0)
 
     def test_busy_time_accumulates(self):
         sim = Simulator()
@@ -249,7 +241,7 @@ class TestCpuUtilisationWindow:
 
     def test_utilisation_clamped_to_one(self):
         sim = Simulator()
-        cpu = CpuModel(sim, speed=1.0)
+        cpu = CpuModel(sim)
         cpu.acquire(50)
         sim.schedule(50, lambda: None)
         sim.run()
@@ -413,13 +405,6 @@ class TestReceivePath:
         sim.run()
         assert p.handled == [(30, "free", 1)]
 
-    def test_scaled_core_goes_through_cpu_model(self):
-        sim = Simulator()
-        p = _Costed(0, sim, cpu_speed=2.0)
-        p.deliver(Message("table"), 1)
-        sim.run()
-        assert p.handled == [(25, "table", 1)]
-
     def test_crashed_process_drops_and_does_not_count(self):
         sim = Simulator()
         p = _Costed(0, sim)
@@ -463,13 +448,13 @@ def _pompe_node():
     )
 
 
-def _fino_node(cls_name="FinoNode"):
-    from repro.baselines import fino
+def _fino_node(cls=None):
+    from repro.baselines.fino import FinoNode
     from repro.core.obfuscation import HashCommitObfuscation
     from repro.crypto.signatures import KeyRegistry
     from repro.crypto.threshold import ThresholdScheme
 
-    return getattr(fino, cls_name)(
+    return (cls or FinoNode)(
         0,
         Simulator(),
         n=4,
@@ -489,7 +474,7 @@ class TestEveryNodeTypeSharesTheReceivePath:
         "lyra": _lyra_node,
         "pompe": _pompe_node,
         "fino": _fino_node,
-        "fino-censoring-leader": lambda: _fino_node("BlindCensoringLeaderFino"),
+        "fino-censoring-leader": lambda: _fino_node(BlindCensoringLeaderFino),
     }
 
     @pytest.mark.parametrize("name", sorted(NODES))

@@ -302,14 +302,14 @@ class TestMalformedShares:
         traffic = honest + rnd.sample(junk, k=len(junk))
         rnd.shuffle(traffic)
         executed = []
-        node.on_executed = lambda entry, batch: executed.append((entry, batch))
+        node.on_executed = executed.append
         for sender, payload in traffic:
             node.deliver(wire(DSHARE_KIND, payload), sender)
             sim.run(until=sim.now + 1_000)
         assert node.stats.malformed_dshares == len(shares)
         assert node.stats.malformed_messages == len(misshapen) + len(JUNK_DSHARES)
-        assert [entry.instance for entry, _ in executed] == [iid]
-        assert [tx.key() for tx in executed[0][1].txs] == [(9, 0), (9, 1)]
+        assert [(b.proposer, b.batch_no) for b in executed] == [iid]
+        assert [tx.key() for tx in executed[0].txs] == [(9, 0), (9, 1)]
         # Only honest shares were ever filed.
         assert set(node.commit._dshares[cipher.cipher_id]) == {0, 1, 2}
 

@@ -1,6 +1,6 @@
 """Tests for workload components: generators and clients."""
 
-from repro.core.node import CLIENT_REPLY_KIND, CLIENT_TX_KIND
+from repro.core.replica import CLIENT_REPLY_KIND, CLIENT_TX_KIND
 from repro.core.types import Transaction
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
