@@ -198,7 +198,7 @@ class FinoNode(Replica):
                 batch = Batch.deserialize(ref.proposer, ref.batch_no, plaintext)
             except ValueError:
                 continue
-            self._executed(batch, 0)
+            self._executed(batch)
             # The leader sequenced ciphers: execution is the first look.
             self._readable(batch)
 

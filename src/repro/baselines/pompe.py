@@ -331,7 +331,7 @@ class PompeNode(Replica):
             proposed = self._proposed_at.pop(cert.batch_digest, None)
             if proposed is not None:
                 self.stats.own_batch_latencies_us.append(self.sim.now - proposed)
-        self._executed(cert.batch, cert.assigned_ts)
+        self._executed(cert.batch)
 
     # ------------------------------------------------------------------
     def output_sequence(self) -> List[Tuple[int, bytes]]:

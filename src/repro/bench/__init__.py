@@ -1,10 +1,11 @@
 """Bit-determinism oracles: ``python -m repro bench``.
 
-A fixed table of cluster runs (``CELLS``) each records a sha256 digest
-of every node's decided prefix, its event count and its commit count;
-``check_against_baseline`` compares them with the pins in
-``benchmarks/bench_baseline.json`` and each twin with its base row.  Nothing here is timed — wall-clock performance is
-measured by the ledger (``benchmarks/ledger``).
+One table of every pinned cluster run (``CELLS``): each row records a
+sha256 digest of every node's decided prefix and the counts in
+``PINNED_FIELDS``; ``check_against_baseline`` compares them with the pins
+in ``benchmarks/bench_baseline.json`` and each twin with its base row.
+Nothing here is timed — wall-clock performance is measured by the ledger
+(``benchmarks/ledger``).
 """
 
 from repro.bench.suite import (

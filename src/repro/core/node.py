@@ -640,7 +640,7 @@ class LyraNode(Replica):
         batch = Batch(batch.proposer, batch.batch_no, fresh)
         self._trace("executed", entry.instance, txs=len(batch), seq=entry.seq)
         self._schedule_gc(entry.instance)
-        self._executed(batch, entry.seq)
+        self._executed(batch)
         # Bodies are VSS-encrypted until commit: execution is the first
         # look any replica gets (why sandwiches structurally fail).
         self._readable(batch)

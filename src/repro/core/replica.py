@@ -166,17 +166,14 @@ class Replica(SimProcess):
     # ------------------------------------------------------------------
     # Execution and observation
     # ------------------------------------------------------------------
-    def _executed(self, batch: Batch, seq: int) -> None:
-        """``batch`` executed at sequence number ``seq``: reply to its
-        clients, release its mempool keys, fire ``on_executed``."""
+    def _executed(self, batch: Batch) -> None:
+        """``batch`` executed here: reply to its clients, release its
+        mempool keys, fire ``on_executed``."""
         self.stats.txs_executed += len(batch)
         for tx in batch.txs:
             client = self._tx_origin.pop(tx.key(), None)
             if client is not None:
-                self.send(
-                    client,
-                    Message(CLIENT_REPLY_KIND, {"key": tx.key(), "seq": seq}, 24),
-                )
+                self.send(client, Message(CLIENT_REPLY_KIND, {"key": tx.key()}, 24))
         self.mempool.drop_committed(batch.txs)
         if self.on_executed is not None:
             self.on_executed(batch)

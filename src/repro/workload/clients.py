@@ -72,6 +72,9 @@ class ClientStats:
     submitted: int = 0
     completed: int = 0
     incomplete: int = 0
+    #: ``client.reply`` messages dropped for their shape (not a dict, or
+    #: no hashable ``key``).
+    malformed_replies: int = 0
     latencies_us: List[int] = field(default_factory=list)
     first_submit_us: Optional[int] = None
     last_complete_us: Optional[int] = None
@@ -111,7 +114,15 @@ class _BaseClient(SimProcess):
     def on_message(self, message: Message, sender: int) -> None:
         if message.kind != CLIENT_REPLY_KIND:
             return
-        key = message.payload.get("key")
+        payload = message.payload
+        key = payload.get("key") if type(payload) is dict else None
+        try:
+            hash(key)
+        except TypeError:
+            key = None
+        if key is None:  # not a dict, or no hashable ``key``: junk
+            self.stats.malformed_replies += 1
+            return
         submit_time = self._inflight.pop(key, None)
         if submit_time is None:
             return  # duplicate reply

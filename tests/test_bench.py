@@ -1,8 +1,11 @@
 """Tests for the repro.bench table: row schema, the determinism oracle,
-the one baseline check, and the table's own invariants."""
+the one baseline check, the table's own invariants, and every quick row
+against its pin."""
 
 import dataclasses
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from repro.bench.suite import (
     BENCH_SCHEMA_VERSION,
     CELLS,
     PINNED_FIELDS,
+    Row,
     _run_row,
     check_against_baseline,
     default_output_path,
@@ -22,9 +26,8 @@ from repro.bench.suite import (
 from repro.harness.config import ExperimentConfig
 from repro.sim.engine import MILLISECONDS
 
-BASELINE = (
-    Path(__file__).resolve().parents[1] / "benchmarks" / "bench_baseline.json"
-)
+REPO = Path(__file__).resolve().parents[1]
+BASELINE = REPO / "benchmarks" / "bench_baseline.json"
 
 
 def _small_config(**overrides):
@@ -134,7 +137,7 @@ class TestCheckAgainstBaseline:
         # Both rows equal their pins, but the twin no longer reproduces
         # its base row: the table's claim is what fails.
         base, twin = "goodcase_n4", "goodcase_n4_observed"
-        assert CELLS[twin][2] == base
+        assert CELLS[twin].base == base
         report = _report(name=base)
         report["macro"][twin] = dict(
             report["macro"][base], prefix_sha256="cd" * 32
@@ -193,12 +196,14 @@ class TestCellsTable:
         # A twin may only be declared on a change that must not move the
         # digest: observability on.
         twins = 0
-        for name, (build, _full_only, base) in CELLS.items():
+        for name, row in CELLS.items():
+            base = row.base
             if base is None:
                 continue
             twins += 1
-            assert CELLS[base][2] is None, f"{name}: base {base} is a twin"
-            twin_cfg, base_cfg = build(), CELLS[base][0]()
+            assert CELLS[base].base is None, f"{name}: base {base} is a twin"
+            assert row.protocol == CELLS[base].protocol, name
+            twin_cfg, base_cfg = row.build(), CELLS[base].build()
             changed = {
                 f.name
                 for f in dataclasses.fields(ExperimentConfig)
@@ -212,21 +217,51 @@ class TestCellsTable:
 
     def test_every_row_pinned_in_checked_in_baseline(self):
         pins = json.loads(BASELINE.read_text())["macro"]
-        for name, (build, _full_only, base) in CELLS.items():
-            assert name in pins, f"{name} has no pin"
+        assert set(pins) == set(CELLS)
+        for name, row in CELLS.items():
             pin = pins[name]
             assert len(pin["prefix_sha256"]) == 64
-            cfg = build()
-            assert (pin["n"], pin["seed"], pin["duration_ms"]) == (
+            cfg = row.build()
+            assert (pin["protocol"], pin["n"], pin["seed"], pin["duration_ms"]) == (
+                row.protocol,
                 cfg.n_nodes,
                 cfg.seed,
                 cfg.duration_us // 1000,
             ), name
             assert isinstance(pin["events"], int) and pin["events"] > 0, name
             assert isinstance(pin["committed"], int), name
-            if base is not None:
+            assert set(PINNED_FIELDS) <= set(pin), name
+            if row.base is not None:
                 for key in PINNED_FIELDS:
-                    assert pin[key] == pins[base][key], (name, key)
+                    assert pin[key] == pins[row.base][key], (name, key)
+
+    def test_smoke_rows_are_the_ledger_smoke_shapes(self):
+        """Each ``<workload>_smoke`` row builds the ledger workload's smoke
+        config, so the pinned run cannot drift from the benchmark's.  Only
+        the configs are compared; nothing runs."""
+        path = REPO / "benchmarks" / "ledger" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_ledger_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look themselves up
+        spec.loader.exec_module(module)
+        for name, workload in module.WORKLOADS.items():
+            row = CELLS[f"{name}_smoke"]
+            assert row.protocol == workload.protocol, name
+            assert row.build() == workload.build(1, True), name
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, row in CELLS.items() if not row.full_only]
+)
+def test_quick_row_reproduces_its_pin(name):
+    """The tier-1 form of ``repro bench --quick --check-against``: the row
+    (and a twin's base row) through the one check, against the one pin
+    file.  A digest, count or fingerprint that moves fails here."""
+    base = CELLS[name].base
+    names = [base, name] if base else [name]
+    rows = {n: _run_row(CELLS[n].build(), CELLS[n].protocol) for n in names}
+    baseline = json.loads(BASELINE.read_text())
+    assert check_against_baseline({"macro": rows}, baseline) == []
 
 
 class TestBenchCommand:
@@ -234,13 +269,11 @@ class TestBenchCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         table = {
-            "small": (_small_config, False, None),
-            "small_observed": (
-                lambda: _small_config(tracing=True),
-                False,
-                "small",
+            "small": Row(_small_config),
+            "small_observed": Row(
+                lambda: _small_config(tracing=True), base="small"
             ),
-            "big": (lambda: _small_config(n_nodes=7), True, None),
+            "big": Row(lambda: _small_config(n_nodes=7), full_only=True),
         }
         monkeypatch.setattr(suite, "CELLS", table)
         out = tmp_path / "BENCH_quick.json"
@@ -272,7 +305,7 @@ class TestBenchCommand:
         def sized(ms):
             return lambda: _small_config(duration_us=ms * MILLISECONDS)
 
-        table = {"busy": (sized(1500), False, None), "idle": (sized(200), False, None)}
+        table = {"busy": Row(sized(1500)), "idle": Row(sized(200))}
         monkeypatch.setattr(suite, "CELLS", table)
         out = tmp_path / "BENCH_quick.json"
         assert main(["bench", "--quick", "--out", str(out)]) == 0

@@ -3,8 +3,9 @@
 The keyed-hash kernel (the comparison side's hot path): ``KeyedHash``
 against ``hmac.new``, every tag and verdict of the signature layers against
 an ``hmac.new`` reference, the flat-tuple ``digest_of`` fast path against a
-``_feed``-only reference, the memoised HotStuff vote digest, and two
-end-to-end shapes pinned to the commit before the kernel landed.
+``_feed``-only reference, the memoised HotStuff vote digest, and the
+hand-wired Fino run pinned to the commit before the kernel landed (the
+Pompē run built through ``Cluster`` is a ``repro.bench`` row).
 
 The exponentiation kernel (one BOC per transaction): ``FeldmanVSS.g_pow``
 against ``pow``, and every ``VssScheme`` operation against a reference that
@@ -13,7 +14,6 @@ keeps the pre-kernel ``pow`` / ``hmac.new`` lines verbatim."""
 import enum
 import hashlib
 import hmac
-import json
 
 import numpy as np
 import pytest
@@ -230,50 +230,10 @@ class TestVoteDigestMemo:
 # ----------------------------------------------------------------------
 # End to end: pinned to the parent commit (8e0ffe5)
 # ----------------------------------------------------------------------
-def latency_fingerprint(clients):
-    sample = sorted(lat for c in clients for lat in c.stats.latencies_us)
-    return len(sample), hashlib.sha256(json.dumps(sample).encode()).hexdigest()
-
-
 class TestPinnedToParent:
-    def test_pompe_n4_smoke_shape(self):
-        """The ledger's ``pompe_n100_closed --smoke`` shape."""
-        from repro.bench.suite import prefix_digest
-        from repro.harness.config import ExperimentConfig
-        from repro.harness.factory import build_cluster
-        from repro.sim.engine import MILLISECONDS
-
-        config = ExperimentConfig(
-            n_nodes=4,
-            seed=1,
-            batch_size=10,
-            clients_per_node=1,
-            client_window=5,
-            duration_us=2000 * MILLISECONDS,
-            warmup_rounds=2,
-            warmup_spacing_us=150 * MILLISECONDS,
-            jitter=0.0,
-        )
-        cluster = build_cluster(config, protocol="pompe")
-        result = cluster.run()
-        assert result.safety_violation is None
-        assert prefix_digest(cluster) == (
-            "7d9f4029ea216e420a733b55e3dd84745ccb65a04656f791372ec31d39bc4d4d"
-        )
-        # The protocol's 1102 events plus the invariant watchdog's 250 ms
-        # ticks, which read state and schedule nothing else.
-        assert cluster.watchdog.ticks == 8
-        assert result.events_processed == 1102 + cluster.watchdog.ticks
-        assert result.invariant_checks > 0 and not result.invariant_violations
-        assert (result.messages_delivered, result.bytes_delivered) == (468, 82896)
-        assert latency_fingerprint(cluster.clients) == (
-            30,
-            "401035e403abf59ece5e0e4ea3b62c1eeb0a8b11b958e8df92f58c0193698dda",
-        )
-
     def test_fino_shape(self):
+        from repro.bench.suite import digest_outputs, latency_fingerprint
         from repro.sim.engine import SECONDS
-        from repro.bench.suite import digest_outputs
         from tests.test_fino import attach_clients, build_fino
 
         sim, nodes, net = build_fino()

@@ -410,63 +410,6 @@ class TestFaultLanesMatchReference:
             assert used == fresh.bit_generator.state
 
 
-class TestChaosWithReorderDigest:
-    def test_mixed_lanes_reproduce_the_pre_lane_run(self):
-        # The ledger's chaos smoke shape plus a reorder rule on two
-        # senders, so scalar and block-buffered lanes run side by side.
-        # Digest and counters were pinned from the scalar-only injector
-        # (PR 15) before the lanes were written.
-        from repro.bench.suite import prefix_digest
-        from repro.harness.config import ExperimentConfig
-        from repro.harness.factory import build_cluster
-        from repro.sim.engine import MILLISECONDS
-        from repro.workload.spec import ClientGroup, WorkloadSpec
-
-        plan = FaultPlan(
-            links=(
-                LinkFault(drop_rate=0.15, duplicate_rate=0.05, corrupt_rate=0.02),
-                LinkFault(reorder_rate=0.03, src=(0, 1)),
-            ),
-            crashes=(
-                CrashEvent(
-                    pid=2,
-                    crash_at_us=800 * MILLISECONDS,
-                    recover_at_us=1200 * MILLISECONDS,
-                ),
-            ),
-        )
-        clients = WorkloadSpec(
-            groups=tuple(
-                ClientGroup(
-                    name=f"main{pid}", client="closed", count=1, home=pid, window=4
-                )
-                for pid in (0, 1, 3)
-            ),
-            fairness=False,
-        )
-        config = ExperimentConfig(
-            n_nodes=4,
-            seed=1,
-            batch_size=8,
-            duration_us=2000 * MILLISECONDS,
-            warmup_rounds=2,
-            warmup_spacing_us=150 * MILLISECONDS,
-            fault_plan=plan,
-            reliable_channels=True,
-            workload=clients,
-        )
-        cluster = build_cluster(config, protocol="lyra")
-        result = cluster.run()
-        assert prefix_digest(cluster) == (
-            "7dddd0a9255fcdc7ba59f2d17ecaa1c5962b485d2f44abaca407fe41733439fa"
-        )
-        assert result.events_processed == 14405
-        stats = result.fault_stats
-        assert (stats["dropped"], stats["reordered"]) == (1528, 143)
-        assert (stats["duplicate_wire_events"], stats["corrupt_wire_events"]) == (420, 177)
-        assert (stats["frames_sent"], stats["retransmits"]) == (5547, 2828)
-
-
 class TestChecksumIntegrity:
     """Frame checksum semantics the zero-copy broadcast path relies on."""
 

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.baselines.pompe import OrderingCert
+from repro.bench.suite import CELLS, Row
 from repro.core.dbft import BinaryConsensus
 from repro.harness import build_cluster
 from repro.harness.config import ExperimentConfig
@@ -107,14 +108,13 @@ def _mev_open_config():
     )
 
 
+#: The two closed-loop shapes are pinned bench rows; the chaos and
+#: open-loop ones differ from theirs in client rig and offered rate.
 SHAPES = {
-    "lyra_chaos": ("lyra", _chaos_config),
-    "lyra_closed": ("lyra", lambda: quick_lyra_config(seed=1, duration_us=2_000_000)),
-    "lyra_mev_open": ("lyra", _mev_open_config),
-    "pompe_closed": (
-        "pompe",
-        lambda: quick_lyra_config(seed=1, duration_us=2_000_000, jitter=0.0),
-    ),
+    "lyra_chaos": Row(_chaos_config),
+    "lyra_closed": CELLS["lyra_n32_closed_smoke"],
+    "lyra_mev_open": Row(_mev_open_config),
+    "pompe_closed": CELLS["pompe_n100_closed_smoke"],
 }
 
 
@@ -158,8 +158,7 @@ def _collector_off(body):
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_hot_path_is_cycle_free(shape):
-    protocol, make_config = SHAPES[shape]
-    cluster = build_cluster(make_config(), protocol=protocol)
+    cluster = build_cluster(SHAPES[shape].build(), protocol=SHAPES[shape].protocol)
     result, unreachable = _run_collector_off(cluster)
     assert result.committed_count > 0
     if shape == "lyra_chaos":

@@ -8,7 +8,6 @@ import pytest
 
 from repro.sim.engine import (
     _SLOT_SHIFT,
-    MILLISECONDS,
     SECONDS,
     Event,
     Simulator,
@@ -689,95 +688,3 @@ else:
     def test_hypothesis_scripts_match_the_naive_reference(ops, seed):
         _check_script(ops, seed)
 
-
-# ----------------------------------------------------------------------
-# End to end: pinned to the parent commit (9c37f01, the bucket queue)
-# ----------------------------------------------------------------------
-class TestPinnedToParent:
-    """Swapping the queue must move nothing a run can observe: the two
-    ledger smoke shapes that load the engine most differently — all-to-all
-    fan-out, and a cancel-heavy lossy wire — reproduce the digest, event
-    count, traffic counters and latency sample recorded before the swap."""
-
-    def _check(self, config, *, digest, events, delivered, latencies):
-        from repro.bench.suite import prefix_digest
-        from repro.harness.factory import build_cluster
-        from tests.test_crypto_kernel import latency_fingerprint
-
-        cluster = build_cluster(config, protocol="lyra")
-        result = cluster.run()
-        assert result.safety_violation is None
-        assert prefix_digest(cluster) == digest
-        assert result.events_processed == events
-        assert (result.messages_delivered, result.bytes_delivered) == delivered
-        assert latency_fingerprint(cluster.clients) == latencies
-        return cluster, result
-
-    def test_lyra_closed_and_chaos_smoke_shapes(self):
-        from repro.harness.config import ExperimentConfig
-        from repro.net.faults import CrashEvent, FaultPlan, LinkFault
-        from repro.workload.spec import ClientGroup, WorkloadSpec
-
-        rig = dict(
-            n_nodes=4,
-            seed=1,
-            duration_us=2000 * MILLISECONDS,
-            warmup_rounds=2,
-            warmup_spacing_us=150 * MILLISECONDS,
-        )
-        # ``lyra_n32_closed --smoke``
-        cluster, _ = self._check(
-            ExperimentConfig(batch_size=10, clients_per_node=1, client_window=5, **rig),
-            digest="8fa11bd25b0d3e11045e2c251bcdd0ec7180e0836bcf3aa869a319fe8285b08f",
-            events=5538,
-            delivered=(2468, 370528),
-            latencies=(
-                30,
-                "a92f61dc215047428f391153f75d42208d43dd0437b11e324254b152fd08957b",
-            ),
-        )
-        assert cluster.sim.pending == 151  # what the horizon left queued
-        # ``lyra_n7_chaos --smoke``
-        plan = FaultPlan(
-            links=(LinkFault(drop_rate=0.15, duplicate_rate=0.05, corrupt_rate=0.02),),
-            crashes=(
-                CrashEvent(
-                    pid=2,
-                    crash_at_us=800 * MILLISECONDS,
-                    recover_at_us=1200 * MILLISECONDS,
-                ),
-            ),
-        )
-        clients = WorkloadSpec(
-            groups=tuple(
-                ClientGroup(
-                    name=f"main{pid}", client="closed", count=1, home=pid, window=4
-                )
-                for pid in (0, 1, 3)
-            ),
-            fairness=False,
-        )
-        cluster, result = self._check(
-            ExperimentConfig(
-                batch_size=8,
-                fault_plan=plan,
-                reliable_channels=True,
-                workload=clients,
-                **rig,
-            ),
-            digest="09dc196edfdb0f34f418d31d6ec80f6d228c153b1c8cf425013525b51e7b1fae",
-            events=14617,
-            delivered=(2602, 317289),
-            latencies=(
-                7,
-                "c182605da3966346ee7e8123056892600b7c5c9b30ef62ead85db4ba74f34bc2",
-            ),
-        )
-        assert cluster.sim.pending == 1002
-        stats = result.fault_stats
-        assert (stats["retransmits"], stats["acks_sent"], stats["dup_frames"]) == (
-            2846,
-            4424,
-            1822,
-        )
-        assert (result.accepted_instances, result.rejected_instances) == (5, 20)

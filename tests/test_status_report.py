@@ -14,20 +14,15 @@
   ``seq`` is not an int and probes whose ``ref`` or ``seq`` is not one.
 - Instance dispatch probes ``_instances`` first and ``_finished`` only on a
   miss, which is sound because the two stay disjoint.
-- Two ledger smoke shapes are pinned to the commit before this change
-  (2698e00), and the interned-plaintext cache shows up in both cache
-  scrapes.
+- The interned-plaintext cache shows up in both cache scrapes.
 """
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.suite import _cache_snapshot, prefix_digest
+from repro.bench.suite import _cache_snapshot
 from repro.core.commit import DSHARE_KIND, NO_PENDING, STATUS_KIND, StatusReport
 from repro.core.dbft import AUX_KIND
 from repro.core.node import CATCHUP_RSP_KIND, PROBE_ACK_KIND, PROBE_KIND
@@ -45,22 +40,7 @@ from repro.crypto.vss_encryption import DecryptionShare, VssCipher
 from repro.harness import ExperimentConfig, build_cluster
 from repro.net.message import Message
 from repro.sim.engine import MILLISECONDS, SECONDS
-from tests.test_crypto_kernel import latency_fingerprint
 from tests.test_node_unit import build_pair
-
-REPO = Path(__file__).resolve().parents[1]
-
-
-def ledger_workloads():
-    """``benchmarks/ledger/workloads.py`` (not a package), so the pinned
-    shapes below are the benchmark's own and cannot drift from it."""
-    spec = importlib.util.spec_from_file_location(
-        "_ledger_workloads", REPO / "benchmarks" / "ledger" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look themselves up
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
 
 
 def wire(kind, payload):
@@ -736,63 +716,6 @@ class TestInstanceDispatch:
         cluster.run()
         assert overlaps == []
         assert all(node._finished for node in cluster.nodes)  # gc did run
-
-
-# ----------------------------------------------------------------------
-# End to end
-# ----------------------------------------------------------------------
-class TestPinnedToParent:
-    """Nothing a simulated node can observe moves: the two ledger smoke
-    shapes this change is aimed at reproduce what the parent commit
-    (2698e00) produced."""
-
-    def run_smoke(self, name):
-        workload = ledger_workloads()[name]
-        cluster = build_cluster(workload.build(1, True), protocol=workload.protocol)
-        result = cluster.run()
-        assert result.safety_violation is None
-        assert not result.invariant_violations
-        return cluster, result
-
-    def test_lyra_n7_mev_open_smoke_shape(self):
-        cluster, result = self.run_smoke("lyra_n7_mev_open")
-        assert prefix_digest(cluster) == (
-            "97c3cbf75ca862d77cf1c810ac869ecd87ff75e3aef737ae119c07d7ba70e0c4"
-        )
-        assert result.events_processed == 47956
-        assert (result.messages_delivered, result.bytes_delivered) == (22482, 43690854)
-        assert (result.accepted_instances, result.rejected_instances) == (168, 0)
-        assert result.committed_count == 100
-        assert latency_fingerprint(cluster.clients) == (
-            100,
-            "fef8c5fa2349de5c07a884068a8ef609be020c3eabbad3c10c135dde619b2158",
-        )
-        assert result.fairness["sandwich"] == {
-            "attempts": 2,
-            "launched": 2,
-            "landed": 0,
-            "successes": 0,
-            "success_rate": 0.0,
-        }
-        assert cluster.sim.pending == 2551
-        for node in cluster.nodes:
-            assert node.commit.malformed_reports == 0
-            assert node.stats.malformed_dshares == 0
-
-    def test_lyra_n32_closed_smoke_shape(self):
-        cluster, result = self.run_smoke("lyra_n32_closed")
-        assert prefix_digest(cluster) == (
-            "8fa11bd25b0d3e11045e2c251bcdd0ec7180e0836bcf3aa869a319fe8285b08f"
-        )
-        assert result.events_processed == 5538
-        assert (result.messages_delivered, result.bytes_delivered) == (2468, 370528)
-        assert (result.accepted_instances, result.rejected_instances) == (8, 0)
-        assert result.committed_count == 30
-        assert latency_fingerprint(cluster.clients) == (
-            30,
-            "a92f61dc215047428f391153f75d42208d43dd0437b11e324254b152fd08957b",
-        )
-        assert cluster.sim.pending == 151
 
 
 class TestDecryptCacheIsReported:

@@ -1,5 +1,7 @@
 """Tests for workload components: generators and clients."""
 
+import pytest
+
 from repro.core.replica import CLIENT_REPLY_KIND, CLIENT_TX_KIND
 from repro.core.types import Transaction
 from repro.net.latency import UniformLatencyModel
@@ -28,7 +30,7 @@ class EchoReplica(SimProcess):
             self.service_us,
             lambda: self.send(
                 sender,
-                Message(CLIENT_REPLY_KIND, {"key": tx.key(), "seq": 1}, 24),
+                Message(CLIENT_REPLY_KIND, {"key": tx.key()}, 24),
             ),
         )
 
@@ -90,6 +92,23 @@ class TestClosedLoopClient:
         sim.run(until=50_000)
         final = client.stats.submitted
         assert final < 10  # stopped early
+
+    @pytest.mark.parametrize(
+        "payload",
+        [5, None, "key", [("k",)], {}, {"key": None}, {"key": [1]}, {"key": (1, [2])}],
+    )
+    def test_junk_reply_is_counted_not_raised(self, payload):
+        sim, net, replica = build_echo_world()
+        client = ClosedLoopClient(10, sim, 0, window=2)
+        net.register(client, replica=False)
+        sim.run(until=1_000)  # both submissions in flight, no reply yet
+        assert len(client._inflight) == 2
+        client.deliver(Message(CLIENT_REPLY_KIND, payload, 24), 0)
+        sim.run(until=20_000)
+        assert client.stats.malformed_replies == 1
+        # The junk completed nothing: the window still turns over.
+        assert client.stats.submitted - client.stats.completed == 2
+        assert all(lat == 2000 for lat in client.stats.latencies_us)
 
     def test_custom_body(self):
         sim, net, replica = build_echo_world()
