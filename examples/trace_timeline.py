@@ -12,7 +12,7 @@ Run:  python examples/trace_timeline.py
 """
 
 from repro.harness import ExperimentConfig, build_cluster
-from repro.harness.experiments import format_rows, latency_breakdown
+from repro.harness.experiments import latency_breakdown, markdown_table
 from repro.metrics.tracelog import PHASES, install_lyra_tracing
 
 
@@ -49,7 +49,7 @@ def main() -> None:
     print("\n(times in ms relative to the proposal; '-' = event at another node)")
 
     print("\nPhase decomposition of the DECOMP cell (n=4, seed 29, proposer-side):")
-    print(format_rows(latency_breakdown(n=4)))
+    print(markdown_table(latency_breakdown(n=4)))
 
     count = log.dump_jsonl("lyra_trace.jsonl")
     print(f"\nFull trace: {count} events written to lyra_trace.jsonl")

@@ -59,7 +59,7 @@ _RATE_FLAGS = {
 
 def _print(title: str, rows) -> None:
     print(f"\n## {title}")
-    print(exp.format_rows(rows))
+    print(exp.markdown_table(rows))
 
 
 def _flag(dest: str) -> str:
@@ -348,14 +348,15 @@ def _experiment_name(value: str) -> str:
 
 
 def cmd_experiment(args) -> None:
-    """Print the named paper tables (every one without names); ``--out``
-    also writes them as ``{name: [{"title", "rows"}]}`` JSON."""
+    """Print the named paper tables (every one without names) and the
+    summary of their claims; ``--out`` also writes them as ``{name:
+    [{"title", "rows"}], "summary": [...]}`` JSON."""
     import json
 
     tables = {}
     for name in args.names or exp.EXPERIMENTS:
         tables[name] = []
-        for section in exp.EXPERIMENTS[name]:
+        for section in exp.EXPERIMENTS[name].sections:
             rows = section.rows()
             if isinstance(rows, dict):
                 rows = [rows]
@@ -364,6 +365,8 @@ def cmd_experiment(args) -> None:
                 print()
                 print(section.chart(rows))
             tables[name].append({"title": section.title, "rows": rows})
+    tables["summary"] = exp.summarise(tables)
+    _print("Summary", tables["summary"])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(tables, fh, indent=2, ensure_ascii=False)

@@ -275,6 +275,8 @@ CELLS: Dict[str, Row] = {
     "pompe_n100_closed_smoke": Row(
         lambda: _goodcase_config(4, 2000, jitter=0.0), "pompe"
     ),
+    # Fino over 10 ms uniform links: 6 s commit about 800 transactions.
+    "fino_n4": Row(lambda: _goodcase_config(4, 6000, uniform_delay_us=10_000), "fino"),
     # The n=32 headline shape (the ledger's lyra_n32_closed) and the n=100
     # scaling shape: too slow for tier-1 and ``--quick``, so full runs only.
     "goodcase_n32": Row(lambda: _goodcase_config(32, 3000), full_only=True),

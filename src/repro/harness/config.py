@@ -98,10 +98,20 @@ class ExperimentConfig:
     tracing: bool = False
 
     def __post_init__(self) -> None:
+        # Periods must be positive (a timer re-armed at the same instant
+        # never lets the clock advance) and delays non-negative.
         for name, value, floor in (
             ("batch_size", self.batch_size, 1),
+            ("batch_timeout_us", self.batch_timeout_us, 1),
+            ("status_interval_us", self.status_interval_us, 1),
             ("lambda_us", self.lambda_us, 0),
+            ("delta_us", self.delta_us, 0),
+            ("uniform_delay_us", self.uniform_delay_us or 0, 0),
+            ("clock_skew_max_us", self.clock_skew_max_us, 0),
+            ("jitter", self.jitter, 0),
+            ("warmup_spacing_us", self.warmup_spacing_us, 0),
             ("duration_us", self.duration_us, 1),
+            ("clients_per_node", self.clients_per_node, 0),
             ("client_window", self.client_window, 1),
             ("warmup_rounds", self.warmup_rounds, 0),
         ):

@@ -1,11 +1,17 @@
 """One entry point per paper artefact (see DESIGN.md §4).
 
 Each function returns the row dicts the paper's figure or table plots.
-:data:`EXPERIMENTS` names every artefact and lists its printed sections;
-``python -m repro experiment [NAME ...]`` runs them.  Set ``REPRO_FULL=1``
-to sweep the paper's full node counts (n up to 100, minutes of
-wall-clock); the default quick sweeps keep CI fast while preserving every
-qualitative claim.
+:data:`EXPERIMENTS` names every artefact, lists its printed sections with
+the provenance of their numbers, and states the paper's claims as
+predicates over those rows; ``python -m repro experiment [NAME ...]``
+runs them, and ``--out`` writes the rows plus a summary of computed
+verdicts (:func:`summarise`).  Set ``REPRO_FULL=1`` to sweep the paper's
+full node counts (n up to 100, about a minute of wall-clock with
+``REPRO_WORKERS=2``); the default quick sweeps keep CI fast.
+
+The checked-in outputs are ``EXPERIMENTS_quick.json`` and
+``EXPERIMENTS_full.json``, and every table of EXPERIMENTS.md is rendered
+from the full one by :func:`refresh_markdown`.
 
 Every cluster-running entry point routes through
 :func:`repro.harness.sweep.run_sweep`, so ``REPRO_WORKERS=<k>`` fans the
@@ -15,7 +21,9 @@ grid across CPU cores and ``REPRO_CACHE=<dir>`` makes repeat invocations
 
 from __future__ import annotations
 
+import json
 import os
+import re
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.harness.config import ExperimentConfig, closed_loop_config
@@ -696,68 +704,378 @@ def warmup_bias(*, seed: int = 59) -> Dict:
     }
 
 
-def format_rows(rows: List[Dict]) -> str:
-    """Render rows as an aligned text table (what ``repro experiment``
-    prints)."""
-    if not rows:
-        return "(no rows)"
-    keys: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
-    widths = {
-        k: max(len(str(k)), max(len(str(r.get(k, ""))) for r in rows)) for k in keys
+# ----------------------------------------------------------------------
+# The paper's claims, checked against the rows
+# ----------------------------------------------------------------------
+def _lat3_claim(rows: List[Dict]) -> Tuple[str, bool]:
+    (row,) = rows
+    lyra, pompe = row["lyra_decide_rounds"], row["pompe_commit_rounds"]
+    return (
+        f"Lyra {lyra}, Pompē {pompe} delays (n = 4)",
+        round(lyra) == row["paper_lyra"] and round(pompe) <= row["paper_pompe"],
+    )
+
+
+def _fig1_claim(rows: List[Dict]) -> Tuple[str, bool]:
+    by_case = {(row["system"], row["far_validators"]): row for row in rows}
+    cases = {
+        "Pompē with the violation": by_case[("pompe", "saopaulo")],
+        "Pompē without": by_case[("pompe", "tokyo")],
+        "Lyra": by_case[("lyra", "saopaulo")],
     }
-    header = "  ".join(str(k).ljust(widths[k]) for k in keys)
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            "  ".join(str(row.get(k, "")).ljust(widths[k]) for k in keys)
-        )
-    return "\n".join(lines)
+    measured = "sandwiches/attempts: " + ", ".join(
+        f"{label} {row['sandwiches']}/{row['attempts']}"
+        for label, row in cases.items()
+    )
+    landed = [row["sandwiches"] for row in cases.values()]
+    safe = all(row["safety"] is None for row in rows)
+    return measured, safe and landed[0] >= 1 and landed[1:] == [0, 0]
+
+
+def _fig2_claim(rows: List[Dict]) -> Tuple[str, Optional[bool]]:
+    lyra = [row["lyra_latency_ms"] for row in rows]
+    measured = f"Lyra {min(lyra)}–{max(lyra)} ms for n = {rows[0]['n']}–{rows[-1]['n']}"
+    ratios = [row["loaded_ratio"] for row in rows if row["n"] > 60]
+    if not ratios:  # quick mode stops below the claim's range
+        return measured, None
+    measured += f"; loaded Pompē/Lyra {min(ratios)}–{max(ratios)} at n > 60"
+    flat = max(lyra) < 1000 and max(lyra) < 1.5 * min(lyra)
+    return measured, flat and min(ratios) >= 2
+
+
+def _fig3_claim(rows: List[Dict]) -> Tuple[str, bool]:
+    top = {row["n"]: row for row in rows}[100]
+    lyra = [row["lyra_ktps"] for row in rows]
+    rising = all(a <= b for a, b in zip(lyra, lyra[1:]))
+    return (
+        f"{top['lyra_ktps']}k tx/s, {top['ratio']}× Pompē at n = 100",
+        rising and abs(top["lyra_ktps"] - 240) <= 0.05 * 240 and top["ratio"] >= 7,
+    )
+
+
+def _crossover_claim(rows: List[Dict]) -> Tuple[str, bool]:
+    behind = max(row["n"] for row in rows if row["ratio"] < 1)
+    ahead = min(row["n"] for row in rows if row["n"] > behind)
+    return f"Lyra overtakes Pompē between n = {behind} and {ahead}", ahead <= 31
+
+
+def _lambda_claim(rows: List[Dict]) -> Tuple[str, bool]:
+    by_lambda = {row["lambda_ms"]: row for row in rows}
+    five, fifty = by_lambda[5], by_lambda[50]
+    measured = "; ".join(
+        f"acceptance {row['acceptance_rate']}, {row['latency_ms']} ms at λ = {lam} ms"
+        for lam, row in ((5, five), (50, fifty))
+    )
+    return measured + " (n = 4)", (
+        five["acceptance_rate"] == fifty["acceptance_rate"]
+        and five["committed"] == fifty["committed"]
+        and five["latency_ms"] <= 1.01 * fifty["latency_ms"]
+    )
+
+
+def _batch_claim(rows: List[Dict]) -> Tuple[str, bool]:
+    """The knee is the largest batch whose throughput still grows in
+    proportion to the batch (within 10 % of the steepest slope)."""
+    slope = max(row["lyra_ktps"] / row["batch"] for row in rows)
+    linear = [row for row in rows if row["lyra_ktps"] >= 0.9 * slope * row["batch"]]
+    knee = linear[-1]
+    peak = max(row["lyra_ktps"] for row in rows)
+    return (
+        f"linear to batch {knee['batch']} ({knee['lyra_ktps']}k tx/s), "
+        f"peak {peak}k tx/s",
+        knee["batch"] == 800,
+    )
+
+
+def _byzantine_claim(
+    cases: List[Dict], censored: List[Dict], warmup: List[Dict]
+) -> Tuple[str, bool]:
+    absorbed = [r for r in cases if r["safety_violation"] is None and r["live"]]
+    victim = {row["system"]: row["victim_completed"] for row in censored}
+    pompe, fino, lyra = (
+        victim["pompe+censoring-leader"],
+        victim["fino+blind-censoring-leader"],
+        victim["lyra"],
+    )
+    (bias,) = warmup
+    recovered = bias["safety_violation"] is None and bias["live_after_gst"]
+    return (
+        f"safe and live in {len(absorbed)}/{len(cases)} cases; censored victim "
+        f"{pompe} tx on Pompē, {fino} on Fino, {lyra} on Lyra; warm-up victim "
+        f"{bias['victim_completed']} tx after GST",
+        len(absorbed) == len(cases) and pompe == fino == 0 < lyra and recovered,
+    )
+
+
+def _obfuscation_measured(rows: List[Dict]) -> Tuple[str, None]:
+    return ", ".join(f"{row['scheme']} {row['latency_ms']} ms" for row in rows), None
+
+
+def _decomp_measured(phases: List[Dict], deltas: List[Dict]) -> Tuple[str, None]:
+    *steps, total = phases
+    parts = " / ".join(str(row["mean_ms"]) for row in steps)
+    by_delta = " / ".join(str(row["latency_ms"]) for row in deltas)
+    return (
+        f"phases {parts} ms, total {total['mean_ms']} ms at Δ = 150 ms; "
+        f"{by_delta} ms at Δ = {' / '.join(str(row['delta_ms']) for row in deltas)} ms",
+        None,
+    )
 
 
 class Section(NamedTuple):
     """One printed table of an experiment: its title, the function that
-    computes its rows (a single row may come back as a bare dict), and
-    optionally an ASCII chart drawn from those rows."""
+    computes its rows (a single row may come back as a bare dict), where
+    its numbers come from, and optionally an ASCII chart drawn from its
+    rows.  ``provenance`` is ``sim`` (simulated runs), ``model`` (the
+    capacity model alone) or ``sim+model`` (a model applied to simulated
+    numbers)."""
 
     title: str
     rows: Callable[[], Union[Dict, List[Dict]]]
+    provenance: str = "sim"
     chart: Optional[Callable[[List[Dict]], str]] = None
 
 
-#: Every paper artefact by name, each an ordered tuple of sections.
-#: ``python -m repro experiment`` with no name runs them in this order.
-EXPERIMENTS: Dict[str, Tuple[Section, ...]] = {
-    "rounds": (Section("LAT3 — good-case message delays", goodcase_latency_rounds),),
-    "fig1": (Section("FIG 1 — front-running", fig1_frontrunning),),
-    "fig2": (
-        Section("FIG 2 — commit latency vs n (ms)", fig2_commit_latency, chart_fig2),
+class Claim(NamedTuple):
+    """One summary line: the paper's ``claim`` and its ``paper`` value
+    (``None`` for a measurement beyond the paper), and ``check``, which
+    takes the rows of the sections ``reads`` names and returns the
+    measured value as text and whether the claim holds (``None`` when the
+    rows stop short of the claim's range)."""
+
+    id: str
+    claim: str
+    paper: Optional[str]
+    check: Callable[..., Tuple[str, Optional[bool]]]
+    reads: Tuple[int, ...] = (0,)
+
+
+class Experiment(NamedTuple):
+    """One paper artefact: its sections in print order and its claims."""
+
+    sections: Tuple[Section, ...]
+    claims: Tuple[Claim, ...]
+
+
+#: Every paper artefact by name: its sections in print order and the
+#: claims their rows decide.  ``python -m repro experiment`` with no name
+#: runs them in this order.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "rounds": Experiment(
+        (Section("LAT3 — good-case message delays", goodcase_latency_rounds),),
+        (
+            Claim(
+                "LAT3",
+                "BOC decides in 3 message delays; Pompē needs 11",
+                "3 (Pompē 11)",
+                _lat3_claim,
+            ),
+        ),
     ),
-    "fig3": (
-        Section("FIG 3 — throughput vs n (k tx/s)", fig3_throughput, chart_fig3),
-        Section("FIG 3 — message-level validation (n=4)", fig3_sim_validation),
+    "fig1": Experiment(
+        (Section("FIG 1 — front-running", fig1_frontrunning),),
+        (
+            Claim(
+                "FIG1",
+                "triangle-inequality front-running works on clear-text "
+                "ordering, not on Lyra",
+                "Pompē sandwiched, Lyra not",
+                _fig1_claim,
+            ),
+        ),
     ),
-    "lambda": (
-        Section("LAM — lambda sweep", lambda_ablation),
-        Section("LAM — jitter sensitivity", jitter_sensitivity),
+    "fig2": Experiment(
+        (
+            Section(
+                "FIG 2 — commit latency vs n (ms)",
+                fig2_commit_latency,
+                "sim+model",
+                chart_fig2,
+            ),
+        ),
+        (
+            Claim(
+                "FIG2",
+                "Lyra's latency is sub-second and flat in n; half of "
+                "Pompē's at n > 60",
+                "Pompē/Lyra 2 at n > 60",
+                _fig2_claim,
+            ),
+        ),
     ),
-    "batch": (Section("BATCH — batch-size sweep", batch_ablation),),
-    "byzantine": (
-        Section("BYZ — Byzantine behaviours", byzantine_behaviours),
-        Section("BYZ — censorship comparison", censorship_comparison),
-        Section("BYZ — warm-up bias (recovery after GST)", warmup_bias),
+    "fig3": Experiment(
+        (
+            Section(
+                "FIG 3 — throughput vs n (k tx/s)", fig3_throughput, "model", chart_fig3
+            ),
+            Section("FIG 3 — message-level validation (n=4)", fig3_sim_validation),
+        ),
+        (
+            Claim(
+                "FIG3",
+                "Lyra's throughput rises with n, to 7× Pompē's at n = 100",
+                "240k tx/s, 7×",
+                _fig3_claim,
+            ),
+            Claim(
+                "FIG3",
+                "Pompē leads at small n; Lyra overtakes it",
+                "n ≈ 20–31",
+                _crossover_claim,
+            ),
+        ),
     ),
-    "obfuscation": (
-        Section("OBF — VSS vs hash commit-reveal", obfuscation_ablation),
+    "lambda": Experiment(
+        (
+            Section("LAM — lambda sweep", lambda_ablation),
+            Section("LAM — jitter sensitivity", jitter_sensitivity),
+        ),
+        (Claim("LAM", "λ = 5 ms costs nothing", "λ = 5 ms", _lambda_claim),),
     ),
-    "decomp": (
-        Section("DECOMP — latency phases", latency_breakdown),
-        Section("DECOMP — delta sensitivity", delta_ablation),
+    "batch": Experiment(
+        (Section("BATCH — batch-size sweep", batch_ablation, "model"),),
+        (Claim("BATCH", "batch 800 is the throughput knee", "800", _batch_claim),),
+    ),
+    "byzantine": Experiment(
+        (
+            Section("BYZ — Byzantine behaviours", byzantine_behaviours),
+            Section("BYZ — censorship comparison", censorship_comparison),
+            Section("BYZ — warm-up bias (recovery after GST)", warmup_bias),
+        ),
+        (
+            Claim(
+                "BYZ",
+                "§VI-D behaviours are absorbed; no Lyra role can censor",
+                "safe and live; only a leader censors",
+                _byzantine_claim,
+                (0, 1, 2),
+            ),
+        ),
+    ),
+    "obfuscation": Experiment(
+        (Section("OBF — VSS vs hash commit-reveal", obfuscation_ablation),),
+        (
+            Claim(
+                "OBF",
+                "(beyond the paper) VSS vs hash commitments",
+                None,
+                _obfuscation_measured,
+            ),
+        ),
+    ),
+    "decomp": Experiment(
+        (
+            Section("DECOMP — latency phases", latency_breakdown),
+            Section("DECOMP — delta sensitivity", delta_ablation),
+        ),
+        (
+            Claim(
+                "DECOMP",
+                "(beyond the paper) where Lyra's latency goes",
+                None,
+                _decomp_measured,
+                (0, 1),
+            ),
+        ),
     ),
 }
+
+
+def _provenance(sections: Sequence[Section]) -> str:
+    parts = {part for s in sections for part in s.provenance.split("+")}
+    return "+".join(part for part in ("sim", "model") if part in parts)
+
+
+def summarise(tables: Dict[str, List[Dict]]) -> List[Dict]:
+    """One summary row per claim of each experiment in ``tables``
+    (``{name: [{"title", "rows"}]}``, as ``repro experiment --out``
+    writes them): the claim, the paper's value, the measured value, its
+    provenance and the verdict computed from the rows.  A verdict that
+    reads a model says at most "model agrees"."""
+    summary: List[Dict] = []
+    for name, sections in tables.items():
+        experiment = EXPERIMENTS[name]
+        for claim in experiment.claims:
+            measured, holds = claim.check(*(sections[i]["rows"] for i in claim.reads))
+            provenance = _provenance([experiment.sections[i] for i in claim.reads])
+            if claim.paper is None:
+                verdict = "measured"
+            elif holds is None:
+                verdict = "not measured"
+            elif "model" in provenance:
+                verdict = "model agrees" if holds else "model disagrees"
+            else:
+                verdict = "reproduced" if holds else "not reproduced"
+            summary.append(
+                {
+                    "id": claim.id,
+                    "claim": claim.claim,
+                    "paper": claim.paper or "—",
+                    "measured": measured,
+                    "provenance": provenance,
+                    "verdict": verdict,
+                }
+            )
+    return summary
+
+
+# ----------------------------------------------------------------------
+# Rendering: one Markdown table renderer, for the terminal and for
+# EXPERIMENTS.md
+# ----------------------------------------------------------------------
+def markdown_table(rows: List[Dict]) -> str:
+    """Render rows as a Markdown table, columns in first-seen key order."""
+    if not rows:
+        return "(no rows)"
+    keys = list(dict.fromkeys(key for row in rows for key in row))
+
+    def line(cells) -> str:
+        return "| " + " | ".join(map(str, cells)) + " |"
+
+    body = [line(row.get(key, "") for key in keys) for row in rows]
+    return "\n".join([line(keys), "|" + "---|" * len(keys), *body])
+
+
+#: A generated block of EXPERIMENTS.md: ``summary``, or ``<name>.<i>``
+#: for section ``i`` of experiment ``name``.
+_BLOCK = re.compile(r"(<!-- generated (\S+) -->\n).*?(<!-- /generated \2 -->)", re.S)
+
+
+def render_markdown(text: str, artefact: Dict[str, List[Dict]]) -> str:
+    """``text`` with every generated block re-rendered from ``artefact``
+    (what ``repro experiment --out`` writes).  Raises ``ValueError`` on a
+    block the artefact lacks and on a table the text has no block for."""
+    blocks = {"summary": markdown_table(artefact["summary"])}
+    for name, sections in artefact.items():
+        if name != "summary":
+            for i, section in enumerate(sections):
+                blocks[f"{name}.{i}"] = markdown_table(section["rows"])
+    seen: List[str] = []
+
+    def fill(match: "re.Match[str]") -> str:
+        name = match.group(2)
+        if name not in blocks:
+            raise ValueError(f"the artefact has no table for block {name!r}")
+        seen.append(name)
+        return f"{match.group(1)}{blocks[name]}\n{match.group(3)}"
+
+    rendered = _BLOCK.sub(fill, text)
+    missing = [name for name in blocks if name not in seen]
+    if missing:
+        raise ValueError(f"no generated block for {missing}")
+    return rendered
+
+
+def refresh_markdown(
+    md_path: str = "EXPERIMENTS.md", artefact_path: str = "EXPERIMENTS_full.json"
+) -> None:
+    """Re-render ``md_path``'s generated blocks from ``artefact_path``."""
+    with open(artefact_path, encoding="utf-8") as fh:
+        artefact = json.load(fh)
+    with open(md_path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(md_path, "w", encoding="utf-8") as fh:
+        fh.write(render_markdown(text, artefact))
 
 
 __all__ = [
@@ -786,7 +1104,12 @@ __all__ = [
     "censorship_comparison",
     "warmup_bias_config",
     "warmup_bias",
-    "format_rows",
     "Section",
+    "Claim",
+    "Experiment",
     "EXPERIMENTS",
+    "summarise",
+    "markdown_table",
+    "render_markdown",
+    "refresh_markdown",
 ]

@@ -60,16 +60,21 @@ class SandwichAttempt:
         }
 
 
-class MevBotClient(_BaseClient):
-    """Chases observed swaps with a front-run + back-run pair.
+#: A bot submits its front-run this long after it observes a swap (its
+#: local processing).
+REACT_DELAY_US = 500
+#: It closes the sandwich this much later: late enough that the back-run's
+#: honestly assigned timestamp lands after the victim's, which is exactly
+#: what a sandwich wants.
+BACK_DELAY_US = 200_000
+#: Swaps one bot chases at most, so it stresses ordering fairness, not raw
+#: throughput.
+MAX_ATTEMPTS = 16
 
-    The bot reacts ``react_delay_us`` after observation (local processing)
-    and closes the sandwich ``back_delay_us`` later — late enough that the
-    back-run's honestly assigned timestamp lands after the victim's, which
-    is exactly what a sandwich wants.  ``min_victim_amount`` filters for
-    whale swaps worth chasing; ``max_attempts`` bounds adversarial volume
-    so the bot stresses ordering fairness, not raw throughput.
-    """
+
+class MevBotClient(_BaseClient):
+    """Chases every observed swap, up to :data:`MAX_ATTEMPTS` of them,
+    with a front-run + back-run pair."""
 
     def __init__(
         self,
@@ -77,17 +82,9 @@ class MevBotClient(_BaseClient):
         sim: Simulator,
         home: int,
         *,
-        react_delay_us: int = 500,
-        back_delay_us: int = 200_000,
-        min_victim_amount: int = 0,
-        max_attempts: int = 16,
         stop_at_us: Optional[int] = None,
     ) -> None:
         super().__init__(pid, sim, home)
-        self.react_delay_us = max(0, int(react_delay_us))
-        self.back_delay_us = max(1, int(back_delay_us))
-        self.min_victim_amount = min_victim_amount
-        self.max_attempts = max_attempts
         self.stop_at_us = stop_at_us
         self.attempts: List[SandwichAttempt] = []
         self._chased: Set[TxKey] = set()
@@ -99,7 +96,7 @@ class MevBotClient(_BaseClient):
             self.on_observed_tx(tx)
 
     def on_observed_tx(self, tx: Transaction) -> None:
-        if self.crashed or len(self.attempts) >= self.max_attempts:
+        if self.crashed or len(self.attempts) >= MAX_ATTEMPTS:
             return
         if tx.client_id == self.pid or tx.key() in self._chased:
             return
@@ -109,8 +106,6 @@ class MevBotClient(_BaseClient):
         if decoded is None:
             return
         direction, amount = decoded
-        if amount < self.min_victim_amount:
-            return
         self._chased.add(tx.key())
         attempt = SandwichAttempt(
             victim=tx.key(),
@@ -119,7 +114,7 @@ class MevBotClient(_BaseClient):
             amount_in=amount,
         )
         self.attempts.append(attempt)
-        self.sim.schedule(self.react_delay_us, lambda: self._front(attempt))
+        self.sim.schedule(REACT_DELAY_US, lambda: self._front(attempt))
 
     # -- the sandwich ---------------------------------------------------
     def _front(self, attempt: SandwichAttempt) -> None:
@@ -130,7 +125,7 @@ class MevBotClient(_BaseClient):
         )
         attempt.front = tx.key()
         attempt.front_at_us = self.sim.now
-        self.sim.schedule(self.back_delay_us, lambda: self._back(attempt))
+        self.sim.schedule(BACK_DELAY_US, lambda: self._back(attempt))
 
     def _back(self, attempt: SandwichAttempt) -> None:
         if self.crashed:
@@ -146,16 +141,7 @@ class MevBotClient(_BaseClient):
 
     @classmethod
     def from_group(cls, pid, sim, home, group, ctx):
-        return cls(
-            pid,
-            sim,
-            home,
-            react_delay_us=group.react_delay_us,
-            back_delay_us=group.back_delay_us,
-            min_victim_amount=group.min_victim_amount,
-            max_attempts=group.max_attempts,
-            stop_at_us=ctx.stop_at_us,
-        )
+        return cls(pid, sim, home, stop_at_us=ctx.stop_at_us)
 
 
 register_client("mev", MevBotClient)

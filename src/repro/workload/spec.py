@@ -76,15 +76,21 @@ class ClientGroup:
     #: Simulated user population this group stands in for (0 = the
     #: clients themselves).  Informational: feeds capacity extrapolation.
     users: int = 0
-    # MEV bot knobs.
-    react_delay_us: int = 500
-    back_delay_us: int = 200_000
-    min_victim_amount: int = 0
-    max_attempts: int = 16
     #: MEV bots only: give the bot's home replica a Byzantine
     #: timestamp-biasing node class under Pompē (Fig. 1's colluding
     #: orderer).  Ignored by protocols without that attack surface.
     collude: bool = False
+
+    def __post_init__(self) -> None:
+        for name, value, floor in (
+            ("count", self.count, 0),
+            ("count_per_node", self.count_per_node, 0),
+            ("window", self.window, 1),
+        ):
+            if value < floor:
+                raise ValueError(
+                    f"ClientGroup {self.name!r}: {name} must be >= {floor}, got {value}"
+                )
 
     # ------------------------------------------------------------------
     def homes(self, n: int) -> List[int]:

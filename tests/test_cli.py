@@ -145,12 +145,14 @@ REPLACED_INVOCATIONS = {
 
 class TestCli:
     def test_rounds_subcommand(self, capsys):
-        """``experiment <name>`` prints that experiment's tables only."""
+        """``experiment <name>`` prints that experiment's tables only,
+        then the summary of its claims."""
         assert main(["experiment", "rounds"]) == 0
         out = capsys.readouterr().out
         assert "## LAT3" in out
         assert "lyra_decide_rounds" in out
-        assert out.count("\n## ") == 1
+        assert out.count("\n## ") == 2
+        assert "\n## Summary\n" in out and "| LAT3 |" in out
 
     def test_fig3_subcommand_prints_table_and_chart(self, capsys):
         assert main(["experiment", "fig3"]) == 0
@@ -171,10 +173,12 @@ class TestCli:
         assert main(["experiment", "rounds", "--out", str(path)]) == 0
         out = capsys.readouterr().out
         blob = json.loads(path.read_text(encoding="utf-8"))
-        assert list(blob) == ["rounds"]
+        assert list(blob) == ["rounds", "summary"]
         [section] = blob["rounds"]
         assert section["title"] == "LAT3 — good-case message delays"
-        assert exp.format_rows(section["rows"]) in out
+        assert exp.markdown_table(section["rows"]) in out
+        assert [row["id"] for row in blob["summary"]] == ["LAT3"]
+        assert exp.markdown_table(blob["summary"]) in out
 
     def test_rounds_and_decomp_replay_from_the_cache(
         self, tmp_path, capsys, monkeypatch
@@ -196,18 +200,21 @@ class TestCli:
 
     def test_no_name_runs_every_section_in_table_order(self, capsys, monkeypatch):
         stub = {
-            name: tuple(
-                section._replace(rows=lambda: {"stub": 1}, chart=None)
-                for section in sections
+            name: experiment._replace(
+                sections=tuple(
+                    section._replace(rows=lambda: {"stub": 1}, chart=None)
+                    for section in experiment.sections
+                ),
+                claims=(),
             )
-            for name, sections in exp.EXPERIMENTS.items()
+            for name, experiment in exp.EXPERIMENTS.items()
         }
         monkeypatch.setattr(exp, "EXPERIMENTS", stub)
         assert main(["experiment"]) == 0
         out = capsys.readouterr().out
-        titles = [s.title for sections in stub.values() for s in sections]
+        titles = [s.title for e in stub.values() for s in e.sections]
         printed = [line[3:] for line in out.splitlines() if line.startswith("## ")]
-        assert printed == titles
+        assert printed == titles + ["Summary"]
 
     def test_unknown_experiment_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -334,6 +341,8 @@ class TestRun:
             ("--duration-ms", "0", "duration_us"),
             ("--window", "0", "client_window"),
             ("--warmup-rounds", "-1", "warmup_rounds"),
+            ("--delay-ms", "-1", "delta_us"),
+            ("--clients", "-1", "clients_per_node"),
         ],
     )
     def test_impossible_config_is_a_usage_error(self, flag, value, field, capsys):

@@ -228,31 +228,6 @@ class TestVoteDigestMemo:
 
 
 # ----------------------------------------------------------------------
-# End to end: pinned to the parent commit (8e0ffe5)
-# ----------------------------------------------------------------------
-class TestPinnedToParent:
-    def test_fino_shape(self):
-        from repro.bench.suite import digest_outputs, latency_fingerprint
-        from repro.sim.engine import SECONDS
-        from tests.test_fino import attach_clients, build_fino
-
-        sim, nodes, net = build_fino()
-        clients = attach_clients(sim, nodes, net, homes=[0, 1, 2, 3])
-        for node in nodes:
-            node.start()
-        sim.run(until=6 * SECONDS)
-        assert digest_outputs({n.pid: n.output_sequence() for n in nodes}) == (
-            "e00a751192ba3abd86ffab4e15facdc3ea8748f829d18845afa1883ab421694e"
-        )
-        assert sim.events_processed == 20002
-        assert (net.messages_delivered, net.bytes_delivered) == (9723, 1274280)
-        assert latency_fingerprint(clients) == (
-            708,
-            "a464c1ff84d7c5083e276c87654bcddfd68b02e9799fbe9b60212e8c36a0398b",
-        )
-
-
-# ----------------------------------------------------------------------
 # The exponentiation kernel: g_pow against pow
 # ----------------------------------------------------------------------
 def edge_exponents(p):

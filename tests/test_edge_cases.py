@@ -119,6 +119,26 @@ class TestConfig:
         cfg = ExperimentConfig()
         assert cfg.measurement_start_us() > cfg.client_start_us()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("status_interval_us", 0),  # the status timer re-arms at one instant
+            ("batch_timeout_us", 0),  # so does the batch timer
+            ("status_interval_us", -5),
+            ("delta_us", -1),
+            ("uniform_delay_us", -10),
+            ("clock_skew_max_us", -1),
+            ("jitter", -0.5),  # the latency model ran it jitter-free
+            ("warmup_spacing_us", -1),
+            ("clients_per_node", -1),
+        ],
+    )
+    def test_impossible_config_refused_by_name(self, field, value):
+        """Each of these hung, raised mid-run or ran a different config
+        before construction refused it."""
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            ExperimentConfig(**{field: value})
+
 
 class TestTargetedAdversary:
     def test_victim_recovers_after_gst(self):

@@ -1,20 +1,29 @@
-"""Tests for the experiment drivers (one per paper artefact) and the
-good-case round measurements."""
+"""Tests for the experiment entry points (one per paper artefact), the
+good-case round measurements, and the checked-in artefacts that hold
+every paper number."""
+
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.harness.experiments import (
     batch_ablation,
     fig2_commit_latency,
     fig3_sim_validation,
     fig3_throughput,
-    format_rows,
     goodcase_latency_rounds,
     jitter_sensitivity,
     lambda_ablation,
+    markdown_table,
     obfuscation_ablation,
+    render_markdown,
+    summarise,
     warmup_bias,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestGoodCaseRounds:
@@ -37,13 +46,6 @@ class TestGoodCaseRounds:
         row = goodcase_latency_rounds(n=4, delay_ms=40)
         assert row["lyra_decide_rounds"] < row["pompe_commit_rounds"]
         assert row["paper_lyra"] == 3 and row["paper_pompe"] == 11
-
-    def test_pinned_default_rounds(self):
-        """The exact LAT3 numbers of the two sweep cells: whole delays
-        plus a few µs of 10 µs self-delivery interleavings."""
-        row = goodcase_latency_rounds()
-        assert row["lyra_decide_rounds"] == 3.0002
-        assert row["pompe_commit_rounds"] == 10.00005
 
 
 @pytest.mark.slow
@@ -140,18 +142,44 @@ class TestWarmupBias:
         assert row["safety_violation"] is None
         assert row["live_after_gst"]
 
-    def test_row_pinned(self):
-        assert warmup_bias() == {
-            "case": "network-warmup-bias",
-            "victim_completed": 36,
-            "rejected_then_retried": 12,
-            "safety_violation": None,
-            "live_after_gst": True,
-        }
-
 
 class TestFormatting:
-    def test_format_rows(self):
-        text = format_rows([{"a": 1, "b": "x"}, {"a": 22, "c": None}])
-        assert "a" in text and "22" in text
-        assert format_rows([]) == "(no rows)"
+    def test_markdown_table(self):
+        assert markdown_table([{"a": 1}, {"a": 22, "c": None}]).splitlines() == [
+            "| a | c |",
+            "|---|---|",
+            "| 1 |  |",
+            "| 22 | None |",
+        ]
+        assert markdown_table([]) == "(no rows)"
+
+    def test_render_markdown_refuses_missing_and_unknown_blocks(self):
+        artefact = {"rounds": [{"title": "t", "rows": [{"a": 1}]}], "summary": []}
+        block = "<!-- generated {0} -->\n<!-- /generated {0} -->\n".format
+        with pytest.raises(ValueError, match=r"no generated block for \['rounds.0'\]"):
+            render_markdown(block("summary"), artefact)
+        with pytest.raises(ValueError, match="no table for block 'fig9.0'"):
+            render_markdown(block("summary") + block("fig9.0"), artefact)
+
+
+class TestArtefacts:
+    """``EXPERIMENTS_quick.json`` and ``EXPERIMENTS_full.json`` hold every
+    paper number: tier-1 regenerates the quick one, CI the full one, and
+    EXPERIMENTS.md's tables are rendered from the full one."""
+
+    def test_quick_artefact_regenerates_byte_for_byte(self, tmp_path, monkeypatch):
+        for var in ("REPRO_FULL", "REPRO_CACHE", "REPRO_WORKERS"):
+            monkeypatch.delenv(var, raising=False)
+        out = tmp_path / "quick.json"
+        assert main(["experiment", "--out", str(out)]) == 0
+        expected = (ROOT / "EXPERIMENTS_quick.json").read_text(encoding="utf-8")
+        assert out.read_text(encoding="utf-8") == expected
+
+    def test_experiments_md_tables_render_from_the_full_artefact(self):
+        text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        full = json.loads((ROOT / "EXPERIMENTS_full.json").read_text(encoding="utf-8"))
+        assert render_markdown(text, full) == text
+        summary = full.pop("summary")
+        assert summary == summarise(full)
+        for row in summary:  # a model can at most agree
+            assert "model" not in row["provenance"] or "model" in row["verdict"], row

@@ -61,6 +61,13 @@ class TestClientGroup:
         assert g.offered_tps(4) == pytest.approx(200.0)
         assert ClientGroup(client="closed", count=3).offered_tps(4) == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value", [("count", -1), ("count_per_node", -2), ("window", 0)]
+    )
+    def test_impossible_group_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"'g': {field} must be >= "):
+            ClientGroup(name="g", **{field: value})
+
 
 class TestWorkloadSpec:
     def test_rejects_duplicate_group_names(self):
