@@ -427,29 +427,38 @@ def cmd_run(args) -> None:
         raise SystemExit(1)
 
 
+def _positive_int(value: str) -> int:
+    """An argparse type: an integer >= 1."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 def _parse_seed_specs(tokens):
     """Expand seed tokens: ``7`` is one seed, ``A:B`` is the half-open
-    range [A, B) — so ``--seeds 0:25`` fuzzes seeds 0..24."""
+    range [A, B) — so ``--seeds 0:25`` fuzzes seeds 0..24.  A token that
+    is neither raises ``ValueError``."""
     seeds = []
     for tok in tokens:
-        if ":" in tok:
-            lo, hi = tok.split(":", 1)
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i <= lo_i:
-                raise SystemExit(f"bad seed range {tok!r}: need A < B")
-            seeds.extend(range(lo_i, hi_i))
-        else:
-            seeds.append(int(tok))
+        lo, colon, hi = tok.partition(":")
+        try:
+            bounds = (int(lo), int(hi)) if colon else (int(tok), int(tok) + 1)
+        except ValueError:
+            raise ValueError(f"bad seed {tok!r}: need N or A:B") from None
+        if bounds[1] <= bounds[0]:
+            raise ValueError(f"bad seed range {tok!r}: need A < B")
+        seeds.extend(range(*bounds))
     return seeds
 
 
 def cmd_fuzz(args) -> None:
-    """Seeded adversarial-schedule fuzzing with an invariant oracle.
+    """Seeded adversarial-schedule fuzzing under the cluster's oracle.
 
-    Three modes: generate-and-run a seed batch (default), replay a saved
-    schedule/outcome JSON bit-identically (``--replay``), or run the named
-    attack corpus against its expected verdicts (``--corpus``).  Any
-    unexpected violation exits 1 and, in batch mode, writes a minimized
+    Two modes: generate-and-run a seed batch (default), or replay a saved
+    schedule or artifact (``--replay``).  A replayed artifact's row must
+    pass :func:`repro.bench.suite.check_row` against the saved one.  Any
+    violation or mismatch exits 1 and, in batch mode, writes a minimized
     still-failing schedule artifact via ddmin shrinking.
     """
     import json
@@ -457,10 +466,11 @@ def cmd_fuzz(args) -> None:
 
     from repro.attacks.fuzz import (
         generate_schedule,
-        run_corpus,
+        is_clean,
         run_schedule,
         shrink_schedule,
     )
+    from repro.bench.suite import check_row
     from repro.harness.config import ExperimentConfig
     from repro.net.faults import FaultPlan
     from repro.sim.engine import MILLISECONDS
@@ -474,47 +484,25 @@ def cmd_fuzz(args) -> None:
             parts.append(f"{len(plan.crashes)} crashes")
         return ", ".join(parts)
 
-    def report(label: str, outcome) -> None:
-        status = "ok" if outcome.ok else "VIOLATION"
-        lens = "/".join(
-            str(outcome.committed_lens[p]) for p in sorted(outcome.committed_lens)
-        )
+    def report(schedule, row) -> None:
+        status = "ok" if is_clean(row) else "VIOLATION"
+        label = f"seed {schedule.seed} [{describe(schedule)}]"
         print(
-            f"  {label:<36} {status:<9} committed={lens} "
-            f"probes={outcome.probe_successes}/{outcome.probe_attempts} "
-            f"digest={outcome.digest[:12]}"
+            f"  {label:<36} {status:<9} committed={row['committed']} "
+            f"events={row['events']} prefix={row['prefix_sha256'][:12]}"
         )
-        for viol in outcome.violations:
+        for viol in row["invariant_violations"]:
             print(f"    {viol}")
-        if outcome.safety_violation is not None:
-            print(f"    end-of-run safety: {outcome.safety_violation}")
+        if row["safety_violation"] is not None:
+            print(f"    end-of-run safety: {row['safety_violation']}")
+
+    def artifact(schedule, row):
+        return {"schedule": schedule.to_dict(), "row": row}
 
     # ------------------------------------------------------------------
-    # Corpus mode: every case must match its expected oracle verdict.
-    # ------------------------------------------------------------------
-    if args.corpus is not None:
-        names = list(args.corpus) or None
-        print(f"## FUZZ — attack corpus (seed={args.seed})")
-        verdicts = run_corpus(names, seed=args.seed)
-        mismatches = 0
-        for v in verdicts:
-            expect = "violation" if v.case.expect_violation else "clean"
-            got = "clean" if v.outcome.ok else "violation"
-            mark = "pass" if v.passed else "MISMATCH"
-            print(f"  {v.case.name:<30} expect={expect:<9} got={got:<9} {mark}")
-            if not v.passed:
-                mismatches += 1
-                for viol in v.outcome.violations[:3]:
-                    print(f"    {viol}")
-        print(f"{len(verdicts) - mismatches}/{len(verdicts)} cases matched")
-        if mismatches:
-            raise SystemExit(1)
-        return
-
-    # ------------------------------------------------------------------
-    # Replay mode: re-run a saved schedule (an ExperimentConfig dict) or
-    # saved outcome JSON; when the artifact carries a digest the replay
-    # must be bit-identical.  A malformed artifact is a usage error.
+    # Replay mode: re-run a saved schedule (an ExperimentConfig dict) or a
+    # saved artifact; an artifact's row must be reproduced.  A malformed
+    # artifact is a usage error.
     # ------------------------------------------------------------------
     if args.replay:
         try:
@@ -522,57 +510,65 @@ def cmd_fuzz(args) -> None:
                 data = json.load(fh)
             if "minimized" in data:  # a batch-mode violation artifact
                 data = data["minimized"]
-            saved_digest = data.get("digest")
+            saved = data.get("row")
+            if saved is not None and not isinstance(saved, dict):
+                raise ValueError("its row is not an object")
             schedule = ExperimentConfig.from_dict(data.get("schedule", data))
         except (OSError, ValueError, TypeError, AttributeError) as err:
             args.error(f"bad replay artifact {args.replay}: {err}")
         print(f"## FUZZ — replay {args.replay}")
-        outcome = run_schedule(schedule)
-        report(f"seed {schedule.seed} [{describe(schedule)}]", outcome)
-        if saved_digest is not None:
-            match = saved_digest == outcome.digest
-            print(f"  digest match: {match}")
-            if not match:
-                raise SystemExit(1)
-        elif not outcome.ok:
+        row = run_schedule(schedule)
+        report(schedule, row)
+        failures = []
+        if saved is not None:
+            failures = check_row(
+                "replay", row, saved, expect_violation=not is_clean(saved)
+            )
+            print(f"  row match: {not failures}")
+            for failure in failures:
+                print(f"    {failure}")
+        if failures or not is_clean(row):
             raise SystemExit(1)
         return
 
     # ------------------------------------------------------------------
     # Batch mode: generate honest-majority schedules from a seed range.
     # ------------------------------------------------------------------
-    seeds = _parse_seed_specs(args.seeds)
-    duration_us = args.duration_ms * MILLISECONDS
-    print(f"## FUZZ — {len(seeds)} generated schedules, n={args.n}")
+    try:
+        schedules = [
+            generate_schedule(
+                seed, n_nodes=args.n, duration_us=args.duration_ms * MILLISECONDS
+            )
+            for seed in _parse_seed_specs(args.seeds)
+        ]
+    except ValueError as err:
+        args.error(str(err))
+    print(f"## FUZZ — {len(schedules)} generated schedules, n={args.n}")
     failures = []
-    for seed in seeds:
-        schedule = generate_schedule(seed, n_nodes=args.n, duration_us=duration_us)
-        outcome = run_schedule(schedule)
-        report(f"seed {seed} [{describe(schedule)}]", outcome)
-        if not outcome.ok:
-            failures.append(outcome)
-    print(f"{len(seeds) - len(failures)}/{len(seeds)} schedules clean")
+    for schedule in schedules:
+        row = run_schedule(schedule)
+        report(schedule, row)
+        if not is_clean(row):
+            failures.append((schedule, row))
+    print(f"{len(schedules) - len(failures)}/{len(schedules)} schedules clean")
     if failures:
         outdir = args.out or "."
         os.makedirs(outdir, exist_ok=True)
-        for outcome in failures:
-            shrunk = shrink_schedule(outcome.schedule)
-            shrunk_outcome = run_schedule(shrunk)
-            path = os.path.join(
-                outdir, f"fuzz-violation-seed{outcome.schedule.seed}.json"
-            )
+        for schedule, row in failures:
+            shrunk = shrink_schedule(schedule)
+            path = os.path.join(outdir, f"fuzz-violation-seed{schedule.seed}.json")
             with open(path, "w") as fh:
                 json.dump(
                     {
-                        "original": outcome.to_dict(),
-                        "minimized": shrunk_outcome.to_dict(),
+                        "original": artifact(schedule, row),
+                        "minimized": artifact(shrunk, run_schedule(shrunk)),
                     },
                     fh,
                     indent=2,
                     sort_keys=True,
                 )
             print(
-                f"  minimized repro for seed {outcome.schedule.seed} "
+                f"  minimized repro for seed {schedule.seed} "
                 f"written to {path} "
                 f"(replay with: python -m repro fuzz --replay {path})"
             )
@@ -581,9 +577,10 @@ def cmd_fuzz(args) -> None:
 
 def cmd_bench(args) -> None:
     """Run the bench table, emit BENCH_<date>.json, and with
-    ``--check-against`` exit 1 unless every digest, event count and
-    commit count matches its pin; a pass names the rows that commit
-    nothing."""
+    ``--check-against`` exit 1 unless every row passes
+    :func:`repro.bench.suite.check_against_baseline`; a pass names the
+    rows that commit nothing.  The baseline is read before any row runs:
+    one that cannot be read is a usage error."""
     import json
 
     from repro.bench import (
@@ -593,13 +590,19 @@ def cmd_bench(args) -> None:
         write_report,
     )
 
+    baseline = None
+    if args.check_against:
+        try:
+            with open(args.check_against) as fh:
+                baseline = json.load(fh)
+        except (OSError, ValueError) as err:
+            args.error(f"bad baseline {args.check_against}: {err}")
     report = run_bench_suite(quick=args.quick)
     path = write_report(report, args.out or default_output_path())
     print(f"wrote {path}")
-    if not args.check_against:
+    if baseline is None:
         return
-    with open(args.check_against) as fh:
-        failures = check_against_baseline(report, json.load(fh))
+    failures = check_against_baseline(report, baseline)
     if failures:
         print(f"BENCH CHECK vs {args.check_against}: FAIL")
         for f in failures:
@@ -737,12 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="check every row against its pin and every twin against its "
         "base; exit 1 on any failure",
     )
-    pbench.set_defaults(fn=cmd_bench)
+    pbench.set_defaults(fn=cmd_bench, error=pbench.error)
 
     pfuzz = sub.add_parser(
         "fuzz",
-        help="seeded adversarial-schedule fuzzing: generate, replay a "
-        "saved schedule, or run the attack corpus",
+        help="seeded adversarial-schedule fuzzing: generate and shrink, "
+        "or replay a saved schedule",
     )
     pfuzz.add_argument(
         "--seeds",
@@ -751,27 +754,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED|A:B",
         help="seeds and/or half-open A:B ranges to fuzz (default 0:10)",
     )
-    pfuzz.add_argument("--n", type=int, default=4, help="cluster size")
+    pfuzz.add_argument("--n", type=_positive_int, default=4, help="cluster size")
     pfuzz.add_argument(
-        "--duration-ms", type=int, default=3000, help="virtual duration in ms"
+        "--duration-ms",
+        type=_positive_int,
+        default=3000,
+        help="virtual duration in ms",
     )
     pfuzz.add_argument(
         "--replay",
         default=None,
         metavar="PATH",
-        help="re-run a saved schedule/outcome JSON; with a saved digest "
-        "the replay must be bit-identical",
-    )
-    pfuzz.add_argument(
-        "--corpus",
-        nargs="*",
-        default=None,
-        metavar="CASE",
-        help="run the named attack-corpus cases (no names = all) against "
-        "their expected oracle verdicts",
-    )
-    pfuzz.add_argument(
-        "--seed", type=int, default=1, help="base seed for --corpus runs"
+        help="re-run a saved schedule or artifact JSON; an artifact's "
+        "row must be reproduced",
     )
     pfuzz.add_argument(
         "--out",

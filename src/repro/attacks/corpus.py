@@ -20,19 +20,20 @@ Each node class below layers exactly one such behaviour on
 (``_attach_piggyback``, ``_broadcast_decryption_shares``) so the commit
 protocol itself is never forked.  :data:`CORPUS` packages
 them into named cases — each mapped to the audit finding / lemma it
-stresses, with the expected oracle verdict — runnable via
-``python -m repro fuzz --corpus`` or :func:`repro.attacks.fuzz.run_corpus`.
+stresses, with the expected oracle verdict.  Each case is a pinned row of
+:data:`repro.bench.suite.CELLS` (``corpus_<name>``, at seed 1), so
+``python -m repro bench --check-against`` and the tier-1 tests hold every
+case to its verdict and its pinned outcome.  The oracle is the cluster's
+watchdog, whose ``reveal-before-commit`` check is Lemma 7.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.commit import DSHARE_KIND, NO_PENDING, StatusReport
 from repro.core.node import LyraNode
-from repro.core.types import InstanceId
-from repro.core.vvb import INIT_KIND
 from repro.net.message import Message
 
 
@@ -48,11 +49,10 @@ class SelectiveRevealNode(LyraNode):
     - ``targeted`` — broadcast to everyone *except* ``victims`` (per-victim
       share starvation).
 
-    Independently of the mode, the node also *probes*: on every foreign
-    INIT it attempts to decrypt the cipher pre-commit with every share it
-    can mint or has eavesdropped so far.  ``probe_successes`` must stay 0
-    against the (2f+1, n) VSS scheme — the fuzzer's secrecy oracle turns a
-    non-zero count into an invariant violation.
+    What this replica can read early is bounded by the cluster's
+    ``reveal-before-commit`` check: no correct replica releases a share
+    before it commits, so before then at most f attack shares exist,
+    below the 2f+1 threshold.
     """
 
     def __init__(
@@ -61,7 +61,6 @@ class SelectiveRevealNode(LyraNode):
         mode: str = "withhold",
         victims: Tuple[int, ...] = (),
         delay_us: int = 400_000,
-        probe: bool = True,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -70,10 +69,7 @@ class SelectiveRevealNode(LyraNode):
         self.mode = mode
         self.victims = tuple(int(v) for v in victims)
         self.delay_us = delay_us
-        self.probe = probe
         self.withheld_batches = 0
-        self.probe_attempts = 0
-        self.probe_successes = 0
 
     def _broadcast_decryption_shares(self, items) -> None:
         if self.mode == "withhold":
@@ -99,40 +95,6 @@ class SelectiveRevealNode(LyraNode):
         if self.crashed or self.incarnation != epoch:
             return
         LyraNode._broadcast_decryption_shares(self, items)
-
-    def _dispatch_instance(self, kind: str, payload: dict, sender: int) -> None:
-        if self.probe and kind == INIT_KIND:
-            iid = payload.get("iid")
-            cipher = payload.get("cipher")
-            if (
-                isinstance(iid, InstanceId)
-                and iid.proposer != self.pid
-                and cipher is not None
-            ):
-                self._probe_cipher(iid, cipher)
-        super()._dispatch_instance(kind, payload, sender)
-
-    def _probe_cipher(self, iid: InstanceId, cipher: Any) -> None:
-        """Lemma-7 probe: try to read the payload before it is committed,
-        using our own mintable share plus any shares seen so far."""
-        commit = self.commit
-        if commit is None or iid in commit.committed_ids:
-            return
-        self.probe_attempts += 1
-        shares: List[Any] = []
-        try:
-            shares.append(self.obf.partial_decrypt(cipher, self.pid))
-        except Exception:
-            pass
-        bucket = commit._dshares.get(cipher.cipher_id)
-        if bucket:
-            shares.extend(bucket.values())
-        try:
-            plaintext = self.obf.decrypt(cipher, shares)
-        except Exception:
-            return
-        if plaintext:
-            self.probe_successes += 1
 
 
 class PiggybackForgeryNode(LyraNode):
@@ -233,10 +195,9 @@ def _build_corpus() -> Dict[str, CorpusCase]:
             target="AELF selective-reveal finding; Lemma 7 ((2f+1, n) VSS)",
             expect_violation=False,
             description=(
-                "Replica 1 never broadcasts its decryption shares and "
-                "probes every foreign cipher pre-commit; 2f+1 honest "
-                "shares still reveal every committed payload and no probe "
-                "may succeed."
+                "Replica 1 never broadcasts its decryption shares; 2f+1 "
+                "honest shares still reveal every committed payload, and "
+                "no correct replica releases a share before it commits."
             ),
             attack_nodes={
                 1: {"name": "selective-reveal", "kwargs": {"mode": "withhold"}}

@@ -6,36 +6,32 @@ built by :func:`fuzz_config`: which replicas run which attack behaviour
 link-fault and crash schedule (``fault_plan``), and the protocol knobs that
 shape the attack surface (``reliable_channels``, the weakened
 ``report_quorum``).  It serialises through ``to_dict``/``from_dict`` like
-every other run and replays bit-identically — :func:`run_schedule` digests
-the per-replica committed logs so a replay can assert exact equality.
+every other run and replays bit-identically: :func:`run_schedule` returns
+the same row record as every ``repro bench`` row, so a replay is checked
+by the same per-row comparison (:func:`repro.bench.suite.check_row`).
 
 :func:`generate_schedule` is a pure function of the seed: the same seed
 always yields the same schedule, and generated schedules always respect
 the resilience bound (attackers plus simultaneously-crashed replicas stay
 within f), so any invariant violation they produce is a reproduction bug,
-not an over-budget adversary.
+not an over-budget adversary.  Seeds 0-14 are pinned rows of
+:data:`repro.bench.suite.CELLS` (``fuzz_<seed>``).
 
 :func:`shrink_schedule` bisects a failing schedule ddmin-style over its
 components (attack entries, link faults, crash events) to a minimal
 still-failing repro — the artifact ``python -m repro fuzz`` saves on
 violation.
 
-The oracle is the always-on :class:`~repro.metrics.invariants
-.InvariantWatchdog` (prefix agreement, commit regression, ordered output,
-post-GST liveness), the end-of-run safety check, and a commit-reveal
-secrecy check wired in here: any :class:`SelectiveRevealNode` probe that
-decrypts a payload pre-commit is an invariant violation.
+The oracle is the cluster's own: the always-on
+:class:`~repro.metrics.invariants.InvariantWatchdog` (prefix agreement,
+commit regression, ordered output, post-GST liveness, and Lemma 7's
+``reveal-before-commit``) and the end-of-run safety check.
 """
-
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.attacks.corpus import CORPUS, CorpusCase, SelectiveRevealNode
 from repro.harness.config import ExperimentConfig
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.sim.engine import MILLISECONDS, SECONDS
@@ -171,91 +167,18 @@ def generate_schedule(
 # ----------------------------------------------------------------------
 # Running a schedule.
 # ----------------------------------------------------------------------
-@dataclass
-class FuzzOutcome:
-    """What one schedule run produced, plus a replay digest."""
+def run_schedule(schedule: ExperimentConfig) -> Dict[str, Any]:
+    """Run the schedule under Lyra and return its row record
+    (:func:`repro.bench.suite.run_row`): the decided-prefix digest, the
+    counts ``check_row`` compares, and the oracle's findings."""
+    from repro.bench.suite import run_row
 
-    schedule: ExperimentConfig
-    ok: bool
-    violations: List[str]
-    safety_violation: Optional[str]
-    invariant_checks: int
-    committed_lens: Dict[int, int]
-    executed_total: int
-    probe_attempts: int
-    probe_successes: int
-    #: SHA-256 over the per-replica committed logs + oracle findings;
-    #: bit-identical across replays of the same schedule.
-    digest: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schedule": self.schedule.to_dict(),
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "safety_violation": self.safety_violation,
-            "invariant_checks": self.invariant_checks,
-            "committed_lens": dict(self.committed_lens),
-            "executed_total": self.executed_total,
-            "probe_attempts": self.probe_attempts,
-            "probe_successes": self.probe_successes,
-            "digest": self.digest,
-        }
+    return run_row(schedule, "lyra")
 
 
-def run_schedule(schedule: ExperimentConfig) -> FuzzOutcome:
-    """Build the cluster, run the schedule, and apply the oracle."""
-    from repro.harness.factory import build_cluster
-
-    cluster = build_cluster(schedule, protocol="lyra")
-
-    # Commit-reveal secrecy oracle: a probing attacker that manages to
-    # decrypt any payload pre-commit is an invariant violation (Lemma 7).
-    probers = [
-        node for node in cluster.nodes if isinstance(node, SelectiveRevealNode)
-    ]
-
-    def secrecy_check() -> Optional[str]:
-        bad = [
-            (node.pid, node.probe_successes)
-            for node in probers
-            if node.probe_successes
-        ]
-        if bad:
-            return (
-                "pre-commit payload decrypted by attacker(s) "
-                + ", ".join(f"pid {pid} x{count}" for pid, count in bad)
-            )
-        return None
-
-    cluster.watchdog.add_check("commit-reveal-secrecy", secrecy_check)
-    result = cluster.run()
-
-    violations = list(result.invariant_violations)
-    logs = {
-        node.pid: [(seq, cid.hex()) for seq, cid in node.output_sequence()]
-        for node in cluster.nodes
-    }
-    digest_body = json.dumps(
-        {
-            "logs": logs,
-            "violations": violations,
-            "safety": result.safety_violation,
-        },
-        sort_keys=True,
-    )
-    return FuzzOutcome(
-        schedule=schedule,
-        ok=not violations and result.safety_violation is None,
-        violations=violations,
-        safety_violation=result.safety_violation,
-        invariant_checks=result.invariant_checks,
-        committed_lens={pid: len(log) for pid, log in logs.items()},
-        executed_total=result.executed_total,
-        probe_attempts=sum(node.probe_attempts for node in probers),
-        probe_successes=sum(node.probe_successes for node in probers),
-        digest=hashlib.sha256(digest_body.encode()).hexdigest(),
-    )
+def is_clean(row: Dict[str, Any]) -> bool:
+    """The oracle's verdict on a row: no invariant or safety violation."""
+    return not row["invariant_violations"] and row["safety_violation"] is None
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +225,7 @@ def shrink_schedule(
     not removable noise.
     """
     if failing is None:
-        failing = lambda s: not run_schedule(s).ok
+        failing = lambda s: not is_clean(run_schedule(s))
     comps = _components(schedule)
     current = schedule
     runs = 0
@@ -331,48 +254,10 @@ def shrink_schedule(
     return current
 
 
-# ----------------------------------------------------------------------
-# Corpus driver.
-# ----------------------------------------------------------------------
-@dataclass
-class CorpusVerdict:
-    """One corpus case's outcome versus its expectation."""
-
-    case: CorpusCase
-    outcome: FuzzOutcome
-    #: True when the oracle verdict matched the case's expectation.
-    passed: bool
-
-
-def run_corpus(
-    names: Optional[List[str]] = None, *, seed: int = 1
-) -> List[CorpusVerdict]:
-    """Run (a subset of) the corpus; each case must match its expectation:
-    attacks against hardened Lyra leave the oracle clean, the weakened-knob
-    cases must trip it."""
-    picked = list(CORPUS) if not names else names
-    verdicts = []
-    for name in picked:
-        case = CORPUS.get(name)
-        if case is None:
-            raise ValueError(f"unknown corpus case {name!r}; known: {sorted(CORPUS)}")
-        outcome = run_schedule(case.schedule(seed))
-        verdicts.append(
-            CorpusVerdict(
-                case=case,
-                outcome=outcome,
-                passed=(not outcome.ok) == case.expect_violation,
-            )
-        )
-    return verdicts
-
-
 __all__ = [
-    "FuzzOutcome",
-    "CorpusVerdict",
     "fuzz_config",
     "generate_schedule",
+    "is_clean",
     "run_schedule",
     "shrink_schedule",
-    "run_corpus",
 ]

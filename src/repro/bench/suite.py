@@ -2,8 +2,10 @@
 
 One table, ``CELLS``, lists every run whose outcome this repo pins: a
 config builder, the protocol it runs, whether the row runs only in the
-full suite, and the row it must reproduce (its *base*), or ``None``.
-Each row runs a whole cluster through the factory and records a sha256
+full suite, the row it must reproduce (its *base*) or ``None``, and
+whether the oracle must flag it.  The attack corpus and the fuzzer's
+first fifteen seeds are rows too.  Each row runs a whole cluster
+through the factory and records a sha256
 digest of every node's decided prefix, with the counts and fingerprints
 in ``PINNED_FIELDS``.  The digest is the bit-determinism oracle (the
 executable form of Theorem 4's one total order): two builds of this repo
@@ -11,13 +13,15 @@ run the same row to the same decided sequence or the check fails,
 however fast the host is.  A *twin* differs from its base only in a way
 that must not move any pinned field, so a twin run proves that claim.
 
-``check_against_baseline`` is the one check, and
-``benchmarks/bench_baseline.json`` the one pin file.  The check fails on
-a safety or invariant violation, on a ``PINNED_FIELDS`` entry that
-differs from its pin or from its base row's, and on a row the baseline
-does not pin.  The counts make a pin that holds no transactions visible:
-a row that commits nothing (``goodcase_n100``) pins the digest of empty
-logs, which no change that keeps it empty can move.  The tier-1 tests
+``check_against_baseline`` is the one check (``check_row`` per row; a
+fuzz replay uses it too), and ``benchmarks/bench_baseline.json`` the one
+pin file.  The check fails on a verdict other than the row's expected
+one (clean, unless ``expect_violation``), on violations that differ from
+the pinned ones, on a ``PINNED_FIELDS`` entry that differs from its pin
+or from its base row's, and on a row the baseline does not pin.  The
+counts make a pin that holds no transactions visible: a row that
+commits nothing (``goodcase_n100``) pins the digest of empty logs, which
+no change that keeps it empty can move.  The tier-1 tests
 run every quick row through the same check (``tests/test_bench.py``);
 ``repro bench [--quick] --check-against benchmarks/bench_baseline.json``
 runs it from the command line.
@@ -38,8 +42,12 @@ import json
 import platform
 import sys
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.attacks.corpus import CORPUS
+from repro.attacks.fuzz import generate_schedule
 
 BENCH_SCHEMA_VERSION = 3
 
@@ -245,19 +253,24 @@ def _mev_open_smoke():
 class Row(NamedTuple):
     """One pinned run: ``build() -> ExperimentConfig`` run under
     ``protocol``; ``full_only`` rows are skipped by ``--quick``; ``base``
-    names the row whose pinned fields this one must reproduce."""
+    names the row whose pinned fields this one must reproduce; an
+    ``expect_violation`` row must be flagged by the watchdog or the
+    safety check, and every other row must run clean."""
 
     build: Callable[[], Any]
     protocol: str = "lyra"
     full_only: bool = False
     base: Optional[str] = None
+    expect_violation: bool = False
 
 
 #: Every pinned run.  Rows run in this order, in one process: the twin
 #: comes after ``chaos_smoke``, so a twin that reproduces its base also
 #: shows the lossy chaos run left no process-wide state behind.  A row
 #: named ``<workload>_smoke`` is the ledger workload's smoke shape
-#: at seed 1 (``WORKLOADS[w].build(1, True)``), config for config.
+#: at seed 1 (``WORKLOADS[w].build(1, True)``), config for config; a row
+#: named ``corpus_<case>`` is ``CORPUS[case].schedule(1)``, and
+#: ``fuzz_<seed>`` is ``generate_schedule(seed)``.
 CELLS: Dict[str, Row] = {
     "goodcase_n4": Row(lambda: _goodcase_config(4, 1500)),
     "chaos_smoke": Row(
@@ -281,6 +294,17 @@ CELLS: Dict[str, Row] = {
     # scaling shape: too slow for tier-1 and ``--quick``, so full runs only.
     "goodcase_n32": Row(lambda: _goodcase_config(32, 3000), full_only=True),
     "goodcase_n100": Row(lambda: _goodcase_config(100, 1000), full_only=True),
+    # The attack corpus at seed 1, each case with its expected verdict, and
+    # the fuzzer's first fifteen generated schedules.  Twelve of those run
+    # reliable channels over lossy links, so any drift in the lossy wire's
+    # arrival times or stream draws moves at least one of them.
+    **{
+        f"corpus_{name}": Row(
+            partial(case.schedule, 1), expect_violation=case.expect_violation
+        )
+        for name, case in CORPUS.items()
+    },
+    **{f"fuzz_{seed}": Row(partial(generate_schedule, seed)) for seed in range(15)},
 }
 
 
@@ -303,7 +327,8 @@ def _malformed(cluster) -> int:
     return total
 
 
-def _run_row(config, protocol: str = "lyra") -> Dict[str, Any]:
+def run_row(config, protocol: str = "lyra") -> Dict[str, Any]:
+    """Run ``config`` on a fresh cluster and return its row record."""
     from repro.harness.factory import build_cluster
 
     cluster = build_cluster(config, protocol=protocol)
@@ -343,12 +368,14 @@ def run_bench_suite(*, quick: bool = False) -> Dict[str, Any]:
     for name, cell in CELLS.items():
         if quick and cell.full_only:
             continue
-        row = macro[name] = _run_row(cell.build(), cell.protocol)
-        twin = f"  (twin of {cell.base})" if cell.base else ""
+        row = macro[name] = run_row(cell.build(), cell.protocol)
+        note = f"  (twin of {cell.base})" if cell.base else ""
+        if cell.expect_violation:
+            note = "  (must be flagged)"
         print(
             f"{name:<28} n={row['n']:<3} events={row['events']:>9} "
             f"committed={row['committed']:>5} "
-            f"prefix={row['prefix_sha256'][:16]}…{twin}",
+            f"prefix={row['prefix_sha256'][:16]}…{note}",
             flush=True,
         )
     return {
@@ -383,43 +410,77 @@ PINNED_FIELDS = (
 )
 
 
+def check_row(
+    name: str,
+    row: Dict[str, Any],
+    pin: Optional[Dict[str, Any]],
+    *,
+    expect_violation: bool = False,
+) -> List[str]:
+    """The one per-row comparison; returns failure strings.
+
+    A row's verdict is clean when it has neither a safety violation nor
+    an invariant violation, and it must be clean unless
+    ``expect_violation``.  Where the verdict is right, the row's
+    violations must equal ``pin``'s, and so must every ``PINNED_FIELDS``
+    entry."""
+    failures: List[str] = []
+    safety = row.get("safety_violation")
+    violations = row.get("invariant_violations") or []
+    if not expect_violation:
+        if safety:
+            failures.append(f"{name}: safety violation: {safety}")
+        if violations:
+            failures.append(
+                f"{name}: {len(violations)} invariant violation(s): {violations[0]}"
+            )
+    elif not (safety or violations):
+        failures.append(f"{name}: expected a violation, but the run is clean")
+    if pin is None:
+        failures.append(f"{name}: no pinned digest in the baseline")
+        return failures
+    pinned = (pin.get("safety_violation"), pin.get("invariant_violations") or [])
+    if not failures and (safety, violations) != pinned:
+        failures.append(
+            f"{name}: violations {[safety, *violations]} != baseline pin "
+            f"{[pinned[0], *pinned[1]]}"
+        )
+    for key in PINNED_FIELDS:
+        if row.get(key) != pin.get(key):
+            failures.append(
+                f"{name}: {key} {row.get(key)} != baseline pin {pin.get(key)} "
+                "(determinism regression)"
+            )
+    return failures
+
+
 def check_against_baseline(
     report: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[str]:
     """Return a list of failure strings (empty means the report passes).
 
-    Every row must be safe, free of invariant violations, pinned in
-    ``baseline`` and equal to its pin on every ``PINNED_FIELDS`` entry;
-    every twin must equal its base row on them too.  Baseline rows the
-    report did not run (the full-only rows of a quick run) are ignored.
+    Every row goes through :func:`check_row` against its pin in
+    ``baseline``, with its ``CELLS`` entry's ``expect_violation``; every
+    twin must equal its base row on ``PINNED_FIELDS`` too.  Baseline rows
+    the report did not run (the full-only rows of a quick run) are
+    ignored.
     """
     failures: List[str] = []
     pins = baseline.get("macro", {})
     rows = report.get("macro", {})
     for name, row in rows.items():
-        if row.get("safety_violation"):
-            failures.append(f"{name}: safety violation: {row['safety_violation']}")
-        if row.get("invariant_violations"):
-            failures.append(
-                f"{name}: {len(row['invariant_violations'])} invariant "
-                f"violation(s): {row['invariant_violations'][0]}"
-            )
-        pin = pins.get(name)
-        if pin is None:
-            failures.append(f"{name}: no pinned digest in the baseline")
-        base = CELLS[name].base if name in CELLS else None
-        for key in PINNED_FIELDS:
-            value = row.get(key)
-            if pin is not None and value != pin.get(key):
-                failures.append(
-                    f"{name}: {key} {value} != baseline pin {pin.get(key)} "
-                    "(determinism regression)"
-                )
-            if base in rows and value != rows[base].get(key):
-                failures.append(
-                    f"{name}: {key} {value} != its base row {base}'s "
-                    f"{rows[base].get(key)} (twin diverged)"
-                )
+        cell = CELLS.get(name, Row(None))
+        failures += check_row(
+            name, row, pins.get(name), expect_violation=cell.expect_violation
+        )
+        if cell.base in rows:
+            base = rows[cell.base]
+            failures += [
+                f"{name}: {key} {row.get(key)} != its base row {cell.base}'s "
+                f"{base.get(key)} (twin diverged)"
+                for key in PINNED_FIELDS
+                if row.get(key) != base.get(key)
+            ]
     return failures
 
 
@@ -429,11 +490,13 @@ __all__ = [
     "PINNED_FIELDS",
     "Row",
     "check_against_baseline",
+    "check_row",
     "default_output_path",
     "digest_outputs",
     "environment_block",
     "latency_fingerprint",
     "prefix_digest",
     "run_bench_suite",
+    "run_row",
     "write_report",
 ]

@@ -623,13 +623,6 @@ class CommitState:
         self._drain_executions()
         return True
 
-    def install_plaintext(self, iid: InstanceId, plaintext: bytes) -> None:
-        """Accept a quorum-validated plaintext for a committed instance."""
-        if iid not in self.committed_ids or iid in self._plaintexts:
-            return
-        self._plaintexts[iid] = plaintext
-        self._drain_executions()
-
     def catchup_items(
         self, have: int, limit: int
     ) -> Tuple[int, Tuple[Tuple[AcceptedEntry, Any, Optional[bytes]], ...]]:

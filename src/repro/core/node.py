@@ -194,6 +194,10 @@ class LyraNode(Replica):
         #: Optional protocol tracer: (kind, iid, **detail) -> None
         #: (see repro.metrics.tracelog.install_lyra_tracing).
         self.tracer: Optional[Callable] = None
+        #: Optional share observer: (sender, iid) -> None for every
+        #: well-formed decryption share that arrives, whoever sent it (the
+        #: cluster's ``reveal-before-commit`` check, Lemma 7).
+        self.on_share: Optional[Callable[[int, InstanceId], None]] = None
 
     def _trace(self, kind: str, iid: Optional[InstanceId] = None, **detail) -> None:
         if self.tracer is not None:
@@ -615,6 +619,8 @@ class LyraNode(Replica):
                 self.stats.malformed_messages += 1
                 continue
             if is_reveal_share(share, self.obf.name):
+                if self.on_share is not None:
+                    self.on_share(sender, iid)
                 self.commit.on_decryption_share(iid, share, sender)
             else:
                 self.stats.malformed_dshares += 1

@@ -228,6 +228,37 @@ class LyraAdapter:
         # estimator health is registered by ``enable_metrics`` itself).
         registry.add_source("distance", cluster.distance_error_stats)
 
+    def watch(self, cluster: "Cluster") -> None:
+        """Lemma 7 as the watchdog check ``reveal-before-commit``: a
+        correct replica releases its decryption share of an instance only
+        once the instance is in its own committed prefix.  It is observed
+        where a share arrives, so no sender code path can skip it.  With
+        no early correct share, what exists before a correct replica
+        commits comes from at most f attackers, below the 2f+1 reveal
+        threshold."""
+        nodes = cluster.nodes
+        correct = frozenset(range(cluster.n)) - cluster.attackers
+        early: List[Tuple[int, Any]] = []
+
+        def on_share(sender: int, iid) -> None:
+            if sender in correct and iid not in nodes[sender].commit.committed_ids:
+                early.append((sender, iid))
+
+        def check() -> Optional[str]:
+            if not early:
+                return None
+            sender, iid = early[0]
+            detail = (
+                f"{len(early)} share(s) released before commit, the first "
+                f"by pid {sender} for instance {tuple(iid)}"
+            )
+            early.clear()
+            return detail
+
+        for node in nodes:
+            node.on_share = on_share
+        cluster.watchdog.add_check("reveal-before-commit", check)
+
 
 class PompeAdapter:
     """Pompē: clear-text ordering phase, then HotStuff, then execution in
@@ -286,6 +317,10 @@ class PompeAdapter:
 
     def instrument(self, cluster: "Cluster", registry: MetricsRegistry) -> None:
         pass
+
+    def watch(self, cluster: "Cluster") -> None:
+        """No protocol check: Pompē orders clear text, and Fino's
+        one-share reveal is not Lemma 7's (2f+1, n) scheme."""
 
 
 class FinoAdapter(PompeAdapter):
@@ -478,8 +513,8 @@ class Cluster:
             adapter.instrument(self, self.metrics)
 
         # Always-on invariant watchdog over the correct replicas: prefix
-        # agreement, commit regression, ordered output, and post-GST
-        # liveness.
+        # agreement, commit regression, ordered output, post-GST
+        # liveness, and the protocol's own checks (Lyra's Lemma 7).
         liveness_from = max(plan.gst_us, config.measurement_start_us())
         self.watchdog = InvariantWatchdog(
             self.sim,
@@ -488,6 +523,7 @@ class Cluster:
             attackers=len(self.attackers),
             gst_us=liveness_from,
         )
+        adapter.watch(self)
 
         # Replica hooks: a per-replica execution event log (time, tx
         # count) for throughput, replica 0's execution order for the

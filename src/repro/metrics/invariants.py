@@ -16,7 +16,13 @@ its timestamp:
 - **post-GST liveness** — once the network is synchronous and at most
   ``f`` replicas are down or Byzantine, the cluster must keep committing
   while work is pending; a stall longer than ``stall_window_us`` is
-  flagged.
+  flagged;
+- **reveal before commit** (Lemma 7, Lyra clusters only) — no correct
+  replica's decryption share arrives anywhere before its sender has
+  committed the instance.  The Lyra adapter
+  (:meth:`repro.harness.cluster.LyraAdapter.watch`) registers it through
+  :meth:`InvariantWatchdog.add_check`, fed by each replica's ``on_share``
+  hook.
 
 The checks cover the replicas the watchdog is given: a cluster gives it
 its correct replicas only, as the paper defines safety over them, and
@@ -110,8 +116,7 @@ class InvariantWatchdog:
         # A violation is recorded once, not re-reported on every later tick.
         self._seen: Set[Tuple[str, str]] = set()
         # Pluggable checks (name, fn) run on every sample; fn returns a
-        # detail string on violation, None when clean.  The fuzzer wires
-        # its commit-reveal secrecy oracle in through this.
+        # detail string on violation, None when clean.
         self._extra_checks: List[Tuple[str, Callable[[], Optional[str]]]] = []
 
     def add_check(self, name: str, fn: Callable[[], Optional[str]]) -> None:

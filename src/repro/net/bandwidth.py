@@ -105,10 +105,5 @@ class BandwidthModel:
             self._ingress[pid] = q
         return q
 
-    def egress_backlog_us(self, pid: int) -> int:
-        if not self.enabled:
-            return 0
-        return self.egress(pid).backlog_us()
-
 
 __all__ = ["BandwidthModel", "NicQueue"]

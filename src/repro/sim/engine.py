@@ -145,11 +145,6 @@ class Simulator:
         return self._now
 
     @property
-    def now_ms(self) -> float:
-        """Current virtual time in (float) milliseconds, for reporting."""
-        return self._now / MILLISECONDS
-
-    @property
     def events_processed(self) -> int:
         """Number of events executed so far (for profiling/metrics)."""
         return self._processed

@@ -17,10 +17,10 @@ from repro.bench.suite import (
     CELLS,
     PINNED_FIELDS,
     Row,
-    _run_row,
     check_against_baseline,
     default_output_path,
     prefix_digest,
+    run_row,
     write_report,
 )
 from repro.harness.config import ExperimentConfig
@@ -47,8 +47,8 @@ def _small_config(**overrides):
 
 class TestMacroCell:
     def test_schema_and_determinism(self):
-        cell_a = _run_row(_small_config())
-        cell_b = _run_row(_small_config())
+        cell_a = run_row(_small_config())
+        cell_b = run_row(_small_config())
         for key in (
             "n",
             "seed",
@@ -184,6 +184,32 @@ class TestCheckAgainstBaseline:
         assert len(failures) == 1
         assert "no pinned digest" in failures[0]
 
+    def test_expected_violation_that_runs_clean_fails(self):
+        # The corpus's calibration row must be flagged: a clean run means
+        # the oracle lost the bug class it is there to catch.
+        name = "corpus_pb-forge-inflate-weakened"
+        assert CELLS[name].expect_violation
+        failures = check_against_baseline(_report(name=name), _report(name=name))
+        assert len(failures) == 1
+        assert "expected a violation" in failures[0]
+
+    def test_expected_violation_reproduces_its_pin(self):
+        name = "corpus_pb-forge-inflate-weakened"
+        flagged = _report(name=name, violations=["prefix-agreement: x"])
+        assert check_against_baseline(flagged, flagged) == []
+        moved = _report(name=name, violations=["ordered-output: y"])
+        failures = check_against_baseline(moved, flagged)
+        assert len(failures) == 1 and "violations" in failures[0]
+
+    def test_plain_row_reporting_a_violation_fails_against_its_own_pin(self):
+        # A row without ``expect_violation`` must run clean, even when its
+        # pin recorded the same violation.
+        name = "corpus_pb-forge-stale"
+        assert not CELLS[name].expect_violation
+        flagged = _report(name=name, violations=["reveal-before-commit: x"])
+        failures = check_against_baseline(flagged, flagged)
+        assert len(failures) == 1 and "invariant violation" in failures[0]
+
     def test_unknown_cell_in_baseline_ignored(self):
         # A quick run skips the full-only rows the baseline still pins.
         baseline = _report()
@@ -235,6 +261,25 @@ class TestCellsTable:
                 for key in PINNED_FIELDS:
                     assert pin[key] == pins[row.base][key], (name, key)
 
+    def test_corpus_rows_are_the_corpus_cases(self):
+        """Every ``CORPUS`` case is a ``corpus_<name>`` row with the same
+        config at seed 1 and the same expected verdict, and the fuzz rows
+        are the generator's first seeds.  Only configs are compared."""
+        from repro.attacks.corpus import CORPUS
+        from repro.attacks.fuzz import generate_schedule
+
+        for name, case in CORPUS.items():
+            row = CELLS[f"corpus_{name}"]
+            assert row.protocol == "lyra" and not row.full_only, name
+            assert row.build() == case.schedule(1), name
+            assert row.expect_violation == case.expect_violation, name
+        fuzz = sorted(int(name[5:]) for name in CELLS if name.startswith("fuzz_"))
+        assert fuzz == list(range(15))
+        for seed in fuzz:
+            assert CELLS[f"fuzz_{seed}"].build() == generate_schedule(seed)
+        flagged = [name for name, row in CELLS.items() if row.expect_violation]
+        assert flagged == ["corpus_pb-forge-inflate-weakened"]
+
     def test_smoke_rows_are_the_ledger_smoke_shapes(self):
         """Each ``<workload>_smoke`` row builds the ledger workload's smoke
         config, so the pinned run cannot drift from the benchmark's.  Only
@@ -259,7 +304,7 @@ def test_quick_row_reproduces_its_pin(name):
     file.  A digest, count or fingerprint that moves fails here."""
     base = CELLS[name].base
     names = [base, name] if base else [name]
-    rows = {n: _run_row(CELLS[n].build(), CELLS[n].protocol) for n in names}
+    rows = {n: run_row(CELLS[n].build(), CELLS[n].protocol) for n in names}
     baseline = json.loads(BASELINE.read_text())
     assert check_against_baseline({"macro": rows}, baseline) == []
 

@@ -351,6 +351,43 @@ class TestRun:
         assert f"{field} must be >= " in captured.err
         assert "RESULT" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["fuzz", "--seeds", "5:3"], "bad seed range '5:3'"),
+            (["fuzz", "--seeds", "abc"], "bad seed 'abc'"),
+            (["fuzz", "--n", "0"], "--n: must be >= 1"),
+            (["fuzz", "--duration-ms", "0"], "--duration-ms: must be >= 1"),
+            (["fuzz", "--duration-ms", "-5"], "--duration-ms: must be >= 1"),
+            (["bench", "--check-against", "missing.json"], "bad baseline"),
+            (["bench", "--check-against", "not-json.json"], "bad baseline"),
+        ],
+        ids=[
+            "seed-range",
+            "seed-token",
+            "n-0",
+            "duration-0",
+            "duration-negative",
+            "baseline-missing",
+            "baseline-not-json",
+        ],
+    )
+    def test_misuse_is_a_usage_error(self, argv, named, tmp_path, monkeypatch, capsys):
+        """Exit 1 means a violation or a pin mismatch, so a flag the
+        subcommand cannot use exits 2 with one error line, before
+        anything runs."""
+        from repro.bench import suite
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "not-json.json").write_text("{not json")
+        ran = []
+        monkeypatch.setattr(suite, "run_row", lambda *a: ran.append(a))
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and named in errors[0]
+        assert ran == [] and captured.out == ""
+
     def test_lossy_pompe_is_a_verdict_not_a_rejection(self, capsys):
         """Pompē honours a fault plan: under loss a retransmitted decide
         lands after its successor's, HotStuff still hands blocks over by
