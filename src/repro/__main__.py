@@ -459,7 +459,8 @@ def cmd_fuzz(args) -> None:
     schedule or artifact (``--replay``).  A replayed artifact's row must
     pass :func:`repro.bench.suite.check_row` against the saved one.  Any
     violation or mismatch exits 1 and, in batch mode, writes a minimized
-    still-failing schedule artifact via ddmin shrinking.
+    still-failing schedule artifact via ddmin shrinking.  A batch schedule
+    that commits nothing is ``VACUOUS``, not clean, and exits 1 too.
     """
     import json
     import os
@@ -484,8 +485,14 @@ def cmd_fuzz(args) -> None:
             parts.append(f"{len(plan.crashes)} crashes")
         return ", ".join(parts)
 
-    def report(schedule, row) -> None:
-        status = "ok" if is_clean(row) else "VIOLATION"
+    def report(schedule, row) -> str:
+        """Print ``row`` and return its verdict."""
+        if not is_clean(row):
+            status = "VIOLATION"
+        elif row["committed"] == 0:
+            status = "VACUOUS"  # exercised no commit invariant
+        else:
+            status = "ok"
         label = f"seed {schedule.seed} [{describe(schedule)}]"
         print(
             f"  {label:<36} {status:<9} committed={row['committed']} "
@@ -495,6 +502,7 @@ def cmd_fuzz(args) -> None:
             print(f"    {viol}")
         if row["safety_violation"] is not None:
             print(f"    end-of-run safety: {row['safety_violation']}")
+        return status
 
     def artifact(schedule, row):
         return {"schedule": schedule.to_dict(), "row": row}
@@ -545,12 +553,22 @@ def cmd_fuzz(args) -> None:
         args.error(str(err))
     print(f"## FUZZ — {len(schedules)} generated schedules, n={args.n}")
     failures = []
+    vacuous = 0
     for schedule in schedules:
         row = run_schedule(schedule)
-        report(schedule, row)
-        if not is_clean(row):
+        status = report(schedule, row)
+        if status == "VIOLATION":
             failures.append((schedule, row))
-    print(f"{len(schedules) - len(failures)}/{len(schedules)} schedules clean")
+        elif status == "VACUOUS":
+            vacuous += 1
+    clean = len(schedules) - len(failures) - vacuous
+    if vacuous:
+        print(
+            f"{clean}/{len(schedules)} clean, {vacuous} vacuous "
+            f"(committed nothing)"
+        )
+    else:
+        print(f"{clean}/{len(schedules)} schedules clean")
     if failures:
         outdir = args.out or "."
         os.makedirs(outdir, exist_ok=True)
@@ -572,6 +590,7 @@ def cmd_fuzz(args) -> None:
                 f"written to {path} "
                 f"(replay with: python -m repro fuzz --replay {path})"
             )
+    if failures or vacuous:
         raise SystemExit(1)
 
 

@@ -17,16 +17,25 @@ set (BV-Uniformity), and at least one value is delivered (BV-Obligation).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Set
+from typing import Any, Callable, FrozenSet, List
 
 from repro.core.services import ProtocolServices
 
 #: Message kind for BV votes.  Payload: {iid, round, b}.
 BV_KIND = "lyra.bv"
 
+#: A set of binary values is kept as a 2-bit mask (bit ``b`` set iff ``b``
+#: is a member: 1 = {0}, 2 = {1}, 3 = {0, 1}); ``VALUE_SETS[mask]`` is the
+#: read-only set view of a mask.
+VALUE_SETS = (frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1)))
+
 
 class BinaryValueBroadcast:
-    """One (instance, round) endpoint of BV-broadcast at one process."""
+    """One (instance, round) endpoint of BV-broadcast at one process.
+
+    ``on_deliver(round_no, b)`` is called once per delivered value, so
+    every round of one consensus instance can report to the same bound
+    method."""
 
     __slots__ = (
         "services",
@@ -35,7 +44,7 @@ class BinaryValueBroadcast:
         "on_deliver",
         "_votes",
         "_voted",
-        "delivered",
+        "_delivered",
     )
 
     def __init__(
@@ -43,7 +52,7 @@ class BinaryValueBroadcast:
         services: ProtocolServices,
         iid: Any,
         round_no: int,
-        on_deliver: Callable[[int], None],
+        on_deliver: Callable[[int, int], None],
     ) -> None:
         self.services = services
         self.iid = iid
@@ -51,8 +60,14 @@ class BinaryValueBroadcast:
         self.on_deliver = on_deliver
         #: Voters per value, as bitmasks over sender pids.
         self._votes: List[int] = [0, 0]
-        self._voted: Set[int] = set()
-        self.delivered: Set[int] = set()
+        #: Values voted and delivered, as value masks.
+        self._voted = 0
+        self._delivered = 0
+
+    @property
+    def delivered(self) -> FrozenSet[int]:
+        """The values delivered so far (a read-only view)."""
+        return VALUE_SETS[self._delivered]
 
     # ------------------------------------------------------------------
     def broadcast_estimate(self, b: int) -> None:
@@ -60,9 +75,10 @@ class BinaryValueBroadcast:
         self._vote(b)
 
     def _vote(self, b: int) -> None:
-        if b in self._voted:
+        bit = 2 if b else 1
+        if self._voted & bit:
             return
-        self._voted.add(b)
+        self._voted |= bit
         self.services.broadcast(
             BV_KIND, {"iid": self.iid, "round": self.round_no, "b": b}
         )
@@ -83,11 +99,18 @@ class BinaryValueBroadcast:
         if votes[i] & bit:
             return
         votes[i] |= bit
-        if votes[i].bit_count() >= self.services.small_quorum and b not in self._voted:
+        value_bit = i + 1
+        if (
+            votes[i].bit_count() >= self.services.small_quorum
+            and not self._voted & value_bit
+        ):
             self._vote(b)  # records our own vote as well
-        if votes[i].bit_count() >= self.services.quorum and b not in self.delivered:
-            self.delivered.add(b)
-            self.on_deliver(b)
+        if (
+            votes[i].bit_count() >= self.services.quorum
+            and not self._delivered & value_bit
+        ):
+            self._delivered |= value_bit
+            self.on_deliver(self.round_no, b)
 
 
-__all__ = ["BinaryValueBroadcast", "BV_KIND"]
+__all__ = ["BinaryValueBroadcast", "BV_KIND", "VALUE_SETS"]

@@ -27,6 +27,7 @@ that lagging correct processes terminate too.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.bv_broadcast import BinaryValueBroadcast
@@ -52,7 +53,13 @@ _WIRE = (None, (0,), (1,), (0, 1))
 
 
 class BinaryConsensus:
-    """One BOC consensus instance (Algorithm 3) at one process."""
+    """One BOC consensus instance (Algorithm 3) at one process.
+
+    A host runs one of these per live instance, so every callback is
+    handed the instance's ``iid`` — ``on_decide(iid, v, m)``,
+    ``on_message(iid, m)`` and the VVB's ``validate``/``on_vote_seq`` —
+    and one bound method of the host serves all of them: constructing an
+    instance allocates no closure."""
 
     __slots__ = (
         "services",
@@ -84,11 +91,11 @@ class BinaryConsensus:
         services: ProtocolServices,
         iid: Any,
         *,
-        validate: Callable[[Any, Tuple[int, ...]], bool],
-        on_decide: Callable[[int, Optional[Tuple[Any, Tuple[int, ...]]]], None],
+        validate: Callable[[Any, Any, Tuple[int, ...]], bool],
+        on_decide: Callable[[Any, int, Optional[Tuple[Any, Tuple[int, ...]]]], None],
         perceive: Optional[Callable[[Any], int]] = None,
-        on_vote_seq: Optional[Callable[[int, int], None]] = None,
-        on_message: Optional[Callable[[Tuple[Any, Tuple[int, ...]]], None]] = None,
+        on_vote_seq: Optional[Callable[[Any, int, int], None]] = None,
+        on_message: Optional[Callable[[Any, Tuple[Any, Tuple[int, ...]]], None]] = None,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
     ) -> None:
         self.services = services
@@ -149,10 +156,9 @@ class BinaryConsensus:
     def _bv_for(self, r: int) -> BinaryValueBroadcast:
         bv = self._bv.get(r)
         if bv is None:
-            bv = BinaryValueBroadcast(
-                self.services, self.iid, r, lambda b, r=r: self._deliver_value(r, b)
+            bv = self._bv[r] = BinaryValueBroadcast(
+                self.services, self.iid, r, self._deliver_value
             )
-            self._bv[r] = bv
         return bv
 
     def coordinator_of(self, r: int) -> int:
@@ -237,7 +243,7 @@ class BinaryConsensus:
         if b == 1 and m is not None and self.delivered_message is None:
             self.delivered_message = m
             if self._on_message is not None:
-                self._on_message(m)
+                self._on_message(self.iid, m)
         self._deliver_value(1, b)
 
     def _deliver_value(self, r: int, b: int) -> None:
@@ -268,7 +274,7 @@ class BinaryConsensus:
         self.services.timers.set(
             f"dbft-{self.iid}-r{r}",
             self.services.delta_us,
-            lambda: self._on_round_timer(r),
+            partial(self._on_round_timer, r),
         )
 
     def _on_round_timer(self, r: int) -> None:
@@ -335,7 +341,7 @@ class BinaryConsensus:
             # Decided 1 via amplified estimates without holding m: recover
             # it through the VVB fetch path; on arrival ``on_message`` fires.
             self.request_message()
-        self._on_decide(v, message)
+        self._on_decide(self.iid, v, message)
 
     def request_message(self) -> None:
         """Broadcast a FETCH so any holder of the INIT re-sends it."""

@@ -271,6 +271,13 @@ class LyraNode(Replica):
             on_commit=self._on_commit_wave,
             on_execute=self._on_execute,
         )
+        self._instance_callbacks = {
+            "validate": self.commit.validate,
+            "on_decide": self._on_decide,
+            "perceive": self._perceive,
+            "on_vote_seq": self._on_vote_seq,
+            "on_message": self._on_instance_message,
+        }
 
     def _arm_timers(self) -> None:
         """Begin warm-up probing, heartbeats and the batch-flush timer."""
@@ -491,18 +498,10 @@ class LyraNode(Replica):
         instance = self._instances.get(iid)
         if instance is None:
             self.stats.instances_joined += 1
+            # The callbacks are bound once per node (``attach``); each is
+            # handed the instance's iid.
             instance = BinaryConsensus(
-                self.services,
-                iid,
-                validate=lambda cipher, preds, iid=iid: self.commit.validate(
-                    iid, cipher, preds
-                ),
-                on_decide=lambda v, m, iid=iid: self._on_decide(iid, v, m),
-                perceive=lambda cipher: self.perceived.observe(cipher.cipher_id),
-                on_vote_seq=lambda sender, seq, iid=iid: self._on_vote_seq(
-                    iid, sender, seq
-                ),
-                on_message=lambda m, iid=iid: self._on_instance_message(iid, m),
+                self.services, iid, **self._instance_callbacks
             )
             self._instances[iid] = instance
         return instance
@@ -523,7 +522,7 @@ class LyraNode(Replica):
 
     def _schedule_gc(self, iid: InstanceId) -> None:
         linger = 10 * self.services.delta_us
-        self.sim.schedule(linger, lambda: self._gc_instance(iid))
+        self.sim.schedule(linger, self._gc_instance, (iid,))
 
     def _dispatch_instance(self, kind: str, payload: dict, sender: int) -> None:
         iid = payload.get("iid")
@@ -534,6 +533,10 @@ class LyraNode(Replica):
         handler = self._INSTANCE_HANDLERS.get(kind)
         if handler is not None:
             handler(self._instance(iid), payload, sender)
+
+    def _perceive(self, cipher: Any) -> int:
+        # ``perceived`` is replaced on recovery: looked up per call.
+        return self.perceived.observe(cipher.cipher_id)
 
     def _on_vote_seq(self, iid: InstanceId, sender: int, seq_j: int) -> None:
         """Distance refresh: we are the broadcaster and ``sender`` told us

@@ -27,8 +27,9 @@ Message kinds (payloads are dicts; ``iid`` scopes them to one instance):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
+from repro.core.bv_broadcast import VALUE_SETS
 from repro.core.services import ProtocolServices
 from repro.crypto.hashing import digest_of
 from repro.crypto.signatures import Signature
@@ -69,13 +70,18 @@ def message_digest(iid: Any, cipher_id: bytes, preds: Tuple[int, ...]) -> bytes:
 class VvbInstance:
     """One instance of Algorithm 1 at one process.
 
-    Callbacks:
+    Callbacks (the ones a host shares across its instances are handed
+    the instance's ``iid``, so one bound method serves them all):
 
-    - ``validate(cipher, preds) -> bool`` — the validation-function.
+    - ``validate(iid, cipher, preds) -> bool`` — the validation-function.
     - ``on_deliver(b, m)`` — VVB delivery into the consensus layer;
       ``m`` is ``(cipher, preds)`` for ``b = 1`` and ``None`` for ``b = 0``.
-    - ``on_vote_seq(sender, seq_j)`` — perceived-sequence piggyback, used
-      by the broadcaster to refresh its distance estimates.
+    - ``on_vote_seq(iid, sender, seq_j)`` — perceived-sequence piggyback,
+      used by the broadcaster to refresh its distance estimates.
+    - ``perceive(cipher) -> int`` — the host's perceived sequence number.
+
+    Once 1 is delivered the share buckets are dropped: nothing reads them
+    after that, and a late VOTE1 is verified and sampled but not stored.
     """
 
     __slots__ = (
@@ -93,7 +99,7 @@ class VvbInstance:
         "_zero_votes",
         "_sent_zero",
         "_validated",
-        "delivered",
+        "_delivered",
         "_proof",
         "_proof_rebroadcast",
         "_timer_started",
@@ -105,9 +111,9 @@ class VvbInstance:
         services: ProtocolServices,
         iid: Any,
         *,
-        validate: Callable[[Any, Tuple[int, ...]], bool],
+        validate: Callable[[Any, Any, Tuple[int, ...]], bool],
         on_deliver: Callable[[int, Optional[Tuple[Any, Tuple[int, ...]]]], None],
-        on_vote_seq: Optional[Callable[[int, int], None]] = None,
+        on_vote_seq: Optional[Callable[[Any, int, int], None]] = None,
         perceive: Optional[Callable[[Any], int]] = None,
     ) -> None:
         self.services = services
@@ -126,11 +132,16 @@ class VvbInstance:
         self._zero_votes = 0  # bitmask over sender pids
         self._sent_zero = False
         self._validated = False  # we only ever share-sign once per instance
-        self.delivered: Set[int] = set()
+        self._delivered = 0  # value mask, as ``BinaryValueBroadcast``'s
         self._proof: Optional[Tuple[bytes, ThresholdSignature]] = None
         self._proof_rebroadcast = False
         self._timer_started = False
-        self._fetched_from: Set[int] = set()
+        self._fetched_from = 0  # bitmask over pids
+
+    @property
+    def delivered(self) -> FrozenSet[int]:
+        """The values delivered so far (a read-only view)."""
+        return VALUE_SETS[self._delivered]
 
     # ------------------------------------------------------------------
     # Broadcaster side
@@ -185,7 +196,7 @@ class VvbInstance:
         if self._perceive is not None:
             self._perceive(cipher)
         self._start_expiration_timer()
-        if not self._validated and self._validate(cipher, preds):
+        if not self._validated and self._validate(self.iid, cipher, preds):
             self._validated = True
             self._broadcast_vote1(digest)
         else:
@@ -245,7 +256,11 @@ class VvbInstance:
         if not self.services.threshold.share_verify(digest, share, sender):
             return
         if self._on_vote_seq is not None:
-            self._on_vote_seq(sender, seq)
+            self._on_vote_seq(self.iid, sender, seq)
+        if self._delivered & 2:
+            # Delivered 1: the buckets are gone and no quorum is counted.
+            self._start_expiration_timer()
+            return
         bucket = self._shares.setdefault(digest, {})
         if sender in bucket:
             return
@@ -256,7 +271,7 @@ class VvbInstance:
         self._check_one_quorum(digest)
 
     def _check_one_quorum(self, digest: bytes) -> None:
-        if 1 in self.delivered:
+        if self._delivered & 2:
             return
         bucket = self._shares.get(digest)
         if bucket is None or len(bucket) < self.services.quorum:
@@ -280,14 +295,14 @@ class VvbInstance:
             return
         seq = payload.get("seq")
         if self._on_vote_seq is not None and isinstance(seq, int) and seq > 0:
-            self._on_vote_seq(sender, seq)
+            self._on_vote_seq(self.iid, sender, seq)
         self._zero_votes |= bit
         zeros = self._zero_votes.bit_count()
         self._start_expiration_timer()
         if zeros >= self.services.small_quorum and not self._sent_zero:
             self._broadcast_vote0()  # relay (lines 19-20)
-        if zeros >= self.services.quorum and 0 not in self.delivered:
-            self.delivered.add(0)  # lines 21-22
+        if zeros >= self.services.quorum and not self._delivered & 1:
+            self._delivered |= 1  # lines 21-22
             self._on_deliver(0, None)
 
     # ------------------------------------------------------------------
@@ -306,7 +321,7 @@ class VvbInstance:
         self._maybe_deliver_with_proof(sender)
 
     def _maybe_deliver_with_proof(self, proof_sender: Optional[int] = None) -> None:
-        if self._proof is None or 1 in self.delivered:
+        if self._proof is None or self._delivered & 2:
             return
         digest, proof = self._proof
         if self.message is None or self.message_digest != digest:
@@ -318,9 +333,10 @@ class VvbInstance:
             if proof_sender is not None:
                 candidates.append(proof_sender)
             for target in candidates:
-                if target == self.services.pid or target in self._fetched_from:
+                bit = 1 << target
+                if target == self.services.pid or self._fetched_from & bit:
                     continue
-                self._fetched_from.add(target)
+                self._fetched_from |= bit
                 self.services.send(target, FETCH_KIND, {"iid": self.iid}, 8)
                 break
             return
@@ -334,9 +350,10 @@ class VvbInstance:
         self._deliver_one(digest)
 
     def _deliver_one(self, digest: bytes) -> None:
-        if 1 in self.delivered or self.message is None:
+        if self._delivered & 2 or self.message is None:
             return
-        self.delivered.add(1)
+        self._delivered |= 2
+        self._shares.clear()
         self._on_deliver(1, self.message)
 
     def on_fetch(self, payload: dict, sender: int) -> None:
@@ -354,7 +371,7 @@ class VvbInstance:
     # Timeout (lines 23-24)
     # ------------------------------------------------------------------
     def _on_timeout(self) -> None:
-        if self.delivered:
+        if self._delivered:
             return
         # Broadcast 0 (even if we voted 1) so the instance cannot hang, and
         # forward the broadcaster's message for VVB-Obligation.

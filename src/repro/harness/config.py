@@ -98,9 +98,11 @@ class ExperimentConfig:
     tracing: bool = False
 
     def __post_init__(self) -> None:
-        # Periods must be positive (a timer re-armed at the same instant
-        # never lets the clock advance) and delays non-negative.
+        # A cluster needs a replica, periods must be positive (a timer
+        # re-armed at the same instant never lets the clock advance) and
+        # delays non-negative.
         for name, value, floor in (
+            ("n_nodes", self.n_nodes, 1),
             ("batch_size", self.batch_size, 1),
             ("batch_timeout_us", self.batch_timeout_us, 1),
             ("status_interval_us", self.status_interval_us, 1),

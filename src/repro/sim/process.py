@@ -112,6 +112,8 @@ class SimProcess:
         #: at creation and refuse to run into a later incarnation.
         self.incarnation = 0
         self._handlers: Dict[str, Callable[["Message", int], None]] = {}
+        #: Bound once: every CPU-queued message's record carries it.
+        self._deferred = self._process_deferred
         self.messages_received = 0
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -185,10 +187,10 @@ class SimProcess:
             self._process(message, sender)
         else:
             # The record carries the call: no closure, and the epoch guard
-            # lives in one shared method.
+            # lives in one shared bound method.
             self.sim.post(
                 done_at - now,
-                self._process_deferred,
+                self._deferred,
                 (message, sender, self.incarnation),
             )
 

@@ -97,9 +97,9 @@ class ConsensusTestNode(SimProcess):
         self.instance = BinaryConsensus(
             self.services,
             self.iid,
-            validate=self._validate,
-            on_decide=lambda v, m: self.decisions.append((v, m)),
-            on_message=lambda m: self.messages_recovered.append(m),
+            validate=lambda iid, c, p: self._validate(c, p),
+            on_decide=lambda iid, v, m: self.decisions.append((v, m)),
+            on_message=lambda iid, m: self.messages_recovered.append(m),
         )
 
     def on_message(self, message, sender: int) -> None:

@@ -35,16 +35,16 @@ def _small_config(**kw):
 
 def _release_at_decide(node):
     """Mutate ``node`` to release its decryption share of every accepted
-    instance at decide time, before the instance is committed."""
-    decide = node._on_decide
+    instance as soon as it is accepted (decided 1, cipher in hand), before
+    the instance is committed."""
+    accept = node.commit.on_accept
 
-    def on_decide(iid, v, m):
-        decide(iid, v, m)
-        if v == 1 and m is not None:
-            share = node.obf.partial_decrypt(m[0], node.pid)
-            node._broadcast_decryption_shares([(iid, share)])
+    def on_accept(iid, cipher, preds):
+        accept(iid, cipher, preds)
+        share = node.obf.partial_decrypt(cipher, node.pid)
+        node._broadcast_decryption_shares([(iid, share)])
 
-    node._on_decide = on_decide
+    node.commit.on_accept = on_accept
 
 
 class TestRevealBeforeCommit:

@@ -29,7 +29,9 @@ def make_endpoint(pid=0):
         broadcast_fn=lambda msg: sent.append(msg.payload),
     )
     delivered: List[int] = []
-    bv = BinaryValueBroadcast(services, "iid", 2, delivered.append)
+    bv = BinaryValueBroadcast(
+        services, "iid", 2, lambda round_no, b: delivered.append(b)
+    )
     return bv, sent, delivered
 
 

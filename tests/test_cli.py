@@ -388,6 +388,17 @@ class TestRun:
         assert len(errors) == 1 and named in errors[0]
         assert ran == [] and captured.out == ""
 
+    def test_a_fuzz_batch_that_commits_nothing_is_not_clean(self, capsys):
+        """A schedule too short to commit checks no commit invariant: its
+        row reads VACUOUS, the summary does not call the batch clean, and
+        the batch exits 1."""
+        assert _exit_code(["fuzz", "--duration-ms", "1", "--seeds", "0:3"]) == 1
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines() if "committed=" in line]
+        assert len(rows) == 3 and all("VACUOUS" in row for row in rows)
+        assert "schedules clean" not in out
+        assert "0/3 clean, 3 vacuous (committed nothing)" in out
+
     def test_lossy_pompe_is_a_verdict_not_a_rejection(self, capsys):
         """Pompē honours a fault plan: under loss a retransmitted decide
         lands after its successor's, HotStuff still hands blocks over by

@@ -248,8 +248,8 @@ class Compacted:
         self.instance = BinaryConsensus(
             services,
             TEST_IID,
-            validate=lambda cipher, preds: True,
-            on_decide=lambda v, m: self.decisions.append(v),
+            validate=lambda iid, cipher, preds: True,
+            on_decide=lambda iid, v, m: self.decisions.append(v),
             max_rounds=MAX_ROUNDS,
         )
 

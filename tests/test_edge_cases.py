@@ -131,6 +131,8 @@ class TestConfig:
             ("jitter", -0.5),  # the latency model ran it jitter-free
             ("warmup_spacing_us", -1),
             ("clients_per_node", -1),
+            ("n_nodes", 0),  # only ``Topology`` refused these, at build time
+            ("n_nodes", -3),
         ],
     )
     def test_impossible_config_refused_by_name(self, field, value):

@@ -11,12 +11,15 @@ length of the run.
 import gc
 import weakref
 from collections import Counter
+from types import FunctionType
 
 import pytest
 
 from repro.baselines.pompe import OrderingCert
 from repro.bench.suite import CELLS, Row
 from repro.core.dbft import BinaryConsensus
+from repro.core.types import InstanceId
+from repro.core.vvb import VOTE1_KIND
 from repro.harness import build_cluster
 from repro.harness.config import ExperimentConfig
 from repro.net.faults import CrashEvent, FaultPlan, LinkFault
@@ -332,3 +335,65 @@ def test_gc_instance_frees_the_instance_by_reference_count():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Per-(instance, replica) state: every replica runs every proposer's
+# instance at once, so what one instance holds is multiplied by n².
+# ----------------------------------------------------------------------
+def _functions():
+    return sum(1 for obj in gc.get_objects() if type(obj) is FunctionType)
+
+
+def test_joining_an_instance_creates_no_function_object():
+    """The node's callbacks are bound once and handed the iid; the round
+    timer, the BV rounds and the linger are queued without closures."""
+    cluster = build_cluster(quick_lyra_config(seed=1))
+    node = cluster.nodes[0]
+    warm = node._instance(InstanceId(1, 10_000))
+    warm.join()
+    warm._bv_for(2)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _functions()
+        iid = InstanceId(1, 10_001)
+        instance = node._instance(iid)
+        instance.join()
+        instance._bv_for(2)
+        instance._bv_for(3)
+        node._schedule_gc(iid)
+        assert _functions() == before
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_vvb_that_delivered_one_holds_no_shares():
+    """Once 1 is delivered nothing reads the share buckets: they are
+    dropped, and a later VOTE1 is verified and sampled but not stored."""
+    cluster = build_cluster(quick_lyra_config(seed=1, duration_us=1_500_000))
+    cluster.run()
+    node = cluster.nodes[0]
+    own = [
+        (iid, instance)
+        for iid, instance in node._instances.items()
+        if iid.proposer == node.pid
+        and iid in node._s_ref
+        and 1 in instance.vvb.delivered
+    ]
+    assert own
+    for iid, instance in own:
+        vvb = instance.vvb
+        assert vvb._shares == {}
+        sender = 2
+        samples = node.estimator.samples(sender)
+        share = cluster.nodes[sender].services.threshold_signer.share_sign(
+            vvb.message_digest
+        )
+        seq = node._s_ref[iid] + 1_234
+        vote = {"iid": iid, "digest": vvb.message_digest, "share": share, "seq": seq}
+        node._process(Message(VOTE1_KIND, vote, 64), sender)
+        assert vvb._shares == {}
+        assert node.estimator.samples(sender) == samples + 1
+        assert list(node.estimator._history[sender])[-1] == 1_234.0
