@@ -505,11 +505,11 @@ class HotStuffParticipant:
     # ------------------------------------------------------------------
     def _arm_view_timer(self) -> None:
         assert self.services.timers is not None
-        marker = self._progress_marker
         self.services.timers.set(
             "hs-view",
             self.view_timeout_us,
-            lambda: self._view_timer_fired(marker),
+            self._view_timer_fired,
+            (self._progress_marker,),
         )
 
     def _view_timer_fired(self, marker: int) -> None:

@@ -17,7 +17,7 @@ set (BV-Uniformity), and at least one value is delivered (BV-Obligation).
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, List
+from typing import Any, Callable, FrozenSet
 
 from repro.core.services import ProtocolServices
 
@@ -42,7 +42,8 @@ class BinaryValueBroadcast:
         "iid",
         "round_no",
         "on_deliver",
-        "_votes",
+        "_votes0",
+        "_votes1",
         "_voted",
         "_delivered",
     )
@@ -58,8 +59,9 @@ class BinaryValueBroadcast:
         self.iid = iid
         self.round_no = round_no
         self.on_deliver = on_deliver
-        #: Voters per value, as bitmasks over sender pids.
-        self._votes: List[int] = [0, 0]
+        #: Voters for 0 and for 1, as bitmasks over sender pids.
+        self._votes0 = 0
+        self._votes1 = 0
         #: Values voted and delivered, as value masks.
         self._voted = 0
         self._delivered = 0
@@ -93,20 +95,25 @@ class BinaryValueBroadcast:
         self._record(b, sender)
 
     def _record(self, b: int, sender: int) -> None:
-        votes = self._votes
-        i = 1 if b else 0  # ``b`` may be any wire value equal to 0 or 1
         bit = 1 << sender
-        if votes[i] & bit:
-            return
-        votes[i] |= bit
-        value_bit = i + 1
+        if b:  # ``b`` may be any wire value equal to 0 or 1
+            if self._votes1 & bit:
+                return
+            votes = self._votes1 = self._votes1 | bit
+            value_bit = 2
+        else:
+            if self._votes0 & bit:
+                return
+            votes = self._votes0 = self._votes0 | bit
+            value_bit = 1
         if (
-            votes[i].bit_count() >= self.services.small_quorum
+            votes.bit_count() >= self.services.small_quorum
             and not self._voted & value_bit
         ):
             self._vote(b)  # records our own vote as well
+            votes = self._votes1 if b else self._votes0  # so count again
         if (
-            votes[i].bit_count() >= self.services.quorum
+            votes.bit_count() >= self.services.quorum
             and not self._delivered & value_bit
         ):
             self._delivered |= value_bit

@@ -27,12 +27,11 @@ that lagging correct processes terminate too.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.bv_broadcast import BinaryValueBroadcast
 from repro.core.services import ProtocolServices
-from repro.core.vvb import VvbInstance
+from repro.core.vvb import EXPIRY_TIMER, VvbInstance
 
 COORD_KIND = "lyra.coord"
 AUX_KIND = "lyra.aux"
@@ -50,6 +49,27 @@ DEFAULT_MAX_ROUNDS = 64
 #: versions were the largest single item on the heap.  ``_WIRE[mask]`` is
 #: the AUX wire form of a non-empty value mask.
 _WIRE = (None, (0,), (1,), (0, 1))
+
+
+class _Round:
+    """Everything one instance holds for one round it has touched, in one
+    slotted record: no per-round dict or list."""
+
+    __slots__ = ("vals", "heard", "aux0", "aux1", "aux01", "coord", "bv")
+
+    def __init__(self) -> None:
+        #: Value mask delivered into ``vvals`` so far.
+        self.vals = 0
+        #: Senders whose AUX counted (one per sender), and those among them
+        #: whose AUX carried {0}, {1} and {0, 1}.
+        self.heard = 0
+        self.aux0 = 0
+        self.aux1 = 0
+        self.aux01 = 0
+        #: The coordinator's value, once its COORD arrived.
+        self.coord: Optional[int] = None
+        #: The BV-broadcast endpoint (rounds >= 2), once needed.
+        self.bv: Optional[BinaryValueBroadcast] = None
 
 
 class BinaryConsensus:
@@ -75,14 +95,11 @@ class BinaryConsensus:
         "started",
         "delivered_message",
         "vvb",
-        "_vvals",
-        "_aux",
-        "_coord",
+        "_rounds",
         "_coord_sent",
         "_timer_expired",
         "_aux_sent",
         "_advanced",
-        "_bv",
         "__weakref__",
     )
 
@@ -121,19 +138,13 @@ class BinaryConsensus:
             perceive=perceive,
         )
 
-        #: round -> value mask delivered into ``vvals`` so far.
-        self._vvals: Dict[int, int] = {}
-        #: round -> sender masks of the AUX messages received, indexed by
-        #: the value mask each carried; index 0 is everyone heard from
-        #: (one AUX per sender counts).
-        self._aux: Dict[int, List[int]] = {}
-        self._coord: Dict[int, int] = {}
+        #: round -> its record, for every round touched.
+        self._rounds: Dict[int, _Round] = {}
         # Sets of round numbers, as bitmasks.
         self._coord_sent = 0
         self._timer_expired = 0
         self._aux_sent = 0
         self._advanced = 0
-        self._bv: Dict[int, BinaryValueBroadcast] = {}
 
     # ------------------------------------------------------------------
     # Entry points
@@ -153,10 +164,17 @@ class BinaryConsensus:
     # ------------------------------------------------------------------
     # Round-state accessors
     # ------------------------------------------------------------------
+    def _round(self, r: int) -> _Round:
+        record = self._rounds.get(r)
+        if record is None:
+            record = self._rounds[r] = _Round()
+        return record
+
     def _bv_for(self, r: int) -> BinaryValueBroadcast:
-        bv = self._bv.get(r)
+        record = self._round(r)
+        bv = record.bv
         if bv is None:
-            bv = self._bv[r] = BinaryValueBroadcast(
+            bv = record.bv = BinaryValueBroadcast(
                 self.services, self.iid, r, self._deliver_value
             )
         return bv
@@ -207,9 +225,12 @@ class BinaryConsensus:
         w = payload.get("w")
         if not isinstance(r, int) or r < 1 or w not in (0, 1):
             return
-        if sender != self.coordinator_of(r) or r in self._coord:
+        if sender != self.coordinator_of(r):
             return
-        self._coord[r] = w
+        record = self._round(r)
+        if record.coord is not None:
+            return
+        record.coord = w
         self._maybe_send_aux(r)
 
     def on_aux(self, payload: dict, sender: int) -> None:
@@ -225,13 +246,16 @@ class BinaryConsensus:
                 values |= 2 if v else 1
         if not values:
             return
-        aux = self._aux.get(r)
-        if aux is None:
-            aux = self._aux[r] = [0, 0, 0, 0]
+        record = self._round(r)
         bit = 1 << sender
-        if not aux[0] & bit:
-            aux[0] |= bit
-            aux[values] |= bit
+        if not record.heard & bit:
+            record.heard |= bit
+            if values == 1:
+                record.aux0 |= bit
+            elif values == 2:
+                record.aux1 |= bit
+            else:
+                record.aux01 |= bit
             self._try_complete(r)
 
     # ------------------------------------------------------------------
@@ -249,11 +273,11 @@ class BinaryConsensus:
     def _deliver_value(self, r: int, b: int) -> None:
         if self.closed:
             return
-        vvals = self._vvals.get(r, 0)
+        record = self._round(r)
         bit = 2 if b else 1
-        if vvals & bit:
+        if record.vals & bit:
             return
-        self._vvals[r] = vvals | bit
+        record.vals |= bit
         # Coordinator duty (lines 37-39): broadcast the first value.
         if (
             self.services.pid == self.coordinator_of(r)
@@ -272,9 +296,7 @@ class BinaryConsensus:
     def _start_round_timer(self, r: int) -> None:
         assert self.services.timers is not None
         self.services.timers.set(
-            f"dbft-{self.iid}-r{r}",
-            self.services.delta_us,
-            partial(self._on_round_timer, r),
+            (self.iid, r), self.services.delta_us, self._on_round_timer, (r,)
         )
 
     def _on_round_timer(self, r: int) -> None:
@@ -285,10 +307,11 @@ class BinaryConsensus:
         """Line 40-42: once vvals ≠ ∅ and the timer expired, broadcast AUX."""
         if self.closed or r != self.round or self._aux_sent >> r & 1:
             return
-        vvals = self._vvals.get(r, 0)
-        if not vvals or not self._timer_expired >> r & 1:
+        record = self._rounds.get(r)
+        if record is None or not record.vals or not self._timer_expired >> r & 1:
             return
-        c = self._coord.get(r)
+        vvals = record.vals
+        c = record.coord
         # {c} when the coordinator's value is in vvals, else vvals itself.
         e = (c is not None and vvals & (2 if c else 1)) or vvals
         wire = _WIRE[e]
@@ -312,13 +335,13 @@ class BinaryConsensus:
             return
         if not self._aux_sent >> r & 1:
             return
-        aux = self._aux.get(r)
-        if aux is None:
+        record = self._rounds.get(r)
+        if record is None or not record.heard:
             return
-        vvals = self._vvals.get(r, 0)
-        zeros = aux[1].bit_count() if vvals & 1 else 0
-        ones = aux[2].bit_count() if vvals & 2 else 0
-        both = aux[3].bit_count() if vvals == 3 else 0
+        vvals = record.vals
+        zeros = record.aux0.bit_count() if vvals & 1 else 0
+        ones = record.aux1.bit_count() if vvals & 2 else 0
+        both = record.aux01.bit_count() if vvals == 3 else 0
         quorum = self.services.quorum
         if zeros + ones + both < quorum:
             return
@@ -377,20 +400,21 @@ class BinaryConsensus:
             return
         self.closed = True
         assert self.services.timers is not None
-        self.services.timers.cancel(f"vvb-expire-{self.iid}")
+        self.services.timers.cancel((self.iid, EXPIRY_TIMER))
         for r in range(1, self.round + 1):
-            self.services.timers.cancel(f"dbft-{self.iid}-r{r}")
+            self.services.timers.cancel((self.iid, r))
 
     def discard(self) -> None:
-        """Close, and drop the VVB and BV endpoints.
+        """Close, and drop the VVB and the round records with their BV
+        endpoints.
 
-        Their delivery callbacks point back at this instance, so a host
-        that merely forgets a finished instance leaves a reference cycle
-        behind — and the event loop runs with the cyclic collector off.
-        Only for an instance that will be handed no further message."""
+        The endpoints' delivery callbacks point back at this instance, so
+        a host that merely forgets a finished instance leaves a reference
+        cycle behind — and the event loop runs with the cyclic collector
+        off.  Only for an instance that will be handed no further message."""
         self.close()
         self.vvb = None
-        self._bv.clear()
+        self._rounds.clear()
 
 
 __all__ = ["BinaryConsensus", "COORD_KIND", "AUX_KIND", "DEFAULT_MAX_ROUNDS"]

@@ -44,6 +44,10 @@ FETCH_KIND = "lyra.fetch"
 #: Per-message byte-size hints (see DESIGN.md §5).
 _PREDS_BYTES_PER_NODE = 8
 
+#: The expiration timer of instance ``iid`` is named ``(iid, EXPIRY_TIMER)``
+#: on its host's wheel (DBFT's round timers are ``(iid, r)``).
+EXPIRY_TIMER = "vvb-expire"
+
 
 _digest_memo: Dict[Tuple[Any, bytes, Tuple[int, ...]], bytes] = {}
 
@@ -80,8 +84,10 @@ class VvbInstance:
       used by the broadcaster to refresh its distance estimates.
     - ``perceive(cipher) -> int`` — the host's perceived sequence number.
 
-    Once 1 is delivered the share buckets are dropped: nothing reads them
-    after that, and a late VOTE1 is verified and sampled but not stored.
+    The share buckets are made on the first stored VOTE1 and dropped
+    once 1 is delivered (``_shares`` is ``None`` before and after):
+    nothing reads them after that, and a late VOTE1 is verified and sampled
+    but not stored.
     """
 
     __slots__ = (
@@ -127,8 +133,9 @@ class VvbInstance:
         self.message_digest: Optional[bytes] = None
         self._init_raw: Optional[dict] = None  # for forwarding / FETCH replies
         self.equivocation_detected = False
-        # Vote bookkeeping: shares for 1 are keyed by the digest they sign.
-        self._shares: Dict[bytes, Dict[int, SignatureShare]] = {}
+        # Vote bookkeeping: shares for 1 are keyed by the digest they sign;
+        # ``None`` is "no bucket".
+        self._shares: Optional[Dict[bytes, Dict[int, SignatureShare]]] = None
         self._zero_votes = 0  # bitmask over sender pids
         self._sent_zero = False
         self._validated = False  # we only ever share-sign once per instance
@@ -232,7 +239,7 @@ class VvbInstance:
         self._timer_started = True
         assert self.services.timers is not None
         self.services.timers.set(
-            f"vvb-expire-{self.iid}", 2 * self.services.delta_us, self._on_timeout
+            (self.iid, EXPIRY_TIMER), 2 * self.services.delta_us, self._on_timeout
         )
 
     # ------------------------------------------------------------------
@@ -261,7 +268,10 @@ class VvbInstance:
             # Delivered 1: the buckets are gone and no quorum is counted.
             self._start_expiration_timer()
             return
-        bucket = self._shares.setdefault(digest, {})
+        shares = self._shares
+        if shares is None:
+            shares = self._shares = {}
+        bucket = shares.setdefault(digest, {})
         if sender in bucket:
             return
         bucket[sender] = share
@@ -271,7 +281,7 @@ class VvbInstance:
         self._check_one_quorum(digest)
 
     def _check_one_quorum(self, digest: bytes) -> None:
-        if self._delivered & 2:
+        if self._delivered & 2 or self._shares is None:
             return
         bucket = self._shares.get(digest)
         if bucket is None or len(bucket) < self.services.quorum:
@@ -329,7 +339,8 @@ class VvbInstance:
             # process that demonstrably has it — a share signer (it
             # validated m) or the proof's forwarder.  Never ourselves, and
             # retry a different holder on each new lead.
-            candidates = list(self._shares.get(digest, {}))
+            bucket = None if self._shares is None else self._shares.get(digest)
+            candidates = [] if bucket is None else list(bucket)
             if proof_sender is not None:
                 candidates.append(proof_sender)
             for target in candidates:
@@ -353,7 +364,7 @@ class VvbInstance:
         if self._delivered & 2 or self.message is None:
             return
         self._delivered |= 2
-        self._shares.clear()
+        self._shares = None
         self._on_deliver(1, self.message)
 
     def on_fetch(self, payload: dict, sender: int) -> None:

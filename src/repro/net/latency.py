@@ -78,6 +78,15 @@ def triangle_violations(
     return out
 
 
+#: Variates a jitter stream draws per refill.  A constant, not a knob:
+#: numpy's Generator fills a size-k request with exactly the variates of k
+#: scalar calls, so any size keeps every stream bit-identical.  128 still
+#: amortises the per-call numpy dispatch (54 ns a variate, against 42 ns
+#: at 1 024 and 1.8 µs for scalar calls), and a buffer pins up to 896 fewer
+#: Python floats per sender (EXPERIMENTS.md "Constants measured, not
+#: knobs").
+JITTER_REFILL = 128
+
 #: A link's jitter stream: ``[buffer, cursor, refill, bound]``.  A sample is
 #: ``int(base * (1 + noise))`` for the next ``noise`` of ``buffer`` (refilled
 #: by ``refill()`` when the cursor runs off its end) clamped to
@@ -159,7 +168,7 @@ class GeoLatencyModel(LatencyModel):
             jitter = self.jitter
 
             def refill() -> List[float]:
-                return normal(0.0, jitter, 1024).tolist()
+                return normal(0.0, jitter, JITTER_REFILL).tolist()
 
             state = self._streams[src] = [[], 0, refill, 3 * jitter]
         return state

@@ -61,12 +61,41 @@ class _Link:
     (``None`` without a matching fault rule) and the link-stats slot
     (``None`` while link stats are off).  No field changes after the
     record is built, except that enabling link stats gives it a slot.
+
+    Calling the link delivers an intact message over it, so a fast-path
+    broadcast queues the link itself as each delivery's call, with one
+    ``(message,)`` shared by the whole fan-out: the 1 s n=100 run holds
+    ≈ 900 k queued deliveries at its horizon, and a link costs no bound
+    object of its own.
     """
 
     __slots__ = (
         "src", "dst", "key", "process", "egress", "ingress",
-        "base", "floor", "jitter", "lane", "counts",
+        "base", "floor", "jitter", "lane", "counts", "net",
     )
+
+    def __call__(self, message: Message) -> None:
+        """Hand an intact application message to the link's process.
+
+        Fast-path broadcasts are delivered here directly: their checksum
+        was stamped by the sender an instant ago and no fault injector
+        exists on that path, so re-verifying it (and sniffing for
+        reliable-layer frames, which imply a fault injector) would be pure
+        overhead."""
+        process = self.process
+        if process.crashed:
+            return
+        net = self.net
+        net.messages_delivered += 1
+        net.bytes_delivered += message.size
+        counts = self.counts
+        if counts is not None:
+            counts[0] += 1
+            counts[1] += message.size
+        if net._trace_hooks:
+            for hook in net._trace_hooks:
+                hook(net.sim.now, self.src, self.dst, message)
+        process.deliver(message, self.src)
 
 
 class Network:
@@ -163,6 +192,7 @@ class Network:
         link.lane = None if self.faults is None else self.faults.lane(src, dst)
         stats = self._link_stats
         link.counts = None if stats is None else stats.setdefault(key, [0, 0])
+        link.net = self
         return link
 
     # ------------------------------------------------------------------
@@ -183,12 +213,6 @@ class Network:
     def pids(self) -> List[int]:
         """Broadcast group: the replica pids, sorted."""
         return list(self._replicas)
-
-    def process(self, pid: int) -> SimProcess:
-        return self._processes[pid]
-
-    def processes(self) -> List[SimProcess]:
-        return [self._processes[pid] for pid in sorted(self._processes)]
 
     @property
     def delta_us(self) -> int:
@@ -285,7 +309,7 @@ class Network:
             egress._free_at = start + count * ser
             egress.bytes_total += count * size
             delay = start - now + ser
-        deliver = self._deliver_clean
+        args = (message,)
         items = []
         for link in row:
             prop = link.base
@@ -309,7 +333,7 @@ class Network:
             if ingress is not None:
                 in_ser = ingress._ser_cache.get(size)
                 prop += ingress.serialisation_us(size) if in_ser is None else in_ser
-            items.append((delay + prop, deliver, (link, message)))
+            items.append((delay + prop, link, args))
             delay += ser
         # Deliveries run at priority src+1: at any shared instant the
         # destination processes timers/CPU completions (priority 0) first,
@@ -418,29 +442,7 @@ class Network:
         if self.reliable is not None and message.kind in (FRAME_KIND, ACK_KIND):
             self.reliable.on_receive(link, message)
         else:
-            self._deliver_clean(link, message)
-
-    def _deliver_clean(self, link: _Link, message: Message) -> None:
-        """Hand an intact application message to the link's process.
-
-        Fast-path broadcasts are delivered here directly: their checksum
-        was stamped by the sender an instant ago and no fault injector
-        exists on that path, so re-verifying it (and sniffing for
-        reliable-layer frames, which imply a fault injector) would be pure
-        overhead."""
-        process = link.process
-        if process.crashed:
-            return
-        self.messages_delivered += 1
-        self.bytes_delivered += message.size
-        counts = link.counts
-        if counts is not None:
-            counts[0] += 1
-            counts[1] += message.size
-        if self._trace_hooks:
-            for hook in self._trace_hooks:
-                hook(self.sim.now, link.src, link.dst, message)
-        process.deliver(message, link.src)
+            link(message)
 
     def deliver_local(
         self, src: int, dst: int, message: Message, process: SimProcess

@@ -2,7 +2,7 @@
 
 The engine is the substrate every protocol in this repository runs on.  It
 provides a virtual clock with microsecond resolution, a deterministic event
-queue (ties broken by insertion order), cancellable timers, and a process
+queue (ties broken by insertion order), named cancellable timers, and a process
 abstraction with a serialised CPU so compute costs (signature verification,
 share combination, ...) translate into virtual latency exactly like they
 would on a real core.
@@ -14,7 +14,7 @@ identical protocol outputs.  All randomness must flow through
 """
 
 from repro.sim.engine import Simulator, Event, SimulationError
-from repro.sim.timers import Timer, TimerWheel
+from repro.sim.timers import TimerWheel
 from repro.sim.process import SimProcess, CpuModel
 from repro.sim.rng import RngRegistry, derive_seed
 
@@ -22,7 +22,6 @@ __all__ = [
     "Simulator",
     "Event",
     "SimulationError",
-    "Timer",
     "TimerWheel",
     "SimProcess",
     "CpuModel",

@@ -1,12 +1,29 @@
 """Core discrete-event simulator.
 
 The queue is a **slotted calendar of call-carrying records**.  A record is
-the list ``[time, priority, seq, fn, args]``; the run loop calls
-``fn(*args)``, so the per-message hot sites queue a bound method and a
-tuple instead of allocating a closure.  ``seq`` is a global insertion
-counter: records order by ``(time, priority, seq)``, ``seq`` is unique, so
-the order is total and deterministic — essential for reproducible
-distributed protocol runs — and a comparison never reaches ``fn``.
+the tuple ``(key, fn, args)``; the run loop calls ``fn(*args)``, so the
+per-message hot sites queue a bound method and a tuple instead of
+allocating a closure.  ``key`` packs the record's time and priority into
+one int, ``(time << _PRIORITY_BITS) | (priority + _PRIORITY_BIAS)``, so
+records order by ``(time, priority)`` through one int comparison.  A
+cancellable record — one :meth:`Simulator.schedule` made — is
+``(key, None, handle)``: its call lives in the :class:`Event` handle, where
+:meth:`Event.cancel` can drop it.
+
+Records carry no insertion counter, yet equal keys still run in the order
+they were scheduled — essential for reproducible distributed protocol
+runs — because every path that orders records is stable:
+
+- a future slot's records are appended in scheduling order, and the slot
+  is ordered by a stable sort on ``key`` alone;
+- a record scheduled into the slot being drained is ``insort``-ed after
+  the records with an equal key;
+- when an earlier slot preempts the open one, the open slot's remaining
+  records go back ahead of anything appended to that slot later.
+
+A sort never compares past ``key``, so it never reaches ``fn``.  The
+global count of scheduled records survives as the O(1) :attr:`pending`
+bookkeeping and as :attr:`Event.seq`.
 
 Virtual time is cut into slots of ``2 ** _SLOT_SHIFT`` microseconds.  A
 record for a *future* slot is appended, unsorted, to that slot's list; a
@@ -33,6 +50,7 @@ from __future__ import annotations
 import gc
 from bisect import insort
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 # Convenience time units, all expressed in the simulator's integer microsecond
@@ -49,6 +67,18 @@ SECONDS = 1_000_000
 #: the open one.
 _SLOT_SHIFT = 7
 
+#: Low bits of a record's key that hold its priority, biased to be
+#: non-negative: priorities run over ``[-_PRIORITY_BIAS, _PRIORITY_BIAS)``.
+#: The network delivers at priority ``src + 1`` and pids stay below
+#: ``2 ** 20`` (its packed pid pairs), so every delivery priority fits.
+_PRIORITY_BITS = 22
+_PRIORITY_BIAS = 1 << (_PRIORITY_BITS - 1)
+_PRIORITY_MASK = (1 << _PRIORITY_BITS) - 1
+#: A key's slot is ``key >> _KEY_SLOT_SHIFT``.
+_KEY_SLOT_SHIFT = _SLOT_SHIFT + _PRIORITY_BITS
+#: The sort and insort key of a record.
+_KEY = itemgetter(0)
+
 #: Stand-in for "no ``until`` / no ``max_events``": an int beyond any run,
 #: so the loop compares ints with ints.
 _NEVER = 1 << 62
@@ -58,58 +88,71 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulator (time travel, re-running, ...)."""
 
 
-class Event(list):
-    """The cancellable handle :meth:`Simulator.schedule` returns — the
-    queued record ``[time, priority, seq, fn, args]`` itself, under a name
-    and with read-only views of its fields.
+def _bad_priority(priority: Any) -> SimulationError:
+    return SimulationError(
+        f"priority {priority!r} is not an int in "
+        f"[{-_PRIORITY_BIAS}, {_PRIORITY_BIAS})"
+    )
 
-    A ``list`` subclass without an ``__init__`` of its own: building one is
-    a single C call, and slots sort it against the plain-list records of
-    :meth:`Simulator.post` and :meth:`Simulator.schedule_block` with
-    ``list``'s own comparison.
+
+def _biased(priority: Any) -> int:
+    """``priority`` as the key's low bits; one that does not fit is
+    refused rather than aliased into a neighbouring time."""
+    if type(priority) is not int or not (
+        -_PRIORITY_BIAS <= priority < _PRIORITY_BIAS
+    ):
+        raise _bad_priority(priority)
+    return priority + _PRIORITY_BIAS
+
+
+def _bad_time(delay: Any) -> SimulationError:
+    return SimulationError(
+        f"event times are integer microseconds (got a delay of {delay!r})"
+    )
+
+
+class Event:
+    """The cancellable handle :meth:`Simulator.schedule` returns; the
+    queued record ``(key, None, handle)`` points to it.
+
     Cancellation is O(1) and lazy — the record stays queued and is skipped
     when reached — but it drops ``fn`` *and* ``args`` at once, so a
     cancelled timer does not keep what they reference (a frame, a
     consensus instance) alive until its deadline.  ``fn is None`` is the
-    cancelled mark.
+    cancelled mark; an event that has run keeps its call and does not count
+    as cancelled.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key", "seq", "fn", "args")
 
-    # ``list`` compares by value; a handle is one particular scheduling.
-    __hash__ = object.__hash__
+    def __init__(
+        self, key: int, seq: int, fn: Callable[..., None], args: Tuple[Any, ...]
+    ) -> None:
+        self._key = key
+        #: Records scheduled before this one, handles or not.
+        self.seq = seq
+        self.fn: Optional[Callable[..., None]] = fn
+        self.args: Optional[Tuple[Any, ...]] = args
 
     @property
     def time(self) -> int:
-        return self[0]
+        return self._key >> _PRIORITY_BITS
 
     @property
     def priority(self) -> int:
-        return self[1]
-
-    @property
-    def seq(self) -> int:
-        return self[2]
-
-    @property
-    def fn(self) -> Optional[Callable[..., None]]:
-        return self[3]
-
-    @property
-    def args(self) -> Optional[Tuple[Any, ...]]:
-        return self[4]
+        return (self._key & _PRIORITY_MASK) - _PRIORITY_BIAS
 
     @property
     def cancelled(self) -> bool:
-        return self[3] is None
+        return self.fn is None
 
     def cancel(self) -> None:
-        self[3] = self[4] = None
+        self.fn = self.args = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Event(time={self[0]}, priority={self[1]}, "
-            f"seq={self[2]}, cancelled={self[3] is None})"
+            f"Event(time={self.time}, priority={self.priority}, "
+            f"seq={self.seq}, cancelled={self.fn is None})"
         )
 
 
@@ -119,16 +162,16 @@ class Simulator:
     def __init__(self) -> None:
         self._now: int = 0
         #: slot index -> records of that (future) slot, in insertion order.
-        self._slots: Dict[int, List[list]] = {}
+        self._slots: Dict[int, List[tuple]] = {}
         #: Min-heap of the slot indices present in ``_slots``.
         self._slot_heap: List[int] = []
         #: The open slot: sorted, drained through ``_open_pos``; entries
         #: before the cursor are consumed (and cleared to ``None``).  Only
         #: the open slot is ever sorted or partly consumed.
-        self._open: List[Optional[list]] = []
+        self._open: List[Optional[tuple]] = []
         self._open_pos: int = 0
         self._open_slot: int = -1
-        #: Records scheduled so far — the next ``seq``.
+        #: Records scheduled so far — the next handle's ``seq``.
         self._seq: int = 0
         self._running = False
         self._stopped = False
@@ -175,11 +218,11 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + int(delay)
+        key = ((self._now + int(delay)) << _PRIORITY_BITS) | _biased(priority)
         seq = self._seq
         self._seq = seq + 1
-        event = Event((when, priority, seq, fn, args))
-        self._insert(event)
+        event = Event(key, seq, fn, args)
+        self._insert((key, None, event))
         return event
 
     def post(
@@ -190,15 +233,22 @@ class Simulator:
         priority: int = 0,
     ) -> None:
         """:meth:`schedule` for the per-message hot sites, which never
-        cancel: no handle (the record is a plain list) and no checks —
-        ``delay`` must be a non-negative integer by construction; a
-        non-integer one raises :class:`SimulationError`.  Worth its
+        cancel: no handle and fewer checks — ``delay`` must be a
+        non-negative integer by construction; a non-integer one, like a
+        priority out of range, raises :class:`SimulationError`.  Worth its
         duplication only because it is measured: −5.8 % wall on
         ``lyra_n32_closed`` with the receive path on it (EXPERIMENTS.md
         "Constants measured, not knobs")."""
-        seq = self._seq
-        self._insert([self._now + delay, priority, seq, fn, args])
-        self._seq = seq + 1
+        if not -_PRIORITY_BIAS <= priority < _PRIORITY_BIAS:
+            raise _bad_priority(priority)
+        try:
+            key = ((self._now + delay) << _PRIORITY_BITS) | (
+                priority + _PRIORITY_BIAS
+            )
+        except TypeError:
+            raise _bad_time(delay) from None
+        self._insert((key, fn, args))
+        self._seq += 1
 
     def schedule_block(self, items: Iterable[tuple], *, priority: int = 0) -> None:
         """:meth:`post` many ``(delay, fn, args)`` triples at one
@@ -206,28 +256,27 @@ class Simulator:
         out of the loop.  Same contract: no handles, non-negative integer
         delays, a non-integer one raises :class:`SimulationError` here
         rather than surfacing mid-run."""
-        now = self._now
+        base = (self._now << _PRIORITY_BITS) | _biased(priority)
         seq = self._seq
         insert = self._insert
         try:
             for delay, fn, args in items:
-                insert([now + delay, priority, seq, fn, args])
+                try:
+                    key = base + (delay << _PRIORITY_BITS)
+                except TypeError:
+                    raise _bad_time(delay) from None
+                insert((key, fn, args))
                 seq += 1
         finally:
             self._seq = seq
 
-    def _insert(self, record: list) -> None:
+    def _insert(self, record: tuple) -> None:
         """Queue ``record``: append it to its (future) slot, or insort it
-        behind the cursor of the open one."""
-        try:
-            slot = record[0] >> _SLOT_SHIFT
-        except TypeError:
-            raise SimulationError(
-                f"event times are integer microseconds (got {record[0]!r})"
-            ) from None
+        behind the cursor of the open one, after its equal keys."""
+        slot = record[0] >> _KEY_SLOT_SHIFT
         open_slot = self._open_slot
         if slot == open_slot:
-            insort(self._open, record, lo=self._open_pos)
+            insort(self._open, record, lo=self._open_pos, key=_KEY)
             return
         if slot < open_slot:
             self._close_open_slot()
@@ -258,7 +307,9 @@ class Simulator:
         slots.  Needed only when the loop has peeked a slot ahead of the
         clock (``run(until=…)`` stopped before its first record) and
         something is then scheduled into an earlier slot: the heap, not
-        the cursor, must decide what runs next."""
+        the cursor, must decide what runs next.  The remaining records
+        were all scheduled before anything appended to their slot from
+        now on, and they stay ahead of it."""
         rest = self._open[self._open_pos :]
         if rest:
             self._slots[self._open_slot] = rest
@@ -299,7 +350,8 @@ class Simulator:
         executed = 0
         horizon = _NEVER if until is None else until
         limit = _NEVER if max_events is None else max_events
-        now = self._now
+        # Keys at the current instant are at most ``now_top``.
+        now_top = (self._now << _PRIORITY_BITS) | _PRIORITY_MASK
         # ``open_``/``pos`` mirror ``_open``/``_open_pos``.  The cursor is
         # written back before a callback runs; a callback runs at a time
         # inside the open slot, so it can only insort into the list, never
@@ -314,27 +366,31 @@ class Simulator:
                     # The open slot is exhausted.
                     heap = self._slot_heap
                     if not heap:
-                        if now < horizon < _NEVER:
+                        if self._now < horizon < _NEVER:
                             self._now = horizon
                         break
                     self._open_slot = heappop(heap)
                     open_ = self._open = self._slots.pop(self._open_slot)
-                    open_.sort()
+                    open_.sort(key=_KEY)
                     pos = self._open_pos = 0
                     continue
-                fn = record[3]
-                if fn is None:  # cancelled
-                    open_[pos] = None
-                    pos += 1
-                    self._open_pos = pos
-                    self._skipped += 1
-                    continue
-                when = record[0]
-                if when != now:
+                key, fn, args = record
+                if fn is None:  # a handle's record: the call is in ``args``
+                    fn = args.fn
+                    if fn is None:  # cancelled
+                        open_[pos] = None
+                        pos += 1
+                        self._open_pos = pos
+                        self._skipped += 1
+                        continue
+                    args = args.args
+                if key > now_top:
+                    when = key >> _PRIORITY_BITS
                     if when > horizon:
                         self._now = horizon
                         break
-                    self._now = now = when
+                    self._now = when
+                    now_top = key | _PRIORITY_MASK
                 # Consumed records are dropped at once, not when the slot
                 # closes: what a fired timer references must not outlive it
                 # by up to a slot width.
@@ -342,7 +398,7 @@ class Simulator:
                 pos += 1
                 self._open_pos = pos
                 self._processed += 1
-                fn(*record[4])
+                fn(*args)
                 executed += 1
                 if self._stopped:
                     break

@@ -1,52 +1,24 @@
-"""Cancellable timers and per-owner timer bookkeeping.
+"""Named, cancellable timers per owner.
 
 Protocols set many short-lived timers (VVB expiration timers, DBFT round
-timers, pacemaker view timers).  :class:`Timer` wraps a scheduled event with
-restart/cancel semantics; :class:`TimerWheel` tracks every *live* (armed)
-timer of one owner so teardown can cancel them all (preventing callbacks from
-firing into a dead object, the classic source of "ghost vote" bugs in
-simulators).  A timer that fires or is cancelled leaves the wheel at once:
-protocols name timers per (instance, round), so a wheel that remembered
-them would pin every consensus instance its owner ever ran.
+timers, pacemaker view timers).  A :class:`TimerWheel` maps each *live*
+(armed) timer's name straight to its :class:`~repro.sim.engine.Event`, so
+teardown can cancel them all (preventing callbacks from firing into a dead
+object, the classic source of "ghost vote" bugs in simulators).  A timer is
+that one record: arming schedules the wheel's ``_fire`` — bound once per
+wheel — with ``(name, fn, args)`` as its arguments, and allocates no timer
+object, closure or bound method of its own.  Names are any hashable; the
+per-instance protocol timers use tuples built from the instance id, so no
+name is formatted.  A timer that fires or is cancelled leaves the wheel at
+once: protocols name timers per (instance, round), so a wheel that
+remembered them would pin every consensus instance its owner ever ran.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Hashable, Tuple
 
 from repro.sim.engine import Event, Simulator
-
-
-class Timer:
-    """A restartable one-shot timer bound to a simulator."""
-
-    __slots__ = ("_sim", "_callback", "_event", "fired_count")
-
-    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._event: Optional[Event] = None
-        self.fired_count = 0
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled
-
-    def start(self, delay: int) -> None:
-        """(Re)arm the timer to fire ``delay`` microseconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
-
-    def cancel(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self.fired_count += 1
-        self._callback()
 
 
 class TimerWheel:
@@ -54,41 +26,51 @@ class TimerWheel:
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self._timers: Dict[str, Timer] = {}
+        self._timers: Dict[Hashable, Event] = {}
         self._closed = False
+        # Bound once: every timer of this wheel queues the same method.
+        self._fire_bound = self._fire
 
-    def set(self, name: str, delay: int, callback: Callable[[], None]) -> Timer:
-        """Arm (or re-arm) the named timer."""
+    def set(
+        self,
+        name: Hashable,
+        delay: int,
+        fn: Callable[..., None],
+        args: Tuple[Any, ...] = (),
+    ) -> Event:
+        """Arm (or re-arm) the named timer to call ``fn(*args)``."""
         if self._closed:
             raise RuntimeError("timer wheel is closed")
         # Re-arming replaces the timer: the same logical name can carry
         # round-specific callbacks.
-        self.cancel(name)
-        timer = self._timers[name] = Timer(
-            self._sim, partial(self._fire, name, callback)
+        old = self._timers.pop(name, None)
+        if old is not None:
+            old.cancel()
+        event = self._timers[name] = self._sim.schedule(
+            delay, self._fire_bound, (name, fn, args)
         )
-        timer.start(delay)
-        return timer
+        return event
 
-    def _fire(self, name: str, callback: Callable[[], None]) -> None:
+    def _fire(
+        self, name: Hashable, fn: Callable[..., None], args: Tuple[Any, ...]
+    ) -> None:
         # Forget the timer before running it: periodic callbacks re-arm
         # their own name from inside.
         del self._timers[name]
-        callback()
+        fn(*args)
 
-    def cancel(self, name: str) -> None:
-        timer = self._timers.pop(name, None)
-        if timer is not None:
-            timer.cancel()
+    def cancel(self, name: Hashable) -> None:
+        event = self._timers.pop(name, None)
+        if event is not None:
+            event.cancel()
 
-    def armed(self, name: str) -> bool:
-        timer = self._timers.get(name)
-        return timer is not None and timer.armed
+    def armed(self, name: Hashable) -> bool:
+        return name in self._timers
 
     def close(self) -> None:
         """Cancel every timer and refuse further arming."""
-        for timer in self._timers.values():
-            timer.cancel()
+        for event in self._timers.values():
+            event.cancel()
         self._timers.clear()
         self._closed = True
 
@@ -105,4 +87,4 @@ class TimerWheel:
         return self._closed
 
 
-__all__ = ["Timer", "TimerWheel"]
+__all__ = ["TimerWheel"]

@@ -27,10 +27,31 @@ from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network, NetworkConfig
-from repro.sim.engine import MILLISECONDS, Simulator
+from repro.sim.engine import (
+    _PRIORITY_BIAS,
+    _PRIORITY_BITS,
+    _PRIORITY_MASK,
+    MILLISECONDS,
+    Simulator,
+)
 from repro.sim.process import SimProcess
 
 TEST_IID = InstanceId(0, 0)
+
+
+def record_fields(record):
+    """``(time, priority, fn, args)`` of an engine queue record
+    ``(key, fn, args)``; a cancellable record ``(key, None, handle)``
+    reads its call from the handle."""
+    key, fn, args = record
+    if fn is None:
+        fn, args = args.fn, args.args
+    return (
+        key >> _PRIORITY_BITS,
+        (key & _PRIORITY_MASK) - _PRIORITY_BIAS,
+        fn,
+        args,
+    )
 
 
 @dataclass(frozen=True)

@@ -274,10 +274,17 @@ class Compacted:
             "state": (i.round, i.est, i.decided, i.decided_round, i.closed, i.started),
             "decisions": self.decisions,
             "vvals": {
-                r: {b for b in (0, 1) if mask >> b & 1} for r, mask in i._vvals.items()
+                r: {b for b in (0, 1) if rec.vals >> b & 1}
+                for r, rec in i._rounds.items()
+                if rec.vals
             },
             "vvb_delivered": i.vvb.delivered,
-            "bv_delivered": {(r, b) for r, bv in i._bv.items() for b in bv.delivered},
+            "bv_delivered": {
+                (r, b)
+                for r, rec in i._rounds.items()
+                if rec.bv is not None
+                for b in rec.bv.delivered
+            },
         }
 
 
@@ -357,10 +364,10 @@ def test_seeded_interleavings_match_the_set_reference(pid, n, f):
 
 def test_untouched_instance_allocates_no_per_round_state():
     instance = Compacted(1, 4, 1).instance
-    assert not instance._bv and not instance._aux and not instance._vvals
+    assert not instance._rounds
     instance.on_bv({"iid": TEST_IID, "round": 10**9, "b": 1}, sender=0)
     instance.on_aux({"iid": TEST_IID, "round": 3, "e": ("junk",)}, sender=0)
-    assert not instance._bv and not instance._aux and not instance._vvals
+    assert not instance._rounds
 
 
 try:

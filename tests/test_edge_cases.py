@@ -67,12 +67,12 @@ class TestVvbEdgeCases:
         # if sent by node 2 (signer field says 1, network says 2).
         digest = vvb.message_digest
         share = nodes[1].services.threshold_signer.share_sign(digest)
-        before = len(vvb._shares.get(digest, {}))
+        before = len((vvb._shares or {}).get(digest, {}))
         vvb.on_vote1(
             {"iid": TEST_IID, "digest": digest, "share": share, "seq": 1},
             sender=2,
         )
-        assert len(vvb._shares.get(digest, {})) == before
+        assert len((vvb._shares or {}).get(digest, {})) == before
 
     def test_fetch_without_init_is_noop(self):
         sim, nodes, net = build_consensus_cluster(4)
@@ -97,7 +97,7 @@ class TestVvbEdgeCases:
         instance = nodes[1].instance
         instance.on_bv({"iid": TEST_IID, "round": 10**9, "b": 1}, sender=0)
         instance.on_bv({"iid": TEST_IID, "round": -3, "b": 1}, sender=0)
-        assert not instance._bv  # nothing allocated
+        assert not instance._rounds  # nothing allocated
 
 
 class TestConfig:

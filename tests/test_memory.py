@@ -17,7 +17,8 @@ import pytest
 
 from repro.baselines.pompe import OrderingCert
 from repro.bench.suite import CELLS, Row
-from repro.core.dbft import BinaryConsensus
+from repro.core.bv_broadcast import BinaryValueBroadcast
+from repro.core.dbft import BinaryConsensus, _Round
 from repro.core.types import InstanceId
 from repro.core.vvb import VOTE1_KIND
 from repro.harness import build_cluster
@@ -26,23 +27,25 @@ from repro.net.faults import CrashEvent, FaultPlan, LinkFault
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
-from repro.sim.engine import MILLISECONDS, Simulator
+from repro.sim.engine import MILLISECONDS, Event, Simulator
 from repro.sim.process import SimProcess
+from repro.sim.timers import TimerWheel
 from repro.workload.spec import ClientGroup, WorkloadSpec
-from tests.helpers import quick_lyra_config
+from tests.helpers import build_consensus_cluster, fake_cipher, quick_lyra_config
 
 #: Per-message and per-instance classes: one of these in a cycle means the
-#: leak grows with the run.  A queue record is an ``Event`` only when it
-#: came with a handle; the fire-and-forget ones are plain lists, so a
-#: stranded record is recognised by shape (``"record"``, see ``_kind``) —
-#: and what it pins (a ``Message``, a ``_Pending``, an instance) shows up
-#: under its own name as well.
+#: leak grows with the run.  A queue record is a plain tuple (a cancellable
+#: one points to its ``Event`` handle), so a stranded record is recognised
+#: by shape (``"record"``, see ``_kind``) — and what it pins (a
+#: ``Message``, a ``_Pending``, an instance) shows up under its own name as
+#: well.
 HOT_PATH_TYPES = {
     "_Pending",
     "Event",
     "record",
     "Message",
     "BinaryConsensus",
+    "_Round",
     "VvbInstance",
     "BinaryValueBroadcast",
     "OrderingCert",
@@ -121,19 +124,23 @@ SHAPES = {
 }
 
 
-def _kind(obj):
-    """Type name, with the engine's ``[time, priority, seq, fn, args]``
-    lists told apart from every other list."""
-    if (
-        type(obj) is list
-        and len(obj) == 5
+def _is_record(obj):
+    """The engine's ``(key, fn, args)`` and ``(key, None, handle)``."""
+    return (
+        type(obj) is tuple
+        and len(obj) == 3
         and type(obj[0]) is int
-        and type(obj[2]) is int
-        and (obj[3] is None or callable(obj[3]))
-        and (obj[4] is None or type(obj[4]) is tuple)
-    ):
-        return "record"
-    return type(obj).__name__
+        and (
+            (callable(obj[1]) and type(obj[2]) is tuple)
+            or (obj[1] is None and type(obj[2]) is Event)
+        )
+    )
+
+
+def _kind(obj):
+    """Type name, with the engine's records told apart from every other
+    tuple."""
+    return "record" if _is_record(obj) else type(obj).__name__
 
 
 def _run_collector_off(cluster):
@@ -264,17 +271,21 @@ def test_comparison_side_state_is_bounded_by_run_length():
 
 
 def test_a_stranded_record_is_named_in_the_garbage():
-    """The scan above sees plain-list records and what they carry."""
+    """The scan above sees records, with or without a handle, and what
+    they carry."""
 
     class Message:
         pass
 
     def strand():
         message = Message()
-        message.pinned_by = [7, 0, 3, print, (message, 1, 0)]  # a cycle
+        message.pinned_by = (7 << 22, print, (message, 1, 0))  # a cycle
+        handle = Event(9 << 22, 0, print, (message,))
+        message.timer = (9 << 22, None, handle)
 
     _, found = _collector_off(strand)
-    assert found["record"] == 1 and found["Message"] == 1
+    assert found["record"] == 2 and found["Message"] == 1
+    assert found["Event"] == 1
 
 
 def test_acked_frame_dies_when_its_rto_is_cancelled_not_when_its_slot_drains():
@@ -385,7 +396,7 @@ def test_a_vvb_that_delivered_one_holds_no_shares():
     assert own
     for iid, instance in own:
         vvb = instance.vvb
-        assert vvb._shares == {}
+        assert vvb._shares is None
         sender = 2
         samples = node.estimator.samples(sender)
         share = cluster.nodes[sender].services.threshold_signer.share_sign(
@@ -394,6 +405,77 @@ def test_a_vvb_that_delivered_one_holds_no_shares():
         seq = node._s_ref[iid] + 1_234
         vote = {"iid": iid, "digest": vvb.message_digest, "share": share, "seq": seq}
         node._process(Message(VOTE1_KIND, vote, 64), sender)
-        assert vvb._shares == {}
+        assert vvb._shares is None
         assert node.estimator.samples(sender) == samples + 1
         assert list(node.estimator._history[sender])[-1] == 1_234.0
+
+
+def _new_objects(body):
+    """Type names of the gc-tracked objects ``body()`` leaves behind."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = Counter(type(obj).__name__ for obj in gc.get_objects())
+        body()
+        after = Counter(type(obj).__name__ for obj in gc.get_objects())
+    finally:
+        if was_enabled:
+            gc.enable()
+    after["Counter"] -= 1  # ``before`` itself
+    return after - before
+
+
+def test_arming_a_timer_allocates_its_record_and_nothing_else():
+    """A timer is one ``Event`` and its queue record: the wheel queues its
+    own ``_fire``, bound once, with ``(name, fn, args)``; there is no
+    ``Timer``, ``partial``, closure or bound method per arm."""
+    sim = Simulator()
+    wheel = TimerWheel(sim)
+    wheel.set("warm", 5, print, ("warm",))
+    name = (InstanceId(1, 2), 3)
+    new = _new_objects(lambda: wheel.set(name, 10, print, (3,)))
+    # The Event, its record and the wheel's argument triple.
+    assert new == Counter({"Event": 1, "tuple": 2}), new
+    assert not {"Timer", "partial", "function", "method"} & set(new)
+
+
+def test_a_dbft_instance_holds_one_record_per_round_it_ran():
+    """Per-round state is one slotted ``_Round`` per round: no per-round
+    dict or list in the instance, its records or its BV endpoints."""
+    sim, nodes, net = build_consensus_cluster(4)
+    nodes[0].instance.propose(fake_cipher(), (1, 2, 3, 4))
+    sim.run(until=2_000_000)
+    for node in nodes:
+        instance = node.instance
+        assert instance.closed and instance.decided == 1
+        k = instance.round
+        assert k >= 3 and sorted(instance._rounds) == list(range(1, k + 1))
+        held = [getattr(instance, name) for name in BinaryConsensus.__slots__[:-1]]
+        assert [v for v in held if type(v) in (dict, list)] == [instance._rounds]
+        for record in instance._rounds.values():
+            assert type(record) is _Round
+            fields = [getattr(record, name) for name in _Round.__slots__]
+            assert all(v is None or type(v) in (int, BinaryValueBroadcast) for v in fields)
+            if record.bv is not None:
+                assert not any(
+                    type(getattr(record.bv, name)) in (dict, list, set)
+                    for name in BinaryValueBroadcast.__slots__
+                )
+
+
+def test_no_queued_record_is_a_list():
+    cluster = build_cluster(quick_lyra_config(seed=1, duration_us=1_500_000))
+    sim = cluster.sim
+    queued = []
+
+    def sample():
+        queued.extend(sim._open[sim._open_pos :])
+        queued.extend(record for records in sim._slots.values() for record in records)
+
+    for t_ms in (300, 700, 1100):
+        sim.schedule_at(t_ms * MILLISECONDS + 37, sample)
+    cluster.run()
+    assert len(queued) > 100
+    assert all(_is_record(record) for record in queued)
+    # Both shapes were queued: messages in flight and armed timers.
+    assert {record[1] is None for record in queued} == {False, True}

@@ -10,6 +10,7 @@ from repro.net.bandwidth import BandwidthModel, NicQueue
 from repro.net.faults import FaultInjector, FaultPlan, LinkFault
 from repro.net.latency import (
     AWS_ONE_WAY_MS,
+    JITTER_REFILL,
     GeoLatencyModel,
     UniformLatencyModel,
     region_latency_ms,
@@ -21,6 +22,7 @@ from repro.net.topology import EVAL_REGIONS, FIG1_REGIONS, Topology
 from repro.sim.engine import MILLISECONDS, SECONDS, Simulator
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry, derive_seed
+from tests.helpers import record_fields
 
 
 class Collector(SimProcess):
@@ -133,8 +135,7 @@ class TestLatencyModels:
     def test_geo_block_and_scalar_interleave_on_one_stream(self, seed):
         """Broadcast fan-outs and point-to-point sends share each source's
         jitter stream: any interleaving must consume the same variates in
-        the same order as all-scalar — across the 1024-variate refill
-        boundary too."""
+        the same order as all-scalar — across the refill boundary too."""
         scalar, model = self._geo_twins(seed)
         rnd = random.Random(seed)
         actions, want = [], []
@@ -454,11 +455,13 @@ class TestFastBroadcast:
         ((items, priority),) = blocks
         assert priority == 2 + 1  # deliveries order by sender pid
         dsts = [d for d in range(self.N) if include_self or d != 2]
-        # Each call carries its link's record, so delivery looks nothing up.
-        assert [args[0] for _, _, args in items] == [net._link(2, d) for d in dsts]
-        for delay, fn, (link, message) in items:
+        # Each call is its link's record, so delivery looks nothing up.
+        assert [fn for _, fn, _ in items] == [net._link(2, d) for d in dsts]
+        for delay, fn, args in items:
             assert type(delay) is int and delay > 0
-            assert fn == net._deliver_clean and message is frame  # shared, not copied
+            # One argument tuple for the whole fan-out; the frame is shared,
+            # not copied.
+            assert args is items[0][2] and args == (frame,)
         # Egress serialisation staggers the copies in destination order.
         assert sim.pending == len(dsts)
         sim.run()
@@ -644,7 +647,7 @@ class _ReferenceGeo(GeoLatencyModel):
             state = self._stream(src)
         buf, pos, gen = state
         if pos >= len(buf):
-            buf = state[0] = gen.normal(0.0, jitter, 1024).tolist()
+            buf = state[0] = gen.normal(0.0, jitter, JITTER_REFILL).tolist()
             pos = 0
         noise = buf[pos]
         state[1] = pos + 1
@@ -743,16 +746,20 @@ class _ReferenceNetwork(Network):
 
 def _queued(record):
     """An engine record, with a delivery's arguments reduced to what both
-    callback shapes carry: the link's ends and the frame's wire fields."""
-    time, priority, seq, fn, args = record
+    callback shapes carry: the link's ends and the frame's wire fields.
+    Records hold no insertion counter: a record's place in the spied list
+    is its place in scheduling order."""
+    time, priority, fn, args = record_fields(record)
+    if type(fn).__name__ == "_Link":  # a link delivers what it is called with
+        fn, args = Network._deliver, (fn,) + args
     if not fn.__name__.startswith("_deliver"):
-        return time, priority, seq, fn.__name__
+        return time, priority, fn.__name__
     if len(args) == 2:
         link, message = args
         src, dst = link.src, link.dst
     else:
         src, dst, message = args
-    return time, priority, seq, src, dst, message.kind, message.size, message.checksum
+    return time, priority, src, dst, message.kind, message.size, message.checksum
 
 
 def _stream_positions(rng):

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from repro.sim.engine import (
+    _PRIORITY_BIAS,
     _SLOT_SHIFT,
     SECONDS,
     Event,
@@ -14,6 +15,7 @@ from repro.sim.engine import (
     SimulationError,
 )
 from repro.sim.process import SimProcess
+from tests.helpers import record_fields
 
 #: Slot width of the calendar queue: the tests below aim at its edges.
 SLOT = 1 << _SLOT_SHIFT
@@ -136,6 +138,36 @@ class TestIntegerTime:
         sim.post(2, ran.append, ("posted",))
         sim.run()
         assert ran == ["posted", "ok"] and sim.pending == 0
+
+    @pytest.mark.parametrize(
+        "priority", [_PRIORITY_BIAS, -_PRIORITY_BIAS - 1, 1 << 40, -(1 << 40)]
+    )
+    def test_a_priority_outside_the_packed_key_is_refused(self, priority):
+        """The key packs the priority into its low bits: one that does not
+        fit is refused at the call, by every entry point, before it could
+        alias a neighbouring time."""
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="priority"):
+            sim.schedule(1, print, priority=priority)
+        with pytest.raises(SimulationError, match="priority"):
+            sim.post(1, print, (), priority)
+        with pytest.raises(SimulationError, match="priority"):
+            sim.schedule_block([(1, print, ())], priority=priority)
+        assert sim.pending == 0
+
+    def test_the_edges_of_the_priority_range_order_correctly(self):
+        sim = Simulator()
+        order = []
+        top, bottom = _PRIORITY_BIAS - 1, -_PRIORITY_BIAS
+        sim.post(2, order.append, ("next instant",), bottom)
+        sim.schedule(1, order.append, ("top",), priority=top)
+        sim.schedule_block([(1, order.append, ("bottom",))], priority=bottom)
+        # Delivery priorities are ``src + 1`` for pids below 2 ** 20.
+        sim.post(1, order.append, ("largest pid",), 1 << 20)
+        event = sim.schedule(1, order.append, ("zero",))
+        assert (event.time, event.priority) == (1, 0)
+        sim.run()
+        assert order == ["bottom", "zero", "largest pid", "top", "next instant"]
 
     def test_a_float_receive_cost_fails_in_deliver_not_mid_run(self):
         class Sloppy(SimProcess):
@@ -437,16 +469,21 @@ def _audit(sim):
     assert sim._open_slot not in sim._slots
     assert all(rec is None for rec in sim._open[: sim._open_pos])
     rest = sim._open[sim._open_pos :]
-    assert rest == sorted(rest, key=lambda rec: rec[:3])
-    assert all(rec[0] >> _SLOT_SHIFT == sim._open_slot for rec in rest)
+    assert [rec[0] for rec in rest] == sorted(rec[0] for rec in rest)
+    assert all(record_fields(rec)[0] >> _SLOT_SHIFT == sim._open_slot for rec in rest)
     queued = list(rest)
     for slot, records in sim._slots.items():
-        assert records and all(rec[0] >> _SLOT_SHIFT == slot for rec in records)
+        assert records and all(
+            record_fields(rec)[0] >> _SLOT_SHIFT == slot for rec in records
+        )
         queued.extend(records)
+    assert all(type(rec) is tuple for rec in queued)
     # The O(1) counter is the physical length, cancelled records included.
     assert sim.pending == len(queued)
-    assert all(rec[0] >= sim.now for rec in queued if rec[3] is not None)
-    return sum(rec[3] is not None for rec in queued)
+    live = [record_fields(rec) for rec in queued]
+    live = [fields for fields in live if fields[2] is not None]
+    assert all(time >= sim.now for time, *_ in live)
+    return len(live)
 
 
 #: Delays on and around slot boundaries.
@@ -655,7 +692,7 @@ class TestAgainstNaiveReference:
 
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # pragma: no cover - the seeded scripts above still run
     pass
@@ -688,3 +725,70 @@ else:
     def test_hypothesis_scripts_match_the_naive_reference(ops, seed):
         _check_script(ops, seed)
 
+    #: Few distinct delays and priorities, so that equal keys are common:
+    #: inside one slot, on both sides of a slot boundary and, from a
+    #: callback at delay 0, in the slot being drained.
+    _tie_delay = st.sampled_from((0, 1, SLOT - 1, SLOT, SLOT + 1, 3 * SLOT))
+    _tie_add = st.tuples(
+        st.just("add"),
+        _tie_delay,
+        st.sampled_from((-1, 0, 1)),
+        st.sampled_from(("schedule", "post", "block")),
+        st.lists(
+            st.tuples(_tie_delay, st.sampled_from((-1, 0, 1))), max_size=3
+        ),
+    )
+    # A horizon that stops inside a slot, ahead of its next record, so the
+    # adds after it may land in an earlier slot than the one peeked.
+    _tie_run = st.tuples(st.just("run"), st.integers(0, 3 * SLOT))
+
+    def _play_ties(sim, ops):
+        """Every record carries its scheduling rank; return the execution
+        log of ``(time, priority, rank)``."""
+        log, ranks = [], iter(range(1 << 30))
+
+        def fire(rank, priority, nested):
+            log.append((sim.now, priority, rank))
+            for delay, nested_priority in nested:
+                add(delay, nested_priority, "schedule", ())
+
+        def add(delay, priority, how, nested):
+            args = (next(ranks), priority, tuple(nested))
+            if how == "schedule":
+                sim.schedule(delay, fire, args, priority=priority)
+            elif how == "post":
+                sim.post(delay, fire, args, priority)
+            else:
+                sim.schedule_block([(delay, fire, args)], priority=priority)
+
+        for op in ops:
+            if op[0] == "add":
+                add(*op[1:])
+            else:
+                sim.run(until=sim.now + op[1])
+        sim.run()
+        return log
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.one_of(_tie_add, _tie_add, _tie_run), max_size=40))
+    @example(
+        ops=[
+            ("add", 3 * SLOT, 0, "post", []),
+            ("add", 3 * SLOT, 0, "schedule", [(0, 0), (0, 0)]),
+            ("run", SLOT + 7),  # peeks slot 3, stops in slot 1
+            ("add", SLOT, 0, "block", [(0, 0)]),  # slot 2: closes slot 3
+            ("add", 2 * SLOT - 7, 0, "post", []),  # slot 3, equal key
+            ("add", 2 * SLOT - 7, 0, "schedule", []),
+        ]
+    )
+    def test_hypothesis_equal_keys_run_in_scheduling_order(ops):
+        """Records hold no insertion counter: a stable sort, ``insort``
+        after equal keys and the closed open slot going back ahead of later
+        appends must still run equal ``(time, priority)`` keys in the order
+        they were scheduled — and match the sort-everything reference."""
+        log = _play_ties(Simulator(), ops)
+        assert log == _play_ties(_NaiveSimulator(), ops)
+        last_rank = {}
+        for time, priority, rank in log:
+            assert rank > last_rank.get((time, priority), -1)
+            last_rank[time, priority] = rank

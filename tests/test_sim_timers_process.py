@@ -8,49 +8,49 @@ from repro.net.message import Message
 from repro.sim.engine import Simulator
 from repro.sim.process import CpuModel, SimProcess
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.timers import Timer, TimerWheel
+from repro.sim.timers import TimerWheel
 
 
-class TestTimer:
+class TestTimerWheel:
     def test_fires_after_delay(self):
         sim = Simulator()
+        wheel = TimerWheel(sim)
         fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(100)
+        event = wheel.set("x", 100, fired.append, ("x",))
+        assert (event.time, event.priority) == (100, 0)
         sim.run()
-        assert fired == [100]
-        assert timer.fired_count == 1
+        assert fired == ["x"] and sim.now == 100
 
     def test_restart_supersedes(self):
         sim = Simulator()
+        wheel = TimerWheel(sim)
         fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(100)
-        sim.schedule(50, lambda: timer.start(100))  # re-arm at t=50
+        wheel.set("x", 100, lambda: fired.append(sim.now))
+        sim.schedule(50, lambda: wheel.set("x", 100, lambda: fired.append(sim.now)))
         sim.run()
         assert fired == [150]
 
     def test_cancel(self):
         sim = Simulator()
+        wheel = TimerWheel(sim)
         fired = []
-        timer = Timer(sim, lambda: fired.append(1))
-        timer.start(10)
-        timer.cancel()
+        event = wheel.set("x", 10, fired.append, (1,))
+        wheel.cancel("x")
+        assert event.cancelled and event.fn is None and event.args is None
         sim.run()
         assert fired == []
-        assert not timer.armed
+        assert not wheel.armed("x")
 
     def test_armed_state(self):
         sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        assert not timer.armed
-        timer.start(10)
-        assert timer.armed
+        wheel = TimerWheel(sim)
+        assert not wheel.armed("x")
+        event = wheel.set("x", 10, lambda: None)
+        assert wheel.armed("x")
         sim.run()
-        assert not timer.armed
+        assert not wheel.armed("x")
+        assert not event.cancelled  # having fired is not being cancelled
 
-
-class TestTimerWheel:
     def test_named_timers_independent(self):
         sim = Simulator()
         wheel = TimerWheel(sim)

@@ -336,7 +336,7 @@ class TestMalformedReports:
             wire(AUX_KIND, {"iid": iid, "round": 1, "e": (1,), "pb": "junk"}), 1
         )
         assert node.commit.malformed_reports == 1
-        assert node._instances[iid]._aux[1][2] == 1 << 1
+        assert node._instances[iid]._rounds[1].aux1 == 1 << 1
 
     def test_junk_inside_acc_stops_that_scan(self):
         sim, nodes, net = build_pair(costs=FREE_COSTS)
@@ -581,7 +581,7 @@ class TestMalformedVvbMessages:
         node._process(wire(VOTE1_KIND, signed_vote1(nodes, iid, 1, seq)), 1)
         assert node.stats.malformed_messages == 1
         assert samples_view(node.estimator) == before  # no distance sample
-        assert node._instances[iid].vvb._shares == {}  # and no vote
+        assert node._instances[iid].vvb._shares is None  # and no vote
 
     @pytest.mark.parametrize("seq", [S_REF + 7_000, 0, -250])
     def test_an_int_seq_is_a_sample_even_when_not_positive(self, seq):
@@ -654,12 +654,12 @@ class TestInstanceDispatch:
         assert set(node._instances) == {live}
         assert node.stats.instances_joined == 1
         instance = node._instances[live]
-        assert instance._aux[1][2] == 1 << 1
+        assert instance._rounds[1].aux1 == 1 << 1
 
         # Live: the same instance handles it, nothing is re-created.
         node._process(self.aux(live), 2)
         assert node._instances[live] is instance
-        assert instance._aux[1][2] == (1 << 1) | (1 << 2)
+        assert instance._rounds[1].aux1 == (1 << 1) | (1 << 2)
         assert node.stats.instances_joined == 1
 
         # Finished: garbage-collected, late traffic is dropped at dispatch.
@@ -675,7 +675,7 @@ class TestInstanceDispatch:
         # still ignored, whether the instance is live or not.
         for raw in ((1, 0), (1, 2), [1, 0], "1,0", None, 7):
             node._process(self.aux(raw), 3)
-        assert instance._aux[1][0] == (1 << 1) | (1 << 2)
+        assert instance._rounds[1].heard == (1 << 1) | (1 << 2)
         assert unknown not in node._instances
         assert node.stats.instances_joined == 2
 

@@ -1,9 +1,15 @@
 """Protocol tests for VVB (Algorithm 1) and modified DBFT (Algorithm 3),
 run over a real simulated network with the ConsensusTestNode harness."""
 
-from repro.core.vvb import INIT_KIND, message_digest
+from repro.core.bv_broadcast import BV_KIND
+from repro.core.dbft import BinaryConsensus
+from repro.core.services import ProtocolServices
+from repro.core.vvb import FETCH_KIND, INIT_KIND, message_digest
+from repro.crypto.cost import FREE_COSTS
+from repro.crypto.signatures import KeyRegistry
+from repro.crypto.threshold import ThresholdScheme
 from repro.net.message import Message
-from repro.sim.engine import MILLISECONDS
+from repro.sim.engine import MILLISECONDS, Simulator
 
 from tests.helpers import (
     TEST_IID,
@@ -175,6 +181,72 @@ class TestPartialDissemination:
                 node.instance.delivered_message is not None
                 or node.messages_recovered
             ), f"pid {node.pid} decided 1 without the message"
+
+
+class TestDecideOneWithoutTheMessage:
+    """Deciding 1 through amplified estimates (BV-broadcast rounds) does not
+    need ``m``: the instance decides ``(1, None)``, asks for ``m`` with one
+    FETCH broadcast, and reports ``m`` once a proof and the INIT arrive."""
+
+    def test_decides_fetches_and_reports_the_message_once(self):
+        n, f, pid = 4, 1, 1
+        sim, registry = Simulator(), KeyRegistry(1)
+        scheme = ThresholdScheme(2 * f + 1, n, seed=1)
+        out, decisions, messages = [], [], []
+        services = ProtocolServices(
+            pid=pid,
+            n=n,
+            f=f,
+            sim=sim,
+            delta_us=DELAY,
+            signer=registry.signer(pid),
+            registry=registry,
+            threshold=scheme,
+            costs=FREE_COSTS,
+            send_fn=lambda dst, msg: out.append(("send", dst, msg.kind)),
+            broadcast_fn=lambda msg: out.append(("broadcast", msg.kind)),
+        )
+        instance = BinaryConsensus(
+            services,
+            TEST_IID,
+            validate=lambda iid, cipher, preds: True,
+            on_decide=lambda iid, v, m: decisions.append((iid, v, m)),
+            on_message=lambda iid, m: messages.append((iid, m)),
+        )
+        peers = (0, 2, 3)
+
+        def round_(r, value):
+            """Deliver ``value`` into round ``r``'s vvals, let the round
+            timer expire, then hand over a quorum of AUX ``{value}``."""
+            for sender in peers:
+                if r == 1:
+                    instance.on_vote0({"iid": TEST_IID, "seq": 0}, sender)
+                else:
+                    instance.on_bv({"iid": TEST_IID, "round": r, "b": value}, sender)
+            sim.run(until=sim.now + DELAY)
+            for sender in peers:
+                instance.on_aux({"iid": TEST_IID, "round": r, "e": (value,)}, sender)
+
+        round_(1, 0)  # no m: round 1 can only see 0
+        round_(2, 1)  # the estimate becomes 1 ...
+        assert not decisions and instance.round == 3
+        round_(3, 1)  # ... and is decided in an odd round
+        assert decisions == [(TEST_IID, 1, None)]
+        assert out.count(("broadcast", FETCH_KIND)) == 1
+        assert ("broadcast", BV_KIND) in out and not messages
+
+        cipher, preds = fake_cipher(), (1, 2, 3, 4)
+        digest = message_digest(TEST_IID, cipher.cipher_id, preds)
+        proof = scheme.combine(
+            digest, [scheme.share_signer(p).share_sign(digest) for p in peers]
+        )
+        instance.on_deliver({"iid": TEST_IID, "digest": digest, "proof": proof}, 2)
+        assert ("send", 2, FETCH_KIND) in out and not messages
+        init = make_init_payload(registry, cipher, preds)
+        instance.on_init(init, 2)
+        instance.on_init(dict(init), 3)
+        assert messages == [(TEST_IID, (cipher, preds))]
+        assert decisions == [(TEST_IID, 1, None)]
 
 
 class TestInvalidInputs:

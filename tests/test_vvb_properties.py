@@ -101,7 +101,7 @@ class TestVvbSupermajority:
             vvb = node.instance.vvb
             if 1 not in vvb.delivered:
                 continue
-            shares = vvb._shares.get(vvb.message_digest, {})
+            shares = (vvb._shares or {}).get(vvb.message_digest, {})
             # Either we counted a quorum of shares ourselves, or we hold a
             # transferable proof that combines one.
             assert len(shares) >= 3 or vvb._proof is not None
